@@ -14,7 +14,7 @@ from fractions import Fraction
 from . import analysis, mms
 from .core import (Allocation, Instance, bundle_cost, format_rational,
                    parse_rational, to_ido, universal_ordering)
-from .errors import ChoreMMSError, ParseError, TheoremViolation
+from .errors import ChoreMMSError, ParseError, TheoremViolation, TooLarge
 from .io import format_allocation, format_instance, parse_allocation, parse_instance
 from .packing import ffd, hffd, multifit
 
@@ -162,9 +162,15 @@ def cmd_verify(args) -> int:
     if d < 1:
         print("error: ordinal mode needs at least two agents", file=sys.stderr)
         return EXIT_INPUT
+    try:
+        mus = [mms.mms_brute(instance.cost(i), instance.chores(), d).value
+               for i in range(instance.n)]
+    except TooLarge as exc:
+        # a capacity limit of the exact oracle, not an input error
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_FAILED
     all_pass = True
-    for i in range(instance.n):
-        mu = mms.mms_brute(instance.cost(i), instance.chores(), d).value
+    for i, mu in enumerate(mus):
         bound = alpha * mu
         cost = bundle_cost(instance.cost(i), allocation.bundles[i])
         ok = cost <= bound
@@ -200,6 +206,9 @@ def cmd_table(args) -> int:
 
 
 def cmd_search(args) -> int:
+    if args.trials < 0:
+        print("error: --trials must be nonnegative", file=sys.stderr)
+        return EXIT_INPUT
     if args.target == "monotonicity":
         hit = analysis.search_monotonicity(args.klass, args.trials, args.seed)
         if hit is None:

@@ -2,11 +2,13 @@
 
 All costs are ``fractions.Fraction`` values; no floating point is used
 anywhere, because every algorithm in this package branches on exact
-fits/does-not-fit comparisons.
+fits/does-not-fit comparisons. Hot loops run on a row scaled to integers
+(`integer_scale`), which keeps every comparison exact.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -98,6 +100,22 @@ def sort_desc(chores: Iterable[int], cost: Sequence[Fraction]) -> list[int]:
     return sorted(chores, key=lambda c: (-cost[c], c))
 
 
+def integer_scale(values: Iterable[Fraction]) -> tuple[list[int], int]:
+    """The values times D, the lcm of their denominators, as integers, and D.
+
+    A sum s of scaled values stays within a threshold tau exactly when
+    s <= floor(tau * D) (see `scaled_floor`), because s is an integer.
+    """
+    values = list(values)
+    scale = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (scale // v.denominator) for v in values], scale
+
+
+def scaled_floor(tau: Fraction, scale: int) -> int:
+    """floor(tau * scale), the largest integer sum that stays within tau."""
+    return tau.numerator * scale // tau.denominator
+
+
 def bundle_cost(cost: Sequence[Fraction], bundle: Iterable[int]) -> Fraction:
     return sum((cost[c] for c in bundle), Fraction(0))
 
@@ -144,7 +162,6 @@ class Allocation:
 
 @dataclass(frozen=True)
 class InstanceClass:
-    is_ido: bool
     factored_per_agent: tuple[bool, ...]
     bivalued_per_agent: tuple[bool, ...]
 
@@ -170,13 +187,7 @@ def is_bivalued_costs(values: Iterable[Fraction]) -> bool:
 def classify(instance: Instance) -> InstanceClass:
     """Per-agent and global class flags; a single-valued agent is both
     factored and bivalued."""
-    try:
-        universal_ordering(instance)
-        ido = True
-    except NotIDO:
-        ido = False
     return InstanceClass(
-        is_ido=ido,
         factored_per_agent=tuple(is_factored_costs(row) for row in instance.costs),
         bivalued_per_agent=tuple(is_bivalued_costs(row) for row in instance.costs),
     )
@@ -210,7 +221,11 @@ class LiftingMap:
             agent = allocation.agent_of(b)
             for c in bundle:
                 owner_of[c] = (agent, b)
-        remaining = set(range(m))
+        taken = [False] * m
+        # per owner: original chores cheapest first (lower id among equals)
+        # and the index of the first one not yet known to be taken
+        ascending: dict[int, list[int]] = {}
+        cursor: dict[int, int] = {}
         lifted: list[list[int]] = [[] for _ in allocation.bundles]
         # IDO chore j is the (j+1)-th largest position; walk smallest to
         # largest, each owner taking their cheapest remaining original chore.
@@ -218,9 +233,16 @@ class LiftingMap:
         # gone, so the pick costs at most the position it replaces.
         for j in reversed(range(m)):
             agent, b = owner_of[j]
-            row = self.original.cost(agent)
-            pick = min(remaining, key=lambda c: (row[c], c))
-            remaining.remove(pick)
+            if agent not in ascending:
+                weights, _ = integer_scale(self.original.cost(agent))
+                ascending[agent] = sorted(range(m), key=weights.__getitem__)
+                cursor[agent] = 0
+            order, p = ascending[agent], cursor[agent]
+            while taken[order[p]]:
+                p += 1
+            pick = order[p]
+            cursor[agent] = p + 1
+            taken[pick] = True
             lifted[b].append(pick)
         return Allocation.of(lifted, allocation.agents)
 

@@ -16,9 +16,8 @@ from .core import (Allocation, EQUAL, bundle_cost, is_bivalued_costs,
                    is_factored_costs, lex_compare, sort_desc, swap)
 from .errors import (EmptyBundle, InvariantViolation, NotBivalued,
                      PreconditionViolation)
+from .mms import APPROX_RATIO
 from .packing import ffd
-
-APPROX_RATIO = Fraction(15, 13)
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,7 @@ Instance file::
     mms-instance 1
     agents <n>
     chores <m>
-    <m rationals>      # one line per agent, `p` or `p/q`
+    <m rationals>      # one line per agent, `p` or `p/q`; none when m = 0
 
 Allocation file: n lines ``agent <i>: <chore ids>`` followed by n lines
 ``cost <i>: <rational>``. Lines starting with ``#`` are comments.
@@ -29,8 +29,8 @@ def _significant_lines(text: str):
 
 def format_instance(instance: Instance) -> str:
     lines = ["mms-instance 1", f"agents {instance.n}", f"chores {instance.m}"]
-    for row in instance.costs:
-        lines.append(" ".join(format_rational(c) for c in row))
+    if instance.m:
+        lines.extend(" ".join(format_rational(c) for c in row) for row in instance.costs)
     return "\n".join(lines) + "\n"
 
 
@@ -43,8 +43,12 @@ def parse_instance(text: str) -> Instance:
         raise ParseError("missing agents/chores declarations")
     n = _parse_count(lines[1], "agents")
     m = _parse_count(lines[2], "chores")
-    if len(lines) != 3 + n:
-        raise ParseError(f"expected {n} cost rows, found {len(lines) - 3}")
+    if n < 1:
+        raise ParseError("need at least one agent", lines[1][0])
+    # with no chores a cost row would be a blank line, so none is written
+    expected = n if m else 0
+    if len(lines) != 3 + expected:
+        raise ParseError(f"expected {expected} cost rows, found {len(lines) - 3}")
     rows = []
     for lineno, line in lines[3:]:
         fields = line.split()
@@ -57,9 +61,7 @@ def parse_instance(text: str) -> Instance:
         if any(c <= 0 for c in row):
             raise ParseError("all chore costs must be strictly positive", lineno)
         rows.append(row)
-    if n < 1:
-        raise ParseError("need at least one agent", lines[1][0])
-    return Instance(tuple(rows))
+    return Instance(tuple(rows) if m else ((),) * n)
 
 
 def _parse_count(entry, keyword):

@@ -3,7 +3,6 @@ factored costs) and the three end-to-end solvers."""
 
 from __future__ import annotations
 
-import math
 import os
 import time
 from dataclasses import dataclass
@@ -11,10 +10,10 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .core import (Allocation, Instance, bundle_cost, classify,
-                   is_bivalued_costs, is_factored_costs, sort_desc, to_ido)
+                   is_bivalued_costs, is_factored_costs, to_ido)
 from .errors import (BadParams, NotBivalued, NotFactored, TheoremViolation,
                      TooLarge, UnsupportedClass)
-from .packing import ffd, hffd
+from .packing import ffd, hffd, scale_row, smallest_fitting_cap
 
 ORACLE_CAP = 14
 APPROX_RATIO = Fraction(15, 13)
@@ -54,9 +53,8 @@ def mms_brute(cost: Sequence[Fraction], chores: Iterable[int], d: int,
     if not chores:
         return MMSResult(Fraction(0), ((),) * d)
     # integer arithmetic inside the search; Fractions are exact but slow
-    denom = math.lcm(* (cost[c].denominator for c in chores))
-    ordered = sort_desc(chores, cost)
-    weights = [cost[c].numerator * (denom // cost[c].denominator) for c in ordered]
+    row = scale_row(chores, cost)
+    ordered, weights = row.order, row.weights
     total = sum(weights)
     lower = -(-total // d)  # ceil
     best = total + 1
@@ -91,25 +89,23 @@ def mms_brute(cost: Sequence[Fraction], chores: Iterable[int], d: int,
     bundles: list[list[int]] = [[] for _ in range(d)]
     for idx, b in enumerate(best_assign):
         bundles[b].append(ordered[idx])
-    return MMSResult(Fraction(best, denom), tuple(tuple(sorted(b)) for b in bundles))
+    return MMSResult(Fraction(best, row.scale), tuple(tuple(sorted(b)) for b in bundles))
 
 
-def _bisect_multiple_grid(chores, cost, d, unit: Fraction, lo: Fraction, hi: Fraction) -> tuple[Fraction, "ffd"]:
-    """Smallest multiple of `unit` in [lo, hi] at which FFD fills d bins;
-    valid only where FFD success is monotone in the threshold."""
-    lo_k = int(lo / unit)
-    hi_k = int(hi / unit)
-    best = hi_k
-    best_outcome = ffd(chores, cost, hi_k * unit, max_bins=d)
-    while lo_k <= hi_k:
-        mid = (lo_k + hi_k) // 2
-        outcome = ffd(chores, cost, mid * unit, max_bins=d)
-        if outcome.succeeded:
-            best, best_outcome = mid, outcome
-            hi_k = mid - 1
-        else:
-            lo_k = mid + 1
-    return best * unit, best_outcome
+def _factored_caps(weights) -> range:
+    """Multiples of the smallest weight from the largest weight to the
+    total; with factored costs both ends are such multiples."""
+    return range(weights[0], sum(weights) + 1, weights[-1])
+
+
+def _bivalued_caps(weights) -> list[int]:
+    """The sums a·large + b·small from the largest weight to the total."""
+    large, small = weights[0], weights[-1]
+    n_large = weights.count(large)
+    lo, hi = large, sum(weights)
+    return sorted({a * large + b * small
+                   for a in range(n_large + 1) for b in range(len(weights) - n_large + 1)
+                   if lo <= a * large + b * small <= hi})
 
 
 def mms_factored(cost: Sequence[Fraction], chores: Iterable[int], d: int) -> MMSResult:
@@ -122,10 +118,10 @@ def mms_factored(cost: Sequence[Fraction], chores: Iterable[int], d: int) -> MMS
         raise NotFactored("cost values do not form a divisibility chain")
     if not chores:
         return MMSResult(Fraction(0), ((),) * d)
-    unit = min(cost[c] for c in chores)
-    lo = max(cost[c] for c in chores)
-    hi = bundle_cost(cost, chores)
-    value, outcome = _bisect_multiple_grid(chores, cost, d, unit, lo, hi)
+    row = scale_row(chores, cost)
+    value = Fraction(smallest_fitting_cap(row.weights, _factored_caps(row.weights), d),
+                     row.scale)
+    outcome = ffd(chores, cost, value, max_bins=d)
     witness = tuple(tuple(sorted(b)) for b in outcome.bundles)
     witness += ((),) * (d - len(witness))
     return MMSResult(value, witness)
@@ -140,33 +136,16 @@ def min_success_threshold(cost: Sequence[Fraction], chores: Iterable[int], n: in
     if not chores:
         return Fraction(0)
     values = [cost[c] for c in chores]
-    lo = max(values)
-    hi = sum(values)
     if is_factored_costs(values):
-        unit = min(values)
-        value, _ = _bisect_multiple_grid(chores, cost, n, unit, lo, hi)
-        return value
-    if is_bivalued_costs(values):
-        distinct = sorted(set(values), reverse=True)
-        large = distinct[0]
-        small = distinct[-1]
-        n_large = sum(1 for v in values if v == large)
-        n_small = len(values) - n_large
-        grid = sorted({a * large + b * small
-                       for a in range(n_large + 1) for b in range(n_small + 1)
-                       if lo <= a * large + b * small <= hi})
-        lo_i, hi_i = 0, len(grid) - 1
-        best = hi_i
-        while lo_i <= hi_i:
-            mid = (lo_i + hi_i) // 2
-            if ffd(chores, cost, grid[mid], max_bins=n).succeeded:
-                best = mid
-                hi_i = mid - 1
-            else:
-                lo_i = mid + 1
-        return grid[best]
-    raise UnsupportedClass("minimal threshold needs factored or bivalued costs; "
-                           "use multifit for a succeeding (not necessarily minimal) threshold")
+        caps = _factored_caps
+    elif is_bivalued_costs(values):
+        caps = _bivalued_caps
+    else:
+        raise UnsupportedClass("minimal threshold needs factored or bivalued costs; "
+                               "use multifit for a succeeding (not necessarily minimal) "
+                               "threshold")
+    row = scale_row(chores, cost)
+    return Fraction(smallest_fitting_cap(row.weights, caps(row.weights), n), row.scale)
 
 
 def dump_counterexample(instance: Instance, note: str, directory: str | None = None) -> str:
@@ -205,8 +184,7 @@ def _run_hffd_and_lift(instance: Instance, ido: Instance, lifting, thresholds,
 def solve_factored(instance: Instance) -> SolveResult:
     """Exact MMS allocation for a factored instance (every agent's cost is
     at most their maximin share), in polynomial time."""
-    cls = classify(instance)
-    if not cls.is_factored:
+    if not all(is_factored_costs(row) for row in instance.costs):
         raise NotFactored("every agent must have factored costs")
     ido, lifting = to_ido(instance)
     chores = ido.chores()
@@ -224,8 +202,7 @@ def solve_bivalued(instance: Instance, oracle_cap: int = ORACLE_CAP) -> SolveRes
     compute mu_i, else the minimal FFD-success threshold, which the 15/13
     bound guarantees is no larger.
     """
-    cls = classify(instance)
-    if not cls.is_personalized_bivalued:
+    if not all(is_bivalued_costs(row) for row in instance.costs):
         raise NotBivalued("every agent must have at most two distinct cost values")
     ido, lifting = to_ido(instance)
     chores = ido.chores()

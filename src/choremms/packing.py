@@ -1,14 +1,20 @@
 """FFD with a threshold, MultiFit threshold search, and HFFD for
 heterogeneous agents. Failure to place chores is a value (PackOutcome),
-not an exception."""
+not an exception.
+
+Costs and thresholds are Fractions at the interface; the packing loops run
+on each row scaled to integers once (`core.integer_scale`), with threshold
+tau becoming the integer capacity floor(tau * D).
+"""
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .core import Allocation, Instance, bundle_cost, sort_desc, universal_ordering
+from .core import Allocation, Instance, integer_scale, scaled_floor, universal_ordering
 from .errors import BadParams, EmptyBinDeadlock, TooLarge
 
 _SUBSET_SUM_CAP = 24
@@ -25,6 +31,80 @@ class PackOutcome:
         return self.allocation.bundles
 
 
+@dataclass(frozen=True)
+class ScaledRow:
+    """Chores in FFD order (descending cost, lower id first among equals)
+    and their costs times `scale`, as integers in the same order."""
+
+    order: tuple[int, ...]
+    weights: tuple[int, ...]
+    scale: int
+
+
+def scale_row(chores: Iterable[int], cost: Sequence[Fraction]) -> ScaledRow:
+    chores = list(chores)
+    weights, scale = integer_scale(cost[c] for c in chores)
+    ranked = sorted(zip([-w for w in weights], chores))
+    return ScaledRow(tuple(c for _, c in ranked), tuple(-w for w, _ in ranked), scale)
+
+
+def first_fit(weights: Sequence[int], cap: int,
+              max_bins: int | None = None) -> tuple[list[list[int]], list[int]]:
+    """First fit of integer weights, in the given order, into bins of
+    capacity `cap`: each weight goes to the lowest-index bin with room,
+    else into a new bin while fewer than max_bins are open, else is left
+    out. Returns the positions in each bin and the positions left out."""
+    rooms: list[int] = []
+    bins: list[list[int]] = []
+    left_out: list[int] = []
+    for p, w in enumerate(weights):
+        for b, room in enumerate(rooms):
+            if w <= room:
+                rooms[b] = room - w
+                bins[b].append(p)
+                break
+        else:
+            if w <= cap and (max_bins is None or len(rooms) < max_bins):
+                rooms.append(cap - w)
+                bins.append([p])
+            else:
+                left_out.append(p)
+    return bins, left_out
+
+
+def first_fit_places_all(weights: Sequence[int], cap: int, max_bins: int) -> bool:
+    """Whether `first_fit` leaves nothing out; stops at the first weight it
+    cannot place."""
+    rooms: list[int] = []
+    for w in weights:
+        for b, room in enumerate(rooms):
+            if w <= room:
+                rooms[b] = room - w
+                break
+        else:
+            if w > cap or len(rooms) >= max_bins:
+                return False
+            rooms.append(cap - w)
+    return True
+
+
+def smallest_fitting_cap(weights: Sequence[int], caps: Sequence[int], bins: int) -> int:
+    """Bisection for the smallest of the ascending integer `caps` at which
+    first fit of `weights` (in FFD order) fills `bins` bins; the largest
+    cap when no probed one succeeds. Exact where
+    success is monotone in the cap (factored and bivalued costs); otherwise
+    the result succeeds but may not be the smallest."""
+    lo, hi = 0, len(caps) - 1
+    best = hi
+    while lo <= hi:
+        mid = (lo + hi) // 2
+        if first_fit_places_all(weights, caps[mid], bins):
+            best, hi = mid, mid - 1
+        else:
+            lo = mid + 1
+    return caps[best]
+
+
 def ffd(chores: Iterable[int], cost: Sequence[Fraction], tau: Fraction,
         max_bins: int | None = None) -> PackOutcome:
     """First-Fit-Decreasing: largest chore first (lower id breaks ties),
@@ -32,35 +112,28 @@ def ffd(chores: Iterable[int], cost: Sequence[Fraction], tau: Fraction,
     when allowed, otherwise the chore is left unallocated."""
     if tau <= 0:
         raise BadParams("FFD threshold must be positive")
-    bins: list[list[int]] = []
-    sums: list[Fraction] = []
-    unallocated: list[int] = []
-    for c in sort_desc(chores, cost):
-        for b, total in enumerate(sums):
-            if total + cost[c] <= tau:
-                bins[b].append(c)
-                sums[b] += cost[c]
-                break
-        else:
-            if cost[c] <= tau and (max_bins is None or len(bins) < max_bins):
-                bins.append([c])
-                sums.append(cost[c])
-            else:
-                unallocated.append(c)
-    return PackOutcome(Allocation.of(bins), tuple(unallocated), not unallocated)
+    row = scale_row(chores, cost)
+    bins, left_out = first_fit(row.weights, scaled_floor(tau, row.scale), max_bins)
+    order = row.order
+    return PackOutcome(Allocation.of([order[p] for p in b] for b in bins),
+                       tuple(order[p] for p in left_out), not left_out)
+
+
+def _integer_subset_sums(weights: Sequence[int]) -> list[int]:
+    if len(weights) > _SUBSET_SUM_CAP:
+        raise TooLarge(f"subset-sum grid needs m <= {_SUBSET_SUM_CAP}, got {len(weights)}")
+    sums = {0}
+    for w in weights:
+        sums |= {s + w for s in sums}
+    sums.discard(0)
+    return sorted(sums)
 
 
 def subset_sums(chores: Iterable[int], cost: Sequence[Fraction]) -> list[Fraction]:
     """Sorted distinct achievable bundle costs (the grid on which FFD
     success/failure can change)."""
-    chores = list(chores)
-    if len(chores) > _SUBSET_SUM_CAP:
-        raise TooLarge(f"subset-sum grid needs m <= {_SUBSET_SUM_CAP}, got {len(chores)}")
-    sums = {Fraction(0)}
-    for c in chores:
-        sums |= {s + cost[c] for s in sums}
-    sums.discard(Fraction(0))
-    return sorted(sums)
+    weights, scale = integer_scale(cost[c] for c in chores)
+    return [Fraction(s, scale) for s in _integer_subset_sums(weights)]
 
 
 def multifit(chores: Iterable[int], cost: Sequence[Fraction], n: int) -> tuple[Fraction, PackOutcome]:
@@ -75,22 +148,11 @@ def multifit(chores: Iterable[int], cost: Sequence[Fraction], n: int) -> tuple[F
     chores = list(chores)
     if not chores:
         return Fraction(0), PackOutcome(Allocation.of([]), (), True)
-    grid = subset_sums(chores, cost)
-    lo_value = max(cost[c] for c in chores)
-    total = bundle_cost(cost, chores)
-    lo = grid.index(lo_value)
-    hi = grid.index(total)
-    best = hi
-    best_outcome = ffd(chores, cost, grid[hi], max_bins=n)
-    while lo <= hi:
-        mid = (lo + hi) // 2
-        outcome = ffd(chores, cost, grid[mid], max_bins=n)
-        if outcome.succeeded:
-            best, best_outcome = mid, outcome
-            hi = mid - 1
-        else:
-            lo = mid + 1
-    return grid[best], best_outcome
+    row = scale_row(chores, cost)
+    grid = _integer_subset_sums(row.weights)
+    caps = grid[bisect_left(grid, row.weights[0]):]
+    tau = Fraction(smallest_fitting_cap(row.weights, caps, n), row.scale)
+    return tau, ffd(chores, cost, tau, max_bins=n)
 
 
 def hffd(instance: Instance, thresholds: Sequence[Fraction]) -> PackOutcome:
@@ -99,31 +161,41 @@ def hffd(instance: Instance, thresholds: Sequence[Fraction]) -> PackOutcome:
     Fills one bin at a time: a chore joins the open bin when it fits for at
     least one remaining agent under that agent's threshold; a closed bin
     goes to the lowest-index remaining agent for whom its last chore fitted.
+    Each agent's row and threshold are scaled to that agent's own integers.
     """
     if len(thresholds) != instance.n:
         raise BadParams("need one threshold per agent")
     if any(t <= 0 for t in thresholds):
         raise BadParams("thresholds must be positive")
-    ordering = universal_ordering(instance)
-    remaining = list(ordering.perm)
-    pool = list(range(instance.n))
+    remaining = list(universal_ordering(instance).perm)
+    rows: list[list[int]] = []
+    caps: list[int] = []
+    for i, tau in enumerate(thresholds):
+        weights, scale = integer_scale(instance.cost(i))
+        rows.append(weights)
+        caps.append(scaled_floor(tau, scale))
+    pool = list(range(instance.n))  # ascending, so the first fitting agent is the lowest
     bins: list[tuple[int, ...]] = []
     owners: list[int] = []
     while remaining and pool:
+        pool_rows = [rows[i] for i in pool]
+        rooms = [caps[i] for i in pool]
         bin_chores: list[int] = []
-        sums = {i: Fraction(0) for i in pool}
-        last_fit: list[int] = []
-        for c in list(remaining):
-            fits = [i for i in pool if sums[i] + instance.cost(i)[c] <= thresholds[i]]
-            if fits:
-                bin_chores.append(c)
-                remaining.remove(c)
-                for i in pool:
-                    sums[i] += instance.cost(i)[c]
-                last_fit = fits
+        left_over: list[int] = []
+        owner = -1
+        for c in remaining:
+            for k, row in enumerate(pool_rows):
+                if row[c] <= rooms[k]:
+                    break
+            else:
+                left_over.append(c)
+                continue
+            bin_chores.append(c)
+            owner = pool[k]
+            rooms = [room - row[c] for room, row in zip(rooms, pool_rows)]
         if not bin_chores:
             raise EmptyBinDeadlock(remaining[0])
-        owner = min(last_fit)
+        remaining = left_over
         bins.append(tuple(bin_chores))
         owners.append(owner)
         pool.remove(owner)

@@ -148,3 +148,33 @@ def test_search_mms_existence_exits_0(capsys):
     assert main(["search", "--target", "mms-existence", "--trials", "10",
                  "--seed", "1"]) == 0
     capsys.readouterr()
+
+
+def test_gen_without_chores_then_solve(tmp_path, capsys):
+    inst_path = tmp_path / "inst.txt"
+    assert main(["gen", "--class", "factored", "--n", "2", "--m", "0",
+                 "--out", str(inst_path)]) == 0
+    assert parse_instance(inst_path.read_text()) == Instance(((), ()))
+    assert main(["solve", str(inst_path), "--algo", "factored"]) == 0
+    assert "success: yes" in capsys.readouterr().out
+
+
+def test_verify_past_oracle_cap_exits_1_without_traceback(tmp_path, capsys):
+    inst_path = tmp_path / "inst.txt"
+    assert main(["gen", "--class", "general", "--n", "3", "--m", "16",
+                 "--out", str(inst_path)]) == 0
+    alloc_path = tmp_path / "alloc.txt"
+    assert main(["solve", str(inst_path), "--algo", "hffd", "--tau", "1000",
+                 "--out", str(alloc_path)]) == 0
+    capsys.readouterr()
+    assert main(["verify", str(inst_path), str(alloc_path), "--mode", "mms"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
+
+
+def test_search_rejects_negative_trials(capsys):
+    assert main(["search", "--target", "monotonicity", "--trials", "-5"]) == 2
+    captured = capsys.readouterr()
+    assert "no counterexample" not in captured.out
+    assert captured.err.startswith("error: ") and len(captured.err.strip().splitlines()) == 1

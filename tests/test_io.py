@@ -57,3 +57,10 @@ def test_allocation_rejects_bad_ids():
         parse_allocation("agent 0: 5\nagent 1:\n", INST)
     with pytest.raises(ParseError):
         parse_allocation("agent 0: 0\n", INST)
+
+
+def test_instance_without_chores_roundtrips():
+    empty = Instance(((), (), ()))
+    text = format_instance(empty)
+    assert text == "mms-instance 1\nagents 3\nchores 0\n"
+    assert parse_instance(text) == empty
