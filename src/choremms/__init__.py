@@ -2,7 +2,7 @@
 and HFFD packing, First-Fit-Valid verification, swap-transcript reductions,
 and maximin-share solvers with exact rational arithmetic."""
 
-from .core import (Allocation, Instance, InstanceClass, LiftingMap, Rational,
+from .core import (Allocation, Instance, InstanceClass, LiftingMap,
                    UniversalOrdering, bundle_cost, classify, format_rational,
                    lex_compare, parse_rational, swap, to_ido, universal_ordering)
 from .ffv import (SwapStep, SwapTranscript, benchmark_bundle, find_exact_subset,

@@ -12,11 +12,10 @@ import time
 from fractions import Fraction
 
 from . import analysis, mms
-from .core import (Allocation, Instance, bundle_cost, format_rational,
-                   parse_rational, to_ido, universal_ordering)
+from .core import Instance, bundle_cost, format_rational, parse_rational, to_ido
 from .errors import ChoreMMSError, ParseError, TheoremViolation, TooLarge
 from .io import format_allocation, format_instance, parse_allocation, parse_instance
-from .packing import ffd, hffd, multifit
+from .packing import ffd, multifit
 
 EXIT_OK, EXIT_FAILED, EXIT_INPUT, EXIT_COUNTEREXAMPLE = 0, 1, 2, 3
 
@@ -38,16 +37,13 @@ def _read_instance(path: str) -> Instance:
 
 
 def _report(algorithm, thresholds, instance, allocation, mus, elapsed, unallocated=()):
-    per_agent = {}
-    for b, bundle in enumerate(allocation.bundles):
-        agent = allocation.agent_of(b)
-        per_agent[agent] = tuple(sorted(set(per_agent.get(agent, ())) | set(bundle)))
+    """Print the solve report; bundle i of the allocation is agent i's."""
     complete = allocation.is_complete(instance.m)
     print(f"algorithm: {algorithm}")
     if thresholds:
         print("thresholds: " + " ".join(format_rational(t) for t in thresholds))
     for i in range(instance.n):
-        cost = bundle_cost(instance.cost(i), per_agent.get(i, ()))
+        cost = bundle_cost(instance.cost(i), allocation.bundles[i])
         line = f"agent {i}: cost {format_rational(cost)}"
         if mus is not None and mus[i] is not None:
             ratio = cost / mus[i] if mus[i] else Fraction(0)
@@ -60,14 +56,14 @@ def _report(algorithm, thresholds, instance, allocation, mus, elapsed, unallocat
     return complete
 
 
-def _bundle_allocation_per_agent(outcome, n: int) -> Allocation:
-    """Spread packing bundles over n agents: bundle index is the agent for
-    FFD/MultiFit, the recorded owner for HFFD."""
-    per_agent = [()] * n
-    for b, bundle in enumerate(outcome.allocation.bundles):
-        agent = outcome.allocation.agent_of(b)
-        per_agent[agent] = tuple(sorted(set(per_agent[agent]) | set(bundle)))
-    return Allocation.of(per_agent, agents=range(n))
+def _write_counterexample(exc: TheoremViolation) -> str:
+    """Write the instance that broke a guarantee to a new file in the
+    working directory, never over an existing one; returns its path."""
+    path = f"counterexample-{int(time.time() * 1000)}.txt"
+    with open(path, "x", encoding="utf-8") as fh:
+        fh.write(f"# {exc}\n")
+        fh.write(format_instance(exc.instance))
+    return path
 
 
 def cmd_solve(args) -> int:
@@ -96,32 +92,35 @@ def cmd_solve(args) -> int:
             outcome = ffd(instance.chores(), instance.cost(0), args.tau[0],
                           max_bins=instance.n)
             thresholds = tuple(args.tau) * instance.n
-            allocation = _bundle_allocation_per_agent(outcome, instance.n)
+            allocation = outcome.allocation.per_agent(instance.n)
             unallocated = outcome.unallocated
         elif args.algo == "multifit":
             tau, outcome = multifit(instance.chores(), instance.cost(0), instance.n)
             thresholds = (tau,) * instance.n
-            allocation = _bundle_allocation_per_agent(outcome, instance.n)
+            allocation = outcome.allocation.per_agent(instance.n)
             unallocated = outcome.unallocated
         elif args.algo == "hffd":
             taus = args.tau if len(args.tau) > 1 else args.tau * instance.n
             if len(taus) != instance.n:
                 print(f"error: hffd needs 1 or {instance.n} thresholds", file=sys.stderr)
                 return EXIT_INPUT
-            ido, lifting = to_ido(instance)
-            outcome = hffd(ido, taus)
             thresholds = tuple(taus)
-            if outcome.succeeded:
-                allocation = lifting.lift(_bundle_allocation_per_agent(outcome, instance.n))
-            else:
-                allocation = _bundle_allocation_per_agent(outcome, instance.n)
-            unallocated = outcome.unallocated
+            ido, lifting = to_ido(instance)
+            allocation, unallocated = mms.hffd_and_lift(ido, lifting, thresholds)
         else:
             result = named[args.algo](instance)
             thresholds = result.thresholds
             allocation = result.allocation
             mus = result.mms_values
     except TheoremViolation as exc:
+        try:
+            note = f"counterexample written to {_write_counterexample(exc)}"
+        except OSError as err:
+            note = f"counterexample not written: {err}"
+        print(f"error: {exc} ({note})", file=sys.stderr)
+        return EXIT_FAILED
+    except TooLarge as exc:
+        # a capacity limit, not an input error
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILED
     except ChoreMMSError as exc:

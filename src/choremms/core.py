@@ -9,13 +9,11 @@ fits/does-not-fit comparisons. Hot loops run on a row scaled to integers
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import BadParams, NotIDO, SubsetViolation
-
-Rational = Fraction
 
 LESS, EQUAL, GREATER = -1, 0, 1
 
@@ -82,16 +80,6 @@ class UniversalOrdering:
     """Permutation of chore ids; earlier means (weakly) larger for every agent."""
 
     perm: tuple[int, ...]
-    _pos: tuple[int, ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        pos = [0] * len(self.perm)
-        for p, c in enumerate(self.perm):
-            pos[c] = p
-        object.__setattr__(self, "_pos", tuple(pos))
-
-    def position(self, chore: int) -> int:
-        return self._pos[chore]
 
 
 def sort_desc(chores: Iterable[int], cost: Sequence[Fraction]) -> list[int]:
@@ -118,14 +106,6 @@ def scaled_floor(tau: Fraction, scale: int) -> int:
 
 def bundle_cost(cost: Sequence[Fraction], bundle: Iterable[int]) -> Fraction:
     return sum((cost[c] for c in bundle), Fraction(0))
-
-
-def position_cost(bundle: Sequence[int], p: int, cost: Sequence[Fraction]) -> Fraction:
-    """Cost of the p-th largest chore (0-based); zero past the end."""
-    ordered = sort_desc(bundle, cost)
-    if p >= len(ordered):
-        return Fraction(0)
-    return cost[ordered[p]]
 
 
 @dataclass(frozen=True)
@@ -158,6 +138,17 @@ class Allocation:
 
     def agent_of(self, index: int) -> int:
         return self.agents[index] if self.agents is not None else index
+
+    def per_agent(self, n: int) -> "Allocation":
+        """One bundle per agent: bundle i merges every bundle of agent i,
+        chore ids ascending (empty for an agent with none)."""
+        merged: list[list[int]] = [[] for _ in range(n)]
+        for b, bundle in enumerate(self.bundles):
+            agent = self.agent_of(b)
+            if not 0 <= agent < n:
+                raise BadParams(f"bundle {b} belongs to agent {agent}, not one of {n} agents")
+            merged[agent].extend(bundle)
+        return Allocation.of((sorted(b) for b in merged), agents=range(n))
 
 
 @dataclass(frozen=True)

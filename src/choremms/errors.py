@@ -68,10 +68,8 @@ class InvariantViolation(ChoreMMSError):
 
 
 class TheoremViolation(ChoreMMSError):
-    """A solver guarantee failed; the instance is dumped as a counterexample."""
+    """A solver guarantee failed; carries the instance as a counterexample."""
 
-    def __init__(self, message, dump_path=None):
-        if dump_path is not None:
-            message = f"{message} (counterexample written to {dump_path})"
+    def __init__(self, message, instance=None):
         super().__init__(message)
-        self.dump_path = dump_path
+        self.instance = instance

@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .core import (Allocation, EQUAL, bundle_cost, is_bivalued_costs,
-                   is_factored_costs, lex_compare, sort_desc, swap)
+from .core import (Allocation, EQUAL, bundle_cost, is_factored_costs, lex_compare,
+                   sort_desc, swap)
 from .errors import (EmptyBundle, InvariantViolation, NotBivalued,
                      PreconditionViolation)
 from .mms import APPROX_RATIO
@@ -180,6 +180,27 @@ def _find_donor(worker: _Worker, after: int, value: Fraction) -> tuple[int, int]
     return None
 
 
+def _reduce(P: Allocation, Q: Allocation, cost: Sequence[Fraction], tau: Fraction,
+            all_chores: list[int], verify_ffd: bool, reach_target) -> SwapTranscript:
+    """The frame both reductions share: check that P is an FFD output (when
+    asked) and that Q is First-Fit-Valid, pad both to one length, then for
+    each bundle k let `reach_target(worker, k, target)` swap bundle k to
+    Q's k-th cost profile, and check that it got there."""
+    if verify_ffd:
+        _check_ffd_output(P, all_chores, cost, tau)
+    ok, bad = is_ffv(all_chores, Q, cost, tau)
+    if not ok:
+        raise PreconditionViolation(f"allocation is not First-Fit-Valid (bundle {bad})")
+    n = max(len(P.bundles), len(Q.bundles))
+    worker = _Worker(_pad(P.bundles, n), cost)
+    targets = [_cost_profile(b, cost) for b in _pad(Q.bundles, n)]
+    for k in range(n):
+        reach_target(worker, k, targets[k])
+        if _cost_profile(worker.bundle(k), cost) != targets[k]:
+            worker.fail(k, f"bundle {k} did not reach its target profile")
+    return worker.finish()
+
+
 def reduce_factored(P: Allocation, Q: Allocation, cost: Sequence[Fraction],
                     tau: Fraction, all_chores: Iterable[int],
                     verify_ffd: bool = True) -> SwapTranscript:
@@ -193,16 +214,9 @@ def reduce_factored(P: Allocation, Q: Allocation, cost: Sequence[Fraction],
     all_chores = list(all_chores)
     if not is_factored_costs(cost[c] for c in all_chores):
         raise PreconditionViolation("cost function must be factored")
-    if verify_ffd:
-        _check_ffd_output(P, all_chores, cost, tau)
-    ok, bad = is_ffv(all_chores, Q, cost, tau)
-    if not ok:
-        raise PreconditionViolation(f"allocation is not First-Fit-Valid (bundle {bad})")
-    n = max(len(P.bundles), len(Q.bundles))
-    worker = _Worker(_pad(P.bundles, n), cost)
-    targets = [_cost_profile(b, cost) for b in _pad(Q.bundles, n)]
-    for k in range(n):
-        for j, want in enumerate(targets[k]):
+
+    def reach_target(worker: _Worker, k: int, target):
+        for j, want in enumerate(target):
             current = sort_desc(worker.bundle(k), cost)
             have = cost[current[j]] if j < len(current) else Fraction(0)
             if want <= have:
@@ -220,9 +234,7 @@ def reduce_factored(P: Allocation, Q: Allocation, cost: Sequence[Fraction],
             else:
                 moved = tuple(tail)
             worker.apply(k, k, moved, i, (cl,), forbid_increase_after=k)
-        if _cost_profile(worker.bundle(k), cost) != targets[k]:
-            worker.fail(k, f"bundle {k} did not reach its target profile")
-    return worker.finish()
+    return _reduce(P, Q, cost, tau, all_chores, verify_ffd, reach_target)
 
 
 def _large_small(all_values: Iterable[Fraction]) -> tuple[Fraction, Fraction]:
@@ -240,18 +252,11 @@ def reduce_bivalued(P: Allocation, Q: Allocation, cost: Sequence[Fraction],
     from the last bundle holding one of equal cost."""
     all_chores = list(all_chores)
     large, _small = _large_small(cost[c] for c in all_chores)
-    if verify_ffd:
-        _check_ffd_output(P, all_chores, cost, tau)
-    ok, bad = is_ffv(all_chores, Q, cost, tau)
-    if not ok:
-        raise PreconditionViolation(f"allocation is not First-Fit-Valid (bundle {bad})")
-    n = max(len(P.bundles), len(Q.bundles))
-    worker = _Worker(_pad(P.bundles, n), cost)
-    targets = [_cost_profile(b, cost) for b in _pad(Q.bundles, n)]
-    for k in range(n):
-        if _cost_profile(worker.bundle(k), cost) == targets[k]:
-            continue
-        q_large = sum(1 for v in targets[k] if v == large)
+
+    def reach_target(worker: _Worker, k: int, target):
+        if _cost_profile(worker.bundle(k), cost) == target:
+            return
+        q_large = sum(1 for v in target if v == large)
         p_large = sum(1 for v in worker.bundle(k) if cost[v] == large)
         if q_large > p_large:
             donor = _find_donor(worker, k, large)
@@ -262,7 +267,7 @@ def reduce_bivalued(P: Allocation, Q: Allocation, cost: Sequence[Fraction],
             worker.apply(k, k, smalls, i, (cl,), forbid_increase_after=k)
         # here the current bundle must be a cost-wise subset of its target
         have = list(_cost_profile(worker.bundle(k), cost))
-        need = list(targets[k])
+        need = list(target)
         for v in have:
             if v in need:
                 need.remove(v)
@@ -275,9 +280,7 @@ def reduce_bivalued(P: Allocation, Q: Allocation, cost: Sequence[Fraction],
                 worker.fail(k, f"no chore of cost {v} left in bundles after {k}")
             i, cl = donor
             worker.apply(k, k, (), i, (cl,), forbid_increase_after=k)
-        if _cost_profile(worker.bundle(k), cost) != targets[k]:
-            worker.fail(k, f"bundle {k} did not reach its target profile")
-    return worker.finish()
+    return _reduce(P, Q, cost, tau, all_chores, verify_ffd, reach_target)
 
 
 def _counts(bundle: Iterable[int], cost, large: Fraction) -> tuple[int, int]:

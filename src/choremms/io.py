@@ -75,17 +75,12 @@ def _parse_count(entry, keyword):
 def format_allocation(allocation: Allocation, instance: Instance) -> str:
     """n lines of bundles (bundle index i belongs to agent i unless an
     agent map is present), then n lines of per-agent costs."""
-    n = instance.n
-    per_agent: dict[int, tuple[int, ...]] = {}
-    for b, bundle in enumerate(allocation.bundles):
-        agent = allocation.agent_of(b)
-        per_agent[agent] = tuple(sorted(set(per_agent.get(agent, ())) | set(bundle)))
+    per_agent = allocation.per_agent(instance.n).bundles
     lines = []
-    for i in range(n):
-        ids = per_agent.get(i, ())
+    for i, ids in enumerate(per_agent):
         lines.append(f"agent {i}: " + " ".join(str(c) for c in ids))
-    for i in range(n):
-        cost = bundle_cost(instance.cost(i), per_agent.get(i, ()))
+    for i, ids in enumerate(per_agent):
+        cost = bundle_cost(instance.cost(i), ids)
         lines.append(f"cost {i}: {format_rational(cost)}")
     return "\n".join(lines) + "\n"
 

@@ -3,14 +3,12 @@ factored costs) and the three end-to-end solvers."""
 
 from __future__ import annotations
 
-import os
-import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
-from .core import (Allocation, Instance, bundle_cost, classify,
-                   is_bivalued_costs, is_factored_costs, to_ido)
+from .core import (Allocation, Instance, LiftingMap, bundle_cost, classify,
+                   format_rational, is_bivalued_costs, is_factored_costs, to_ido)
 from .errors import (BadParams, NotBivalued, NotFactored, TheoremViolation,
                      TooLarge, UnsupportedClass)
 from .packing import ffd, hffd, scale_row, smallest_fitting_cap
@@ -148,37 +146,42 @@ def min_success_threshold(cost: Sequence[Fraction], chores: Iterable[int], n: in
     return Fraction(smallest_fitting_cap(row.weights, caps(row.weights), n), row.scale)
 
 
-def dump_counterexample(instance: Instance, note: str, directory: str | None = None) -> str:
-    """Serialize an instance that falsified a solver guarantee."""
-    from .io import format_instance
-    directory = directory or os.getcwd()
-    path = os.path.join(directory, f"counterexample-{int(time.time() * 1000)}.txt")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# {note}\n")
-        fh.write(format_instance(instance))
-    return path
-
-
-def _run_hffd_and_lift(instance: Instance, ido: Instance, lifting, thresholds,
-                       mms_values, algorithm: str) -> SolveResult:
+def hffd_and_lift(ido: Instance, lifting: LiftingMap,
+                  thresholds: Sequence[Fraction]) -> tuple[Allocation, tuple[int, ...]]:
+    """HFFD on the IDO twin, merged to one bundle per agent, and the chores
+    it left unallocated. The bundles are lifted to the original chores when
+    every chore was placed; otherwise they hold IDO chore ids. With no
+    chores every agent gets an empty bundle, since HFFD rejects the zero
+    thresholds such an instance gets."""
+    if ido.m == 0:
+        return Allocation.of([()] * ido.n, agents=range(ido.n)), ()
     outcome = hffd(ido, thresholds)
-    if not outcome.succeeded:
-        path = dump_counterexample(
-            instance, f"{algorithm}: HFFD left chores {outcome.unallocated} unallocated "
-                      f"at thresholds {thresholds}")
-        raise TheoremViolation(f"{algorithm}: HFFD failed to allocate all chores", path)
-    # expand to one bundle per agent in agent order before lifting
-    per_agent: list[tuple[int, ...]] = [()] * instance.n
-    for b, bundle in enumerate(outcome.allocation.bundles):
-        per_agent[outcome.allocation.agent_of(b)] = bundle
-    lifted = lifting.lift(Allocation.of(per_agent, agents=range(instance.n)))
-    costs = tuple(bundle_cost(instance.cost(i), lifted.bundles[i]) for i in range(instance.n))
+    allocation = outcome.allocation.per_agent(ido.n)
+    if outcome.succeeded:
+        allocation = lifting.lift(allocation)
+    return allocation, outcome.unallocated
+
+
+def _solve(instance: Instance, algorithm: str,
+           threshold_of: Callable[..., tuple[Fraction, Fraction | None]]) -> SolveResult:
+    """The pipeline every solver shares: `threshold_of(row, chores)` gives
+    (threshold, mu or None) for each row of the IDO twin, then HFFD and
+    lifting, and each agent's cost is checked against their threshold."""
+    ido, lifting = to_ido(instance)
+    chores = ido.chores()
+    thresholds, mus = zip(*(threshold_of(ido.cost(i), chores) for i in range(instance.n)))
+    allocation, unallocated = hffd_and_lift(ido, lifting, thresholds)
+    if unallocated:
+        raise TheoremViolation(
+            f"{algorithm}: HFFD left chores {' '.join(map(str, unallocated))} unallocated "
+            f"at thresholds {' '.join(map(format_rational, thresholds))}", instance)
+    costs = tuple(bundle_cost(instance.cost(i), allocation.bundles[i]) for i in range(instance.n))
     for i, (c, t) in enumerate(zip(costs, thresholds)):
         if c > t:
-            path = dump_counterexample(
-                instance, f"{algorithm}: lifted cost {c} of agent {i} exceeds threshold {t}")
-            raise TheoremViolation(f"{algorithm}: agent {i} cost exceeds its guarantee", path)
-    return SolveResult(lifted, costs, tuple(thresholds), tuple(mms_values), algorithm)
+            raise TheoremViolation(
+                f"{algorithm}: lifted cost {format_rational(c)} of agent {i} exceeds "
+                f"threshold {format_rational(t)}", instance)
+    return SolveResult(allocation, costs, thresholds, mus, algorithm)
 
 
 def solve_factored(instance: Instance) -> SolveResult:
@@ -186,16 +189,14 @@ def solve_factored(instance: Instance) -> SolveResult:
     at most their maximin share), in polynomial time."""
     if not all(is_factored_costs(row) for row in instance.costs):
         raise NotFactored("every agent must have factored costs")
-    ido, lifting = to_ido(instance)
-    chores = ido.chores()
-    mus = tuple(mms_factored(ido.cost(i), chores, instance.n).value for i in range(instance.n))
-    if instance.m == 0:
-        return SolveResult(Allocation.of([()] * instance.n, agents=range(instance.n)),
-                           (Fraction(0),) * instance.n, mus, mus, "factored")
-    return _run_hffd_and_lift(instance, ido, lifting, mus, mus, "factored")
+
+    def threshold(row, chores):
+        mu = mms_factored(row, chores, instance.n).value
+        return mu, mu
+    return _solve(instance, "factored", threshold)
 
 
-def solve_bivalued(instance: Instance, oracle_cap: int = ORACLE_CAP) -> SolveResult:
+def solve_bivalued(instance: Instance) -> SolveResult:
     """15/13-MMS allocation for a personalized bivalued instance.
 
     Per-agent thresholds are (15/13)·mu_i when the brute-force oracle can
@@ -204,52 +205,37 @@ def solve_bivalued(instance: Instance, oracle_cap: int = ORACLE_CAP) -> SolveRes
     """
     if not all(is_bivalued_costs(row) for row in instance.costs):
         raise NotBivalued("every agent must have at most two distinct cost values")
-    ido, lifting = to_ido(instance)
-    chores = ido.chores()
-    thresholds: list[Fraction] = []
-    mus: list[Fraction | None] = []
-    for i in range(instance.n):
-        if instance.m <= oracle_cap:
-            mu = mms_brute(ido.cost(i), chores, instance.n, cap=oracle_cap).value
-            mus.append(mu)
-            thresholds.append(APPROX_RATIO * mu)
-        else:
-            mus.append(None)
-            thresholds.append(min_success_threshold(ido.cost(i), chores, instance.n))
-    if instance.m == 0:
-        return SolveResult(Allocation.of([()] * instance.n, agents=range(instance.n)),
-                           (Fraction(0),) * instance.n, tuple(thresholds), tuple(mus), "bivalued")
-    return _run_hffd_and_lift(instance, ido, lifting, thresholds, mus, "bivalued")
+
+    def threshold(row, chores):
+        if len(chores) > ORACLE_CAP:
+            return min_success_threshold(row, chores, instance.n), None
+        mu = mms_brute(row, chores, instance.n).value
+        return APPROX_RATIO * mu, mu
+    return _solve(instance, "bivalued", threshold)
 
 
-def solve_ordinal(instance: Instance, oracle_cap: int = ORACLE_CAP) -> SolveResult:
+def solve_ordinal(instance: Instance) -> SolveResult:
     """1-out-of-floor(9n/11) MMS allocation for a general instance: each
     agent's threshold is their MMS for d = floor(9n/11) bundles."""
     if instance.n < 2:
         raise BadParams("the ordinal solver needs at least two agents")
     d = 9 * instance.n // 11
-    ido, lifting = to_ido(instance)
-    chores = ido.chores()
-    thresholds: list[Fraction] = []
-    for i in range(instance.n):
-        row = ido.cost(i)
+
+    def threshold(row, chores):
         if is_factored_costs(row):
-            thresholds.append(mms_factored(row, chores, d).value)
+            mu = mms_factored(row, chores, d).value
         else:
-            thresholds.append(mms_brute(row, chores, d, cap=oracle_cap).value)
-    if instance.m == 0:
-        return SolveResult(Allocation.of([()] * instance.n, agents=range(instance.n)),
-                           (Fraction(0),) * instance.n, tuple(thresholds),
-                           tuple(thresholds), "ordinal")
-    return _run_hffd_and_lift(instance, ido, lifting, thresholds, thresholds, "ordinal")
+            mu = mms_brute(row, chores, d).value
+        return mu, mu
+    return _solve(instance, "ordinal", threshold)
 
 
-def solve_auto(instance: Instance, oracle_cap: int = ORACLE_CAP) -> SolveResult:
+def solve_auto(instance: Instance) -> SolveResult:
     """Dispatch on the instance class; factored wins over bivalued because
     its guarantee (exact MMS) is stronger."""
     cls = classify(instance)
     if cls.is_factored:
         return solve_factored(instance)
     if cls.is_personalized_bivalued:
-        return solve_bivalued(instance, oracle_cap=oracle_cap)
-    return solve_ordinal(instance, oracle_cap=oracle_cap)
+        return solve_bivalued(instance)
+    return solve_ordinal(instance)

@@ -19,7 +19,16 @@ from choremms.core import (Allocation, EQUAL, bundle_cost, is_bivalued_costs,
                            universal_ordering)
 from choremms.errors import EmptyBinDeadlock
 from choremms.ffv import is_ffv
-from choremms.packing import PackOutcome, subset_sums
+from choremms.packing import PackOutcome, hffd, subset_sums
+
+
+def hffd_dropping_last_chore(instance, thresholds):
+    """A broken stand-in for `hffd`: the real packing with the last chore
+    of its last bin left unplaced."""
+    outcome = hffd(instance, thresholds)
+    *bins, last = outcome.bundles
+    return PackOutcome(Allocation.of(bins + [last[:-1]], outcome.allocation.agents),
+                       outcome.unallocated + (last[-1],), False)
 
 
 def brute_lex_max(all_chores, prefix, cost, tau):

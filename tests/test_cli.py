@@ -2,9 +2,12 @@ from fractions import Fraction as F
 
 import pytest
 
+from choremms import mms
 from choremms.cli import main
-from choremms.core import Instance, bundle_cost
+from choremms.core import Instance, bundle_cost, to_ido
 from choremms.io import format_instance, parse_allocation, parse_instance
+from choremms.packing import hffd
+from helpers import hffd_dropping_last_chore
 
 LOWER_BOUND = Instance.from_rows([[4, 4, 4] + [3] * 9] * 3)
 
@@ -178,3 +181,56 @@ def test_search_rejects_negative_trials(capsys):
     captured = capsys.readouterr()
     assert "no counterexample" not in captured.out
     assert captured.err.startswith("error: ") and len(captured.err.strip().splitlines()) == 1
+
+
+def test_solve_ordinal_past_oracle_cap_exits_1(tmp_path, capsys):
+    inst_path = tmp_path / "inst.txt"
+    assert main(["gen", "--class", "general", "--n", "3", "--m", "16",
+                 "--out", str(inst_path)]) == 0
+    capsys.readouterr()
+    assert main(["solve", str(inst_path), "--algo", "ordinal"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+    assert "capped at m=14" in err
+
+
+def test_solve_hffd_failing_threshold_reports_unpacked_bins(tmp_path, capsys):
+    path = write_instance(tmp_path, LOWER_BOUND)
+    out_path = tmp_path / "alloc.txt"
+    assert main(["solve", path, "--algo", "hffd", "--tau", "13",
+                 "--out", str(out_path)]) == 1
+    assert "unallocated:" in capsys.readouterr().out
+    alloc = parse_allocation(out_path.read_text(), LOWER_BOUND)
+    packed = hffd(to_ido(LOWER_BOUND)[0], [F(13)] * 3).allocation
+    bins_of = {i: [b for k, b in enumerate(packed.bundles) if packed.agent_of(k) == i]
+               for i in range(3)}
+    for i, bundle in enumerate(alloc.bundles):
+        assert len(bins_of[i]) <= 1
+        assert bundle == (bins_of[i][0] if bins_of[i] else ())
+
+
+def test_solve_theorem_violation_writes_counterexample(tmp_path, monkeypatch, capsys):
+    inst = Instance.from_rows([[4, 2, 2, 1, 1]] * 2)
+    path = write_instance(tmp_path, inst)
+    monkeypatch.setattr(mms, "hffd", hffd_dropping_last_chore)
+    monkeypatch.chdir(tmp_path)
+    assert main(["solve", path, "--algo", "factored"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+    [dump] = tmp_path.glob("counterexample-*.txt")
+    assert dump.name in err
+    assert parse_instance(dump.read_text()) == inst
+
+
+def test_solve_counterexample_never_overwrites(tmp_path, monkeypatch, capsys):
+    path = write_instance(tmp_path, Instance.from_rows([[4, 2, 2, 1, 1]] * 2))
+    monkeypatch.setattr(mms, "hffd", hffd_dropping_last_chore)
+    monkeypatch.setattr("choremms.cli.time.time", lambda: 1.0)
+    monkeypatch.chdir(tmp_path)
+    existing = tmp_path / "counterexample-1000.txt"
+    existing.write_text("keep\n")
+    assert main(["solve", path, "--algo", "factored"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+    assert "not written" in err
+    assert existing.read_text() == "keep\n"

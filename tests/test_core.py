@@ -184,6 +184,34 @@ def test_swap_rejects_non_subsets():
 
 
 @given(st.data())
+def test_per_agent_merges_each_agents_bins(data):
+    n = data.draw(st.integers(min_value=1, max_value=4))
+    chores = data.draw(st.permutations(range(data.draw(st.integers(0, 10)))))
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(chores)), max_size=6)))
+    bins = [chores[a:b] for a, b in zip([0] + cuts, cuts + [len(chores)])]
+    if data.draw(st.booleans()):
+        agents = data.draw(st.lists(st.integers(0, n - 1), min_size=len(bins),
+                                    max_size=len(bins)))
+    else:  # no agent map: bin b belongs to agent b
+        agents, bins = None, bins[:n]
+    alloc = Allocation.of(bins, agents)
+    merged = alloc.per_agent(n)
+    assert merged.agents == tuple(range(n))
+    assert merged.allocated() == alloc.allocated()
+    for i, bundle in enumerate(merged.bundles):
+        assert list(bundle) == sorted(bundle)
+        assert set(bundle) == {c for b, bin_ in enumerate(alloc.bundles)
+                               if alloc.agent_of(b) == i for c in bin_}
+
+
+def test_per_agent_rejects_unknown_agents():
+    with pytest.raises(BadParams):
+        Allocation.of([(0,), (1,), (2,)]).per_agent(2)
+    with pytest.raises(BadParams):
+        Allocation.of([(0,)], agents=[-1]).per_agent(2)
+
+
+@given(st.data())
 def test_swap_preserves_chore_multiset(data):
     m = data.draw(st.integers(min_value=2, max_value=8))
     labels = data.draw(st.lists(st.integers(min_value=0, max_value=2),

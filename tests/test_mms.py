@@ -3,14 +3,16 @@ from fractions import Fraction as F
 
 import pytest
 
+from choremms import mms
 from choremms.analysis import gen_instance
 from choremms.core import Instance, bundle_cost
-from choremms.errors import BadParams, NotFactored, TooLarge, UnsupportedClass
+from choremms.errors import (BadParams, NotFactored, TheoremViolation, TooLarge,
+                             UnsupportedClass)
 from choremms.mms import (APPROX_RATIO, mms_brute, mms_factored,
                           min_success_threshold, solve_auto, solve_bivalued,
                           solve_factored, solve_ordinal)
 from choremms.packing import ffd, subset_sums
-from helpers import brute_min_makespan, random_rationals
+from helpers import brute_min_makespan, hffd_dropping_last_chore, random_rationals
 
 LOWER_BOUND_ROW = tuple(F(x) for x in [4, 4, 4] + [3] * 9)
 
@@ -184,3 +186,20 @@ def test_solve_auto_dispatch():
     assert solve_auto(bivalued).algorithm == "bivalued"
     general = Instance.from_rows([[7, 5, 3], [3, 5, 7]])
     assert solve_auto(general).algorithm == "ordinal"
+
+
+@pytest.mark.parametrize("solve", [solve_factored, solve_bivalued, solve_ordinal])
+def test_solvers_without_chores_give_empty_bundles(solve):
+    res = solve(Instance(((),) * 3))
+    assert res.allocation.bundles == ((), (), ())
+    assert res.costs == (F(0),) * 3
+
+
+def test_theorem_violation_carries_instance_and_writes_nothing(monkeypatch, tmp_path):
+    monkeypatch.setattr(mms, "hffd", hffd_dropping_last_chore)
+    monkeypatch.chdir(tmp_path)
+    inst = Instance.from_rows([[4, 2, 2, 1, 1]] * 2)
+    with pytest.raises(TheoremViolation) as info:
+        solve_factored(inst)
+    assert info.value.instance == inst
+    assert list(tmp_path.iterdir()) == []

@@ -1,0 +1,46 @@
+"""Static checks on the package source, with the standard library's ast."""
+
+import ast
+import pathlib
+
+import pytest
+
+PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "choremms"
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names a module imports but never reads. A name read only inside a
+    quoted annotation counts as read."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    annotations = [getattr(node, field) for node in ast.walk(tree)
+                   for field in ("annotation", "returns") if getattr(node, field, None)]
+    for annotation in annotations:
+        if isinstance(annotation, ast.Constant) and isinstance(annotation.value, str):
+            quoted = ast.parse(annotation.value, mode="eval")
+            used |= {n.id for n in ast.walk(quoted) if isinstance(n, ast.Name)}
+    return [f"line {line}: {name}" for name, line in sorted(imported.items(), key=lambda x: x[1])
+            if name not in used]
+
+
+def test_unused_imports_are_found():
+    source = ("from __future__ import annotations\n"
+              "import os, sys as system\n"
+              "from typing import Iterable, Sequence\n"
+              "def f(x: Sequence) -> 'Iterable':\n"
+              "    return os.sep\n")
+    assert unused_imports(source) == ["line 2: system"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []
