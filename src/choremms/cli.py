@@ -31,9 +31,29 @@ def _rational_arg(text: str) -> Fraction:
     return value
 
 
-def _read_instance(path: str) -> Instance:
+def _read_text(path: str) -> str:
     with open(path, encoding="utf-8") as fh:
-        return parse_instance(fh.read())
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path} is not UTF-8 text "
+                             f"({exc.reason} at byte {exc.start})") from exc
+
+
+def _read_instance(path: str) -> Instance:
+    return parse_instance(_read_text(path))
+
+
+def _write_text(path: str, text: str) -> bool:
+    """Write a file the user named; on failure print one error line and
+    return False."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return False
+    return True
 
 
 def _report(algorithm, thresholds, instance, allocation, mus, elapsed, unallocated=()):
@@ -127,9 +147,8 @@ def cmd_solve(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     elapsed = time.perf_counter() - start
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(format_allocation(allocation, instance))
+    if args.out and not _write_text(args.out, format_allocation(allocation, instance)):
+        return EXIT_INPUT
     complete = _report(args.algo, thresholds, instance, allocation, mus,
                        elapsed, unallocated)
     return EXIT_OK if complete else EXIT_FAILED
@@ -138,8 +157,7 @@ def cmd_solve(args) -> int:
 def cmd_verify(args) -> int:
     try:
         instance = _read_instance(args.instance)
-        with open(args.allocation, encoding="utf-8") as fh:
-            allocation = parse_allocation(fh.read(), instance)
+        allocation = parse_allocation(_read_text(args.allocation), instance)
         mode = args.mode[0]
         if mode == "ratio":
             if len(args.mode) != 2:
@@ -185,22 +203,19 @@ def cmd_gen(args) -> int:
     except ChoreMMSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    text = format_instance(instance)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return EXIT_OK
+    return _emit(format_instance(instance), args.out)
 
 
 def cmd_table(args) -> int:
-    text = analysis.format_case_table(analysis.case_table())
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
+    return _emit(analysis.format_case_table(analysis.case_table()), args.out)
+
+
+def _emit(text: str, out: str | None) -> int:
+    """Write the text to the named file, or to stdout without one."""
+    if not out:
         sys.stdout.write(text)
+    elif not _write_text(out, text):
+        return EXIT_INPUT
     return EXIT_OK
 
 
@@ -214,25 +229,24 @@ def cmd_search(args) -> int:
             print("no counterexample found")
             return EXIT_OK
         path = args.out or "monotonicity-counterexample.txt"
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(f"# FFD succeeds at tau={format_rational(hit.tau)} into "
-                     f"{hit.bins} bins but fails at beta={format_rational(hit.beta)}\n")
-            fh.write(format_instance(hit.instance))
-        print(f"counterexample written to {path}")
-        return EXIT_COUNTEREXAMPLE
-    if args.target == "mms-existence":
+        text = (f"# FFD succeeds at tau={format_rational(hit.tau)} into "
+                f"{hit.bins} bins but fails at beta={format_rational(hit.beta)}\n"
+                + format_instance(hit.instance))
+    elif args.target == "mms-existence":
         hit = analysis.search_bivalued_mms_existence(args.trials, args.seed)
         if hit is None:
             print("no counterexample found")
             return EXIT_OK
         path = args.out or "mms-existence-counterexample.txt"
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("# personalized bivalued instance with no exact MMS allocation\n")
-            fh.write(format_instance(hit))
-        print(f"counterexample written to {path}")
-        return EXIT_COUNTEREXAMPLE
-    print(f"error: unknown target {args.target!r}", file=sys.stderr)
-    return EXIT_INPUT
+        text = ("# personalized bivalued instance with no exact MMS allocation\n"
+                + format_instance(hit))
+    else:
+        print(f"error: unknown target {args.target!r}", file=sys.stderr)
+        return EXIT_INPUT
+    if not _write_text(path, text):
+        return EXIT_INPUT
+    print(f"counterexample written to {path}")
+    return EXIT_COUNTEREXAMPLE
 
 
 def build_parser() -> argparse.ArgumentParser:

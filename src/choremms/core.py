@@ -53,7 +53,7 @@ class Instance:
             if len(row) != m:
                 raise BadParams(f"agent {i} has {len(row)} costs, expected {m}")
             for j, c in enumerate(row):
-                if not isinstance(c, Fraction) or c <= 0:
+                if not isinstance(c, Fraction) or c.numerator <= 0:
                     raise BadParams(f"cost of chore {j} for agent {i} must be a positive rational")
 
     @staticmethod
@@ -80,12 +80,6 @@ class UniversalOrdering:
     """Permutation of chore ids; earlier means (weakly) larger for every agent."""
 
     perm: tuple[int, ...]
-
-
-def sort_desc(chores: Iterable[int], cost: Sequence[Fraction]) -> list[int]:
-    """Chore ids by descending cost; equal costs break toward the lower id,
-    which is the fixed universal-ordering tie-break used everywhere."""
-    return sorted(chores, key=lambda c: (-cost[c], c))
 
 
 def integer_scale(values: Iterable[Fraction]) -> tuple[list[int], int]:
@@ -165,14 +159,19 @@ class InstanceClass:
         return all(self.bivalued_per_agent)
 
 
+def is_divisibility_chain(weights: Iterable[int]) -> bool:
+    """True iff every smaller distinct integer divides the next larger one."""
+    distinct = sorted(set(weights))
+    return all(b % a == 0 for a, b in zip(distinct, distinct[1:]))
+
+
 def is_factored_costs(values: Iterable[Fraction]) -> bool:
     """True iff every smaller distinct value divides the next larger one."""
-    distinct = sorted(set(values))
-    return all((b / a).denominator == 1 for a, b in zip(distinct, distinct[1:]))
+    return is_divisibility_chain(integer_scale(values)[0])
 
 
 def is_bivalued_costs(values: Iterable[Fraction]) -> bool:
-    return len(set(values)) <= 2
+    return len(set(integer_scale(values)[0])) <= 2
 
 
 def classify(instance: Instance) -> InstanceClass:
@@ -185,11 +184,14 @@ def classify(instance: Instance) -> InstanceClass:
 
 
 def universal_ordering(instance: Instance) -> UniversalOrdering:
-    """Ordering witnessing IDO: agent 1's descending sort, verified against
-    every other agent. Raises NotIDO when no common order exists."""
-    perm = sort_desc(instance.chores(), instance.cost(0))
+    """Ordering witnessing IDO: agent 1's descending sort (lower id first
+    among equal costs), verified against every other agent. Raises NotIDO
+    when no common order exists."""
+    first, _ = integer_scale(instance.cost(0))
+    # a stable sort keeps equal costs in ascending id order
+    perm = sorted(instance.chores(), key=lambda c: -first[c])
     for i in range(instance.n):
-        row = instance.cost(i)
+        row, _ = integer_scale(instance.cost(i))
         for a, b in zip(perm, perm[1:]):
             if row[a] < row[b]:
                 raise NotIDO(f"agent {i} ranks chore {b} above chore {a}")
@@ -241,8 +243,24 @@ class LiftingMap:
 def to_ido(instance: Instance) -> tuple[Instance, LiftingMap]:
     """IDO twin: each agent's costs sorted descending, so the identity
     permutation is a universal ordering; cost multisets are preserved."""
-    rows = tuple(tuple(sorted(row, reverse=True)) for row in instance.costs)
-    return Instance(rows), LiftingMap(instance)
+    rows = []
+    for row in instance.costs:
+        weights, _ = integer_scale(row)
+        rows.append(tuple(row[c] for c in sorted(range(len(row)), key=weights.__getitem__,
+                                                 reverse=True)))
+    return Instance(tuple(rows)), LiftingMap(instance)
+
+
+def compare_profiles(p1: Sequence[int], p2: Sequence[int]) -> int:
+    """Position-wise comparison of two descending cost profiles, the shorter
+    one extended with zeros. Returns LESS, EQUAL or GREATER."""
+    for a, b in zip(p1, p2):
+        if a != b:
+            return GREATER if a > b else LESS
+    rest = p1[len(p2):] or p2[len(p1):]
+    if any(x != 0 for x in rest):
+        return GREATER if len(p1) > len(p2) else LESS
+    return EQUAL
 
 
 def lex_compare(b1: Sequence[int], b2: Sequence[int], cost: Sequence[Fraction]) -> int:
@@ -250,17 +268,12 @@ def lex_compare(b1: Sequence[int], b2: Sequence[int], cost: Sequence[Fraction]) 
 
     Returns LESS, EQUAL or GREATER; any two bundles are comparable.
     """
-    p1 = sorted((cost[c] for c in b1), reverse=True)
-    p2 = sorted((cost[c] for c in b2), reverse=True)
-    for a, b in zip(p1, p2):
-        if a != b:
-            return GREATER if a > b else LESS
-    if len(p1) == len(p2):
-        return EQUAL
-    rest = p1[len(p2):] or p2[len(p1):]
-    if any(x != 0 for x in rest):
-        return GREATER if len(p1) > len(p2) else LESS
-    return EQUAL
+    values = [cost[c] for c in b1]
+    split = len(values)
+    values.extend(cost[c] for c in b2)
+    weights, _ = integer_scale(values)
+    return compare_profiles(sorted(weights[:split], reverse=True),
+                            sorted(weights[split:], reverse=True))
 
 
 def swap(alloc: Allocation, i: int, t_i: Iterable[int], j: int, t_j: Iterable[int]) -> Allocation:

@@ -4,6 +4,12 @@ invariant checking.
 
 Every transcript step records the full per-bundle cost snapshot, so a
 failed invariant can be replayed as a counterexample.
+
+Costs are Fractions at the interface. Each public call scales the cost row
+to integers once (`core.integer_scale`), with a threshold tau becoming the
+integer capacity floor(tau * D); every sum, sort and comparison runs on
+those integers, and values are turned back into Fractions only for
+transcripts and messages.
 """
 
 from __future__ import annotations
@@ -12,8 +18,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .core import (Allocation, EQUAL, bundle_cost, is_factored_costs, lex_compare,
-                   sort_desc, swap)
+from .core import (Allocation, EQUAL, bundle_cost, compare_profiles, integer_scale,
+                   is_divisibility_chain, scaled_floor, swap)
 from .errors import (EmptyBundle, InvariantViolation, NotBivalued,
                      PreconditionViolation)
 from .mms import APPROX_RATIO
@@ -50,22 +56,43 @@ class SwapTranscript:
         return "\n".join(lines) + "\n"
 
 
+def _ffd_order(chores: Iterable[int], weights: Sequence[int]) -> list[int]:
+    """Chore ids by descending cost; equal costs break toward the lower id,
+    which is the fixed universal-ordering tie-break used everywhere."""
+    return sorted(chores, key=lambda c: (-weights[c], c))
+
+
+def _profile(bundle: Iterable[int], weights: Sequence[int]) -> list[int]:
+    return sorted((weights[c] for c in bundle), reverse=True)
+
+
+def _capacity(tau: Fraction, scale: int) -> int:
+    if tau <= 0:
+        raise PreconditionViolation("benchmark threshold must be positive")
+    return scaled_floor(tau, scale)
+
+
+def _greedy_fill(order: Sequence[int], taken: set[int], weights: Sequence[int],
+                 room: int) -> list[int]:
+    """Walk the chores in FFD order, skipping taken ones, and keep each one
+    that still fits in the room left."""
+    bundle = []
+    for c in order:
+        if c not in taken and weights[c] <= room:
+            bundle.append(c)
+            room -= weights[c]
+    return bundle
+
+
 def benchmark_bundle(all_chores: Iterable[int], allocated_prefix: Sequence[Sequence[int]],
                      cost: Sequence[Fraction], tau: Fraction) -> tuple[int, ...]:
     """Lexicographically maximal subset of the chores left after the prefix,
     under the threshold: greedy largest-first, keeping the running sum
     within tau."""
-    if tau <= 0:
-        raise PreconditionViolation("benchmark threshold must be positive")
+    weights, scale = integer_scale(cost)
+    room = _capacity(tau, scale)
     taken = {c for b in allocated_prefix for c in b}
-    remaining = [c for c in all_chores if c not in taken]
-    bundle: list[int] = []
-    total = Fraction(0)
-    for c in sort_desc(remaining, cost):
-        if total + cost[c] <= tau:
-            bundle.append(c)
-            total += cost[c]
-    return tuple(bundle)
+    return tuple(_greedy_fill(_ffd_order(all_chores, weights), taken, weights, room))
 
 
 def is_ffv(all_chores: Iterable[int], alloc: Allocation, cost: Sequence[Fraction],
@@ -73,11 +100,17 @@ def is_ffv(all_chores: Iterable[int], alloc: Allocation, cost: Sequence[Fraction
     """Every bundle must be lex-at-least its benchmark bundle; unallocated
     chores participate in the benchmarks. Returns (ok, first violating
     bundle index)."""
-    all_chores = list(all_chores)
-    for k in range(len(alloc.bundles)):
-        bench = benchmark_bundle(all_chores, alloc.bundles[:k], cost, tau)
-        if lex_compare(alloc.bundles[k], bench, cost) < EQUAL:
+    if not alloc.bundles:
+        return True, None
+    weights, scale = integer_scale(cost)
+    room = _capacity(tau, scale)
+    order = _ffd_order(all_chores, weights)
+    taken: set[int] = set()
+    for k, bundle in enumerate(alloc.bundles):
+        bench = [weights[c] for c in _greedy_fill(order, taken, weights, room)]
+        if compare_profiles(_profile(bundle, weights), bench) < EQUAL:
             return False, k
+        taken.update(bundle)
     return True, None
 
 
@@ -86,24 +119,31 @@ def find_exact_subset(chores: Iterable[int], cost: Sequence[Fraction],
     """Subset summing to exactly the target, for factored costs where the
     target is itself a chore-cost value at least as large as every member.
     Greedy largest-first terminates exactly on target for such inputs."""
-    chores = list(chores)
-    values = [cost[c] for c in chores]
-    if not is_factored_costs(values + [target]):
+    weights, scale = integer_scale([*cost, target])
+    goal = weights.pop()
+    return _exact_subset(list(chores), weights, goal, scale)
+
+
+def _exact_subset(chores: list[int], weights: Sequence[int], target: int,
+                  scale: int) -> tuple[int, ...]:
+    values = [weights[c] for c in chores]
+    if not is_divisibility_chain(values + [target]):
         raise PreconditionViolation("costs and target must form a divisibility chain")
     if any(v > target for v in values):
         raise PreconditionViolation("every chore must cost at most the target")
     if sum(values) < target:
         raise PreconditionViolation("total cost must reach the target")
     subset: list[int] = []
-    total = Fraction(0)
-    for c in sort_desc(chores, cost):
-        if total + cost[c] <= target:
+    total = 0
+    for c in _ffd_order(chores, weights):
+        if total + weights[c] <= target:
             subset.append(c)
-            total += cost[c]
+            total += weights[c]
         if total == target:
             break
     if total != target:
-        raise PreconditionViolation(f"greedy missed the target {target}; got {total}")
+        raise PreconditionViolation(f"greedy missed the target {Fraction(target, scale)}; "
+                                    f"got {Fraction(total, scale)}")
     return tuple(subset)
 
 
@@ -113,49 +153,53 @@ def _pad(bundles: Sequence[Sequence[int]], n: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _cost_profile(bundle: Iterable[int], cost: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    return tuple(sorted((cost[c] for c in bundle), reverse=True))
-
-
-def _check_ffd_output(P: Allocation, all_chores, cost, tau):
+def _check_ffd_output(P: Allocation, all_chores, cost, tau, weights):
     if not set(P.allocated()) == set(all_chores):
         raise PreconditionViolation("the FFD allocation must contain every chore")
     fresh = ffd(all_chores, cost, tau)
     reference = _pad(fresh.bundles, len(P.bundles))
     if len(reference) < len(P.bundles) or any(
-            lex_compare(b, r, cost) != EQUAL
+            compare_profiles(_profile(b, weights), _profile(r, weights)) != EQUAL
             for b, r in zip(_pad(P.bundles, len(reference)), reference)):
         raise PreconditionViolation("allocation is not an FFD output at this threshold")
 
 
 class _Worker:
     """Mutable allocation wrapper that applies swaps, records transcript
-    steps, and verifies the global chore multiset after every step."""
+    steps, and verifies the global chore multiset after every step. It
+    keeps each bundle's scaled cost sum and its Fraction value; a swap
+    changes only its two bundles, so only those two are recomputed."""
 
-    def __init__(self, bundles: Sequence[Sequence[int]], cost: Sequence[Fraction]):
+    def __init__(self, bundles: Sequence[Sequence[int]], weights: Sequence[int], scale: int):
         self.alloc = Allocation.of(bundles)
-        self.cost = cost
-        self.universe = set(self.alloc.allocated())
+        self.weights = weights
+        self.scale = scale
+        self.sums = [sum(weights[c] for c in b) for b in self.alloc.bundles]
+        self.costs = tuple(Fraction(s, scale) for s in self.sums)
         self.transcript = SwapTranscript()
 
     def bundle(self, k: int) -> tuple[int, ...]:
         return self.alloc.bundles[k]
 
-    def costs(self) -> tuple[Fraction, ...]:
-        return tuple(bundle_cost(self.cost, b) for b in self.alloc.bundles)
-
     def apply(self, k: int, i: int, t_i, j: int, t_j, forbid_increase_after: int | None = None):
-        before = self.costs()
+        old = self.alloc.bundles
         self.alloc = swap(self.alloc, i, t_i, j, t_j)
-        after = self.costs()
+        before, was = self.costs, list(self.sums)
+        after = list(before)
+        for b in (i, j):
+            self.sums[b] = sum(self.weights[c] for c in self.alloc.bundles[b])
+            after[b] = Fraction(self.sums[b], self.scale)
+        self.costs = tuple(after)
         step = SwapStep(len(self.transcript.steps), k, i, tuple(sorted(t_i)),
-                        j, tuple(sorted(t_j)), after)
+                        j, tuple(sorted(t_j)), self.costs)
         self.transcript.steps.append(step)
-        if self.alloc.allocated() != self.universe:
+        # no other bundle changed, so the multiset holds when these two hold
+        # the chores they held before
+        if set(self.bundle(i)) | set(self.bundle(j)) != set(old[i]) | set(old[j]):
             self.fail(k, "swap changed the global chore multiset")
         if forbid_increase_after is not None:
-            for idx in range(forbid_increase_after + 1, len(after)):
-                if after[idx] > before[idx]:
+            for idx in sorted((i, j)):
+                if idx > forbid_increase_after and self.sums[idx] > was[idx]:
                     self.fail(k, f"cost of bundle {idx} increased from "
                                  f"{before[idx]} to {after[idx]}")
 
@@ -170,33 +214,36 @@ class _Worker:
         return self.transcript
 
 
-def _find_donor(worker: _Worker, after: int, value: Fraction) -> tuple[int, int] | None:
-    """Last-appearing chore of the given cost in a bundle past `after`:
-    highest bundle index, then latest position (highest id among equals)."""
+def _find_donor(worker: _Worker, after: int, value: int) -> tuple[int, int] | None:
+    """Last-appearing chore of the given scaled cost in a bundle past
+    `after`: highest bundle index, then latest position (highest id among
+    equals)."""
     for i in range(len(worker.alloc.bundles) - 1, after, -1):
-        matches = [c for c in worker.bundle(i) if worker.cost[c] == value]
+        matches = [c for c in worker.bundle(i) if worker.weights[c] == value]
         if matches:
             return i, max(matches)
     return None
 
 
 def _reduce(P: Allocation, Q: Allocation, cost: Sequence[Fraction], tau: Fraction,
-            all_chores: list[int], verify_ffd: bool, reach_target) -> SwapTranscript:
-    """The frame both reductions share: check that P is an FFD output (when
-    asked) and that Q is First-Fit-Valid, pad both to one length, then for
-    each bundle k let `reach_target(worker, k, target)` swap bundle k to
-    Q's k-th cost profile, and check that it got there."""
+            all_chores: list[int], weights: list[int], scale: int, verify_ffd: bool,
+            reach_target) -> SwapTranscript:
+    """The frame both reductions share, on the cost row scaled to `weights`:
+    check that P is an FFD output (when asked) and that Q is
+    First-Fit-Valid, pad both to one length, then for each bundle k let
+    `reach_target(worker, k, target)` swap bundle k to Q's k-th cost
+    profile, and check that it got there."""
     if verify_ffd:
-        _check_ffd_output(P, all_chores, cost, tau)
+        _check_ffd_output(P, all_chores, cost, tau, weights)
     ok, bad = is_ffv(all_chores, Q, cost, tau)
     if not ok:
         raise PreconditionViolation(f"allocation is not First-Fit-Valid (bundle {bad})")
     n = max(len(P.bundles), len(Q.bundles))
-    worker = _Worker(_pad(P.bundles, n), cost)
-    targets = [_cost_profile(b, cost) for b in _pad(Q.bundles, n)]
+    worker = _Worker(_pad(P.bundles, n), weights, scale)
+    targets = [_profile(b, weights) for b in _pad(Q.bundles, n)]
     for k in range(n):
         reach_target(worker, k, targets[k])
-        if _cost_profile(worker.bundle(k), cost) != targets[k]:
+        if _profile(worker.bundle(k), weights) != targets[k]:
             worker.fail(k, f"bundle {k} did not reach its target profile")
     return worker.finish()
 
@@ -212,33 +259,36 @@ def reduce_factored(P: Allocation, Q: Allocation, cost: Sequence[Fraction],
     verify_ffd=False skips the check that P is an FFD output, for running
     the machinery on hand-built bundle configurations."""
     all_chores = list(all_chores)
-    if not is_factored_costs(cost[c] for c in all_chores):
+    weights, scale = integer_scale(cost)
+    if not is_divisibility_chain(weights[c] for c in all_chores):
         raise PreconditionViolation("cost function must be factored")
 
     def reach_target(worker: _Worker, k: int, target):
         for j, want in enumerate(target):
-            current = sort_desc(worker.bundle(k), cost)
-            have = cost[current[j]] if j < len(current) else Fraction(0)
+            current = _ffd_order(worker.bundle(k), weights)
+            have = weights[current[j]] if j < len(current) else 0
             if want <= have:
                 if want < have:
                     worker.fail(k, f"bundle {k} position {j} exceeds its target "
-                                   f"({have} > {want}); FFV should forbid this")
+                                   f"({Fraction(have, scale)} > {Fraction(want, scale)}); "
+                                   "FFV should forbid this")
                 continue
             tail = current[j:]
             donor = _find_donor(worker, k, want)
             if donor is None:
-                worker.fail(k, f"no chore of cost {want} left in bundles after {k}")
+                worker.fail(k, f"no chore of cost {Fraction(want, scale)} left in bundles "
+                               f"after {k}")
             i, cl = donor
-            if bundle_cost(cost, tail) >= want:
-                moved = find_exact_subset(tail, cost, want)
+            if sum(weights[c] for c in tail) >= want:
+                moved = _exact_subset(tail, weights, want, scale)
             else:
                 moved = tuple(tail)
             worker.apply(k, k, moved, i, (cl,), forbid_increase_after=k)
-    return _reduce(P, Q, cost, tau, all_chores, verify_ffd, reach_target)
+    return _reduce(P, Q, cost, tau, all_chores, weights, scale, verify_ffd, reach_target)
 
 
-def _large_small(all_values: Iterable[Fraction]) -> tuple[Fraction, Fraction]:
-    distinct = sorted(set(all_values))
+def _large_small(all_weights: Iterable[int]) -> tuple[int, int]:
+    distinct = sorted(set(all_weights))
     if len(distinct) > 2:
         raise NotBivalued("cost function must have at most two distinct values")
     return distinct[-1], distinct[0]
@@ -251,47 +301,49 @@ def reduce_bivalued(P: Allocation, Q: Allocation, cost: Sequence[Fraction],
     count of the current bundle with one swap, then pull each missing chore
     from the last bundle holding one of equal cost."""
     all_chores = list(all_chores)
-    large, _small = _large_small(cost[c] for c in all_chores)
+    weights, scale = integer_scale(cost)
+    large, _small = _large_small(weights[c] for c in all_chores)
 
     def reach_target(worker: _Worker, k: int, target):
-        if _cost_profile(worker.bundle(k), cost) == target:
+        if _profile(worker.bundle(k), weights) == target:
             return
         q_large = sum(1 for v in target if v == large)
-        p_large = sum(1 for v in worker.bundle(k) if cost[v] == large)
+        p_large = sum(1 for v in worker.bundle(k) if weights[v] == large)
         if q_large > p_large:
             donor = _find_donor(worker, k, large)
             if donor is None:
                 worker.fail(k, "no large chore left in any later bundle")
             i, cl = donor
-            smalls = tuple(c for c in worker.bundle(k) if cost[c] != large)
+            smalls = tuple(c for c in worker.bundle(k) if weights[c] != large)
             worker.apply(k, k, smalls, i, (cl,), forbid_increase_after=k)
         # here the current bundle must be a cost-wise subset of its target
-        have = list(_cost_profile(worker.bundle(k), cost))
+        have = _profile(worker.bundle(k), weights)
         need = list(target)
         for v in have:
             if v in need:
                 need.remove(v)
             else:
-                worker.fail(k, f"bundle {k} holds a chore of cost {v} "
+                worker.fail(k, f"bundle {k} holds a chore of cost {Fraction(v, scale)} "
                                "beyond its target profile")
         for v in need:
             donor = _find_donor(worker, k, v)
             if donor is None:
-                worker.fail(k, f"no chore of cost {v} left in bundles after {k}")
+                worker.fail(k, f"no chore of cost {Fraction(v, scale)} left in bundles "
+                               f"after {k}")
             i, cl = donor
             worker.apply(k, k, (), i, (cl,), forbid_increase_after=k)
-    return _reduce(P, Q, cost, tau, all_chores, verify_ffd, reach_target)
+    return _reduce(P, Q, cost, tau, all_chores, weights, scale, verify_ffd, reach_target)
 
 
-def _counts(bundle: Iterable[int], cost, large: Fraction) -> tuple[int, int]:
+def _counts(bundle: Iterable[int], weights: Sequence[int], large: int) -> tuple[int, int]:
     ids = list(bundle)
-    n_large = sum(1 for c in ids if cost[c] == large)
+    n_large = sum(1 for c in ids if weights[c] == large)
     return n_large, len(ids) - n_large
 
 
-def _last_large_bundle(worker: _Worker, large: Fraction) -> int | None:
+def _last_large_bundle(worker: _Worker, large: int) -> int | None:
     for i in range(len(worker.alloc.bundles) - 1, -1, -1):
-        if any(worker.cost[c] == large for c in worker.bundle(i)):
+        if any(worker.weights[c] == large for c in worker.bundle(i)):
             return i
     return None
 
@@ -309,14 +361,17 @@ def transform_mms_to_ffd(Q: Allocation, cost: Sequence[Fraction],
     all_chores = sorted(Q.allocated())
     if not all_chores:
         return SwapTranscript(steps=[], result="equal", final=Q)
-    large, small = _large_small(cost[c] for c in all_chores)
+    weights, scale = integer_scale(cost)
+    large, small = _large_small(weights[c] for c in all_chores)
     n = len(Q.bundles)
+    mu_cap = scaled_floor(mu, scale)
     for k, b in enumerate(Q.bundles):
-        if bundle_cost(cost, b) > mu:
+        if sum(weights[c] for c in b) > mu_cap:
             raise PreconditionViolation(f"bundle {k} exceeds the stated MMS value {mu}")
     tau = APPROX_RATIO * mu
+    tau_cap = scaled_floor(tau, scale)
     outcome = ffd(all_chores, cost, tau)
-    if mu >= Fraction(13, 2) * small:
+    if mu >= Fraction(13 * small, 2 * scale):
         transcript = SwapTranscript(steps=[], final=Allocation.of(_pad(outcome.bundles, n)))
         if len(outcome.bundles) > n:
             transcript.result = "violation k=0"
@@ -326,33 +381,33 @@ def transform_mms_to_ffd(Q: Allocation, cost: Sequence[Fraction],
     p_bundles = _pad(outcome.bundles, n)
     n_work = max(n, len(p_bundles))
     p_bundles = _pad(p_bundles, n_work)
-    p_profiles = [_cost_profile(b, cost) for b in p_bundles]
-    q_sorted = sorted(Q.bundles, key=lambda b: (-_counts(b, cost, large)[0],
-                                                -_counts(b, cost, large)[1]))
-    worker = _Worker(_pad(q_sorted, n_work), cost)
+    p_profiles = [_profile(b, weights) for b in p_bundles]
+    # most large chores first, then most small ones; stable among equals
+    q_sorted = sorted(Q.bundles, key=lambda b: _counts(b, weights, large), reverse=True)
+    worker = _Worker(_pad(q_sorted, n_work), weights, scale)
 
     def check_invariants(k: int):
         for i in range(k):
-            if _cost_profile(worker.bundle(i), cost) != p_profiles[i]:
+            if _profile(worker.bundle(i), weights) != p_profiles[i]:
                 worker.fail(k, f"invariant 1 broken at bundle {i}")
         for i in range(k, n_work):
-            c_i = bundle_cost(cost, worker.bundle(i))
-            if c_i > tau:
-                worker.fail(k, f"invariant 2 broken: bundle {i} costs {c_i} > tau {tau}")
+            if worker.sums[i] > tau_cap:
+                worker.fail(k, f"invariant 2 broken: bundle {i} costs {worker.costs[i]} "
+                               f"> tau {tau}")
         for i in range(k + 1, n_work):
-            c_i = bundle_cost(cost, worker.bundle(i))
-            n_l, n_s = _counts(worker.bundle(i), cost, large)
-            if c_i <= mu or n_l == 0 or (n_l == 1 and (n_s + 2) * small <= tau):
+            n_l, n_s = _counts(worker.bundle(i), weights, large)
+            if (worker.sums[i] <= mu_cap or n_l == 0
+                    or (n_l == 1 and (n_s + 2) * small <= tau_cap)):
                 continue
             worker.fail(k, f"invariant 3 broken at bundle {i}")
 
     for k in range(n_work):
         check_invariants(k)
         if len(worker.bundle(k)) > len(p_profiles[k]):
-            a_q, b_q = _counts(worker.bundle(k), cost, large)
+            a_q, b_q = _counts(worker.bundle(k), weights, large)
             a_p = sum(1 for v in p_profiles[k] if v == large)
             b_p = len(p_profiles[k]) - a_p
-            if bundle_cost(cost, worker.bundle(k)) > mu:
+            if worker.sums[k] > mu_cap:
                 worker.fail(k, "a bundle reaching the two-for-one swap exceeds mu")
             if a_p < a_q + 1:
                 worker.fail(k, "two-small-chores (a) broken: FFD bundle lacks extra large chore")
@@ -363,39 +418,40 @@ def transform_mms_to_ffd(Q: Allocation, cost: Sequence[Fraction],
             z = _last_large_bundle(worker, large)
             if z is None or z <= k:
                 worker.fail(k, "two-small-chores (c) broken: no later bundle has a large chore")
-            smalls = sorted(c for c in worker.bundle(k) if cost[c] != large)
+            smalls = sorted(c for c in worker.bundle(k) if weights[c] != large)
             pair = tuple(smalls[:2])
-            cl = max(c for c in worker.bundle(z) if cost[c] == large)
+            cl = max(c for c in worker.bundle(z) if weights[c] == large)
             worker.apply(k, k, pair, z, (cl,))
             if len(worker.bundle(k)) > len(p_profiles[k]):
-                a_q2, b_q2 = _counts(worker.bundle(k), cost, large)
+                a_q2, b_q2 = _counts(worker.bundle(k), weights, large)
                 if (a_q2, b_q2) == (2, 1) and (a_p, b_p) == (2, 0):
-                    one_small = min(c for c in worker.bundle(k) if cost[c] != large)
+                    one_small = min(c for c in worker.bundle(k) if weights[c] != large)
                     worker.apply(k, k, (one_small,), z, ())
                 elif (a_q2, b_q2) == (2, 2) and (a_p, b_p) == (3, 0):
                     z2 = _last_large_bundle(worker, large)
                     if z2 is None or z2 <= k:
                         worker.fail(k, "special case: no later bundle has a large chore")
-                    smalls2 = sorted(c for c in worker.bundle(k) if cost[c] != large)
-                    cl2 = max(c for c in worker.bundle(z2) if cost[c] == large)
+                    smalls2 = sorted(c for c in worker.bundle(k) if weights[c] != large)
+                    cl2 = max(c for c in worker.bundle(z2) if weights[c] == large)
                     worker.apply(k, k, tuple(smalls2[:2]), z2, (cl2,))
                 else:
                     worker.fail(k, "bundle still has too many chores outside the "
                                    "two special cases")
         for j, want in enumerate(p_profiles[k]):
-            current = sort_desc(worker.bundle(k), cost)
-            have = cost[current[j]] if j < len(current) else Fraction(0)
+            current = _ffd_order(worker.bundle(k), weights)
+            have = weights[current[j]] if j < len(current) else 0
             if have > want:
                 worker.fail(k, f"bundle {k} position {j} exceeds the FFD profile")
             if have == want:
                 continue
             donor = _find_donor(worker, k, want)
             if donor is None:
-                worker.fail(k, f"no chore of cost {want} left in bundles after {k}")
+                worker.fail(k, f"no chore of cost {Fraction(want, scale)} left in bundles "
+                               f"after {k}")
             z, cl = donor
             out = (current[j],) if j < len(current) else ()
             worker.apply(k, k, out, z, (cl,))
-        if _cost_profile(worker.bundle(k), cost) != p_profiles[k]:
+        if _profile(worker.bundle(k), weights) != p_profiles[k]:
             worker.fail(k, f"bundle {k} did not reach the FFD profile")
     return worker.finish()
 
@@ -406,8 +462,7 @@ def fit_in_space(alloc: Allocation, k: int, cost: Sequence[Fraction],
     bundle = alloc.bundles[k]
     if not bundle:
         raise EmptyBundle(f"bundle {k} is empty")
-    smallest = sort_desc(bundle, cost)[-1]
-    return tau - (bundle_cost(cost, bundle) - cost[smallest])
+    return tau - (bundle_cost(cost, bundle) - min(cost[c] for c in bundle))
 
 
 def remove_redundant(alloc: Allocation, cost: Sequence[Fraction],
@@ -415,14 +470,16 @@ def remove_redundant(alloc: Allocation, cost: Sequence[Fraction],
     """Drop, from each bundle, every chore after the shortest prefix whose
     cost reaches the threshold (diagnostic; implements the literal
     definition, see the package notes on the boundary case)."""
+    weights, scale = integer_scale(cost)
+    reach = -(-tau.numerator * scale // tau.denominator)  # ceil(tau * scale)
     trimmed = []
     for bundle in alloc.bundles:
-        ordered = sort_desc(bundle, cost)
-        total = Fraction(0)
+        ordered = _ffd_order(bundle, weights)
+        total = 0
         keep = len(ordered)
         for p, c in enumerate(ordered):
-            total += cost[c]
-            if total >= tau:
+            total += weights[c]
+            if total >= reach:
                 keep = p + 1
                 break
         trimmed.append(tuple(sorted(ordered[:keep])))

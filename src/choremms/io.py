@@ -88,6 +88,7 @@ def format_allocation(allocation: Allocation, instance: Instance) -> str:
 def parse_allocation(text: str, instance: Instance) -> Allocation:
     bundles: dict[int, tuple[int, ...]] = {}
     costs: dict[int, Fraction] = {}
+    placed: set[int] = set()
     for lineno, line in _significant_lines(text):
         head, _, rest = line.partition(":")
         fields = head.split()
@@ -97,14 +98,22 @@ def parse_allocation(text: str, instance: Instance) -> Allocation:
         if i >= instance.n:
             raise ParseError(f"agent index {i} out of range", lineno)
         if kind == "agent":
+            if i in bundles:
+                raise ParseError(f"agent {i} is listed twice", lineno)
             ids = rest.split()
             if not all(f.isdigit() for f in ids):
                 raise ParseError("chore ids must be nonnegative integers", lineno)
             chores = tuple(int(f) for f in ids)
             if any(c >= instance.m for c in chores):
                 raise ParseError("chore id out of range", lineno)
+            for c in chores:
+                if c in placed:
+                    raise ParseError(f"chore {c} is allocated twice", lineno)
+                placed.add(c)
             bundles[i] = chores
         elif kind == "cost":
+            if i in costs:
+                raise ParseError(f"cost {i} is listed twice", lineno)
             try:
                 costs[i] = parse_rational(rest)
             except ValueError as exc:

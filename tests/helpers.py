@@ -5,7 +5,11 @@ enumerated exhaustively, partitions are generated without pruning, and
 lexicographic maxima are found by pairwise comparison over all candidates.
 The reference packers (`ref_ffd`, `ref_hffd`, `ref_lift` and the threshold
 searches built on them) are the straightforward Fraction implementations
-that the integer kernels in `choremms.packing` must reproduce exactly.
+that the integer kernels in `choremms.packing` must reproduce exactly. The
+reference certificate layer (`ref_is_ffv`, `ref_reduce_factored`,
+`ref_reduce_bivalued`, `ref_transform_mms_to_ffd`, the diagnostics and the
+class and ordering checks) does the same for `choremms.ffv` and
+`choremms.core`.
 """
 
 from __future__ import annotations
@@ -14,12 +18,13 @@ import itertools
 import random
 from fractions import Fraction
 
-from choremms.core import (Allocation, EQUAL, bundle_cost, is_bivalued_costs,
-                           is_factored_costs, lex_compare, sort_desc,
-                           universal_ordering)
-from choremms.errors import EmptyBinDeadlock
-from choremms.ffv import is_ffv
-from choremms.packing import PackOutcome, hffd, subset_sums
+from choremms.core import (Allocation, EQUAL, GREATER, LESS, Instance, LiftingMap,
+                           UniversalOrdering, bundle_cost, swap)
+from choremms.errors import (EmptyBinDeadlock, EmptyBundle, InvariantViolation, NotBivalued,
+                             NotIDO, PreconditionViolation)
+from choremms.ffv import SwapStep, SwapTranscript, is_ffv
+from choremms.mms import APPROX_RATIO
+from choremms.packing import PackOutcome, ffd, hffd, subset_sums
 
 
 def hffd_dropping_last_chore(instance, thresholds):
@@ -38,7 +43,7 @@ def brute_lex_max(all_chores, prefix, cost, tau):
     best: tuple[int, ...] = ()
     for r in range(len(remaining) + 1):
         for combo in itertools.combinations(remaining, r):
-            if bundle_cost(cost, combo) <= tau and lex_compare(combo, best, cost) > EQUAL:
+            if bundle_cost(cost, combo) <= tau and ref_lex_compare(combo, best, cost) > EQUAL:
                 best = combo
     return best
 
@@ -103,6 +108,54 @@ def perturb_to_ffv(rng: random.Random, base: Allocation, all_chores, cost, tau,
     return current
 
 
+# ------------------------------------- Fraction reference classes and orders
+
+def sort_desc(chores, cost):
+    """Chore ids by descending cost; equal costs break toward the lower id."""
+    return sorted(chores, key=lambda c: (-cost[c], c))
+
+
+def ref_is_factored_costs(values):
+    """Every smaller distinct value divides the next larger one."""
+    distinct = sorted(set(values))
+    return all((b / a).denominator == 1 for a, b in zip(distinct, distinct[1:]))
+
+
+def ref_is_bivalued_costs(values):
+    return len(set(values)) <= 2
+
+
+def ref_universal_ordering(instance):
+    """Agent 0's descending sort, checked against every agent."""
+    perm = sort_desc(instance.chores(), instance.cost(0))
+    for i in range(instance.n):
+        row = instance.cost(i)
+        for a, b in zip(perm, perm[1:]):
+            if row[a] < row[b]:
+                raise NotIDO(f"agent {i} ranks chore {b} above chore {a}")
+    return UniversalOrdering(tuple(perm))
+
+
+def ref_to_ido(instance):
+    rows = tuple(tuple(sorted(row, reverse=True)) for row in instance.costs)
+    return Instance(rows), LiftingMap(instance)
+
+
+def ref_lex_compare(b1, b2, cost):
+    """Position-wise comparison of Fraction cost profiles, zero-extended."""
+    p1 = sorted((cost[c] for c in b1), reverse=True)
+    p2 = sorted((cost[c] for c in b2), reverse=True)
+    for a, b in zip(p1, p2):
+        if a != b:
+            return GREATER if a > b else LESS
+    if len(p1) == len(p2):
+        return EQUAL
+    rest = p1[len(p2):] or p2[len(p1):]
+    if any(x != 0 for x in rest):
+        return GREATER if len(p1) > len(p2) else LESS
+    return EQUAL
+
+
 # ------------------------------------------------ Fraction reference packers
 
 def ref_ffd(chores, cost, tau, max_bins=None):
@@ -127,7 +180,7 @@ def ref_ffd(chores, cost, tau, max_bins=None):
 def ref_hffd(instance, thresholds):
     """Heterogeneous FFD with Fraction sums, one bin at a time; a closed bin
     goes to the lowest-index remaining agent for whom its last chore fitted."""
-    remaining = list(universal_ordering(instance).perm)
+    remaining = list(ref_universal_ordering(instance).perm)
     pool = list(range(instance.n))
     bins, owners = [], []
     while remaining and pool:
@@ -200,14 +253,349 @@ def ref_min_success_threshold(cost, chores, n):
         return Fraction(0)
     values = [cost[c] for c in chores]
     lo, hi = max(values), sum(values)
-    if is_factored_costs(values):
+    if ref_is_factored_costs(values):
         unit = min(values)
         grid = [k * unit for k in range(int(lo / unit), int(hi / unit) + 1)]
     else:
-        assert is_bivalued_costs(values)
+        assert ref_is_bivalued_costs(values)
         large, small = max(values), min(values)
         n_large = values.count(large)
         grid = sorted({a * large + b * small for a in range(n_large + 1)
                        for b in range(len(values) - n_large + 1)
                        if lo <= a * large + b * small <= hi})
     return _ref_bisect(chores, cost, n, grid)
+
+
+# -------------------------------------- Fraction reference certificate layer
+# The FFD packings these take as given come from `choremms.packing.ffd`,
+# which test_differential checks against `ref_ffd`.
+
+def ref_benchmark_bundle(all_chores, allocated_prefix, cost, tau):
+    """Greedy largest-first over the chores left after the prefix, with a
+    Fraction running sum kept within tau."""
+    if tau <= 0:
+        raise PreconditionViolation("benchmark threshold must be positive")
+    taken = {c for b in allocated_prefix for c in b}
+    remaining = [c for c in all_chores if c not in taken]
+    bundle = []
+    total = Fraction(0)
+    for c in sort_desc(remaining, cost):
+        if total + cost[c] <= tau:
+            bundle.append(c)
+            total += cost[c]
+    return tuple(bundle)
+
+
+def ref_is_ffv(all_chores, alloc, cost, tau):
+    all_chores = list(all_chores)
+    for k in range(len(alloc.bundles)):
+        bench = ref_benchmark_bundle(all_chores, alloc.bundles[:k], cost, tau)
+        if ref_lex_compare(alloc.bundles[k], bench, cost) < EQUAL:
+            return False, k
+    return True, None
+
+
+def ref_find_exact_subset(chores, cost, target):
+    chores = list(chores)
+    values = [cost[c] for c in chores]
+    if not ref_is_factored_costs(values + [target]):
+        raise PreconditionViolation("costs and target must form a divisibility chain")
+    if any(v > target for v in values):
+        raise PreconditionViolation("every chore must cost at most the target")
+    if sum(values) < target:
+        raise PreconditionViolation("total cost must reach the target")
+    subset = []
+    total = Fraction(0)
+    for c in sort_desc(chores, cost):
+        if total + cost[c] <= target:
+            subset.append(c)
+            total += cost[c]
+        if total == target:
+            break
+    if total != target:
+        raise PreconditionViolation(f"greedy missed the target {target}; got {total}")
+    return tuple(subset)
+
+
+def _ref_pad(bundles, n):
+    out = [tuple(b) for b in bundles]
+    out.extend(() for _ in range(n - len(out)))
+    return out
+
+
+def _ref_profile(bundle, cost):
+    return tuple(sorted((cost[c] for c in bundle), reverse=True))
+
+
+def _ref_check_ffd_output(P, all_chores, cost, tau):
+    if not set(P.allocated()) == set(all_chores):
+        raise PreconditionViolation("the FFD allocation must contain every chore")
+    fresh = ffd(all_chores, cost, tau)
+    reference = _ref_pad(fresh.bundles, len(P.bundles))
+    if len(reference) < len(P.bundles) or any(
+            ref_lex_compare(b, r, cost) != EQUAL
+            for b, r in zip(_ref_pad(P.bundles, len(reference)), reference)):
+        raise PreconditionViolation("allocation is not an FFD output at this threshold")
+
+
+class RefWorker:
+    """Applies swaps and records steps, recomputing every bundle's Fraction
+    cost before and after each swap."""
+
+    def __init__(self, bundles, cost):
+        self.alloc = Allocation.of(bundles)
+        self.cost = cost
+        self.universe = set(self.alloc.allocated())
+        self.transcript = SwapTranscript()
+
+    def bundle(self, k):
+        return self.alloc.bundles[k]
+
+    def costs(self):
+        return tuple(bundle_cost(self.cost, b) for b in self.alloc.bundles)
+
+    def apply(self, k, i, t_i, j, t_j, forbid_increase_after=None):
+        before = self.costs()
+        self.alloc = swap(self.alloc, i, t_i, j, t_j)
+        after = self.costs()
+        self.transcript.steps.append(SwapStep(len(self.transcript.steps), k, i,
+                                              tuple(sorted(t_i)), j, tuple(sorted(t_j)),
+                                              after))
+        if self.alloc.allocated() != self.universe:
+            self.fail(k, "swap changed the global chore multiset")
+        if forbid_increase_after is not None:
+            for idx in range(forbid_increase_after + 1, len(after)):
+                if after[idx] > before[idx]:
+                    self.fail(k, f"cost of bundle {idx} increased from "
+                                 f"{before[idx]} to {after[idx]}")
+
+    def fail(self, k, message):
+        self.transcript.result = f"violation k={k}"
+        self.transcript.final = self.alloc
+        raise InvariantViolation(message, self.transcript)
+
+    def finish(self):
+        self.transcript.result = "equal"
+        self.transcript.final = self.alloc
+        return self.transcript
+
+
+def _ref_find_donor(worker, after, value):
+    for i in range(len(worker.alloc.bundles) - 1, after, -1):
+        matches = [c for c in worker.bundle(i) if worker.cost[c] == value]
+        if matches:
+            return i, max(matches)
+    return None
+
+
+def _ref_reduce(P, Q, cost, tau, all_chores, verify_ffd, reach_target):
+    if verify_ffd:
+        _ref_check_ffd_output(P, all_chores, cost, tau)
+    ok, bad = ref_is_ffv(all_chores, Q, cost, tau)
+    if not ok:
+        raise PreconditionViolation(f"allocation is not First-Fit-Valid (bundle {bad})")
+    n = max(len(P.bundles), len(Q.bundles))
+    worker = RefWorker(_ref_pad(P.bundles, n), cost)
+    targets = [_ref_profile(b, cost) for b in _ref_pad(Q.bundles, n)]
+    for k in range(n):
+        reach_target(worker, k, targets[k])
+        if _ref_profile(worker.bundle(k), cost) != targets[k]:
+            worker.fail(k, f"bundle {k} did not reach its target profile")
+    return worker.finish()
+
+
+def ref_reduce_factored(P, Q, cost, tau, all_chores, verify_ffd=True):
+    all_chores = list(all_chores)
+    if not ref_is_factored_costs(cost[c] for c in all_chores):
+        raise PreconditionViolation("cost function must be factored")
+
+    def reach_target(worker, k, target):
+        for j, want in enumerate(target):
+            current = sort_desc(worker.bundle(k), cost)
+            have = cost[current[j]] if j < len(current) else Fraction(0)
+            if want <= have:
+                if want < have:
+                    worker.fail(k, f"bundle {k} position {j} exceeds its target "
+                                   f"({have} > {want}); FFV should forbid this")
+                continue
+            tail = current[j:]
+            donor = _ref_find_donor(worker, k, want)
+            if donor is None:
+                worker.fail(k, f"no chore of cost {want} left in bundles after {k}")
+            i, cl = donor
+            if bundle_cost(cost, tail) >= want:
+                moved = ref_find_exact_subset(tail, cost, want)
+            else:
+                moved = tuple(tail)
+            worker.apply(k, k, moved, i, (cl,), forbid_increase_after=k)
+    return _ref_reduce(P, Q, cost, tau, all_chores, verify_ffd, reach_target)
+
+
+def _ref_large_small(all_values):
+    distinct = sorted(set(all_values))
+    if len(distinct) > 2:
+        raise NotBivalued("cost function must have at most two distinct values")
+    return distinct[-1], distinct[0]
+
+
+def ref_reduce_bivalued(P, Q, cost, tau, all_chores, verify_ffd=True):
+    all_chores = list(all_chores)
+    large, _small = _ref_large_small(cost[c] for c in all_chores)
+
+    def reach_target(worker, k, target):
+        if _ref_profile(worker.bundle(k), cost) == target:
+            return
+        q_large = sum(1 for v in target if v == large)
+        p_large = sum(1 for v in worker.bundle(k) if cost[v] == large)
+        if q_large > p_large:
+            donor = _ref_find_donor(worker, k, large)
+            if donor is None:
+                worker.fail(k, "no large chore left in any later bundle")
+            i, cl = donor
+            smalls = tuple(c for c in worker.bundle(k) if cost[c] != large)
+            worker.apply(k, k, smalls, i, (cl,), forbid_increase_after=k)
+        have = list(_ref_profile(worker.bundle(k), cost))
+        need = list(target)
+        for v in have:
+            if v in need:
+                need.remove(v)
+            else:
+                worker.fail(k, f"bundle {k} holds a chore of cost {v} "
+                               "beyond its target profile")
+        for v in need:
+            donor = _ref_find_donor(worker, k, v)
+            if donor is None:
+                worker.fail(k, f"no chore of cost {v} left in bundles after {k}")
+            i, cl = donor
+            worker.apply(k, k, (), i, (cl,), forbid_increase_after=k)
+    return _ref_reduce(P, Q, cost, tau, all_chores, verify_ffd, reach_target)
+
+
+def _ref_counts(bundle, cost, large):
+    ids = list(bundle)
+    n_large = sum(1 for c in ids if cost[c] == large)
+    return n_large, len(ids) - n_large
+
+
+def _ref_last_large_bundle(worker, large):
+    for i in range(len(worker.alloc.bundles) - 1, -1, -1):
+        if any(worker.cost[c] == large for c in worker.bundle(i)):
+            return i
+    return None
+
+
+def ref_transform_mms_to_ffd(Q, cost, mu):
+    all_chores = sorted(Q.allocated())
+    if not all_chores:
+        return SwapTranscript(steps=[], result="equal", final=Q)
+    large, small = _ref_large_small(cost[c] for c in all_chores)
+    n = len(Q.bundles)
+    for k, b in enumerate(Q.bundles):
+        if bundle_cost(cost, b) > mu:
+            raise PreconditionViolation(f"bundle {k} exceeds the stated MMS value {mu}")
+    tau = APPROX_RATIO * mu
+    outcome = ffd(all_chores, cost, tau)
+    if mu >= Fraction(13, 2) * small:
+        transcript = SwapTranscript(steps=[], final=Allocation.of(_ref_pad(outcome.bundles, n)))
+        if len(outcome.bundles) > n:
+            transcript.result = "violation k=0"
+            raise InvariantViolation(
+                "FFD at tau >= mu + s used more bins than the partition", transcript)
+        return transcript
+    p_bundles = _ref_pad(outcome.bundles, n)
+    n_work = max(n, len(p_bundles))
+    p_bundles = _ref_pad(p_bundles, n_work)
+    p_profiles = [_ref_profile(b, cost) for b in p_bundles]
+    q_sorted = sorted(Q.bundles, key=lambda b: (-_ref_counts(b, cost, large)[0],
+                                                -_ref_counts(b, cost, large)[1]))
+    worker = RefWorker(_ref_pad(q_sorted, n_work), cost)
+
+    def check_invariants(k):
+        for i in range(k):
+            if _ref_profile(worker.bundle(i), cost) != p_profiles[i]:
+                worker.fail(k, f"invariant 1 broken at bundle {i}")
+        for i in range(k, n_work):
+            c_i = bundle_cost(cost, worker.bundle(i))
+            if c_i > tau:
+                worker.fail(k, f"invariant 2 broken: bundle {i} costs {c_i} > tau {tau}")
+        for i in range(k + 1, n_work):
+            c_i = bundle_cost(cost, worker.bundle(i))
+            n_l, n_s = _ref_counts(worker.bundle(i), cost, large)
+            if c_i <= mu or n_l == 0 or (n_l == 1 and (n_s + 2) * small <= tau):
+                continue
+            worker.fail(k, f"invariant 3 broken at bundle {i}")
+
+    for k in range(n_work):
+        check_invariants(k)
+        if len(worker.bundle(k)) > len(p_profiles[k]):
+            a_q, b_q = _ref_counts(worker.bundle(k), cost, large)
+            a_p = sum(1 for v in p_profiles[k] if v == large)
+            b_p = len(p_profiles[k]) - a_p
+            if bundle_cost(cost, worker.bundle(k)) > mu:
+                worker.fail(k, "a bundle reaching the two-for-one swap exceeds mu")
+            if a_p < a_q + 1:
+                worker.fail(k, "two-small-chores (a) broken: FFD bundle lacks extra large chore")
+            if b_q < b_p + 2:
+                worker.fail(k, "two-small-chores (b) broken: fewer than two extra small chores")
+            if a_q < 1:
+                worker.fail(k, "two-small-chores (d) broken: no large chore in the bundle")
+            z = _ref_last_large_bundle(worker, large)
+            if z is None or z <= k:
+                worker.fail(k, "two-small-chores (c) broken: no later bundle has a large chore")
+            smalls = sorted(c for c in worker.bundle(k) if cost[c] != large)
+            cl = max(c for c in worker.bundle(z) if cost[c] == large)
+            worker.apply(k, k, tuple(smalls[:2]), z, (cl,))
+            if len(worker.bundle(k)) > len(p_profiles[k]):
+                a_q2, b_q2 = _ref_counts(worker.bundle(k), cost, large)
+                if (a_q2, b_q2) == (2, 1) and (a_p, b_p) == (2, 0):
+                    one_small = min(c for c in worker.bundle(k) if cost[c] != large)
+                    worker.apply(k, k, (one_small,), z, ())
+                elif (a_q2, b_q2) == (2, 2) and (a_p, b_p) == (3, 0):
+                    z2 = _ref_last_large_bundle(worker, large)
+                    if z2 is None or z2 <= k:
+                        worker.fail(k, "special case: no later bundle has a large chore")
+                    smalls2 = sorted(c for c in worker.bundle(k) if cost[c] != large)
+                    cl2 = max(c for c in worker.bundle(z2) if cost[c] == large)
+                    worker.apply(k, k, tuple(smalls2[:2]), z2, (cl2,))
+                else:
+                    worker.fail(k, "bundle still has too many chores outside the "
+                                   "two special cases")
+        for j, want in enumerate(p_profiles[k]):
+            current = sort_desc(worker.bundle(k), cost)
+            have = cost[current[j]] if j < len(current) else Fraction(0)
+            if have > want:
+                worker.fail(k, f"bundle {k} position {j} exceeds the FFD profile")
+            if have == want:
+                continue
+            donor = _ref_find_donor(worker, k, want)
+            if donor is None:
+                worker.fail(k, f"no chore of cost {want} left in bundles after {k}")
+            z, cl = donor
+            out = (current[j],) if j < len(current) else ()
+            worker.apply(k, k, out, z, (cl,))
+        if _ref_profile(worker.bundle(k), cost) != p_profiles[k]:
+            worker.fail(k, f"bundle {k} did not reach the FFD profile")
+    return worker.finish()
+
+
+def ref_fit_in_space(alloc, k, cost, tau=Fraction(1)):
+    bundle = alloc.bundles[k]
+    if not bundle:
+        raise EmptyBundle(f"bundle {k} is empty")
+    smallest = sort_desc(bundle, cost)[-1]
+    return tau - (bundle_cost(cost, bundle) - cost[smallest])
+
+
+def ref_remove_redundant(alloc, cost, tau):
+    trimmed = []
+    for bundle in alloc.bundles:
+        ordered = sort_desc(bundle, cost)
+        total = Fraction(0)
+        keep = len(ordered)
+        for p, c in enumerate(ordered):
+            total += cost[c]
+            if total >= tau:
+                keep = p + 1
+                break
+        trimmed.append(tuple(sorted(ordered[:keep])))
+    return Allocation(tuple(trimmed), alloc.agents)

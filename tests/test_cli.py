@@ -2,7 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from choremms import mms
+from choremms import analysis, mms
 from choremms.cli import main
 from choremms.core import Instance, bundle_cost, to_ido
 from choremms.io import format_instance, parse_allocation, parse_instance
@@ -234,3 +234,62 @@ def test_solve_counterexample_never_overwrites(tmp_path, monkeypatch, capsys):
     assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
     assert "not written" in err
     assert existing.read_text() == "keep\n"
+
+
+def test_verify_rejects_duplicate_allocation_lines(tmp_path, capsys):
+    inst_path = write_instance(tmp_path, Instance.from_rows([[5, 1], [1, 5]]))
+    alloc_path = tmp_path / "alloc.txt"
+    for text, line in [("agent 0: 0 0\nagent 1: 1\n", 1),
+                       ("agent 0: 0 1\nagent 1:\nagent 0: 1\n", 3)]:
+        alloc_path.write_text(text)
+        assert main(["verify", inst_path, str(alloc_path), "--mode", "mms"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: line {line}: ")
+        assert len(captured.err.strip().splitlines()) == 1
+        assert "verdict" not in captured.out
+
+
+def one_error_line(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
+    return err
+
+
+def test_unwritable_out_exits_2(tmp_path, capsys, monkeypatch):
+    missing = str(tmp_path / "no-such-dir" / "x.txt")
+    path = write_instance(tmp_path, LOWER_BOUND)
+    assert main(["solve", path, "--algo", "multifit", "--out", missing]) == 2
+    assert "no-such-dir" in one_error_line(capsys)
+    assert main(["gen", "--class", "factored", "--n", "2", "--m", "3", "--out", missing]) == 2
+    one_error_line(capsys)
+    assert main(["table", "--out", missing]) == 2
+    one_error_line(capsys)
+    hit = analysis.MonotonicityCounterexample(LOWER_BOUND, 0, 3, F(13), F(14))
+    monkeypatch.setattr(analysis, "search_monotonicity", lambda *args: hit)
+    assert main(["search", "--target", "monotonicity", "--out", missing]) == 2
+    one_error_line(capsys)
+    monkeypatch.setattr(analysis, "search_bivalued_mms_existence", lambda *args: LOWER_BOUND)
+    assert main(["search", "--target", "mms-existence", "--out", missing]) == 2
+    one_error_line(capsys)
+
+
+def test_search_writes_counterexample_file(tmp_path, capsys, monkeypatch):
+    hit = analysis.MonotonicityCounterexample(LOWER_BOUND, 0, 3, F(13), F(14))
+    monkeypatch.setattr(analysis, "search_monotonicity", lambda *args: hit)
+    out = tmp_path / "hit.txt"
+    assert main(["search", "--target", "monotonicity", "--out", str(out)]) == 3
+    assert str(out) in capsys.readouterr().out
+    assert parse_instance(out.read_text()) == LOWER_BOUND
+
+
+def test_non_utf8_instance_exits_2(tmp_path, capsys):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(format_instance(LOWER_BOUND).encode() + b"# caf\xe9\n")
+    assert main(["solve", str(path), "--algo", "multifit"]) == 2
+    assert "not UTF-8" in one_error_line(capsys)
+    alloc_path = tmp_path / "alloc.txt"
+    alloc_path.write_bytes(b"\xff")
+    assert main(["verify", write_instance(tmp_path, LOWER_BOUND), str(alloc_path),
+                 "--mode", "mms"]) == 2
+    assert "not UTF-8" in one_error_line(capsys)

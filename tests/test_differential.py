@@ -1,16 +1,28 @@
-"""The integer packing kernels against the Fraction reference packers in
-helpers.py: identical bundles, leftovers, success flags and thresholds."""
+"""The integer packing kernels and the integer certificate layer against
+the Fraction references in helpers.py: identical bundles, leftovers,
+success flags and thresholds; identical FFV verdicts, class checks and
+orderings; identical swap transcripts; and the same error type and message
+on rejected inputs."""
 
+import random
 from fractions import Fraction as F
 
 from hypothesis import given, settings, strategies as st
 
-from choremms.core import Allocation, Instance, to_ido
-from choremms.errors import EmptyBinDeadlock
-from choremms.mms import min_success_threshold, mms_factored
+from choremms.core import (Allocation, Instance, is_bivalued_costs, is_factored_costs,
+                           lex_compare, to_ido, universal_ordering)
+from choremms.errors import ChoreMMSError, EmptyBinDeadlock
+from choremms.ffv import (SwapTranscript, benchmark_bundle, find_exact_subset, fit_in_space,
+                          is_ffv, reduce_bivalued, reduce_factored, remove_redundant,
+                          transform_mms_to_ffd)
+from choremms.mms import min_success_threshold, mms_brute, mms_factored
 from choremms.packing import ffd, hffd, multifit
-from helpers import (ref_ffd, ref_hffd, ref_lift, ref_min_success_threshold,
-                     ref_multifit)
+from helpers import (perturb_to_ffv, ref_benchmark_bundle, ref_ffd, ref_find_exact_subset,
+                     ref_fit_in_space, ref_hffd, ref_is_bivalued_costs, ref_is_factored_costs,
+                     ref_is_ffv, ref_lex_compare, ref_lift, ref_min_success_threshold,
+                     ref_multifit, ref_reduce_bivalued, ref_reduce_factored,
+                     ref_remove_redundant, ref_to_ido, ref_transform_mms_to_ffd,
+                     ref_universal_ordering)
 
 SETTINGS = settings(max_examples=300, deadline=None)
 
@@ -168,3 +180,189 @@ def test_lift_ties_pick_lower_id():
     assert lifting.lift(allocation) == ref_lift(instance, allocation)
     assert lifting.lift(allocation).bundles == ((2, 3), (0, 1))
 
+
+
+# ------------------------------------------------- certificate layer helpers
+
+def transcript_fields(t):
+    """Every field of a transcript, its text dump and the types of the step
+    costs (Fractions at the interface)."""
+    if t is None:
+        return None
+    return (t.steps, t.result, t.final, t.dump(),
+            {type(c) for step in t.steps for c in step.costs_after})
+
+
+def outcome(fn, *args, **kwargs):
+    """What a call returns, or the type, message and transcript of the
+    package error it raises."""
+    try:
+        result = fn(*args, **kwargs)
+    except ChoreMMSError as exc:
+        return type(exc), str(exc), transcript_fields(getattr(exc, "transcript", None))
+    return transcript_fields(result) if isinstance(result, SwapTranscript) else result
+
+
+@st.composite
+def certificate_thresholds(draw, row):
+    """Below, at and above the largest cost, and now and then not positive."""
+    kind = draw(st.integers(0, 9))
+    if kind == 0:
+        return draw(st.sampled_from([F(0), F(-1, 2)]))
+    return max(row) if kind == 1 else draw(thresholds(row))
+
+
+@st.composite
+def close_bivalued_rows(draw, size):
+    """Two values at most a factor 2 apart, so that an MMS value below 13/2
+    of the small cost, where the transform swaps, is common."""
+    small = draw(fractions(8))
+    large = small * draw(st.builds(F, st.integers(7, 12), st.just(6)))
+    return tuple(draw(st.sampled_from([large, small])) for _ in range(size))
+
+
+@st.composite
+def bundles_of(draw, chores, max_bundles=4, leave_out=False):
+    """The chores split into 1..max_bundles bundles, some possibly left out."""
+    k = draw(st.integers(1, max_bundles))
+    labels = draw(st.lists(st.integers(-1 if leave_out else 0, k - 1),
+                           min_size=len(chores), max_size=len(chores)))
+    return Allocation.of([c for c, label in zip(chores, labels) if label == b]
+                         for b in range(k))
+
+
+@st.composite
+def ffv_candidates(draw, chores, row, tau):
+    """An FFD output, an FFV perturbation of one, or arbitrary bundles."""
+    kind = draw(st.sampled_from(["ffd", "perturbed", "arbitrary"]))
+    if kind == "arbitrary" or tau <= 0:
+        return draw(bundles_of(chores, leave_out=True))
+    packed = ffd(chores, row, tau).allocation
+    if kind == "ffd":
+        return packed
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    return perturb_to_ffv(rng, packed, chores, row, tau, attempts=10)
+
+
+# ------------------------------------------------ class checks and ordering
+
+@SETTINGS
+@given(st.data())
+def test_class_checks_match_reference(data):
+    row = data.draw(rows(data.draw(st.integers(0, 12))))
+    assert is_factored_costs(row) == ref_is_factored_costs(row)
+    assert is_bivalued_costs(row) == ref_is_bivalued_costs(row)
+
+
+@SETTINGS
+@given(st.data())
+def test_lex_compare_matches_reference(data):
+    m = data.draw(st.integers(1, 10))
+    row = data.draw(rows(m))
+    b1, b2 = (data.draw(st.lists(st.integers(0, m - 1), unique=True)) for _ in range(2))
+    assert lex_compare(b1, b2, row) == ref_lex_compare(b1, b2, row)
+
+
+@SETTINGS
+@given(st.data())
+def test_to_ido_and_universal_ordering_match_reference(data):
+    instance = data.draw(instances())
+    ido, lifting = to_ido(instance)
+    want_ido, want_lifting = ref_to_ido(instance)
+    assert ido == want_ido and lifting == want_lifting
+    for x in (instance, ido):
+        assert outcome(universal_ordering, x) == outcome(ref_universal_ordering, x)
+
+
+# ------------------------------------------------------ FFV checks
+
+@SETTINGS
+@given(st.data())
+def test_benchmark_bundle_matches_reference(data):
+    row, chores = data.draw(row_and_chores(12))
+    tau = data.draw(certificate_thresholds(row))
+    prefix = data.draw(bundles_of(chores, max_bundles=3, leave_out=True)).bundles
+    prefix = prefix[:data.draw(st.integers(0, len(prefix)))]
+    got = outcome(benchmark_bundle, chores, prefix, row, tau)
+    assert got == outcome(ref_benchmark_bundle, chores, prefix, row, tau)
+
+
+@SETTINGS
+@given(st.data())
+def test_is_ffv_matches_reference(data):
+    row, chores = data.draw(row_and_chores(12))
+    tau = data.draw(certificate_thresholds(row))
+    alloc = data.draw(ffv_candidates(chores, row, tau))
+    assert outcome(is_ffv, chores, alloc, row, tau) == outcome(ref_is_ffv, chores, alloc, row, tau)
+
+
+@SETTINGS
+@given(st.data())
+def test_find_exact_subset_matches_reference(data):
+    row, chores = data.draw(row_and_chores(12, kinds=(factored_rows, general_rows)))
+    target = data.draw(st.one_of(st.sampled_from(row), fractions(30)))
+    got = outcome(find_exact_subset, chores, row, target)
+    assert got == outcome(ref_find_exact_subset, chores, row, target)
+
+
+@SETTINGS
+@given(st.data())
+def test_diagnostics_match_reference(data):
+    row, chores = data.draw(row_and_chores(10))
+    tau = data.draw(thresholds(row))
+    alloc = data.draw(bundles_of(chores))
+    assert remove_redundant(alloc, row, tau) == ref_remove_redundant(alloc, row, tau)
+    for k in range(len(alloc.bundles)):
+        got = outcome(fit_in_space, alloc, k, row, tau)
+        assert got == outcome(ref_fit_in_space, alloc, k, row, tau)
+
+
+# ------------------------------------------------------ swap reductions
+
+@st.composite
+def reduction_case(draw, kinds):
+    """A cost row over chores 0..m-1 (in arbitrary order), a threshold, a
+    start allocation P (an FFD output, or arbitrary bundles with the FFD
+    check off) and a target Q that is usually First-Fit-Valid."""
+    m = draw(st.integers(1, 12))
+    row = draw(rows(m, kinds))
+    chores = draw(st.permutations(range(m)))
+    tau = draw(certificate_thresholds(row))
+    verify_ffd = draw(st.booleans())
+    if verify_ffd and tau > 0:
+        P = ffd(chores, row, tau).allocation
+    else:
+        # a P that leaves chores out can run out of donors
+        P = draw(bundles_of(chores, leave_out=draw(st.booleans())))
+    Q = draw(ffv_candidates(chores, row, tau))
+    return P, Q, row, tau, chores, verify_ffd
+
+
+@SETTINGS
+@given(reduction_case((factored_rows, factored_rows, general_rows)))
+def test_reduce_factored_matches_reference(case):
+    assert outcome(reduce_factored, *case) == outcome(ref_reduce_factored, *case)
+
+
+@SETTINGS
+@given(reduction_case((bivalued_rows, bivalued_rows, general_rows)))
+def test_reduce_bivalued_matches_reference(case):
+    assert outcome(reduce_bivalued, *case) == outcome(ref_reduce_bivalued, *case)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.data())
+def test_transform_mms_to_ffd_matches_reference(data):
+    m = data.draw(st.integers(1, 11))
+    n = data.draw(st.integers(1, 4))
+    if data.draw(st.booleans()):
+        # an MMS partition: with two close values, mu < 13/2 s (the swap path) is common
+        row = data.draw(close_bivalued_rows(m))
+        mms = mms_brute(row, range(m), n)
+        Q, mu = Allocation.of(mms.witness), mms.value
+    else:
+        row = data.draw(rows(m, (close_bivalued_rows, bivalued_rows, general_rows)))
+        Q = data.draw(bundles_of(list(range(m)), max_bundles=n))
+        heaviest = max(sum((row[c] for c in b), F(0)) for b in Q.bundles)
+        mu = data.draw(st.sampled_from([heaviest, heaviest * F(9, 10), heaviest + 1]))
+    assert outcome(transform_mms_to_ffd, Q, row, mu) == outcome(ref_transform_mms_to_ffd, Q, row, mu)

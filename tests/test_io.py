@@ -1,6 +1,7 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, strategies as st
 
 from choremms.core import Allocation, Instance
 from choremms.errors import ParseError
@@ -64,3 +65,44 @@ def test_instance_without_chores_roundtrips():
     text = format_instance(empty)
     assert text == "mms-instance 1\nagents 3\nchores 0\n"
     assert parse_instance(text) == empty
+
+
+@pytest.mark.parametrize("text,line", [
+    ("agent 0: 0 0\nagent 1: 1\n", 1),
+    ("agent 0: 0\nagent 1: 0 1\n", 2),
+    ("agent 0: 0\nagent 1: 1\nagent 0:\n", 3),
+    ("agent 0: 0\nagent 1: 1\ncost 1: 5/3\ncost 1: 5/3\n", 4),
+])
+def test_allocation_rejects_duplicates_with_line_numbers(text, line):
+    with pytest.raises(ParseError) as exc:
+        parse_allocation(text, INST)
+    assert f"line {line}" in str(exc.value)
+
+
+costs = st.builds(F, st.integers(1, 10**6), st.integers(1, 10**3))
+
+
+@st.composite
+def instances(draw):
+    n, m = draw(st.integers(1, 4)), draw(st.integers(0, 6))
+    return Instance(tuple(tuple(draw(st.lists(costs, min_size=m, max_size=m)))
+                          for _ in range(n)))
+
+
+@given(instances())
+def test_instance_format_parse_roundtrip(instance):
+    assert parse_instance(format_instance(instance)) == instance
+
+
+@given(st.data())
+def test_allocation_format_parse_roundtrip(data):
+    instance = data.draw(instances())
+    bundles = max(1, data.draw(st.integers(0, 2 * instance.n)))
+    labels = data.draw(st.lists(st.integers(0, bundles - 1),
+                                min_size=instance.m, max_size=instance.m))
+    agents = data.draw(st.lists(st.integers(0, instance.n - 1),
+                                min_size=bundles, max_size=bundles))
+    alloc = Allocation.of(([c for c, b in enumerate(labels) if b == k] for k in range(bundles)),
+                          agents)
+    text = format_allocation(alloc, instance)
+    assert parse_allocation(text, instance) == alloc.per_agent(instance.n)

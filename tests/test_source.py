@@ -44,3 +44,30 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def float_uses(source: str) -> list[str]:
+    """Float literals and calls of the builtin `float` in a module."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Constant) and isinstance(node.value, float):
+            found.append(f"line {node.lineno}: literal {node.value!r}")
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "float"):
+            found.append(f"line {node.lineno}: float(...)")
+    return found
+
+
+def test_float_uses_are_found():
+    source = ("x = 1.5\n"
+              "y = float('2')\n"
+              "z = 3 / 4  # true division gives a float but is not flagged\n"
+              "w = 1e3\n"
+              "v = 2\n")
+    assert float_uses(source) == ["line 1: literal 1.5", "line 2: float(...)",
+                                  "line 4: literal 1000.0"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_floats(path):
+    assert float_uses(path.read_text(encoding="utf-8")) == []
