@@ -126,17 +126,16 @@ class MonotonicityCounterexample:
 def search_monotonicity(kind: str, trials: int, seed: int,
                         n_range=(1, 4), m_range=(3, 10)) -> MonotonicityCounterexample | None:
     """Sample (instance, tau < beta) pairs and look for FFD succeeding at
-    tau into a fixed bin count but failing at beta. For factored and
-    bivalued costs a hit contradicts the monotonicity guarantee and raises;
-    for general costs it is returned as a research finding."""
+    tau into `n_range` bins but failing at beta, with chores in `m_range`.
+    For factored and bivalued costs a hit contradicts the monotonicity
+    guarantee and raises; for general costs it is returned as a finding."""
     rng = random.Random(("monotonicity", kind, seed).__repr__())
     for trial in range(trials):
-        n = rng.randint(*n_range)
+        bins = rng.randint(*n_range)
         m = rng.randint(*m_range)
         instance = gen_instance(kind, 1, m, seed=seed * 1_000_003 + trial)
         cost = instance.cost(0)
         chores = instance.chores()
-        bins = rng.randint(1, max(1, n))
         grid = [s for s in subset_sums(chores, cost) if s >= max(cost)]
         if len(grid) < 2:
             continue
@@ -157,7 +156,9 @@ def _mms_allocation_exists(instance: Instance, mus) -> bool:
     """Exhaustive check: can every agent receive cost at most their MMS?"""
     m = instance.m
     n = instance.n
-    loads = [Fraction(0)] * n
+    weights = [instance.cost(i).weights for i in range(n)]
+    caps = [instance.cost(i).cap(mu) for i, mu in enumerate(mus)]
+    loads = [0] * n
     order = sorted(range(m), key=lambda c: -max(instance.cost(i)[c] for i in range(n)))
 
     def rec(idx: int) -> bool:
@@ -166,15 +167,15 @@ def _mms_allocation_exists(instance: Instance, mus) -> bool:
         c = order[idx]
         tried = set()
         for i in range(n):
-            new = loads[i] + instance.cost(i)[c]
-            if new > mus[i] or (i, loads[i]) in tried:
+            new = loads[i] + weights[i][c]
+            if new > caps[i] or (i, loads[i]) in tried:
                 continue
             tried.add((i, loads[i]))
             loads[i] = new
             if rec(idx + 1):
-                loads[i] -= instance.cost(i)[c]
+                loads[i] -= weights[i][c]
                 return True
-            loads[i] = new - instance.cost(i)[c]
+            loads[i] = new - weights[i][c]
         return False
 
     return rec(0)

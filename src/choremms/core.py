@@ -2,8 +2,8 @@
 
 All costs are ``fractions.Fraction`` values; no floating point is used
 anywhere, because every algorithm in this package branches on exact
-fits/does-not-fit comparisons. Hot loops run on a row scaled to integers
-(`integer_scale`), which keeps every comparison exact.
+fits/does-not-fit comparisons. Hot loops run on each row scaled to
+integers once, by `CostRow`, which keeps every comparison exact.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import BadParams, NotIDO, SubsetViolation
@@ -39,9 +40,54 @@ def format_rational(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+class CostRow(tuple):
+    """One agent's costs, a tuple of Fractions, with its integer form
+    computed on first use and kept: `weights` are the costs times `scale`
+    (D, the lcm of their denominators). A sum s of weights stays within tau
+    exactly when s <= cap(tau) = floor(tau * D), because s is an integer, so
+    a subset of the chores reads the same weights."""
+
+    @staticmethod
+    def of(cost: Iterable[Fraction]) -> "CostRow":
+        return cost if isinstance(cost, CostRow) else CostRow(cost)
+
+    @cached_property
+    def scale(self) -> int:
+        return math.lcm(*(c.denominator for c in self))
+
+    @cached_property
+    def weights(self) -> tuple[int, ...]:
+        scale = self.scale
+        return tuple(c.numerator * (scale // c.denominator) for c in self)
+
+    def cap(self, tau: Fraction) -> int:
+        """floor(tau * D), the largest integer sum that stays within tau."""
+        return tau.numerator * self.scale // tau.denominator
+
+    def value(self, weight: int) -> Fraction:
+        return Fraction(weight, self.scale)
+
+    def ffd_order(self, chores: Iterable[int]) -> list[int]:
+        """Chore ids by descending cost, lower id first among equal costs:
+        the one tie-break of FFD and of the universal ordering."""
+        # a stable sort of ascending ids keeps equal costs in id order
+        return sorted(sorted(chores), key=self.weights.__getitem__, reverse=True)
+
+    def profile(self, chores: Iterable[int]) -> list[int]:
+        """The chores' weights, descending (their order in FFD)."""
+        weights = self.weights
+        return sorted((weights[c] for c in chores), reverse=True)
+
+    def permuted(self, order: Sequence[int]) -> "CostRow":
+        """The costs in the given order, sharing this row's integer form."""
+        row = CostRow(self[c] for c in order)
+        row.scale, row.weights = self.scale, tuple(self.weights[c] for c in order)
+        return row
+
+
 @dataclass(frozen=True)
 class Instance:
-    """n agents, m chores, strictly positive costs."""
+    """n agents, m chores, strictly positive costs; each row is a `CostRow`."""
 
     costs: tuple[tuple[Fraction, ...], ...]
 
@@ -55,6 +101,7 @@ class Instance:
             for j, c in enumerate(row):
                 if not isinstance(c, Fraction) or c.numerator <= 0:
                     raise BadParams(f"cost of chore {j} for agent {i} must be a positive rational")
+        object.__setattr__(self, "costs", tuple(CostRow.of(row) for row in self.costs))
 
     @staticmethod
     def from_rows(rows: Iterable[Iterable]) -> "Instance":
@@ -68,7 +115,7 @@ class Instance:
     def m(self) -> int:
         return len(self.costs[0])
 
-    def cost(self, agent: int) -> tuple[Fraction, ...]:
+    def cost(self, agent: int) -> CostRow:
         return self.costs[agent]
 
     def chores(self) -> tuple[int, ...]:
@@ -82,24 +129,9 @@ class UniversalOrdering:
     perm: tuple[int, ...]
 
 
-def integer_scale(values: Iterable[Fraction]) -> tuple[list[int], int]:
-    """The values times D, the lcm of their denominators, as integers, and D.
-
-    A sum s of scaled values stays within a threshold tau exactly when
-    s <= floor(tau * D) (see `scaled_floor`), because s is an integer.
-    """
-    values = list(values)
-    scale = math.lcm(*(v.denominator for v in values))
-    return [v.numerator * (scale // v.denominator) for v in values], scale
-
-
-def scaled_floor(tau: Fraction, scale: int) -> int:
-    """floor(tau * scale), the largest integer sum that stays within tau."""
-    return tau.numerator * scale // tau.denominator
-
-
 def bundle_cost(cost: Sequence[Fraction], bundle: Iterable[int]) -> Fraction:
-    return sum((cost[c] for c in bundle), Fraction(0))
+    row = CostRow.of(cost)
+    return row.value(sum(row.weights[c] for c in bundle))
 
 
 @dataclass(frozen=True)
@@ -167,11 +199,11 @@ def is_divisibility_chain(weights: Iterable[int]) -> bool:
 
 def is_factored_costs(values: Iterable[Fraction]) -> bool:
     """True iff every smaller distinct value divides the next larger one."""
-    return is_divisibility_chain(integer_scale(values)[0])
+    return is_divisibility_chain(CostRow.of(values).weights)
 
 
 def is_bivalued_costs(values: Iterable[Fraction]) -> bool:
-    return len(set(integer_scale(values)[0])) <= 2
+    return len(set(CostRow.of(values).weights)) <= 2
 
 
 def classify(instance: Instance) -> InstanceClass:
@@ -187,11 +219,9 @@ def universal_ordering(instance: Instance) -> UniversalOrdering:
     """Ordering witnessing IDO: agent 1's descending sort (lower id first
     among equal costs), verified against every other agent. Raises NotIDO
     when no common order exists."""
-    first, _ = integer_scale(instance.cost(0))
-    # a stable sort keeps equal costs in ascending id order
-    perm = sorted(instance.chores(), key=lambda c: -first[c])
+    perm = instance.cost(0).ffd_order(instance.chores())
     for i in range(instance.n):
-        row, _ = integer_scale(instance.cost(i))
+        row = instance.cost(i).weights
         for a, b in zip(perm, perm[1:]):
             if row[a] < row[b]:
                 raise NotIDO(f"agent {i} ranks chore {b} above chore {a}")
@@ -227,7 +257,7 @@ class LiftingMap:
         for j in reversed(range(m)):
             agent, b = owner_of[j]
             if agent not in ascending:
-                weights, _ = integer_scale(self.original.cost(agent))
+                weights = self.original.cost(agent).weights
                 ascending[agent] = sorted(range(m), key=weights.__getitem__)
                 cursor[agent] = 0
             order, p = ascending[agent], cursor[agent]
@@ -243,12 +273,9 @@ class LiftingMap:
 def to_ido(instance: Instance) -> tuple[Instance, LiftingMap]:
     """IDO twin: each agent's costs sorted descending, so the identity
     permutation is a universal ordering; cost multisets are preserved."""
-    rows = []
-    for row in instance.costs:
-        weights, _ = integer_scale(row)
-        rows.append(tuple(row[c] for c in sorted(range(len(row)), key=weights.__getitem__,
-                                                 reverse=True)))
-    return Instance(tuple(rows)), LiftingMap(instance)
+    chores = instance.chores()
+    rows = tuple(row.permuted(row.ffd_order(chores)) for row in instance.costs)
+    return Instance(rows), LiftingMap(instance)
 
 
 def compare_profiles(p1: Sequence[int], p2: Sequence[int]) -> int:
@@ -268,12 +295,8 @@ def lex_compare(b1: Sequence[int], b2: Sequence[int], cost: Sequence[Fraction]) 
 
     Returns LESS, EQUAL or GREATER; any two bundles are comparable.
     """
-    values = [cost[c] for c in b1]
-    split = len(values)
-    values.extend(cost[c] for c in b2)
-    weights, _ = integer_scale(values)
-    return compare_profiles(sorted(weights[:split], reverse=True),
-                            sorted(weights[split:], reverse=True))
+    row = CostRow.of(cost)
+    return compare_profiles(row.profile(b1), row.profile(b2))
 
 
 def swap(alloc: Allocation, i: int, t_i: Iterable[int], j: int, t_j: Iterable[int]) -> Allocation:

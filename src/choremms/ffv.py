@@ -5,21 +5,19 @@ invariant checking.
 Every transcript step records the full per-bundle cost snapshot, so a
 failed invariant can be replayed as a counterexample.
 
-Costs are Fractions at the interface. Each public call scales the cost row
-to integers once (`core.integer_scale`), with a threshold tau becoming the
-integer capacity floor(tau * D); every sum, sort and comparison runs on
-those integers, and values are turned back into Fractions only for
-transcripts and messages.
+Costs are Fractions at the interface. Each call reads the row's cached
+integer weights (`core.CostRow`), with a threshold tau becoming the integer
+capacity floor(tau * D); every sum, sort and comparison runs on those
+integers, and values become Fractions only for results and messages.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Container, Iterable, Sequence
 
-from .core import (Allocation, EQUAL, bundle_cost, compare_profiles, integer_scale,
-                   is_divisibility_chain, scaled_floor, swap)
+from .core import Allocation, CostRow, EQUAL, compare_profiles, is_divisibility_chain, swap
 from .errors import (EmptyBundle, InvariantViolation, NotBivalued,
                      PreconditionViolation)
 from .mms import APPROX_RATIO
@@ -56,23 +54,13 @@ class SwapTranscript:
         return "\n".join(lines) + "\n"
 
 
-def _ffd_order(chores: Iterable[int], weights: Sequence[int]) -> list[int]:
-    """Chore ids by descending cost; equal costs break toward the lower id,
-    which is the fixed universal-ordering tie-break used everywhere."""
-    return sorted(chores, key=lambda c: (-weights[c], c))
-
-
-def _profile(bundle: Iterable[int], weights: Sequence[int]) -> list[int]:
-    return sorted((weights[c] for c in bundle), reverse=True)
-
-
-def _capacity(tau: Fraction, scale: int) -> int:
+def _capacity(row: CostRow, tau: Fraction) -> int:
     if tau <= 0:
         raise PreconditionViolation("benchmark threshold must be positive")
-    return scaled_floor(tau, scale)
+    return row.cap(tau)
 
 
-def _greedy_fill(order: Sequence[int], taken: set[int], weights: Sequence[int],
+def _greedy_fill(order: Sequence[int], taken: Container[int], weights: Sequence[int],
                  room: int) -> list[int]:
     """Walk the chores in FFD order, skipping taken ones, and keep each one
     that still fits in the room left."""
@@ -89,10 +77,10 @@ def benchmark_bundle(all_chores: Iterable[int], allocated_prefix: Sequence[Seque
     """Lexicographically maximal subset of the chores left after the prefix,
     under the threshold: greedy largest-first, keeping the running sum
     within tau."""
-    weights, scale = integer_scale(cost)
-    room = _capacity(tau, scale)
+    row = CostRow.of(cost)
+    room = _capacity(row, tau)
     taken = {c for b in allocated_prefix for c in b}
-    return tuple(_greedy_fill(_ffd_order(all_chores, weights), taken, weights, room))
+    return tuple(_greedy_fill(row.ffd_order(all_chores), taken, row.weights, room))
 
 
 def is_ffv(all_chores: Iterable[int], alloc: Allocation, cost: Sequence[Fraction],
@@ -102,13 +90,14 @@ def is_ffv(all_chores: Iterable[int], alloc: Allocation, cost: Sequence[Fraction
     bundle index)."""
     if not alloc.bundles:
         return True, None
-    weights, scale = integer_scale(cost)
-    room = _capacity(tau, scale)
-    order = _ffd_order(all_chores, weights)
+    row = CostRow.of(cost)
+    room = _capacity(row, tau)
+    order = row.ffd_order(all_chores)
+    weights = row.weights
     taken: set[int] = set()
     for k, bundle in enumerate(alloc.bundles):
         bench = [weights[c] for c in _greedy_fill(order, taken, weights, room)]
-        if compare_profiles(_profile(bundle, weights), bench) < EQUAL:
+        if compare_profiles(row.profile(bundle), bench) < EQUAL:
             return False, k
         taken.update(bundle)
     return True, None
@@ -119,13 +108,13 @@ def find_exact_subset(chores: Iterable[int], cost: Sequence[Fraction],
     """Subset summing to exactly the target, for factored costs where the
     target is itself a chore-cost value at least as large as every member.
     Greedy largest-first terminates exactly on target for such inputs."""
-    weights, scale = integer_scale([*cost, target])
-    goal = weights.pop()
-    return _exact_subset(list(chores), weights, goal, scale)
+    # the target may bring a denominator the row lacks, so it joins the scale
+    row = CostRow([*cost, target])
+    return _exact_subset(list(chores), row, row.weights[-1])
 
 
-def _exact_subset(chores: list[int], weights: Sequence[int], target: int,
-                  scale: int) -> tuple[int, ...]:
+def _exact_subset(chores: list[int], row: CostRow, target: int) -> tuple[int, ...]:
+    weights = row.weights
     values = [weights[c] for c in chores]
     if not is_divisibility_chain(values + [target]):
         raise PreconditionViolation("costs and target must form a divisibility chain")
@@ -133,17 +122,11 @@ def _exact_subset(chores: list[int], weights: Sequence[int], target: int,
         raise PreconditionViolation("every chore must cost at most the target")
     if sum(values) < target:
         raise PreconditionViolation("total cost must reach the target")
-    subset: list[int] = []
-    total = 0
-    for c in _ffd_order(chores, weights):
-        if total + weights[c] <= target:
-            subset.append(c)
-            total += weights[c]
-        if total == target:
-            break
+    subset = _greedy_fill(row.ffd_order(chores), (), weights, target)
+    total = sum(weights[c] for c in subset)
     if total != target:
-        raise PreconditionViolation(f"greedy missed the target {Fraction(target, scale)}; "
-                                    f"got {Fraction(total, scale)}")
+        raise PreconditionViolation(f"greedy missed the target {row.value(target)}; "
+                                    f"got {row.value(total)}")
     return tuple(subset)
 
 
@@ -153,13 +136,13 @@ def _pad(bundles: Sequence[Sequence[int]], n: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _check_ffd_output(P: Allocation, all_chores, cost, tau, weights):
+def _check_ffd_output(P: Allocation, all_chores, row: CostRow, tau):
     if not set(P.allocated()) == set(all_chores):
         raise PreconditionViolation("the FFD allocation must contain every chore")
-    fresh = ffd(all_chores, cost, tau)
+    fresh = ffd(all_chores, row, tau)
     reference = _pad(fresh.bundles, len(P.bundles))
     if len(reference) < len(P.bundles) or any(
-            compare_profiles(_profile(b, weights), _profile(r, weights)) != EQUAL
+            compare_profiles(row.profile(b), row.profile(r)) != EQUAL
             for b, r in zip(_pad(P.bundles, len(reference)), reference)):
         raise PreconditionViolation("allocation is not an FFD output at this threshold")
 
@@ -170,12 +153,12 @@ class _Worker:
     keeps each bundle's scaled cost sum and its Fraction value; a swap
     changes only its two bundles, so only those two are recomputed."""
 
-    def __init__(self, bundles: Sequence[Sequence[int]], weights: Sequence[int], scale: int):
+    def __init__(self, bundles: Sequence[Sequence[int]], row: CostRow):
         self.alloc = Allocation.of(bundles)
-        self.weights = weights
-        self.scale = scale
-        self.sums = [sum(weights[c] for c in b) for b in self.alloc.bundles]
-        self.costs = tuple(Fraction(s, scale) for s in self.sums)
+        self.row = row
+        self.weights = row.weights
+        self.sums = [sum(self.weights[c] for c in b) for b in self.alloc.bundles]
+        self.costs = tuple(row.value(s) for s in self.sums)
         self.transcript = SwapTranscript()
 
     def bundle(self, k: int) -> tuple[int, ...]:
@@ -188,7 +171,7 @@ class _Worker:
         after = list(before)
         for b in (i, j):
             self.sums[b] = sum(self.weights[c] for c in self.alloc.bundles[b])
-            after[b] = Fraction(self.sums[b], self.scale)
+            after[b] = self.row.value(self.sums[b])
         self.costs = tuple(after)
         step = SwapStep(len(self.transcript.steps), k, i, tuple(sorted(t_i)),
                         j, tuple(sorted(t_j)), self.costs)
@@ -225,25 +208,24 @@ def _find_donor(worker: _Worker, after: int, value: int) -> tuple[int, int] | No
     return None
 
 
-def _reduce(P: Allocation, Q: Allocation, cost: Sequence[Fraction], tau: Fraction,
-            all_chores: list[int], weights: list[int], scale: int, verify_ffd: bool,
-            reach_target) -> SwapTranscript:
-    """The frame both reductions share, on the cost row scaled to `weights`:
-    check that P is an FFD output (when asked) and that Q is
-    First-Fit-Valid, pad both to one length, then for each bundle k let
+def _reduce(P: Allocation, Q: Allocation, row: CostRow, tau: Fraction,
+            all_chores: list[int], verify_ffd: bool, reach_target) -> SwapTranscript:
+    """The frame both reductions share, on the row's integer weights: check
+    that P is an FFD output (when asked) and that Q is First-Fit-Valid, pad
+    both to one length, then for each bundle k let
     `reach_target(worker, k, target)` swap bundle k to Q's k-th cost
     profile, and check that it got there."""
     if verify_ffd:
-        _check_ffd_output(P, all_chores, cost, tau, weights)
-    ok, bad = is_ffv(all_chores, Q, cost, tau)
+        _check_ffd_output(P, all_chores, row, tau)
+    ok, bad = is_ffv(all_chores, Q, row, tau)
     if not ok:
         raise PreconditionViolation(f"allocation is not First-Fit-Valid (bundle {bad})")
     n = max(len(P.bundles), len(Q.bundles))
-    worker = _Worker(_pad(P.bundles, n), weights, scale)
-    targets = [_profile(b, weights) for b in _pad(Q.bundles, n)]
+    worker = _Worker(_pad(P.bundles, n), row)
+    targets = [row.profile(b) for b in _pad(Q.bundles, n)]
     for k in range(n):
         reach_target(worker, k, targets[k])
-        if _profile(worker.bundle(k), weights) != targets[k]:
+        if row.profile(worker.bundle(k)) != targets[k]:
             worker.fail(k, f"bundle {k} did not reach its target profile")
     return worker.finish()
 
@@ -259,32 +241,33 @@ def reduce_factored(P: Allocation, Q: Allocation, cost: Sequence[Fraction],
     verify_ffd=False skips the check that P is an FFD output, for running
     the machinery on hand-built bundle configurations."""
     all_chores = list(all_chores)
-    weights, scale = integer_scale(cost)
+    row = CostRow.of(cost)
+    weights = row.weights
     if not is_divisibility_chain(weights[c] for c in all_chores):
         raise PreconditionViolation("cost function must be factored")
 
     def reach_target(worker: _Worker, k: int, target):
         for j, want in enumerate(target):
-            current = _ffd_order(worker.bundle(k), weights)
+            current = row.ffd_order(worker.bundle(k))
             have = weights[current[j]] if j < len(current) else 0
             if want <= have:
                 if want < have:
                     worker.fail(k, f"bundle {k} position {j} exceeds its target "
-                                   f"({Fraction(have, scale)} > {Fraction(want, scale)}); "
+                                   f"({row.value(have)} > {row.value(want)}); "
                                    "FFV should forbid this")
                 continue
             tail = current[j:]
             donor = _find_donor(worker, k, want)
             if donor is None:
-                worker.fail(k, f"no chore of cost {Fraction(want, scale)} left in bundles "
+                worker.fail(k, f"no chore of cost {row.value(want)} left in bundles "
                                f"after {k}")
             i, cl = donor
             if sum(weights[c] for c in tail) >= want:
-                moved = _exact_subset(tail, weights, want, scale)
+                moved = _exact_subset(tail, row, want)
             else:
                 moved = tuple(tail)
             worker.apply(k, k, moved, i, (cl,), forbid_increase_after=k)
-    return _reduce(P, Q, cost, tau, all_chores, weights, scale, verify_ffd, reach_target)
+    return _reduce(P, Q, row, tau, all_chores, verify_ffd, reach_target)
 
 
 def _large_small(all_weights: Iterable[int]) -> tuple[int, int]:
@@ -301,11 +284,12 @@ def reduce_bivalued(P: Allocation, Q: Allocation, cost: Sequence[Fraction],
     count of the current bundle with one swap, then pull each missing chore
     from the last bundle holding one of equal cost."""
     all_chores = list(all_chores)
-    weights, scale = integer_scale(cost)
+    row = CostRow.of(cost)
+    weights = row.weights
     large, _small = _large_small(weights[c] for c in all_chores)
 
     def reach_target(worker: _Worker, k: int, target):
-        if _profile(worker.bundle(k), weights) == target:
+        if row.profile(worker.bundle(k)) == target:
             return
         q_large = sum(1 for v in target if v == large)
         p_large = sum(1 for v in worker.bundle(k) if weights[v] == large)
@@ -317,35 +301,28 @@ def reduce_bivalued(P: Allocation, Q: Allocation, cost: Sequence[Fraction],
             smalls = tuple(c for c in worker.bundle(k) if weights[c] != large)
             worker.apply(k, k, smalls, i, (cl,), forbid_increase_after=k)
         # here the current bundle must be a cost-wise subset of its target
-        have = _profile(worker.bundle(k), weights)
+        have = row.profile(worker.bundle(k))
         need = list(target)
         for v in have:
             if v in need:
                 need.remove(v)
             else:
-                worker.fail(k, f"bundle {k} holds a chore of cost {Fraction(v, scale)} "
+                worker.fail(k, f"bundle {k} holds a chore of cost {row.value(v)} "
                                "beyond its target profile")
         for v in need:
             donor = _find_donor(worker, k, v)
             if donor is None:
-                worker.fail(k, f"no chore of cost {Fraction(v, scale)} left in bundles "
+                worker.fail(k, f"no chore of cost {row.value(v)} left in bundles "
                                f"after {k}")
             i, cl = donor
             worker.apply(k, k, (), i, (cl,), forbid_increase_after=k)
-    return _reduce(P, Q, cost, tau, all_chores, weights, scale, verify_ffd, reach_target)
+    return _reduce(P, Q, row, tau, all_chores, verify_ffd, reach_target)
 
 
 def _counts(bundle: Iterable[int], weights: Sequence[int], large: int) -> tuple[int, int]:
     ids = list(bundle)
     n_large = sum(1 for c in ids if weights[c] == large)
     return n_large, len(ids) - n_large
-
-
-def _last_large_bundle(worker: _Worker, large: int) -> int | None:
-    for i in range(len(worker.alloc.bundles) - 1, -1, -1):
-        if any(worker.weights[c] == large for c in worker.bundle(i)):
-            return i
-    return None
 
 
 def transform_mms_to_ffd(Q: Allocation, cost: Sequence[Fraction],
@@ -361,17 +338,18 @@ def transform_mms_to_ffd(Q: Allocation, cost: Sequence[Fraction],
     all_chores = sorted(Q.allocated())
     if not all_chores:
         return SwapTranscript(steps=[], result="equal", final=Q)
-    weights, scale = integer_scale(cost)
+    row = CostRow.of(cost)
+    weights = row.weights
     large, small = _large_small(weights[c] for c in all_chores)
     n = len(Q.bundles)
-    mu_cap = scaled_floor(mu, scale)
+    mu_cap = row.cap(mu)
     for k, b in enumerate(Q.bundles):
         if sum(weights[c] for c in b) > mu_cap:
             raise PreconditionViolation(f"bundle {k} exceeds the stated MMS value {mu}")
     tau = APPROX_RATIO * mu
-    tau_cap = scaled_floor(tau, scale)
-    outcome = ffd(all_chores, cost, tau)
-    if mu >= Fraction(13 * small, 2 * scale):
+    tau_cap = row.cap(tau)
+    outcome = ffd(all_chores, row, tau)
+    if 13 * small <= row.cap(2 * mu):  # mu >= 6.5 times the small cost
         transcript = SwapTranscript(steps=[], final=Allocation.of(_pad(outcome.bundles, n)))
         if len(outcome.bundles) > n:
             transcript.result = "violation k=0"
@@ -381,14 +359,14 @@ def transform_mms_to_ffd(Q: Allocation, cost: Sequence[Fraction],
     p_bundles = _pad(outcome.bundles, n)
     n_work = max(n, len(p_bundles))
     p_bundles = _pad(p_bundles, n_work)
-    p_profiles = [_profile(b, weights) for b in p_bundles]
+    p_profiles = [row.profile(b) for b in p_bundles]
     # most large chores first, then most small ones; stable among equals
     q_sorted = sorted(Q.bundles, key=lambda b: _counts(b, weights, large), reverse=True)
-    worker = _Worker(_pad(q_sorted, n_work), weights, scale)
+    worker = _Worker(_pad(q_sorted, n_work), row)
 
     def check_invariants(k: int):
         for i in range(k):
-            if _profile(worker.bundle(i), weights) != p_profiles[i]:
+            if row.profile(worker.bundle(i)) != p_profiles[i]:
                 worker.fail(k, f"invariant 1 broken at bundle {i}")
         for i in range(k, n_work):
             if worker.sums[i] > tau_cap:
@@ -415,12 +393,12 @@ def transform_mms_to_ffd(Q: Allocation, cost: Sequence[Fraction],
                 worker.fail(k, "two-small-chores (b) broken: fewer than two extra small chores")
             if a_q < 1:
                 worker.fail(k, "two-small-chores (d) broken: no large chore in the bundle")
-            z = _last_large_bundle(worker, large)
-            if z is None or z <= k:
+            donor = _find_donor(worker, k, large)
+            if donor is None:
                 worker.fail(k, "two-small-chores (c) broken: no later bundle has a large chore")
+            z, cl = donor
             smalls = sorted(c for c in worker.bundle(k) if weights[c] != large)
             pair = tuple(smalls[:2])
-            cl = max(c for c in worker.bundle(z) if weights[c] == large)
             worker.apply(k, k, pair, z, (cl,))
             if len(worker.bundle(k)) > len(p_profiles[k]):
                 a_q2, b_q2 = _counts(worker.bundle(k), weights, large)
@@ -428,17 +406,17 @@ def transform_mms_to_ffd(Q: Allocation, cost: Sequence[Fraction],
                     one_small = min(c for c in worker.bundle(k) if weights[c] != large)
                     worker.apply(k, k, (one_small,), z, ())
                 elif (a_q2, b_q2) == (2, 2) and (a_p, b_p) == (3, 0):
-                    z2 = _last_large_bundle(worker, large)
-                    if z2 is None or z2 <= k:
+                    donor = _find_donor(worker, k, large)
+                    if donor is None:
                         worker.fail(k, "special case: no later bundle has a large chore")
+                    z2, cl2 = donor
                     smalls2 = sorted(c for c in worker.bundle(k) if weights[c] != large)
-                    cl2 = max(c for c in worker.bundle(z2) if weights[c] == large)
                     worker.apply(k, k, tuple(smalls2[:2]), z2, (cl2,))
                 else:
                     worker.fail(k, "bundle still has too many chores outside the "
                                    "two special cases")
         for j, want in enumerate(p_profiles[k]):
-            current = _ffd_order(worker.bundle(k), weights)
+            current = row.ffd_order(worker.bundle(k))
             have = weights[current[j]] if j < len(current) else 0
             if have > want:
                 worker.fail(k, f"bundle {k} position {j} exceeds the FFD profile")
@@ -446,12 +424,12 @@ def transform_mms_to_ffd(Q: Allocation, cost: Sequence[Fraction],
                 continue
             donor = _find_donor(worker, k, want)
             if donor is None:
-                worker.fail(k, f"no chore of cost {Fraction(want, scale)} left in bundles "
+                worker.fail(k, f"no chore of cost {row.value(want)} left in bundles "
                                f"after {k}")
             z, cl = donor
             out = (current[j],) if j < len(current) else ()
             worker.apply(k, k, out, z, (cl,))
-        if _profile(worker.bundle(k), weights) != p_profiles[k]:
+        if row.profile(worker.bundle(k)) != p_profiles[k]:
             worker.fail(k, f"bundle {k} did not reach the FFD profile")
     return worker.finish()
 
@@ -462,7 +440,9 @@ def fit_in_space(alloc: Allocation, k: int, cost: Sequence[Fraction],
     bundle = alloc.bundles[k]
     if not bundle:
         raise EmptyBundle(f"bundle {k} is empty")
-    return tau - (bundle_cost(cost, bundle) - min(cost[c] for c in bundle))
+    row = CostRow.of(cost)
+    weights = [row.weights[c] for c in bundle]
+    return tau - row.value(sum(weights) - min(weights))
 
 
 def remove_redundant(alloc: Allocation, cost: Sequence[Fraction],
@@ -470,15 +450,15 @@ def remove_redundant(alloc: Allocation, cost: Sequence[Fraction],
     """Drop, from each bundle, every chore after the shortest prefix whose
     cost reaches the threshold (diagnostic; implements the literal
     definition, see the package notes on the boundary case)."""
-    weights, scale = integer_scale(cost)
-    reach = -(-tau.numerator * scale // tau.denominator)  # ceil(tau * scale)
+    row = CostRow.of(cost)
+    reach = -row.cap(-tau)  # the smallest integer sum that reaches tau
     trimmed = []
     for bundle in alloc.bundles:
-        ordered = _ffd_order(bundle, weights)
+        ordered = row.ffd_order(bundle)
         total = 0
         keep = len(ordered)
         for p, c in enumerate(ordered):
-            total += weights[c]
+            total += row.weights[c]
             if total >= reach:
                 keep = p + 1
                 break

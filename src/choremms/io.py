@@ -7,8 +7,9 @@ Instance file::
     chores <m>
     <m rationals>      # one line per agent, `p` or `p/q`; none when m = 0
 
-Allocation file: n lines ``agent <i>: <chore ids>`` followed by n lines
-``cost <i>: <rational>``. Lines starting with ``#`` are comments.
+The agent count is at most `MAX_AGENTS`. Allocation file: n lines
+``agent <i>: <chore ids>`` followed by n lines ``cost <i>: <rational>``.
+Lines starting with ``#`` are comments.
 """
 
 from __future__ import annotations
@@ -17,6 +18,9 @@ from fractions import Fraction
 
 from .core import Allocation, Instance, bundle_cost, format_rational, parse_rational
 from .errors import ParseError
+
+# with no chores there are no cost rows, so nothing else bounds the count
+MAX_AGENTS = 10**6
 
 
 def _significant_lines(text: str):
@@ -45,6 +49,8 @@ def parse_instance(text: str) -> Instance:
     m = _parse_count(lines[2], "chores")
     if n < 1:
         raise ParseError("need at least one agent", lines[1][0])
+    if n > MAX_AGENTS:
+        raise ParseError(f"at most {MAX_AGENTS} agents are supported", lines[1][0])
     # with no chores a cost row would be a blank line, so none is written
     expected = n if m else 0
     if len(lines) != 3 + expected:
@@ -69,7 +75,10 @@ def _parse_count(entry, keyword):
     fields = line.split()
     if len(fields) != 2 or fields[0] != keyword or not fields[1].isdigit():
         raise ParseError(f"expected '{keyword} <count>'", lineno)
-    return int(fields[1])
+    try:
+        return int(fields[1])
+    except ValueError as exc:  # a non-ASCII digit, or more digits than int() reads
+        raise ParseError(f"expected '{keyword} <count>'", lineno) from exc
 
 
 def format_allocation(allocation: Allocation, instance: Instance) -> str:

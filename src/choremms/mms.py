@@ -7,11 +7,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-from .core import (Allocation, Instance, LiftingMap, bundle_cost, classify,
-                   format_rational, is_bivalued_costs, is_factored_costs, to_ido)
+from .core import (Allocation, CostRow, Instance, LiftingMap, bundle_cost, classify,
+                   format_rational, is_bivalued_costs, is_divisibility_chain,
+                   is_factored_costs, to_ido)
 from .errors import (BadParams, NotBivalued, NotFactored, TheoremViolation,
                      TooLarge, UnsupportedClass)
-from .packing import ffd, hffd, scale_row, smallest_fitting_cap
+from .packing import ffd, hffd, smallest_fitting_cap
 
 ORACLE_CAP = 14
 APPROX_RATIO = Fraction(15, 13)
@@ -51,8 +52,9 @@ def mms_brute(cost: Sequence[Fraction], chores: Iterable[int], d: int,
     if not chores:
         return MMSResult(Fraction(0), ((),) * d)
     # integer arithmetic inside the search; Fractions are exact but slow
-    row = scale_row(chores, cost)
-    ordered, weights = row.order, row.weights
+    row = CostRow.of(cost)
+    ordered = row.ffd_order(chores)
+    weights = [row.weights[c] for c in ordered]
     total = sum(weights)
     lower = -(-total // d)  # ceil
     best = total + 1
@@ -87,7 +89,7 @@ def mms_brute(cost: Sequence[Fraction], chores: Iterable[int], d: int,
     bundles: list[list[int]] = [[] for _ in range(d)]
     for idx, b in enumerate(best_assign):
         bundles[b].append(ordered[idx])
-    return MMSResult(Fraction(best, row.scale), tuple(tuple(sorted(b)) for b in bundles))
+    return MMSResult(row.value(best), tuple(tuple(sorted(b)) for b in bundles))
 
 
 def _factored_caps(weights) -> range:
@@ -112,14 +114,14 @@ def mms_factored(cost: Sequence[Fraction], chores: Iterable[int], d: int) -> MMS
     if d < 1:
         raise BadParams("need at least one bundle")
     chores = list(chores)
-    if not is_factored_costs(cost[c] for c in chores):
+    row = CostRow.of(cost)
+    weights = row.profile(chores)
+    if not is_divisibility_chain(weights):
         raise NotFactored("cost values do not form a divisibility chain")
-    if not chores:
+    if not weights:
         return MMSResult(Fraction(0), ((),) * d)
-    row = scale_row(chores, cost)
-    value = Fraction(smallest_fitting_cap(row.weights, _factored_caps(row.weights), d),
-                     row.scale)
-    outcome = ffd(chores, cost, value, max_bins=d)
+    value = row.value(smallest_fitting_cap(weights, _factored_caps(weights), d))
+    outcome = ffd(chores, row, value, max_bins=d)
     witness = tuple(tuple(sorted(b)) for b in outcome.bundles)
     witness += ((),) * (d - len(witness))
     return MMSResult(value, witness)
@@ -130,20 +132,19 @@ def min_success_threshold(cost: Sequence[Fraction], chores: Iterable[int], n: in
     bins. Supported for factored and bivalued costs, where monotonicity of
     FFD success makes bisection exact; for general costs use multifit,
     which only guarantees a succeeding threshold."""
-    chores = list(chores)
-    if not chores:
+    row = CostRow.of(cost)
+    weights = row.profile(chores)
+    if not weights:
         return Fraction(0)
-    values = [cost[c] for c in chores]
-    if is_factored_costs(values):
+    if is_divisibility_chain(weights):
         caps = _factored_caps
-    elif is_bivalued_costs(values):
+    elif len(set(weights)) <= 2:
         caps = _bivalued_caps
     else:
         raise UnsupportedClass("minimal threshold needs factored or bivalued costs; "
                                "use multifit for a succeeding (not necessarily minimal) "
                                "threshold")
-    row = scale_row(chores, cost)
-    return Fraction(smallest_fitting_cap(row.weights, caps(row.weights), n), row.scale)
+    return row.value(smallest_fitting_cap(weights, caps(weights), n))
 
 
 def hffd_and_lift(ido: Instance, lifting: LiftingMap,

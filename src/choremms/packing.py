@@ -3,8 +3,8 @@ heterogeneous agents. Failure to place chores is a value (PackOutcome),
 not an exception.
 
 Costs and thresholds are Fractions at the interface; the packing loops run
-on each row scaled to integers once (`core.integer_scale`), with threshold
-tau becoming the integer capacity floor(tau * D).
+on the row's cached integer weights (`core.CostRow`), also for a subset of
+its chores, with threshold tau becoming the integer capacity floor(tau * D).
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .core import Allocation, Instance, integer_scale, scaled_floor, universal_ordering
+from .core import Allocation, CostRow, Instance, universal_ordering
 from .errors import BadParams, EmptyBinDeadlock, TooLarge
 
 _SUBSET_SUM_CAP = 24
@@ -29,23 +29,6 @@ class PackOutcome:
     @property
     def bundles(self) -> tuple[tuple[int, ...], ...]:
         return self.allocation.bundles
-
-
-@dataclass(frozen=True)
-class ScaledRow:
-    """Chores in FFD order (descending cost, lower id first among equals)
-    and their costs times `scale`, as integers in the same order."""
-
-    order: tuple[int, ...]
-    weights: tuple[int, ...]
-    scale: int
-
-
-def scale_row(chores: Iterable[int], cost: Sequence[Fraction]) -> ScaledRow:
-    chores = list(chores)
-    weights, scale = integer_scale(cost[c] for c in chores)
-    ranked = sorted(zip([-w for w in weights], chores))
-    return ScaledRow(tuple(c for _, c in ranked), tuple(-w for w, _ in ranked), scale)
 
 
 def first_fit(weights: Sequence[int], cap: int,
@@ -112,9 +95,9 @@ def ffd(chores: Iterable[int], cost: Sequence[Fraction], tau: Fraction,
     when allowed, otherwise the chore is left unallocated."""
     if tau <= 0:
         raise BadParams("FFD threshold must be positive")
-    row = scale_row(chores, cost)
-    bins, left_out = first_fit(row.weights, scaled_floor(tau, row.scale), max_bins)
-    order = row.order
+    row = CostRow.of(cost)
+    order = row.ffd_order(chores)
+    bins, left_out = first_fit([row.weights[c] for c in order], row.cap(tau), max_bins)
     return PackOutcome(Allocation.of([order[p] for p in b] for b in bins),
                        tuple(order[p] for p in left_out), not left_out)
 
@@ -132,8 +115,8 @@ def _integer_subset_sums(weights: Sequence[int]) -> list[int]:
 def subset_sums(chores: Iterable[int], cost: Sequence[Fraction]) -> list[Fraction]:
     """Sorted distinct achievable bundle costs (the grid on which FFD
     success/failure can change)."""
-    weights, scale = integer_scale(cost[c] for c in chores)
-    return [Fraction(s, scale) for s in _integer_subset_sums(weights)]
+    row = CostRow.of(cost)
+    return [row.value(s) for s in _integer_subset_sums([row.weights[c] for c in chores])]
 
 
 def multifit(chores: Iterable[int], cost: Sequence[Fraction], n: int) -> tuple[Fraction, PackOutcome]:
@@ -148,11 +131,12 @@ def multifit(chores: Iterable[int], cost: Sequence[Fraction], n: int) -> tuple[F
     chores = list(chores)
     if not chores:
         return Fraction(0), PackOutcome(Allocation.of([]), (), True)
-    row = scale_row(chores, cost)
-    grid = _integer_subset_sums(row.weights)
-    caps = grid[bisect_left(grid, row.weights[0]):]
-    tau = Fraction(smallest_fitting_cap(row.weights, caps, n), row.scale)
-    return tau, ffd(chores, cost, tau, max_bins=n)
+    row = CostRow.of(cost)
+    weights = row.profile(chores)
+    grid = _integer_subset_sums(weights)
+    caps = grid[bisect_left(grid, weights[0]):]
+    tau = row.value(smallest_fitting_cap(weights, caps, n))
+    return tau, ffd(chores, row, tau, max_bins=n)
 
 
 def hffd(instance: Instance, thresholds: Sequence[Fraction]) -> PackOutcome:
@@ -161,19 +145,15 @@ def hffd(instance: Instance, thresholds: Sequence[Fraction]) -> PackOutcome:
     Fills one bin at a time: a chore joins the open bin when it fits for at
     least one remaining agent under that agent's threshold; a closed bin
     goes to the lowest-index remaining agent for whom its last chore fitted.
-    Each agent's row and threshold are scaled to that agent's own integers.
+    Each agent's threshold becomes a capacity in their row's cached scale.
     """
     if len(thresholds) != instance.n:
         raise BadParams("need one threshold per agent")
     if any(t <= 0 for t in thresholds):
         raise BadParams("thresholds must be positive")
     remaining = list(universal_ordering(instance).perm)
-    rows: list[list[int]] = []
-    caps: list[int] = []
-    for i, tau in enumerate(thresholds):
-        weights, scale = integer_scale(instance.cost(i))
-        rows.append(weights)
-        caps.append(scaled_floor(tau, scale))
+    rows = [instance.cost(i).weights for i in range(instance.n)]
+    caps = [instance.cost(i).cap(tau) for i, tau in enumerate(thresholds)]
     pool = list(range(instance.n))  # ascending, so the first fitting agent is the lowest
     bins: list[tuple[int, ...]] = []
     owners: list[int] = []

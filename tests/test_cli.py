@@ -256,6 +256,14 @@ def one_error_line(capsys):
     return err
 
 
+@pytest.mark.parametrize("count", [str(10**20), "9" * 5000], ids=["1e20", "5000-digits"])
+def test_huge_agent_count_exits_2(tmp_path, capsys, count):
+    path = tmp_path / "big.txt"
+    path.write_text(f"mms-instance 1\nagents {count}\nchores 0\n")
+    assert main(["solve", str(path), "--algo", "factored"]) == 2
+    assert one_error_line(capsys).startswith("error: line 2: ")
+
+
 def test_unwritable_out_exits_2(tmp_path, capsys, monkeypatch):
     missing = str(tmp_path / "no-such-dir" / "x.txt")
     path = write_instance(tmp_path, LOWER_BOUND)

@@ -1,4 +1,5 @@
 import itertools
+import pickle
 import random
 from fractions import Fraction as F
 
@@ -40,6 +41,21 @@ def test_instance_rejects_nonpositive_costs():
 def test_instance_rejects_ragged_rows():
     with pytest.raises(BadParams):
         Instance.from_rows([[1, 2], [1]])
+
+
+def test_instance_rows_act_as_plain_tuples_and_scale_once():
+    rows = [[F(1, 2), F(3), F(5, 3)], [F(2), F(1, 6), F(1)]]
+    plain = tuple(map(tuple, rows))
+    inst = Instance.from_rows(rows)
+    assert inst == Instance(plain) and hash(inst) == hash(Instance(plain))
+    assert repr(inst) == repr(Instance(plain)) == f"Instance(costs={plain!r})"
+    assert inst.costs == plain and hash(inst.costs) == hash(plain)
+    row = inst.cost(0)
+    assert row.weights is row.weights
+    assert (row.scale, row.weights) == (6, (3, 18, 10))
+    for copy in (pickle.loads(pickle.dumps(inst)), pickle.loads(pickle.dumps(Instance(plain)))):
+        assert copy == inst and repr(copy) == repr(inst)
+        assert copy.cost(0).weights == (3, 18, 10) and copy.cost(1).weights == (12, 1, 6)
 
 
 # ----------------------------------------------------------------- classify

@@ -59,10 +59,23 @@ def rows(size, kinds=(factored_rows, bivalued_rows, general_rows)):
 
 @st.composite
 def row_and_chores(draw, max_m, kinds=(factored_rows, bivalued_rows, general_rows)):
-    """A cost row and a nonempty subset of its chores in arbitrary order."""
+    """A cost row and a nonempty subset of its chores in arbitrary order.
+
+    Now and then the row holds up to three more chores, at random places
+    and never in the subset, with denominator 7 or 11, which the subset
+    lacks: the row's scale then differs from the subset's. Now and then
+    the row is an instance row (a `CostRow`) rather than a plain tuple."""
     m = draw(st.integers(1, max_m))
-    row = draw(rows(m, kinds))
-    chores = draw(st.permutations(range(m)))
+    row = list(draw(rows(m, kinds)))
+    ids = list(range(m))
+    for p in draw(st.lists(st.sampled_from([7, 11]), max_size=3)):
+        at = draw(st.integers(0, len(row)))
+        row.insert(at, F(p * draw(st.integers(0, 12)) + 1, p))
+        ids = [c + (c >= at) for c in ids]
+    row = tuple(row)
+    if draw(st.booleans()):
+        row = Instance((row,)).cost(0)
+    chores = draw(st.permutations(ids))
     return row, chores[:draw(st.integers(1, m))]
 
 

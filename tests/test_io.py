@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from choremms.core import Allocation, Instance
 from choremms.errors import ParseError
-from choremms.io import (format_allocation, format_instance, parse_allocation,
+from choremms.io import (MAX_AGENTS, format_allocation, format_instance, parse_allocation,
                          parse_instance)
 
 INST = Instance.from_rows([[F(1, 2), 3], [2, F(5, 3)]])
@@ -25,6 +25,13 @@ def test_instance_comments_and_blank_lines():
     ("mms-instance 1\nagents 1\nchores 2\n1\n", 4),
     ("mms-instance 1\nagents 1\nchores 1\n0\n", 4),
     ("mms-instance 1\nagents 1\nchores 1\n1.5\n", 4),
+    # agent counts past MAX_AGENTS; with no chores no cost row bounds them
+    (f"mms-instance 1\nagents {MAX_AGENTS + 1}\nchores 0\n", 2),
+    (f"mms-instance 1\nagents {10**20}\nchores 0\n", 2),
+    # counts that int() cannot read: too many digits, a non-ASCII digit
+    pytest.param("mms-instance 1\nagents " + "9" * 5000 + "\nchores 0\n", 2,
+                 id="agents-5000-digits"),
+    ("mms-instance 1\nagents 1\nchores \u00b2\n", 3),
 ])
 def test_instance_parse_errors_carry_line_numbers(text, line):
     with pytest.raises(ParseError) as exc:

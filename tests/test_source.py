@@ -71,3 +71,35 @@ def test_float_uses_are_found():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_floats(path):
     assert float_uses(path.read_text(encoding="utf-8")) == []
+
+
+def scaling_uses(source: str) -> list[str]:
+    """Reads of `.denominator` and calls of `lcm`, bare or as `math.lcm`:
+    the decision of how a row becomes integers, which only core.py makes."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr == "denominator":
+            found.append(f"line {node.lineno}: .denominator")
+        elif isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name == "lcm":
+                found.append(f"line {node.lineno}: lcm(...)")
+    return found
+
+
+def test_scaling_uses_are_found():
+    source = ("import math\n"
+              "from math import lcm\n"
+              "d = tau.denominator\n"
+              "s = math.lcm(2, 3) + lcm(4, 6)\n"
+              "n = tau.numerator\n"
+              "f = math.lcm\n")
+    assert scaling_uses(source) == ["line 3: .denominator", "line 4: lcm(...)",
+                                    "line 4: lcm(...)"]
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "core.py"],
+                         ids=lambda p: p.name)
+def test_only_core_scales_rows(path):
+    assert scaling_uses(path.read_text(encoding="utf-8")) == []
