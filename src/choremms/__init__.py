@@ -10,8 +10,8 @@ from .ffv import (SwapStep, SwapTranscript, benchmark_bundle, find_exact_subset,
                   remove_redundant, transform_mms_to_ffd)
 from .io import format_allocation, format_instance, parse_allocation, parse_instance
 from .mms import (MMSResult, SolveResult, min_success_threshold, mms_brute,
-                  mms_factored, solve_auto, solve_bivalued, solve_factored,
-                  solve_ordinal)
+                  mms_factored, mms_value, solve_auto, solve_bivalued,
+                  solve_factored, solve_ordinal)
 from .packing import PackOutcome, ffd, hffd, multifit, subset_sums
 
 __all__ = [name for name in dir() if not name.startswith("_")]

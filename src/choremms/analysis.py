@@ -11,11 +11,13 @@ from typing import Iterable
 
 from .core import Instance, format_rational
 from .errors import BadParams, InvariantViolation, TooLarge
+from .io import MAX_AGENTS
 from .mms import mms_brute
 from .packing import ffd, subset_sums
 
 MU_CUTOFF = Fraction(13, 2)
 SPECIAL_SIGNATURES = {(1, 3, 2, 0), (1, 4, 3, 0)}
+MAX_GEN_COSTS = 10**6  # n * m bound of gen_instance, 10x the 100 x 1000 ladder top
 
 
 @dataclass(frozen=True)
@@ -84,9 +86,12 @@ def format_case_table(rows: Iterable[CaseRow]) -> str:
 
 
 def gen_instance(kind: str, n: int, m: int, seed: int, **params) -> Instance:
-    """Seed-deterministic random instance of the requested class."""
+    """Seed-deterministic random instance of the requested class, with at
+    most MAX_AGENTS agents and MAX_GEN_COSTS costs in all."""
     if n < 1 or m < 0:
         raise BadParams("need n >= 1 and m >= 0")
+    if n > MAX_AGENTS or n * m > MAX_GEN_COSTS:
+        raise BadParams(f"need n <= {MAX_AGENTS} and n * m <= {MAX_GEN_COSTS}")
     rng = random.Random(("choremms", kind, n, m, seed).__repr__())
     if kind == "factored":
         base = Fraction(rng.randint(1, 3))
@@ -109,8 +114,6 @@ def gen_instance(kind: str, n: int, m: int, seed: int, **params) -> Instance:
                 for _ in range(n)]
     else:
         raise BadParams(f"unknown instance class {kind!r}")
-    if m == 0:
-        return Instance(tuple((() for _ in range(n))))
     return Instance.from_rows(rows)
 
 
@@ -194,7 +197,7 @@ def search_bivalued_mms_existence(trials: int, seed: int, m_cap: int = 12,
         m = rng.randint(n, m_cap)
         instance = gen_instance("personalized_bivalued", n, m, seed=seed * 7_777_777 + trial)
         chores = instance.chores()
-        mus = [mms_brute(instance.cost(i), chores, n, cap=m_cap).value for i in range(n)]
+        mus = [mms_brute(instance.cost(i), chores, n).value for i in range(n)]
         if not _mms_allocation_exists(instance, mus):
             return instance
     return None

@@ -12,7 +12,7 @@ import time
 from fractions import Fraction
 
 from . import analysis, mms
-from .core import Instance, bundle_cost, format_rational, parse_rational, to_ido
+from .core import bundle_cost, format_rational, parse_rational, to_ido
 from .errors import ChoreMMSError, ParseError, TheoremViolation, TooLarge
 from .io import format_allocation, format_instance, parse_allocation, parse_instance
 from .packing import ffd, multifit
@@ -38,10 +38,6 @@ def _read_text(path: str) -> str:
         except UnicodeDecodeError as exc:
             raise ParseError(f"{path} is not UTF-8 text "
                              f"({exc.reason} at byte {exc.start})") from exc
-
-
-def _read_instance(path: str) -> Instance:
-    return parse_instance(_read_text(path))
 
 
 def _write_text(path: str, text: str) -> bool:
@@ -88,7 +84,7 @@ def _write_counterexample(exc: TheoremViolation) -> str:
 
 def cmd_solve(args) -> int:
     try:
-        instance = _read_instance(args.instance)
+        instance = parse_instance(_read_text(args.instance))
     except (OSError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -156,7 +152,7 @@ def cmd_solve(args) -> int:
 
 def cmd_verify(args) -> int:
     try:
-        instance = _read_instance(args.instance)
+        instance = parse_instance(_read_text(args.instance))
         allocation = parse_allocation(_read_text(args.allocation), instance)
         mode = args.mode[0]
         if mode == "ratio":
@@ -180,7 +176,7 @@ def cmd_verify(args) -> int:
         print("error: ordinal mode needs at least two agents", file=sys.stderr)
         return EXIT_INPUT
     try:
-        mus = [mms.mms_brute(instance.cost(i), instance.chores(), d).value
+        mus = [mms.mms_value(instance.cost(i), instance.chores(), d)
                for i in range(instance.n)]
     except TooLarge as exc:
         # a capacity limit of the exact oracle, not an input error

@@ -36,8 +36,7 @@ class SolveResult:
     algorithm: str
 
 
-def mms_brute(cost: Sequence[Fraction], chores: Iterable[int], d: int,
-              cap: int = ORACLE_CAP) -> MMSResult:
+def mms_brute(cost: Sequence[Fraction], chores: Iterable[int], d: int) -> MMSResult:
     """Exact minimum over all d-partitions of the maximum bundle cost.
 
     Branch-and-bound over chores in descending order; a chore may open
@@ -47,8 +46,8 @@ def mms_brute(cost: Sequence[Fraction], chores: Iterable[int], d: int,
     if d < 1:
         raise BadParams("need at least one bundle")
     chores = list(chores)
-    if len(chores) > cap:
-        raise TooLarge(f"brute-force oracle capped at m={cap}, got {len(chores)}")
+    if len(chores) > ORACLE_CAP:
+        raise TooLarge(f"brute-force oracle capped at m={ORACLE_CAP}, got {len(chores)}")
     if not chores:
         return MMSResult(Fraction(0), ((),) * d)
     # integer arithmetic inside the search; Fractions are exact but slow
@@ -92,25 +91,19 @@ def mms_brute(cost: Sequence[Fraction], chores: Iterable[int], d: int,
     return MMSResult(row.value(best), tuple(tuple(sorted(b)) for b in bundles))
 
 
-def _factored_caps(weights) -> range:
-    """Multiples of the smallest weight from the largest weight to the
-    total; with factored costs both ends are such multiples."""
-    return range(weights[0], sum(weights) + 1, weights[-1])
-
-
-def _bivalued_caps(weights) -> list[int]:
-    """The sums a·large + b·small from the largest weight to the total."""
-    large, small = weights[0], weights[-1]
-    n_large = weights.count(large)
-    lo, hi = large, sum(weights)
-    return sorted({a * large + b * small
-                   for a in range(n_large + 1) for b in range(len(weights) - n_large + 1)
-                   if lo <= a * large + b * small <= hi})
+def _smallest_ffd_cap(weights: list[int], bins: int) -> int:
+    """Smallest integer cap in the MultiFit bracket (Coffman, Garey & Johnson
+    1978) at which first fit of the descending `weights` fills `bins` bins.
+    Where success is monotone it is a subset sum: first fit at an integer
+    cap acts as at the largest subset sum below it."""
+    total = sum(weights)
+    lo = max(weights[0], -(-total // bins))
+    return smallest_fitting_cap(weights, range(lo, min(total, lo + weights[0]) + 1), bins)
 
 
 def mms_factored(cost: Sequence[Fraction], chores: Iterable[int], d: int) -> MMSResult:
-    """Exact MMS for a factored cost function in polynomial time: bisection
-    on multiples of the smallest cost, testing FFD success into d bins."""
+    """Exact MMS for a factored cost function in polynomial time: the
+    smallest threshold in the MultiFit bracket at which FFD fills d bins."""
     if d < 1:
         raise BadParams("need at least one bundle")
     chores = list(chores)
@@ -120,31 +113,38 @@ def mms_factored(cost: Sequence[Fraction], chores: Iterable[int], d: int) -> MMS
         raise NotFactored("cost values do not form a divisibility chain")
     if not weights:
         return MMSResult(Fraction(0), ((),) * d)
-    value = row.value(smallest_fitting_cap(weights, _factored_caps(weights), d))
+    value = row.value(_smallest_ffd_cap(weights, d))
     outcome = ffd(chores, row, value, max_bins=d)
     witness = tuple(tuple(sorted(b)) for b in outcome.bundles)
     witness += ((),) * (d - len(witness))
     return MMSResult(value, witness)
 
 
+def mms_value(cost: Sequence[Fraction], chores: Iterable[int], d: int) -> Fraction:
+    """Exact MMS for d bundles: `mms_factored` when the chores' costs form
+    a divisibility chain, else `mms_brute` (at most ORACLE_CAP chores)."""
+    chores = list(chores)
+    if is_divisibility_chain(CostRow.of(cost).profile(chores)):
+        return mms_factored(cost, chores, d).value
+    return mms_brute(cost, chores, d).value
+
+
 def min_success_threshold(cost: Sequence[Fraction], chores: Iterable[int], n: int) -> Fraction:
-    """Minimal threshold on the achievable-sum grid at which FFD fills n
-    bins. Supported for factored and bivalued costs, where monotonicity of
-    FFD success makes bisection exact; for general costs use multifit,
+    """Minimal threshold at which FFD fills n bins, bisected over the
+    MultiFit bracket. Supported for factored and bivalued costs, where FFD
+    success is monotone in the threshold; for general costs use multifit,
     which only guarantees a succeeding threshold."""
+    if n < 1:
+        raise BadParams("need at least one bin")
     row = CostRow.of(cost)
     weights = row.profile(chores)
     if not weights:
         return Fraction(0)
-    if is_divisibility_chain(weights):
-        caps = _factored_caps
-    elif len(set(weights)) <= 2:
-        caps = _bivalued_caps
-    else:
+    if not (is_divisibility_chain(weights) or len(set(weights)) <= 2):
         raise UnsupportedClass("minimal threshold needs factored or bivalued costs; "
                                "use multifit for a succeeding (not necessarily minimal) "
                                "threshold")
-    return row.value(smallest_fitting_cap(weights, caps(weights), n))
+    return row.value(_smallest_ffd_cap(weights, n))
 
 
 def hffd_and_lift(ido: Instance, lifting: LiftingMap,
@@ -223,10 +223,7 @@ def solve_ordinal(instance: Instance) -> SolveResult:
     d = 9 * instance.n // 11
 
     def threshold(row, chores):
-        if is_factored_costs(row):
-            mu = mms_factored(row, chores, d).value
-        else:
-            mu = mms_brute(row, chores, d).value
+        mu = mms_value(row, chores, d)
         return mu, mu
     return _solve(instance, "ordinal", threshold)
 

@@ -74,9 +74,11 @@ def first_fit_places_all(weights: Sequence[int], cap: int, max_bins: int) -> boo
 def smallest_fitting_cap(weights: Sequence[int], caps: Sequence[int], bins: int) -> int:
     """Bisection for the smallest of the ascending integer `caps` at which
     first fit of `weights` (in FFD order) fills `bins` bins; the largest
-    cap when no probed one succeeds. Exact where
-    success is monotone in the cap (factored and bivalued costs); otherwise
-    the result succeeds but may not be the smallest."""
+    cap when no probed one succeeds. Exact where success is monotone in the
+    cap (factored and bivalued costs); otherwise the result succeeds but
+    may not be the smallest. The exact searches in `mms` pass the MultiFit
+    bracket: the integers from lo = max(max weight, ceil(total/bins)), below
+    which nothing fits, to lo + max weight, from which everything does."""
     lo, hi = 0, len(caps) - 1
     best = hi
     while lo <= hi:

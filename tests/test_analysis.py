@@ -2,11 +2,13 @@ from fractions import Fraction as F
 
 import pytest
 
-from choremms.analysis import (case_table, format_case_table, gen_instance,
+from choremms import analysis
+from choremms.analysis import (MAX_GEN_COSTS, case_table, format_case_table, gen_instance,
                                search_bivalued_mms_existence,
                                search_monotonicity)
 from choremms.core import classify
 from choremms.errors import BadParams, TooLarge
+from choremms.io import MAX_AGENTS
 
 
 # ---------------------------------------------------------------- case table
@@ -104,6 +106,16 @@ def test_gen_instance_rejects_unknown_kind_and_bad_sizes():
         gen_instance("mystery", 2, 3, seed=0)
     with pytest.raises(BadParams):
         gen_instance("general", 0, 3, seed=0)
+
+
+@pytest.mark.parametrize("n, m", [(MAX_AGENTS + 1, 0), (10**20, 0), (2, MAX_GEN_COSTS // 2 + 1),
+                                  (MAX_GEN_COSTS, MAX_GEN_COSTS)])
+def test_gen_instance_rejects_sizes_past_its_bounds(monkeypatch, n, m):
+    # no generator can be made, so a broken bound fails here (TypeError)
+    # instead of building rows
+    monkeypatch.setattr(analysis.random, "Random", None)
+    with pytest.raises(BadParams):
+        gen_instance("general", n, m, seed=0)
 
 
 def test_gen_instance_zero_chores():

@@ -176,6 +176,20 @@ def test_verify_past_oracle_cap_exits_1_without_traceback(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("mode", ["mms", "ordinal"])
+def test_verify_factored_past_oracle_cap_exits_0(tmp_path, capsys, mode):
+    # factored rows get their exact MMS from mms_factored, so m = 20 is fine
+    inst_path = tmp_path / "inst.txt"
+    assert main(["gen", "--class", "factored", "--n", "3", "--m", "20", "--seed", "2",
+                 "--out", str(inst_path)]) == 0
+    alloc_path = tmp_path / "alloc.txt"
+    assert main(["solve", str(inst_path), "--algo", "factored",
+                 "--out", str(alloc_path)]) == 0
+    capsys.readouterr()
+    assert main(["verify", str(inst_path), str(alloc_path), "--mode", mode]) == 0
+    assert capsys.readouterr().out.count(" pass\n") == 3
+
+
 def test_search_rejects_negative_trials(capsys):
     assert main(["search", "--target", "monotonicity", "--trials", "-5"]) == 2
     captured = capsys.readouterr()
@@ -262,6 +276,13 @@ def test_huge_agent_count_exits_2(tmp_path, capsys, count):
     path.write_text(f"mms-instance 1\nagents {count}\nchores 0\n")
     assert main(["solve", str(path), "--algo", "factored"]) == 2
     assert one_error_line(capsys).startswith("error: line 2: ")
+
+
+@pytest.mark.parametrize("n, m", [(10**20, 0), (1000, 10**6)], ids=["1e20-agents", "1e9-costs"])
+def test_gen_past_its_bounds_exits_2(capsys, monkeypatch, n, m):
+    monkeypatch.setattr(analysis.random, "Random", None)  # as in test_analysis
+    assert main(["gen", "--class", "factored", "--n", str(n), "--m", str(m)]) == 2
+    one_error_line(capsys)
 
 
 def test_unwritable_out_exits_2(tmp_path, capsys, monkeypatch):

@@ -8,7 +8,7 @@ from choremms.analysis import gen_instance
 from choremms.core import Instance, bundle_cost
 from choremms.errors import (BadParams, NotFactored, TheoremViolation, TooLarge,
                              UnsupportedClass)
-from choremms.mms import (APPROX_RATIO, mms_brute, mms_factored,
+from choremms.mms import (APPROX_RATIO, mms_brute, mms_factored, mms_value,
                           min_success_threshold, solve_auto, solve_bivalued,
                           solve_factored, solve_ordinal)
 from choremms.packing import ffd, subset_sums
@@ -82,6 +82,27 @@ def test_mms_factored_rejects_non_factored():
         mms_factored((F(7), F(7), F(2)), range(3), 2)
 
 
+# ---------------------------------------------------------------- mms_value
+
+def test_mms_value_takes_factored_rows_past_the_oracle_cap():
+    for seed in range(20):
+        inst = gen_instance("factored", 1, 20, seed=seed)
+        d = seed % 4 + 1
+        assert mms_value(inst.cost(0), inst.chores(), d) == \
+            mms_factored(inst.cost(0), inst.chores(), d).value
+
+
+def test_mms_value_is_brute_force_on_other_rows():
+    rng = random.Random(0x317)
+    for _ in range(40):
+        m = rng.randint(1, 8)
+        d = rng.randint(1, 3)
+        cost = random_rationals(rng, m)
+        assert mms_value(cost, range(m), d) == brute_min_makespan(cost, range(m), d)
+    with pytest.raises(TooLarge):
+        mms_value((F(7), F(5), F(3)) * 5, range(15), 2)
+
+
 # --------------------------------------------- min_success_threshold
 
 def threshold_oracle(cost, grid, d):
@@ -124,6 +145,8 @@ def test_min_success_threshold_bivalued_matches_grid_scan():
 def test_min_success_threshold_rejects_general_costs():
     with pytest.raises(UnsupportedClass):
         min_success_threshold((F(7), F(5), F(3)), range(3), 2)
+    with pytest.raises(BadParams):
+        min_success_threshold((F(2), F(1)), range(2), 0)
 
 
 # ----------------------------------------------------------------- solvers

@@ -2,11 +2,12 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from choremms.core import (EQUAL, Instance, bundle_cost, lex_compare, to_ido)
 from choremms.errors import BadParams, EmptyBinDeadlock
 from choremms.ffv import benchmark_bundle, is_ffv
-from choremms.packing import ffd, hffd, multifit, subset_sums
+from choremms.packing import ffd, first_fit_places_all, hffd, multifit, subset_sums
 from helpers import brute_min_makespan, random_rationals
 
 LOWER_BOUND_COSTS = tuple(F(x) for x in [4, 4, 4] + [3] * 9)
@@ -64,6 +65,18 @@ def test_ffd_bins_equal_benchmark_bundles():
         for k in range(len(out.bundles)):
             bench = benchmark_bundle(range(m), out.bundles[:k], cost, tau)
             assert lex_compare(out.bundles[k], bench, cost) == EQUAL
+
+
+# --------------------------------------------------------- MultiFit bracket
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(1, 40), min_size=1, max_size=12), st.integers(1, 6))
+def test_first_fit_bracket(weights, bins):
+    # the exact threshold searches probe only the integers of this bracket
+    total = sum(weights)
+    lo = max(max(weights), -(-total // bins))
+    assert first_fit_places_all(weights, max(weights) + -(-total // bins), bins)
+    assert not any(first_fit_places_all(weights, cap, bins) for cap in range(lo))
 
 
 # ---------------------------------------------------------------- multifit
