@@ -2,6 +2,7 @@
 and HFFD packing, First-Fit-Valid verification, swap-transcript reductions,
 and maximin-share solvers with exact rational arithmetic."""
 
+from .analysis import subset_sums
 from .core import (Allocation, Instance, InstanceClass, LiftingMap,
                    UniversalOrdering, bundle_cost, classify, format_rational,
                    lex_compare, parse_rational, swap, to_ido, universal_ordering)
@@ -12,6 +13,6 @@ from .io import format_allocation, format_instance, parse_allocation, parse_inst
 from .mms import (MMSResult, SolveResult, min_success_threshold, mms_brute,
                   mms_factored, mms_value, solve_auto, solve_bivalued,
                   solve_factored, solve_ordinal)
-from .packing import PackOutcome, ffd, hffd, multifit, subset_sums
+from .packing import PackOutcome, ffd, hffd, multifit
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -7,17 +7,18 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Sequence
 
-from .core import Instance, format_rational
+from .core import CostRow, Instance, format_rational
 from .errors import BadParams, InvariantViolation, TooLarge
 from .io import MAX_AGENTS
 from .mms import mms_brute
-from .packing import ffd, subset_sums
+from .packing import ffd
 
 MU_CUTOFF = Fraction(13, 2)
 SPECIAL_SIGNATURES = {(1, 3, 2, 0), (1, 4, 3, 0)}
 MAX_GEN_COSTS = 10**6  # n * m bound of gen_instance, 10x the 100 x 1000 ladder top
+SUBSET_SUM_CAP = 24
 
 
 @dataclass(frozen=True)
@@ -115,6 +116,20 @@ def gen_instance(kind: str, n: int, m: int, seed: int, **params) -> Instance:
     else:
         raise BadParams(f"unknown instance class {kind!r}")
     return Instance.from_rows(rows)
+
+
+def subset_sums(chores: Iterable[int], cost: Sequence[Fraction]) -> list[Fraction]:
+    """Sorted distinct achievable bundle costs (the grid on which FFD
+    success/failure can change), for at most SUBSET_SUM_CAP chores."""
+    row = CostRow.of(cost)
+    weights = [row.weights[c] for c in chores]
+    if len(weights) > SUBSET_SUM_CAP:
+        raise TooLarge(f"subset-sum grid needs m <= {SUBSET_SUM_CAP}, got {len(weights)}")
+    sums = {0}
+    for w in weights:
+        sums |= {s + w for s in sums}
+    sums.discard(0)
+    return [row.value(s) for s in sorted(sums)]
 
 
 @dataclass(frozen=True)

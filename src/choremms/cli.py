@@ -165,16 +165,15 @@ def cmd_verify(args) -> int:
             alpha = Fraction(1)
         else:
             raise ParseError(f"unknown mode {mode!r}")
+        d = instance.n if mode != "ordinal" else 9 * instance.n // 11
+        if d < 1:
+            raise ParseError("ordinal mode needs at least two agents")
     except (OSError, ValueError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     if not allocation.is_complete(instance.m):
         print("verdict: allocation is not complete")
         return EXIT_FAILED
-    d = instance.n if mode != "ordinal" else 9 * instance.n // 11
-    if d < 1:
-        print("error: ordinal mode needs at least two agents", file=sys.stderr)
-        return EXIT_INPUT
     try:
         mus = [mms.mms_value(instance.cost(i), instance.chores(), d)
                for i in range(instance.n)]

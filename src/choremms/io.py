@@ -73,12 +73,22 @@ def parse_instance(text: str) -> Instance:
 def _parse_count(entry, keyword):
     lineno, line = entry
     fields = line.split()
-    if len(fields) != 2 or fields[0] != keyword or not fields[1].isdigit():
-        raise ParseError(f"expected '{keyword} <count>'", lineno)
+    expected = f"expected '{keyword} <count>'"
+    if len(fields) != 2 or fields[0] != keyword:
+        raise ParseError(expected, lineno)
+    return _parse_int(fields[1], expected, lineno)
+
+
+def _parse_int(field, message, lineno):
+    """The nonnegative integer a field of digits spells, else a ParseError
+    with the message: `isdigit` also admits digits such as '²' that int()
+    rejects, and int() reads at most 4300 digits."""
+    if not field.isdigit():
+        raise ParseError(message, lineno)
     try:
-        return int(fields[1])
-    except ValueError as exc:  # a non-ASCII digit, or more digits than int() reads
-        raise ParseError(f"expected '{keyword} <count>'", lineno) from exc
+        return int(field)
+    except ValueError as exc:
+        raise ParseError(message, lineno) from exc
 
 
 def format_allocation(allocation: Allocation, instance: Instance) -> str:
@@ -101,18 +111,17 @@ def parse_allocation(text: str, instance: Instance) -> Allocation:
     for lineno, line in _significant_lines(text):
         head, _, rest = line.partition(":")
         fields = head.split()
-        if len(fields) != 2 or not fields[1].isdigit():
-            raise ParseError("expected 'agent <i>:' or 'cost <i>:'", lineno)
-        kind, i = fields[0], int(fields[1])
+        expected = "expected 'agent <i>:' or 'cost <i>:'"
+        if len(fields) != 2:
+            raise ParseError(expected, lineno)
+        kind, i = fields[0], _parse_int(fields[1], expected, lineno)
         if i >= instance.n:
             raise ParseError(f"agent index {i} out of range", lineno)
         if kind == "agent":
             if i in bundles:
                 raise ParseError(f"agent {i} is listed twice", lineno)
-            ids = rest.split()
-            if not all(f.isdigit() for f in ids):
-                raise ParseError("chore ids must be nonnegative integers", lineno)
-            chores = tuple(int(f) for f in ids)
+            chores = tuple(_parse_int(f, "chore ids must be nonnegative integers", lineno)
+                           for f in rest.split())
             if any(c >= instance.m for c in chores):
                 raise ParseError("chore id out of range", lineno)
             for c in chores:

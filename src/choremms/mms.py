@@ -12,7 +12,7 @@ from .core import (Allocation, CostRow, Instance, LiftingMap, bundle_cost, class
                    is_factored_costs, to_ido)
 from .errors import (BadParams, NotBivalued, NotFactored, TheoremViolation,
                      TooLarge, UnsupportedClass)
-from .packing import ffd, hffd, smallest_fitting_cap
+from .packing import hffd, multifit, smallest_fitting_cap
 
 ORACLE_CAP = 14
 APPROX_RATIO = Fraction(15, 13)
@@ -91,49 +91,36 @@ def mms_brute(cost: Sequence[Fraction], chores: Iterable[int], d: int) -> MMSRes
     return MMSResult(row.value(best), tuple(tuple(sorted(b)) for b in bundles))
 
 
-def _smallest_ffd_cap(weights: list[int], bins: int) -> int:
-    """Smallest integer cap in the MultiFit bracket (Coffman, Garey & Johnson
-    1978) at which first fit of the descending `weights` fills `bins` bins.
-    Where success is monotone it is a subset sum: first fit at an integer
-    cap acts as at the largest subset sum below it."""
-    total = sum(weights)
-    lo = max(weights[0], -(-total // bins))
-    return smallest_fitting_cap(weights, range(lo, min(total, lo + weights[0]) + 1), bins)
-
-
 def mms_factored(cost: Sequence[Fraction], chores: Iterable[int], d: int) -> MMSResult:
-    """Exact MMS for a factored cost function in polynomial time: the
-    smallest threshold in the MultiFit bracket at which FFD fills d bins."""
+    """Exact MMS for a factored cost function in polynomial time: `multifit`
+    into d bins, whose threshold is the minimal one on such rows, with its
+    FFD bins as the witness."""
     if d < 1:
         raise BadParams("need at least one bundle")
     chores = list(chores)
     row = CostRow.of(cost)
-    weights = row.profile(chores)
-    if not is_divisibility_chain(weights):
+    if not is_divisibility_chain(row.profile(chores)):
         raise NotFactored("cost values do not form a divisibility chain")
-    if not weights:
-        return MMSResult(Fraction(0), ((),) * d)
-    value = row.value(_smallest_ffd_cap(weights, d))
-    outcome = ffd(chores, row, value, max_bins=d)
+    value, outcome = multifit(chores, row, d)
     witness = tuple(tuple(sorted(b)) for b in outcome.bundles)
-    witness += ((),) * (d - len(witness))
-    return MMSResult(value, witness)
+    return MMSResult(value, witness + ((),) * (d - len(witness)))
 
 
 def mms_value(cost: Sequence[Fraction], chores: Iterable[int], d: int) -> Fraction:
-    """Exact MMS for d bundles: `mms_factored` when the chores' costs form
-    a divisibility chain, else `mms_brute` (at most ORACLE_CAP chores)."""
+    """Exact MMS for d bundles: `min_success_threshold` when the chores'
+    costs form a divisibility chain, else `mms_brute` (at most ORACLE_CAP
+    chores)."""
     chores = list(chores)
     if is_divisibility_chain(CostRow.of(cost).profile(chores)):
-        return mms_factored(cost, chores, d).value
+        return min_success_threshold(cost, chores, d)
     return mms_brute(cost, chores, d).value
 
 
 def min_success_threshold(cost: Sequence[Fraction], chores: Iterable[int], n: int) -> Fraction:
-    """Minimal threshold at which FFD fills n bins, bisected over the
-    MultiFit bracket. Supported for factored and bivalued costs, where FFD
-    success is monotone in the threshold; for general costs use multifit,
-    which only guarantees a succeeding threshold."""
+    """Minimal threshold at which FFD fills n bins (`smallest_fitting_cap`),
+    with no witness packed. Supported for factored and bivalued costs, where
+    FFD success is monotone in the threshold; for general costs use
+    multifit, which only guarantees a succeeding threshold."""
     if n < 1:
         raise BadParams("need at least one bin")
     row = CostRow.of(cost)
@@ -144,7 +131,7 @@ def min_success_threshold(cost: Sequence[Fraction], chores: Iterable[int], n: in
         raise UnsupportedClass("minimal threshold needs factored or bivalued costs; "
                                "use multifit for a succeeding (not necessarily minimal) "
                                "threshold")
-    return row.value(_smallest_ffd_cap(weights, n))
+    return row.value(smallest_fitting_cap(weights, n))
 
 
 def hffd_and_lift(ido: Instance, lifting: LiftingMap,
@@ -185,16 +172,20 @@ def _solve(instance: Instance, algorithm: str,
     return SolveResult(allocation, costs, thresholds, mus, algorithm)
 
 
+def _mms_thresholds(d: int) -> Callable[..., tuple[Fraction, Fraction]]:
+    """`_solve`'s threshold rule that gives each agent their MMS for d bundles."""
+    def threshold(row, chores):
+        mu = mms_value(row, chores, d)
+        return mu, mu
+    return threshold
+
+
 def solve_factored(instance: Instance) -> SolveResult:
     """Exact MMS allocation for a factored instance (every agent's cost is
     at most their maximin share), in polynomial time."""
     if not all(is_factored_costs(row) for row in instance.costs):
         raise NotFactored("every agent must have factored costs")
-
-    def threshold(row, chores):
-        mu = mms_factored(row, chores, instance.n).value
-        return mu, mu
-    return _solve(instance, "factored", threshold)
+    return _solve(instance, "factored", _mms_thresholds(instance.n))
 
 
 def solve_bivalued(instance: Instance) -> SolveResult:
@@ -220,12 +211,7 @@ def solve_ordinal(instance: Instance) -> SolveResult:
     agent's threshold is their MMS for d = floor(9n/11) bundles."""
     if instance.n < 2:
         raise BadParams("the ordinal solver needs at least two agents")
-    d = 9 * instance.n // 11
-
-    def threshold(row, chores):
-        mu = mms_value(row, chores, d)
-        return mu, mu
-    return _solve(instance, "ordinal", threshold)
+    return _solve(instance, "ordinal", _mms_thresholds(9 * instance.n // 11))
 
 
 def solve_auto(instance: Instance) -> SolveResult:

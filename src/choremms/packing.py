@@ -9,15 +9,12 @@ its chores, with threshold tau becoming the integer capacity floor(tau * D).
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .core import Allocation, CostRow, Instance, universal_ordering
-from .errors import BadParams, EmptyBinDeadlock, TooLarge
-
-_SUBSET_SUM_CAP = 24
+from .core import Allocation, CostRow, Instance, bundle_cost, universal_ordering
+from .errors import BadParams, EmptyBinDeadlock
 
 
 @dataclass(frozen=True)
@@ -71,23 +68,25 @@ def first_fit_places_all(weights: Sequence[int], cap: int, max_bins: int) -> boo
     return True
 
 
-def smallest_fitting_cap(weights: Sequence[int], caps: Sequence[int], bins: int) -> int:
-    """Bisection for the smallest of the ascending integer `caps` at which
-    first fit of `weights` (in FFD order) fills `bins` bins; the largest
-    cap when no probed one succeeds. Exact where success is monotone in the
-    cap (factored and bivalued costs); otherwise the result succeeds but
-    may not be the smallest. The exact searches in `mms` pass the MultiFit
-    bracket: the integers from lo = max(max weight, ceil(total/bins)), below
-    which nothing fits, to lo + max weight, from which everything does."""
-    lo, hi = 0, len(caps) - 1
+def smallest_fitting_cap(weights: Sequence[int], bins: int) -> int:
+    """Bisection for the smallest integer capacity at which first fit of
+    the descending `weights` fills `bins` bins, over the MultiFit bracket
+    (Coffman, Garey & Johnson 1978): from lo = max(w0, ceil(total/bins)),
+    below which nothing fits, to min(total, lo + w0), from which everything
+    does, with w0 the largest weight. Exact where success is monotone in
+    the capacity (factored and bivalued costs); otherwise the result
+    succeeds but may not be the smallest."""
+    total = sum(weights)
+    lo = max(weights[0], -(-total // bins))
+    hi = min(total, lo + weights[0])
     best = hi
     while lo <= hi:
         mid = (lo + hi) // 2
-        if first_fit_places_all(weights, caps[mid], bins):
+        if first_fit_places_all(weights, mid, bins):
             best, hi = mid, mid - 1
         else:
             lo = mid + 1
-    return caps[best]
+    return best
 
 
 def ffd(chores: Iterable[int], cost: Sequence[Fraction], tau: Fraction,
@@ -104,25 +103,10 @@ def ffd(chores: Iterable[int], cost: Sequence[Fraction], tau: Fraction,
                        tuple(order[p] for p in left_out), not left_out)
 
 
-def _integer_subset_sums(weights: Sequence[int]) -> list[int]:
-    if len(weights) > _SUBSET_SUM_CAP:
-        raise TooLarge(f"subset-sum grid needs m <= {_SUBSET_SUM_CAP}, got {len(weights)}")
-    sums = {0}
-    for w in weights:
-        sums |= {s + w for s in sums}
-    sums.discard(0)
-    return sorted(sums)
-
-
-def subset_sums(chores: Iterable[int], cost: Sequence[Fraction]) -> list[Fraction]:
-    """Sorted distinct achievable bundle costs (the grid on which FFD
-    success/failure can change)."""
-    row = CostRow.of(cost)
-    return [row.value(s) for s in _integer_subset_sums([row.weights[c] for c in chores])]
-
-
 def multifit(chores: Iterable[int], cost: Sequence[Fraction], n: int) -> tuple[Fraction, PackOutcome]:
-    """Bisection for the smallest grid threshold at which FFD fills n bins.
+    """MultiFit: FFD into n bins at the capacity `smallest_fitting_cap`
+    finds, with its largest bin cost as the threshold. That cost is a
+    subset sum at which FFD makes the same decisions, so it succeeds.
 
     Exact minimum for factored and bivalued cost functions, where FFD
     success is monotone in the threshold; for general cost functions the
@@ -134,11 +118,9 @@ def multifit(chores: Iterable[int], cost: Sequence[Fraction], n: int) -> tuple[F
     if not chores:
         return Fraction(0), PackOutcome(Allocation.of([]), (), True)
     row = CostRow.of(cost)
-    weights = row.profile(chores)
-    grid = _integer_subset_sums(weights)
-    caps = grid[bisect_left(grid, weights[0]):]
-    tau = row.value(smallest_fitting_cap(weights, caps, n))
-    return tau, ffd(chores, row, tau, max_bins=n)
+    cap = smallest_fitting_cap(row.profile(chores), n)
+    outcome = ffd(chores, row, row.value(cap), max_bins=n)
+    return max(bundle_cost(row, b) for b in outcome.bundles), outcome
 
 
 def hffd(instance: Instance, thresholds: Sequence[Fraction]) -> PackOutcome:

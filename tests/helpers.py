@@ -18,13 +18,14 @@ import itertools
 import random
 from fractions import Fraction
 
+from choremms.analysis import subset_sums
 from choremms.core import (Allocation, EQUAL, GREATER, LESS, Instance, LiftingMap,
                            UniversalOrdering, bundle_cost, swap)
 from choremms.errors import (EmptyBinDeadlock, EmptyBundle, InvariantViolation, NotBivalued,
                              NotIDO, PreconditionViolation)
 from choremms.ffv import SwapStep, SwapTranscript, is_ffv
 from choremms.mms import APPROX_RATIO
-from choremms.packing import PackOutcome, ffd, hffd, subset_sums
+from choremms.packing import PackOutcome, ffd, hffd
 
 
 def hffd_dropping_last_chore(instance, thresholds):

@@ -285,6 +285,27 @@ def test_gen_past_its_bounds_exits_2(capsys, monkeypatch, n, m):
     one_error_line(capsys)
 
 
+@pytest.mark.parametrize("alloc", ["agent 0: 0\n", "agent 0: 0 1\n"],
+                         ids=["incomplete", "complete"])
+def test_verify_ordinal_single_agent_exits_2(tmp_path, capsys, alloc):
+    # floor(9/11) = 0 bundles is a mode error, whatever the allocation holds
+    inst_path = write_instance(tmp_path, Instance.from_rows([[5, 1]]))
+    alloc_path = tmp_path / "alloc.txt"
+    alloc_path.write_text(alloc)
+    assert main(["verify", inst_path, str(alloc_path), "--mode", "ordinal"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: ordinal mode needs at least two agents\n"
+
+
+def test_multifit_solves_general_instance_past_the_subset_sum_cap(tmp_path, capsys):
+    inst_path = tmp_path / "inst.txt"
+    assert main(["gen", "--class", "general", "--n", "50", "--m", "1000",
+                 "--out", str(inst_path)]) == 0
+    assert main(["solve", str(inst_path), "--algo", "multifit"]) == 0
+    assert "success: yes" in capsys.readouterr().out
+
+
 def test_unwritable_out_exits_2(tmp_path, capsys, monkeypatch):
     missing = str(tmp_path / "no-such-dir" / "x.txt")
     path = write_instance(tmp_path, LOWER_BOUND)

@@ -9,6 +9,7 @@ from fractions import Fraction as F
 
 from hypothesis import given, settings, strategies as st
 
+from choremms.analysis import subset_sums
 from choremms.core import (Allocation, Instance, is_bivalued_costs, is_factored_costs,
                            lex_compare, to_ido, universal_ordering)
 from choremms.errors import ChoreMMSError, EmptyBinDeadlock
@@ -127,11 +128,20 @@ def test_ffd_below_largest_cost_matches_reference(data):
 @SETTINGS
 @given(st.data())
 def test_multifit_matches_reference(data):
+    # the subset-sum grid answer on factored and bivalued rows; on general
+    # rows, where FFD success is not monotone, a succeeding subset sum that
+    # may differ from it
     row, chores = data.draw(row_and_chores(9))
     n = data.draw(st.integers(1, 4))
     tau, outcome = multifit(chores, row, n)
-    assert tau == ref_multifit(chores, row, n)
     assert outcome == ref_ffd(chores, row, tau, max_bins=n)
+    values = [row[c] for c in chores]
+    if ref_is_factored_costs(values) or ref_is_bivalued_costs(values):
+        assert tau == ref_multifit(chores, row, n)
+    else:
+        assert outcome.succeeded
+        assert tau in subset_sums(chores, row)
+        assert tau >= max(max(values), sum(values) / n)
 
 
 @SETTINGS

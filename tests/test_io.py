@@ -79,6 +79,10 @@ def test_instance_without_chores_roundtrips():
     ("agent 0: 0\nagent 1: 0 1\n", 2),
     ("agent 0: 0\nagent 1: 1\nagent 0:\n", 3),
     ("agent 0: 0\nagent 1: 1\ncost 1: 5/3\ncost 1: 5/3\n", 4),
+    # indices and ids that isdigit() accepts but int() cannot read
+    ("agent 0: 0\nagent \u00b2: 1\n", 2),
+    ("agent 0: 0\nagent 1: \u00b2\n", 2),
+    pytest.param("agent 0: 0\nagent 1: " + "9" * 5000 + "\n", 2, id="chore-5000-digits"),
 ])
 def test_allocation_rejects_duplicates_with_line_numbers(text, line):
     with pytest.raises(ParseError) as exc:

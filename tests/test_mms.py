@@ -3,15 +3,15 @@ from fractions import Fraction as F
 
 import pytest
 
-from choremms import mms
-from choremms.analysis import gen_instance
+from choremms import mms, packing
+from choremms.analysis import gen_instance, subset_sums
 from choremms.core import Instance, bundle_cost
 from choremms.errors import (BadParams, NotFactored, TheoremViolation, TooLarge,
                              UnsupportedClass)
 from choremms.mms import (APPROX_RATIO, mms_brute, mms_factored, mms_value,
                           min_success_threshold, solve_auto, solve_bivalued,
                           solve_factored, solve_ordinal)
-from choremms.packing import ffd, subset_sums
+from choremms.packing import ffd
 from helpers import brute_min_makespan, hffd_dropping_last_chore, random_rationals
 
 LOWER_BOUND_ROW = tuple(F(x) for x in [4, 4, 4] + [3] * 9)
@@ -101,6 +101,26 @@ def test_mms_value_is_brute_force_on_other_rows():
         assert mms_value(cost, range(m), d) == brute_min_makespan(cost, range(m), d)
     with pytest.raises(TooLarge):
         mms_value((F(7), F(5), F(3)) * 5, range(15), 2)
+
+
+def test_only_mms_factored_packs_a_witness(monkeypatch):
+    # mms_value, and solve_factored through it, need only the threshold:
+    # neither runs FFD for a witness
+    calls = []
+
+    def counting_ffd(*args, **kwargs):
+        calls.append(args)
+        return ffd(*args, **kwargs)
+    monkeypatch.setattr(packing, "ffd", counting_ffd)
+    monkeypatch.setattr(mms, "ffd", counting_ffd, raising=False)  # were mms to import it
+    inst = gen_instance("factored", 3, 20, seed=4)
+    mms_value(inst.cost(0), inst.chores(), 3)
+    assert len(calls) == 0
+    mms_factored(inst.cost(0), inst.chores(), 3)
+    assert len(calls) == 1
+    calls.clear()
+    solve_factored(inst)
+    assert calls == []
 
 
 # --------------------------------------------- min_success_threshold

@@ -4,11 +4,13 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from choremms.analysis import subset_sums
 from choremms.core import (EQUAL, Instance, bundle_cost, lex_compare, to_ido)
 from choremms.errors import BadParams, EmptyBinDeadlock
 from choremms.ffv import benchmark_bundle, is_ffv
-from choremms.packing import ffd, first_fit_places_all, hffd, multifit, subset_sums
-from helpers import brute_min_makespan, random_rationals
+from choremms.mms import mms_brute
+from choremms.packing import ffd, first_fit_places_all, hffd, multifit
+from helpers import brute_min_makespan, random_rationals, ref_multifit
 
 LOWER_BOUND_COSTS = tuple(F(x) for x in [4, 4, 4] + [3] * 9)
 
@@ -112,6 +114,19 @@ def test_multifit_returned_threshold_always_succeeds():
         tau, out = multifit(range(m), cost, n)
         assert out.succeeded
         assert ffd(range(m), cost, tau, max_bins=n).succeeded
+
+
+def test_multifit_general_row_returns_largest_bin_cost():
+    # FFD success is not monotone on this row: it succeeds at 89, fails at
+    # 90 and succeeds at 91. Bisecting the subset-sum grid lands on 91; the
+    # bracket lands on 89, which is also the exact makespan.
+    cost = tuple(F(x) for x in [54, 51, 41, 39, 35, 28, 27, 23, 22, 14, 10, 9, 1])
+    assert [ffd(range(13), cost, F(t), max_bins=4).succeeded for t in (88, 89, 90, 91)] == \
+        [False, True, False, True]
+    assert ref_multifit(range(13), cost, 4) == 91
+    tau, out = multifit(range(13), cost, 4)
+    assert tau == 89 == mms_brute(cost, range(13), 4).value
+    assert out.succeeded and max(bundle_cost(cost, b) for b in out.bundles) == tau
 
 
 # -------------------------------------------------------------------- hffd

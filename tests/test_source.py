@@ -73,6 +73,12 @@ def test_no_floats(path):
     assert float_uses(path.read_text(encoding="utf-8")) == []
 
 
+def called_name(call: ast.Call) -> str | None:
+    """`f` for a call `f(...)` or `m.f(...)`."""
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
 def scaling_uses(source: str) -> list[str]:
     """Reads of `.denominator` and calls of `lcm`, bare or as `math.lcm`:
     the decision of how a row becomes integers, which only core.py makes."""
@@ -80,11 +86,8 @@ def scaling_uses(source: str) -> list[str]:
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Attribute) and node.attr == "denominator":
             found.append(f"line {node.lineno}: .denominator")
-        elif isinstance(node, ast.Call):
-            func = node.func
-            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-            if name == "lcm":
-                found.append(f"line {node.lineno}: lcm(...)")
+        elif isinstance(node, ast.Call) and called_name(node) == "lcm":
+            found.append(f"line {node.lineno}: lcm(...)")
     return found
 
 
@@ -103,3 +106,26 @@ def test_scaling_uses_are_found():
                          ids=lambda p: p.name)
 def test_only_core_scales_rows(path):
     assert scaling_uses(path.read_text(encoding="utf-8")) == []
+
+
+def calls_of(source: str, name: str) -> list[str]:
+    """Calls of the function `name`, bare or as an attribute."""
+    return [f"line {node.lineno}: {name}(...)" for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and called_name(node) == name]
+
+
+def test_calls_of_are_found():
+    source = ("from choremms import packing\n"
+              "from choremms.packing import first_fit_places_all\n"
+              "ok = first_fit_places_all([3, 2], 5, 1)\n"
+              "probe = first_fit_places_all\n"
+              "ok = packing.first_fit_places_all([3], 3, 1) or first_fit([3], 3)\n")
+    assert calls_of(source, "first_fit_places_all") == [
+        "line 3: first_fit_places_all(...)", "line 5: first_fit_places_all(...)"]
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "packing.py"],
+                         ids=lambda p: p.name)
+def test_only_packing_probes_first_fit(path):
+    # every threshold search goes through packing.smallest_fitting_cap
+    assert calls_of(path.read_text(encoding="utf-8"), "first_fit_places_all") == []
