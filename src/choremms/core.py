@@ -9,6 +9,7 @@ integers once, by `CostRow`, which keeps every comparison exact.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -78,6 +79,12 @@ class CostRow(tuple):
         weights = self.weights
         return sorted((weights[c] for c in chores), reverse=True)
 
+    def runs(self, chores: Iterable[int]) -> list[tuple[int, int]]:
+        """The chores' weights as (weight, count) runs, weight descending:
+        the run-length form of `profile`, built by counting the weights and
+        sorting only the distinct ones."""
+        return sorted(Counter(map(self.weights.__getitem__, chores)).items(), reverse=True)
+
     def permuted(self, order: Sequence[int]) -> "CostRow":
         """The costs in the given order, sharing this row's integer form."""
         row = CostRow(self[c] for c in order)
@@ -102,6 +109,14 @@ class Instance:
                 if not isinstance(c, Fraction) or c.numerator <= 0:
                     raise BadParams(f"cost of chore {j} for agent {i} must be a positive rational")
         object.__setattr__(self, "costs", tuple(CostRow.of(row) for row in self.costs))
+
+    @classmethod
+    def _trusted(cls, rows: tuple[CostRow, ...]) -> "Instance":
+        """An instance on rows taken from an already validated instance,
+        without `__post_init__`'s per-cost checks."""
+        instance = object.__new__(cls)
+        object.__setattr__(instance, "costs", rows)
+        return instance
 
     @staticmethod
     def from_rows(rows: Iterable[Iterable]) -> "Instance":
@@ -275,7 +290,7 @@ def to_ido(instance: Instance) -> tuple[Instance, LiftingMap]:
     permutation is a universal ordering; cost multisets are preserved."""
     chores = instance.chores()
     rows = tuple(row.permuted(row.ffd_order(chores)) for row in instance.costs)
-    return Instance(rows), LiftingMap(instance)
+    return Instance._trusted(rows), LiftingMap(instance)
 
 
 def compare_profiles(p1: Sequence[int], p2: Sequence[int]) -> int:

@@ -99,7 +99,7 @@ def mms_factored(cost: Sequence[Fraction], chores: Iterable[int], d: int) -> MMS
         raise BadParams("need at least one bundle")
     chores = list(chores)
     row = CostRow.of(cost)
-    if not is_divisibility_chain(row.profile(chores)):
+    if not is_divisibility_chain(map(row.weights.__getitem__, chores)):
         raise NotFactored("cost values do not form a divisibility chain")
     value, outcome = multifit(chores, row, d)
     witness = tuple(tuple(sorted(b)) for b in outcome.bundles)
@@ -111,27 +111,30 @@ def mms_value(cost: Sequence[Fraction], chores: Iterable[int], d: int) -> Fracti
     costs form a divisibility chain, else `mms_brute` (at most ORACLE_CAP
     chores)."""
     chores = list(chores)
-    if is_divisibility_chain(CostRow.of(cost).profile(chores)):
-        return min_success_threshold(cost, chores, d)
-    return mms_brute(cost, chores, d).value
+    row = CostRow.of(cost)
+    runs = row.runs(chores)
+    if is_divisibility_chain(w for w, _ in runs):
+        return min_success_threshold(row, chores, d, runs=runs)
+    return mms_brute(row, chores, d).value
 
 
-def min_success_threshold(cost: Sequence[Fraction], chores: Iterable[int], n: int) -> Fraction:
+def min_success_threshold(cost: Sequence[Fraction], chores: Iterable[int], n: int, *,
+                          runs: Sequence[tuple[int, int]] | None = None) -> Fraction:
     """Minimal threshold at which FFD fills n bins (`smallest_fitting_cap`),
     with no witness packed. Supported for factored and bivalued costs, where
     FFD success is monotone in the threshold; for general costs use
-    multifit, which only guarantees a succeeding threshold."""
+    multifit, which only guarantees a succeeding threshold. A caller that
+    holds the chores' `CostRow.runs` passes them as `runs`."""
     if n < 1:
         raise BadParams("need at least one bin")
     row = CostRow.of(cost)
-    weights = row.profile(chores)
-    if not weights:
-        return Fraction(0)
-    if not (is_divisibility_chain(weights) or len(set(weights)) <= 2):
+    if runs is None:
+        runs = row.runs(chores)
+    if not (len(runs) <= 2 or is_divisibility_chain(w for w, _ in runs)):
         raise UnsupportedClass("minimal threshold needs factored or bivalued costs; "
                                "use multifit for a succeeding (not necessarily minimal) "
                                "threshold")
-    return row.value(smallest_fitting_cap(weights, n))
+    return row.value(smallest_fitting_cap(runs, n))
 
 
 def hffd_and_lift(ido: Instance, lifting: LiftingMap,

@@ -52,37 +52,60 @@ def first_fit(weights: Sequence[int], cap: int,
     return bins, left_out
 
 
-def first_fit_places_all(weights: Sequence[int], cap: int, max_bins: int) -> bool:
-    """Whether `first_fit` leaves nothing out; stops at the first weight it
-    cannot place."""
+def first_fit_places_all(runs: Sequence[tuple[int, int]], cap: int, max_bins: int) -> bool:
+    """Whether `first_fit` of the descending weights that the (weight,
+    count) `runs` spell out leaves nothing out, at O(len(runs) * bins).
+
+    First fit places each copy of a run's weight w in the lowest-index bin
+    with room for it, and rooms only shrink, so a bin that cannot take w
+    cannot take it later in the run either: the open bins, in index order,
+    take min(k, room // w) of the k copies left, and the rest open full
+    bins of cap // w copies each. Those are the bins of first fit chore by
+    chore; the probe fails when w > cap or when more than max_bins bins
+    would open."""
     rooms: list[int] = []
-    for w in weights:
+    for w, k in runs:
+        if w > cap:
+            return False
         for b, room in enumerate(rooms):
             if w <= room:
-                rooms[b] = room - w
-                break
+                t = min(k, room // w)
+                rooms[b] = room - t * w
+                k -= t
+                if not k:
+                    break
         else:
-            if w > cap or len(rooms) >= max_bins:
+            per_bin = cap // w
+            full, rest = divmod(k, per_bin)
+            if len(rooms) + full + (rest > 0) > max_bins:
                 return False
-            rooms.append(cap - w)
+            rooms.extend([cap - per_bin * w] * full)
+            if rest:
+                rooms.append(cap - rest * w)
     return True
 
 
-def smallest_fitting_cap(weights: Sequence[int], bins: int) -> int:
+def smallest_fitting_cap(runs: Sequence[tuple[int, int]], bins: int) -> int:
     """Bisection for the smallest integer capacity at which first fit of
-    the descending `weights` fills `bins` bins, over the MultiFit bracket
-    (Coffman, Garey & Johnson 1978): from lo = max(w0, ceil(total/bins)),
-    below which nothing fits, to min(total, lo + w0), from which everything
-    does, with w0 the largest weight. Exact where success is monotone in
-    the capacity (factored and bivalued costs); otherwise the result
-    succeeds but may not be the smallest."""
-    total = sum(weights)
-    lo = max(weights[0], -(-total // bins))
-    hi = min(total, lo + weights[0])
+    the descending (weight, count) `runs` fills `bins` bins, over the
+    MultiFit bracket (Coffman, Garey & Johnson 1978): from lo = max(w0,
+    ceil(total/bins)), below which nothing fits, to min(total, lo + w0),
+    from which everything does, with w0 the largest weight and total the
+    sum of w * count. Exact where success is monotone in the capacity
+    (factored and bivalued costs); otherwise the result succeeds but may
+    not be the smallest. No runs need capacity 0."""
+    if bins < 1:
+        raise BadParams("need at least one bin")
+    if not runs:
+        return 0
+    w0 = runs[0][0]
+    total = sum(w * k for w, k in runs)
+    lo = max(w0, -(-total // bins))
+    hi = min(total, lo + w0)
     best = hi
     while lo <= hi:
         mid = (lo + hi) // 2
-        if first_fit_places_all(weights, mid, bins):
+        if first_fit_places_all(runs, mid, bins):
             best, hi = mid, mid - 1
         else:
             lo = mid + 1
@@ -118,7 +141,7 @@ def multifit(chores: Iterable[int], cost: Sequence[Fraction], n: int) -> tuple[F
     if not chores:
         return Fraction(0), PackOutcome(Allocation.of([]), (), True)
     row = CostRow.of(cost)
-    cap = smallest_fitting_cap(row.profile(chores), n)
+    cap = smallest_fitting_cap(row.runs(chores), n)
     outcome = ffd(chores, row, row.value(cap), max_bins=n)
     return max(bundle_cost(row, b) for b in outcome.bundles), outcome
 

@@ -222,6 +222,46 @@ def ref_lift(original, allocation):
     return Allocation.of(lifted, allocation.agents)
 
 
+def ref_first_fit_places_all(weights, cap, max_bins):
+    """Whether first fit of the integer `weights`, one at a time in the
+    given order, places them all in at most `max_bins` bins of capacity
+    `cap`: the per-weight probe the run-length one must agree with."""
+    rooms = []
+    for w in weights:
+        for b, room in enumerate(rooms):
+            if w <= room:
+                rooms[b] = room - w
+                break
+        else:
+            if w > cap or len(rooms) >= max_bins:
+                return False
+            rooms.append(cap - w)
+    return True
+
+
+def run_length(weights):
+    """(weight, count) runs of a descending weight list."""
+    return [(w, len(list(group))) for w, group in itertools.groupby(weights)]
+
+
+def ref_smallest_fitting_cap(weights, bins):
+    """The MultiFit bracket bisection over the descending integer
+    `weights`, probing with `ref_first_fit_places_all`. Returns the
+    capacity found and the number of probes."""
+    total = sum(weights)
+    lo = max(weights[0], -(-total // bins))
+    hi = min(total, lo + weights[0])
+    best, probes = hi, 0
+    while lo <= hi:
+        mid = (lo + hi) // 2
+        probes += 1
+        if ref_first_fit_places_all(weights, mid, bins):
+            best, hi = mid, mid - 1
+        else:
+            lo = mid + 1
+    return best, probes
+
+
 def _ref_bisect(chores, cost, bins, grid):
     """Smallest grid value at which ref_ffd fills `bins` bins, by the
     bisection every threshold search uses (the last value is not probed)."""

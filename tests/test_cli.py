@@ -1,7 +1,12 @@
+import os
+import pathlib
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
 
+import choremms
 from choremms import analysis, mms
 from choremms.cli import main
 from choremms.core import Instance, bundle_cost, to_ido
@@ -343,3 +348,18 @@ def test_non_utf8_instance_exits_2(tmp_path, capsys):
     assert main(["verify", write_instance(tmp_path, LOWER_BOUND), str(alloc_path),
                  "--mode", "mms"]) == 2
     assert "not UTF-8" in one_error_line(capsys)
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    src = pathlib.Path(choremms.__file__).parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+
+    def run(*args):
+        return subprocess.run([sys.executable, "-m", "choremms", *args], env=env,
+                              capture_output=True, text=True, timeout=60)
+    done = run("gen", "--class", "factored", "--n", "2", "--m", "3", "--seed", "1")
+    assert done.returncode == 0, done.stderr
+    assert parse_instance(done.stdout) == analysis.gen_instance("factored", 2, 3, seed=1)
+    # the exit code is the CLI's: a missing instance file is an input error
+    done = run("solve", str(tmp_path / "missing.txt"), "--algo", "multifit")
+    assert done.returncode == 2 and done.stderr.startswith("error:")

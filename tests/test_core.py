@@ -106,6 +106,29 @@ def test_to_ido_sorted_input_unchanged():
     assert ido.costs == inst.costs
 
 
+def test_to_ido_twin_is_an_instance_built_without_revalidation(monkeypatch):
+    inst = Instance.from_rows([[F(1, 2), F(3), F(5, 3)], [F(2), F(1, 6), F(1)]])
+    checks = []
+    post_init = Instance.__post_init__
+
+    def counted(self):
+        checks.append(self)
+        post_init(self)
+    monkeypatch.setattr(Instance, "__post_init__", counted)
+    ido, _ = to_ido(inst)
+    assert checks == []
+    rows = ((F(3), F(5, 3), F(1, 2)), (F(2), F(1), F(1, 6)))
+    plain = Instance(rows)
+    assert len(checks) == 1
+    assert ido == plain and hash(ido) == hash(plain) and repr(ido) == repr(plain)
+    assert ido.cost(0).weights == (18, 10, 3) and ido.cost(1).weights == (12, 6, 1)
+    copy = pickle.loads(pickle.dumps(ido))
+    assert copy == plain and hash(copy) == hash(plain)
+    assert copy.cost(1).weights == (12, 6, 1)
+    with pytest.raises(BadParams):
+        Instance(((F(1), F(0)),))
+
+
 def test_to_ido_two_agents_two_chores():
     inst = Instance.from_rows([[3, 1], [1, 3]])
     ido, lifting = to_ido(inst)

@@ -10,8 +10,8 @@ from fractions import Fraction as F
 from hypothesis import given, settings, strategies as st
 
 from choremms.analysis import subset_sums
-from choremms.core import (Allocation, Instance, is_bivalued_costs, is_factored_costs,
-                           lex_compare, to_ido, universal_ordering)
+from choremms.core import (Allocation, CostRow, Instance, is_bivalued_costs,
+                           is_factored_costs, lex_compare, to_ido, universal_ordering)
 from choremms.errors import ChoreMMSError, EmptyBinDeadlock
 from choremms.ffv import (SwapTranscript, benchmark_bundle, find_exact_subset, fit_in_space,
                           is_ffv, reduce_bivalued, reduce_factored, remove_redundant,
@@ -23,7 +23,7 @@ from helpers import (perturb_to_ffv, ref_benchmark_bundle, ref_ffd, ref_find_exa
                      ref_is_ffv, ref_lex_compare, ref_lift, ref_min_success_threshold,
                      ref_multifit, ref_reduce_bivalued, ref_reduce_factored,
                      ref_remove_redundant, ref_to_ido, ref_transform_mms_to_ffd,
-                     ref_universal_ordering)
+                     ref_universal_ordering, run_length)
 
 SETTINGS = settings(max_examples=300, deadline=None)
 
@@ -124,6 +124,17 @@ def test_ffd_below_largest_cost_matches_reference(data):
 
 
 # ------------------------------------------------------ threshold searches
+
+@SETTINGS
+@given(st.data())
+def test_runs_are_the_run_length_profile(data):
+    # any subset of the chores, in any order, of rows whose scale may come
+    # from chores outside the subset
+    row, chores = data.draw(row_and_chores(40))
+    row = CostRow.of(row)
+    assert row.runs(chores) == run_length(row.profile(chores))
+    assert row.runs([]) == []
+
 
 @SETTINGS
 @given(st.data())

@@ -5,7 +5,7 @@ import pytest
 
 from choremms import mms, packing
 from choremms.analysis import gen_instance, subset_sums
-from choremms.core import Instance, bundle_cost
+from choremms.core import CostRow, Instance, bundle_cost
 from choremms.errors import (BadParams, NotFactored, TheoremViolation, TooLarge,
                              UnsupportedClass)
 from choremms.mms import (APPROX_RATIO, mms_brute, mms_factored, mms_value,
@@ -121,6 +121,24 @@ def test_only_mms_factored_packs_a_witness(monkeypatch):
     calls.clear()
     solve_factored(inst)
     assert calls == []
+
+
+def test_mms_value_counts_the_chores_once(monkeypatch):
+    # the chain test and the threshold search share one `CostRow.runs`
+    calls = []
+    runs = CostRow.runs
+
+    def counted(row, chores):
+        calls.append(chores)
+        return runs(row, chores)
+    monkeypatch.setattr(CostRow, "runs", counted)
+    inst = gen_instance("factored", 4, 30, seed=2)
+    row = inst.cost(0)
+    assert mms_value(row, inst.chores(), 4) == min_success_threshold(row, inst.chores(), 4)
+    assert len(calls) == 2
+    assert min_success_threshold(row, inst.chores(), 4, runs=runs(row, inst.chores())) == \
+        mms_value(row, inst.chores(), 4)
+    assert len(calls) == 3
 
 
 # --------------------------------------------- min_success_threshold

@@ -1,16 +1,20 @@
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from choremms.analysis import subset_sums
+from choremms import packing
+from choremms.analysis import gen_instance, subset_sums
 from choremms.core import (EQUAL, Instance, bundle_cost, lex_compare, to_ido)
 from choremms.errors import BadParams, EmptyBinDeadlock
 from choremms.ffv import benchmark_bundle, is_ffv
 from choremms.mms import mms_brute
-from choremms.packing import ffd, first_fit_places_all, hffd, multifit
-from helpers import brute_min_makespan, random_rationals, ref_multifit
+from choremms.packing import (ffd, first_fit_places_all, hffd, multifit,
+                              smallest_fitting_cap)
+from helpers import (brute_min_makespan, random_rationals, ref_first_fit_places_all,
+                     ref_multifit, ref_smallest_fitting_cap, run_length)
 
 LOWER_BOUND_COSTS = tuple(F(x) for x in [4, 4, 4] + [3] * 9)
 
@@ -77,8 +81,73 @@ def test_first_fit_bracket(weights, bins):
     # the exact threshold searches probe only the integers of this bracket
     total = sum(weights)
     lo = max(max(weights), -(-total // bins))
-    assert first_fit_places_all(weights, max(weights) + -(-total // bins), bins)
-    assert not any(first_fit_places_all(weights, cap, bins) for cap in range(lo))
+    runs = run_length(sorted(weights, reverse=True))
+    assert first_fit_places_all(runs, max(weights) + -(-total // bins), bins)
+    assert not any(first_fit_places_all(runs, cap, bins) for cap in range(lo))
+
+
+@st.composite
+def long_runs(draw):
+    """Descending weights with at most four distinct values and up to 300
+    chores, so the runs are long."""
+    distinct = sorted(draw(st.lists(st.integers(1, 30), min_size=1, max_size=4, unique=True)),
+                      reverse=True)
+    counts = [draw(st.integers(1, 300 // len(distinct))) for _ in distinct]
+    return [w for w, k in zip(distinct, counts) for _ in range(k)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(long_runs(), st.integers(1, 12))
+def test_run_length_probe_matches_per_weight_first_fit(weights, bins):
+    runs = run_length(weights)
+    total = sum(weights)
+    lo = max(weights[0], -(-total // bins))
+    for cap in range(1, lo + weights[0] + 1):
+        assert first_fit_places_all(runs, cap, bins) == \
+            ref_first_fit_places_all(weights, cap, bins), cap
+
+
+def test_smallest_fitting_cap_guards():
+    assert smallest_fitting_cap([], 2) == 0
+    with pytest.raises(BadParams):
+        smallest_fitting_cap([(3, 1)], 0)
+    with pytest.raises(BadParams):
+        smallest_fitting_cap([], 0)
+
+
+def count_probes(monkeypatch):
+    calls = []
+    probe = packing.first_fit_places_all
+
+    def counted(*args):
+        calls.append(args[1])
+        return probe(*args)
+    monkeypatch.setattr(packing, "first_fit_places_all", counted)
+    return calls
+
+
+@settings(max_examples=200, deadline=None)
+@given(long_runs(), st.integers(1, 12))
+def test_smallest_fitting_cap_probe_count(weights, bins):
+    # the bracket holds at most w0 + 1 capacities, so the bisection makes
+    # at most ceil(log2(w0 + 2)) probes
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        calls = count_probes(monkeypatch)
+        cap = smallest_fitting_cap(run_length(weights), bins)
+    assert len(calls) <= math.ceil(math.log2(weights[0] + 2))
+    assert (cap, len(calls)) == ref_smallest_fitting_cap(weights, bins)
+
+
+@pytest.mark.parametrize("kind", ["factored", "personalized_bivalued"])
+def test_per_agent_probes_match_per_weight_bisection(kind, monkeypatch):
+    instance = gen_instance(kind, 20, 200, seed=8)
+    calls = count_probes(monkeypatch)
+    for i in range(instance.n):
+        row = instance.cost(i)
+        calls.clear()
+        cap = smallest_fitting_cap(row.runs(instance.chores()), instance.n)
+        assert (cap, len(calls)) == \
+            ref_smallest_fitting_cap(row.profile(instance.chores()), instance.n)
 
 
 # ---------------------------------------------------------------- multifit
@@ -194,7 +263,6 @@ def test_hffd_output_is_ffv_for_last_agent():
 
 
 def test_ffd_monotone_on_factored_and_bivalued():
-    from choremms.analysis import gen_instance
     rng = random.Random(0x300)
     for kind in ("factored", "bivalued"):
         for trial in range(60):
