@@ -177,6 +177,7 @@ def _mms_allocation_exists(instance: Instance, mus) -> bool:
     weights = [instance.cost(i).weights for i in range(n)]
     caps = [instance.cost(i).cap(mu) for i, mu in enumerate(mus)]
     loads = [0] * n
+    # Fractions, since rows differ in scale; it sorts once per instance at m <= 14
     order = sorted(range(m), key=lambda c: -max(instance.cost(i)[c] for i in range(n)))
 
     def rec(idx: int) -> bool:

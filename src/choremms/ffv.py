@@ -15,13 +15,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Container, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .core import Allocation, CostRow, EQUAL, compare_profiles, is_divisibility_chain, swap
-from .errors import (EmptyBundle, InvariantViolation, NotBivalued,
+from .errors import (BadParams, EmptyBundle, InvariantViolation, NotBivalued,
                      PreconditionViolation)
 from .mms import APPROX_RATIO
-from .packing import ffd
+from .packing import ffd, fill_bin
 
 
 @dataclass(frozen=True)
@@ -60,27 +60,31 @@ def _capacity(row: CostRow, tau: Fraction) -> int:
     return row.cap(tau)
 
 
-def _greedy_fill(order: Sequence[int], taken: Container[int], weights: Sequence[int],
-                 room: int) -> list[int]:
-    """Walk the chores in FFD order, skipping taken ones, and keep each one
-    that still fits in the room left."""
-    bundle = []
-    for c in order:
-        if c not in taken and weights[c] <= room:
-            bundle.append(c)
-            room -= weights[c]
-    return bundle
-
-
 def benchmark_bundle(all_chores: Iterable[int], allocated_prefix: Sequence[Sequence[int]],
                      cost: Sequence[Fraction], tau: Fraction) -> tuple[int, ...]:
     """Lexicographically maximal subset of the chores left after the prefix,
     under the threshold: greedy largest-first, keeping the running sum
-    within tau."""
+    within tau (the bin FFD fills next from those chores)."""
     row = CostRow.of(cost)
     room = _capacity(row, tau)
     taken = {c for b in allocated_prefix for c in b}
-    return tuple(_greedy_fill(row.ffd_order(all_chores), taken, row.weights, room))
+    return tuple(fill_bin(row.ffd_order(all_chores), row.weights, room, taken)[0])
+
+
+def _first_off_benchmark(bundles: Sequence[Sequence[int]], row: CostRow, order: list[int],
+                         room: int, exact: bool) -> int | None:
+    """Index of the first bundle whose profile is below (with `exact`: not
+    equal to) its benchmark's, the fill of the room from the chores in FFD
+    `order` that earlier bundles do not hold; None if there is none."""
+    weights = row.weights
+    held: set[int] = set()
+    for k, bundle in enumerate(bundles):
+        bench = [weights[c] for c in fill_bin(order, weights, room, held)[0]]
+        relation = compare_profiles(row.profile(bundle), bench)
+        if (relation != EQUAL) if exact else (relation < EQUAL):
+            return k
+        held.update(bundle)
+    return None
 
 
 def is_ffv(all_chores: Iterable[int], alloc: Allocation, cost: Sequence[Fraction],
@@ -91,16 +95,9 @@ def is_ffv(all_chores: Iterable[int], alloc: Allocation, cost: Sequence[Fraction
     if not alloc.bundles:
         return True, None
     row = CostRow.of(cost)
-    room = _capacity(row, tau)
-    order = row.ffd_order(all_chores)
-    weights = row.weights
-    taken: set[int] = set()
-    for k, bundle in enumerate(alloc.bundles):
-        bench = [weights[c] for c in _greedy_fill(order, taken, weights, room)]
-        if compare_profiles(row.profile(bundle), bench) < EQUAL:
-            return False, k
-        taken.update(bundle)
-    return True, None
+    bad = _first_off_benchmark(alloc.bundles, row, row.ffd_order(all_chores),
+                               _capacity(row, tau), exact=False)
+    return bad is None, bad
 
 
 def find_exact_subset(chores: Iterable[int], cost: Sequence[Fraction],
@@ -122,7 +119,7 @@ def _exact_subset(chores: list[int], row: CostRow, target: int) -> tuple[int, ..
         raise PreconditionViolation("every chore must cost at most the target")
     if sum(values) < target:
         raise PreconditionViolation("total cost must reach the target")
-    subset = _greedy_fill(row.ffd_order(chores), (), weights, target)
+    subset, _ = fill_bin(row.ffd_order(chores), weights, target)
     total = sum(weights[c] for c in subset)
     if total != target:
         raise PreconditionViolation(f"greedy missed the target {row.value(target)}; "
@@ -137,13 +134,14 @@ def _pad(bundles: Sequence[Sequence[int]], n: int) -> list[tuple[int, ...]]:
 
 
 def _check_ffd_output(P: Allocation, all_chores, row: CostRow, tau):
+    """P is an FFD output when it holds every chore and each bundle has its
+    benchmark's profile, since FFD's k-th bin is the k-th benchmark."""
     if not set(P.allocated()) == set(all_chores):
         raise PreconditionViolation("the FFD allocation must contain every chore")
-    fresh = ffd(all_chores, row, tau)
-    reference = _pad(fresh.bundles, len(P.bundles))
-    if len(reference) < len(P.bundles) or any(
-            compare_profiles(row.profile(b), row.profile(r)) != EQUAL
-            for b, r in zip(_pad(P.bundles, len(reference)), reference)):
+    if tau <= 0:
+        raise BadParams("FFD threshold must be positive")
+    if _first_off_benchmark(P.bundles, row, row.ffd_order(all_chores), row.cap(tau),
+                            exact=True) is not None:
         raise PreconditionViolation("allocation is not an FFD output at this threshold")
 
 
@@ -357,8 +355,7 @@ def transform_mms_to_ffd(Q: Allocation, cost: Sequence[Fraction],
                 "FFD at tau >= mu + s used more bins than the partition", transcript)
         return transcript
     p_bundles = _pad(outcome.bundles, n)
-    n_work = max(n, len(p_bundles))
-    p_bundles = _pad(p_bundles, n_work)
+    n_work = len(p_bundles)
     p_profiles = [row.profile(b) for b in p_bundles]
     # most large chores first, then most small ones; stable among equals
     q_sorted = sorted(Q.bundles, key=lambda b: _counts(b, weights, large), reverse=True)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Container, Iterable, Sequence
 
 from .core import Allocation, CostRow, Instance, bundle_cost, universal_ordering
 from .errors import BadParams, EmptyBinDeadlock
@@ -28,33 +28,27 @@ class PackOutcome:
         return self.allocation.bundles
 
 
-def first_fit(weights: Sequence[int], cap: int,
-              max_bins: int | None = None) -> tuple[list[list[int]], list[int]]:
-    """First fit of integer weights, in the given order, into bins of
-    capacity `cap`: each weight goes to the lowest-index bin with room,
-    else into a new bin while fewer than max_bins are open, else is left
-    out. Returns the positions in each bin and the positions left out."""
-    rooms: list[int] = []
-    bins: list[list[int]] = []
-    left_out: list[int] = []
-    for p, w in enumerate(weights):
-        for b, room in enumerate(rooms):
-            if w <= room:
-                rooms[b] = room - w
-                bins[b].append(p)
-                break
+def fill_bin(order: Sequence[int], weights: Sequence[int], room: int,
+             held: Container[int] = ()) -> tuple[list[int], list[int]]:
+    """First fit into one bin: walk `order` past the `held` chores, keeping
+    each chore whose integer weight fits the room left. Returns the kept
+    chores and the chores left out, both in order."""
+    kept: list[int] = []
+    left: list[int] = []
+    for c in order:
+        if c in held:
+            continue
+        if weights[c] <= room:
+            kept.append(c)
+            room -= weights[c]
         else:
-            if w <= cap and (max_bins is None or len(rooms) < max_bins):
-                rooms.append(cap - w)
-                bins.append([p])
-            else:
-                left_out.append(p)
-    return bins, left_out
+            left.append(c)
+    return kept, left
 
 
 def first_fit_places_all(runs: Sequence[tuple[int, int]], cap: int, max_bins: int) -> bool:
-    """Whether `first_fit` of the descending weights that the (weight,
-    count) `runs` spell out leaves nothing out, at O(len(runs) * bins).
+    """Whether first fit of the descending weights that the (weight, count)
+    `runs` spell out leaves nothing out, at O(len(runs) * bins).
 
     First fit places each copy of a run's weight w in the lowest-index bin
     with room for it, and rooms only shrink, so a bin that cannot take w
@@ -116,14 +110,22 @@ def ffd(chores: Iterable[int], cost: Sequence[Fraction], tau: Fraction,
         max_bins: int | None = None) -> PackOutcome:
     """First-Fit-Decreasing: largest chore first (lower id breaks ties),
     into the lowest-index bin whose cost stays within tau; a new bin opens
-    when allowed, otherwise the chore is left unallocated."""
+    when allowed, otherwise the chore is left unallocated. The bins fill
+    one at a time (`fill_bin` over the chores left): a chore joins bin b
+    exactly when it fits b's room then, as in chore-by-chore first fit."""
     if tau <= 0:
         raise BadParams("FFD threshold must be positive")
     row = CostRow.of(cost)
-    order = row.ffd_order(chores)
-    bins, left_out = first_fit([row.weights[c] for c in order], row.cap(tau), max_bins)
-    return PackOutcome(Allocation.of([order[p] for p in b] for b in bins),
-                       tuple(order[p] for p in left_out), not left_out)
+    cap = row.cap(tau)
+    remaining = row.ffd_order(chores)
+    bins = []
+    while remaining and (max_bins is None or len(bins) < max_bins):
+        kept, left = fill_bin(remaining, row.weights, cap)
+        if not kept:
+            break
+        bins.append(kept)
+        remaining = left
+    return PackOutcome(Allocation.of(bins), tuple(remaining), not remaining)
 
 
 def multifit(chores: Iterable[int], cost: Sequence[Fraction], n: int) -> tuple[Fraction, PackOutcome]:

@@ -384,6 +384,53 @@ def test_reduce_bivalued_matches_reference(case):
     assert outcome(reduce_bivalued, *case) == outcome(ref_reduce_bivalued, *case)
 
 
+@st.composite
+def perturbed_ffd_case(draw, kinds):
+    """A reduction case with the FFD check on and P an FFD output changed
+    one way: a chore moved to another bundle, two bundles swapped, the last
+    bundle split in two, or an empty bundle appended. Most such P are not
+    FFD outputs."""
+    m = draw(st.integers(1, 12))
+    row = draw(rows(m, kinds))
+    chores = draw(st.permutations(range(m)))
+    tau = draw(certificate_thresholds(row))
+    if tau > 0:
+        bundles = [list(b) for b in ffd(chores, row, tau).bundles]
+    else:
+        bundles = [list(b) for b in draw(bundles_of(chores)).bundles]
+    kind = draw(st.sampled_from(["move", "swap", "split", "append"]))
+    if kind == "move" and bundles:
+        src = draw(st.sampled_from([i for i, b in enumerate(bundles) if b]))
+        dst = draw(st.integers(0, len(bundles)).filter(lambda j: j != src))
+        if dst == len(bundles):
+            bundles.append([])
+        bundles[dst].append(bundles[src].pop(draw(st.integers(0, len(bundles[src]) - 1))))
+    elif kind == "swap" and len(bundles) > 1:
+        i, j = draw(st.lists(st.integers(0, len(bundles) - 1), min_size=2, max_size=2,
+                             unique=True))
+        bundles[i], bundles[j] = bundles[j], bundles[i]
+    elif kind == "split" and bundles:
+        last = bundles.pop()
+        at = draw(st.integers(0, len(last)))
+        bundles += [last[:at], last[at:]]
+    else:
+        bundles.append([])
+    Q = draw(ffv_candidates(chores, row, tau))
+    return Allocation.of(bundles), Q, row, tau, chores, True
+
+
+@SETTINGS
+@given(perturbed_ffd_case((factored_rows, factored_rows, general_rows)))
+def test_reduce_factored_checks_ffd_output_as_reference(case):
+    assert outcome(reduce_factored, *case) == outcome(ref_reduce_factored, *case)
+
+
+@SETTINGS
+@given(perturbed_ffd_case((bivalued_rows, bivalued_rows, general_rows)))
+def test_reduce_bivalued_checks_ffd_output_as_reference(case):
+    assert outcome(reduce_bivalued, *case) == outcome(ref_reduce_bivalued, *case)
+
+
 @settings(max_examples=500, deadline=None)
 @given(st.data())
 def test_transform_mms_to_ffd_matches_reference(data):

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from choremms import ffv
 from choremms.analysis import gen_instance
 from choremms.core import EQUAL, Allocation, lex_compare
 from choremms.errors import EmptyBundle, PreconditionViolation
@@ -161,6 +162,37 @@ def test_reduce_factored_random_transcripts():
         assert t.result == "equal"
         for k in range(len(q.bundles)):
             assert lex_compare(t.final.bundles[k], q.bundles[k], cost) == EQUAL
+
+
+# both factored (2 divides 4) and bivalued; FFD at 6 packs {4, 2} {4, 2} {2}
+FFD_CHECK_COSTS = tuple(F(x) for x in [4, 4, 2, 2, 2])
+
+
+@pytest.mark.parametrize("reduce", [reduce_factored, reduce_bivalued])
+def test_reductions_reject_a_start_that_is_not_an_ffd_output(reduce):
+    out = ffd(range(5), FFD_CHECK_COSTS, F(6))
+    reversed_bins = Allocation.of(reversed(out.bundles))
+    with pytest.raises(PreconditionViolation,
+                       match="^allocation is not an FFD output at this threshold$"):
+        reduce(reversed_bins, out.allocation, FFD_CHECK_COSTS, F(6), range(5))
+
+
+def test_ffd_output_check_runs_no_ffd(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return ffd(*args, **kwargs)
+    out = ffd(range(5), FFD_CHECK_COSTS, F(6))
+    monkeypatch.setattr(ffv, "ffd", counted)
+    for reduce in (reduce_factored, reduce_bivalued):
+        t = reduce(out.allocation, out.allocation, FFD_CHECK_COSTS, F(6), range(5))
+        assert t.result == "equal"
+    assert calls == []
+    row = tuple(F(x) for x in [4, 4, 4] + [3] * 9)
+    res = mms_brute(row, range(12), 3)
+    transform_mms_to_ffd(Allocation.of(res.witness), row, res.value)
+    assert len(calls) == 1
 
 
 # ------------------------------------------------- reduce_bivalued (Alg. 2)

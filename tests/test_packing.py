@@ -13,7 +13,7 @@ from choremms.ffv import benchmark_bundle, is_ffv
 from choremms.mms import mms_brute
 from choremms.packing import (ffd, first_fit_places_all, hffd, multifit,
                               smallest_fitting_cap)
-from helpers import (brute_min_makespan, random_rationals, ref_first_fit_places_all,
+from helpers import (brute_min_makespan, random_rationals, ref_ffd, ref_first_fit_places_all,
                      ref_multifit, ref_smallest_fitting_cap, run_length)
 
 LOWER_BOUND_COSTS = tuple(F(x) for x in [4, 4, 4] + [3] * 9)
@@ -49,6 +49,21 @@ def test_ffd_single_chore_tight_threshold():
 def test_ffd_rejects_nonpositive_threshold():
     with pytest.raises(BadParams):
         ffd([0], (F(1),), F(0))
+
+
+@pytest.mark.parametrize("weights, tau, max_bins, bundles, unallocated", [
+    ((5, 6, 7), F(4), None, (), (2, 1, 0)),
+    ((3, 2), F(5), 0, (), (0, 1)),
+    ((), F(1), None, (), ()),
+    # the second 5 finds no room and no bin to open; the 1 still fits bin 0
+    ((5, 5, 1), F(6), 1, ((0, 2),), (1,)),
+], ids=["capacity-below-every-weight", "no-bins", "no-chores", "max-bins-reached"])
+def test_ffd_edge_cases_match_reference(weights, tau, max_bins, bundles, unallocated):
+    cost = tuple(F(w) for w in weights)
+    out = ffd(range(len(cost)), cost, tau, max_bins=max_bins)
+    assert out == ref_ffd(range(len(cost)), cost, tau, max_bins=max_bins)
+    assert out.bundles == bundles and out.unallocated == unallocated
+    assert out.succeeded == (not unallocated)
 
 
 def test_ffd_deterministic():
