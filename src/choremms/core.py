@@ -314,17 +314,25 @@ def lex_compare(b1: Sequence[int], b2: Sequence[int], cost: Sequence[Fraction]) 
     return compare_profiles(row.profile(b1), row.profile(b2))
 
 
-def swap(alloc: Allocation, i: int, t_i: Iterable[int], j: int, t_j: Iterable[int]) -> Allocation:
-    """Exchange T_i ⊆ A_i with T_j ⊆ A_j; either side may be empty."""
+def exchange(bundles: Sequence[Sequence[int]], i: int, t_i: Iterable[int], j: int,
+             t_j: Iterable[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The swap rule: new bundles i and j, ids ascending, after exchanging
+    T_i ⊆ A_i with T_j ⊆ A_j of two distinct bundles (either T may be empty)."""
     if i == j:
         raise SubsetViolation("swap needs two distinct bundles")
+    if not (0 <= i < len(bundles) and 0 <= j < len(bundles)):
+        raise SubsetViolation(f"swap bundles {i}, {j} are not among the {len(bundles)} bundles")
     t_i, t_j = set(t_i), set(t_j)
-    a_i, a_j = set(alloc.bundles[i]), set(alloc.bundles[j])
+    a_i, a_j = set(bundles[i]), set(bundles[j])
     if not t_i <= a_i:
         raise SubsetViolation(f"T_i {sorted(t_i - a_i)} not in bundle {i}")
     if not t_j <= a_j:
         raise SubsetViolation(f"T_j {sorted(t_j - a_j)} not in bundle {j}")
-    new = [list(b) for b in alloc.bundles]
-    new[i] = sorted((a_i - t_i) | t_j)
-    new[j] = sorted((a_j - t_j) | t_i)
+    return tuple(sorted((a_i - t_i) | t_j)), tuple(sorted((a_j - t_j) | t_i))
+
+
+def swap(alloc: Allocation, i: int, t_i: Iterable[int], j: int, t_j: Iterable[int]) -> Allocation:
+    """Exchange T_i ⊆ A_i with T_j ⊆ A_j; either side may be empty."""
+    new = list(alloc.bundles)
+    new[i], new[j] = exchange(alloc.bundles, i, t_i, j, t_j)
     return Allocation.of(new, alloc.agents)

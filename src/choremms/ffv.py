@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .core import Allocation, CostRow, EQUAL, compare_profiles, is_divisibility_chain, swap
+from .core import Allocation, CostRow, EQUAL, compare_profiles, exchange, is_divisibility_chain
 from .errors import (BadParams, EmptyBundle, InvariantViolation, NotBivalued,
                      PreconditionViolation)
 from .mms import APPROX_RATIO
@@ -105,6 +105,8 @@ def find_exact_subset(chores: Iterable[int], cost: Sequence[Fraction],
     """Subset summing to exactly the target, for factored costs where the
     target is itself a chore-cost value at least as large as every member.
     Greedy largest-first terminates exactly on target for such inputs."""
+    if target <= 0:
+        raise PreconditionViolation("target must be positive")
     # the target may bring a denominator the row lacks, so it joins the scale
     row = CostRow([*cost, target])
     return _exact_subset(list(chores), row, row.weights[-1])
@@ -138,37 +140,34 @@ def _check_ffd_output(P: Allocation, all_chores, row: CostRow, tau):
     benchmark's profile, since FFD's k-th bin is the k-th benchmark."""
     if not set(P.allocated()) == set(all_chores):
         raise PreconditionViolation("the FFD allocation must contain every chore")
-    if tau <= 0:
-        raise BadParams("FFD threshold must be positive")
     if _first_off_benchmark(P.bundles, row, row.ffd_order(all_chores), row.cap(tau),
                             exact=True) is not None:
         raise PreconditionViolation("allocation is not an FFD output at this threshold")
 
 
 class _Worker:
-    """Mutable allocation wrapper that applies swaps, records transcript
-    steps, and verifies the global chore multiset after every step. It
+    """One list of bundle tuples, taken from validated allocations, that
+    `apply` swaps in place through `core.exchange`, recording transcript
+    steps and verifying the global chore multiset after every step. It
     keeps each bundle's scaled cost sum and its Fraction value; a swap
     changes only its two bundles, so only those two are recomputed."""
 
-    def __init__(self, bundles: Sequence[Sequence[int]], row: CostRow):
-        self.alloc = Allocation.of(bundles)
+    def __init__(self, bundles: list[tuple[int, ...]], row: CostRow):
+        self.bundles = bundles
         self.row = row
         self.weights = row.weights
-        self.sums = [sum(self.weights[c] for c in b) for b in self.alloc.bundles]
+        self.sums = [sum(self.weights[c] for c in b) for b in bundles]
         self.costs = tuple(row.value(s) for s in self.sums)
         self.transcript = SwapTranscript()
 
-    def bundle(self, k: int) -> tuple[int, ...]:
-        return self.alloc.bundles[k]
-
     def apply(self, k: int, i: int, t_i, j: int, t_j, forbid_increase_after: int | None = None):
-        old = self.alloc.bundles
-        self.alloc = swap(self.alloc, i, t_i, j, t_j)
+        new_i, new_j = exchange(self.bundles, i, t_i, j, t_j)
+        held = set(self.bundles[i]) | set(self.bundles[j])
+        self.bundles[i], self.bundles[j] = new_i, new_j
         before, was = self.costs, list(self.sums)
         after = list(before)
         for b in (i, j):
-            self.sums[b] = sum(self.weights[c] for c in self.alloc.bundles[b])
+            self.sums[b] = sum(self.weights[c] for c in self.bundles[b])
             after[b] = self.row.value(self.sums[b])
         self.costs = tuple(after)
         step = SwapStep(len(self.transcript.steps), k, i, tuple(sorted(t_i)),
@@ -176,7 +175,7 @@ class _Worker:
         self.transcript.steps.append(step)
         # no other bundle changed, so the multiset holds when these two hold
         # the chores they held before
-        if set(self.bundle(i)) | set(self.bundle(j)) != set(old[i]) | set(old[j]):
+        if set(new_i) | set(new_j) != held:
             self.fail(k, "swap changed the global chore multiset")
         if forbid_increase_after is not None:
             for idx in sorted((i, j)):
@@ -186,12 +185,12 @@ class _Worker:
 
     def fail(self, k: int, message: str):
         self.transcript.result = f"violation k={k}"
-        self.transcript.final = self.alloc
+        self.transcript.final = Allocation.of(self.bundles)
         raise InvariantViolation(message, self.transcript)
 
     def finish(self) -> SwapTranscript:
         self.transcript.result = "equal"
-        self.transcript.final = self.alloc
+        self.transcript.final = Allocation.of(self.bundles)
         return self.transcript
 
 
@@ -199,8 +198,8 @@ def _find_donor(worker: _Worker, after: int, value: int) -> tuple[int, int] | No
     """Last-appearing chore of the given scaled cost in a bundle past
     `after`: highest bundle index, then latest position (highest id among
     equals)."""
-    for i in range(len(worker.alloc.bundles) - 1, after, -1):
-        matches = [c for c in worker.bundle(i) if worker.weights[c] == value]
+    for i in range(len(worker.bundles) - 1, after, -1):
+        matches = [c for c in worker.bundles[i] if worker.weights[c] == value]
         if matches:
             return i, max(matches)
     return None
@@ -213,6 +212,8 @@ def _reduce(P: Allocation, Q: Allocation, row: CostRow, tau: Fraction,
     both to one length, then for each bundle k let
     `reach_target(worker, k, target)` swap bundle k to Q's k-th cost
     profile, and check that it got there."""
+    if tau <= 0:
+        raise BadParams("FFD threshold must be positive")
     if verify_ffd:
         _check_ffd_output(P, all_chores, row, tau)
     ok, bad = is_ffv(all_chores, Q, row, tau)
@@ -223,7 +224,7 @@ def _reduce(P: Allocation, Q: Allocation, row: CostRow, tau: Fraction,
     targets = [row.profile(b) for b in _pad(Q.bundles, n)]
     for k in range(n):
         reach_target(worker, k, targets[k])
-        if row.profile(worker.bundle(k)) != targets[k]:
+        if row.profile(worker.bundles[k]) != targets[k]:
             worker.fail(k, f"bundle {k} did not reach its target profile")
     return worker.finish()
 
@@ -246,7 +247,7 @@ def reduce_factored(P: Allocation, Q: Allocation, cost: Sequence[Fraction],
 
     def reach_target(worker: _Worker, k: int, target):
         for j, want in enumerate(target):
-            current = row.ffd_order(worker.bundle(k))
+            current = row.ffd_order(worker.bundles[k])
             have = weights[current[j]] if j < len(current) else 0
             if want <= have:
                 if want < have:
@@ -287,19 +288,19 @@ def reduce_bivalued(P: Allocation, Q: Allocation, cost: Sequence[Fraction],
     large, _small = _large_small(weights[c] for c in all_chores)
 
     def reach_target(worker: _Worker, k: int, target):
-        if row.profile(worker.bundle(k)) == target:
+        if row.profile(worker.bundles[k]) == target:
             return
         q_large = sum(1 for v in target if v == large)
-        p_large = sum(1 for v in worker.bundle(k) if weights[v] == large)
+        p_large = sum(1 for v in worker.bundles[k] if weights[v] == large)
         if q_large > p_large:
             donor = _find_donor(worker, k, large)
             if donor is None:
                 worker.fail(k, "no large chore left in any later bundle")
             i, cl = donor
-            smalls = tuple(c for c in worker.bundle(k) if weights[c] != large)
+            smalls = tuple(c for c in worker.bundles[k] if weights[c] != large)
             worker.apply(k, k, smalls, i, (cl,), forbid_increase_after=k)
         # here the current bundle must be a cost-wise subset of its target
-        have = row.profile(worker.bundle(k))
+        have = row.profile(worker.bundles[k])
         need = list(target)
         for v in have:
             if v in need:
@@ -363,14 +364,14 @@ def transform_mms_to_ffd(Q: Allocation, cost: Sequence[Fraction],
 
     def check_invariants(k: int):
         for i in range(k):
-            if row.profile(worker.bundle(i)) != p_profiles[i]:
+            if row.profile(worker.bundles[i]) != p_profiles[i]:
                 worker.fail(k, f"invariant 1 broken at bundle {i}")
         for i in range(k, n_work):
             if worker.sums[i] > tau_cap:
                 worker.fail(k, f"invariant 2 broken: bundle {i} costs {worker.costs[i]} "
                                f"> tau {tau}")
         for i in range(k + 1, n_work):
-            n_l, n_s = _counts(worker.bundle(i), weights, large)
+            n_l, n_s = _counts(worker.bundles[i], weights, large)
             if (worker.sums[i] <= mu_cap or n_l == 0
                     or (n_l == 1 and (n_s + 2) * small <= tau_cap)):
                 continue
@@ -378,8 +379,8 @@ def transform_mms_to_ffd(Q: Allocation, cost: Sequence[Fraction],
 
     for k in range(n_work):
         check_invariants(k)
-        if len(worker.bundle(k)) > len(p_profiles[k]):
-            a_q, b_q = _counts(worker.bundle(k), weights, large)
+        if len(worker.bundles[k]) > len(p_profiles[k]):
+            a_q, b_q = _counts(worker.bundles[k], weights, large)
             a_p = sum(1 for v in p_profiles[k] if v == large)
             b_p = len(p_profiles[k]) - a_p
             if worker.sums[k] > mu_cap:
@@ -394,26 +395,26 @@ def transform_mms_to_ffd(Q: Allocation, cost: Sequence[Fraction],
             if donor is None:
                 worker.fail(k, "two-small-chores (c) broken: no later bundle has a large chore")
             z, cl = donor
-            smalls = sorted(c for c in worker.bundle(k) if weights[c] != large)
+            smalls = sorted(c for c in worker.bundles[k] if weights[c] != large)
             pair = tuple(smalls[:2])
             worker.apply(k, k, pair, z, (cl,))
-            if len(worker.bundle(k)) > len(p_profiles[k]):
-                a_q2, b_q2 = _counts(worker.bundle(k), weights, large)
+            if len(worker.bundles[k]) > len(p_profiles[k]):
+                a_q2, b_q2 = _counts(worker.bundles[k], weights, large)
                 if (a_q2, b_q2) == (2, 1) and (a_p, b_p) == (2, 0):
-                    one_small = min(c for c in worker.bundle(k) if weights[c] != large)
+                    one_small = min(c for c in worker.bundles[k] if weights[c] != large)
                     worker.apply(k, k, (one_small,), z, ())
                 elif (a_q2, b_q2) == (2, 2) and (a_p, b_p) == (3, 0):
                     donor = _find_donor(worker, k, large)
                     if donor is None:
                         worker.fail(k, "special case: no later bundle has a large chore")
                     z2, cl2 = donor
-                    smalls2 = sorted(c for c in worker.bundle(k) if weights[c] != large)
+                    smalls2 = sorted(c for c in worker.bundles[k] if weights[c] != large)
                     worker.apply(k, k, tuple(smalls2[:2]), z2, (cl2,))
                 else:
                     worker.fail(k, "bundle still has too many chores outside the "
                                    "two special cases")
         for j, want in enumerate(p_profiles[k]):
-            current = row.ffd_order(worker.bundle(k))
+            current = row.ffd_order(worker.bundles[k])
             have = weights[current[j]] if j < len(current) else 0
             if have > want:
                 worker.fail(k, f"bundle {k} position {j} exceeds the FFD profile")
@@ -426,7 +427,7 @@ def transform_mms_to_ffd(Q: Allocation, cost: Sequence[Fraction],
             z, cl = donor
             out = (current[j],) if j < len(current) else ()
             worker.apply(k, k, out, z, (cl,))
-        if row.profile(worker.bundle(k)) != p_profiles[k]:
+        if row.profile(worker.bundles[k]) != p_profiles[k]:
             worker.fail(k, f"bundle {k} did not reach the FFD profile")
     return worker.finish()
 

@@ -21,8 +21,8 @@ from fractions import Fraction
 from choremms.analysis import subset_sums
 from choremms.core import (Allocation, EQUAL, GREATER, LESS, Instance, LiftingMap,
                            UniversalOrdering, bundle_cost, swap)
-from choremms.errors import (EmptyBinDeadlock, EmptyBundle, InvariantViolation, NotBivalued,
-                             NotIDO, PreconditionViolation)
+from choremms.errors import (BadParams, EmptyBinDeadlock, EmptyBundle, InvariantViolation,
+                             NotBivalued, NotIDO, PreconditionViolation)
 from choremms.ffv import SwapStep, SwapTranscript, is_ffv
 from choremms.mms import APPROX_RATIO
 from choremms.packing import PackOutcome, ffd, hffd
@@ -430,6 +430,8 @@ def _ref_find_donor(worker, after, value):
 
 
 def _ref_reduce(P, Q, cost, tau, all_chores, verify_ffd, reach_target):
+    if tau <= 0:
+        raise BadParams("FFD threshold must be positive")
     if verify_ffd:
         _ref_check_ffd_output(P, all_chores, cost, tau)
     ok, bad = ref_is_ffv(all_chores, Q, cost, tau)

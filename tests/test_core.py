@@ -212,6 +212,8 @@ def test_swap_singletons_preserves_sizes():
     swapped = swap(alloc, 0, (1,), 1, (2,))
     assert sorted(map(len, swapped.bundles)) == sorted(map(len, alloc.bundles))
     assert swapped.bundles == ((0, 2), (1, 3))
+    # ids ascending, also where a set of them iterates in another order
+    assert swap(Allocation.of([(1, 5), (16,)]), 0, (5,), 1, (16,)).bundles == ((1, 16), (5,))
 
 
 def test_swap_rejects_non_subsets():
@@ -220,6 +222,16 @@ def test_swap_rejects_non_subsets():
         swap(alloc, 0, (1,), 1, ())
     with pytest.raises(SubsetViolation):
         swap(alloc, 0, (), 0, ())
+
+
+def test_swap_rejects_indices_outside_the_bundles():
+    alloc = Allocation.of([(0,), (1, 2)])
+    with pytest.raises(SubsetViolation):
+        swap(alloc, -1, (1,), 1, (2,))  # -1 would alias bundle 1 and lose chore 2
+    with pytest.raises(SubsetViolation):
+        swap(alloc, 0, (), 5, ())
+    with pytest.raises(SubsetViolation):
+        swap(alloc, 2, (), 0, ())
 
 
 @given(st.data())

@@ -7,7 +7,7 @@ import pytest
 from choremms import ffv
 from choremms.analysis import gen_instance
 from choremms.core import EQUAL, Allocation, lex_compare
-from choremms.errors import EmptyBundle, PreconditionViolation
+from choremms.errors import BadParams, EmptyBundle, PreconditionViolation
 from choremms.ffv import (SwapStep, SwapTranscript, benchmark_bundle,
                           find_exact_subset, fit_in_space, is_ffv,
                           reduce_bivalued, reduce_factored, remove_redundant,
@@ -105,6 +105,12 @@ def test_find_exact_subset_random_factored():
         assert set(got) <= set(pool)
 
 
+@pytest.mark.parametrize("target", [F(0), F(-2)])
+def test_find_exact_subset_rejects_a_target_at_most_zero(target):
+    with pytest.raises(PreconditionViolation, match="^target must be positive$"):
+        find_exact_subset([0, 1], (F(2), F(2)), target)
+
+
 # ------------------------------------------------- reduce_factored (Alg. 1)
 
 FACTORED_COSTS = tuple(F(x) for x in [4, 4, 4, 2, 2, 1, 1, 1])
@@ -134,6 +140,36 @@ def test_reduce_factored_identity_on_ffd_output():
     t = reduce_factored(out.allocation, out.allocation, FACTORED_COSTS, F(10),
                         range(8))
     assert t.result == "equal" and t.steps == []
+
+
+def test_reduction_builds_one_allocation_whatever_its_step_count(monkeypatch):
+    built = []
+    validate = Allocation.__post_init__
+
+    def counted(alloc):
+        built.append(alloc)
+        validate(alloc)
+
+    monkeypatch.setattr(Allocation, "__post_init__", counted)
+
+    def allocations_built(P, Q):
+        built.clear()
+        t = reduce_factored(P, Q, FACTORED_COSTS, F(10), range(8), verify_ffd=False)
+        return len(t.steps), len(built)
+
+    swapped, swapping_built = allocations_built(FACTORED_P, FACTORED_Q)
+    still, identity_built = allocations_built(FACTORED_Q, FACTORED_Q)
+    assert (swapped, still) == (3, 0)
+    assert swapping_built == identity_built
+
+
+@pytest.mark.parametrize("reduce", [reduce_factored, reduce_bivalued])
+@pytest.mark.parametrize("verify_ffd", [True, False])
+@pytest.mark.parametrize("tau", [F(0), F(-1)])
+def test_reductions_reject_a_threshold_at_most_zero(reduce, verify_ffd, tau):
+    alloc = Allocation.of([(0, 1), (2,)])
+    with pytest.raises(BadParams, match="^FFD threshold must be positive$"):
+        reduce(alloc, alloc, (F(2), F(1), F(1)), tau, range(3), verify_ffd=verify_ffd)
 
 
 def test_reduce_factored_rejects_non_ffv_target():
