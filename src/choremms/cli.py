@@ -1,7 +1,10 @@
 """Command-line front end: solve, verify, gen, table, search.
 
-Exit codes: 0 success / all checks pass, 1 algorithmic failure or failed
-verification, 2 input error, 3 counterexample found by a search.
+Exit codes: 0 success / all checks pass; 1 failed verification, an
+incomplete packing, a capacity limit, a failed guarantee (its instance is
+written to a counterexample file) or an HFFD deadlock; 2 any other error,
+argparse usage errors included; 3 counterexample found by a search. Only
+`main` maps an error to its code, and prints it as one `error:` line.
 """
 
 from __future__ import annotations
@@ -13,22 +16,30 @@ from fractions import Fraction
 
 from . import analysis, mms
 from .core import bundle_cost, format_rational, parse_rational, to_ido
-from .errors import ChoreMMSError, ParseError, TheoremViolation, TooLarge
+from .errors import (BadParams, ChoreMMSError, EmptyBinDeadlock, ParseError, TheoremViolation,
+                     TooLarge)
 from .io import format_allocation, format_instance, parse_allocation, parse_instance
 from .packing import ffd, multifit
 
 EXIT_OK, EXIT_FAILED, EXIT_INPUT, EXIT_COUNTEREXAMPLE = 0, 1, 2, 3
 
 
-def _rational_arg(text: str) -> Fraction:
-    # decimals are rejected on purpose: thresholds must be exact
-    try:
-        value = parse_rational(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
+def rational(text: str) -> Fraction:
+    """A positive `--tau` value. Decimals are rejected on purpose, since
+    thresholds must be exact; argparse reports the `ValueError` of
+    `parse_rational` as an invalid rational value."""
+    value = parse_rational(text)
     if value <= 0:
         raise argparse.ArgumentTypeError("value must be positive")
     return value
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error as `BadParams`, so `main` reports it like any
+    other input error; subparsers inherit the class. `--help` still exits 0."""
+
+    def error(self, message):
+        raise BadParams(message)
 
 
 def _read_text(path: str) -> str:
@@ -40,16 +51,9 @@ def _read_text(path: str) -> str:
                              f"({exc.reason} at byte {exc.start})") from exc
 
 
-def _write_text(path: str, text: str) -> bool:
-    """Write a file the user named; on failure print one error line and
-    return False."""
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return False
-    return True
+def _write_text(path: str, text: str) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
 
 
 def _report(algorithm, thresholds, instance, allocation, mus, elapsed, unallocated=()):
@@ -83,104 +87,73 @@ def _write_counterexample(exc: TheoremViolation) -> str:
 
 
 def cmd_solve(args) -> int:
-    try:
-        instance = parse_instance(_read_text(args.instance))
-    except (OSError, ParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    instance = parse_instance(_read_text(args.instance))
     named = {"factored": mms.solve_factored,
              "bivalued": mms.solve_bivalued,
              "ordinal": mms.solve_ordinal}
     if args.algo in ("hffd", "ffd") and not args.tau:
-        print("error: --tau is required for ffd and hffd", file=sys.stderr)
-        return EXIT_INPUT
+        raise BadParams("--tau is required for ffd and hffd")
     if args.algo not in ("hffd", "ffd") and args.tau:
-        print(f"error: --tau is not accepted with --algo {args.algo}", file=sys.stderr)
-        return EXIT_INPUT
+        raise BadParams(f"--tau is not accepted with --algo {args.algo}")
     start = time.perf_counter()
     mus = None
     unallocated: tuple[int, ...] = ()
-    try:
-        if args.algo == "ffd":
-            if len(args.tau) != 1:
-                print("error: ffd takes exactly one threshold", file=sys.stderr)
-                return EXIT_INPUT
-            outcome = ffd(instance.chores(), instance.cost(0), args.tau[0],
-                          max_bins=instance.n)
-            thresholds = tuple(args.tau) * instance.n
-            allocation = outcome.allocation.per_agent(instance.n)
-            unallocated = outcome.unallocated
-        elif args.algo == "multifit":
-            tau, outcome = multifit(instance.chores(), instance.cost(0), instance.n)
-            thresholds = (tau,) * instance.n
-            allocation = outcome.allocation.per_agent(instance.n)
-            unallocated = outcome.unallocated
-        elif args.algo == "hffd":
-            taus = args.tau if len(args.tau) > 1 else args.tau * instance.n
-            if len(taus) != instance.n:
-                print(f"error: hffd needs 1 or {instance.n} thresholds", file=sys.stderr)
-                return EXIT_INPUT
-            thresholds = tuple(taus)
-            ido, lifting = to_ido(instance)
-            allocation, unallocated = mms.hffd_and_lift(ido, lifting, thresholds)
-        else:
-            result = named[args.algo](instance)
-            thresholds = result.thresholds
-            allocation = result.allocation
-            mus = result.mms_values
-    except TheoremViolation as exc:
-        try:
-            note = f"counterexample written to {_write_counterexample(exc)}"
-        except OSError as err:
-            note = f"counterexample not written: {err}"
-        print(f"error: {exc} ({note})", file=sys.stderr)
-        return EXIT_FAILED
-    except TooLarge as exc:
-        # a capacity limit, not an input error
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAILED
-    except ChoreMMSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    if args.algo == "ffd":
+        if len(args.tau) != 1:
+            raise BadParams("ffd takes exactly one threshold")
+        outcome = ffd(instance.chores(), instance.cost(0), args.tau[0], max_bins=instance.n)
+        thresholds = tuple(args.tau) * instance.n
+        allocation = outcome.allocation.per_agent(instance.n)
+        unallocated = outcome.unallocated
+    elif args.algo == "multifit":
+        tau, outcome = multifit(instance.chores(), instance.cost(0), instance.n)
+        thresholds = (tau,) * instance.n
+        allocation = outcome.allocation.per_agent(instance.n)
+        unallocated = outcome.unallocated
+    elif args.algo == "hffd":
+        taus = args.tau if len(args.tau) > 1 else args.tau * instance.n
+        if len(taus) != instance.n:
+            raise BadParams(f"hffd needs 1 or {instance.n} thresholds")
+        thresholds = tuple(taus)
+        ido, lifting = to_ido(instance)
+        allocation, unallocated = mms.hffd_and_lift(ido, lifting, thresholds)
+    else:
+        result = named[args.algo](instance)
+        thresholds = result.thresholds
+        allocation = result.allocation
+        mus = result.mms_values
     elapsed = time.perf_counter() - start
-    if args.out and not _write_text(args.out, format_allocation(allocation, instance)):
-        return EXIT_INPUT
+    if args.out:
+        _write_text(args.out, format_allocation(allocation, instance))
     complete = _report(args.algo, thresholds, instance, allocation, mus,
                        elapsed, unallocated)
     return EXIT_OK if complete else EXIT_FAILED
 
 
 def cmd_verify(args) -> int:
-    try:
-        instance = parse_instance(_read_text(args.instance))
-        allocation = parse_allocation(_read_text(args.allocation), instance)
-        mode = args.mode[0]
-        if mode == "ratio":
-            if len(args.mode) != 2:
-                raise ParseError("--mode ratio needs a value, e.g. --mode ratio 15/13")
+    instance = parse_instance(_read_text(args.instance))
+    allocation = parse_allocation(_read_text(args.allocation), instance)
+    mode = args.mode[0]
+    if mode == "ratio":
+        if len(args.mode) != 2:
+            raise ParseError("--mode ratio needs a value, e.g. --mode ratio 15/13")
+        try:
             alpha = parse_rational(args.mode[1])
-        elif mode in ("mms", "ordinal"):
-            if len(args.mode) != 1:
-                raise ParseError(f"--mode {mode} takes no value")
-            alpha = Fraction(1)
-        else:
-            raise ParseError(f"unknown mode {mode!r}")
-        d = instance.n if mode != "ordinal" else 9 * instance.n // 11
-        if d < 1:
-            raise ParseError("ordinal mode needs at least two agents")
-    except (OSError, ValueError, ParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        except ValueError as exc:
+            raise ParseError(str(exc)) from exc
+    elif mode in ("mms", "ordinal"):
+        if len(args.mode) != 1:
+            raise ParseError(f"--mode {mode} takes no value")
+        alpha = Fraction(1)
+    else:
+        raise ParseError(f"unknown mode {mode!r}")
+    d = instance.n if mode != "ordinal" else 9 * instance.n // 11
+    if d < 1:
+        raise ParseError("ordinal mode needs at least two agents")
     if not allocation.is_complete(instance.m):
         print("verdict: allocation is not complete")
         return EXIT_FAILED
-    try:
-        mus = [mms.mms_value(instance.cost(i), instance.chores(), d)
-               for i in range(instance.n)]
-    except TooLarge as exc:
-        # a capacity limit of the exact oracle, not an input error
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAILED
+    mus = [mms.mms_value(instance.cost(i), instance.chores(), d) for i in range(instance.n)]
     all_pass = True
     for i, mu in enumerate(mus):
         bound = alpha * mu
@@ -193,11 +166,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    try:
-        instance = analysis.gen_instance(args.klass, args.n, args.m, args.seed)
-    except ChoreMMSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    instance = analysis.gen_instance(args.klass, args.n, args.m, args.seed)
     return _emit(format_instance(instance), args.out)
 
 
@@ -207,17 +176,16 @@ def cmd_table(args) -> int:
 
 def _emit(text: str, out: str | None) -> int:
     """Write the text to the named file, or to stdout without one."""
-    if not out:
+    if out:
+        _write_text(out, text)
+    else:
         sys.stdout.write(text)
-    elif not _write_text(out, text):
-        return EXIT_INPUT
     return EXIT_OK
 
 
 def cmd_search(args) -> int:
     if args.trials < 0:
-        print("error: --trials must be nonnegative", file=sys.stderr)
-        return EXIT_INPUT
+        raise BadParams("--trials must be nonnegative")
     if args.target == "monotonicity":
         hit = analysis.search_monotonicity(args.klass, args.trials, args.seed)
         if hit is None:
@@ -227,7 +195,7 @@ def cmd_search(args) -> int:
         text = (f"# FFD succeeds at tau={format_rational(hit.tau)} into "
                 f"{hit.bins} bins but fails at beta={format_rational(hit.beta)}\n"
                 + format_instance(hit.instance))
-    elif args.target == "mms-existence":
+    else:  # mms-existence, the only other choice argparse admits
         hit = analysis.search_bivalued_mms_existence(args.trials, args.seed)
         if hit is None:
             print("no counterexample found")
@@ -235,17 +203,13 @@ def cmd_search(args) -> int:
         path = args.out or "mms-existence-counterexample.txt"
         text = ("# personalized bivalued instance with no exact MMS allocation\n"
                 + format_instance(hit))
-    else:
-        print(f"error: unknown target {args.target!r}", file=sys.stderr)
-        return EXIT_INPUT
-    if not _write_text(path, text):
-        return EXIT_INPUT
+    _write_text(path, text)
     print(f"counterexample written to {path}")
     return EXIT_COUNTEREXAMPLE
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="choremms",
         description="Fair division of indivisible chores with maximin-share guarantees.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -254,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("instance")
     p.add_argument("--algo", required=True,
                    choices=["hffd", "ffd", "multifit", "factored", "bivalued", "ordinal"])
-    p.add_argument("--tau", nargs="+", type=_rational_arg,
+    p.add_argument("--tau", nargs="+", type=rational,
                    help="threshold(s); required for ffd/hffd, forbidden otherwise")
     p.add_argument("--out", help="write the allocation file here")
     p.set_defaults(func=cmd_solve)
@@ -291,8 +255,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        args = build_parser().parse_args(argv)
+        return args.func(args)
+    except TheoremViolation as exc:
+        try:
+            note = f"counterexample written to {_write_counterexample(exc)}"
+        except OSError as err:
+            note = f"counterexample not written: {err}"
+        message, code = f"{exc} ({note})", EXIT_FAILED
+    except (TooLarge, EmptyBinDeadlock) as exc:
+        # a capacity limit or a packing that cannot go on, not an input error
+        message, code = str(exc), EXIT_FAILED
+    except (ChoreMMSError, OSError) as exc:
+        message, code = str(exc), EXIT_INPUT
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

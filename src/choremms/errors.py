@@ -32,7 +32,8 @@ class UnsupportedClass(ChoreMMSError):
 
 
 class TooLarge(ChoreMMSError):
-    """Instance exceeds the brute-force cap."""
+    """Instance exceeds a capacity limit: the brute-force MMS oracle's, the
+    subset-sum grid's or the existence search's cap on m."""
 
 
 class BadParams(ChoreMMSError):

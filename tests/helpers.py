@@ -20,9 +20,9 @@ from fractions import Fraction
 
 from choremms.analysis import subset_sums
 from choremms.core import (Allocation, EQUAL, GREATER, LESS, Instance, LiftingMap,
-                           UniversalOrdering, bundle_cost, swap)
+                           UniversalOrdering, bundle_cost)
 from choremms.errors import (BadParams, EmptyBinDeadlock, EmptyBundle, InvariantViolation,
-                             NotBivalued, NotIDO, PreconditionViolation)
+                             NotBivalued, NotIDO, PreconditionViolation, SubsetViolation)
 from choremms.ffv import SwapStep, SwapTranscript, is_ffv
 from choremms.mms import APPROX_RATIO
 from choremms.packing import PackOutcome, ffd, hffd
@@ -379,9 +379,22 @@ def _ref_check_ffd_output(P, all_chores, cost, tau):
         raise PreconditionViolation("allocation is not an FFD output at this threshold")
 
 
+def ref_swap(bundles, i, t_i, j, t_j):
+    """The swap rule, stated apart from `core.exchange`: bundles i and j
+    trade T_i ⊆ A_i for T_j ⊆ A_j and come back as sorted ids; every other
+    bundle is returned exactly as given."""
+    t_i, t_j = set(t_i), set(t_j)
+    a_i, a_j = set(bundles[i]), set(bundles[j])
+    if i == j or not (t_i <= a_i and t_j <= a_j):
+        raise SubsetViolation(f"bundles {i} and {j} cannot swap {sorted(t_i)} for {sorted(t_j)}")
+    new = list(bundles)
+    new[i], new[j] = tuple(sorted((a_i - t_i) | t_j)), tuple(sorted((a_j - t_j) | t_i))
+    return new
+
+
 class RefWorker:
-    """Applies swaps and records steps, recomputing every bundle's Fraction
-    cost before and after each swap."""
+    """Applies swaps with `ref_swap` and records steps, recomputing every
+    bundle's Fraction cost before and after each swap."""
 
     def __init__(self, bundles, cost):
         self.alloc = Allocation.of(bundles)
@@ -397,7 +410,7 @@ class RefWorker:
 
     def apply(self, k, i, t_i, j, t_j, forbid_increase_after=None):
         before = self.costs()
-        self.alloc = swap(self.alloc, i, t_i, j, t_j)
+        self.alloc = Allocation.of(ref_swap(self.alloc.bundles, i, t_i, j, t_j))
         after = self.costs()
         self.transcript.steps.append(SwapStep(len(self.transcript.steps), k, i,
                                               tuple(sorted(t_i)), j, tuple(sorted(t_j)),

@@ -10,6 +10,7 @@ import choremms
 from choremms import analysis, mms
 from choremms.cli import main
 from choremms.core import Instance, bundle_cost, to_ido
+from choremms.errors import BadParams, EmptyBinDeadlock, NotFactored, TooLarge
 from choremms.io import format_instance, parse_allocation, parse_instance
 from choremms.packing import hffd
 from helpers import hffd_dropping_last_chore
@@ -112,9 +113,26 @@ def test_tau_flag_validation(tmp_path, capsys):
     assert main(["solve", path, "--algo", "multifit", "--tau", "3"]) == 2
     assert main(["solve", path, "--algo", "hffd", "--tau", "3", "4"]) == 2
     capsys.readouterr()
-    with pytest.raises(SystemExit):
-        main(["solve", path, "--algo", "ffd", "--tau", "1.5"])
-    capsys.readouterr()
+    # argparse usage errors take the same exit and one error line, no usage block
+    for argv in (["solve", path, "--algo", "ffd", "--tau", "1.5"], [],
+                 ["gen", "--class", "factored", "--n", "x", "--m", "3"]):
+        assert main(argv) == 2
+        one_error_line(capsys)
+    with pytest.raises(SystemExit) as done:  # --help is no error: usage on stdout, exit 0
+        main(["solve", "--help"])
+    assert done.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: choremms solve")
+
+
+def test_solve_hffd_deadlock_exits_1(tmp_path, capsys):
+    # chore 0 costs 5 and 4, above tau = 2 for both agents: HFFD cannot go on,
+    # an algorithmic failure like `--algo ffd --tau 2` on the same file
+    path = write_instance(tmp_path, Instance.from_rows([[5, 3, 1], [4, 4, 2]]))
+    assert main(["solve", path, "--algo", "hffd", "--tau", "2"]) == 1
+    assert one_error_line(capsys) == (
+        "error: no remaining agent can take chore 0 even into an empty bin\n")
+    assert main(["solve", path, "--algo", "ffd", "--tau", "2"]) == 1
+    assert "success: no" in capsys.readouterr().out
 
 
 def test_solve_hffd_per_agent_thresholds(tmp_path, capsys):
@@ -273,6 +291,19 @@ def one_error_line(capsys):
     assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
     assert "Traceback" not in err
     return err
+
+
+@pytest.mark.parametrize("error, code", [
+    (TooLarge("capped"), 1), (EmptyBinDeadlock(0), 1), (NotFactored("not factored"), 2),
+    (BadParams("bad"), 2), (OSError("disk"), 2)],
+    ids=["TooLarge", "EmptyBinDeadlock", "NotFactored", "BadParams", "OSError"])
+def test_exit_code_of_each_error(tmp_path, capsys, monkeypatch, error, code):
+    def raise_error(instance):
+        raise error
+    monkeypatch.setattr(mms, "solve_factored", raise_error)
+    path = write_instance(tmp_path, LOWER_BOUND)
+    assert main(["solve", path, "--algo", "factored"]) == code
+    assert one_error_line(capsys) == f"error: {error}\n"
 
 
 @pytest.mark.parametrize("count", [str(10**20), "9" * 5000], ids=["1e20", "5000-digits"])

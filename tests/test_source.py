@@ -129,3 +129,39 @@ def test_calls_of_are_found():
 def test_only_packing_probes_first_fit(path):
     # every threshold search goes through packing.smallest_fitting_cap
     assert calls_of(path.read_text(encoding="utf-8"), "first_fit_places_all") == []
+
+
+def stderr_uses(source: str) -> list[str]:
+    """`sys.stderr` named outside a function `main`: where an error is
+    printed, which in cli.py only `main` does."""
+    found = []
+
+    def visit(node, function):
+        if (isinstance(node, ast.Attribute) and node.attr == "stderr"
+                and isinstance(node.value, ast.Name) and node.value.id == "sys"
+                and function != "main"):
+            found.append(f"line {node.lineno}: sys.stderr in {function}")
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_stderr_uses_are_found():
+    source = ("import sys\n"
+              "def cmd(args):\n"
+              "    print('error', file=sys.stderr)\n"
+              "    def inner():\n"
+              "        sys.stderr.write('x')\n"
+              "def main(argv=None):\n"
+              "    print('error', file=sys.stderr)\n"
+              "sys.stderr.flush()\n")
+    assert stderr_uses(source) == ["line 3: sys.stderr in cmd", "line 5: sys.stderr in inner",
+                                   "line 8: sys.stderr in <module>"]
+
+
+def test_only_cli_main_prints_errors():
+    # cli.main is the one exit-code boundary: it alone prints the error line
+    assert stderr_uses((PACKAGE / "cli.py").read_text(encoding="utf-8")) == []
