@@ -10,6 +10,7 @@ argparse usage errors included; 3 counterexample found by a search. Only
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 from fractions import Fraction
@@ -141,6 +142,8 @@ def cmd_verify(args) -> int:
             alpha = parse_rational(args.mode[1])
         except ValueError as exc:
             raise ParseError(str(exc)) from exc
+        if alpha == 0:
+            raise ParseError("--mode ratio needs a positive value")
     elif mode in ("mms", "ordinal"):
         if len(args.mode) != 1:
             raise ParseError(f"--mode {mode} takes no value")
@@ -208,7 +211,10 @@ def cmd_search(args) -> int:
     return EXIT_COUNTEREXAMPLE
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every later
+    `main` call; `parse_args` keeps no state between calls."""
     parser = _Parser(
         prog="choremms",
         description="Fair division of indivisible chores with maximin-share guarantees.")

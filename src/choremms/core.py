@@ -85,10 +85,12 @@ class CostRow(tuple):
         sorting only the distinct ones."""
         return sorted(Counter(map(self.weights.__getitem__, chores)).items(), reverse=True)
 
-    def permuted(self, order: Sequence[int]) -> "CostRow":
-        """The costs in the given order, sharing this row's integer form."""
-        row = CostRow(self[c] for c in order)
-        row.scale, row.weights = self.scale, tuple(self.weights[c] for c in order)
+    def descending(self) -> "CostRow":
+        """The costs in descending order, sharing this row's integer form:
+        the integer weights are sorted and each mapped back to its cost."""
+        weights = sorted(self.weights, reverse=True)
+        row = CostRow(map(dict(zip(self.weights, self)).__getitem__, weights))
+        row.scale, row.weights = self.scale, tuple(weights)
         return row
 
 
@@ -288,8 +290,7 @@ class LiftingMap:
 def to_ido(instance: Instance) -> tuple[Instance, LiftingMap]:
     """IDO twin: each agent's costs sorted descending, so the identity
     permutation is a universal ordering; cost multisets are preserved."""
-    chores = instance.chores()
-    rows = tuple(row.permuted(row.ffd_order(chores)) for row in instance.costs)
+    rows = tuple(row.descending() for row in instance.costs)
     return Instance._trusted(rows), LiftingMap(instance)
 
 

@@ -41,7 +41,13 @@ def mms_brute(cost: Sequence[Fraction], chores: Iterable[int], d: int) -> MMSRes
 
     Branch-and-bound over chores in descending order; a chore may open
     bundle k only when bundle k-1 is nonempty, and a branch is cut as soon
-    as its running maximum cannot beat the incumbent.
+    as its running maximum cannot beat the incumbent. Three cuts keep the
+    search small: it stops at the lower bound max(w0, ceil(total/d)); the
+    incumbent starts just above `smallest_fitting_cap`, where first fit
+    fills d bins; and a load state (chore index, sorted bundle loads) is
+    searched at most once. Each cut removes only partitions no better than
+    the incumbent, so the witness is the first optimal partition in search
+    order.
     """
     if d < 1:
         raise BadParams("need at least one bundle")
@@ -55,11 +61,16 @@ def mms_brute(cost: Sequence[Fraction], chores: Iterable[int], d: int) -> MMSRes
     ordered = row.ffd_order(chores)
     weights = [row.weights[c] for c in ordered]
     total = sum(weights)
-    lower = -(-total // d)  # ceil
-    best = total + 1
+    lower = max(weights[0], -(-total // d))  # w0 and ceil(total/d)
+    best = smallest_fitting_cap(row.runs(chores), d) + 1
     best_assign: list[int] | None = None
     sums = [0] * d
     assign = [0] * len(ordered)
+    # The sorted loads fix `used` and `cur_max`, and equal keys reach the
+    # same completions up to relabelling the bundles. After a full search
+    # of a state the incumbent is at most its best completion, so an equal
+    # state met later cannot improve on it.
+    searched: set[tuple[int, tuple[int, ...]]] = set()
 
     def rec(idx: int, used: int, cur_max: int):
         nonlocal best, best_assign
@@ -68,6 +79,9 @@ def mms_brute(cost: Sequence[Fraction], chores: Iterable[int], d: int) -> MMSRes
         if idx == len(ordered):
             best = cur_max
             best_assign = assign[:]
+            return
+        key = (idx, tuple(sorted(sums)))
+        if key in searched:
             return
         w = weights[idx]
         tried: set[int] = set()
@@ -82,6 +96,7 @@ def mms_brute(cost: Sequence[Fraction], chores: Iterable[int], d: int) -> MMSRes
             sums[b] -= w
             if best == lower:
                 return
+        searched.add(key)
 
     rec(0, 0, 0)
     assert best_assign is not None

@@ -9,7 +9,7 @@ that the integer kernels in `choremms.packing` must reproduce exactly. The
 reference certificate layer (`ref_is_ffv`, `ref_reduce_factored`,
 `ref_reduce_bivalued`, `ref_transform_mms_to_ffd`, the diagnostics and the
 class and ordering checks) does the same for `choremms.ffv` and
-`choremms.core`.
+`choremms.core`. `ref_mms_brute` is `mms_brute`'s search without its cuts.
 """
 
 from __future__ import annotations
@@ -19,12 +19,12 @@ import random
 from fractions import Fraction
 
 from choremms.analysis import subset_sums
-from choremms.core import (Allocation, EQUAL, GREATER, LESS, Instance, LiftingMap,
+from choremms.core import (Allocation, CostRow, EQUAL, GREATER, LESS, Instance, LiftingMap,
                            UniversalOrdering, bundle_cost)
 from choremms.errors import (BadParams, EmptyBinDeadlock, EmptyBundle, InvariantViolation,
                              NotBivalued, NotIDO, PreconditionViolation, SubsetViolation)
 from choremms.ffv import SwapStep, SwapTranscript, is_ffv
-from choremms.mms import APPROX_RATIO
+from choremms.mms import APPROX_RATIO, MMSResult
 from choremms.packing import PackOutcome, ffd, hffd
 
 
@@ -62,6 +62,53 @@ def brute_min_makespan(cost, chores, d):
         if best is None or worst < best:
             best = worst
     return best
+
+
+def ref_mms_brute(cost, chores, d):
+    """The branch-and-bound search `mms_brute` ran before its cuts: the
+    incumbent starts at total + 1 and the search stops only at
+    ceil(total/d). Its witness is the first optimal partition in search
+    order, which the pruned search must return unchanged."""
+    chores = list(chores)
+    if not chores:
+        return MMSResult(Fraction(0), ((),) * d)
+    row = CostRow.of(cost)
+    ordered = row.ffd_order(chores)
+    weights = [row.weights[c] for c in ordered]
+    total = sum(weights)
+    lower = -(-total // d)  # ceil
+    best = total + 1
+    best_assign = None
+    sums = [0] * d
+    assign = [0] * len(ordered)
+
+    def rec(idx, used, cur_max):
+        nonlocal best, best_assign
+        if cur_max >= best:
+            return
+        if idx == len(ordered):
+            best = cur_max
+            best_assign = assign[:]
+            return
+        w = weights[idx]
+        tried = set()
+        limit = min(used + 1, d)
+        for b in range(limit):
+            if sums[b] in tried:
+                continue
+            tried.add(sums[b])
+            sums[b] += w
+            assign[idx] = b
+            rec(idx + 1, max(used, b + 1), max(cur_max, sums[b]))
+            sums[b] -= w
+            if best == lower:
+                return
+
+    rec(0, 0, 0)
+    bundles = [[] for _ in range(d)]
+    for idx, b in enumerate(best_assign):
+        bundles[b].append(ordered[idx])
+    return MMSResult(row.value(best), tuple(tuple(sorted(b)) for b in bundles))
 
 
 def all_complete_allocations(m, k):

@@ -394,3 +394,30 @@ def test_python_dash_m_runs_the_cli(tmp_path):
     # the exit code is the CLI's: a missing instance file is an input error
     done = run("solve", str(tmp_path / "missing.txt"), "--algo", "multifit")
     assert done.returncode == 2 and done.stderr.startswith("error:")
+
+
+@pytest.mark.parametrize("alpha", ["0", "0/5"])
+def test_verify_ratio_zero_exits_2(tmp_path, capsys, alpha):
+    # a zero ratio is an input error, as --tau 0 is, not a failed verification
+    inst_path = write_instance(tmp_path, Instance.from_rows([[1, 2], [2, 1]]))
+    alloc_path = tmp_path / "alloc.txt"
+    assert main(["solve", inst_path, "--algo", "factored", "--out", str(alloc_path)]) == 0
+    capsys.readouterr()
+    assert main(["verify", inst_path, str(alloc_path), "--mode", "ratio", alpha]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --mode ratio needs a positive value\n"
+
+
+def test_parser_is_reused_across_calls(tmp_path, capsys):
+    # the parser is built once per process; no call sees another's arguments
+    out_path = tmp_path / "inst.txt"
+    gen = ["gen", "--class", "factored", "--n", "2", "--m", "3", "--seed", "1"]
+    assert main([*gen, "--out", str(out_path)]) == 0
+    assert capsys.readouterr().out == ""
+    assert main(["solve", str(out_path), "--algo", "ffd", "--tau", "0"]) == 2
+    one_error_line(capsys)
+    assert main(["gen", "--class", "factored", "--n", "x", "--m", "3"]) == 2
+    one_error_line(capsys)
+    assert main(gen) == 0
+    assert capsys.readouterr().out == out_path.read_text()

@@ -21,7 +21,7 @@ from choremms.packing import ffd, hffd, multifit
 from helpers import (perturb_to_ffv, ref_benchmark_bundle, ref_ffd, ref_find_exact_subset,
                      ref_fit_in_space, ref_hffd, ref_is_bivalued_costs, ref_is_factored_costs,
                      ref_is_ffv, ref_lex_compare, ref_lift, ref_min_success_threshold,
-                     ref_multifit, ref_reduce_bivalued, ref_reduce_factored,
+                     ref_mms_brute, ref_multifit, ref_reduce_bivalued, ref_reduce_factored,
                      ref_remove_redundant, ref_to_ido, ref_transform_mms_to_ffd,
                      ref_universal_ordering, run_length)
 
@@ -173,6 +173,26 @@ def test_min_success_threshold_matches_reference(data):
     row, chores = data.draw(row_and_chores(20, kinds=(factored_rows, bivalued_rows)))
     n = data.draw(st.integers(1, 5))
     assert min_success_threshold(row, chores, n) == ref_min_success_threshold(row, chores, n)
+
+
+@SETTINGS
+@given(st.data())
+def test_mms_brute_matches_unpruned_search(data):
+    # value and witness: the cuts may only skip partitions no better than
+    # the incumbent, so the first optimal partition in search order stays
+    if data.draw(st.booleans()):
+        row, chores = data.draw(row_and_chores(12))
+    else:
+        # many distinct costs and few bundles: long searches, which reach
+        # the same bundle loads along different paths
+        row = tuple(data.draw(st.lists(fractions(24), min_size=9, max_size=12)))
+        chores = range(len(row))
+    if data.draw(st.booleans()):
+        # one chore heavier than the rest together: w0 > ceil(total/d) at d >= 3
+        row = (*row, sum((row[c] for c in chores), F(0)) + data.draw(fractions(4)))
+        chores = [*chores[:11], len(row) - 1]
+    d = data.draw(st.integers(1, 9) | st.integers(2, 4) | st.just(len(chores)))
+    assert mms_brute(row, chores, d) == ref_mms_brute(row, chores, d)
 
 
 # -------------------------------------------------------- hffd and lifting
