@@ -3,12 +3,11 @@ and HFFD packing, First-Fit-Valid verification, swap-transcript reductions,
 and maximin-share solvers with exact rational arithmetic."""
 
 from .analysis import subset_sums
-from .core import (Allocation, Instance, InstanceClass, LiftingMap,
-                   UniversalOrdering, bundle_cost, classify, format_rational,
-                   lex_compare, parse_rational, swap, to_ido, universal_ordering)
-from .ffv import (SwapStep, SwapTranscript, benchmark_bundle, find_exact_subset,
-                  fit_in_space, is_ffv, reduce_bivalued, reduce_factored,
-                  remove_redundant, transform_mms_to_ffd)
+from .core import (Allocation, Instance, InstanceClass, LiftingMap, bundle_cost,
+                   classify, format_rational, lex_compare, parse_rational, swap, to_ido,
+                   universal_ordering)
+from .ffv import (SwapStep, SwapTranscript, benchmark_bundle, find_exact_subset, is_ffv,
+                  reduce_bivalued, reduce_factored, transform_mms_to_ffd)
 from .io import format_allocation, format_instance, parse_allocation, parse_instance
 from .mms import (MMSResult, SolveResult, min_success_threshold, mms_brute,
                   mms_factored, mms_value, solve_auto, solve_bivalued,

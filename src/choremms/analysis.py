@@ -141,16 +141,15 @@ class MonotonicityCounterexample:
     beta: Fraction
 
 
-def search_monotonicity(kind: str, trials: int, seed: int,
-                        n_range=(1, 4), m_range=(3, 10)) -> MonotonicityCounterexample | None:
+def search_monotonicity(kind: str, trials: int, seed: int) -> MonotonicityCounterexample | None:
     """Sample (instance, tau < beta) pairs and look for FFD succeeding at
-    tau into `n_range` bins but failing at beta, with chores in `m_range`.
+    tau into 1 to 4 bins but failing at beta, with 3 to 10 chores.
     For factored and bivalued costs a hit contradicts the monotonicity
     guarantee and raises; for general costs it is returned as a finding."""
     rng = random.Random(("monotonicity", kind, seed).__repr__())
     for trial in range(trials):
-        bins = rng.randint(*n_range)
-        m = rng.randint(*m_range)
+        bins = rng.randint(1, 4)
+        m = rng.randint(3, 10)
         instance = gen_instance(kind, 1, m, seed=seed * 1_000_003 + trial)
         cost = instance.cost(0)
         chores = instance.chores()
@@ -200,16 +199,15 @@ def _mms_allocation_exists(instance: Instance, mus) -> bool:
     return rec(0)
 
 
-def search_bivalued_mms_existence(trials: int, seed: int, m_cap: int = 12,
-                                  n_range=(2, 4)) -> Instance | None:
-    """Sample personalized bivalued instances and brute-force whether an
-    exact MMS allocation exists; returns the first negative instance found
-    (none is asserted to exist)."""
+def search_bivalued_mms_existence(trials: int, seed: int, m_cap: int = 12) -> Instance | None:
+    """Sample personalized bivalued instances of 2 to 4 agents and up to
+    `m_cap` chores and brute-force whether an exact MMS allocation exists;
+    returns the first negative instance found (none is asserted to exist)."""
     if m_cap > 14:
         raise TooLarge("existence search is exponential; keep m_cap <= 14")
     rng = random.Random(("mms-existence", seed).__repr__())
     for trial in range(trials):
-        n = rng.randint(*n_range)
+        n = rng.randint(2, 4)
         m = rng.randint(n, m_cap)
         instance = gen_instance("personalized_bivalued", n, m, seed=seed * 7_777_777 + trial)
         chores = instance.chores()

@@ -29,7 +29,9 @@ def parse_rational(text: str) -> Fraction:
         num, den = parts
     else:
         raise ValueError(f"not a rational: {text!r}")
-    if not (num.isdigit() and den.isdigit()) or int(den) == 0:
+    # ASCII only: `isdigit` also admits '²', which int() rejects, and '٣',
+    # which int() reads as 3
+    if not (text.isascii() and num.isdigit() and den.isdigit()) or int(den) == 0:
         raise ValueError(f"not a nonnegative rational: {text!r}")
     return Fraction(int(num), int(den))
 
@@ -139,13 +141,6 @@ class Instance:
         return tuple(range(self.m))
 
 
-@dataclass(frozen=True)
-class UniversalOrdering:
-    """Permutation of chore ids; earlier means (weakly) larger for every agent."""
-
-    perm: tuple[int, ...]
-
-
 def bundle_cost(cost: Sequence[Fraction], bundle: Iterable[int]) -> Fraction:
     row = CostRow.of(cost)
     return row.value(sum(row.weights[c] for c in bundle))
@@ -196,16 +191,8 @@ class Allocation:
 
 @dataclass(frozen=True)
 class InstanceClass:
-    factored_per_agent: tuple[bool, ...]
-    bivalued_per_agent: tuple[bool, ...]
-
-    @property
-    def is_factored(self) -> bool:
-        return all(self.factored_per_agent)
-
-    @property
-    def is_personalized_bivalued(self) -> bool:
-        return all(self.bivalued_per_agent)
+    is_factored: bool
+    is_personalized_bivalued: bool
 
 
 def is_divisibility_chain(weights: Iterable[int]) -> bool:
@@ -224,25 +211,26 @@ def is_bivalued_costs(values: Iterable[Fraction]) -> bool:
 
 
 def classify(instance: Instance) -> InstanceClass:
-    """Per-agent and global class flags; a single-valued agent is both
-    factored and bivalued."""
+    """Whether every agent's costs are factored, and whether every agent's
+    are bivalued; a single-valued agent is both."""
     return InstanceClass(
-        factored_per_agent=tuple(is_factored_costs(row) for row in instance.costs),
-        bivalued_per_agent=tuple(is_bivalued_costs(row) for row in instance.costs),
+        is_factored=all(is_factored_costs(row) for row in instance.costs),
+        is_personalized_bivalued=all(is_bivalued_costs(row) for row in instance.costs),
     )
 
 
-def universal_ordering(instance: Instance) -> UniversalOrdering:
-    """Ordering witnessing IDO: agent 1's descending sort (lower id first
-    among equal costs), verified against every other agent. Raises NotIDO
-    when no common order exists."""
+def universal_ordering(instance: Instance) -> tuple[int, ...]:
+    """Permutation of the chore ids witnessing IDO, earlier meaning (weakly)
+    larger for every agent: agent 1's descending sort (lower id first among
+    equal costs), verified against every other agent. Raises NotIDO when no
+    common order exists."""
     perm = instance.cost(0).ffd_order(instance.chores())
     for i in range(instance.n):
         row = instance.cost(i).weights
         for a, b in zip(perm, perm[1:]):
             if row[a] < row[b]:
                 raise NotIDO(f"agent {i} ranks chore {b} above chore {a}")
-    return UniversalOrdering(tuple(perm))
+    return tuple(perm)
 
 
 @dataclass(frozen=True)

@@ -44,10 +44,6 @@ class SubsetViolation(ChoreMMSError):
     """Swap arguments are not subsets of their bundles."""
 
 
-class EmptyBundle(ChoreMMSError):
-    """Operation needs a nonempty bundle."""
-
-
 class EmptyBinDeadlock(ChoreMMSError):
     """A fresh HFFD bin accepts no chore for any remaining agent."""
 

@@ -18,8 +18,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .core import Allocation, CostRow, EQUAL, compare_profiles, exchange, is_divisibility_chain
-from .errors import (BadParams, EmptyBundle, InvariantViolation, NotBivalued,
-                     PreconditionViolation)
+from .errors import BadParams, InvariantViolation, NotBivalued, PreconditionViolation
 from .mms import APPROX_RATIO
 from .packing import ffd, fill_bin
 
@@ -68,7 +67,7 @@ def benchmark_bundle(all_chores: Iterable[int], allocated_prefix: Sequence[Seque
     row = CostRow.of(cost)
     room = _capacity(row, tau)
     taken = {c for b in allocated_prefix for c in b}
-    return tuple(fill_bin(row.ffd_order(all_chores), row.weights, room, taken)[0])
+    return tuple(fill_bin(row.ffd_order(all_chores), row.weights, room, taken))
 
 
 def _first_off_benchmark(bundles: Sequence[Sequence[int]], row: CostRow, order: list[int],
@@ -79,7 +78,7 @@ def _first_off_benchmark(bundles: Sequence[Sequence[int]], row: CostRow, order: 
     weights = row.weights
     held: set[int] = set()
     for k, bundle in enumerate(bundles):
-        bench = [weights[c] for c in fill_bin(order, weights, room, held)[0]]
+        bench = [weights[c] for c in fill_bin(order, weights, room, held)]
         relation = compare_profiles(row.profile(bundle), bench)
         if (relation != EQUAL) if exact else (relation < EQUAL):
             return k
@@ -121,7 +120,7 @@ def _exact_subset(chores: list[int], row: CostRow, target: int) -> tuple[int, ..
         raise PreconditionViolation("every chore must cost at most the target")
     if sum(values) < target:
         raise PreconditionViolation("total cost must reach the target")
-    subset, _ = fill_bin(row.ffd_order(chores), weights, target)
+    subset = fill_bin(row.ffd_order(chores), weights, target)
     total = sum(weights[c] for c in subset)
     if total != target:
         raise PreconditionViolation(f"greedy missed the target {row.value(target)}; "
@@ -430,35 +429,3 @@ def transform_mms_to_ffd(Q: Allocation, cost: Sequence[Fraction],
         if row.profile(worker.bundles[k]) != p_profiles[k]:
             worker.fail(k, f"bundle {k} did not reach the FFD profile")
     return worker.finish()
-
-
-def fit_in_space(alloc: Allocation, k: int, cost: Sequence[Fraction],
-                 tau: Fraction = Fraction(1)) -> Fraction:
-    """Threshold minus the bundle's cost without its smallest chore."""
-    bundle = alloc.bundles[k]
-    if not bundle:
-        raise EmptyBundle(f"bundle {k} is empty")
-    row = CostRow.of(cost)
-    weights = [row.weights[c] for c in bundle]
-    return tau - row.value(sum(weights) - min(weights))
-
-
-def remove_redundant(alloc: Allocation, cost: Sequence[Fraction],
-                     tau: Fraction) -> Allocation:
-    """Drop, from each bundle, every chore after the shortest prefix whose
-    cost reaches the threshold (diagnostic; implements the literal
-    definition, see the package notes on the boundary case)."""
-    row = CostRow.of(cost)
-    reach = -row.cap(-tau)  # the smallest integer sum that reaches tau
-    trimmed = []
-    for bundle in alloc.bundles:
-        ordered = row.ffd_order(bundle)
-        total = 0
-        keep = len(ordered)
-        for p, c in enumerate(ordered):
-            total += row.weights[c]
-            if total >= reach:
-                keep = p + 1
-                break
-        trimmed.append(tuple(sorted(ordered[:keep])))
-    return Allocation(tuple(trimmed), alloc.agents)

@@ -80,10 +80,11 @@ def _parse_count(entry, keyword):
 
 
 def _parse_int(field, message, lineno):
-    """The nonnegative integer a field of digits spells, else a ParseError
-    with the message: `isdigit` also admits digits such as '²' that int()
-    rejects, and int() reads at most 4300 digits."""
-    if not field.isdigit():
+    """The nonnegative integer a field of ASCII digits spells, else a
+    ParseError with the message: `isdigit` alone also admits '²', which
+    int() rejects, and '٣', which int() reads as 3, and int() reads at most
+    4300 digits."""
+    if not (field.isascii() and field.isdigit()):
         raise ParseError(message, lineno)
     try:
         return int(field)

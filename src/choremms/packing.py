@@ -21,7 +21,10 @@ from .errors import BadParams, EmptyBinDeadlock
 class PackOutcome:
     allocation: Allocation
     unallocated: tuple[int, ...]
-    succeeded: bool
+
+    @property
+    def succeeded(self) -> bool:
+        return not self.unallocated
 
     @property
     def bundles(self) -> tuple[tuple[int, ...], ...]:
@@ -29,21 +32,16 @@ class PackOutcome:
 
 
 def fill_bin(order: Sequence[int], weights: Sequence[int], room: int,
-             held: Container[int] = ()) -> tuple[list[int], list[int]]:
+             held: Container[int] = ()) -> list[int]:
     """First fit into one bin: walk `order` past the `held` chores, keeping
     each chore whose integer weight fits the room left. Returns the kept
-    chores and the chores left out, both in order."""
+    chores in order."""
     kept: list[int] = []
-    left: list[int] = []
     for c in order:
-        if c in held:
-            continue
-        if weights[c] <= room:
+        if c not in held and weights[c] <= room:
             kept.append(c)
             room -= weights[c]
-        else:
-            left.append(c)
-    return kept, left
+    return kept
 
 
 def first_fit_places_all(runs: Sequence[tuple[int, int]], cap: int, max_bins: int) -> bool:
@@ -120,12 +118,13 @@ def ffd(chores: Iterable[int], cost: Sequence[Fraction], tau: Fraction,
     remaining = row.ffd_order(chores)
     bins = []
     while remaining and (max_bins is None or len(bins) < max_bins):
-        kept, left = fill_bin(remaining, row.weights, cap)
+        kept = fill_bin(remaining, row.weights, cap)
         if not kept:
             break
         bins.append(kept)
-        remaining = left
-    return PackOutcome(Allocation.of(bins), tuple(remaining), not remaining)
+        placed = set(kept)
+        remaining = [c for c in remaining if c not in placed]
+    return PackOutcome(Allocation.of(bins), tuple(remaining))
 
 
 def multifit(chores: Iterable[int], cost: Sequence[Fraction], n: int) -> tuple[Fraction, PackOutcome]:
@@ -141,7 +140,7 @@ def multifit(chores: Iterable[int], cost: Sequence[Fraction], n: int) -> tuple[F
         raise BadParams("need at least one bin")
     chores = list(chores)
     if not chores:
-        return Fraction(0), PackOutcome(Allocation.of([]), (), True)
+        return Fraction(0), PackOutcome(Allocation.of([]), ())
     row = CostRow.of(cost)
     cap = smallest_fitting_cap(row.runs(chores), n)
     outcome = ffd(chores, row, row.value(cap), max_bins=n)
@@ -149,43 +148,43 @@ def multifit(chores: Iterable[int], cost: Sequence[Fraction], n: int) -> tuple[F
 
 
 def hffd(instance: Instance, thresholds: Sequence[Fraction]) -> PackOutcome:
-    """Heterogeneous FFD on an IDO instance.
+    """Heterogeneous FFD (Huang & Lu 2021) on an IDO instance.
 
-    Fills one bin at a time: a chore joins the open bin when it fits for at
+    Fills one bin at a time: a chore joins the open bin when it fits at
     least one remaining agent under that agent's threshold; a closed bin
-    goes to the lowest-index remaining agent for whom its last chore fitted.
-    Each agent's threshold becomes a capacity in their row's cached scale.
+    goes to the lowest-index remaining agent for whom its last chore fitted,
+    the first agent left in the bin's list of agents it still fits. Each
+    agent's threshold becomes a capacity in their row's cached scale.
     """
     if len(thresholds) != instance.n:
         raise BadParams("need one threshold per agent")
     if any(t <= 0 for t in thresholds):
         raise BadParams("thresholds must be positive")
-    remaining = list(universal_ordering(instance).perm)
+    remaining = list(universal_ordering(instance))
     rows = [instance.cost(i).weights for i in range(instance.n)]
     caps = [instance.cost(i).cap(tau) for i, tau in enumerate(thresholds)]
-    pool = list(range(instance.n))  # ascending, so the first fitting agent is the lowest
+    pool = list(range(instance.n))
     bins: list[tuple[int, ...]] = []
     owners: list[int] = []
     while remaining and pool:
-        pool_rows = [rows[i] for i in pool]
-        rooms = [caps[i] for i in pool]
+        # (room, row, agent) of each agent the open bin still fits, agents
+        # ascending: a chore that joins drops the agents it does not fit,
+        # which can take no later chore since their rooms only shrink
+        fits = [(caps[i], rows[i], i) for i in pool]
         bin_chores: list[int] = []
         left_over: list[int] = []
-        owner = -1
         for c in remaining:
-            for k, row in enumerate(pool_rows):
-                if row[c] <= rooms[k]:
-                    break
+            kept = [(room - row[c], row, i) for room, row, i in fits if row[c] <= room]
+            if kept:
+                bin_chores.append(c)
+                fits = kept
             else:
                 left_over.append(c)
-                continue
-            bin_chores.append(c)
-            owner = pool[k]
-            rooms = [room - row[c] for room, row in zip(rooms, pool_rows)]
         if not bin_chores:
             raise EmptyBinDeadlock(remaining[0])
+        owner = fits[0][2]
         remaining = left_over
         bins.append(tuple(bin_chores))
         owners.append(owner)
         pool.remove(owner)
-    return PackOutcome(Allocation.of(bins, owners), tuple(remaining), not remaining)
+    return PackOutcome(Allocation.of(bins, owners), tuple(remaining))

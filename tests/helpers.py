@@ -7,8 +7,8 @@ The reference packers (`ref_ffd`, `ref_hffd`, `ref_lift` and the threshold
 searches built on them) are the straightforward Fraction implementations
 that the integer kernels in `choremms.packing` must reproduce exactly. The
 reference certificate layer (`ref_is_ffv`, `ref_reduce_factored`,
-`ref_reduce_bivalued`, `ref_transform_mms_to_ffd`, the diagnostics and the
-class and ordering checks) does the same for `choremms.ffv` and
+`ref_reduce_bivalued`, `ref_transform_mms_to_ffd`, and the class and
+ordering checks) does the same for `choremms.ffv` and
 `choremms.core`. `ref_mms_brute` is `mms_brute`'s search without its cuts.
 """
 
@@ -20,9 +20,9 @@ from fractions import Fraction
 
 from choremms.analysis import subset_sums
 from choremms.core import (Allocation, CostRow, EQUAL, GREATER, LESS, Instance, LiftingMap,
-                           UniversalOrdering, bundle_cost)
-from choremms.errors import (BadParams, EmptyBinDeadlock, EmptyBundle, InvariantViolation,
-                             NotBivalued, NotIDO, PreconditionViolation, SubsetViolation)
+                           bundle_cost)
+from choremms.errors import (BadParams, EmptyBinDeadlock, InvariantViolation, NotBivalued,
+                             NotIDO, PreconditionViolation, SubsetViolation)
 from choremms.ffv import SwapStep, SwapTranscript, is_ffv
 from choremms.mms import APPROX_RATIO, MMSResult
 from choremms.packing import PackOutcome, ffd, hffd
@@ -34,7 +34,7 @@ def hffd_dropping_last_chore(instance, thresholds):
     outcome = hffd(instance, thresholds)
     *bins, last = outcome.bundles
     return PackOutcome(Allocation.of(bins + [last[:-1]], outcome.allocation.agents),
-                       outcome.unallocated + (last[-1],), False)
+                       outcome.unallocated + (last[-1],))
 
 
 def brute_lex_max(all_chores, prefix, cost, tau):
@@ -181,7 +181,7 @@ def ref_universal_ordering(instance):
         for a, b in zip(perm, perm[1:]):
             if row[a] < row[b]:
                 raise NotIDO(f"agent {i} ranks chore {b} above chore {a}")
-    return UniversalOrdering(tuple(perm))
+    return tuple(perm)
 
 
 def ref_to_ido(instance):
@@ -222,13 +222,13 @@ def ref_ffd(chores, cost, tau, max_bins=None):
                 sums.append(cost[c])
             else:
                 unallocated.append(c)
-    return PackOutcome(Allocation.of(bins), tuple(unallocated), not unallocated)
+    return PackOutcome(Allocation.of(bins), tuple(unallocated))
 
 
 def ref_hffd(instance, thresholds):
     """Heterogeneous FFD with Fraction sums, one bin at a time; a closed bin
     goes to the lowest-index remaining agent for whom its last chore fitted."""
-    remaining = list(ref_universal_ordering(instance).perm)
+    remaining = list(ref_universal_ordering(instance))
     pool = list(range(instance.n))
     bins, owners = [], []
     while remaining and pool:
@@ -248,7 +248,7 @@ def ref_hffd(instance, thresholds):
         bins.append(tuple(bin_chores))
         owners.append(owner)
         pool.remove(owner)
-    return PackOutcome(Allocation.of(bins, owners), tuple(remaining), not remaining)
+    return PackOutcome(Allocation.of(bins, owners), tuple(remaining))
 
 
 def ref_lift(original, allocation):
@@ -679,26 +679,3 @@ def ref_transform_mms_to_ffd(Q, cost, mu):
         if _ref_profile(worker.bundle(k), cost) != p_profiles[k]:
             worker.fail(k, f"bundle {k} did not reach the FFD profile")
     return worker.finish()
-
-
-def ref_fit_in_space(alloc, k, cost, tau=Fraction(1)):
-    bundle = alloc.bundles[k]
-    if not bundle:
-        raise EmptyBundle(f"bundle {k} is empty")
-    smallest = sort_desc(bundle, cost)[-1]
-    return tau - (bundle_cost(cost, bundle) - cost[smallest])
-
-
-def ref_remove_redundant(alloc, cost, tau):
-    trimmed = []
-    for bundle in alloc.bundles:
-        ordered = sort_desc(bundle, cost)
-        total = Fraction(0)
-        keep = len(ordered)
-        for p, c in enumerate(ordered):
-            total += cost[c]
-            if total >= tau:
-                keep = p + 1
-                break
-        trimmed.append(tuple(sorted(ordered[:keep])))
-    return Allocation(tuple(trimmed), alloc.agents)

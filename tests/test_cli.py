@@ -314,6 +314,19 @@ def test_huge_agent_count_exits_2(tmp_path, capsys, count):
     assert one_error_line(capsys).startswith("error: line 2: ")
 
 
+@pytest.mark.parametrize("digit", ["\u00b2", "\u0663"], ids=["superscript-two", "arabic-indic-three"])
+def test_non_ascii_digit_exits_2(tmp_path, capsys, digit):
+    inst_path = write_instance(tmp_path, Instance.from_rows([[5, 1], [1, 5]]))
+    alloc_path = tmp_path / "alloc.txt"
+    alloc_path.write_text("agent 0: 1\nagent 1: 0\n")
+    assert main(["verify", inst_path, str(alloc_path), "--mode", "ratio", digit]) == 2
+    assert one_error_line(capsys) == f"error: not a nonnegative rational: {digit!r}\n"
+    bad_path = tmp_path / "bad.txt"
+    bad_path.write_text(f"mms-instance 1\nagents 1\nchores 1\n{digit}\n")
+    assert main(["solve", str(bad_path), "--algo", "factored"]) == 2
+    assert one_error_line(capsys) == f"error: line 4: not a nonnegative rational: {digit!r}\n"
+
+
 @pytest.mark.parametrize("n, m", [(10**20, 0), (1000, 10**6)], ids=["1e20-agents", "1e9-costs"])
 def test_gen_past_its_bounds_exits_2(capsys, monkeypatch, n, m):
     monkeypatch.setattr(analysis.random, "Random", None)  # as in test_analysis

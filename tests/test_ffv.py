@@ -7,11 +7,9 @@ import pytest
 from choremms import ffv
 from choremms.analysis import gen_instance
 from choremms.core import EQUAL, Allocation, lex_compare
-from choremms.errors import BadParams, EmptyBundle, PreconditionViolation
-from choremms.ffv import (SwapStep, SwapTranscript, benchmark_bundle,
-                          find_exact_subset, fit_in_space, is_ffv,
-                          reduce_bivalued, reduce_factored, remove_redundant,
-                          transform_mms_to_ffd)
+from choremms.errors import BadParams, PreconditionViolation
+from choremms.ffv import (SwapStep, SwapTranscript, benchmark_bundle, find_exact_subset,
+                          is_ffv, reduce_bivalued, reduce_factored, transform_mms_to_ffd)
 from choremms.mms import mms_brute
 from choremms.packing import ffd
 from helpers import brute_lex_max, perturb_to_ffv, random_rationals
@@ -318,33 +316,6 @@ def test_transform_random_bivalued_matches_independent_ffd():
             assert lex_compare(t.final.bundles[k], b, cost) == EQUAL
         done += 1
     assert done >= 30
-
-
-# ----------------------------------------------- fit_in_space / redundant
-
-def test_fit_in_space_regression_values():
-    vals = [fit_in_space(REGRESSION_ALLOC, k, REGRESSION_COSTS, F(1))
-            for k in range(4)]
-    assert vals == [F(1, 20), F(2, 5), F(2, 5), F(11, 50)]
-
-
-def test_fit_in_space_empty_bundle():
-    with pytest.raises(EmptyBundle):
-        fit_in_space(Allocation.of([()]), 0, (F(1),), F(1))
-
-
-def test_remove_redundant_keeps_regression_bundles():
-    # every bundle's prefix reaches the threshold only at its last chore,
-    # so nothing is dropped
-    out = remove_redundant(REGRESSION_ALLOC, REGRESSION_COSTS, F(1))
-    assert out.bundles == REGRESSION_ALLOC.bundles
-
-
-def test_remove_redundant_trims_past_threshold():
-    cost = (F(6), F(5), F(1), F(1))
-    alloc = Allocation.of([(0, 1, 2, 3)])
-    out = remove_redundant(alloc, cost, F(10))
-    assert out.bundles == ((0, 1),)
 
 
 # --------------------------------------------------------- transcript dump

@@ -32,6 +32,10 @@ def test_instance_comments_and_blank_lines():
     pytest.param("mms-instance 1\nagents " + "9" * 5000 + "\nchores 0\n", 2,
                  id="agents-5000-digits"),
     ("mms-instance 1\nagents 1\nchores \u00b2\n", 3),
+    # digits int() reads, but not ASCII ones
+    pytest.param("mms-instance 1\nagents \u0663\nchores 1\n1\n1\n1\n", 2,
+                 id="agents-arabic-indic-three"),
+    pytest.param("mms-instance 1\nagents 1\nchores 1\n\u0663\n", 4, id="cost-arabic-indic-three"),
 ])
 def test_instance_parse_errors_carry_line_numbers(text, line):
     with pytest.raises(ParseError) as exc:
@@ -83,6 +87,8 @@ def test_instance_without_chores_roundtrips():
     ("agent 0: 0\nagent \u00b2: 1\n", 2),
     ("agent 0: 0\nagent 1: \u00b2\n", 2),
     pytest.param("agent 0: 0\nagent 1: " + "9" * 5000 + "\n", 2, id="chore-5000-digits"),
+    # an id int() reads, but not an ASCII one
+    pytest.param("agent 0: 0\nagent 1: \u0661\n", 2, id="chore-arabic-indic-one"),
 ])
 def test_allocation_rejects_duplicates_with_line_numbers(text, line):
     with pytest.raises(ParseError) as exc:

@@ -5,7 +5,8 @@ import pathlib
 
 import pytest
 
-PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "choremms"
+TESTS = pathlib.Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "choremms"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -41,7 +42,7 @@ def test_unused_imports_are_found():
     assert unused_imports(source) == ["line 2: system"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + sorted(TESTS.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
