@@ -9,6 +9,7 @@ integers once, by `CostRow`, which keeps every comparison exact.
 from __future__ import annotations
 
 import math
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,9 +32,17 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(f"not a rational: {text!r}")
     # ASCII only: `isdigit` also admits '²', which int() rejects, and '٣',
     # which int() reads as 3
-    if not (text.isascii() and num.isdigit() and den.isdigit()) or int(den) == 0:
+    if not (text.isascii() and num.isdigit() and den.isdigit()):
         raise ValueError(f"not a nonnegative rational: {text!r}")
-    return Fraction(int(num), int(den))
+    try:
+        p, q = int(num), int(den)
+    except ValueError:
+        # int() refuses more digits than the interpreter's limit
+        raise ValueError("numerator and denominator may have at most "
+                         f"{sys.get_int_max_str_digits()} digits each") from None
+    if q == 0:
+        raise ValueError(f"not a nonnegative rational: {text!r}")
+    return Fraction(p, q)
 
 
 def format_rational(x: Fraction) -> str:
@@ -78,8 +87,7 @@ class CostRow(tuple):
 
     def profile(self, chores: Iterable[int]) -> list[int]:
         """The chores' weights, descending (their order in FFD)."""
-        weights = self.weights
-        return sorted((weights[c] for c in chores), reverse=True)
+        return sorted(map(self.weights.__getitem__, chores), reverse=True)
 
     def runs(self, chores: Iterable[int]) -> list[tuple[int, int]]:
         """The chores' weights as (weight, count) runs, weight descending:

@@ -9,10 +9,19 @@ Costs are Fractions at the interface. Each call reads the row's cached
 integer weights (`core.CostRow`), with a threshold tau becoming the integer
 capacity floor(tau * D); every sum, sort and comparison runs on those
 integers, and values become Fractions only for results and messages.
+
+A swap step costs in proportion to what it moves: its two bundles' sums
+change by the weight of the traded chores, each integer sum becomes a
+Fraction once, and what is derived from a bundle (its profile, its FFD
+order, its highest id of each weight) is derived again only after a swap
+changed it.
+The FFV checks read each benchmark's profile from the (weight, count) runs
+of the chores not yet held, so a bundle costs O(runs) plus its own size.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -70,19 +79,42 @@ def benchmark_bundle(all_chores: Iterable[int], allocated_prefix: Sequence[Seque
     return tuple(fill_bin(row.ffd_order(all_chores), row.weights, room, taken))
 
 
-def _first_off_benchmark(bundles: Sequence[Sequence[int]], row: CostRow, order: list[int],
-                         room: int, exact: bool) -> int | None:
+def _first_off_benchmark(bundles: Sequence[Sequence[int]], row: CostRow,
+                         all_chores: Iterable[int], room: int, exact: bool) -> int | None:
     """Index of the first bundle whose profile is below (with `exact`: not
-    equal to) its benchmark's, the fill of the room from the chores in FFD
-    `order` that earlier bundles do not hold; None if there is none."""
+    equal to) its benchmark's, the fill of the room from the chores of
+    `all_chores` that earlier bundles do not hold; None if there is none.
+
+    The free chores are kept as a count per weight. First fit over them in
+    FFD order takes, heaviest weight w first, min(count, room // w) copies
+    of w, since the room only shrinks: so a benchmark costs O(runs), not a
+    walk over every chore. A held chore leaves the counts only if it is
+    one of `all_chores`."""
     weights = row.weights
-    held: set[int] = set()
+    chores = list(all_chores)
+    # plain dicts: every key read is present, and they index faster than a Counter
+    copies = dict(Counter(chores))
+    count = dict(Counter(map(weights.__getitem__, chores)))
+    distinct = sorted(count, reverse=True)
     for k, bundle in enumerate(bundles):
-        bench = [weights[c] for c in fill_bin(order, weights, room, held)]
-        relation = compare_profiles(row.profile(bundle), bench)
+        bench: list[int] = []
+        left = room
+        for w in distinct:
+            if w <= left:
+                t = count[w]
+                if t * w > left:
+                    # here w > 0, since left >= 0: a weight of at most 0
+                    # (is_ffv takes any row) always fits
+                    t = left // w
+                bench += [w] * t
+                left -= t * w
+        profile = row.profile(bundle)
+        relation = EQUAL if profile == bench else compare_profiles(profile, bench)
         if (relation != EQUAL) if exact else (relation < EQUAL):
             return k
-        held.update(bundle)
+        # the bundles are disjoint, so each chore leaves the counts once
+        for c in copies.keys() & bundle:
+            count[weights[c]] -= copies[c]
     return None
 
 
@@ -94,8 +126,7 @@ def is_ffv(all_chores: Iterable[int], alloc: Allocation, cost: Sequence[Fraction
     if not alloc.bundles:
         return True, None
     row = CostRow.of(cost)
-    bad = _first_off_benchmark(alloc.bundles, row, row.ffd_order(all_chores),
-                               _capacity(row, tau), exact=False)
+    bad = _first_off_benchmark(alloc.bundles, row, all_chores, _capacity(row, tau), exact=False)
     return bad is None, bad
 
 
@@ -108,19 +139,20 @@ def find_exact_subset(chores: Iterable[int], cost: Sequence[Fraction],
         raise PreconditionViolation("target must be positive")
     # the target may bring a denominator the row lacks, so it joins the scale
     row = CostRow([*cost, target])
-    return _exact_subset(list(chores), row, row.weights[-1])
+    return _exact_subset(row.ffd_order(chores), row, row.weights[-1])
 
 
-def _exact_subset(chores: list[int], row: CostRow, target: int) -> tuple[int, ...]:
+def _exact_subset(order: list[int], row: CostRow, target: int) -> tuple[int, ...]:
+    """`find_exact_subset` on integer weights, over chores in FFD order."""
     weights = row.weights
-    values = [weights[c] for c in chores]
+    values = list(map(weights.__getitem__, order))
     if not is_divisibility_chain(values + [target]):
         raise PreconditionViolation("costs and target must form a divisibility chain")
     if any(v > target for v in values):
         raise PreconditionViolation("every chore must cost at most the target")
     if sum(values) < target:
         raise PreconditionViolation("total cost must reach the target")
-    subset = fill_bin(row.ffd_order(chores), weights, target)
+    subset = fill_bin(order, weights, target)
     total = sum(weights[c] for c in subset)
     if total != target:
         raise PreconditionViolation(f"greedy missed the target {row.value(target)}; "
@@ -139,46 +171,76 @@ def _check_ffd_output(P: Allocation, all_chores, row: CostRow, tau):
     benchmark's profile, since FFD's k-th bin is the k-th benchmark."""
     if not set(P.allocated()) == set(all_chores):
         raise PreconditionViolation("the FFD allocation must contain every chore")
-    if _first_off_benchmark(P.bundles, row, row.ffd_order(all_chores), row.cap(tau),
-                            exact=True) is not None:
+    if _first_off_benchmark(P.bundles, row, all_chores, row.cap(tau), exact=True) is not None:
         raise PreconditionViolation("allocation is not an FFD output at this threshold")
 
 
 class _Worker:
     """One list of bundle tuples, taken from validated allocations, that
     `apply` swaps in place through `core.exchange`, recording transcript
-    steps and verifying the global chore multiset after every step. It
-    keeps each bundle's scaled cost sum and its Fraction value; a swap
-    changes only its two bundles, so only those two are recomputed."""
+    steps and verifying the global chore multiset after every step.
+
+    A step costs in proportion to what it moves: each bundle's scaled cost
+    sum changes by the weight of the chores it trades, each integer sum
+    becomes a Fraction once, and a bundle's profile and its highest id of
+    each weight (where donors are found) are derived again only after a
+    swap has changed the bundle."""
 
     def __init__(self, bundles: list[tuple[int, ...]], row: CostRow):
         self.bundles = bundles
         self.row = row
         self.weights = row.weights
         self.sums = [sum(self.weights[c] for c in b) for b in bundles]
-        self.costs = tuple(row.value(s) for s in self.sums)
+        self.values: dict[int, Fraction] = {}
+        self.costs = tuple(map(self.value, self.sums))
+        self.profiles: list[list[int] | None] = [None] * len(bundles)
+        self.tops: list[dict[int, int] | None] = [None] * len(bundles)
         self.transcript = SwapTranscript()
 
+    def value(self, weight: int) -> Fraction:
+        value = self.values.get(weight)
+        if value is None:
+            value = self.values[weight] = self.row.value(weight)
+        return value
+
+    def profile(self, b: int) -> list[int]:
+        """Bundle b's profile; callers must not change it."""
+        if self.profiles[b] is None:
+            self.profiles[b] = self.row.profile(self.bundles[b])
+        return self.profiles[b]
+
+    def top(self, b: int) -> dict[int, int]:
+        """The highest id of each weight in bundle b."""
+        if self.tops[b] is None:
+            weights = self.weights
+            self.tops[b] = {weights[c]: c for c in sorted(self.bundles[b])}
+        return self.tops[b]
+
     def apply(self, k: int, i: int, t_i, j: int, t_j, forbid_increase_after: int | None = None):
+        old_i, old_j = self.bundles[i], self.bundles[j]
         new_i, new_j = exchange(self.bundles, i, t_i, j, t_j)
-        held = set(self.bundles[i]) | set(self.bundles[j])
         self.bundles[i], self.bundles[j] = new_i, new_j
-        before, was = self.costs, list(self.sums)
+        self.profiles[i] = self.profiles[j] = self.tops[i] = self.tops[j] = None
+        # exchange reads T_i and T_j as sets, so their weights count once each
+        weight = self.weights.__getitem__
+        gain = sum(map(weight, set(t_j))) - sum(map(weight, set(t_i)))
+        before = self.costs
+        self.sums[i] += gain
+        self.sums[j] -= gain
         after = list(before)
-        for b in (i, j):
-            self.sums[b] = sum(self.weights[c] for c in self.bundles[b])
-            after[b] = self.row.value(self.sums[b])
+        after[i], after[j] = self.value(self.sums[i]), self.value(self.sums[j])
         self.costs = tuple(after)
         step = SwapStep(len(self.transcript.steps), k, i, tuple(sorted(t_i)),
                         j, tuple(sorted(t_j)), self.costs)
         self.transcript.steps.append(step)
         # no other bundle changed, so the multiset holds when these two hold
         # the chores they held before
-        if set(new_i) | set(new_j) != held:
+        if sorted(new_i + new_j) != sorted(old_i + old_j):
             self.fail(k, "swap changed the global chore multiset")
         if forbid_increase_after is not None:
-            for idx in sorted((i, j)):
-                if idx > forbid_increase_after and self.sums[idx] > was[idx]:
+            # at most one of the two bundles gains
+            for idx, rise in ((i, gain), (j, -gain)):
+                if idx > forbid_increase_after and rise > 0:
                     self.fail(k, f"cost of bundle {idx} increased from "
                                  f"{before[idx]} to {after[idx]}")
 
@@ -198,9 +260,9 @@ def _find_donor(worker: _Worker, after: int, value: int) -> tuple[int, int] | No
     `after`: highest bundle index, then latest position (highest id among
     equals)."""
     for i in range(len(worker.bundles) - 1, after, -1):
-        matches = [c for c in worker.bundles[i] if worker.weights[c] == value]
-        if matches:
-            return i, max(matches)
+        top = worker.top(i).get(value)
+        if top is not None:
+            return i, top
     return None
 
 
@@ -223,7 +285,7 @@ def _reduce(P: Allocation, Q: Allocation, row: CostRow, tau: Fraction,
     targets = [row.profile(b) for b in _pad(Q.bundles, n)]
     for k in range(n):
         reach_target(worker, k, targets[k])
-        if row.profile(worker.bundles[k]) != targets[k]:
+        if worker.profile(k) != targets[k]:
             worker.fail(k, f"bundle {k} did not reach its target profile")
     return worker.finish()
 
@@ -245,8 +307,8 @@ def reduce_factored(P: Allocation, Q: Allocation, cost: Sequence[Fraction],
         raise PreconditionViolation("cost function must be factored")
 
     def reach_target(worker: _Worker, k: int, target):
+        current = row.ffd_order(worker.bundles[k])
         for j, want in enumerate(target):
-            current = row.ffd_order(worker.bundles[k])
             have = weights[current[j]] if j < len(current) else 0
             if want <= have:
                 if want < have:
@@ -260,11 +322,12 @@ def reduce_factored(P: Allocation, Q: Allocation, cost: Sequence[Fraction],
                 worker.fail(k, f"no chore of cost {row.value(want)} left in bundles "
                                f"after {k}")
             i, cl = donor
-            if sum(weights[c] for c in tail) >= want:
+            if sum(map(weights.__getitem__, tail)) >= want:
                 moved = _exact_subset(tail, row, want)
             else:
                 moved = tuple(tail)
             worker.apply(k, k, moved, i, (cl,), forbid_increase_after=k)
+            current = row.ffd_order(worker.bundles[k])
     return _reduce(P, Q, row, tau, all_chores, verify_ffd, reach_target)
 
 
@@ -287,11 +350,9 @@ def reduce_bivalued(P: Allocation, Q: Allocation, cost: Sequence[Fraction],
     large, _small = _large_small(weights[c] for c in all_chores)
 
     def reach_target(worker: _Worker, k: int, target):
-        if row.profile(worker.bundles[k]) == target:
+        if worker.profile(k) == target:
             return
-        q_large = sum(1 for v in target if v == large)
-        p_large = sum(1 for v in worker.bundles[k] if weights[v] == large)
-        if q_large > p_large:
+        if target.count(large) > worker.profile(k).count(large):
             donor = _find_donor(worker, k, large)
             if donor is None:
                 worker.fail(k, "no large chore left in any later bundle")
@@ -299,7 +360,7 @@ def reduce_bivalued(P: Allocation, Q: Allocation, cost: Sequence[Fraction],
             smalls = tuple(c for c in worker.bundles[k] if weights[c] != large)
             worker.apply(k, k, smalls, i, (cl,), forbid_increase_after=k)
         # here the current bundle must be a cost-wise subset of its target
-        have = row.profile(worker.bundles[k])
+        have = worker.profile(k)
         need = list(target)
         for v in have:
             if v in need:
@@ -317,10 +378,10 @@ def reduce_bivalued(P: Allocation, Q: Allocation, cost: Sequence[Fraction],
     return _reduce(P, Q, row, tau, all_chores, verify_ffd, reach_target)
 
 
-def _counts(bundle: Iterable[int], weights: Sequence[int], large: int) -> tuple[int, int]:
-    ids = list(bundle)
-    n_large = sum(1 for c in ids if weights[c] == large)
-    return n_large, len(ids) - n_large
+def _counts(profile: list[int], large: int) -> tuple[int, int]:
+    """The (large, small) chore counts of a two-valued profile."""
+    n_large = profile.count(large)
+    return n_large, len(profile) - n_large
 
 
 def transform_mms_to_ffd(Q: Allocation, cost: Sequence[Fraction],
@@ -358,19 +419,21 @@ def transform_mms_to_ffd(Q: Allocation, cost: Sequence[Fraction],
     n_work = len(p_bundles)
     p_profiles = [row.profile(b) for b in p_bundles]
     # most large chores first, then most small ones; stable among equals
-    q_sorted = sorted(Q.bundles, key=lambda b: _counts(b, weights, large), reverse=True)
+    q_sorted = sorted(Q.bundles, key=lambda b: _counts(row.profile(b), large), reverse=True)
     worker = _Worker(_pad(q_sorted, n_work), row)
 
+    # the checks read the worker's profiles, which a swap changes only for
+    # its two bundles
     def check_invariants(k: int):
         for i in range(k):
-            if row.profile(worker.bundles[i]) != p_profiles[i]:
+            if worker.profile(i) != p_profiles[i]:
                 worker.fail(k, f"invariant 1 broken at bundle {i}")
         for i in range(k, n_work):
             if worker.sums[i] > tau_cap:
                 worker.fail(k, f"invariant 2 broken: bundle {i} costs {worker.costs[i]} "
                                f"> tau {tau}")
         for i in range(k + 1, n_work):
-            n_l, n_s = _counts(worker.bundles[i], weights, large)
+            n_l, n_s = _counts(worker.profile(i), large)
             if (worker.sums[i] <= mu_cap or n_l == 0
                     or (n_l == 1 and (n_s + 2) * small <= tau_cap)):
                 continue
@@ -379,9 +442,8 @@ def transform_mms_to_ffd(Q: Allocation, cost: Sequence[Fraction],
     for k in range(n_work):
         check_invariants(k)
         if len(worker.bundles[k]) > len(p_profiles[k]):
-            a_q, b_q = _counts(worker.bundles[k], weights, large)
-            a_p = sum(1 for v in p_profiles[k] if v == large)
-            b_p = len(p_profiles[k]) - a_p
+            a_q, b_q = _counts(worker.profile(k), large)
+            a_p, b_p = _counts(p_profiles[k], large)
             if worker.sums[k] > mu_cap:
                 worker.fail(k, "a bundle reaching the two-for-one swap exceeds mu")
             if a_p < a_q + 1:
@@ -398,7 +460,7 @@ def transform_mms_to_ffd(Q: Allocation, cost: Sequence[Fraction],
             pair = tuple(smalls[:2])
             worker.apply(k, k, pair, z, (cl,))
             if len(worker.bundles[k]) > len(p_profiles[k]):
-                a_q2, b_q2 = _counts(worker.bundles[k], weights, large)
+                a_q2, b_q2 = _counts(worker.profile(k), large)
                 if (a_q2, b_q2) == (2, 1) and (a_p, b_p) == (2, 0):
                     one_small = min(c for c in worker.bundles[k] if weights[c] != large)
                     worker.apply(k, k, (one_small,), z, ())
@@ -412,8 +474,8 @@ def transform_mms_to_ffd(Q: Allocation, cost: Sequence[Fraction],
                 else:
                     worker.fail(k, "bundle still has too many chores outside the "
                                    "two special cases")
+        current = row.ffd_order(worker.bundles[k])
         for j, want in enumerate(p_profiles[k]):
-            current = row.ffd_order(worker.bundles[k])
             have = weights[current[j]] if j < len(current) else 0
             if have > want:
                 worker.fail(k, f"bundle {k} position {j} exceeds the FFD profile")
@@ -426,6 +488,7 @@ def transform_mms_to_ffd(Q: Allocation, cost: Sequence[Fraction],
             z, cl = donor
             out = (current[j],) if j < len(current) else ()
             worker.apply(k, k, out, z, (cl,))
-        if row.profile(worker.bundles[k]) != p_profiles[k]:
+            current = row.ffd_order(worker.bundles[k])
+        if worker.profile(k) != p_profiles[k]:
             worker.fail(k, f"bundle {k} did not reach the FFD profile")
     return worker.finish()

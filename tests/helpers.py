@@ -18,13 +18,13 @@ import itertools
 import random
 from fractions import Fraction
 
-from choremms.analysis import subset_sums
+from choremms.analysis import gen_instance, subset_sums
 from choremms.core import (Allocation, CostRow, EQUAL, GREATER, LESS, Instance, LiftingMap,
-                           bundle_cost)
+                           bundle_cost, to_ido)
 from choremms.errors import (BadParams, EmptyBinDeadlock, InvariantViolation, NotBivalued,
                              NotIDO, PreconditionViolation, SubsetViolation)
 from choremms.ffv import SwapStep, SwapTranscript, is_ffv
-from choremms.mms import APPROX_RATIO, MMSResult
+from choremms.mms import APPROX_RATIO, MMSResult, solve_auto
 from choremms.packing import PackOutcome, ffd, hffd
 
 
@@ -123,6 +123,20 @@ def all_complete_allocations(m, k):
 def random_rationals(rng: random.Random, m, max_num=12, max_den=3):
     return tuple(Fraction(rng.randint(1, max_num), rng.randint(1, max_den))
                  for _ in range(m))
+
+
+def certify_case(kind, n, m, seed, **params):
+    """The reduction a certificate replay of a seeded `gen_instance` runs,
+    as (P, Q, cost, tau, all_chores): Q is HFFD on the `to_ido` twin at the
+    `solve_auto` thresholds, and P is FFD at the last-served agent's
+    threshold, on that agent's twin row."""
+    instance = gen_instance(kind, n, m, seed, **params)
+    thresholds = solve_auto(instance).thresholds
+    ido, _ = to_ido(instance)
+    packed = hffd(ido, thresholds)
+    last = packed.allocation.agents[-1]
+    cost, tau = ido.cost(last), thresholds[last]
+    return ffd(ido.chores(), cost, tau).allocation, packed.allocation, cost, tau, ido.chores()
 
 
 def perturb_to_ffv(rng: random.Random, base: Allocation, all_chores, cost, tau,

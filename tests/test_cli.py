@@ -327,6 +327,19 @@ def test_non_ascii_digit_exits_2(tmp_path, capsys, digit):
     assert one_error_line(capsys) == f"error: line 4: not a nonnegative rational: {digit!r}\n"
 
 
+def test_rational_of_too_many_digits_exits_2(tmp_path, capsys):
+    message = "numerator and denominator may have at most 4300 digits each"
+    inst_path = write_instance(tmp_path, Instance.from_rows([[5, 1], [1, 5]]))
+    alloc_path = tmp_path / "alloc.txt"
+    alloc_path.write_text("agent 0: 1\nagent 1: 0\n")
+    assert main(["verify", inst_path, str(alloc_path), "--mode", "ratio", "1" * 5000]) == 2
+    assert one_error_line(capsys) == f"error: {message}\n"
+    bad_path = tmp_path / "bad.txt"
+    bad_path.write_text("mms-instance 1\nagents 1\nchores 1\n" + "1" * 5000 + "\n")
+    assert main(["solve", str(bad_path), "--algo", "factored"]) == 2
+    assert one_error_line(capsys) == f"error: line 4: {message}\n"
+
+
 @pytest.mark.parametrize("n, m", [(10**20, 0), (1000, 10**6)], ids=["1e20-agents", "1e9-costs"])
 def test_gen_past_its_bounds_exits_2(capsys, monkeypatch, n, m):
     monkeypatch.setattr(analysis.random, "Random", None)  # as in test_analysis

@@ -39,6 +39,16 @@ def test_rational_rejects_non_ascii_digits(bad):
         parse_rational(bad)
 
 
+# int() refuses a string of more than 4300 digits, with a message that names
+# an interpreter setting rather than the input
+@pytest.mark.parametrize("bad", ["1" * 5000, "1/" + "7" * 5000, "0" * 4300 + "1"],
+                         ids=["numerator", "denominator", "leading-zeros"])
+def test_rational_rejects_too_many_digits(bad):
+    with pytest.raises(ValueError, match="^numerator and denominator may have at most 4300 "
+                                         "digits each$"):
+        parse_rational(bad)
+
+
 # ----------------------------------------------------------------- instance
 
 def test_instance_rejects_nonpositive_costs():

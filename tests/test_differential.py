@@ -7,21 +7,23 @@ on rejected inputs."""
 import random
 from fractions import Fraction as F
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from choremms.analysis import gen_instance, subset_sums
 from choremms.core import (Allocation, CostRow, Instance, is_bivalued_costs,
                            is_factored_costs, lex_compare, to_ido, universal_ordering)
 from choremms.errors import ChoreMMSError, EmptyBinDeadlock
-from choremms.ffv import (SwapTranscript, benchmark_bundle, find_exact_subset, is_ffv,
-                          reduce_bivalued, reduce_factored, transform_mms_to_ffd)
+from choremms.ffv import (SwapTranscript, _check_ffd_output, benchmark_bundle,
+                          find_exact_subset, is_ffv, reduce_bivalued, reduce_factored,
+                          transform_mms_to_ffd)
 from choremms.mms import min_success_threshold, mms_brute, mms_factored, solve_auto
 from choremms.packing import ffd, hffd, multifit
-from helpers import (perturb_to_ffv, ref_benchmark_bundle, ref_ffd, ref_find_exact_subset,
-                     ref_hffd, ref_is_bivalued_costs, ref_is_factored_costs, ref_is_ffv,
-                     ref_lex_compare, ref_lift, ref_min_success_threshold, ref_mms_brute,
-                     ref_multifit, ref_reduce_bivalued, ref_reduce_factored, ref_to_ido,
-                     ref_transform_mms_to_ffd, ref_universal_ordering, run_length)
+from helpers import (_ref_check_ffd_output, certify_case, perturb_to_ffv, ref_benchmark_bundle,
+                     ref_ffd, ref_find_exact_subset, ref_hffd, ref_is_bivalued_costs,
+                     ref_is_factored_costs, ref_is_ffv, ref_lex_compare, ref_lift,
+                     ref_min_success_threshold, ref_mms_brute, ref_multifit, ref_reduce_bivalued,
+                     ref_reduce_factored, ref_to_ido, ref_transform_mms_to_ffd,
+                     ref_universal_ordering, run_length)
 
 SETTINGS = settings(max_examples=300, deadline=None)
 
@@ -50,6 +52,12 @@ def general_rows(draw, size):
     # a small value pool repeats costs, which exercises the lower-id tie-break
     values = draw(st.lists(fractions(24), min_size=1, max_size=size or 1))
     return tuple(draw(st.sampled_from(values)) for _ in range(size))
+
+
+@st.composite
+def distinct_rows(draw, size):
+    """A general row whose costs are all distinct: one run per chore."""
+    return tuple(draw(st.lists(fractions(24), min_size=size, max_size=size, unique=True)))
 
 
 def rows(size, kinds=(factored_rows, bivalued_rows, general_rows)):
@@ -379,6 +387,65 @@ def test_is_ffv_matches_reference(data):
     assert outcome(is_ffv, chores, alloc, row, tau) == outcome(ref_is_ffv, chores, alloc, row, tau)
 
 
+@st.composite
+def ffv_beyond_case(draw):
+    """is_ffv inputs the strategies above do not draw: bundles that also
+    hold chores of the row outside `all_chores` and leave some of
+    `all_chores` out, now and then on a row whose costs are all distinct."""
+    m = draw(st.integers(1, 12))
+    row = draw(rows(m, (factored_rows, bivalued_rows, general_rows, distinct_rows)))
+    ids = draw(st.permutations(range(m)))
+    cut = draw(st.integers(1, m))
+    chores, outside = ids[:cut], ids[cut:]
+    tau = draw(certificate_thresholds(row))
+    gone = set(draw(st.lists(st.sampled_from(chores), max_size=3)))
+    bundles = [[c for c in b if c not in gone]
+               for b in draw(ffv_candidates(chores, row, tau)).bundles]
+    for c in outside:
+        # -1 leaves the chore out; len(bundles) opens a bundle for it
+        at = draw(st.integers(-1, len(bundles)))
+        if at == len(bundles):
+            bundles.append([c])
+        elif at >= 0:
+            bundles[at].insert(draw(st.integers(0, len(bundles[at]))), c)
+    return chores, Allocation.of(bundles), row, tau
+
+
+@SETTINGS
+@given(ffv_beyond_case())
+def test_is_ffv_matches_reference_beyond_all_chores(case):
+    assert outcome(is_ffv, *case) == outcome(ref_is_ffv, *case)
+
+
+def test_is_ffv_matches_reference_on_costs_at_most_zero():
+    # a plain row is not validated, so a zero or negative cost reaches the
+    # walk, where every copy of such a weight fits
+    rng = random.Random(5)
+    for _ in range(300):
+        m = rng.randint(1, 8)
+        row = tuple(F(rng.choice([-2, -1, 0, 1, 2, 3]), rng.randint(1, 2)) for _ in range(m))
+        chores = rng.sample(range(m), rng.randint(1, m))
+        labels = [rng.randint(-1, 2) for _ in range(m)]
+        alloc = Allocation.of([c for c in range(m) if labels[c] == b] for b in range(3))
+        tau = F(rng.randint(1, 10), rng.randint(1, 3))
+        assert is_ffv(chores, alloc, row, tau) == ref_is_ffv(chores, alloc, row, tau)
+
+
+@SETTINGS
+@given(st.data())
+def test_ffd_output_check_matches_reference(data):
+    # a perturbed FFD output, on any row or on one whose costs are all
+    # distinct, holding all of `all_chores` or not (at a threshold below
+    # the largest cost FFD leaves chores out)
+    P, _Q, row, tau, chores, _ = data.draw(perturbed_ffd_case(
+        (factored_rows, bivalued_rows, general_rows, distinct_rows)))
+    assume(tau > 0)
+    if data.draw(st.booleans()):
+        P = ffd(chores, row, tau).allocation
+    got = outcome(_check_ffd_output, P, chores, CostRow.of(row), tau)
+    assert got == outcome(_ref_check_ffd_output, P, chores, row, tau)
+
+
 @SETTINGS
 @given(st.data())
 def test_find_exact_subset_matches_reference(data):
@@ -484,3 +551,35 @@ def test_transform_mms_to_ffd_matches_reference(data):
         heaviest = max(sum((row[c] for c in b), F(0)) for b in Q.bundles)
         mu = data.draw(st.sampled_from([heaviest, heaviest * F(9, 10), heaviest + 1]))
     assert outcome(transform_mms_to_ffd, Q, row, mu) == outcome(ref_transform_mms_to_ffd, Q, row, mu)
+
+
+# The drawn cases above stop at m = 12 and n = 4; these run at the sizes of
+# the benchmark's workloads.
+
+def test_reductions_match_reference_at_benchmark_sizes():
+    cases = [(reduce_factored, ref_reduce_factored,
+              certify_case("factored", 10, 100, seed, levels=levels))
+             for levels in (1, 2, 3) for seed in range(4)]
+    cases += [(reduce_bivalued, ref_reduce_bivalued,
+               certify_case("personalized_bivalued", 8, 80, seed)) for seed in range(6)]
+    for reduce, ref_reduce, case in cases:
+        got = outcome(reduce, *case)
+        assert got == outcome(ref_reduce, *case)
+        steps, result = got[:2]
+        assert result == "equal" and steps
+
+
+def test_transform_mms_to_ffd_matches_reference_at_small_exact_sizes():
+    swaps = 0
+    for n in range(2, 9):
+        for m in (12, 13, 14):
+            for seed in range(2):
+                for row in gen_instance("personalized_bivalued", n, m, seed).costs:
+                    mms = mms_brute(row, range(m), n)
+                    Q = Allocation.of(mms.witness)
+                    got = outcome(transform_mms_to_ffd, Q, row, mms.value)
+                    assert got == outcome(ref_transform_mms_to_ffd, Q, row, mms.value)
+                    steps, result = got[:2]
+                    assert result == "equal"
+                    swaps += len(steps)
+    assert swaps > 0

@@ -6,13 +6,13 @@ import pytest
 
 from choremms import ffv
 from choremms.analysis import gen_instance
-from choremms.core import EQUAL, Allocation, lex_compare
+from choremms.core import EQUAL, Allocation, CostRow, bundle_cost, lex_compare
 from choremms.errors import BadParams, PreconditionViolation
 from choremms.ffv import (SwapStep, SwapTranscript, benchmark_bundle, find_exact_subset,
                           is_ffv, reduce_bivalued, reduce_factored, transform_mms_to_ffd)
 from choremms.mms import mms_brute
 from choremms.packing import ffd
-from helpers import brute_lex_max, perturb_to_ffv, random_rationals
+from helpers import brute_lex_max, certify_case, perturb_to_ffv, random_rationals
 
 # the validity-regression configuration: four bundles plus one loose chore
 REGRESSION_COSTS = tuple(F(x, 100) for x in
@@ -227,6 +227,35 @@ def test_ffd_output_check_runs_no_ffd(monkeypatch):
     res = mms_brute(row, range(12), 3)
     transform_mms_to_ffd(Allocation.of(res.witness), row, res.value)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("levels, seed", [(1, 0), (2, 0), (3, 1)])
+def test_swap_steps_sort_and_convert_only_what_they_change(monkeypatch, levels, seed):
+    # bundle k is sorted once and again after each of its swaps, and each
+    # integer bundle sum becomes a Fraction once
+    P, Q, cost, tau, chores = certify_case("factored", 10, 100, seed, levels=levels)
+    calls = {"value": 0, "ffd_order": 0}
+
+    def counted(name):
+        method = getattr(CostRow, name)
+
+        def wrapper(self, *args):
+            calls[name] += 1
+            return method(self, *args)
+        return wrapper
+    for name in calls:
+        monkeypatch.setattr(CostRow, name, counted(name))
+    t = reduce_factored(P, Q, cost, tau, chores)
+    monkeypatch.undo()
+    bundles = max(len(P.bundles), len(Q.bundles))
+    # the worker pads P with empty bundles to the longer length
+    padded = P.bundles + ((),) * (bundles - len(P.bundles))
+    sums = {bundle_cost(cost, b) for b in padded}
+    sums |= {c for step in t.steps for c in step.costs_after}
+    steps = len(t.steps)
+    assert t.result == "equal" and steps
+    assert calls["value"] <= len(sums)
+    assert calls["ffd_order"] <= bundles + steps
 
 
 # ------------------------------------------------- reduce_bivalued (Alg. 2)
