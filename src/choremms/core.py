@@ -73,8 +73,12 @@ class CostRow(tuple):
         return tuple(c.numerator * (scale // c.denominator) for c in self)
 
     def cap(self, tau: Fraction) -> int:
-        """floor(tau * D), the largest integer sum that stays within tau."""
-        return tau.numerator * self.scale // tau.denominator
+        """floor(tau * D), the largest integer sum that stays within tau.
+        Raises BadParams when tau is not a rational (a float, say)."""
+        try:
+            return tau.numerator * self.scale // tau.denominator
+        except AttributeError:
+            raise BadParams(f"threshold must be rational, not {type(tau).__name__}") from None
 
     def value(self, weight: int) -> Fraction:
         return Fraction(weight, self.scale)
@@ -227,18 +231,33 @@ def classify(instance: Instance) -> InstanceClass:
     )
 
 
-def universal_ordering(instance: Instance) -> tuple[int, ...]:
-    """Permutation of the chore ids witnessing IDO, earlier meaning (weakly)
-    larger for every agent: agent 1's descending sort (lower id first among
-    equal costs), verified against every other agent. Raises NotIDO when no
-    common order exists."""
-    perm = instance.cost(0).ffd_order(instance.chores())
-    for i in range(instance.n):
-        row = instance.cost(i).weights
-        for a, b in zip(perm, perm[1:]):
+def ido_blocks(instance: Instance) -> tuple[tuple[int, ...], list[int]]:
+    """The universal ordering and its cuts. The ordering is agent 0's
+    descending sort (lower id first among equal costs); the cuts are the
+    positions p at which chore order[p] costs some agent other than chore
+    order[p - 1] does, so they split the ordering into maximal blocks of
+    chores that cost every agent the same. Within a block no cost rises, so
+    IDO holds exactly when no agent's cost rises at a cut, and only the cuts
+    are checked, agent by agent: raises NotIDO naming the first agent, and
+    their first pair of chores, out of order."""
+    rows = [row.weights for row in instance.costs]
+    order = instance.cost(0).ffd_order(range(instance.m))
+    columns = list(zip(*rows))
+    cuts = [p for p in range(1, len(order)) if columns[order[p - 1]] != columns[order[p]]]
+    pairs = [(order[p - 1], order[p]) for p in cuts]
+    for i, row in enumerate(rows):
+        for a, b in pairs:
             if row[a] < row[b]:
                 raise NotIDO(f"agent {i} ranks chore {b} above chore {a}")
-    return tuple(perm)
+    return tuple(order), cuts
+
+
+def universal_ordering(instance: Instance) -> tuple[int, ...]:
+    """Permutation of the chore ids witnessing IDO, earlier meaning (weakly)
+    larger for every agent: agent 0's descending sort (lower id first among
+    equal costs), verified against every other agent by `ido_blocks`. Raises
+    NotIDO when no common order exists."""
+    return ido_blocks(instance)[0]
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .core import Allocation, CostRow, EQUAL, compare_profiles, exchange, is_divisibility_chain
 from .errors import BadParams, InvariantViolation, NotBivalued, PreconditionViolation
@@ -32,8 +32,7 @@ from .mms import APPROX_RATIO
 from .packing import ffd, fill_bin
 
 
-@dataclass(frozen=True)
-class SwapStep:
+class SwapStep(NamedTuple):
     index: int
     k: int
     i: int

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Container, Iterable, Sequence
 
-from .core import Allocation, CostRow, Instance, bundle_cost, universal_ordering
+from .core import Allocation, CostRow, Instance, bundle_cost, ido_blocks
 from .errors import BadParams, EmptyBinDeadlock
 
 
@@ -155,36 +155,59 @@ def hffd(instance: Instance, thresholds: Sequence[Fraction]) -> PackOutcome:
     goes to the lowest-index remaining agent for whom its last chore fitted,
     the first agent left in the bin's list of agents it still fits. Each
     agent's threshold becomes a capacity in their row's cached scale.
+
+    The walk goes over the blocks of `ido_blocks`, chores that cost every
+    agent the same: the bin takes a block's next t copies in one step, t the
+    most that some agent left still has room for, which are the copies that
+    join one by one, and keeps the agents that fit all t of them.
     """
     if len(thresholds) != instance.n:
         raise BadParams("need one threshold per agent")
     if any(t <= 0 for t in thresholds):
         raise BadParams("thresholds must be positive")
-    remaining = list(universal_ordering(instance))
-    rows = [instance.cost(i).weights for i in range(instance.n)]
-    caps = [instance.cost(i).cap(tau) for i, tau in enumerate(thresholds)]
+    order, cuts = ido_blocks(instance)
+    rows = [row.weights for row in instance.costs]
+    caps = [row.cap(tau) for row, tau in zip(instance.costs, thresholds)]
+    # (next, end) of each block with chores left: a bin takes a block's
+    # copies from the front, so those left are order[next:end]
+    bounds = [0, *cuts, len(order)]
+    blocks = list(zip(bounds, bounds[1:])) if order else []
     pool = list(range(instance.n))
     bins: list[tuple[int, ...]] = []
     owners: list[int] = []
-    while remaining and pool:
+    while blocks and pool:
         # (room, row, agent) of each agent the open bin still fits, agents
         # ascending: a chore that joins drops the agents it does not fit,
         # which can take no later chore since their rooms only shrink
         fits = [(caps[i], rows[i], i) for i in pool]
         bin_chores: list[int] = []
-        left_over: list[int] = []
-        for c in remaining:
-            kept = [(room - row[c], row, i) for room, row, i in fits if row[c] <= room]
-            if kept:
-                bin_chores.append(c)
-                fits = kept
-            else:
-                left_over.append(c)
+        left: list[tuple[int, int]] = []
+        for block in blocks:
+            p, end = block
+            c = order[p]
+            if end - p == 1:  # a lone chore: one pass, no count of copies
+                kept = [(room - row[c], row, i) for room, row, i in fits if row[c] <= room]
+                if kept:
+                    bin_chores.append(c)
+                    fits = kept
+                else:
+                    left.append(block)
+                continue
+            kept = [(room, row, i) for room, row, i in fits if row[c] <= room]
+            if not kept:
+                left.append(block)
+                continue
+            t = min(end - p, max([room // row[c] for room, row, _ in kept]))
+            bin_chores.extend(order[p:p + t])
+            fits = [(room - t * row[c], row, i) for room, row, i in kept if t * row[c] <= room]
+            if p + t < end:
+                left.append((p + t, end))
         if not bin_chores:
-            raise EmptyBinDeadlock(remaining[0])
+            raise EmptyBinDeadlock(order[blocks[0][0]])
         owner = fits[0][2]
-        remaining = left_over
+        blocks = left
         bins.append(tuple(bin_chores))
         owners.append(owner)
         pool.remove(owner)
-    return PackOutcome(Allocation.of(bins, owners), tuple(remaining))
+    unallocated = tuple(c for p, end in blocks for c in order[p:end])
+    return PackOutcome(Allocation.of(bins, owners), unallocated)

@@ -4,6 +4,7 @@ success flags and thresholds; identical FFV verdicts, class checks and
 orderings; identical swap transcripts; and the same error type and message
 on rejected inputs."""
 
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -222,14 +223,16 @@ def test_hffd_matches_reference(data):
 
 def realistic_hffd_cases():
     """HFFD inputs at the sizes the solvers meet: IDO twins of seeded
-    factored 10x100, personalized bivalued 8x80 and general 10x100
-    instances, at the solve's thresholds (MultiFit's for n bins on general
-    rows, where `solve_auto` needs m <= 14) scaled by 1, 9/10 and 3/4, and
-    at the solve's thresholds with every odd agent's below their smallest
-    cost."""
-    for kind, n, m in (("factored", 10, 100), ("personalized_bivalued", 8, 80),
-                       ("general", 10, 100)):
-        for seed in range(10):
+    factored 10x100 and 30x300, personalized bivalued 8x80 and 30x300 and
+    general 10x100 instances, at the solve's thresholds (MultiFit's for n
+    bins on general rows, where `solve_auto` needs m <= 14) scaled by 1,
+    9/10 and 3/4, and at the solve's thresholds with every odd agent's
+    below their smallest cost. At 30x300 a block of equal chores often
+    spans bins and loses agents partway."""
+    for kind, n, m, seeds in (("factored", 10, 100, 10), ("personalized_bivalued", 8, 80, 10),
+                              ("general", 10, 100, 10), ("factored", 30, 300, 3),
+                              ("personalized_bivalued", 30, 300, 3)):
+        for seed in range(seeds):
             instance = gen_instance(kind, n, m, seed)
             ido, _ = to_ido(instance)
             if kind == "general":
@@ -249,6 +252,53 @@ def test_hffd_matches_reference_at_realistic_sizes():
         assert got == outcome_or_deadlock(ref_hffd, ido, taus)
         seen.add("deadlock" if isinstance(got, tuple) else got.succeeded)
     assert seen == {True, False, "deadlock"}
+
+
+def permuted_hffd_cases(count):
+    """IDO instances that are not twins, with thresholds and, when known,
+    the universal ordering. Each is the twin of a seeded instance (every
+    class, n 1..6, m 0..30) with its positions given one shuffle of the
+    chore ids, the same for every row. Agent 0 breaks ties by id, so each of
+    its runs of equal costs keeps its ids ascending; the ordering is then
+    the ids in position order. In every other case two chores of one agent
+    swap costs besides, which often breaks IDO. Each agent's threshold is
+    their MultiFit threshold for n bins scaled by 1, 9/10 or 3/4, or now
+    and then half their smallest cost."""
+    rng = random.Random(0x1D0)
+    kinds = ("factored", "bivalued", "personalized_bivalued", "general")
+    for case in range(count):
+        n, m = rng.randint(1, 6), rng.randint(0, 30)
+        ido, _ = to_ido(gen_instance(kinds[case % 4], n, m, case))
+        ids, start = rng.sample(range(m), m), 0
+        for _, run in itertools.groupby(ido.cost(0)):
+            end = start + len(list(run))
+            ids[start:end] = sorted(ids[start:end])
+            start = end
+        position_of = sorted(range(m), key=ids.__getitem__)
+        rows = [[row[p] for p in position_of] for row in ido.costs]
+        ordering = tuple(ids)
+        if case % 2 and m >= 2:
+            a, b = rng.sample(range(m), 2)
+            row = rows[rng.randrange(n)]
+            row[a], row[b] = row[b], row[a]
+            ordering = None
+        taus = []
+        for row in rows:
+            tau = multifit(range(m), row, n)[0] * rng.choice((F(1), F(9, 10), F(3, 4)))
+            taus.append(min(row) / 2 if m and rng.random() < 0.1 else tau or F(1))
+        yield Instance(tuple(map(tuple, rows))), taus, ordering
+
+
+def test_hffd_matches_reference_off_the_twin():
+    seen = set()
+    for instance, taus, ordering in permuted_hffd_cases(1000):
+        got = outcome(universal_ordering, instance)
+        assert got == outcome(ref_universal_ordering, instance)
+        assert ordering is None or got == ordering
+        got = outcome(hffd, instance, taus)
+        assert got == outcome(ref_hffd, instance, taus)
+        seen.add(got[0].__name__ if isinstance(got, tuple) else got.succeeded)
+    assert seen == {True, False, "NotIDO", "EmptyBinDeadlock"}
 
 
 @SETTINGS

@@ -170,6 +170,24 @@ def test_reductions_reject_a_threshold_at_most_zero(reduce, verify_ffd, tau):
         reduce(alloc, alloc, (F(2), F(1), F(1)), tau, range(3), verify_ffd=verify_ffd)
 
 
+FLOAT_CASE = (Allocation.of([(0, 1), (2,)]), (F(2), F(1), F(1)))
+
+
+@pytest.mark.parametrize("check", [
+    lambda alloc, cost, tau: is_ffv(range(3), alloc, cost, tau),
+    lambda alloc, cost, tau: benchmark_bundle(range(3), [], cost, tau),
+    lambda alloc, cost, tau: reduce_factored(alloc, alloc, cost, tau, range(3)),
+    lambda alloc, cost, tau: reduce_factored(alloc, alloc, cost, tau, range(3), verify_ffd=False),
+    lambda alloc, cost, tau: reduce_bivalued(alloc, alloc, cost, tau, range(3)),
+    lambda alloc, cost, tau: reduce_bivalued(alloc, alloc, cost, tau, range(3), verify_ffd=False),
+    lambda alloc, cost, tau: transform_mms_to_ffd(alloc, cost, tau),
+], ids=["is_ffv", "benchmark_bundle", "reduce_factored", "reduce_factored-unverified",
+        "reduce_bivalued", "reduce_bivalued-unverified", "transform_mms_to_ffd"])
+def test_float_threshold_is_bad_params(check):
+    with pytest.raises(BadParams, match="^threshold must be rational, not float$"):
+        check(*FLOAT_CASE, 3.0)
+
+
 def test_reduce_factored_rejects_non_ffv_target():
     bad = Allocation.of([(3, 4), (0, 1, 2, 5, 6, 7)])
     with pytest.raises(PreconditionViolation):

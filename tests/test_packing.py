@@ -14,7 +14,7 @@ from choremms.mms import mms_brute
 from choremms.packing import (ffd, first_fit_places_all, hffd, multifit,
                               smallest_fitting_cap)
 from helpers import (brute_min_makespan, random_rationals, ref_ffd, ref_first_fit_places_all,
-                     ref_multifit, ref_smallest_fitting_cap, run_length)
+                     ref_hffd, ref_multifit, ref_smallest_fitting_cap, run_length)
 
 LOWER_BOUND_COSTS = tuple(F(x) for x in [4, 4, 4] + [3] * 9)
 
@@ -49,6 +49,15 @@ def test_ffd_single_chore_tight_threshold():
 def test_ffd_rejects_nonpositive_threshold():
     with pytest.raises(BadParams):
         ffd([0], (F(1),), F(0))
+
+
+@pytest.mark.parametrize("pack", [
+    lambda tau: ffd(range(2), (F(2), F(1)), tau),
+    lambda tau: hffd(Instance.from_rows([[2, 1], [2, 1]]), [F(5), tau]),
+], ids=["ffd", "hffd"])
+def test_float_threshold_is_bad_params(pack):
+    with pytest.raises(BadParams, match="^threshold must be rational, not float$"):
+        pack(2.5)
 
 
 @pytest.mark.parametrize("weights, tau, max_bins, bundles, unallocated", [
@@ -245,6 +254,18 @@ def test_hffd_lower_bound_instance():
         [tuple(b) for b in ffd(range(12), LOWER_BOUND_COSTS, F(15), max_bins=3).bundles]
     bad = hffd(inst, [F(13)] * 3)
     assert not bad.succeeded and len(bad.unallocated) == 1
+
+
+def test_hffd_splits_a_block_across_bins():
+    # chores 1-4 cost every agent the same, one block; agent 0 has room for
+    # two of its copies after chore 0 and agent 1 for three, so agent 0
+    # leaves the first bin's list after the second copy, and the fourth
+    # copy waits for the second bin
+    inst = Instance.from_rows([[4, 3, 3, 3, 3], [4, 2, 2, 2, 2]])
+    out = hffd(inst, [F(10), F(10)])
+    assert out.bundles == ((0, 1, 2, 3), (4,))
+    assert out.allocation.agents == (1, 0)
+    assert out == ref_hffd(inst, [F(10), F(10)])
 
 
 def test_hffd_empty_bin_deadlock():
