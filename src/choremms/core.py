@@ -1,4 +1,4 @@
-"""Exact-arithmetic instance model, orderings, lexicographic comparison and swaps.
+"""Exact-arithmetic instance model, orderings, profile comparison and the swap rule.
 
 All costs are ``fractions.Fraction`` values; no floating point is used
 anywhere, because every algorithm in this package branches on exact
@@ -232,17 +232,21 @@ def classify(instance: Instance) -> InstanceClass:
 
 
 def ido_blocks(instance: Instance) -> tuple[tuple[int, ...], list[int]]:
-    """The universal ordering and its cuts. The ordering is agent 0's
-    descending sort (lower id first among equal costs); the cuts are the
-    positions p at which chore order[p] costs some agent other than chore
-    order[p - 1] does, so they split the ordering into maximal blocks of
-    chores that cost every agent the same. Within a block no cost rises, so
-    IDO holds exactly when no agent's cost rises at a cut, and only the cuts
-    are checked, agent by agent: raises NotIDO naming the first agent, and
+    """The universal ordering and its cuts. The ordering is the chore ids
+    by their weight columns (one weight per agent) in descending
+    lexicographic order, lower id first among equal columns; the cuts are
+    the positions p at which chore order[p] costs some agent other than
+    chore order[p - 1] does, so they split the ordering into maximal blocks
+    of chores that cost every agent the same. When a common order exists,
+    any two columns are comparable componentwise and the lexicographic
+    order agrees with that. Within a block no cost rises, so IDO holds
+    exactly when no agent's cost rises at a cut, and only the cuts are
+    checked, agent by agent: raises NotIDO naming the first agent, and
     their first pair of chores, out of order."""
     rows = [row.weights for row in instance.costs]
-    order = instance.cost(0).ffd_order(range(instance.m))
     columns = list(zip(*rows))
+    # a stable sort keeps equal columns in id order, also with reverse=True
+    order = sorted(range(instance.m), key=columns.__getitem__, reverse=True)
     cuts = [p for p in range(1, len(order)) if columns[order[p - 1]] != columns[order[p]]]
     pairs = [(order[p - 1], order[p]) for p in cuts]
     for i, row in enumerate(rows):
@@ -254,9 +258,10 @@ def ido_blocks(instance: Instance) -> tuple[tuple[int, ...], list[int]]:
 
 def universal_ordering(instance: Instance) -> tuple[int, ...]:
     """Permutation of the chore ids witnessing IDO, earlier meaning (weakly)
-    larger for every agent: agent 0's descending sort (lower id first among
-    equal costs), verified against every other agent by `ido_blocks`. Raises
-    NotIDO when no common order exists."""
+    larger for every agent: the descending lexicographic sort of the
+    chores' weight columns (lower id first among equal columns), verified
+    against every agent by `ido_blocks`. Raises NotIDO when no common order
+    exists."""
     return ido_blocks(instance)[0]
 
 
@@ -321,15 +326,6 @@ def compare_profiles(p1: Sequence[int], p2: Sequence[int]) -> int:
     return EQUAL
 
 
-def lex_compare(b1: Sequence[int], b2: Sequence[int], cost: Sequence[Fraction]) -> int:
-    """Position-wise comparison of cost profiles with zero extension.
-
-    Returns LESS, EQUAL or GREATER; any two bundles are comparable.
-    """
-    row = CostRow.of(cost)
-    return compare_profiles(row.profile(b1), row.profile(b2))
-
-
 def exchange(bundles: Sequence[Sequence[int]], i: int, t_i: Iterable[int], j: int,
              t_j: Iterable[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The swap rule: new bundles i and j, ids ascending, after exchanging
@@ -346,9 +342,3 @@ def exchange(bundles: Sequence[Sequence[int]], i: int, t_i: Iterable[int], j: in
         raise SubsetViolation(f"T_j {sorted(t_j - a_j)} not in bundle {j}")
     return tuple(sorted((a_i - t_i) | t_j)), tuple(sorted((a_j - t_j) | t_i))
 
-
-def swap(alloc: Allocation, i: int, t_i: Iterable[int], j: int, t_j: Iterable[int]) -> Allocation:
-    """Exchange T_i ⊆ A_i with T_j ⊆ A_j; either side may be empty."""
-    new = list(alloc.bundles)
-    new[i], new[j] = exchange(alloc.bundles, i, t_i, j, t_j)
-    return Allocation.of(new, alloc.agents)

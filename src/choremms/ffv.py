@@ -129,20 +129,11 @@ def is_ffv(all_chores: Iterable[int], alloc: Allocation, cost: Sequence[Fraction
     return bad is None, bad
 
 
-def find_exact_subset(chores: Iterable[int], cost: Sequence[Fraction],
-                      target: Fraction) -> tuple[int, ...]:
-    """Subset summing to exactly the target, for factored costs where the
-    target is itself a chore-cost value at least as large as every member.
-    Greedy largest-first terminates exactly on target for such inputs."""
-    if target <= 0:
-        raise PreconditionViolation("target must be positive")
-    # the target may bring a denominator the row lacks, so it joins the scale
-    row = CostRow([*cost, target])
-    return _exact_subset(row.ffd_order(chores), row, row.weights[-1])
-
-
 def _exact_subset(order: list[int], row: CostRow, target: int) -> tuple[int, ...]:
-    """`find_exact_subset` on integer weights, over chores in FFD order."""
+    """The chores summing to exactly the target weight, for factored costs
+    where the target is itself a chore weight at least as large as every
+    member: greedy largest-first over the chores in FFD order ends exactly on
+    the target for such inputs."""
     weights = row.weights
     values = list(map(weights.__getitem__, order))
     if not is_divisibility_chain(values + [target]):

@@ -27,7 +27,11 @@ class MMSResult:
 @dataclass(frozen=True)
 class SolveResult:
     """Complete allocation (original chore ids, bundle i → agent i) with the
-    per-agent guarantees it was solved against."""
+    per-agent guarantees it was solved against: each agent's cost is at
+    most their threshold. An ordinal threshold is at most the agent's MMS
+    for floor(9n/11) bundles and may be the proven lower bound max(w0,
+    ceil(total/d)). `mms_values[i]` is None when agent i's MMS was not
+    computed."""
 
     allocation: Allocation
     costs: tuple[Fraction, ...]
@@ -60,8 +64,7 @@ def mms_brute(cost: Sequence[Fraction], chores: Iterable[int], d: int) -> MMSRes
     row = CostRow.of(cost)
     ordered = row.ffd_order(chores)
     weights = [row.weights[c] for c in ordered]
-    total = sum(weights)
-    lower = max(weights[0], -(-total // d))  # w0 and ceil(total/d)
+    lower = mms_lower_bound(row, chores, d)
     best = smallest_fitting_cap(row.runs(chores), d) + 1
     best_assign: list[int] | None = None
     sums = [0] * d
@@ -104,6 +107,17 @@ def mms_brute(cost: Sequence[Fraction], chores: Iterable[int], d: int) -> MMSRes
     for idx, b in enumerate(best_assign):
         bundles[b].append(ordered[idx])
     return MMSResult(row.value(best), tuple(tuple(sorted(b)) for b in bundles))
+
+
+def mms_lower_bound(row: CostRow, chores: Iterable[int], d: int) -> int:
+    """max(w0, ceil(total/d)) in the row's integer scale, w0 the largest
+    weight of the chores and total their sum (0 with no chores). Some bundle
+    of any d-partition holds w0, and some holds at least total/d, so the
+    bound is at most the MMS for d bundles."""
+    if d < 1:
+        raise BadParams("need at least one bundle")
+    weights = [row.weights[c] for c in chores]
+    return max(max(weights, default=0), -(-sum(weights) // d))
 
 
 def mms_factored(cost: Sequence[Fraction], chores: Iterable[int], d: int) -> MMSResult:
@@ -169,15 +183,20 @@ def hffd_and_lift(ido: Instance, lifting: LiftingMap,
 
 
 def _solve(instance: Instance, algorithm: str,
-           threshold_of: Callable[..., tuple[Fraction, Fraction | None]]) -> SolveResult:
-    """The pipeline every solver shares: `threshold_of(row, chores)` gives
-    (threshold, mu or None) for each row of the IDO twin, then HFFD and
-    lifting, and each agent's cost is checked against their threshold."""
+           *rules: Callable[..., tuple[Fraction, Fraction | None]]) -> SolveResult:
+    """The pipeline every solver shares. A rule `threshold_of(row, chores)`
+    gives (threshold, mu or None) for each row of the IDO twin. HFFD runs at
+    the first rule's thresholds, and at the next rule's whenever it leaves
+    chores; at the last rule's it must place them all. Each agent's cost in
+    the lifted allocation is checked against their threshold."""
     ido, lifting = to_ido(instance)
     chores = ido.chores()
-    thresholds, mus = zip(*(threshold_of(ido.cost(i), chores) for i in range(instance.n)))
-    allocation, unallocated = hffd_and_lift(ido, lifting, thresholds)
-    if unallocated:
+    for threshold_of in rules:
+        thresholds, mus = zip(*(threshold_of(ido.cost(i), chores) for i in range(instance.n)))
+        allocation, unallocated = hffd_and_lift(ido, lifting, thresholds)
+        if not unallocated:
+            break
+    else:
         raise TheoremViolation(
             f"{algorithm}: HFFD left chores {' '.join(map(str, unallocated))} unallocated "
             f"at thresholds {' '.join(map(format_rational, thresholds))}", instance)
@@ -195,6 +214,20 @@ def _mms_thresholds(d: int) -> Callable[..., tuple[Fraction, Fraction]]:
     def threshold(row, chores):
         mu = mms_value(row, chores, d)
         return mu, mu
+    return threshold
+
+
+def _lower_bound_thresholds(d: int) -> Callable[..., tuple[Fraction, Fraction | None]]:
+    """`_solve`'s threshold rule that gives each agent the lower bound
+    `mms_lower_bound` for d bundles, which is at most their MMS. The bound is
+    their MMS, and is reported as mu, when it is the smallest capacity at
+    which first fit fills d bins (`smallest_fitting_cap`). It is at least
+    every chore's cost, so any agent's empty bin takes any chore and HFFD
+    cannot deadlock at these thresholds."""
+    def threshold(row, chores):
+        lower = mms_lower_bound(row, chores, d)
+        tau = row.value(lower)
+        return tau, tau if smallest_fitting_cap(row.runs(chores), d) == lower else None
     return threshold
 
 
@@ -225,11 +258,20 @@ def solve_bivalued(instance: Instance) -> SolveResult:
 
 
 def solve_ordinal(instance: Instance) -> SolveResult:
-    """1-out-of-floor(9n/11) MMS allocation for a general instance: each
-    agent's threshold is their MMS for d = floor(9n/11) bundles."""
+    """1-out-of-floor(9n/11) MMS allocation for a general instance: every
+    agent's cost is at most their MMS for d = floor(9n/11) bundles.
+
+    Each agent's threshold is at most that MMS. It is first the proven lower
+    bound max(w0, ceil(total/d)), computed in O(m) with no MMS search. Only
+    when HFFD at those bounds leaves chores are the thresholds the exact
+    MMS values, at which the theorem guarantees HFFD succeeds (`mms_value`,
+    capped at ORACLE_CAP chores on rows that are not a divisibility chain).
+    `mms_values[i]` is None when agent i's MMS was not computed: their bound
+    was used and first fit does not show it to be the MMS."""
     if instance.n < 2:
         raise BadParams("the ordinal solver needs at least two agents")
-    return _solve(instance, "ordinal", _mms_thresholds(9 * instance.n // 11))
+    d = 9 * instance.n // 11
+    return _solve(instance, "ordinal", _lower_bound_thresholds(d), _mms_thresholds(d))
 
 
 def solve_auto(instance: Instance) -> SolveResult:

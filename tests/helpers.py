@@ -10,6 +10,10 @@ reference certificate layer (`ref_is_ffv`, `ref_reduce_factored`,
 `ref_reduce_bivalued`, `ref_transform_mms_to_ffd`, and the class and
 ordering checks) does the same for `choremms.ffv` and
 `choremms.core`. `ref_mms_brute` is `mms_brute`'s search without its cuts.
+
+`lex_compare`, `swap` and `find_exact_subset` are not oracles: they are the
+package's profile comparison, swap rule and exact-subset fill behind the
+signatures the tests call, which no caller in the package needs.
 """
 
 from __future__ import annotations
@@ -20,12 +24,39 @@ from fractions import Fraction
 
 from choremms.analysis import gen_instance, subset_sums
 from choremms.core import (Allocation, CostRow, EQUAL, GREATER, LESS, Instance, LiftingMap,
-                           bundle_cost, to_ido)
+                           bundle_cost, compare_profiles, exchange, to_ido)
 from choremms.errors import (BadParams, EmptyBinDeadlock, InvariantViolation, NotBivalued,
                              NotIDO, PreconditionViolation, SubsetViolation)
-from choremms.ffv import SwapStep, SwapTranscript, is_ffv
+from choremms.ffv import SwapStep, SwapTranscript, _exact_subset, is_ffv
 from choremms.mms import APPROX_RATIO, MMSResult, solve_auto
 from choremms.packing import PackOutcome, ffd, hffd
+
+
+def lex_compare(b1, b2, cost):
+    """Position-wise comparison of the bundles' cost profiles, the shorter
+    one extended with zeros: `core.compare_profiles` on the scaled row.
+    Returns LESS, EQUAL or GREATER; any two bundles are comparable."""
+    row = CostRow.of(cost)
+    return compare_profiles(row.profile(b1), row.profile(b2))
+
+
+def swap(alloc, i, t_i, j, t_j):
+    """`alloc` after exchanging T_i ⊆ A_i with T_j ⊆ A_j by `core.exchange`;
+    either side may be empty."""
+    new = list(alloc.bundles)
+    new[i], new[j] = exchange(alloc.bundles, i, t_i, j, t_j)
+    return Allocation.of(new, alloc.agents)
+
+
+def find_exact_subset(chores, cost, target):
+    """`ffv._exact_subset` on a Fraction target: the subset summing to
+    exactly the target, for factored costs where the target is itself a cost
+    value at least as large as every member."""
+    if target <= 0:
+        raise PreconditionViolation("target must be positive")
+    # the target may bring a denominator the row lacks, so it joins the scale
+    row = CostRow([*cost, target])
+    return _exact_subset(row.ffd_order(chores), row, row.weights[-1])
 
 
 def hffd_dropping_last_chore(instance, thresholds):
@@ -188,8 +219,10 @@ def ref_is_bivalued_costs(values):
 
 
 def ref_universal_ordering(instance):
-    """Agent 0's descending sort, checked against every agent."""
-    perm = sort_desc(instance.chores(), instance.cost(0))
+    """The chores by their cost columns in descending lexicographic order,
+    lower id first among equal columns, checked against every agent."""
+    columns = list(zip(*instance.costs))
+    perm = sorted(instance.chores(), key=columns.__getitem__, reverse=True)
     for i in range(instance.n):
         row = instance.cost(i)
         for a, b in zip(perm, perm[1:]):

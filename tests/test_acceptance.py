@@ -10,14 +10,13 @@ import random
 from fractions import Fraction as F
 
 from choremms.analysis import case_table, gen_instance, subset_sums
-from choremms.core import (EQUAL, Allocation, Instance, bundle_cost,
-                           lex_compare, to_ido)
+from choremms.core import EQUAL, Allocation, Instance, bundle_cost, to_ido
 from choremms.ffv import (benchmark_bundle, is_ffv, reduce_bivalued,
                           reduce_factored, transform_mms_to_ffd)
 from choremms.mms import (APPROX_RATIO, mms_brute, mms_factored,
                           solve_bivalued, solve_factored, solve_ordinal)
 from choremms.packing import ffd, hffd
-from helpers import brute_lex_max, perturb_to_ffv, random_rationals
+from helpers import brute_lex_max, lex_compare, perturb_to_ffv, random_rationals
 
 
 def report(num: int, name: str, ok: bool):

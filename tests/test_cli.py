@@ -220,15 +220,55 @@ def test_search_rejects_negative_trials(capsys):
     assert captured.err.startswith("error: ") and len(captured.err.strip().splitlines()) == 1
 
 
-def test_solve_ordinal_past_oracle_cap_exits_1(tmp_path, capsys):
+@pytest.mark.parametrize("n, m", [(3, 16), (30, 300)])
+def test_solve_ordinal_past_oracle_cap_then_verify_exits_0(tmp_path, capsys, n, m):
+    # the ordinal thresholds are lower bounds on the MMS, found with no search
+    inst_path = tmp_path / "inst.txt"
+    assert main(["gen", "--class", "general", "--n", str(n), "--m", str(m),
+                 "--out", str(inst_path)]) == 0
+    alloc_path = tmp_path / "alloc.txt"
+    assert main(["solve", str(inst_path), "--algo", "ordinal",
+                 "--out", str(alloc_path)]) == 0
+    capsys.readouterr()
+    assert main(["verify", str(inst_path), str(alloc_path), "--mode", "ordinal"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.count(" (lower bound) pass\n") == n
+    assert captured.err == ""
+
+
+def test_verify_ordinal_past_oracle_cap_above_the_lower_bound_exits_1(tmp_path, capsys):
+    # agent 0 holds every chore, more than the lower bound, so verify needs
+    # their exact MMS, which the brute-force oracle cannot give at m = 16
     inst_path = tmp_path / "inst.txt"
     assert main(["gen", "--class", "general", "--n", "3", "--m", "16",
                  "--out", str(inst_path)]) == 0
+    alloc_path = tmp_path / "alloc.txt"
+    alloc_path.write_text("agent 0: " + " ".join(map(str, range(16))) + "\nagent 1:\nagent 2:\n")
     capsys.readouterr()
-    assert main(["solve", str(inst_path), "--algo", "ordinal"]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
-    assert "capped at m=14" in err
+    assert main(["verify", str(inst_path), str(alloc_path), "--mode", "ordinal"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and len(captured.err.strip().splitlines()) == 1
+    assert "capped at m=14" in captured.err
+
+
+def test_verify_names_the_bound_each_agent_is_held_to(tmp_path, capsys):
+    # three chores of cost 3 into d = 2 bundles: LB = max(3, ceil(9/2)) = 5
+    # and MMS = 6, so a cost of 6 passes only against the MMS
+    inst_path = write_instance(tmp_path, Instance.from_rows([[3, 3, 3]] * 2))
+    alloc_path = tmp_path / "alloc.txt"
+    alloc_path.write_text("agent 0: 0 1\nagent 1: 2\n")
+    assert main(["verify", inst_path, str(alloc_path), "--mode", "mms"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "agent 0: cost 6 bound 6 (mms) pass",
+        "agent 1: cost 3 bound 5 (lower bound) pass",
+    ]
+    alloc_path.write_text("agent 0: 0 1 2\nagent 1:\n")
+    assert main(["verify", inst_path, str(alloc_path), "--mode", "ratio", "4/3"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "agent 0: cost 9 bound 8 (mms) FAIL",
+        "agent 1: cost 0 bound 20/3 (lower bound) pass",
+    ]
 
 
 def test_solve_hffd_failing_threshold_reports_unpacked_bins(tmp_path, capsys):

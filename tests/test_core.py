@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from choremms.core import (Allocation, EQUAL, GREATER, LESS, Instance, bundle_cost,
-                           classify, format_rational, lex_compare, parse_rational,
-                           swap, to_ido, universal_ordering)
+                           classify, format_rational, parse_rational, to_ido,
+                           universal_ordering)
 from choremms.errors import BadParams, NotIDO, SubsetViolation
-from helpers import all_complete_allocations, random_rationals
+from helpers import all_complete_allocations, lex_compare, random_rationals, swap
 
 FIFTEEN_THIRTEENTHS = Instance.from_rows([[4, 4, 4] + [3] * 9] * 3)
 
@@ -116,6 +116,13 @@ def test_universal_ordering_large_chores_first():
 def test_universal_ordering_tie_break_by_id():
     inst = Instance.from_rows([[3, 3, 3]])
     assert universal_ordering(inst) == (0, 1, 2)
+
+
+def test_universal_ordering_where_agent_0_ties_and_another_agent_does_not():
+    # agent 0 ties chores 0 and 1, agent 1 ranks chore 1 first: (1, 0) is
+    # common to both
+    assert universal_ordering(Instance.from_rows([[1, 1], [1, 2]])) == (1, 0)
+    assert universal_ordering(Instance.from_rows([[2, 2, 1], [1, 3, 1]])) == (1, 0, 2)
 
 
 # ---------------------------------------------------------------- to_ido

@@ -12,19 +12,19 @@ from hypothesis import assume, given, settings, strategies as st
 
 from choremms.analysis import gen_instance, subset_sums
 from choremms.core import (Allocation, CostRow, Instance, is_bivalued_costs,
-                           is_factored_costs, lex_compare, to_ido, universal_ordering)
+                           is_factored_costs, to_ido, universal_ordering)
 from choremms.errors import ChoreMMSError, EmptyBinDeadlock
-from choremms.ffv import (SwapTranscript, _check_ffd_output, benchmark_bundle,
-                          find_exact_subset, is_ffv, reduce_bivalued, reduce_factored,
-                          transform_mms_to_ffd)
-from choremms.mms import min_success_threshold, mms_brute, mms_factored, solve_auto
+from choremms.ffv import (SwapTranscript, _check_ffd_output, benchmark_bundle, is_ffv,
+                          reduce_bivalued, reduce_factored, transform_mms_to_ffd)
+from choremms.mms import (min_success_threshold, mms_brute, mms_factored, solve_auto,
+                          solve_ordinal)
 from choremms.packing import ffd, hffd, multifit
-from helpers import (_ref_check_ffd_output, certify_case, perturb_to_ffv, ref_benchmark_bundle,
-                     ref_ffd, ref_find_exact_subset, ref_hffd, ref_is_bivalued_costs,
-                     ref_is_factored_costs, ref_is_ffv, ref_lex_compare, ref_lift,
-                     ref_min_success_threshold, ref_mms_brute, ref_multifit, ref_reduce_bivalued,
-                     ref_reduce_factored, ref_to_ido, ref_transform_mms_to_ffd,
-                     ref_universal_ordering, run_length)
+from helpers import (_ref_check_ffd_output, certify_case, find_exact_subset, lex_compare,
+                     perturb_to_ffv, ref_benchmark_bundle, ref_ffd, ref_find_exact_subset,
+                     ref_hffd, ref_is_bivalued_costs, ref_is_factored_costs, ref_is_ffv,
+                     ref_lex_compare, ref_lift, ref_min_success_threshold, ref_mms_brute,
+                     ref_multifit, ref_reduce_bivalued, ref_reduce_factored, ref_to_ido,
+                     ref_transform_mms_to_ffd, ref_universal_ordering, run_length)
 
 SETTINGS = settings(max_examples=300, deadline=None)
 
@@ -258,10 +258,11 @@ def permuted_hffd_cases(count):
     """IDO instances that are not twins, with thresholds and, when known,
     the universal ordering. Each is the twin of a seeded instance (every
     class, n 1..6, m 0..30) with its positions given one shuffle of the
-    chore ids, the same for every row. Agent 0 breaks ties by id, so each of
-    its runs of equal costs keeps its ids ascending; the ordering is then
-    the ids in position order. In every other case two chores of one agent
-    swap costs besides, which often breaks IDO. Each agent's threshold is
+    chore ids, the same for every row. Equal cost columns break ties by id,
+    so each run of identical columns keeps its ids ascending; the ordering
+    is then the ids in position order. Agent 0's ties between columns that
+    differ keep their shuffled ids. In every other case two chores of one
+    agent swap costs besides, which often breaks IDO. Each agent's threshold is
     their MultiFit threshold for n bins scaled by 1, 9/10 or 3/4, or now
     and then half their smallest cost."""
     rng = random.Random(0x1D0)
@@ -270,7 +271,7 @@ def permuted_hffd_cases(count):
         n, m = rng.randint(1, 6), rng.randint(0, 30)
         ido, _ = to_ido(gen_instance(kinds[case % 4], n, m, case))
         ids, start = rng.sample(range(m), m), 0
-        for _, run in itertools.groupby(ido.cost(0)):
+        for _, run in itertools.groupby(zip(*ido.costs)):
             end = start + len(list(run))
             ids[start:end] = sorted(ids[start:end])
             start = end
@@ -299,6 +300,27 @@ def test_hffd_matches_reference_off_the_twin():
         assert got == outcome(ref_hffd, instance, taus)
         seen.add(got[0].__name__ if isinstance(got, tuple) else got.succeeded)
     assert seen == {True, False, "NotIDO", "EmptyBinDeadlock"}
+
+
+def test_ordinal_thresholds_are_at_most_the_exact_mms():
+    """Bound-first ordinal thresholds against `mms_brute` for d = floor(9n/11)
+    on seeded instances of every class, n 2..8 and m 2..14: each agent's
+    cost is at most their threshold, which is at most their MMS, and an MMS
+    the solve reports is the exact one."""
+    rng = random.Random(0xB0F)
+    kinds = ("factored", "bivalued", "personalized_bivalued", "general")
+    reported = set()
+    for case in range(240):
+        n, m = rng.randint(2, 8), rng.randint(2, 14)
+        instance = gen_instance(kinds[case % 4], n, m, case)
+        res = solve_ordinal(instance)
+        d = 9 * n // 11
+        for i in range(n):
+            mu = mms_brute(instance.cost(i), instance.chores(), d).value
+            assert res.costs[i] <= res.thresholds[i] <= mu
+            assert res.mms_values[i] in (None, mu)
+            reported.add(res.mms_values[i] is not None)
+    assert reported == {True, False}
 
 
 @SETTINGS
@@ -411,6 +433,8 @@ def test_to_ido_and_universal_ordering_match_reference(data):
     ido, lifting = to_ido(instance)
     want_ido, want_lifting = ref_to_ido(instance)
     assert ido == want_ido and lifting == want_lifting
+    # an IDO twin keeps the identity order, so HFFD on it sees no change
+    assert universal_ordering(ido) == ido.chores()
     for x in (instance, ido):
         assert outcome(universal_ordering, x) == outcome(ref_universal_ordering, x)
 

@@ -6,13 +6,14 @@ import pytest
 
 from choremms import ffv
 from choremms.analysis import gen_instance
-from choremms.core import EQUAL, Allocation, CostRow, bundle_cost, lex_compare
+from choremms.core import EQUAL, Allocation, CostRow, bundle_cost
 from choremms.errors import BadParams, PreconditionViolation
-from choremms.ffv import (SwapStep, SwapTranscript, benchmark_bundle, find_exact_subset,
-                          is_ffv, reduce_bivalued, reduce_factored, transform_mms_to_ffd)
+from choremms.ffv import (SwapStep, SwapTranscript, benchmark_bundle, is_ffv, reduce_bivalued,
+                          reduce_factored, transform_mms_to_ffd)
 from choremms.mms import mms_brute
 from choremms.packing import ffd
-from helpers import brute_lex_max, certify_case, perturb_to_ffv, random_rationals
+from helpers import (brute_lex_max, certify_case, find_exact_subset, lex_compare,
+                     perturb_to_ffv, random_rationals)
 
 # the validity-regression configuration: four bundles plus one loose chore
 REGRESSION_COSTS = tuple(F(x, 100) for x in

@@ -5,16 +5,19 @@ import pytest
 
 from choremms import mms, packing
 from choremms.analysis import gen_instance, subset_sums
-from choremms.core import CostRow, Instance, bundle_cost
+from choremms.core import CostRow, Instance, bundle_cost, to_ido
 from choremms.errors import (BadParams, NotFactored, TheoremViolation, TooLarge,
                              UnsupportedClass)
-from choremms.mms import (APPROX_RATIO, mms_brute, mms_factored, mms_value,
-                          min_success_threshold, solve_auto, solve_bivalued,
-                          solve_factored, solve_ordinal)
+from choremms.mms import (APPROX_RATIO, hffd_and_lift, mms_brute, mms_factored,
+                          mms_lower_bound, mms_value, min_success_threshold, solve_auto,
+                          solve_bivalued, solve_factored, solve_ordinal)
 from choremms.packing import ffd
 from helpers import brute_min_makespan, hffd_dropping_last_chore, random_rationals
 
 LOWER_BOUND_ROW = tuple(F(x) for x in [4, 4, 4] + [3] * 9)
+# HFFD at the lower bounds (12, 13, 12, 16) for d = 3 leaves chore 4 of the
+# IDO twin unplaced, so the ordinal solver must fall back to the exact MMS
+FALLBACK_ROWS = [[7, 6, 8, 7, 7], [7, 9, 5, 9, 8], [7, 6, 6, 9, 7], [10, 10, 10, 9, 8]]
 
 
 # --------------------------------------------------------------- mms_brute
@@ -233,6 +236,42 @@ def test_solve_ordinal_guarantee():
         for i in range(n):
             mms_d = mms_brute(inst.cost(i), inst.chores(), d).value
             assert res.costs[i] <= mms_d
+
+
+def test_mms_lower_bound_is_the_largest_cost_or_the_average():
+    row = CostRow.of((F(7, 2), F(3, 2), F(3, 2), F(3, 2)))  # weights 7 3 3 3
+    assert mms_lower_bound(row, range(4), 2) == 8
+    assert mms_lower_bound(row, range(4), 4) == 7
+    assert mms_lower_bound(row, (1, 2), 1) == 6
+    assert mms_lower_bound(row, (), 3) == 0
+    with pytest.raises(BadParams):
+        mms_lower_bound(row, range(4), 0)
+
+
+def test_solve_ordinal_falls_back_to_the_exact_mms():
+    inst = Instance.from_rows(FALLBACK_ROWS)
+    ido, lifting = to_ido(inst)
+    lower = tuple(row.value(mms_lower_bound(row, ido.chores(), 3)) for row in ido.costs)
+    assert lower == (12, 13, 12, 16)
+    assert hffd_and_lift(ido, lifting, lower)[1] == (4,)
+    res = solve_ordinal(inst)
+    assert res.thresholds == res.mms_values == (14, 15, 13, 19)
+    check_solution(inst, res, F(1))
+
+
+def test_solve_ordinal_needs_no_mms_past_the_oracle_cap(monkeypatch):
+    def no_search(*args):
+        raise AssertionError("bound-first thresholds should need no MMS search")
+    monkeypatch.setattr(mms, "mms_value", no_search)
+    for seed in range(5):
+        inst = gen_instance("general", 3 + seed, 16 + 20 * seed, seed=seed)
+        res = solve_ordinal(inst)
+        d = 9 * inst.n // 11
+        assert res.allocation.is_complete(inst.m)
+        for i, row in enumerate(inst.costs):
+            assert res.thresholds[i] == row.value(mms_lower_bound(row, inst.chores(), d))
+            assert res.costs[i] <= res.thresholds[i]
+            assert res.mms_values[i] in (None, res.thresholds[i])
 
 
 def test_solve_ordinal_rejects_single_agent():

@@ -7,14 +7,15 @@ from hypothesis import given, settings, strategies as st
 
 from choremms import packing
 from choremms.analysis import gen_instance, subset_sums
-from choremms.core import (EQUAL, Instance, bundle_cost, lex_compare, to_ido)
+from choremms.core import EQUAL, Instance, bundle_cost, to_ido
 from choremms.errors import BadParams, EmptyBinDeadlock
 from choremms.ffv import benchmark_bundle, is_ffv
 from choremms.mms import mms_brute
 from choremms.packing import (ffd, first_fit_places_all, hffd, multifit,
                               smallest_fitting_cap)
-from helpers import (brute_min_makespan, random_rationals, ref_ffd, ref_first_fit_places_all,
-                     ref_hffd, ref_multifit, ref_smallest_fitting_cap, run_length)
+from helpers import (brute_min_makespan, lex_compare, random_rationals, ref_ffd,
+                     ref_first_fit_places_all, ref_hffd, ref_multifit, ref_smallest_fitting_cap,
+                     run_length)
 
 LOWER_BOUND_COSTS = tuple(F(x) for x in [4, 4, 4] + [3] * 9)
 
