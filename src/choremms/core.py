@@ -1,4 +1,4 @@
-"""Exact-arithmetic instance model, orderings, profile comparison and the swap rule.
+"""Exact-arithmetic instance model, orderings and profile comparison.
 
 All costs are ``fractions.Fraction`` values; no floating point is used
 anywhere, because every algorithm in this package branches on exact
@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .errors import BadParams, NotIDO, SubsetViolation
+from .errors import BadParams, NotIDO
 
 LESS, EQUAL, GREATER = -1, 0, 1
 
@@ -324,21 +324,4 @@ def compare_profiles(p1: Sequence[int], p2: Sequence[int]) -> int:
     if any(x != 0 for x in rest):
         return GREATER if len(p1) > len(p2) else LESS
     return EQUAL
-
-
-def exchange(bundles: Sequence[Sequence[int]], i: int, t_i: Iterable[int], j: int,
-             t_j: Iterable[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The swap rule: new bundles i and j, ids ascending, after exchanging
-    T_i ⊆ A_i with T_j ⊆ A_j of two distinct bundles (either T may be empty)."""
-    if i == j:
-        raise SubsetViolation("swap needs two distinct bundles")
-    if not (0 <= i < len(bundles) and 0 <= j < len(bundles)):
-        raise SubsetViolation(f"swap bundles {i}, {j} are not among the {len(bundles)} bundles")
-    t_i, t_j = set(t_i), set(t_j)
-    a_i, a_j = set(bundles[i]), set(bundles[j])
-    if not t_i <= a_i:
-        raise SubsetViolation(f"T_i {sorted(t_i - a_i)} not in bundle {i}")
-    if not t_j <= a_j:
-        raise SubsetViolation(f"T_j {sorted(t_j - a_j)} not in bundle {j}")
-    return tuple(sorted((a_i - t_i) | t_j)), tuple(sorted((a_j - t_j) | t_i))
 

@@ -10,13 +10,16 @@ integer weights (`core.CostRow`), with a threshold tau becoming the integer
 capacity floor(tau * D); every sum, sort and comparison runs on those
 integers, and values become Fractions only for results and messages.
 
-A swap step costs in proportion to what it moves: its two bundles' sums
-change by the weight of the traded chores, each integer sum becomes a
-Fraction once, and what is derived from a bundle (its profile, its FFD
-order, its highest id of each weight) is derived again only after a swap
-changed it.
+The swap worker states the swap rule itself, on one set of chore ids per
+bundle kept next to the bundle's tuple of ids ascending. A swap step costs
+in proportion to what it moves: it updates its two sets in place and
+rebuilds their two tuples once, its two bundles' sums change by the weight
+of the traded chores, each integer sum becomes a Fraction once, and what
+is derived from a bundle (its profile, its highest id of each weight) is
+derived again only after a swap changed it.
 The FFV checks read each benchmark's profile from the (weight, count) runs
-of the chores not yet held, so a bundle costs O(runs) plus its own size.
+of the chores not yet held, so a bundle costs O(runs) plus its own size; a
+reduction counts those runs once for both of its checks.
 """
 
 from __future__ import annotations
@@ -26,8 +29,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
-from .core import Allocation, CostRow, EQUAL, compare_profiles, exchange, is_divisibility_chain
-from .errors import BadParams, InvariantViolation, NotBivalued, PreconditionViolation
+from .core import Allocation, CostRow, EQUAL, compare_profiles, is_divisibility_chain
+from .errors import (BadParams, InvariantViolation, NotBivalued, PreconditionViolation,
+                     SubsetViolation)
 from .mms import APPROX_RATIO
 from .packing import ffd, fill_bin
 
@@ -78,11 +82,26 @@ def benchmark_bundle(all_chores: Iterable[int], allocated_prefix: Sequence[Seque
     return tuple(fill_bin(row.ffd_order(all_chores), row.weights, room, taken))
 
 
+def _free_weights(row: CostRow, all_chores: Iterable[int]
+                  ) -> tuple[dict[int, int], dict[int, int], list[int]]:
+    """The chores of `all_chores` as the FFV walks read them: the copies of
+    each id, the count of each weight, and the distinct weights descending.
+    A walk changes none of them; it takes held chores out of its own copy
+    of the weight counts."""
+    weights = row.weights
+    chores = list(all_chores)
+    # plain dicts: every key read is present, and they index faster than a Counter
+    count = dict(Counter(map(weights.__getitem__, chores)))
+    return dict(Counter(chores)), count, sorted(count, reverse=True)
+
+
 def _first_off_benchmark(bundles: Sequence[Sequence[int]], row: CostRow,
-                         all_chores: Iterable[int], room: int, exact: bool) -> int | None:
+                         free: tuple[dict[int, int], dict[int, int], list[int]],
+                         room: int, exact: bool) -> int | None:
     """Index of the first bundle whose profile is below (with `exact`: not
     equal to) its benchmark's, the fill of the room from the chores of
-    `all_chores` that earlier bundles do not hold; None if there is none.
+    `all_chores` (counted by `_free_weights` as `free`) that earlier bundles
+    do not hold; None if there is none.
 
     The free chores are kept as a count per weight. First fit over them in
     FFD order takes, heaviest weight w first, min(count, room // w) copies
@@ -90,11 +109,8 @@ def _first_off_benchmark(bundles: Sequence[Sequence[int]], row: CostRow,
     walk over every chore. A held chore leaves the counts only if it is
     one of `all_chores`."""
     weights = row.weights
-    chores = list(all_chores)
-    # plain dicts: every key read is present, and they index faster than a Counter
-    copies = dict(Counter(chores))
-    count = dict(Counter(map(weights.__getitem__, chores)))
-    distinct = sorted(count, reverse=True)
+    copies, count, distinct = free
+    count = dict(count)
     for k, bundle in enumerate(bundles):
         bench: list[int] = []
         left = room
@@ -125,7 +141,8 @@ def is_ffv(all_chores: Iterable[int], alloc: Allocation, cost: Sequence[Fraction
     if not alloc.bundles:
         return True, None
     row = CostRow.of(cost)
-    bad = _first_off_benchmark(alloc.bundles, row, all_chores, _capacity(row, tau), exact=False)
+    bad = _first_off_benchmark(alloc.bundles, row, _free_weights(row, all_chores),
+                               _capacity(row, tau), exact=False)
     return bad is None, bad
 
 
@@ -156,19 +173,28 @@ def _pad(bundles: Sequence[Sequence[int]], n: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _check_ffd_output(P: Allocation, all_chores, row: CostRow, tau):
+def _check_ffd_output(P: Allocation, all_chores, row: CostRow, tau, free=None):
     """P is an FFD output when it holds every chore and each bundle has its
-    benchmark's profile, since FFD's k-th bin is the k-th benchmark."""
+    benchmark's profile, since FFD's k-th bin is the k-th benchmark. A
+    caller that has `_free_weights(row, all_chores)` passes it as `free`."""
     if not set(P.allocated()) == set(all_chores):
         raise PreconditionViolation("the FFD allocation must contain every chore")
-    if _first_off_benchmark(P.bundles, row, all_chores, row.cap(tau), exact=True) is not None:
+    if free is None:
+        free = _free_weights(row, all_chores)
+    if _first_off_benchmark(P.bundles, row, free, row.cap(tau), exact=True) is not None:
         raise PreconditionViolation("allocation is not an FFD output at this threshold")
 
 
 class _Worker:
-    """One list of bundle tuples, taken from validated allocations, that
-    `apply` swaps in place through `core.exchange`, recording transcript
-    steps and verifying the global chore multiset after every step.
+    """The bundles of a reduction, swapped in place by `apply`, which states
+    the swap rule, records the transcript steps and checks the global chore
+    multiset after every step.
+
+    Each bundle is held twice: as a set of chore ids, which a swap checks T_i
+    and T_j against and updates in place, and as a tuple of the same ids
+    ascending, which the worker sorts once when it is built and which a swap
+    rebuilds once from the set. The transcript's `final` shows a bundle as
+    given until a swap rebuilds it.
 
     A step costs in proportion to what it moves: each bundle's scaled cost
     sum changes by the weight of the chores it trades, each integer sum
@@ -177,10 +203,13 @@ class _Worker:
     swap has changed the bundle."""
 
     def __init__(self, bundles: list[tuple[int, ...]], row: CostRow):
-        self.bundles = bundles
+        # the worker takes over the list, and `final` is built from it
+        self.final = bundles
+        self.bundles = [tuple(sorted(b)) for b in bundles]
+        self.sets = [set(b) for b in bundles]
         self.row = row
         self.weights = row.weights
-        self.sums = [sum(self.weights[c] for c in b) for b in bundles]
+        self.sums = [sum(map(self.weights.__getitem__, b)) for b in bundles]
         self.values: dict[int, Fraction] = {}
         self.costs = tuple(map(self.value, self.sums))
         self.profiles: list[list[int] | None] = [None] * len(bundles)
@@ -203,17 +232,42 @@ class _Worker:
         """The highest id of each weight in bundle b."""
         if self.tops[b] is None:
             weights = self.weights
-            self.tops[b] = {weights[c]: c for c in sorted(self.bundles[b])}
+            # ids ascending, so each weight keeps its last id
+            self.tops[b] = {weights[c]: c for c in self.bundles[b]}
         return self.tops[b]
 
+    def ffd_order(self, b: int) -> list[int]:
+        """Bundle b in FFD order, as `CostRow.ffd_order` gives it."""
+        # a stable sort of the ascending ids keeps equal weights in id order
+        return sorted(self.bundles[b], key=self.weights.__getitem__, reverse=True)
+
     def apply(self, k: int, i: int, t_i, j: int, t_j, forbid_increase_after: int | None = None):
-        old_i, old_j = self.bundles[i], self.bundles[j]
-        new_i, new_j = exchange(self.bundles, i, t_i, j, t_j)
-        self.bundles[i], self.bundles[j] = new_i, new_j
+        """The swap rule: bundles i and j, two distinct indices of the
+        bundles, trade T_i ⊆ A_i for T_j ⊆ A_j (either T may be empty, and
+        each is read as a set). A swap that breaks the rule raises
+        SubsetViolation before any state changes."""
+        bundles = self.bundles
+        if i == j:
+            raise SubsetViolation("swap needs two distinct bundles")
+        if not (0 <= i < len(bundles) and 0 <= j < len(bundles)):
+            raise SubsetViolation(f"swap bundles {i}, {j} are not among the "
+                                  f"{len(bundles)} bundles")
+        give, take = set(t_i), set(t_j)
+        a_i, a_j = self.sets[i], self.sets[j]
+        if not give <= a_i:
+            raise SubsetViolation(f"T_i {sorted(give - a_i)} not in bundle {i}")
+        if not take <= a_j:
+            raise SubsetViolation(f"T_j {sorted(take - a_j)} not in bundle {j}")
+        size, union = len(a_i) + len(a_j), a_i | a_j
+        a_i -= give
+        a_i |= take
+        a_j -= take
+        a_j |= give
+        self.final[i] = bundles[i] = tuple(sorted(a_i))
+        self.final[j] = bundles[j] = tuple(sorted(a_j))
         self.profiles[i] = self.profiles[j] = self.tops[i] = self.tops[j] = None
-        # exchange reads T_i and T_j as sets, so their weights count once each
         weight = self.weights.__getitem__
-        gain = sum(map(weight, set(t_j))) - sum(map(weight, set(t_i)))
+        gain = sum(map(weight, take)) - sum(map(weight, give))
         before = self.costs
         self.sums[i] += gain
         self.sums[j] -= gain
@@ -224,8 +278,8 @@ class _Worker:
                         j, tuple(sorted(t_j)), self.costs)
         self.transcript.steps.append(step)
         # no other bundle changed, so the multiset holds when these two hold
-        # the chores they held before
-        if sorted(new_i + new_j) != sorted(old_i + old_j):
+        # as many chores as before and together the same ones
+        if len(a_i) + len(a_j) != size or a_i | a_j != union:
             self.fail(k, "swap changed the global chore multiset")
         if forbid_increase_after is not None:
             # at most one of the two bundles gains
@@ -236,12 +290,12 @@ class _Worker:
 
     def fail(self, k: int, message: str):
         self.transcript.result = f"violation k={k}"
-        self.transcript.final = Allocation.of(self.bundles)
+        self.transcript.final = Allocation.of(self.final)
         raise InvariantViolation(message, self.transcript)
 
     def finish(self) -> SwapTranscript:
         self.transcript.result = "equal"
-        self.transcript.final = Allocation.of(self.bundles)
+        self.transcript.final = Allocation.of(self.final)
         return self.transcript
 
 
@@ -265,11 +319,15 @@ def _reduce(P: Allocation, Q: Allocation, row: CostRow, tau: Fraction,
     profile, and check that it got there."""
     if tau <= 0:
         raise BadParams("FFD threshold must be positive")
+    # the FFD-output check and the FFV check walk the same free chores
+    free = _free_weights(row, all_chores)
     if verify_ffd:
-        _check_ffd_output(P, all_chores, row, tau)
-    ok, bad = is_ffv(all_chores, Q, row, tau)
-    if not ok:
-        raise PreconditionViolation(f"allocation is not First-Fit-Valid (bundle {bad})")
+        _check_ffd_output(P, all_chores, row, tau, free)
+    # is_ffv's walk, on the counts built once; a Q without bundles is FFV
+    if Q.bundles:
+        bad = _first_off_benchmark(Q.bundles, row, free, row.cap(tau), exact=False)
+        if bad is not None:
+            raise PreconditionViolation(f"allocation is not First-Fit-Valid (bundle {bad})")
     n = max(len(P.bundles), len(Q.bundles))
     worker = _Worker(_pad(P.bundles, n), row)
     targets = [row.profile(b) for b in _pad(Q.bundles, n)]
@@ -297,7 +355,7 @@ def reduce_factored(P: Allocation, Q: Allocation, cost: Sequence[Fraction],
         raise PreconditionViolation("cost function must be factored")
 
     def reach_target(worker: _Worker, k: int, target):
-        current = row.ffd_order(worker.bundles[k])
+        current = worker.ffd_order(k)
         for j, want in enumerate(target):
             have = weights[current[j]] if j < len(current) else 0
             if want <= have:
@@ -317,7 +375,7 @@ def reduce_factored(P: Allocation, Q: Allocation, cost: Sequence[Fraction],
             else:
                 moved = tuple(tail)
             worker.apply(k, k, moved, i, (cl,), forbid_increase_after=k)
-            current = row.ffd_order(worker.bundles[k])
+            current = worker.ffd_order(k)
     return _reduce(P, Q, row, tau, all_chores, verify_ffd, reach_target)
 
 
@@ -446,7 +504,8 @@ def transform_mms_to_ffd(Q: Allocation, cost: Sequence[Fraction],
             if donor is None:
                 worker.fail(k, "two-small-chores (c) broken: no later bundle has a large chore")
             z, cl = donor
-            smalls = sorted(c for c in worker.bundles[k] if weights[c] != large)
+            # ids ascending, so the first two small chores are the lowest
+            smalls = [c for c in worker.bundles[k] if weights[c] != large]
             pair = tuple(smalls[:2])
             worker.apply(k, k, pair, z, (cl,))
             if len(worker.bundles[k]) > len(p_profiles[k]):
@@ -459,12 +518,12 @@ def transform_mms_to_ffd(Q: Allocation, cost: Sequence[Fraction],
                     if donor is None:
                         worker.fail(k, "special case: no later bundle has a large chore")
                     z2, cl2 = donor
-                    smalls2 = sorted(c for c in worker.bundles[k] if weights[c] != large)
+                    smalls2 = [c for c in worker.bundles[k] if weights[c] != large]
                     worker.apply(k, k, tuple(smalls2[:2]), z2, (cl2,))
                 else:
                     worker.fail(k, "bundle still has too many chores outside the "
                                    "two special cases")
-        current = row.ffd_order(worker.bundles[k])
+        current = worker.ffd_order(k)
         for j, want in enumerate(p_profiles[k]):
             have = weights[current[j]] if j < len(current) else 0
             if have > want:
@@ -478,7 +537,7 @@ def transform_mms_to_ffd(Q: Allocation, cost: Sequence[Fraction],
             z, cl = donor
             out = (current[j],) if j < len(current) else ()
             worker.apply(k, k, out, z, (cl,))
-            current = row.ffd_order(worker.bundles[k])
+            current = worker.ffd_order(k)
         if worker.profile(k) != p_profiles[k]:
             worker.fail(k, f"bundle {k} did not reach the FFD profile")
     return worker.finish()

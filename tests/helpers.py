@@ -12,8 +12,9 @@ ordering checks) does the same for `choremms.ffv` and
 `choremms.core`. `ref_mms_brute` is `mms_brute`'s search without its cuts.
 
 `lex_compare`, `swap` and `find_exact_subset` are not oracles: they are the
-package's profile comparison, swap rule and exact-subset fill behind the
-signatures the tests call, which no caller in the package needs.
+package's profile comparison, the reductions' swap worker and exact-subset
+fill behind the signatures the tests call, which no caller in the package
+needs.
 """
 
 from __future__ import annotations
@@ -24,10 +25,10 @@ from fractions import Fraction
 
 from choremms.analysis import gen_instance, subset_sums
 from choremms.core import (Allocation, CostRow, EQUAL, GREATER, LESS, Instance, LiftingMap,
-                           bundle_cost, compare_profiles, exchange, to_ido)
+                           bundle_cost, compare_profiles, to_ido)
 from choremms.errors import (BadParams, EmptyBinDeadlock, InvariantViolation, NotBivalued,
                              NotIDO, PreconditionViolation, SubsetViolation)
-from choremms.ffv import SwapStep, SwapTranscript, _exact_subset, is_ffv
+from choremms.ffv import SwapStep, SwapTranscript, _exact_subset, _Worker, is_ffv
 from choremms.mms import APPROX_RATIO, MMSResult, solve_auto
 from choremms.packing import PackOutcome, ffd, hffd
 
@@ -41,11 +42,13 @@ def lex_compare(b1, b2, cost):
 
 
 def swap(alloc, i, t_i, j, t_j):
-    """`alloc` after exchanging T_i ⊆ A_i with T_j ⊆ A_j by `core.exchange`;
-    either side may be empty."""
-    new = list(alloc.bundles)
-    new[i], new[j] = exchange(alloc.bundles, i, t_i, j, t_j)
-    return Allocation.of(new, alloc.agents)
+    """`alloc` after the reductions' worker (`ffv._Worker.apply`) exchanges
+    T_i ⊆ A_i with T_j ⊆ A_j; either side may be empty."""
+    # the rule reads no cost, so every chore weighs 1
+    row = CostRow([Fraction(1)] * (max(alloc.allocated(), default=-1) + 1))
+    worker = _Worker(list(alloc.bundles), row)
+    worker.apply(0, i, t_i, j, t_j)
+    return Allocation.of(worker.finish().final.bundles, alloc.agents)
 
 
 def find_exact_subset(chores, cost, target):
@@ -474,7 +477,7 @@ def _ref_check_ffd_output(P, all_chores, cost, tau):
 
 
 def ref_swap(bundles, i, t_i, j, t_j):
-    """The swap rule, stated apart from `core.exchange`: bundles i and j
+    """The swap rule, stated apart from `ffv._Worker.apply`: bundles i and j
     trade T_i ⊆ A_i for T_j ⊆ A_j and come back as sorted ids; every other
     bundle is returned exactly as given."""
     t_i, t_j = set(t_i), set(t_j)

@@ -13,7 +13,8 @@ from hypothesis import assume, given, settings, strategies as st
 from choremms.analysis import gen_instance, subset_sums
 from choremms.core import (Allocation, CostRow, Instance, is_bivalued_costs,
                            is_factored_costs, to_ido, universal_ordering)
-from choremms.errors import ChoreMMSError, EmptyBinDeadlock
+from choremms.errors import (ChoreMMSError, EmptyBinDeadlock, InvariantViolation,
+                             PreconditionViolation)
 from choremms.ffv import (SwapTranscript, _check_ffd_output, benchmark_bundle, is_ffv,
                           reduce_bivalued, reduce_factored, transform_mms_to_ffd)
 from choremms.mms import (min_success_threshold, mms_brute, mms_factored, solve_auto,
@@ -630,17 +631,55 @@ def test_transform_mms_to_ffd_matches_reference(data):
 # The drawn cases above stop at m = 12 and n = 4; these run at the sizes of
 # the benchmark's workloads.
 
-def test_reductions_match_reference_at_benchmark_sizes():
+def benchmark_size_reductions():
+    """(reduction, its reference, `certify_case`) for factored 10x100 and
+    personalized bivalued 8x80 instances."""
     cases = [(reduce_factored, ref_reduce_factored,
               certify_case("factored", 10, 100, seed, levels=levels))
              for levels in (1, 2, 3) for seed in range(4)]
     cases += [(reduce_bivalued, ref_reduce_bivalued,
                certify_case("personalized_bivalued", 8, 80, seed)) for seed in range(6)]
-    for reduce, ref_reduce, case in cases:
+    return cases
+
+
+def test_reductions_match_reference_at_benchmark_sizes():
+    for reduce, ref_reduce, case in benchmark_size_reductions():
         got = outcome(reduce, *case)
         assert got == outcome(ref_reduce, *case)
         steps, result = got[:2]
         assert result == "equal" and steps
+
+
+def moved_chore(rng, alloc, drop=False):
+    """`alloc` with one chore moved from one bundle to another, maybe a new
+    last one; with `drop`, left out instead."""
+    bundles = [list(b) for b in alloc.bundles] + [[]]
+    src = rng.choice([b for b, bundle in enumerate(bundles) if bundle])
+    chore = bundles[src].pop(rng.randrange(len(bundles[src])))
+    if not drop:
+        bundles[rng.choice([b for b in range(len(bundles)) if b != src])].append(chore)
+    return Allocation.of(b for b in bundles if b)
+
+
+def test_reductions_fail_as_reference_at_benchmark_sizes():
+    # A Q with one chore moved is often not First-Fit-Valid; one that is
+    # still reduces. The reductions that break partway, where `fail` builds
+    # `final` from the worker's state, come from a P moved the same way
+    # (the factored reduction breaks on some) or with a chore left out (a
+    # donor runs out), with the FFD-output check off.
+    rng = random.Random(17)
+    seen = set()
+    for reduce, ref_reduce, (P, Q, cost, tau, chores) in benchmark_size_reductions():
+        for _ in range(3):
+            for p, q, verify_ffd in ((P, moved_chore(rng, Q), True),
+                                     (moved_chore(rng, P), Q, False),
+                                     (moved_chore(rng, P, drop=True), Q, False)):
+                got = outcome(reduce, p, q, cost, tau, chores, verify_ffd)
+                assert got == outcome(ref_reduce, p, q, cost, tau, chores, verify_ffd)
+                # an error's outcome starts with its type, a transcript's with its steps
+                seen.add((reduce, got[0] if isinstance(got[0], type) else "reduced"))
+    for reduce in (reduce_factored, reduce_bivalued):
+        assert {(reduce, PreconditionViolation), (reduce, InvariantViolation)} <= seen
 
 
 def test_transform_mms_to_ffd_matches_reference_at_small_exact_sizes():

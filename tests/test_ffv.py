@@ -1,3 +1,4 @@
+import copy
 import random
 import re
 from fractions import Fraction as F
@@ -7,7 +8,7 @@ import pytest
 from choremms import ffv
 from choremms.analysis import gen_instance
 from choremms.core import EQUAL, Allocation, CostRow, bundle_cost
-from choremms.errors import BadParams, PreconditionViolation
+from choremms.errors import BadParams, PreconditionViolation, SubsetViolation
 from choremms.ffv import (SwapStep, SwapTranscript, benchmark_bundle, is_ffv, reduce_bivalued,
                           reduce_factored, transform_mms_to_ffd)
 from choremms.mms import mms_brute
@@ -108,6 +109,31 @@ def test_find_exact_subset_random_factored():
 def test_find_exact_subset_rejects_a_target_at_most_zero(target):
     with pytest.raises(PreconditionViolation, match="^target must be positive$"):
         find_exact_subset([0, 1], (F(2), F(2)), target)
+
+
+# ---------------------------------------------------------------- swap worker
+
+@pytest.mark.parametrize("i, t_i, j, t_j, message", [
+    (1, (), 1, (), "swap needs two distinct bundles"),
+    (-1, (4,), 1, (1,), "swap bundles -1, 1 are not among the 3 bundles"),
+    (0, (), 3, (), "swap bundles 0, 3 are not among the 3 bundles"),
+    # a T that is partly in its bundle: nothing of it may move
+    (0, (0, 5), 1, (1,), "T_i [5] not in bundle 0"),
+    (0, (0,), 1, (1, 3), "T_j [3] not in bundle 1"),
+])
+def test_refused_swap_leaves_the_worker_unchanged(i, t_i, j, t_j, message):
+    row = CostRow(F(x) for x in [5, 4, 3, 3, 2, 1])
+    worker = ffv._Worker([(4, 0, 2), (3, 1), (5,)], row)
+    # one swap in, to (0, 3, 4) (1, 2) (5,), with a profile and a donor
+    # table derived
+    worker.apply(0, 0, (2,), 1, (3,))
+    assert worker.bundles == [(0, 3, 4), (1, 2), (5,)]
+    worker.profile(0), worker.top(1)
+    before = copy.deepcopy(vars(worker))
+    with pytest.raises(SubsetViolation, match=f"^{re.escape(message)}$"):
+        worker.apply(1, i, t_i, j, t_j)
+    # bundles, sets, sums, costs, caches and transcript alike
+    assert vars(worker) == before
 
 
 # ------------------------------------------------- reduce_factored (Alg. 1)
@@ -248,33 +274,61 @@ def test_ffd_output_check_runs_no_ffd(monkeypatch):
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("levels, seed", [(1, 0), (2, 0), (3, 1)])
-def test_swap_steps_sort_and_convert_only_what_they_change(monkeypatch, levels, seed):
-    # bundle k is sorted once and again after each of its swaps, and each
-    # integer bundle sum becomes a Fraction once
-    P, Q, cost, tau, chores = certify_case("factored", 10, 100, seed, levels=levels)
+def swap_case(kind, seed, levels=None):
+    """(the worker's first bundles, the row, a call that swaps them): the
+    benchmark's reductions, or the transform of a small-exact-sized MMS
+    partition that takes six swaps."""
+    if kind == "transform":
+        row = gen_instance("personalized_bivalued", 8, 13, seed).cost(1)
+        mms = mms_brute(row, range(13), 8)
+        Q = Allocation.of(mms.witness)
+        return Q.bundles, row, lambda: transform_mms_to_ffd(Q, row, mms.value)
+    if kind == "factored":
+        P, Q, cost, tau, chores = certify_case(kind, 10, 100, seed, levels=levels)
+        reduce = reduce_factored
+    else:
+        P, Q, cost, tau, chores = certify_case(kind, 8, 80, seed)
+        reduce = reduce_bivalued
+    return P.bundles, cost, lambda: reduce(P, Q, cost, tau, chores)
+
+
+@pytest.mark.parametrize("kind, seed, levels", [
+    pytest.param("factored", 0, 1, id="1-0"),
+    pytest.param("factored", 0, 2, id="2-0"),
+    pytest.param("factored", 1, 3, id="3-1"),
+    pytest.param("personalized_bivalued", 0, None, id="bivalued-0"),
+    pytest.param("personalized_bivalued", 3, None, id="bivalued-3"),
+    pytest.param("transform", 1, None, id="transform-1"),
+])
+def test_swap_steps_sort_and_convert_only_what_they_change(monkeypatch, kind, seed, levels):
+    # bundle k is put in FFD order once and again after each of its swaps,
+    # and each integer bundle sum becomes a Fraction once
+    start, cost, swaps = swap_case(kind, seed, levels)
     calls = {"value": 0, "ffd_order": 0}
 
-    def counted(name):
-        method = getattr(CostRow, name)
+    def counted(owner, name):
+        method = getattr(owner, name)
 
         def wrapper(self, *args):
             calls[name] += 1
             return method(self, *args)
-        return wrapper
-    for name in calls:
-        monkeypatch.setattr(CostRow, name, counted(name))
-    t = reduce_factored(P, Q, cost, tau, chores)
+        monkeypatch.setattr(owner, name, wrapper)
+    counted(CostRow, "value")
+    # the worker's order of a bundle, or the row's order of any chores
+    counted(ffv._Worker, "ffd_order")
+    counted(CostRow, "ffd_order")
+    t = swaps()
     monkeypatch.undo()
-    bundles = max(len(P.bundles), len(Q.bundles))
-    # the worker pads P with empty bundles to the longer length
-    padded = P.bundles + ((),) * (bundles - len(P.bundles))
+    bundles = len(t.final.bundles)
+    # the worker pads the first bundles with empty ones to its length
+    padded = start + ((),) * (bundles - len(start))
     sums = {bundle_cost(cost, b) for b in padded}
     sums |= {c for step in t.steps for c in step.costs_after}
     steps = len(t.steps)
     assert t.result == "equal" and steps
     assert calls["value"] <= len(sums)
-    assert calls["ffd_order"] <= bundles + steps
+    # the transform's FFD run puts its chores in FFD order once
+    assert calls["ffd_order"] <= bundles + steps + (kind == "transform")
 
 
 # ------------------------------------------------- reduce_bivalued (Alg. 2)
