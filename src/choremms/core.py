@@ -14,6 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import groupby
 from typing import Iterable, Sequence
 
 from .errors import BadParams, NotIDO
@@ -88,6 +89,11 @@ class CostRow(tuple):
         the one tie-break of FFD and of the universal ordering."""
         # a stable sort of ascending ids keeps equal costs in id order
         return sorted(sorted(chores), key=self.weights.__getitem__, reverse=True)
+
+    def by_weight(self, order: Iterable[int]) -> dict[int, list[int]]:
+        """Chores in FFD order (as `ffd_order` gives them) grouped by weight:
+        the order cut where the weight changes, heaviest first."""
+        return {w: list(group) for w, group in groupby(order, self.weights.__getitem__)}
 
     def profile(self, chores: Iterable[int]) -> list[int]:
         """The chores' weights, descending (their order in FFD)."""
@@ -267,19 +273,20 @@ def universal_ordering(instance: Instance) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class LiftingMap:
-    """Converts a complete allocation of the IDO twin back to the original
-    instance without increasing any agent's cost."""
+    """Converts an allocation of the IDO twin back to the original instance
+    without increasing any agent's cost. A position no bundle holds lifts to
+    no chore, so a partial allocation leaves as many original chores out."""
 
     original: Instance
 
     def lift(self, allocation: Allocation) -> Allocation:
         m = self.original.m
-        if not allocation.is_complete(m):
-            raise BadParams("lifting requires a complete allocation")
         owner_of = {}
         for b, bundle in enumerate(allocation.bundles):
             agent = allocation.agent_of(b)
             for c in bundle:
+                if not 0 <= c < m:
+                    raise BadParams(f"chore {c} is not one of the {m} chores")
                 owner_of[c] = (agent, b)
         taken = [False] * m
         # per owner: original chores cheapest first (lower id among equals)
@@ -289,9 +296,11 @@ class LiftingMap:
         lifted: list[list[int]] = [[] for _ in allocation.bundles]
         # IDO chore j is the (j+1)-th largest position; walk smallest to
         # largest, each owner taking their cheapest remaining original chore.
-        # At the t-th pick at most t-1 of an agent's t cheapest chores are
-        # gone, so the pick costs at most the position it replaces.
+        # At position j at most m-1-j chores are gone, so one of the agent's
+        # m-j cheapest is left: the pick costs at most the position j.
         for j in reversed(range(m)):
+            if j not in owner_of:
+                continue
             agent, b = owner_of[j]
             if agent not in ascending:
                 weights = self.original.cost(agent).weights

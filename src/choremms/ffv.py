@@ -17,9 +17,11 @@ rebuilds their two tuples once, its two bundles' sums change by the weight
 of the traded chores, each integer sum becomes a Fraction once, and what
 is derived from a bundle (its profile, its highest id of each weight) is
 derived again only after a swap changed it.
-The FFV checks read each benchmark's profile from the (weight, count) runs
-of the chores not yet held, so a bundle costs O(runs) plus its own size; a
-reduction counts those runs once for both of its checks.
+The benchmark bundles, the FFV checks and the exact subsets of
+`reduce_factored` all fill one bin by `packing.first_fit_bin`, the one
+statement of the first-fit rule, over weight counts: the FFV checks read
+each benchmark's profile from the counts of the chores not yet held, so a
+bundle costs O(runs) plus its own size.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .core import Allocation, CostRow, EQUAL, compare_profiles, is_divisibility_
 from .errors import (BadParams, InvariantViolation, NotBivalued, PreconditionViolation,
                      SubsetViolation)
 from .mms import APPROX_RATIO
-from .packing import ffd, fill_bin
+from .packing import ffd, first_fit_bin
 
 
 class SwapStep(NamedTuple):
@@ -74,55 +76,33 @@ def _capacity(row: CostRow, tau: Fraction) -> int:
 def benchmark_bundle(all_chores: Iterable[int], allocated_prefix: Sequence[Sequence[int]],
                      cost: Sequence[Fraction], tau: Fraction) -> tuple[int, ...]:
     """Lexicographically maximal subset of the chores left after the prefix,
-    under the threshold: greedy largest-first, keeping the running sum
-    within tau (the bin FFD fills next from those chores)."""
+    under the threshold: FFD's first bin over those chores, the greedy
+    largest-first fill within tau."""
     row = CostRow.of(cost)
-    room = _capacity(row, tau)
+    _capacity(row, tau)  # the certificate layer's error for a threshold at most 0
     taken = {c for b in allocated_prefix for c in b}
-    return tuple(fill_bin(row.ffd_order(all_chores), row.weights, room, taken))
-
-
-def _free_weights(row: CostRow, all_chores: Iterable[int]
-                  ) -> tuple[dict[int, int], dict[int, int], list[int]]:
-    """The chores of `all_chores` as the FFV walks read them: the copies of
-    each id, the count of each weight, and the distinct weights descending.
-    A walk changes none of them; it takes held chores out of its own copy
-    of the weight counts."""
-    weights = row.weights
-    chores = list(all_chores)
-    # plain dicts: every key read is present, and they index faster than a Counter
-    count = dict(Counter(map(weights.__getitem__, chores)))
-    return dict(Counter(chores)), count, sorted(count, reverse=True)
+    bins = ffd([c for c in all_chores if c not in taken], row, tau, max_bins=1).bundles
+    return bins[0] if bins else ()
 
 
 def _first_off_benchmark(bundles: Sequence[Sequence[int]], row: CostRow,
-                         free: tuple[dict[int, int], dict[int, int], list[int]],
-                         room: int, exact: bool) -> int | None:
+                         all_chores: Iterable[int], room: int, exact: bool) -> int | None:
     """Index of the first bundle whose profile is below (with `exact`: not
     equal to) its benchmark's, the fill of the room from the chores of
-    `all_chores` (counted by `_free_weights` as `free`) that earlier bundles
-    do not hold; None if there is none.
+    `all_chores` that earlier bundles do not hold; None if there is none.
 
-    The free chores are kept as a count per weight. First fit over them in
-    FFD order takes, heaviest weight w first, min(count, room // w) copies
-    of w, since the room only shrinks: so a benchmark costs O(runs), not a
-    walk over every chore. A held chore leaves the counts only if it is
-    one of `all_chores`."""
+    The free chores are kept as a count per weight, heaviest first, and
+    each benchmark is `first_fit_bin` over those counts: so it costs
+    O(runs), not a walk over every chore. A held chore leaves the counts
+    only if it is one of `all_chores`."""
     weights = row.weights
-    copies, count, distinct = free
-    count = dict(count)
+    chores = list(all_chores)
+    count = dict(row.runs(chores))
+    copies = Counter(chores)
     for k, bundle in enumerate(bundles):
         bench: list[int] = []
-        left = room
-        for w in distinct:
-            if w <= left:
-                t = count[w]
-                if t * w > left:
-                    # here w > 0, since left >= 0: a weight of at most 0
-                    # (is_ffv takes any row) always fits
-                    t = left // w
-                bench += [w] * t
-                left -= t * w
+        for w, t in first_fit_bin(count, room):
+            bench += [w] * t
         profile = row.profile(bundle)
         relation = EQUAL if profile == bench else compare_profiles(profile, bench)
         if (relation != EQUAL) if exact else (relation < EQUAL):
@@ -141,30 +121,30 @@ def is_ffv(all_chores: Iterable[int], alloc: Allocation, cost: Sequence[Fraction
     if not alloc.bundles:
         return True, None
     row = CostRow.of(cost)
-    bad = _first_off_benchmark(alloc.bundles, row, _free_weights(row, all_chores),
-                               _capacity(row, tau), exact=False)
+    bad = _first_off_benchmark(alloc.bundles, row, all_chores, _capacity(row, tau), exact=False)
     return bad is None, bad
 
 
 def _exact_subset(order: list[int], row: CostRow, target: int) -> tuple[int, ...]:
     """The chores summing to exactly the target weight, for factored costs
     where the target is itself a chore weight at least as large as every
-    member: greedy largest-first over the chores in FFD order ends exactly on
-    the target for such inputs."""
-    weights = row.weights
-    values = list(map(weights.__getitem__, order))
-    if not is_divisibility_chain(values + [target]):
+    member: first fit of the chores, in FFD order, into one bin of the
+    target's room (`first_fit_bin`) ends exactly on the target for such
+    inputs."""
+    ids = row.by_weight(order)
+    count = {w: len(group) for w, group in ids.items()}
+    if not is_divisibility_chain([*count, target]):
         raise PreconditionViolation("costs and target must form a divisibility chain")
-    if any(v > target for v in values):
+    if any(w > target for w in count):
         raise PreconditionViolation("every chore must cost at most the target")
-    if sum(values) < target:
+    if sum(w * k for w, k in count.items()) < target:
         raise PreconditionViolation("total cost must reach the target")
-    subset = fill_bin(order, weights, target)
-    total = sum(weights[c] for c in subset)
+    taken = first_fit_bin(count, target)
+    total = sum(w * t for w, t in taken)
     if total != target:
         raise PreconditionViolation(f"greedy missed the target {row.value(target)}; "
                                     f"got {row.value(total)}")
-    return tuple(subset)
+    return tuple(c for w, t in taken for c in ids[w][:t])
 
 
 def _pad(bundles: Sequence[Sequence[int]], n: int) -> list[tuple[int, ...]]:
@@ -173,15 +153,12 @@ def _pad(bundles: Sequence[Sequence[int]], n: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _check_ffd_output(P: Allocation, all_chores, row: CostRow, tau, free=None):
+def _check_ffd_output(P: Allocation, all_chores, row: CostRow, tau):
     """P is an FFD output when it holds every chore and each bundle has its
-    benchmark's profile, since FFD's k-th bin is the k-th benchmark. A
-    caller that has `_free_weights(row, all_chores)` passes it as `free`."""
+    benchmark's profile, since FFD's k-th bin is the k-th benchmark."""
     if not set(P.allocated()) == set(all_chores):
         raise PreconditionViolation("the FFD allocation must contain every chore")
-    if free is None:
-        free = _free_weights(row, all_chores)
-    if _first_off_benchmark(P.bundles, row, free, row.cap(tau), exact=True) is not None:
+    if _first_off_benchmark(P.bundles, row, all_chores, row.cap(tau), exact=True) is not None:
         raise PreconditionViolation("allocation is not an FFD output at this threshold")
 
 
@@ -319,15 +296,11 @@ def _reduce(P: Allocation, Q: Allocation, row: CostRow, tau: Fraction,
     profile, and check that it got there."""
     if tau <= 0:
         raise BadParams("FFD threshold must be positive")
-    # the FFD-output check and the FFV check walk the same free chores
-    free = _free_weights(row, all_chores)
     if verify_ffd:
-        _check_ffd_output(P, all_chores, row, tau, free)
-    # is_ffv's walk, on the counts built once; a Q without bundles is FFV
-    if Q.bundles:
-        bad = _first_off_benchmark(Q.bundles, row, free, row.cap(tau), exact=False)
-        if bad is not None:
-            raise PreconditionViolation(f"allocation is not First-Fit-Valid (bundle {bad})")
+        _check_ffd_output(P, all_chores, row, tau)
+    ok, bad = is_ffv(all_chores, Q, row, tau)
+    if not ok:
+        raise PreconditionViolation(f"allocation is not First-Fit-Valid (bundle {bad})")
     n = max(len(P.bundles), len(Q.bundles))
     worker = _Worker(_pad(P.bundles, n), row)
     targets = [row.profile(b) for b in _pad(Q.bundles, n)]
@@ -426,10 +399,11 @@ def reduce_bivalued(P: Allocation, Q: Allocation, cost: Sequence[Fraction],
     return _reduce(P, Q, row, tau, all_chores, verify_ffd, reach_target)
 
 
-def _counts(profile: list[int], large: int) -> tuple[int, int]:
-    """The (large, small) chore counts of a two-valued profile."""
-    n_large = profile.count(large)
-    return n_large, len(profile) - n_large
+def _counts(chores: Iterable[int], weights: Sequence[int], large: int) -> tuple[int, int]:
+    """The (large, small) counts of two-valued chores, read off their ids."""
+    values = list(map(weights.__getitem__, chores))
+    n_large = values.count(large)
+    return n_large, len(values) - n_large
 
 
 def transform_mms_to_ffd(Q: Allocation, cost: Sequence[Fraction],
@@ -467,11 +441,11 @@ def transform_mms_to_ffd(Q: Allocation, cost: Sequence[Fraction],
     n_work = len(p_bundles)
     p_profiles = [row.profile(b) for b in p_bundles]
     # most large chores first, then most small ones; stable among equals
-    q_sorted = sorted(Q.bundles, key=lambda b: _counts(row.profile(b), large), reverse=True)
+    q_sorted = sorted(Q.bundles, key=lambda b: _counts(b, weights, large), reverse=True)
     worker = _Worker(_pad(q_sorted, n_work), row)
 
-    # the checks read the worker's profiles, which a swap changes only for
-    # its two bundles
+    # invariant 1 reads the worker's profiles, which a swap changes only for
+    # its two bundles; invariant 3 counts only a bundle that costs more than mu
     def check_invariants(k: int):
         for i in range(k):
             if worker.profile(i) != p_profiles[i]:
@@ -481,17 +455,16 @@ def transform_mms_to_ffd(Q: Allocation, cost: Sequence[Fraction],
                 worker.fail(k, f"invariant 2 broken: bundle {i} costs {worker.costs[i]} "
                                f"> tau {tau}")
         for i in range(k + 1, n_work):
-            n_l, n_s = _counts(worker.profile(i), large)
-            if (worker.sums[i] <= mu_cap or n_l == 0
-                    or (n_l == 1 and (n_s + 2) * small <= tau_cap)):
-                continue
-            worker.fail(k, f"invariant 3 broken at bundle {i}")
+            if worker.sums[i] > mu_cap:
+                n_l, n_s = _counts(worker.bundles[i], weights, large)
+                if n_l > 1 or (n_l == 1 and (n_s + 2) * small > tau_cap):
+                    worker.fail(k, f"invariant 3 broken at bundle {i}")
 
     for k in range(n_work):
         check_invariants(k)
         if len(worker.bundles[k]) > len(p_profiles[k]):
-            a_q, b_q = _counts(worker.profile(k), large)
-            a_p, b_p = _counts(p_profiles[k], large)
+            a_q, b_q = _counts(worker.bundles[k], weights, large)
+            a_p, b_p = _counts(p_bundles[k], weights, large)
             if worker.sums[k] > mu_cap:
                 worker.fail(k, "a bundle reaching the two-for-one swap exceeds mu")
             if a_p < a_q + 1:
@@ -509,7 +482,7 @@ def transform_mms_to_ffd(Q: Allocation, cost: Sequence[Fraction],
             pair = tuple(smalls[:2])
             worker.apply(k, k, pair, z, (cl,))
             if len(worker.bundles[k]) > len(p_profiles[k]):
-                a_q2, b_q2 = _counts(worker.profile(k), large)
+                a_q2, b_q2 = _counts(worker.bundles[k], weights, large)
                 if (a_q2, b_q2) == (2, 1) and (a_p, b_p) == (2, 0):
                     one_small = min(c for c in worker.bundles[k] if weights[c] != large)
                     worker.apply(k, k, (one_small,), z, ())

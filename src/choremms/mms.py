@@ -168,18 +168,17 @@ def min_success_threshold(cost: Sequence[Fraction], chores: Iterable[int], n: in
 
 def hffd_and_lift(ido: Instance, lifting: LiftingMap,
                   thresholds: Sequence[Fraction]) -> tuple[Allocation, tuple[int, ...]]:
-    """HFFD on the IDO twin, merged to one bundle per agent, and the chores
-    it left unallocated. The bundles are lifted to the original chores when
-    every chore was placed; otherwise they hold IDO chore ids. With no
-    chores every agent gets an empty bundle, since HFFD rejects the zero
-    thresholds such an instance gets."""
+    """HFFD on the IDO twin, merged to one bundle per agent and lifted to
+    the original chores, and the original chores it left unallocated, ids
+    ascending. Lifting raises no agent's cost, also when HFFD leaves chores.
+    With no chores every agent gets an empty bundle, since HFFD rejects the
+    zero thresholds such an instance gets."""
     if ido.m == 0:
         return Allocation.of([()] * ido.n, agents=range(ido.n)), ()
     outcome = hffd(ido, thresholds)
-    allocation = outcome.allocation.per_agent(ido.n)
-    if outcome.succeeded:
-        allocation = lifting.lift(allocation)
-    return allocation, outcome.unallocated
+    allocation = lifting.lift(outcome.allocation.per_agent(ido.n))
+    held = allocation.allocated()
+    return allocation, tuple(c for c in range(ido.m) if c not in held)
 
 
 def _solve(instance: Instance, algorithm: str,

@@ -5,13 +5,18 @@ not an exception.
 Costs and thresholds are Fractions at the interface; the packing loops run
 on the row's cached integer weights (`core.CostRow`), also for a subset of
 its chores, with threshold tau becoming the integer capacity floor(tau * D).
+
+`first_fit_bin` is the one statement of first fit into one bin, for FFD
+and for `ffv`. `first_fit_places_all`, which keeps every bin open and opens
+full bins in bulk, and `hffd`, which fills a bin for many agents, keep
+their own loops.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Container, Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .core import Allocation, CostRow, Instance, bundle_cost, ido_blocks
 from .errors import BadParams, EmptyBinDeadlock
@@ -31,17 +36,21 @@ class PackOutcome:
         return self.allocation.bundles
 
 
-def fill_bin(order: Sequence[int], weights: Sequence[int], room: int,
-             held: Container[int] = ()) -> list[int]:
-    """First fit into one bin: walk `order` past the `held` chores, keeping
-    each chore whose integer weight fits the room left. Returns the kept
-    chores in order."""
-    kept: list[int] = []
-    for c in order:
-        if c not in held and weights[c] <= room:
-            kept.append(c)
-            room -= weights[c]
-    return kept
+def first_fit_bin(count: Mapping[int, int], room: int) -> list[tuple[int, int]]:
+    """First fit into one bin of the given room, over weight counts: `count`
+    maps each weight to its copies left, heaviest first. The bin takes, of
+    the k copies of each weight w that fits the room left, min(k, room // w),
+    because the room only shrinks; a weight of at most 0 always fits, all
+    its copies. Returns the (weight, copies) the bin takes, heaviest first,
+    and leaves `count` as it is."""
+    taken: list[tuple[int, int]] = []
+    for w, k in count.items():
+        if w <= room and k:
+            if k * w > room:  # only a positive w can overflow the room
+                k = room // w
+            taken.append((w, k))
+            room -= k * w
+    return taken
 
 
 def first_fit_places_all(runs: Sequence[tuple[int, int]], cap: int, max_bins: int) -> bool:
@@ -108,23 +117,32 @@ def ffd(chores: Iterable[int], cost: Sequence[Fraction], tau: Fraction,
         max_bins: int | None = None) -> PackOutcome:
     """First-Fit-Decreasing: largest chore first (lower id breaks ties),
     into the lowest-index bin whose cost stays within tau; a new bin opens
-    when allowed, otherwise the chore is left unallocated. The bins fill
-    one at a time (`fill_bin` over the chores left): a chore joins bin b
-    exactly when it fits b's room then, as in chore-by-chore first fit."""
+    when allowed, otherwise the chore is left unallocated (in FFD order).
+    The bins fill one at a time by `first_fit_bin` over the weights left,
+    each taking the lowest ids left of each weight: a chore joins bin b
+    exactly when it fits b's room then, as in first fit chore by chore."""
     if tau <= 0:
         raise BadParams("FFD threshold must be positive")
     row = CostRow.of(cost)
     cap = row.cap(tau)
-    remaining = row.ffd_order(chores)
-    bins = []
-    while remaining and (max_bins is None or len(bins) < max_bins):
-        kept = fill_bin(remaining, row.weights, cap)
-        if not kept:
+    ids = row.by_weight(row.ffd_order(chores))
+    count = {w: len(group) for w, group in ids.items()}
+    bins: list[list[int]] = []
+    while count and (max_bins is None or len(bins) < max_bins):
+        taken = first_fit_bin(count, cap)
+        if not taken:
             break
+        kept: list[int] = []
+        for w, t in taken:
+            kept += ids[w][:t]
+            if t == count[w]:
+                del count[w]
+            else:
+                ids[w] = ids[w][t:]
+                count[w] -= t
         bins.append(kept)
-        placed = set(kept)
-        remaining = [c for c in remaining if c not in placed]
-    return PackOutcome(Allocation.of(bins), tuple(remaining))
+    unallocated = tuple(c for w in count for c in ids[w])
+    return PackOutcome(Allocation.of(bins), unallocated)
 
 
 def multifit(chores: Iterable[int], cost: Sequence[Fraction], n: int) -> tuple[Fraction, PackOutcome]:

@@ -303,7 +303,8 @@ def ref_hffd(instance, thresholds):
 
 def ref_lift(original, allocation):
     """Walk IDO positions from smallest to largest; each owner takes their
-    cheapest remaining original chore (lower id among equals)."""
+    cheapest remaining original chore (lower id among equals), and a
+    position no bundle holds is skipped."""
     owner_of = {}
     for b, bundle in enumerate(allocation.bundles):
         for c in bundle:
@@ -311,6 +312,8 @@ def ref_lift(original, allocation):
     remaining = set(range(original.m))
     lifted = [[] for _ in allocation.bundles]
     for j in reversed(range(original.m)):
+        if j not in owner_of:
+            continue
         agent, b = owner_of[j]
         row = original.cost(agent)
         pick = min(remaining, key=lambda c: (row[c], c))
@@ -468,7 +471,7 @@ def _ref_profile(bundle, cost):
 def _ref_check_ffd_output(P, all_chores, cost, tau):
     if not set(P.allocated()) == set(all_chores):
         raise PreconditionViolation("the FFD allocation must contain every chore")
-    fresh = ffd(all_chores, cost, tau)
+    fresh = ref_ffd(all_chores, cost, tau)
     reference = _ref_pad(fresh.bundles, len(P.bundles))
     if len(reference) < len(P.bundles) or any(
             ref_lex_compare(b, r, cost) != EQUAL

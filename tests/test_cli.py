@@ -278,12 +278,29 @@ def test_solve_hffd_failing_threshold_reports_unpacked_bins(tmp_path, capsys):
                  "--out", str(out_path)]) == 1
     assert "unallocated:" in capsys.readouterr().out
     alloc = parse_allocation(out_path.read_text(), LOWER_BOUND)
-    packed = hffd(to_ido(LOWER_BOUND)[0], [F(13)] * 3).allocation
-    bins_of = {i: [b for k, b in enumerate(packed.bundles) if packed.agent_of(k) == i]
-               for i in range(3)}
+    # the written bins are the HFFD bins on the twin, lifted to the original chores
+    ido, lifting = to_ido(LOWER_BOUND)
+    packed = hffd(ido, [F(13)] * 3).allocation.per_agent(3)
+    assert alloc.bundles == lifting.lift(packed).per_agent(3).bundles
     for i, bundle in enumerate(alloc.bundles):
-        assert len(bins_of[i]) <= 1
-        assert bundle == (bins_of[i][0] if bins_of[i] else ())
+        assert bundle_cost(LOWER_BOUND.cost(i), bundle) <= 13
+
+
+def test_solve_hffd_leaving_chores_reports_original_costs(tmp_path, capsys):
+    # HFFD on the IDO twin leaves a chore; the bundles printed and written
+    # still hold original chores, each within its agent's threshold
+    path = write_instance(tmp_path, Instance.from_rows([[10, 3, 2, 1], [1, 2, 3, 10]]))
+    out_path = tmp_path / "alloc.txt"
+    assert main(["solve", path, "--algo", "hffd", "--tau", "10", "4",
+                 "--out", str(out_path)]) == 1
+    out = capsys.readouterr().out
+    printed = [F(line.split(": cost ")[1]) for line in out.splitlines()
+               if line.startswith("agent ")]
+    written = [F(line.split(": ")[1]) for line in out_path.read_text().splitlines()
+               if line.startswith("cost ")]
+    assert len(printed) == 2 and printed == written
+    assert all(cost <= tau for cost, tau in zip(printed, (10, 4)))
+    assert "unallocated: 2\n" in out
 
 
 def test_solve_theorem_violation_writes_counterexample(tmp_path, monkeypatch, capsys):

@@ -186,6 +186,28 @@ def test_to_ido_lifting_never_raises_costs():
                     <= bundle_cost(ido.cost(i), alloc.bundles[i])
 
 
+def test_lifting_a_partial_allocation_never_raises_costs():
+    rng = random.Random(0x9A47)
+    for _ in range(300):
+        n, m = rng.randint(1, 4), rng.randint(1, 8)
+        inst = Instance(tuple(random_rationals(rng, m) for _ in range(n)))
+        ido, lifting = to_ido(inst)
+        labels = [rng.randint(-1, n - 1) for _ in range(m)]
+        alloc = Allocation.of([c for c in range(m) if labels[c] == i] for i in range(n))
+        lifted = lifting.lift(alloc)
+        assert len(lifted.allocated()) == len(alloc.allocated())
+        for i in range(n):
+            assert bundle_cost(inst.cost(i), lifted.bundles[i]) \
+                <= bundle_cost(ido.cost(i), alloc.bundles[i])
+
+
+def test_lifting_rejects_a_chore_outside_the_instance():
+    _, lifting = to_ido(Instance.from_rows([[2, 1], [1, 2]]))
+    for bad in (2, -1):
+        with pytest.raises(BadParams, match=f"^chore {bad} is not one of the 2 chores$"):
+            lifting.lift(Allocation.of([(0,), (bad,)]))
+
+
 # ------------------------------------------------------------- lex_compare
 
 COST5 = (F(4), F(3), F(3), F(2), F(1))

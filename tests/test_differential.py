@@ -329,7 +329,8 @@ def test_ordinal_thresholds_are_at_most_the_exact_mms():
 def test_lift_matches_reference(data):
     instance = data.draw(instances())
     _, lifting = to_ido(instance)
-    labels = data.draw(st.lists(st.integers(0, instance.n - 1),
+    # label -1 leaves a position unowned, so the allocation may be partial
+    labels = data.draw(st.lists(st.integers(-1, instance.n - 1),
                                 min_size=instance.m, max_size=instance.m))
     bundles = [[c for c, b in enumerate(labels) if b == k] for k in range(instance.n)]
     agents = data.draw(st.permutations(range(instance.n)))
@@ -519,6 +520,55 @@ def test_ffd_output_check_matches_reference(data):
         P = ffd(chores, row, tau).allocation
     got = outcome(_check_ffd_output, P, chores, CostRow.of(row), tau)
     assert got == outcome(_ref_check_ffd_output, P, chores, row, tau)
+
+
+def realistic_first_fit_cases():
+    """(chores, row, tau, n) at benchmark sizes: factored 10×100, bivalued
+    8×80 and general 10×100, two seeds each, and general 5×1000, one seed,
+    where the Fraction references take seconds. Each agent's row comes with
+    their solve threshold scaled by 1, 9/10 and 3/4, and with half their
+    smallest cost."""
+    rng = random.Random(0xB1A)
+    for kind, n, m, seeds in (("factored", 10, 100, 2), ("personalized_bivalued", 8, 80, 2),
+                              ("general", 10, 100, 2), ("general", 5, 1000, 1)):
+        for seed in range(seeds):
+            instance = gen_instance(kind, n, m, seed)
+            chores = rng.sample(range(m), m)
+            for row, base in zip(instance.costs, solve_auto(instance).thresholds):
+                for tau in (base, base * F(9, 10), base * F(3, 4), min(row) / 2):
+                    yield chores, row, tau, n
+
+
+def test_first_fit_matches_reference_at_realistic_sizes():
+    # The drawn rows are short, so a weight's copies rarely split across
+    # bins there. FFD into any number of bins or n; then the benchmarks
+    # after the first, middle and last prefix of its bins, and the FFV and
+    # FFD-output checks of those bins, as they are and with one chore
+    # moved or left out.
+    rng = random.Random(0xF1F)
+    seen = set()
+    for chores, row, tau, n in realistic_first_fit_cases():
+        packed = set()
+        for max_bins in (None, n):
+            got = ffd(chores, row, tau, max_bins)
+            assert got == ref_ffd(chores, row, tau, max_bins)
+            packed.add(got)
+        for got in packed:
+            bundles = got.bundles
+            for k in sorted({0, len(bundles) // 2, len(bundles)}):
+                assert (benchmark_bundle(chores, bundles[:k], row, tau)
+                        == ref_benchmark_bundle(chores, bundles[:k], row, tau))
+            allocs = [got.allocation]
+            if bundles:
+                allocs.append(moved_chore(rng, got.allocation, drop=rng.random() < 0.5))
+            for alloc in allocs:
+                verdict = is_ffv(chores, alloc, row, tau)
+                assert verdict == ref_is_ffv(chores, alloc, row, tau)
+                check = outcome(_check_ffd_output, alloc, chores, row, tau)
+                assert check == outcome(_ref_check_ffd_output, alloc, chores, row, tau)
+                seen.add((got.succeeded, verdict[0], check is None))
+    assert {s for s, _, _ in seen} == {True, False}
+    assert {(True, True, True), (True, False, False), (False, True, False)} <= seen
 
 
 @SETTINGS

@@ -132,6 +132,29 @@ def test_only_packing_probes_first_fit(path):
     assert calls_of(path.read_text(encoding="utf-8"), "first_fit_places_all") == []
 
 
+def floor_divisions(source: str) -> list[str]:
+    """Uses of `//` and `//=`: first fit's count of the copies of a weight
+    that fit the room left, room // w."""
+    lines = sorted(node.lineno for node in ast.walk(ast.parse(source))
+                   if isinstance(node, (ast.BinOp, ast.AugAssign))
+                   and isinstance(node.op, ast.FloorDiv))
+    return [f"line {line}: //" for line in lines]
+
+
+def test_floor_divisions_are_found():
+    source = ("t = room // w\n"
+              "room //= 2\n"
+              "half = room / 2  # true division is not flagged\n"
+              "text = '//'\n"
+              "t = min(k, (room - 1) // w)\n")
+    assert floor_divisions(source) == ["line 1: //", "line 2: //", "line 5: //"]
+
+
+def test_ffv_leaves_the_bin_fill_to_packing():
+    # the certificate layer fills a benchmark bin only by packing.first_fit_bin
+    assert floor_divisions((PACKAGE / "ffv.py").read_text(encoding="utf-8")) == []
+
+
 def stderr_uses(source: str) -> list[str]:
     """`sys.stderr` named outside a function `main`: where an error is
     printed, which in cli.py only `main` does."""
