@@ -3,7 +3,11 @@
 All costs are ``fractions.Fraction`` values; no floating point is used
 anywhere, because every algorithm in this package branches on exact
 fits/does-not-fit comparisons. Hot loops run on each row scaled to
-integers once, by `CostRow`, which keeps every comparison exact.
+integers once, by `CostRow`, which keeps every comparison exact. Each row
+is built once: `CostRow.parse` reads each distinct cost text of a row once
+and scales the row from its distinct values, `Instance.from_rows` keeps the
+`Fraction` objects it is given, and the IDO twin maps its sorted weights
+back to the row's own objects.
 """
 
 from __future__ import annotations
@@ -55,10 +59,11 @@ def format_rational(x: Fraction) -> str:
 
 class CostRow(tuple):
     """One agent's costs, a tuple of Fractions, with its integer form
-    computed on first use and kept: `weights` are the costs times `scale`
-    (D, the lcm of their denominators). A sum s of weights stays within tau
-    exactly when s <= cap(tau) = floor(tau * D), because s is an integer, so
-    a subset of the chores reads the same weights."""
+    computed on first use and kept, or set by `parse`: `weights` are the
+    costs times `scale` (D, the lcm of their denominators). A sum s of
+    weights stays within tau exactly when s <= cap(tau) = floor(tau * D),
+    because s is an integer, so a subset of the chores reads the same
+    weights."""
 
     @staticmethod
     def of(cost: Iterable[Fraction]) -> "CostRow":
@@ -72,6 +77,24 @@ class CostRow(tuple):
     def weights(self) -> tuple[int, ...]:
         scale = self.scale
         return tuple(c.numerator * (scale // c.denominator) for c in self)
+
+    @staticmethod
+    def parse(fields: Sequence[str]) -> "CostRow":
+        """The row the texts spell, each `p` or `p/q` (`parse_rational`),
+        with its scale and weights set. Each distinct text is parsed once and
+        equal texts share one Fraction; the scale and the weights are
+        computed from the distinct values. Raises ValueError for the first
+        bad text in row order, else for a cost of 0."""
+        values = dict.fromkeys(fields)
+        for text in values:
+            values[text] = parse_rational(text)
+        if any(c.numerator <= 0 for c in values.values()):
+            raise ValueError("all chore costs must be strictly positive")
+        scale = math.lcm(*(c.denominator for c in values.values()))
+        row = CostRow(map(values.__getitem__, fields))
+        weight = {text: c.numerator * (scale // c.denominator) for text, c in values.items()}
+        row.scale, row.weights = scale, tuple(map(weight.__getitem__, fields))
+        return row
 
     def cap(self, tau: Fraction) -> int:
         """floor(tau * D), the largest integer sum that stays within tau.
@@ -142,7 +165,10 @@ class Instance:
 
     @staticmethod
     def from_rows(rows: Iterable[Iterable]) -> "Instance":
-        return Instance(tuple(tuple(Fraction(c) for c in row) for row in rows))
+        """An instance on rows of `Fraction`s and `int`s. Each `Fraction` is
+        kept, the same object, and only an `int` is converted; anything else
+        (a float, a string, None, a bool) raises BadParams."""
+        return Instance(tuple(_as_costs(row) for row in rows))
 
     @property
     def n(self) -> int:
@@ -157,6 +183,17 @@ class Instance:
 
     def chores(self) -> tuple[int, ...]:
         return tuple(range(self.m))
+
+
+def _as_costs(row: Iterable) -> tuple:
+    """The row with each `int` (not a bool) made a Fraction and all else
+    kept, for `Instance` to check."""
+    row = tuple(row)
+    # a row of Fractions only, as gen_instance builds, needs no per-cost walk
+    if set(map(type, row)) <= {Fraction}:
+        return row
+    return tuple(Fraction(c) if isinstance(c, int) and not isinstance(c, bool) else c
+                 for c in row)
 
 
 def bundle_cost(cost: Sequence[Fraction], bundle: Iterable[int]) -> Fraction:

@@ -10,13 +10,17 @@ Instance file::
 The agent count is at most `MAX_AGENTS`. Allocation file: n lines
 ``agent <i>: <chore ids>`` followed by n lines ``cost <i>: <rational>``.
 Lines starting with ``#`` are comments.
+
+`parse_instance` builds each cost row once, by `core.CostRow.parse`: each
+distinct cost text of a row is parsed once, and the row arrives scaled.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .core import Allocation, Instance, bundle_cost, format_rational, parse_rational
+from .core import (Allocation, CostRow, Instance, bundle_cost, format_rational,
+                   parse_rational)
 from .errors import ParseError
 
 # with no chores there are no cost rows, so nothing else bounds the count
@@ -55,19 +59,19 @@ def parse_instance(text: str) -> Instance:
     expected = n if m else 0
     if len(lines) != 3 + expected:
         raise ParseError(f"expected {expected} cost rows, found {len(lines) - 3}")
+    if not m:
+        return Instance(((),) * n)
     rows = []
     for lineno, line in lines[3:]:
         fields = line.split()
         if len(fields) != m:
             raise ParseError(f"expected {m} costs, found {len(fields)}", lineno)
         try:
-            row = tuple(parse_rational(f) for f in fields)
+            rows.append(CostRow.parse(fields))
         except ValueError as exc:
             raise ParseError(str(exc), lineno) from exc
-        if any(c <= 0 for c in row):
-            raise ParseError("all chore costs must be strictly positive", lineno)
-        rows.append(row)
-    return Instance(tuple(rows) if m else ((),) * n)
+    # the header, the row lengths and every cost are checked above
+    return Instance._trusted(tuple(rows))
 
 
 def _parse_count(entry, keyword):

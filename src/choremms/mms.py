@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 from typing import Callable, Iterable, Sequence
 
 from .core import (Allocation, CostRow, Instance, LiftingMap, bundle_cost, classify,
@@ -64,8 +65,9 @@ def mms_brute(cost: Sequence[Fraction], chores: Iterable[int], d: int) -> MMSRes
     row = CostRow.of(cost)
     ordered = row.ffd_order(chores)
     weights = [row.weights[c] for c in ordered]
-    lower = mms_lower_bound(row, chores, d)
-    best = smallest_fitting_cap(row.runs(chores), d) + 1
+    runs = row.runs(chores)
+    lower = mms_lower_bound(row, chores, d, runs=runs)
+    best = smallest_fitting_cap(runs, d) + 1
     best_assign: list[int] | None = None
     sums = [0] * d
     assign = [0] * len(ordered)
@@ -109,15 +111,19 @@ def mms_brute(cost: Sequence[Fraction], chores: Iterable[int], d: int) -> MMSRes
     return MMSResult(row.value(best), tuple(tuple(sorted(b)) for b in bundles))
 
 
-def mms_lower_bound(row: CostRow, chores: Iterable[int], d: int) -> int:
+def mms_lower_bound(row: CostRow, chores: Iterable[int], d: int, *,
+                    runs: Sequence[tuple[int, int]] | None = None) -> int:
     """max(w0, ceil(total/d)) in the row's integer scale, w0 the largest
     weight of the chores and total their sum (0 with no chores). Some bundle
     of any d-partition holds w0, and some holds at least total/d, so the
-    bound is at most the MMS for d bundles."""
+    bound is at most the MMS for d bundles. A caller that holds the chores'
+    `CostRow.runs` passes them as `runs`."""
     if d < 1:
         raise BadParams("need at least one bundle")
-    weights = [row.weights[c] for c in chores]
-    return max(max(weights, default=0), -(-sum(weights) // d))
+    if runs is None:
+        runs = row.runs(chores)
+    total = sum(w * k for w, k in runs)
+    return max(runs[0][0] if runs else 0, -(-total // d))
 
 
 def mms_factored(cost: Sequence[Fraction], chores: Iterable[int], d: int) -> MMSResult:
@@ -135,13 +141,16 @@ def mms_factored(cost: Sequence[Fraction], chores: Iterable[int], d: int) -> MMS
     return MMSResult(value, witness + ((),) * (d - len(witness)))
 
 
-def mms_value(cost: Sequence[Fraction], chores: Iterable[int], d: int) -> Fraction:
+def mms_value(cost: Sequence[Fraction], chores: Iterable[int], d: int, *,
+              runs: Sequence[tuple[int, int]] | None = None) -> Fraction:
     """Exact MMS for d bundles: `min_success_threshold` when the chores'
     costs form a divisibility chain, else `mms_brute` (at most ORACLE_CAP
-    chores)."""
+    chores). A caller that holds the chores' `CostRow.runs` passes them as
+    `runs`."""
     chores = list(chores)
     row = CostRow.of(cost)
-    runs = row.runs(chores)
+    if runs is None:
+        runs = row.runs(chores)
     if is_divisibility_chain(w for w, _ in runs):
         return min_success_threshold(row, chores, d, runs=runs)
     return mms_brute(row, chores, d).value
@@ -183,15 +192,18 @@ def hffd_and_lift(ido: Instance, lifting: LiftingMap,
 
 def _solve(instance: Instance, algorithm: str,
            *rules: Callable[..., tuple[Fraction, Fraction | None]]) -> SolveResult:
-    """The pipeline every solver shares. A rule `threshold_of(row, chores)`
-    gives (threshold, mu or None) for each row of the IDO twin. HFFD runs at
-    the first rule's thresholds, and at the next rule's whenever it leaves
-    chores; at the last rule's it must place them all. Each agent's cost in
-    the lifted allocation is checked against their threshold."""
+    """The pipeline every solver shares. A rule `threshold_of(row, chores,
+    runs)` gives (threshold, mu or None) for each row of the IDO twin, whose
+    chores' `CostRow.runs` are read once off the twin row's sorted weights.
+    HFFD runs at the first rule's thresholds, and at the next rule's
+    whenever it leaves chores; at the last rule's it must place them all.
+    Each agent's cost in the lifted allocation is checked against their
+    threshold."""
     ido, lifting = to_ido(instance)
     chores = ido.chores()
+    runs = [_sorted_runs(row.weights) for row in ido.costs]
     for threshold_of in rules:
-        thresholds, mus = zip(*(threshold_of(ido.cost(i), chores) for i in range(instance.n)))
+        thresholds, mus = zip(*(threshold_of(row, chores, r) for row, r in zip(ido.costs, runs)))
         allocation, unallocated = hffd_and_lift(ido, lifting, thresholds)
         if not unallocated:
             break
@@ -208,10 +220,16 @@ def _solve(instance: Instance, algorithm: str,
     return SolveResult(allocation, costs, thresholds, mus, algorithm)
 
 
+def _sorted_runs(weights: Sequence[int]) -> list[tuple[int, int]]:
+    """The (weight, count) runs of weights already in descending order, as
+    `CostRow.runs` gives them, in one pass."""
+    return [(w, len(list(copies))) for w, copies in groupby(weights)]
+
+
 def _mms_thresholds(d: int) -> Callable[..., tuple[Fraction, Fraction]]:
     """`_solve`'s threshold rule that gives each agent their MMS for d bundles."""
-    def threshold(row, chores):
-        mu = mms_value(row, chores, d)
+    def threshold(row, chores, runs):
+        mu = mms_value(row, chores, d, runs=runs)
         return mu, mu
     return threshold
 
@@ -223,10 +241,10 @@ def _lower_bound_thresholds(d: int) -> Callable[..., tuple[Fraction, Fraction | 
     which first fit fills d bins (`smallest_fitting_cap`). It is at least
     every chore's cost, so any agent's empty bin takes any chore and HFFD
     cannot deadlock at these thresholds."""
-    def threshold(row, chores):
-        lower = mms_lower_bound(row, chores, d)
+    def threshold(row, chores, runs):
+        lower = mms_lower_bound(row, chores, d, runs=runs)
         tau = row.value(lower)
-        return tau, tau if smallest_fitting_cap(row.runs(chores), d) == lower else None
+        return tau, tau if smallest_fitting_cap(runs, d) == lower else None
     return threshold
 
 
@@ -248,9 +266,9 @@ def solve_bivalued(instance: Instance) -> SolveResult:
     if not all(is_bivalued_costs(row) for row in instance.costs):
         raise NotBivalued("every agent must have at most two distinct cost values")
 
-    def threshold(row, chores):
+    def threshold(row, chores, runs):
         if len(chores) > ORACLE_CAP:
-            return min_success_threshold(row, chores, instance.n), None
+            return min_success_threshold(row, chores, instance.n, runs=runs), None
         mu = mms_brute(row, chores, instance.n).value
         return APPROX_RATIO * mu, mu
     return _solve(instance, "bivalued", threshold)

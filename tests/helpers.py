@@ -10,6 +10,8 @@ reference certificate layer (`ref_is_ffv`, `ref_reduce_factored`,
 `ref_reduce_bivalued`, `ref_transform_mms_to_ffd`, and the class and
 ordering checks) does the same for `choremms.ffv` and
 `choremms.core`. `ref_mms_brute` is `mms_brute`'s search without its cuts.
+`ref_parse_instance` parses every cost field on its own, as the instance
+parser did before it read each distinct text of a row once.
 
 `lex_compare`, `swap` and `find_exact_subset` are not oracles: they are the
 package's profile comparison, the reductions' swap worker and exact-subset
@@ -25,9 +27,10 @@ from fractions import Fraction
 
 from choremms.analysis import gen_instance, subset_sums
 from choremms.core import (Allocation, CostRow, EQUAL, GREATER, LESS, Instance, LiftingMap,
-                           bundle_cost, compare_profiles, to_ido)
+                           bundle_cost, compare_profiles, parse_rational, to_ido)
 from choremms.errors import (BadParams, EmptyBinDeadlock, InvariantViolation, NotBivalued,
-                             NotIDO, PreconditionViolation, SubsetViolation)
+                             NotIDO, ParseError, PreconditionViolation, SubsetViolation)
+from choremms.io import MAX_AGENTS, _parse_count, _significant_lines
 from choremms.ffv import SwapStep, SwapTranscript, _exact_subset, _Worker, is_ffv
 from choremms.mms import APPROX_RATIO, MMSResult, solve_auto
 from choremms.packing import PackOutcome, ffd, hffd
@@ -237,6 +240,39 @@ def ref_universal_ordering(instance):
 def ref_to_ido(instance):
     rows = tuple(tuple(sorted(row, reverse=True)) for row in instance.costs)
     return Instance(rows), LiftingMap(instance)
+
+
+def ref_parse_instance(text):
+    """`io.parse_instance` field by field: every cost text parsed, then the
+    row checked for a zero, and the rows scaled lazily by `Instance`."""
+    lines = list(_significant_lines(text))
+    if not lines or lines[0][1] != "mms-instance 1":
+        lineno = lines[0][0] if lines else 1
+        raise ParseError("expected header 'mms-instance 1'", lineno)
+    if len(lines) < 3:
+        raise ParseError("missing agents/chores declarations")
+    n = _parse_count(lines[1], "agents")
+    m = _parse_count(lines[2], "chores")
+    if n < 1:
+        raise ParseError("need at least one agent", lines[1][0])
+    if n > MAX_AGENTS:
+        raise ParseError(f"at most {MAX_AGENTS} agents are supported", lines[1][0])
+    expected = n if m else 0
+    if len(lines) != 3 + expected:
+        raise ParseError(f"expected {expected} cost rows, found {len(lines) - 3}")
+    rows = []
+    for lineno, line in lines[3:]:
+        fields = line.split()
+        if len(fields) != m:
+            raise ParseError(f"expected {m} costs, found {len(fields)}", lineno)
+        try:
+            row = tuple(parse_rational(f) for f in fields)
+        except ValueError as exc:
+            raise ParseError(str(exc), lineno) from exc
+        if any(c <= 0 for c in row):
+            raise ParseError("all chore costs must be strictly positive", lineno)
+        rows.append(row)
+    return Instance(tuple(rows) if m else ((),) * n)
 
 
 def ref_lex_compare(b1, b2, cost):

@@ -1,6 +1,7 @@
 import itertools
 import pickle
 import random
+from decimal import Decimal
 from fractions import Fraction as F
 
 import pytest
@@ -56,6 +57,24 @@ def test_instance_rejects_nonpositive_costs():
         Instance.from_rows([[1, 0]])
     with pytest.raises(BadParams):
         Instance.from_rows([[1, -2]])
+
+
+def test_from_rows_keeps_the_fractions_it_is_given():
+    half, three = F(1, 2), F(3)
+    inst = Instance.from_rows([[half, three, half], (three, 2, half)])
+    assert [c is x for c, x in zip(inst.cost(0), (half, three, half))] == [True] * 3
+    assert inst.cost(1)[0] is three and inst.cost(1)[2] is half
+    # an int is the one thing converted
+    assert type(inst.cost(1)[1]) is F and inst.cost(1)[1] == 2
+
+
+@pytest.mark.parametrize("bad", [0.1, 2.0, float("nan"), "x", "1/2", Decimal("0.1"), None, True],
+                         ids=["float", "integral-float", "nan", "text", "rational-text",
+                              "decimal", "none", "bool"])
+def test_from_rows_accepts_only_ints_and_fractions(bad):
+    with pytest.raises(BadParams, match="^cost of chore 1 for agent 2 must be a positive "
+                                        "rational$"):
+        Instance.from_rows([[1, 2], [F(1, 2), 3], [4, bad]])
 
 
 def test_instance_rejects_ragged_rows():

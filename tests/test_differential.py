@@ -8,15 +8,17 @@ import itertools
 import random
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from choremms.analysis import gen_instance, subset_sums
 from choremms.core import (Allocation, CostRow, Instance, is_bivalued_costs,
                            is_factored_costs, to_ido, universal_ordering)
-from choremms.errors import (ChoreMMSError, EmptyBinDeadlock, InvariantViolation,
+from choremms.errors import (ChoreMMSError, EmptyBinDeadlock, InvariantViolation, ParseError,
                              PreconditionViolation)
 from choremms.ffv import (SwapTranscript, _check_ffd_output, benchmark_bundle, is_ffv,
                           reduce_bivalued, reduce_factored, transform_mms_to_ffd)
+from choremms.io import format_instance, parse_instance
 from choremms.mms import (min_success_threshold, mms_brute, mms_factored, solve_auto,
                           solve_ordinal)
 from choremms.packing import ffd, hffd, multifit
@@ -24,7 +26,7 @@ from helpers import (_ref_check_ffd_output, certify_case, find_exact_subset, lex
                      perturb_to_ffv, ref_benchmark_bundle, ref_ffd, ref_find_exact_subset,
                      ref_hffd, ref_is_bivalued_costs, ref_is_factored_costs, ref_is_ffv,
                      ref_lex_compare, ref_lift, ref_min_success_threshold, ref_mms_brute,
-                     ref_multifit, ref_reduce_bivalued, ref_reduce_factored, ref_to_ido,
+                     ref_multifit, ref_parse_instance, ref_reduce_bivalued, ref_reduce_factored, ref_to_ido,
                      ref_transform_mms_to_ffd, ref_universal_ordering, run_length)
 
 SETTINGS = settings(max_examples=300, deadline=None)
@@ -746,3 +748,48 @@ def test_transform_mms_to_ffd_matches_reference_at_small_exact_sizes():
                     assert result == "equal"
                     swaps += len(steps)
     assert swaps > 0
+
+
+def parsed(parse, text):
+    """The rows with their scales and weights, or the error's text and line."""
+    try:
+        instance = parse(text)
+    except ParseError as exc:
+        return str(exc), exc.line
+    return [(row, row.scale, row.weights) for row in instance.costs]
+
+
+def instance_text(*rows, m=None):
+    m = len(rows[0].split()) if m is None else m
+    return f"mms-instance 1\nagents {len(rows)}\nchores {m}\n" + "\n".join(rows) + "\n"
+
+
+PARSE_CASES = {
+    "equal-values-as-different-texts": instance_text("2/4 1/2 1 2/4 3/6", "1/2 2/4 1/2 5 5"),
+    "leading-zeros": instance_text("007 3/06 7 1/2 03/6", "0010 10 1/02 005/0010 10"),
+    "4300-digit-numerator": instance_text("9" * 4300 + "/7 1 " + "9" * 4300 + "/7 2/7"),
+    "4301-digit-numerator": instance_text("1 " + "9" * 4301 + " 1"),
+    "bad-text-repeated": instance_text("1 2 3", "1 x 2 x"),
+    "zero-repeated": instance_text("1 2 3", "0 2 0", "0 1.5 0"),
+    "bad-field-after-a-zero": instance_text("1 2 3", "0 1.5 2"),
+    "zero-after-a-bad-field": instance_text("1 2 3", "2/0 1 0"),
+    "two-bad-fields": instance_text("1 a/b 1/2/3 a/b"),
+    "short-row": instance_text("1 2 3", "1 2", m=3),
+    "long-row": instance_text("1 2 3", "1 2 3 4", m=3),
+    "bad-row-after-a-short-row": instance_text("1 2", "x 1 2", m=3),
+    "non-ascii-digits": instance_text("1 \u0663 2"),
+}
+
+
+@pytest.mark.parametrize("text", PARSE_CASES.values(), ids=PARSE_CASES.keys())
+def test_parse_instance_matches_reference_on_edge_cases(text):
+    assert parsed(parse_instance, text) == parsed(ref_parse_instance, text)
+
+
+def test_parse_instance_matches_reference_on_generated_instances():
+    for kind in ("factored", "bivalued", "personalized_bivalued", "general"):
+        for n, m in ((5, 50), (30, 300)):
+            text = format_instance(gen_instance(kind, n, m, seed=11))
+            got = parsed(parse_instance, text)
+            assert got == parsed(ref_parse_instance, text)
+            assert len(got) == n

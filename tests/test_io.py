@@ -3,6 +3,8 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, strategies as st
 
+from choremms import core, io
+from choremms.analysis import gen_instance
 from choremms.core import Allocation, Instance
 from choremms.errors import ParseError
 from choremms.io import (MAX_AGENTS, format_allocation, format_instance, parse_allocation,
@@ -41,6 +43,27 @@ def test_instance_parse_errors_carry_line_numbers(text, line):
     with pytest.raises(ParseError) as exc:
         parse_instance(text)
     assert f"line {line}" in str(exc.value)
+
+
+def test_parse_reads_each_distinct_cost_text_of_a_row_once(monkeypatch):
+    instance = gen_instance("general", 6, 200, seed=3)
+    text = format_instance(instance)
+    calls, parse_rational = [], core.parse_rational
+
+    def counted(field):
+        calls.append(field)
+        return parse_rational(field)
+    for module in (core, io):
+        monkeypatch.setattr(module, "parse_rational", counted)
+    parsed = parse_instance(text)
+    monkeypatch.undo()
+    assert parsed == instance
+    distinct = sum(len(set(line.split())) for line in text.splitlines()[3:])
+    assert len(calls) == distinct < instance.n * instance.m
+    # the rows arrive scaled, so the first solve walks no Fraction again
+    for row, original in zip(parsed.costs, instance.costs):
+        assert {"scale", "weights"} <= vars(row).keys()
+        assert (row.scale, row.weights) == (original.scale, original.weights)
 
 
 def test_allocation_roundtrip():

@@ -238,6 +238,41 @@ def test_solve_ordinal_guarantee():
             assert res.costs[i] <= mms_d
 
 
+@pytest.mark.parametrize("kind", ["factored", "bivalued", "personalized_bivalued", "general"])
+@pytest.mark.parametrize("n,m", [(10, 100), (30, 300)])
+def test_solve_hands_each_rule_the_runs_of_the_original_row(kind, n, m, monkeypatch):
+    # _solve reads each twin row's runs off its sorted weights; the rules
+    # count no chore ids, and the result is the one they get from counting
+    instance = gen_instance(kind, n, m, seed=6)
+    solve, runs = mms._solve, CostRow.runs
+    handed, counted = [], []
+
+    def solve_with(rule_runs):
+        def patched(instance, algorithm, *rules):
+            def recorded(rule):
+                def threshold(row, chores, twin_runs):
+                    handed.append((chores, twin_runs))
+                    return rule(row, chores, rule_runs(row, chores, twin_runs))
+                return threshold
+            return solve(instance, algorithm, *map(recorded, rules))
+        monkeypatch.setattr(mms, "_solve", patched)
+        return solve_auto(instance)
+
+    def counting(row, chores):
+        counted.append(chores)
+        return runs(row, chores)
+    monkeypatch.setattr(CostRow, "runs", counting)
+    result = solve_with(lambda row, chores, twin_runs: twin_runs)
+    assert counted == []
+    assert len(handed) % n == 0 and handed
+    for k, (chores, twin_runs) in enumerate(handed):
+        assert chores == instance.chores()
+        assert twin_runs == runs(instance.cost(k % n), chores)
+    reference = solve_with(lambda row, chores, twin_runs: runs(row, chores))
+    assert (result.thresholds, result.mms_values, result.allocation.bundles) == \
+        (reference.thresholds, reference.mms_values, reference.allocation.bundles)
+
+
 def test_mms_lower_bound_is_the_largest_cost_or_the_average():
     row = CostRow.of((F(7, 2), F(3, 2), F(3, 2), F(3, 2)))  # weights 7 3 3 3
     assert mms_lower_bound(row, range(4), 2) == 8
