@@ -267,11 +267,17 @@ def is_bivalued_costs(values: Iterable[Fraction]) -> bool:
 
 def classify(instance: Instance) -> InstanceClass:
     """Whether every agent's costs are factored, and whether every agent's
-    are bivalued; a single-valued agent is both."""
-    return InstanceClass(
-        is_factored=all(is_factored_costs(row) for row in instance.costs),
-        is_personalized_bivalued=all(is_bivalued_costs(row) for row in instance.costs),
-    )
+    are bivalued; a single-valued agent is both. Both flags are read off
+    each row's set of distinct weights, built once; the walk stops at the
+    first row after which neither can hold."""
+    factored = bivalued = True
+    for row in instance.costs:
+        distinct = set(row.weights)
+        factored = factored and is_divisibility_chain(distinct)
+        bivalued = bivalued and len(distinct) <= 2
+        if not (factored or bivalued):
+            break
+    return InstanceClass(is_factored=factored, is_personalized_bivalued=bivalued)
 
 
 def ido_blocks(instance: Instance) -> tuple[tuple[int, ...], list[int]]:

@@ -13,7 +13,7 @@ from .core import (Allocation, CostRow, Instance, LiftingMap, bundle_cost, class
                    is_factored_costs, to_ido)
 from .errors import (BadParams, NotBivalued, NotFactored, TheoremViolation,
                      TooLarge, UnsupportedClass)
-from .packing import hffd, multifit, smallest_fitting_cap
+from .packing import hffd, ladder_bound, ladder_probe, multifit, smallest_fitting_cap
 
 ORACLE_CAP = 14
 APPROX_RATIO = Fraction(15, 13)
@@ -47,12 +47,12 @@ def mms_brute(cost: Sequence[Fraction], chores: Iterable[int], d: int) -> MMSRes
     Branch-and-bound over chores in descending order; a chore may open
     bundle k only when bundle k-1 is nonempty, and a branch is cut as soon
     as its running maximum cannot beat the incumbent. Three cuts keep the
-    search small: it stops at the lower bound max(w0, ceil(total/d)); the
-    incumbent starts just above `smallest_fitting_cap`, where first fit
-    fills d bins; and a load state (chore index, sorted bundle loads) is
-    searched at most once. Each cut removes only partitions no better than
-    the incumbent, so the witness is the first optimal partition in search
-    order.
+    search small: it stops at `packing.ladder_bound`, which no partition
+    beats and which is at least max(w0, ceil(total/d)); the incumbent
+    starts just above `smallest_fitting_cap`, where first fit fills d bins;
+    and a load state (chore index, sorted bundle loads) is searched at most
+    once. Each cut removes only partitions no better than the incumbent, so
+    the witness is the first optimal partition in search order.
     """
     if d < 1:
         raise BadParams("need at least one bundle")
@@ -66,7 +66,7 @@ def mms_brute(cost: Sequence[Fraction], chores: Iterable[int], d: int) -> MMSRes
     ordered = row.ffd_order(chores)
     weights = [row.weights[c] for c in ordered]
     runs = row.runs(chores)
-    lower = mms_lower_bound(row, chores, d, runs=runs)
+    lower = ladder_bound(runs, d)
     best = smallest_fitting_cap(runs, d) + 1
     best_assign: list[int] | None = None
     sums = [0] * d
@@ -237,14 +237,15 @@ def _mms_thresholds(d: int) -> Callable[..., tuple[Fraction, Fraction]]:
 def _lower_bound_thresholds(d: int) -> Callable[..., tuple[Fraction, Fraction | None]]:
     """`_solve`'s threshold rule that gives each agent the lower bound
     `mms_lower_bound` for d bundles, which is at most their MMS. The bound is
-    their MMS, and is reported as mu, when it is the smallest capacity at
-    which first fit fills d bins (`smallest_fitting_cap`). It is at least
+    their MMS, and is reported as mu, when it equals `ladder_bound` and one
+    first-fit probe fills d bins there (`ladder_probe`). It is at least
     every chore's cost, so any agent's empty bin takes any chore and HFFD
     cannot deadlock at these thresholds."""
     def threshold(row, chores, runs):
         lower = mms_lower_bound(row, chores, d, runs=runs)
         tau = row.value(lower)
-        return tau, tau if smallest_fitting_cap(runs, d) == lower else None
+        bound, fits = ladder_probe(runs, d)
+        return tau, tau if fits and bound == lower else None
     return threshold
 
 
@@ -256,22 +257,24 @@ def solve_factored(instance: Instance) -> SolveResult:
     return _solve(instance, "factored", _mms_thresholds(instance.n))
 
 
-def solve_bivalued(instance: Instance) -> SolveResult:
-    """15/13-MMS allocation for a personalized bivalued instance.
-
-    Per-agent thresholds are (15/13)·mu_i when the brute-force oracle can
-    compute mu_i, else the minimal FFD-success threshold, which the 15/13
-    bound guarantees is no larger.
-    """
-    if not all(is_bivalued_costs(row) for row in instance.costs):
-        raise NotBivalued("every agent must have at most two distinct cost values")
-
+def _bivalued_thresholds(n: int) -> Callable[..., tuple[Fraction, Fraction | None]]:
+    """`_solve`'s threshold rule for a personalized bivalued agent: (15/13)·mu
+    when the brute-force oracle can compute mu, else the minimal FFD-success
+    threshold, which the 15/13 bound guarantees is no larger."""
     def threshold(row, chores, runs):
         if len(chores) > ORACLE_CAP:
-            return min_success_threshold(row, chores, instance.n, runs=runs), None
-        mu = mms_brute(row, chores, instance.n).value
+            return min_success_threshold(row, chores, n, runs=runs), None
+        mu = mms_brute(row, chores, n).value
         return APPROX_RATIO * mu, mu
-    return _solve(instance, "bivalued", threshold)
+    return threshold
+
+
+def solve_bivalued(instance: Instance) -> SolveResult:
+    """15/13-MMS allocation for a personalized bivalued instance, at the
+    thresholds of `_bivalued_thresholds`."""
+    if not all(is_bivalued_costs(row) for row in instance.costs):
+        raise NotBivalued("every agent must have at most two distinct cost values")
+    return _solve(instance, "bivalued", _bivalued_thresholds(instance.n))
 
 
 def solve_ordinal(instance: Instance) -> SolveResult:
@@ -293,10 +296,12 @@ def solve_ordinal(instance: Instance) -> SolveResult:
 
 def solve_auto(instance: Instance) -> SolveResult:
     """Dispatch on the instance class; factored wins over bivalued because
-    its guarantee (exact MMS) is stronger."""
+    its guarantee (exact MMS) is stronger. The rows are classified once, so
+    the factored and bivalued pipelines run without the class checks of
+    `solve_factored` and `solve_bivalued`."""
     cls = classify(instance)
     if cls.is_factored:
-        return solve_factored(instance)
+        return _solve(instance, "factored", _mms_thresholds(instance.n))
     if cls.is_personalized_bivalued:
-        return solve_bivalued(instance)
+        return _solve(instance, "bivalued", _bivalued_thresholds(instance.n))
     return solve_ordinal(instance)

@@ -10,12 +10,19 @@ its chores, with threshold tau becoming the integer capacity floor(tau * D).
 and for `ffv`. `first_fit_places_all`, which keeps every bin open and opens
 full bins in bulk, and `hffd`, which fills a bin for many agents, keep
 their own loops.
+
+Every threshold search starts at `ladder_bound`, a lower bound on the
+makespan of any partition into d bins that is exact on a divisibility
+chain, where first fit is optimal (Coffman, Garey & Johnson 1987):
+`ladder_probe` tries first fit there once, and `smallest_fitting_cap`
+bisects the capacities above it only when that probe fails.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, Mapping, Sequence
 
 from .core import Allocation, CostRow, Instance, bundle_cost, ido_blocks
@@ -86,23 +93,62 @@ def first_fit_places_all(runs: Sequence[tuple[int, int]], cap: int, max_bins: in
     return True
 
 
+def ladder_bound(runs: Sequence[tuple[int, int]], bins: int) -> int:
+    """The largest over the prefixes j of the descending (weight, count)
+    `runs` of g_j * ceil(T_j / (bins * g_j)), where g_j is the gcd and T_j
+    the total weight of the j + 1 heaviest runs; 0 with no runs.
+
+    A lower bound on the largest bin of any partition into `bins` bins: the
+    chores of weight at least w_j sum to T_j, so some bin holds at least
+    T_j / bins of them, a multiple of g_j. The first prefix gives at least
+    w0 and the last at least ceil(total / bins), so the bound is at least
+    max(w0, ceil(total / bins)). On a divisibility chain g_j = w_j, and first
+    fit at the bound L fills the bins: when weight class j comes, the
+    heavier classes, all multiples of w_j, have filled T_{j-1} / w_j of the
+    bins * (L // w_j) slots of size w_j, so the bound on prefix j leaves
+    room for the whole class. There the bound is the smallest fitting
+    capacity and the makespan."""
+    if bins < 1:
+        raise BadParams("need at least one bin")
+    bound = total = g = 0
+    for w, k in runs:
+        total += w * k
+        g = gcd(g, w)
+        bound = max(bound, g * -(-total // (bins * g)))
+    return bound
+
+
+def ladder_probe(runs: Sequence[tuple[int, int]], bins: int) -> tuple[int, bool]:
+    """The `ladder_bound` of the (weight, count) `runs` and whether first
+    fit fills `bins` bins at it, with one probe. When it does, no partition
+    does better, so the bound is the makespan and the smallest fitting
+    capacity, on any row."""
+    bound = ladder_bound(runs, bins)
+    return bound, first_fit_places_all(runs, bound, bins)
+
+
 def smallest_fitting_cap(runs: Sequence[tuple[int, int]], bins: int) -> int:
-    """Bisection for the smallest integer capacity at which first fit of
-    the descending (weight, count) `runs` fills `bins` bins, over the
-    MultiFit bracket (Coffman, Garey & Johnson 1978): from lo = max(w0,
-    ceil(total/bins)), below which nothing fits, to min(total, lo + w0),
-    from which everything does, with w0 the largest weight and total the
-    sum of w * count. Exact where success is monotone in the capacity
-    (factored and bivalued costs); otherwise the result succeeds but may
-    not be the smallest. No runs need capacity 0."""
+    """The smallest integer capacity at which first fit of the descending
+    (weight, count) `runs` fills `bins` bins. The first probe is at
+    `ladder_bound`, below which no partition fits, and ends the search on a
+    divisibility chain. When it fails, a bisection covers the rest of the
+    MultiFit bracket (Coffman, Garey & Johnson 1978): from the bound + 1 to
+    min(total, max(w0, ceil(total/bins)) + w0), from which everything fits,
+    with w0 the largest weight and total the sum of w * count. Exact where
+    success is monotone in the capacity (factored and bivalued costs);
+    otherwise the result succeeds but may not be the smallest. No runs need
+    capacity 0."""
     if bins < 1:
         raise BadParams("need at least one bin")
     if not runs:
         return 0
+    bound, fits = ladder_probe(runs, bins)
+    if fits:
+        return bound
     w0 = runs[0][0]
     total = sum(w * k for w, k in runs)
-    lo = max(w0, -(-total // bins))
-    hi = min(total, lo + w0)
+    lo = bound + 1
+    hi = min(total, max(w0, -(-total // bins)) + w0)
     best = hi
     while lo <= hi:
         mid = (lo + hi) // 2

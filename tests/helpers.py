@@ -22,6 +22,7 @@ needs.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -380,14 +381,26 @@ def run_length(weights):
     return [(w, len(list(group))) for w, group in itertools.groupby(weights)]
 
 
+def ref_ladder_bound(weights, bins):
+    """The largest over the prefixes of the descending integer `weights`,
+    chore by chore, of g * ceil(T / (bins * g)), g the prefix's gcd and T
+    its sum."""
+    return max(g * -(-t // (bins * g)) for g, t in
+               zip(itertools.accumulate(weights, math.gcd), itertools.accumulate(weights)))
+
+
 def ref_smallest_fitting_cap(weights, bins):
-    """The MultiFit bracket bisection over the descending integer
+    """First fit at `ref_ladder_bound` and, when that fails, the bisection
+    of the MultiFit bracket above it, over the descending integer
     `weights`, probing with `ref_first_fit_places_all`. Returns the
     capacity found and the number of probes."""
     total = sum(weights)
-    lo = max(weights[0], -(-total // bins))
-    hi = min(total, lo + weights[0])
-    best, probes = hi, 0
+    bound = ref_ladder_bound(weights, bins)
+    if ref_first_fit_places_all(weights, bound, bins):
+        return bound, 1
+    lo = bound + 1
+    hi = min(total, max(weights[0], -(-total // bins)) + weights[0])
+    best, probes = hi, 1
     while lo <= hi:
         mid = (lo + hi) // 2
         probes += 1

@@ -190,18 +190,26 @@ def test_min_success_threshold_matches_reference(data):
 def test_mms_brute_matches_unpruned_search(data):
     # value and witness: the cuts may only skip partitions no better than
     # the incumbent, so the first optimal partition in search order stays
-    if data.draw(st.booleans()):
+    shape = data.draw(st.sampled_from(["any", "distinct", "chain-or-bivalued"]))
+    if shape == "any":
         row, chores = data.draw(row_and_chores(12))
-    else:
+    elif shape == "distinct":
         # many distinct costs and few bundles: long searches, which reach
         # the same bundle loads along different paths
         row = tuple(data.draw(st.lists(fractions(24), min_size=9, max_size=12)))
         chores = range(len(row))
+    else:
+        # long runs of a few costs, where the search stops at the ladder
+        # bound: on a chain it is the MMS, on two values it may fall short
+        m = data.draw(st.integers(1, 14))
+        row = data.draw(factored_rows(m) | bivalued_rows(m))
+        chores = range(m)
     if data.draw(st.booleans()):
         # one chore heavier than the rest together: w0 > ceil(total/d) at d >= 3
         row = (*row, sum((row[c] for c in chores), F(0)) + data.draw(fractions(4)))
         chores = [*chores[:11], len(row) - 1]
-    d = data.draw(st.integers(1, 9) | st.integers(2, 4) | st.just(len(chores)))
+    d = data.draw(st.integers(1, 9) | st.integers(2, 4) | st.integers(1, len(chores))
+                  | st.just(len(chores)))
     assert mms_brute(row, chores, d) == ref_mms_brute(row, chores, d)
 
 

@@ -10,12 +10,12 @@ from choremms.analysis import gen_instance, subset_sums
 from choremms.core import EQUAL, Instance, bundle_cost, to_ido
 from choremms.errors import BadParams, EmptyBinDeadlock
 from choremms.ffv import benchmark_bundle, is_ffv
-from choremms.mms import mms_brute
-from choremms.packing import (ffd, first_fit_places_all, hffd, multifit,
-                              smallest_fitting_cap)
+from choremms.mms import mms_brute, solve_auto
+from choremms.packing import (ffd, first_fit_places_all, hffd, ladder_bound, ladder_probe,
+                              multifit, smallest_fitting_cap)
 from helpers import (brute_min_makespan, lex_compare, random_rationals, ref_ffd,
-                     ref_first_fit_places_all, ref_hffd, ref_multifit, ref_smallest_fitting_cap,
-                     run_length)
+                     ref_first_fit_places_all, ref_hffd, ref_ladder_bound, ref_multifit,
+                     ref_smallest_fitting_cap, run_length)
 
 LOWER_BOUND_COSTS = tuple(F(x) for x in [4, 4, 4] + [3] * 9)
 
@@ -134,10 +134,18 @@ def test_run_length_probe_matches_per_weight_first_fit(weights, bins):
 
 def test_smallest_fitting_cap_guards():
     assert smallest_fitting_cap([], 2) == 0
-    with pytest.raises(BadParams):
-        smallest_fitting_cap([(3, 1)], 0)
-    with pytest.raises(BadParams):
-        smallest_fitting_cap([], 0)
+    assert ladder_bound([], 2) == 0
+    for search in (smallest_fitting_cap, ladder_bound):
+        with pytest.raises(BadParams):
+            search([(3, 1)], 0)
+        with pytest.raises(BadParams):
+            search([], 0)
+
+
+def max_probes(w0):
+    """The probe at the ladder bound, then a bisection of the at most w0
+    capacities left in the bracket above it."""
+    return 1 + math.ceil(math.log2(w0 + 1))
 
 
 def count_probes(monkeypatch):
@@ -154,12 +162,10 @@ def count_probes(monkeypatch):
 @settings(max_examples=200, deadline=None)
 @given(long_runs(), st.integers(1, 12))
 def test_smallest_fitting_cap_probe_count(weights, bins):
-    # the bracket holds at most w0 + 1 capacities, so the bisection makes
-    # at most ceil(log2(w0 + 2)) probes
     with pytest.MonkeyPatch.context() as monkeypatch:
         calls = count_probes(monkeypatch)
         cap = smallest_fitting_cap(run_length(weights), bins)
-    assert len(calls) <= math.ceil(math.log2(weights[0] + 2))
+    assert len(calls) <= max_probes(weights[0])
     assert (cap, len(calls)) == ref_smallest_fitting_cap(weights, bins)
 
 
@@ -171,8 +177,70 @@ def test_per_agent_probes_match_per_weight_bisection(kind, monkeypatch):
         row = instance.cost(i)
         calls.clear()
         cap = smallest_fitting_cap(row.runs(instance.chores()), instance.n)
-        assert (cap, len(calls)) == \
-            ref_smallest_fitting_cap(row.profile(instance.chores()), instance.n)
+        weights = row.profile(instance.chores())
+        assert len(calls) <= max_probes(weights[0])
+        assert (cap, len(calls)) == ref_smallest_fitting_cap(weights, instance.n)
+
+
+def test_factored_solve_probes_once_per_agent(monkeypatch):
+    # every row of a factored instance is a divisibility chain, where the
+    # first probe, at the ladder bound, succeeds
+    instance = gen_instance("factored", 10, 100, seed=3)
+    calls = count_probes(monkeypatch)
+    solve_auto(instance)
+    assert len(calls) == instance.n
+
+
+# ------------------------------------------------------------ ladder bound
+
+@st.composite
+def chain_weights(draw, max_m=300):
+    """Descending weights whose distinct values form a divisibility chain."""
+    chain = [draw(st.integers(1, 6))]
+    for _ in range(draw(st.integers(0, 3))):
+        chain.append(chain[-1] * draw(st.integers(2, 4)))
+    return sorted(draw(st.lists(st.sampled_from(chain), min_size=1, max_size=max_m)),
+                  reverse=True)
+
+
+@st.composite
+def small_weights(draw):
+    """Up to 8 descending weights of every class: a divisibility chain, two
+    values, or any values."""
+    two = st.lists(st.integers(1, 30), min_size=2, max_size=2).flatmap(
+        lambda pair: st.lists(st.sampled_from(pair), min_size=1, max_size=8))
+    any_values = st.lists(st.integers(1, 30), min_size=1, max_size=8)
+    return sorted(draw(chain_weights(8) | two | any_values), reverse=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_ladder_bound_is_at_most_the_makespan(data):
+    weights = data.draw(small_weights())
+    bins = data.draw(st.integers(1, 4 if len(weights) <= 6 else 3))
+    cost = tuple(map(F, weights))
+    assert ladder_bound(run_length(weights), bins) <= \
+        brute_min_makespan(cost, range(len(weights)), bins)
+
+
+@settings(max_examples=300, deadline=None)
+@given(long_runs() | small_weights(), st.integers(1, 12))
+def test_ladder_bound_is_at_least_the_multifit_floor(weights, bins):
+    bound = ladder_bound(run_length(weights), bins)
+    assert bound == ref_ladder_bound(weights, bins)
+    assert bound >= max(weights[0], -(-sum(weights) // bins))
+
+
+@settings(max_examples=300, deadline=None)
+@given(chain_weights(), st.integers(1, 12))
+def test_ladder_bound_is_the_fitting_cap_on_a_chain(weights, bins):
+    runs = run_length(weights)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        calls = count_probes(monkeypatch)
+        cap = smallest_fitting_cap(runs, bins)
+    assert (cap, len(calls)) == ref_smallest_fitting_cap(weights, bins) == \
+        (ladder_bound(runs, bins), 1)
+    assert ladder_probe(runs, bins) == (cap, True)
 
 
 # ---------------------------------------------------------------- multifit
@@ -213,12 +281,15 @@ def test_multifit_returned_threshold_always_succeeds():
 def test_multifit_general_row_returns_largest_bin_cost():
     # FFD success is not monotone on this row: it succeeds at 89, fails at
     # 90 and succeeds at 91. Bisecting the subset-sum grid lands on 91; the
-    # bracket lands on 89, which is also the exact makespan.
+    # first probe, at the ladder bound 89, succeeds, so 89 is also the
+    # exact makespan.
     cost = tuple(F(x) for x in [54, 51, 41, 39, 35, 28, 27, 23, 22, 14, 10, 9, 1])
     assert [ffd(range(13), cost, F(t), max_bins=4).succeeded for t in (88, 89, 90, 91)] == \
         [False, True, False, True]
     assert ref_multifit(range(13), cost, 4) == 91
     tau, out = multifit(range(13), cost, 4)
+    assert ladder_probe(run_length([54, 51, 41, 39, 35, 28, 27, 23, 22, 14, 10, 9, 1]), 4) == \
+        (89, True)
     assert tau == 89 == mms_brute(cost, range(13), 4).value
     assert out.succeeded and max(bundle_cost(cost, b) for b in out.bundles) == tau
 
