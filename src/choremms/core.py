@@ -5,9 +5,15 @@ anywhere, because every algorithm in this package branches on exact
 fits/does-not-fit comparisons. Hot loops run on each row scaled to
 integers once, by `CostRow`, which keeps every comparison exact. Each row
 is built once: `CostRow.parse` reads each distinct cost text of a row once
-and scales the row from its distinct values, `Instance.from_rows` keeps the
-`Fraction` objects it is given, and the IDO twin maps its sorted weights
-back to the row's own objects.
+and scales the row from its distinct values, and `Instance.from_rows` keeps
+the `Fraction` objects it is given.
+
+Each row's runs, its (weight, count) pairs weight descending, are counted
+once and kept (`CostRow.counts`). Every stage of a solve reads them:
+`classify` takes the distinct weights from them, `to_ido` spells each twin
+row out of them with the row's own `Fraction` objects and cuts the twin's
+blocks at their prefix sums, the threshold searches read the twin row's
+runs, and `LiftingMap.lift` walks each agent's weights cheapest first.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import groupby
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import BadParams, NotIDO
 
@@ -63,7 +69,8 @@ class CostRow(tuple):
     costs times `scale` (D, the lcm of their denominators). A sum s of
     weights stays within tau exactly when s <= cap(tau) = floor(tau * D),
     because s is an integer, so a subset of the chores reads the same
-    weights."""
+    weights. `counts` are the weights as (weight, count) runs, kept in the
+    same way."""
 
     @staticmethod
     def of(cost: Iterable[Fraction]) -> "CostRow":
@@ -77,6 +84,12 @@ class CostRow(tuple):
     def weights(self) -> tuple[int, ...]:
         scale = self.scale
         return tuple(c.numerator * (scale // c.denominator) for c in self)
+
+    @cached_property
+    def counts(self) -> tuple[tuple[int, int], ...]:
+        """The whole row's weights as (weight, count) runs, weight
+        descending: `runs` of every chore, counted once."""
+        return tuple(sorted(Counter(self.weights).items(), reverse=True))
 
     @staticmethod
     def parse(fields: Sequence[str]) -> "CostRow":
@@ -128,14 +141,6 @@ class CostRow(tuple):
         sorting only the distinct ones."""
         return sorted(Counter(map(self.weights.__getitem__, chores)).items(), reverse=True)
 
-    def descending(self) -> "CostRow":
-        """The costs in descending order, sharing this row's integer form:
-        the integer weights are sorted and each mapped back to its cost."""
-        weights = sorted(self.weights, reverse=True)
-        row = CostRow(map(dict(zip(self.weights, self)).__getitem__, weights))
-        row.scale, row.weights = self.scale, tuple(weights)
-        return row
-
 
 @dataclass(frozen=True)
 class Instance:
@@ -183,6 +188,13 @@ class Instance:
 
     def chores(self) -> tuple[int, ...]:
         return tuple(range(self.m))
+
+    @cached_property
+    def blocks(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """`ido_blocks` of this instance, computed on first use and kept;
+        `to_ido` sets it for the twin it builds. Raises NotIDO when no
+        common order exists."""
+        return ido_blocks(self)
 
 
 def _as_costs(row: Iterable) -> tuple:
@@ -268,11 +280,11 @@ def is_bivalued_costs(values: Iterable[Fraction]) -> bool:
 def classify(instance: Instance) -> InstanceClass:
     """Whether every agent's costs are factored, and whether every agent's
     are bivalued; a single-valued agent is both. Both flags are read off
-    each row's set of distinct weights, built once; the walk stops at the
-    first row after which neither can hold."""
+    each row's distinct weights, from its runs (`CostRow.counts`); the walk
+    stops at the first row after which neither can hold."""
     factored = bivalued = True
     for row in instance.costs:
-        distinct = set(row.weights)
+        distinct = [w for w, _ in row.counts]
         factored = factored and is_divisibility_chain(distinct)
         bivalued = bivalued and len(distinct) <= 2
         if not (factored or bivalued):
@@ -280,7 +292,7 @@ def classify(instance: Instance) -> InstanceClass:
     return InstanceClass(is_factored=factored, is_personalized_bivalued=bivalued)
 
 
-def ido_blocks(instance: Instance) -> tuple[tuple[int, ...], list[int]]:
+def ido_blocks(instance: Instance) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The universal ordering and its cuts. The ordering is the chore ids
     by their weight columns (one weight per agent) in descending
     lexicographic order, lower id first among equal columns; the cuts are
@@ -288,37 +300,52 @@ def ido_blocks(instance: Instance) -> tuple[tuple[int, ...], list[int]]:
     chore order[p - 1] does, so they split the ordering into maximal blocks
     of chores that cost every agent the same. When a common order exists,
     any two columns are comparable componentwise and the lexicographic
-    order agrees with that. Within a block no cost rises, so IDO holds
-    exactly when no agent's cost rises at a cut, and only the cuts are
-    checked, agent by agent: raises NotIDO naming the first agent, and
-    their first pair of chores, out of order."""
+    order agrees with that. The result is checked by `_checked_blocks`.
+    Callers read it from `Instance.blocks`, which keeps it."""
     rows = [row.weights for row in instance.costs]
     columns = list(zip(*rows))
     # a stable sort keeps equal columns in id order, also with reverse=True
     order = sorted(range(instance.m), key=columns.__getitem__, reverse=True)
     cuts = [p for p in range(1, len(order)) if columns[order[p - 1]] != columns[order[p]]]
+    return _checked_blocks(rows, tuple(order), tuple(cuts))
+
+
+def _checked_blocks(rows: Sequence[Sequence[int]], order: tuple[int, ...],
+                    cuts: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The ordering and its cuts, once checked against every agent's
+    weights. Within a block no cost rises, so IDO holds exactly when no
+    agent's cost rises at a cut, and only the cuts are checked, agent by
+    agent: raises NotIDO naming the first agent, and their first pair of
+    chores, out of order."""
     pairs = [(order[p - 1], order[p]) for p in cuts]
     for i, row in enumerate(rows):
         for a, b in pairs:
             if row[a] < row[b]:
                 raise NotIDO(f"agent {i} ranks chore {b} above chore {a}")
-    return tuple(order), cuts
+    return order, cuts
 
 
 def universal_ordering(instance: Instance) -> tuple[int, ...]:
     """Permutation of the chore ids witnessing IDO, earlier meaning (weakly)
     larger for every agent: the descending lexicographic sort of the
     chores' weight columns (lower id first among equal columns), verified
-    against every agent by `ido_blocks`. Raises NotIDO when no common order
-    exists."""
-    return ido_blocks(instance)[0]
+    against every agent: the ordering of `Instance.blocks`. Raises NotIDO
+    when no common order exists."""
+    return instance.blocks[0]
 
 
 @dataclass(frozen=True)
 class LiftingMap:
     """Converts an allocation of the IDO twin back to the original instance
     without increasing any agent's cost. A position no bundle holds lifts to
-    no chore, so a partial allocation leaves as many original chores out."""
+    no chore, so a partial allocation leaves as many original chores out.
+
+    The twin's positions are walked from the smallest to the largest, and
+    each position's owner takes their cheapest original chore left, the
+    lowest id among equal costs. An owner's picks come from one cursor over
+    their row's distinct weights, cheapest first (`CostRow.counts`), which
+    finds each copy of a weight by `index` and moves on to the next weight
+    once it has seen them all: no row is sorted."""
 
     original: Instance
 
@@ -332,10 +359,7 @@ class LiftingMap:
                     raise BadParams(f"chore {c} is not one of the {m} chores")
                 owner_of[c] = (agent, b)
         taken = [False] * m
-        # per owner: original chores cheapest first (lower id among equals)
-        # and the index of the first one not yet known to be taken
-        ascending: dict[int, list[int]] = {}
-        cursor: dict[int, int] = {}
+        picks: dict[int, Iterator[int]] = {}
         lifted: list[list[int]] = [[] for _ in allocation.bundles]
         # IDO chore j is the (j+1)-th largest position; walk smallest to
         # largest, each owner taking their cheapest remaining original chore.
@@ -345,25 +369,57 @@ class LiftingMap:
             if j not in owner_of:
                 continue
             agent, b = owner_of[j]
-            if agent not in ascending:
-                weights = self.original.cost(agent).weights
-                ascending[agent] = sorted(range(m), key=weights.__getitem__)
-                cursor[agent] = 0
-            order, p = ascending[agent], cursor[agent]
-            while taken[order[p]]:
-                p += 1
-            pick = order[p]
-            cursor[agent] = p + 1
+            if agent not in picks:
+                picks[agent] = _cheapest_first(self.original.cost(agent), taken)
+            pick = next(picks[agent])
             taken[pick] = True
             lifted[b].append(pick)
         return Allocation.of(lifted, allocation.agents)
 
 
+def _cheapest_first(row: CostRow, taken: Sequence[bool]) -> Iterator[int]:
+    """The row's chores cheapest first, lower id first among equal costs,
+    skipping each one already `taken` when the walk reaches it: the cursor
+    of `LiftingMap`, which finds each copy of a weight from just past the
+    last one found."""
+    weights = row.weights
+    for w, k in reversed(row.counts):
+        p = -1
+        for _ in range(k):
+            p = weights.index(w, p + 1)
+            if not taken[p]:
+                yield p
+
+
 def to_ido(instance: Instance) -> tuple[Instance, LiftingMap]:
-    """IDO twin: each agent's costs sorted descending, so the identity
-    permutation is a universal ordering; cost multisets are preserved."""
-    rows = tuple(row.descending() for row in instance.costs)
-    return Instance._trusted(rows), LiftingMap(instance)
+    """IDO twin: each agent's costs in descending order, so the identity
+    permutation is a universal ordering; cost multisets are preserved.
+
+    Each twin row is spelled out of the row's runs (`CostRow.counts`): k
+    copies of each weight w, heaviest first, costing the row's own
+    `Fraction` of w. It shares the row's scale and carries the same runs.
+    The twin's blocks (`Instance.blocks`) are set here: the ordering is the
+    identity, and the cuts are the prefix sums of every row's run counts,
+    the positions at which some agent's cost falls. They are checked like
+    the blocks of any instance."""
+    rows = []
+    cuts: set[int] = set()
+    for row in instance.costs:
+        cost_of = dict(zip(row.weights, row))
+        costs: list[Fraction] = []
+        weights: list[int] = []
+        for w, k in row.counts:
+            costs += [cost_of[w]] * k
+            weights += [w] * k
+            cuts.add(len(weights))
+        twin = CostRow(costs)
+        twin.scale, twin.weights, twin.counts = row.scale, tuple(weights), row.counts
+        rows.append(twin)
+    cuts.discard(instance.m)
+    ido = Instance._trusted(tuple(rows))
+    object.__setattr__(ido, "blocks", _checked_blocks([row.weights for row in rows],
+                                                      ido.chores(), tuple(sorted(cuts))))
+    return ido, LiftingMap(instance)
 
 
 def compare_profiles(p1: Sequence[int], p2: Sequence[int]) -> int:

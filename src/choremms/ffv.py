@@ -85,20 +85,28 @@ def benchmark_bundle(all_chores: Iterable[int], allocated_prefix: Sequence[Seque
     return bins[0] if bins else ()
 
 
+def _count_free(row: CostRow, all_chores: Iterable[int]) -> tuple[list[tuple[int, int]], Counter]:
+    """The chores of a benchmark walk, counted: their `CostRow.runs` and the
+    copies of each chore id. A reduction counts them once for both of its
+    walks."""
+    chores = list(all_chores)
+    return row.runs(chores), Counter(chores)
+
+
 def _first_off_benchmark(bundles: Sequence[Sequence[int]], row: CostRow,
-                         all_chores: Iterable[int], room: int, exact: bool) -> int | None:
+                         free: tuple[list[tuple[int, int]], Counter], room: int,
+                         exact: bool) -> int | None:
     """Index of the first bundle whose profile is below (with `exact`: not
-    equal to) its benchmark's, the fill of the room from the chores of
-    `all_chores` that earlier bundles do not hold; None if there is none.
+    equal to) its benchmark's, the fill of the room from the `free` chores
+    (`_count_free`) that earlier bundles do not hold; None if there is none.
 
     The free chores are kept as a count per weight, heaviest first, and
     each benchmark is `first_fit_bin` over those counts: so it costs
     O(runs), not a walk over every chore. A held chore leaves the counts
-    only if it is one of `all_chores`."""
+    only if it is one of the free chores."""
     weights = row.weights
-    chores = list(all_chores)
-    count = dict(row.runs(chores))
-    copies = Counter(chores)
+    runs, copies = free
+    count = dict(runs)
     for k, bundle in enumerate(bundles):
         bench: list[int] = []
         for w, t in first_fit_bin(count, room):
@@ -121,7 +129,8 @@ def is_ffv(all_chores: Iterable[int], alloc: Allocation, cost: Sequence[Fraction
     if not alloc.bundles:
         return True, None
     row = CostRow.of(cost)
-    bad = _first_off_benchmark(alloc.bundles, row, all_chores, _capacity(row, tau), exact=False)
+    room = _capacity(row, tau)
+    bad = _first_off_benchmark(alloc.bundles, row, _count_free(row, all_chores), room, exact=False)
     return bad is None, bad
 
 
@@ -153,12 +162,13 @@ def _pad(bundles: Sequence[Sequence[int]], n: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _check_ffd_output(P: Allocation, all_chores, row: CostRow, tau):
+def _check_ffd_output(P: Allocation, all_chores, row: CostRow, tau, free):
     """P is an FFD output when it holds every chore and each bundle has its
-    benchmark's profile, since FFD's k-th bin is the k-th benchmark."""
+    benchmark's profile, since FFD's k-th bin is the k-th benchmark. `free`
+    counts `all_chores`."""
     if not set(P.allocated()) == set(all_chores):
         raise PreconditionViolation("the FFD allocation must contain every chore")
-    if _first_off_benchmark(P.bundles, row, all_chores, row.cap(tau), exact=True) is not None:
+    if _first_off_benchmark(P.bundles, row, free, row.cap(tau), exact=True) is not None:
         raise PreconditionViolation("allocation is not an FFD output at this threshold")
 
 
@@ -290,16 +300,17 @@ def _find_donor(worker: _Worker, after: int, value: int) -> tuple[int, int] | No
 def _reduce(P: Allocation, Q: Allocation, row: CostRow, tau: Fraction,
             all_chores: list[int], verify_ffd: bool, reach_target) -> SwapTranscript:
     """The frame both reductions share, on the row's integer weights: check
-    that P is an FFD output (when asked) and that Q is First-Fit-Valid, pad
-    both to one length, then for each bundle k let
-    `reach_target(worker, k, target)` swap bundle k to Q's k-th cost
-    profile, and check that it got there."""
+    that P is an FFD output (when asked) and that Q is First-Fit-Valid (as
+    `is_ffv` does), both from one count of the chores, pad both to one
+    length, then for each bundle k let `reach_target(worker, k, target)`
+    swap bundle k to Q's k-th cost profile, and check that it got there."""
     if tau <= 0:
         raise BadParams("FFD threshold must be positive")
+    free = _count_free(row, all_chores)
     if verify_ffd:
-        _check_ffd_output(P, all_chores, row, tau)
-    ok, bad = is_ffv(all_chores, Q, row, tau)
-    if not ok:
+        _check_ffd_output(P, all_chores, row, tau, free)
+    bad = _first_off_benchmark(Q.bundles, row, free, row.cap(tau), exact=False)
+    if bad is not None:
         raise PreconditionViolation(f"allocation is not First-Fit-Valid (bundle {bad})")
     n = max(len(P.bundles), len(Q.bundles))
     worker = _Worker(_pad(P.bundles, n), row)

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import groupby
 from typing import Callable, Iterable, Sequence
 
 from .core import (Allocation, CostRow, Instance, LiftingMap, bundle_cost, classify,
@@ -194,16 +193,15 @@ def _solve(instance: Instance, algorithm: str,
            *rules: Callable[..., tuple[Fraction, Fraction | None]]) -> SolveResult:
     """The pipeline every solver shares. A rule `threshold_of(row, chores,
     runs)` gives (threshold, mu or None) for each row of the IDO twin, whose
-    chores' `CostRow.runs` are read once off the twin row's sorted weights.
+    chores' runs are the twin row's `CostRow.counts`, the original row's.
     HFFD runs at the first rule's thresholds, and at the next rule's
     whenever it leaves chores; at the last rule's it must place them all.
     Each agent's cost in the lifted allocation is checked against their
     threshold."""
     ido, lifting = to_ido(instance)
     chores = ido.chores()
-    runs = [_sorted_runs(row.weights) for row in ido.costs]
     for threshold_of in rules:
-        thresholds, mus = zip(*(threshold_of(row, chores, r) for row, r in zip(ido.costs, runs)))
+        thresholds, mus = zip(*(threshold_of(row, chores, row.counts) for row in ido.costs))
         allocation, unallocated = hffd_and_lift(ido, lifting, thresholds)
         if not unallocated:
             break
@@ -218,12 +216,6 @@ def _solve(instance: Instance, algorithm: str,
                 f"{algorithm}: lifted cost {format_rational(c)} of agent {i} exceeds "
                 f"threshold {format_rational(t)}", instance)
     return SolveResult(allocation, costs, thresholds, mus, algorithm)
-
-
-def _sorted_runs(weights: Sequence[int]) -> list[tuple[int, int]]:
-    """The (weight, count) runs of weights already in descending order, as
-    `CostRow.runs` gives them, in one pass."""
-    return [(w, len(list(copies))) for w, copies in groupby(weights)]
 
 
 def _mms_thresholds(d: int) -> Callable[..., tuple[Fraction, Fraction]]:

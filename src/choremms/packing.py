@@ -25,7 +25,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, Mapping, Sequence
 
-from .core import Allocation, CostRow, Instance, bundle_cost, ido_blocks
+from .core import Allocation, CostRow, Instance, bundle_cost
 from .errors import BadParams, EmptyBinDeadlock
 
 
@@ -220,16 +220,17 @@ def hffd(instance: Instance, thresholds: Sequence[Fraction]) -> PackOutcome:
     the first agent left in the bin's list of agents it still fits. Each
     agent's threshold becomes a capacity in their row's cached scale.
 
-    The walk goes over the blocks of `ido_blocks`, chores that cost every
-    agent the same: the bin takes a block's next t copies in one step, t the
-    most that some agent left still has room for, which are the copies that
-    join one by one, and keeps the agents that fit all t of them.
+    The walk goes over the instance's blocks (`Instance.blocks`, which
+    `to_ido` sets for a twin), chores that cost every agent the same: the
+    bin takes a block's next t copies in one step, t the most that some
+    agent left still has room for, which are the copies that join one by
+    one, and keeps the agents that fit all t of them.
     """
     if len(thresholds) != instance.n:
         raise BadParams("need one threshold per agent")
     if any(t <= 0 for t in thresholds):
         raise BadParams("thresholds must be positive")
-    order, cuts = ido_blocks(instance)
+    order, cuts = instance.blocks
     rows = [row.weights for row in instance.costs]
     caps = [row.cap(tau) for row, tau in zip(instance.costs, thresholds)]
     # (next, end) of each block with chores left: a bin takes a block's

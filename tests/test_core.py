@@ -90,11 +90,13 @@ def test_instance_rows_act_as_plain_tuples_and_scale_once():
     assert repr(inst) == repr(Instance(plain)) == f"Instance(costs={plain!r})"
     assert inst.costs == plain and hash(inst.costs) == hash(plain)
     row = inst.cost(0)
-    assert row.weights is row.weights
+    assert row.weights is row.weights and row.counts is row.counts
     assert (row.scale, row.weights) == (6, (3, 18, 10))
+    assert row.counts == ((18, 1), (10, 1), (3, 1)) == tuple(row.runs(range(3)))
     for copy in (pickle.loads(pickle.dumps(inst)), pickle.loads(pickle.dumps(Instance(plain)))):
         assert copy == inst and repr(copy) == repr(inst)
         assert copy.cost(0).weights == (3, 18, 10) and copy.cost(1).weights == (12, 1, 6)
+        assert copy.cost(1).counts == ((12, 1), (6, 1), (1, 1))
 
 
 # ----------------------------------------------------------------- classify
@@ -168,11 +170,30 @@ def test_to_ido_twin_is_an_instance_built_without_revalidation(monkeypatch):
     assert len(checks) == 1
     assert ido == plain and hash(ido) == hash(plain) and repr(ido) == repr(plain)
     assert ido.cost(0).weights == (18, 10, 3) and ido.cost(1).weights == (12, 6, 1)
+    # each twin row is spelled out of the row's runs, with the row's own
+    # Fractions, and the twin's blocks are set from the runs
+    for twin, row in zip(ido.costs, inst.costs):
+        assert twin.counts is row.counts and twin.scale == row.scale
+        assert all(any(c is x for x in row) for c in twin)
+    assert ido.blocks == ((0, 1, 2), (1, 2))
     copy = pickle.loads(pickle.dumps(ido))
     assert copy == plain and hash(copy) == hash(plain)
     assert copy.cost(1).weights == (12, 6, 1)
     with pytest.raises(BadParams):
         Instance(((F(1), F(0)),))
+
+
+def test_twin_rows_repeat_each_weight_as_often_as_the_row_holds_it():
+    half, two = F(1, 2), F(2)
+    inst = Instance.from_rows([[half, two, half, 1, two, half], [3, 3, 3, 3, 1, 3]])
+    ido, _ = to_ido(inst)
+    assert ido.cost(0) == (two, two, 1, half, half, half)
+    assert ido.cost(0)[0] is two and ido.cost(0)[5] is half
+    assert ido.cost(0).counts == ((4, 2), (2, 1), (1, 3))
+    assert ido.cost(1).weights == (3, 3, 3, 3, 3, 1)
+    # the cuts are where either agent's cost falls
+    assert ido.blocks == ((0, 1, 2, 3, 4, 5), (2, 3, 5))
+    assert universal_ordering(ido) == ido.chores()
 
 
 def test_to_ido_two_agents_two_chores():

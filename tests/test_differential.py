@@ -12,12 +12,12 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from choremms.analysis import gen_instance, subset_sums
-from choremms.core import (Allocation, CostRow, Instance, is_bivalued_costs,
+from choremms.core import (Allocation, CostRow, Instance, ido_blocks, is_bivalued_costs,
                            is_factored_costs, to_ido, universal_ordering)
-from choremms.errors import (ChoreMMSError, EmptyBinDeadlock, InvariantViolation, ParseError,
-                             PreconditionViolation)
-from choremms.ffv import (SwapTranscript, _check_ffd_output, benchmark_bundle, is_ffv,
-                          reduce_bivalued, reduce_factored, transform_mms_to_ffd)
+from choremms.errors import (BadParams, ChoreMMSError, EmptyBinDeadlock, InvariantViolation,
+                             ParseError, PreconditionViolation)
+from choremms.ffv import (SwapTranscript, _check_ffd_output, _count_free, benchmark_bundle,
+                          is_ffv, reduce_bivalued, reduce_factored, transform_mms_to_ffd)
 from choremms.io import format_instance, parse_instance
 from choremms.mms import (min_success_threshold, mms_brute, mms_factored, solve_auto,
                           solve_ordinal)
@@ -334,18 +334,53 @@ def test_ordinal_thresholds_are_at_most_the_exact_mms():
     assert reported == {True, False}
 
 
+@st.composite
+def twin_allocations(draw, instance):
+    """Up to 2n bundles of the twin's positions, each owned by any agent,
+    so an agent may own several bundles or none; label -1 leaves a position
+    unowned, so the allocation may be partial."""
+    k = draw(st.integers(1, 2 * instance.n))
+    labels = draw(st.lists(st.integers(-1, k - 1), min_size=instance.m, max_size=instance.m))
+    agents = draw(st.lists(st.integers(0, instance.n - 1), min_size=k, max_size=k))
+    return Allocation.of(([c for c, b in enumerate(labels) if b == j] for j in range(k)), agents)
+
+
 @SETTINGS
 @given(st.data())
 def test_lift_matches_reference(data):
     instance = data.draw(instances())
     _, lifting = to_ido(instance)
-    # label -1 leaves a position unowned, so the allocation may be partial
-    labels = data.draw(st.lists(st.integers(-1, instance.n - 1),
-                                min_size=instance.m, max_size=instance.m))
-    bundles = [[c for c, b in enumerate(labels) if b == k] for k in range(instance.n)]
-    agents = data.draw(st.permutations(range(instance.n)))
-    allocation = Allocation.of(bundles, agents)
-    assert lifting.lift(allocation) == ref_lift(instance, allocation)
+    allocation = data.draw(twin_allocations(instance))
+    if data.draw(st.integers(0, 9)):
+        assert lifting.lift(allocation) == ref_lift(instance, allocation)
+        return
+    # a chore outside 0..m-1 in any bundle
+    bad = data.draw(st.sampled_from([-1, instance.m, instance.m + 5]))
+    bundles = [list(b) for b in allocation.bundles]
+    bundles[data.draw(st.integers(0, len(bundles) - 1))].append(bad)
+    with pytest.raises(BadParams, match=f"^chore {bad} is not one of the {instance.m} chores$"):
+        lifting.lift(Allocation.of(bundles, allocation.agents))
+
+
+def test_lift_matches_reference_at_realistic_sizes():
+    # The drawn instances are small, so an agent's cursor rarely skips many
+    # chores there. Factored 10x100 and personalized bivalued 8x80, the
+    # benchmark's sizes, and 100x1000 of factored, personalized bivalued and
+    # general; each lifts the solve's HFFD bins, one per agent, and a random
+    # partial allocation with several bundles per agent.
+    rng = random.Random(0x11F7)
+    for kind, n, m in (("factored", 10, 100), ("personalized_bivalued", 8, 80),
+                       ("factored", 100, 1000), ("personalized_bivalued", 100, 1000),
+                       ("general", 100, 1000)):
+        instance = gen_instance(kind, n, m, seed=1)
+        ido, lifting = to_ido(instance)
+        packed = hffd(ido, solve_auto(instance).thresholds)
+        labels = [rng.randrange(-1, 2 * n) for _ in range(m)]
+        random_bins = Allocation.of(([c for c, b in enumerate(labels) if b == j]
+                                     for j in range(2 * n)),
+                                    [rng.randrange(n) for _ in range(2 * n)])
+        for allocation in (packed.allocation.per_agent(n), random_bins):
+            assert lifting.lift(allocation) == ref_lift(instance, allocation)
 
 
 def test_lift_ties_pick_lower_id():
@@ -445,10 +480,22 @@ def test_to_ido_and_universal_ordering_match_reference(data):
     ido, lifting = to_ido(instance)
     want_ido, want_lifting = ref_to_ido(instance)
     assert ido == want_ido and lifting == want_lifting
-    # an IDO twin keeps the identity order, so HFFD on it sees no change
+    # an IDO twin keeps the identity order, so HFFD on it sees no change;
+    # its blocks, set from the rows' runs, are those of the column sort
     assert universal_ordering(ido) == ido.chores()
+    assert ido.blocks == ido_blocks(ido)
     for x in (instance, ido):
         assert outcome(universal_ordering, x) == outcome(ref_universal_ordering, x)
+
+
+@pytest.mark.parametrize("kind", ["factored", "bivalued", "personalized_bivalued", "general"])
+def test_twin_blocks_match_the_column_sort(kind):
+    # to_ido sets the twin's blocks from the prefix sums of the rows' runs;
+    # ido_blocks sorts the twin's weight columns
+    for n, m in itertools.product((1, 3, 10), (0, 1, 2, 13, 100)):
+        ido, _ = to_ido(gen_instance(kind, n, m, seed=n * m))
+        assert ido.blocks == ido_blocks(ido)
+        assert ido.blocks[0] == ido.chores()
 
 
 # ------------------------------------------------------ FFV checks
@@ -528,7 +575,8 @@ def test_ffd_output_check_matches_reference(data):
     assume(tau > 0)
     if data.draw(st.booleans()):
         P = ffd(chores, row, tau).allocation
-    got = outcome(_check_ffd_output, P, chores, CostRow.of(row), tau)
+    scaled = CostRow.of(row)
+    got = outcome(_check_ffd_output, P, chores, scaled, tau, _count_free(scaled, chores))
     assert got == outcome(_ref_check_ffd_output, P, chores, row, tau)
 
 
@@ -574,7 +622,8 @@ def test_first_fit_matches_reference_at_realistic_sizes():
             for alloc in allocs:
                 verdict = is_ffv(chores, alloc, row, tau)
                 assert verdict == ref_is_ffv(chores, alloc, row, tau)
-                check = outcome(_check_ffd_output, alloc, chores, row, tau)
+                check = outcome(_check_ffd_output, alloc, chores, row, tau,
+                                _count_free(row, chores))
                 assert check == outcome(_ref_check_ffd_output, alloc, chores, row, tau)
                 seen.add((got.succeeded, verdict[0], check is None))
     assert {s for s, _, _ in seen} == {True, False}

@@ -1,9 +1,10 @@
+import functools
 import random
 from fractions import Fraction as F
 
 import pytest
 
-from choremms import mms, packing
+from choremms import core, mms, packing
 from choremms.analysis import gen_instance, subset_sums
 from choremms.core import CostRow, Instance, bundle_cost, to_ido
 from choremms.errors import (BadParams, NotFactored, TheoremViolation, TooLarge,
@@ -241,8 +242,9 @@ def test_solve_ordinal_guarantee():
 @pytest.mark.parametrize("kind", ["factored", "bivalued", "personalized_bivalued", "general"])
 @pytest.mark.parametrize("n,m", [(10, 100), (30, 300)])
 def test_solve_hands_each_rule_the_runs_of_the_original_row(kind, n, m, monkeypatch):
-    # _solve reads each twin row's runs off its sorted weights; the rules
-    # count no chore ids, and the result is the one they get from counting
+    # _solve hands each rule the twin row's runs, the original row's
+    # `CostRow.counts`; the rules count no chore ids, and the result is the
+    # one they get from counting
     instance = gen_instance(kind, n, m, seed=6)
     solve, runs = mms._solve, CostRow.runs
     handed, counted = [], []
@@ -267,10 +269,42 @@ def test_solve_hands_each_rule_the_runs_of_the_original_row(kind, n, m, monkeypa
     assert len(handed) % n == 0 and handed
     for k, (chores, twin_runs) in enumerate(handed):
         assert chores == instance.chores()
-        assert twin_runs == runs(instance.cost(k % n), chores)
+        assert list(twin_runs) == runs(instance.cost(k % n), chores)
     reference = solve_with(lambda row, chores, twin_runs: runs(row, chores))
     assert (result.thresholds, result.mms_values, result.allocation.bundles) == \
         (reference.thresholds, reference.mms_values, reference.allocation.bundles)
+
+
+@pytest.mark.parametrize("kind", ["factored", "bivalued", "personalized_bivalued", "general"])
+def test_a_warm_solve_sorts_no_columns_and_counts_each_row_once(kind, monkeypatch):
+    # the twin's blocks come from the rows' runs, which each original row
+    # counts once (`CostRow.counts`, kept) and nothing counts again
+    instance = gen_instance(kind, 10, 100, seed=7)
+    originals = {id(row) for row in instance.costs}
+    counted, sorted_columns = [], []
+    counts, runs, ido_blocks = CostRow.counts.func, CostRow.runs, core.ido_blocks
+
+    def counting_counts(row):
+        counted.append(id(row))
+        return counts(row)
+
+    def counting_runs(row, chores):
+        counted.append(id(row))
+        return runs(row, chores)
+
+    def column_sort(instance):
+        sorted_columns.append(instance)
+        return ido_blocks(instance)
+    spy = functools.cached_property(counting_counts)
+    spy.__set_name__(CostRow, "counts")
+    monkeypatch.setattr(CostRow, "counts", spy)
+    monkeypatch.setattr(CostRow, "runs", counting_runs)
+    monkeypatch.setattr(core, "ido_blocks", column_sort)
+    cold = solve_auto(instance)
+    assert sorted(c for c in counted if c in originals) == sorted(originals)
+    counted.clear()
+    assert solve_auto(instance) == cold
+    assert [c for c in counted if c in originals] == [] and sorted_columns == []
 
 
 def test_mms_lower_bound_is_the_largest_cost_or_the_average():

@@ -132,6 +132,42 @@ def test_only_packing_probes_first_fit(path):
     assert calls_of(path.read_text(encoding="utf-8"), "first_fit_places_all") == []
 
 
+def attribute_reads(source: str, function: str, attr: str) -> list[str]:
+    """Reads of the attribute `attr`, as in `x.attr`, inside the function
+    named `function`."""
+    return [f"line {node.lineno}: .{attr}"
+            for func in ast.walk(ast.parse(source))
+            if isinstance(func, ast.FunctionDef) and func.name == function
+            for node in ast.walk(func)
+            if isinstance(node, ast.Attribute) and node.attr == attr
+            and isinstance(node.ctx, ast.Load)]
+
+
+def test_attribute_reads_are_found():
+    source = ("def hffd(instance):\n"
+              "    order, cuts = instance.blocks\n"
+              "    instance.blocks = None\n"
+              "def other(instance):\n"
+              "    return instance.blocks\n")
+    assert attribute_reads(source, "hffd", "blocks") == ["line 2: .blocks"]
+    assert attribute_reads(source, "other", "cuts") == []
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "core.py"],
+                         ids=lambda p: p.name)
+def test_only_core_sorts_the_weight_columns(path):
+    # the column sort runs only when an instance first needs its blocks;
+    # to_ido sets the twin's from the rows' runs
+    assert calls_of(path.read_text(encoding="utf-8"), "ido_blocks") == []
+
+
+def test_hffd_reads_the_stored_blocks():
+    source = (PACKAGE / "packing.py").read_text(encoding="utf-8")
+    assert len(attribute_reads(source, "hffd", "blocks")) == 1
+    source = (PACKAGE / "core.py").read_text(encoding="utf-8")
+    assert len(attribute_reads(source, "universal_ordering", "blocks")) == 1
+
+
 def floor_divisions(source: str) -> list[str]:
     """Uses of `//` and `//=`: first fit's count of the copies of a weight
     that fit the room left, room // w."""
