@@ -12,7 +12,7 @@ from typing import Iterable, Sequence
 from .core import CostRow, Instance, format_rational
 from .errors import BadParams, InvariantViolation, TooLarge
 from .io import MAX_AGENTS
-from .mms import mms_brute
+from .mms import mms_value
 from .packing import ffd
 
 MU_CUTOFF = Fraction(13, 2)
@@ -211,7 +211,7 @@ def search_bivalued_mms_existence(trials: int, seed: int, m_cap: int = 12) -> In
         m = rng.randint(n, m_cap)
         instance = gen_instance("personalized_bivalued", n, m, seed=seed * 7_777_777 + trial)
         chores = instance.chores()
-        mus = [mms_brute(instance.cost(i), chores, n).value for i in range(n)]
+        mus = [mms_value(instance.cost(i), chores, n) for i in range(n)]
         if not _mms_allocation_exists(instance, mus):
             return instance
     return None

@@ -405,11 +405,10 @@ def to_ido(instance: Instance) -> tuple[Instance, LiftingMap]:
     rows = []
     cuts: set[int] = set()
     for row in instance.costs:
-        cost_of = dict(zip(row.weights, row))
         costs: list[Fraction] = []
         weights: list[int] = []
         for w, k in row.counts:
-            costs += [cost_of[w]] * k
+            costs += [row[row.weights.index(w)]] * k
             weights += [w] * k
             cuts.add(len(weights))
         twin = CostRow(costs)

@@ -1,5 +1,5 @@
-"""Maximin-share values (brute-force oracle, exact polynomial method for
-factored costs) and the three end-to-end solvers."""
+"""Maximin-share values (brute-force oracle, exact polynomial methods for
+factored and two-valued costs) and the three end-to-end solvers."""
 
 from __future__ import annotations
 
@@ -12,7 +12,8 @@ from .core import (Allocation, CostRow, Instance, LiftingMap, bundle_cost, class
                    is_factored_costs, to_ido)
 from .errors import (BadParams, NotBivalued, NotFactored, TheoremViolation,
                      TooLarge, UnsupportedClass)
-from .packing import hffd, ladder_bound, ladder_probe, multifit, smallest_fitting_cap
+from .packing import (hffd, ladder_bound, ladder_probe, multifit, smallest_fitting_cap,
+                      two_valued_makespan)
 
 ORACLE_CAP = 14
 APPROX_RATIO = Fraction(15, 13)
@@ -50,8 +51,11 @@ def mms_brute(cost: Sequence[Fraction], chores: Iterable[int], d: int) -> MMSRes
     beats and which is at least max(w0, ceil(total/d)); the incumbent
     starts just above `smallest_fitting_cap`, where first fit fills d bins;
     and a load state (chore index, sorted bundle loads) is searched at most
-    once. Each cut removes only partitions no better than the incumbent, so
-    the witness is the first optimal partition in search order.
+    once. On at most two distinct costs the value mu is known up front
+    (`packing.two_valued_makespan`): the incumbent starts at mu + 1 and the
+    search stops at mu, so it only looks for the witness. Each cut removes
+    only partitions no better than the incumbent, so the witness is the
+    first optimal partition in search order.
     """
     if d < 1:
         raise BadParams("need at least one bundle")
@@ -65,8 +69,12 @@ def mms_brute(cost: Sequence[Fraction], chores: Iterable[int], d: int) -> MMSRes
     ordered = row.ffd_order(chores)
     weights = [row.weights[c] for c in ordered]
     runs = row.runs(chores)
-    lower = ladder_bound(runs, d)
-    best = smallest_fitting_cap(runs, d) + 1
+    if len(runs) <= 2:
+        lower = two_valued_makespan(runs, d)
+        best = lower + 1
+    else:
+        lower = ladder_bound(runs, d)
+        best = smallest_fitting_cap(runs, d) + 1
     best_assign: list[int] | None = None
     sums = [0] * d
     assign = [0] * len(ordered)
@@ -143,15 +151,18 @@ def mms_factored(cost: Sequence[Fraction], chores: Iterable[int], d: int) -> MMS
 def mms_value(cost: Sequence[Fraction], chores: Iterable[int], d: int, *,
               runs: Sequence[tuple[int, int]] | None = None) -> Fraction:
     """Exact MMS for d bundles: `min_success_threshold` when the chores'
-    costs form a divisibility chain, else `mms_brute` (at most ORACLE_CAP
-    chores). A caller that holds the chores' `CostRow.runs` passes them as
-    `runs`."""
+    costs form a divisibility chain, `packing.two_valued_makespan` on the
+    runs of two other costs, else `mms_brute`. Both exact searches off the
+    chain are capped at ORACLE_CAP chores, with `mms_brute`'s errors. A
+    caller that holds the chores' `CostRow.runs` passes them as `runs`."""
     chores = list(chores)
     row = CostRow.of(cost)
     if runs is None:
         runs = row.runs(chores)
     if is_divisibility_chain(w for w, _ in runs):
         return min_success_threshold(row, chores, d, runs=runs)
+    if len(runs) == 2 and d >= 1 and len(chores) <= ORACLE_CAP:
+        return row.value(two_valued_makespan(runs, d))
     return mms_brute(row, chores, d).value
 
 
@@ -250,13 +261,15 @@ def solve_factored(instance: Instance) -> SolveResult:
 
 
 def _bivalued_thresholds(n: int) -> Callable[..., tuple[Fraction, Fraction | None]]:
-    """`_solve`'s threshold rule for a personalized bivalued agent: (15/13)·mu
-    when the brute-force oracle can compute mu, else the minimal FFD-success
-    threshold, which the 15/13 bound guarantees is no larger."""
+    """`_solve`'s threshold rule for a personalized bivalued agent: on at
+    most ORACLE_CAP chores (15/13)·mu, with mu the exact MMS that
+    `packing.two_valued_makespan` finds on the row's runs; on more, the
+    minimal FFD-success threshold, which the 15/13 bound guarantees is no
+    larger."""
     def threshold(row, chores, runs):
         if len(chores) > ORACLE_CAP:
             return min_success_threshold(row, chores, n, runs=runs), None
-        mu = mms_brute(row, chores, n).value
+        mu = row.value(two_valued_makespan(runs, n))
         return APPROX_RATIO * mu, mu
     return threshold
 

@@ -15,7 +15,11 @@ Every threshold search starts at `ladder_bound`, a lower bound on the
 makespan of any partition into d bins that is exact on a divisibility
 chain, where first fit is optimal (Coffman, Garey & Johnson 1987):
 `ladder_probe` tries first fit there once, and `smallest_fitting_cap`
-bisects the capacities above it only when that probe fails.
+bisects the capacities above it only when that probe fails. On at most two
+distinct weights `two_valued_makespan` gives the exact makespan, the MMS,
+in time polynomial in the number of chores: it bisects from the bound to
+the first-fit cap with an exact test of each capacity, a DP over how many
+heavy chores each bin holds.
 """
 
 from __future__ import annotations
@@ -157,6 +161,56 @@ def smallest_fitting_cap(runs: Sequence[tuple[int, int]], bins: int) -> int:
         else:
             lo = mid + 1
     return best
+
+
+def two_valued_makespan(runs: Sequence[tuple[int, int]], bins: int) -> int:
+    """The makespan of the chores that the (weight, count) `runs`, at most
+    two, spell in `bins` bins: the exact MMS in the row's integer scale, in
+    time polynomial in the number of chores. The makespan lies from
+    `ladder_bound`, below which no partition fits, to `smallest_fitting_cap`,
+    at which first fit fits, and which is the bound itself when first fit
+    fills the bins there (`ladder_probe`). Otherwise a bisection of that
+    range decides each capacity with `_two_valued_fits`: feasibility only
+    grows with the capacity, so it returns the smallest capacity at which
+    some partition fits, the makespan. No runs need 0."""
+    if len(runs) > 2:
+        raise BadParams(f"need at most two distinct weights, got {len(runs)}")
+    lo, hi = ladder_bound(runs, bins), smallest_fitting_cap(runs, bins)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _two_valued_fits(runs, mid, bins):
+            hi = mid
+        else:
+            lo = mid + 1
+    return hi
+
+
+def _two_valued_fits(runs: Sequence[tuple[int, int]], cap: int, bins: int) -> bool:
+    """Whether the L chores of weight a and the S of weight b < a, the two
+    `runs`, fit `bins` bins of capacity `cap`: whether some split of the
+    heavy chores, k_i in bin i with k_i * a <= cap and sum k_i = L, leaves
+    sum floor((cap - k_i * a) / b) >= S slots for the light ones. A DP over
+    the bins finds, for each count j of heavy chores placed, the most light
+    slots the bins so far leave, in O(min(bins, L) * L * (cap // a)). The
+    best split need not be balanced: at a = 5, b = 3, cap = 10 two heavy
+    chores in one of two bins leave 3 light slots, one in each leaves 2."""
+    (a, heavy), (b, light) = runs
+    slots = [(cap - k * a) // b for k in range(min(cap // a, heavy) + 1)]
+    # at most `heavy` bins hold a heavy chore: the spare ones hold none and
+    # leave slots[0] each
+    spare = max(bins - heavy, 0)
+    # most[j]: the most light slots the other bins so far leave holding j
+    # heavy chores, -1 when they cannot hold j
+    most = [0] + [-1] * heavy
+    for _ in range(bins - spare):
+        new = [-1] * (heavy + 1)
+        for j, x in enumerate(most):
+            if x >= 0:
+                for k, s in enumerate(slots[:heavy + 1 - j]):
+                    if x + s > new[j + k]:
+                        new[j + k] = x + s
+        most = new
+    return most[heavy] >= 0 and most[heavy] + spare * slots[0] >= light
 
 
 def ffd(chores: Iterable[int], cost: Sequence[Fraction], tau: Fraction,

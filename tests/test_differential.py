@@ -21,7 +21,7 @@ from choremms.ffv import (SwapTranscript, _check_ffd_output, _count_free, benchm
 from choremms.io import format_instance, parse_instance
 from choremms.mms import (min_success_threshold, mms_brute, mms_factored, solve_auto,
                           solve_ordinal)
-from choremms.packing import ffd, hffd, multifit
+from choremms.packing import ffd, hffd, ladder_bound, multifit, two_valued_makespan
 from helpers import (_ref_check_ffd_output, certify_case, find_exact_subset, lex_compare,
                      perturb_to_ffv, ref_benchmark_bundle, ref_ffd, ref_find_exact_subset,
                      ref_hffd, ref_is_bivalued_costs, ref_is_factored_costs, ref_is_ffv,
@@ -211,6 +211,60 @@ def test_mms_brute_matches_unpruned_search(data):
     d = data.draw(st.integers(1, 9) | st.integers(2, 4) | st.integers(1, len(chores))
                   | st.just(len(chores)))
     assert mms_brute(row, chores, d) == ref_mms_brute(row, chores, d)
+
+
+@st.composite
+def two_valued_rows(draw, size):
+    # Half the heavy costs are 6/5 to 3 times the light one, where first
+    # fit at the ladder bound often leaves chores out and the MMS is often
+    # above the bound. A single run comes from drawing one cost only.
+    small = draw(fractions(8))
+    if draw(st.booleans()):
+        large = small * draw(st.builds(F, st.integers(6, 15), st.just(5)))
+    else:
+        large = small + draw(fractions(12))
+    return tuple(draw(st.sampled_from([large, small])) for _ in range(size))
+
+
+@SETTINGS
+@given(st.data())
+def test_two_valued_makespan_matches_unpruned_search(data):
+    # every size and bundle count, and often a few bundles of many chores,
+    # where the MMS is above the ladder bound on about one row in seven
+    m = data.draw(st.integers(0, 10) | st.integers(5, 10))
+    row = CostRow(data.draw(two_valued_rows(m)))
+    d = data.draw(st.integers(1, m + 2) | st.integers(2, 4))
+    mu = two_valued_makespan(row.counts, d)
+    assert row.value(mu) == ref_mms_brute(row, range(m), d).value
+
+
+@pytest.mark.parametrize("runs, d, mu, bound", [
+    # the split (2, 0) leaves 3 light slots at 10, (1, 1) only 2
+    ([(5, 2), (3, 3)], 2, 10, 10),
+    # first fit misses the bound, which (1, 1) with 3 light chores each fits
+    ([(13, 2), (5, 6)], 2, 28, 28),
+    # above the bound: at 11 both splits leave 2 light slots; at 12 only
+    # the unbalanced one leaves 3
+    ([(5, 2), (4, 3)], 2, 12, 11),
+    # only a split that is neither first fit's nor balanced fits: (3, 1)
+    # at 13, (3, 1, 1) at 9, and (3, 1) at 51, above the bound
+    ([(3, 4), (2, 7)], 2, 13, 13),
+    ([(3, 5), (2, 6)], 3, 9, 9),
+    ([(11, 4), (8, 7)], 2, 51, 50),
+    ([(7, 1)], 3, 7, 7),
+    ([], 2, 0, 0),
+])
+def test_two_valued_makespan_cases(runs, d, mu, bound):
+    assert (two_valued_makespan(runs, d), ladder_bound(runs, d)) == (mu, bound)
+    weights = [w for w, k in runs for _ in range(k)]
+    assert mu == ref_mms_brute(weights, range(len(weights)), d).value
+
+
+def test_two_valued_makespan_rejects_three_weights_and_no_bins():
+    with pytest.raises(BadParams, match="^need at most two distinct weights, got 3$"):
+        two_valued_makespan([(3, 1), (2, 1), (1, 1)], 2)
+    with pytest.raises(BadParams, match="^need at least one bin$"):
+        two_valued_makespan([(3, 1)], 0)
 
 
 # -------------------------------------------------------- hffd and lifting

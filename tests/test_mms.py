@@ -105,6 +105,11 @@ def test_mms_value_is_brute_force_on_other_rows():
         assert mms_value(cost, range(m), d) == brute_min_makespan(cost, range(m), d)
     with pytest.raises(TooLarge):
         mms_value((F(7), F(5), F(3)) * 5, range(15), 2)
+    # two costs that are not a chain: mms_brute's errors past the cap
+    with pytest.raises(TooLarge, match="^brute-force oracle capped at m=14, got 16$"):
+        mms_value((F(7), F(5)) * 8, range(16), 2)
+    with pytest.raises(BadParams, match="^need at least one bundle$"):
+        mms_value((F(7), F(5)), range(2), 0)
 
 
 def test_only_mms_factored_packs_a_witness(monkeypatch):
@@ -224,6 +229,30 @@ def test_solve_bivalued_lower_bound_instance():
     assert res.thresholds == (F(15),) * 3
     assert max(res.costs) == 15
     check_solution(inst, res, APPROX_RATIO)
+
+
+def test_bivalued_solve_counts_no_runs_and_runs_no_brute_force(monkeypatch):
+    # at m <= 14 mu comes from the twin row's runs through
+    # `packing.two_valued_makespan`: no recount, no branch-and-bound
+    inst = gen_instance("personalized_bivalued", 6, 12, seed=3)
+    expected = [mms_brute(row, inst.chores(), 6).value for row in inst.costs]
+    counted, searched = [], []
+    runs, brute = CostRow.runs, mms.mms_brute
+
+    def counting(row, chores):
+        counted.append(chores)
+        return runs(row, chores)
+
+    def searching(*args):
+        searched.append(args)
+        return brute(*args)
+    monkeypatch.setattr(CostRow, "runs", counting)
+    monkeypatch.setattr(mms, "mms_brute", searching)
+    res = solve_auto(inst)
+    assert (counted, searched) == ([], [])
+    assert res.algorithm == "bivalued"
+    assert list(res.mms_values) == expected
+    assert list(res.thresholds) == [APPROX_RATIO * mu for mu in expected]
 
 
 def test_solve_ordinal_guarantee():
