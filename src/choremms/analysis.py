@@ -115,7 +115,8 @@ def gen_instance(kind: str, n: int, m: int, seed: int, **params) -> Instance:
                 for _ in range(n)]
     else:
         raise BadParams(f"unknown instance class {kind!r}")
-    return Instance.from_rows(rows)
+    # every row holds m positive Fractions by construction
+    return Instance._trusted(tuple(map(CostRow, rows)))
 
 
 def subset_sums(chores: Iterable[int], cost: Sequence[Fraction]) -> list[Fraction]:

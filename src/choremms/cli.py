@@ -57,14 +57,14 @@ def _write_text(path: str, text: str) -> None:
         fh.write(text)
 
 
-def _report(algorithm, thresholds, instance, allocation, mus, elapsed, unallocated=()):
-    """Print the solve report; bundle i of the allocation is agent i's."""
+def _report(algorithm, thresholds, instance, allocation, costs, mus, elapsed, unallocated=()):
+    """Print the solve report; bundle i of the allocation is agent i's, and
+    costs[i] is its cost."""
     complete = allocation.is_complete(instance.m)
     print(f"algorithm: {algorithm}")
     if thresholds:
         print("thresholds: " + " ".join(format_rational(t) for t in thresholds))
-    for i in range(instance.n):
-        cost = bundle_cost(instance.cost(i), allocation.bundles[i])
+    for i, cost in enumerate(costs):
         line = f"agent {i}: cost {format_rational(cost)}"
         if mus is not None and mus[i] is not None:
             ratio = cost / mus[i] if mus[i] else Fraction(0)
@@ -97,7 +97,7 @@ def cmd_solve(args) -> int:
     if args.algo not in ("hffd", "ffd") and args.tau:
         raise BadParams(f"--tau is not accepted with --algo {args.algo}")
     start = time.perf_counter()
-    mus = None
+    mus = costs = None
     unallocated: tuple[int, ...] = ()
     if args.algo == "ffd":
         if len(args.tau) != 1:
@@ -121,12 +121,14 @@ def cmd_solve(args) -> int:
     else:
         result = named[args.algo](instance)
         thresholds = result.thresholds
-        allocation = result.allocation
+        allocation, costs = result.allocation, result.costs
         mus = result.mms_values
     elapsed = time.perf_counter() - start
+    if costs is None:
+        costs = tuple(bundle_cost(instance.cost(i), b) for i, b in enumerate(allocation.bundles))
     if args.out:
-        _write_text(args.out, format_allocation(allocation, instance))
-    complete = _report(args.algo, thresholds, instance, allocation, mus,
+        _write_text(args.out, format_allocation(allocation, instance, costs))
+    complete = _report(args.algo, thresholds, instance, allocation, costs, mus,
                        elapsed, unallocated)
     return EXIT_OK if complete else EXIT_FAILED
 

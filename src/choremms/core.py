@@ -162,8 +162,9 @@ class Instance:
 
     @classmethod
     def _trusted(cls, rows: tuple[CostRow, ...]) -> "Instance":
-        """An instance on rows taken from an already validated instance,
-        without `__post_init__`'s per-cost checks."""
+        """An instance on rows known to be valid, without `__post_init__`'s
+        per-cost checks: rows taken from an already validated instance, or
+        built by `analysis.gen_instance` from positive Fractions."""
         instance = object.__new__(cls)
         object.__setattr__(instance, "costs", rows)
         return instance

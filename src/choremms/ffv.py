@@ -11,12 +11,13 @@ capacity floor(tau * D); every sum, sort and comparison runs on those
 integers, and values become Fractions only for results and messages.
 
 The swap worker states the swap rule itself, on one set of chore ids per
-bundle kept next to the bundle's tuple of ids ascending. A swap step costs
-in proportion to what it moves: it updates its two sets in place and
-rebuilds their two tuples once, its two bundles' sums change by the weight
-of the traded chores, each integer sum becomes a Fraction once, and what
-is derived from a bundle (its profile, its highest id of each weight) is
-derived again only after a swap changed it.
+bundle, and holds a bundle that a donor lookup reads as runs too: each
+weight to its chore ids ascending. A swap step costs in proportion to what
+it moves: it updates its two sets in place and keeps built runs in step by
+moving only the traded chores, its two bundles' sums change by the weight
+of those chores, each integer sum becomes a Fraction once, and a bundle's
+profile is sorted again only after a swap changed it. A reduction puts
+bundle k in FFD order once and keeps that order across its own swaps.
 The benchmark bundles, the FFV checks and the exact subsets of
 `reduce_factored` all fill one bin by `packing.first_fit_bin`, the one
 statement of the first-fit rule, over weight counts: the FFV checks read
@@ -26,6 +27,7 @@ bundle costs O(runs) plus its own size.
 
 from __future__ import annotations
 
+from bisect import insort
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -177,30 +179,33 @@ class _Worker:
     the swap rule, records the transcript steps and checks the global chore
     multiset after every step.
 
-    Each bundle is held twice: as a set of chore ids, which a swap checks T_i
-    and T_j against and updates in place, and as a tuple of the same ids
-    ascending, which the worker sorts once when it is built and which a swap
-    rebuilds once from the set. The transcript's `final` shows a bundle as
-    given until a swap rebuilds it.
+    Each bundle is a set of chore ids, which a swap checks T_i and T_j
+    against and updates in place. A bundle that a donor lookup reads is also
+    held as runs, each weight's chore ids ascending, built on first use; a
+    swap keeps built runs in step by removing and inserting only the chores
+    it moves, and a donor is the last id of its weight's run. A bundle's
+    profile and FFD order are one sort of its set, which at the sizes of a
+    bundle costs no more than reading its runs. The transcript's `final`
+    shows a bundle as given until a swap changes it, and then as its ids
+    ascending, sorted once when `final` is built.
 
     A step costs in proportion to what it moves: each bundle's scaled cost
     sum changes by the weight of the chores it trades, each integer sum
-    becomes a Fraction once, and a bundle's profile and its highest id of
-    each weight (where donors are found) are derived again only after a
-    swap has changed the bundle."""
+    becomes a Fraction once, and a bundle's profile is derived again only
+    after a swap has changed the bundle."""
 
     def __init__(self, bundles: list[tuple[int, ...]], row: CostRow):
-        # the worker takes over the list, and `final` is built from it
-        self.final = bundles
-        self.bundles = [tuple(sorted(b)) for b in bundles]
+        # the worker takes over the list; a swap marks its two bundles None
+        self.final: list[tuple[int, ...] | None] = bundles
         self.sets = [set(b) for b in bundles]
         self.row = row
         self.weights = row.weights
         self.sums = [sum(map(self.weights.__getitem__, b)) for b in bundles]
         self.values: dict[int, Fraction] = {}
-        self.costs = tuple(map(self.value, self.sums))
+        # every bundle's cost as a Fraction, built at the first swap
+        self.costs: tuple[Fraction, ...] | None = None
         self.profiles: list[list[int] | None] = [None] * len(bundles)
-        self.tops: list[dict[int, int] | None] = [None] * len(bundles)
+        self.runs: list[dict[int, list[int]] | None] = [None] * len(bundles)
         self.transcript = SwapTranscript()
 
     def value(self, weight: int) -> Fraction:
@@ -209,38 +214,61 @@ class _Worker:
             value = self.values[weight] = self.row.value(weight)
         return value
 
+    def runs_of(self, b: int) -> dict[int, list[int]]:
+        """Bundle b's runs: each of its weights to its chore ids ascending."""
+        runs = self.runs[b]
+        if runs is None:
+            runs = self.runs[b] = {}
+            weights = self.weights
+            for c in sorted(self.sets[b]):
+                ids = runs.get(weights[c])
+                if ids is None:
+                    runs[weights[c]] = [c]
+                else:
+                    ids.append(c)
+        return runs
+
     def profile(self, b: int) -> list[int]:
         """Bundle b's profile; callers must not change it."""
-        if self.profiles[b] is None:
-            self.profiles[b] = self.row.profile(self.bundles[b])
-        return self.profiles[b]
-
-    def top(self, b: int) -> dict[int, int]:
-        """The highest id of each weight in bundle b."""
-        if self.tops[b] is None:
-            weights = self.weights
-            # ids ascending, so each weight keeps its last id
-            self.tops[b] = {weights[c]: c for c in self.bundles[b]}
-        return self.tops[b]
+        profile = self.profiles[b]
+        if profile is None:
+            profile = self.profiles[b] = self.row.profile(self.sets[b])
+        return profile
 
     def ffd_order(self, b: int) -> list[int]:
         """Bundle b in FFD order, as `CostRow.ffd_order` gives it."""
-        # a stable sort of the ascending ids keeps equal weights in id order
-        return sorted(self.bundles[b], key=self.weights.__getitem__, reverse=True)
+        return self.row.ffd_order(self.sets[b])
+
+    def _move(self, runs: dict[int, list[int]], out: set[int], into: set[int]):
+        """Keep a bundle's runs in step with a swap that moves the `out`
+        chores out of it and the `into` chores into it."""
+        weights = self.weights
+        for c in out:
+            ids = runs[weights[c]]
+            if len(ids) == 1:
+                del runs[weights[c]]
+            else:
+                ids.remove(c)
+        for c in into:
+            ids = runs.get(weights[c])
+            if ids is None:
+                runs[weights[c]] = [c]
+            else:
+                insort(ids, c)
 
     def apply(self, k: int, i: int, t_i, j: int, t_j, forbid_increase_after: int | None = None):
         """The swap rule: bundles i and j, two distinct indices of the
         bundles, trade T_i ⊆ A_i for T_j ⊆ A_j (either T may be empty, and
         each is read as a set). A swap that breaks the rule raises
         SubsetViolation before any state changes."""
-        bundles = self.bundles
+        sets = self.sets
         if i == j:
             raise SubsetViolation("swap needs two distinct bundles")
-        if not (0 <= i < len(bundles) and 0 <= j < len(bundles)):
+        if not (0 <= i < len(sets) and 0 <= j < len(sets)):
             raise SubsetViolation(f"swap bundles {i}, {j} are not among the "
-                                  f"{len(bundles)} bundles")
+                                  f"{len(sets)} bundles")
         give, take = set(t_i), set(t_j)
-        a_i, a_j = self.sets[i], self.sets[j]
+        a_i, a_j = sets[i], sets[j]
         if not give <= a_i:
             raise SubsetViolation(f"T_i {sorted(give - a_i)} not in bundle {i}")
         if not take <= a_j:
@@ -250,39 +278,48 @@ class _Worker:
         a_i |= take
         a_j -= take
         a_j |= give
-        self.final[i] = bundles[i] = tuple(sorted(a_i))
-        self.final[j] = bundles[j] = tuple(sorted(a_j))
-        self.profiles[i] = self.profiles[j] = self.tops[i] = self.tops[j] = None
+        runs = self.runs
+        if runs[i] is not None:
+            self._move(runs[i], give, take)
+        if runs[j] is not None:
+            self._move(runs[j], take, give)
+        self.final[i] = self.final[j] = self.profiles[i] = self.profiles[j] = None
         weight = self.weights.__getitem__
         gain = sum(map(weight, take)) - sum(map(weight, give))
-        before = self.costs
-        self.sums[i] += gain
-        self.sums[j] -= gain
+        sums, before = self.sums, self.costs
+        if before is None:
+            before = tuple(map(self.value, sums))
+        sums[i] += gain
+        sums[j] -= gain
         after = list(before)
-        after[i], after[j] = self.value(self.sums[i]), self.value(self.sums[j])
+        after[i], after[j] = self.value(sums[i]), self.value(sums[j])
         self.costs = tuple(after)
-        step = SwapStep(len(self.transcript.steps), k, i, tuple(sorted(t_i)),
-                        j, tuple(sorted(t_j)), self.costs)
-        self.transcript.steps.append(step)
+        steps = self.transcript.steps
+        steps.append(SwapStep(len(steps), k, i, tuple(sorted(t_i)), j, tuple(sorted(t_j)),
+                              self.costs))
         # no other bundle changed, so the multiset holds when these two hold
         # as many chores as before and together the same ones
         if len(a_i) + len(a_j) != size or a_i | a_j != union:
             self.fail(k, "swap changed the global chore multiset")
-        if forbid_increase_after is not None:
-            # at most one of the two bundles gains
-            for idx, rise in ((i, gain), (j, -gain)):
-                if idx > forbid_increase_after and rise > 0:
-                    self.fail(k, f"cost of bundle {idx} increased from "
-                                 f"{before[idx]} to {after[idx]}")
+        if forbid_increase_after is not None and gain:
+            # one of the two bundles gains, i when the gain is positive
+            idx = i if gain > 0 else j
+            if idx > forbid_increase_after:
+                self.fail(k, f"cost of bundle {idx} increased from "
+                             f"{before[idx]} to {after[idx]}")
+
+    def _final(self) -> Allocation:
+        return Allocation.of(tuple(sorted(s)) if b is None else b
+                             for b, s in zip(self.final, self.sets))
 
     def fail(self, k: int, message: str):
         self.transcript.result = f"violation k={k}"
-        self.transcript.final = Allocation.of(self.final)
+        self.transcript.final = self._final()
         raise InvariantViolation(message, self.transcript)
 
     def finish(self) -> SwapTranscript:
         self.transcript.result = "equal"
-        self.transcript.final = Allocation.of(self.final)
+        self.transcript.final = self._final()
         return self.transcript
 
 
@@ -290,10 +327,11 @@ def _find_donor(worker: _Worker, after: int, value: int) -> tuple[int, int] | No
     """Last-appearing chore of the given scaled cost in a bundle past
     `after`: highest bundle index, then latest position (highest id among
     equals)."""
-    for i in range(len(worker.bundles) - 1, after, -1):
-        top = worker.top(i).get(value)
-        if top is not None:
-            return i, top
+    runs = worker.runs
+    for i in range(len(runs) - 1, after, -1):
+        ids = (runs[i] if runs[i] is not None else worker.runs_of(i)).get(value)
+        if ids is not None:
+            return i, ids[-1]
     return None
 
 
@@ -316,6 +354,9 @@ def _reduce(P: Allocation, Q: Allocation, row: CostRow, tau: Fraction,
     worker = _Worker(_pad(P.bundles, n), row)
     targets = [row.profile(b) for b in _pad(Q.bundles, n)]
     for k in range(n):
+        # donors come only from bundles past k, so bundle k's runs would
+        # only be kept in step, never read
+        worker.runs[k] = None
         reach_target(worker, k, targets[k])
         if worker.profile(k) != targets[k]:
             worker.fail(k, f"bundle {k} did not reach its target profile")
@@ -339,6 +380,12 @@ def reduce_factored(P: Allocation, Q: Allocation, cost: Sequence[Fraction],
         raise PreconditionViolation("cost function must be factored")
 
     def reach_target(worker: _Worker, k: int, target):
+        if worker.profile(k) == target:
+            return
+        # bundle k in FFD order, put so once and kept across its swaps: a swap
+        # at position j puts the donor there and keeps the unmoved tail, all
+        # lighter than the donor, in its order; the positions before j, each
+        # at least as heavy, are not read again
         current = worker.ffd_order(k)
         for j, want in enumerate(target):
             have = weights[current[j]] if j < len(current) else 0
@@ -356,10 +403,12 @@ def reduce_factored(P: Allocation, Q: Allocation, cost: Sequence[Fraction],
             i, cl = donor
             if sum(map(weights.__getitem__, tail)) >= want:
                 moved = _exact_subset(tail, row, want)
+                gone = set(moved)
+                rest = [c for c in tail if c not in gone]
             else:
-                moved = tuple(tail)
+                moved, rest = tuple(tail), []
             worker.apply(k, k, moved, i, (cl,), forbid_increase_after=k)
-            current = worker.ffd_order(k)
+            current[j:] = [cl, *rest]
     return _reduce(P, Q, row, tau, all_chores, verify_ffd, reach_target)
 
 
@@ -389,7 +438,7 @@ def reduce_bivalued(P: Allocation, Q: Allocation, cost: Sequence[Fraction],
             if donor is None:
                 worker.fail(k, "no large chore left in any later bundle")
             i, cl = donor
-            smalls = tuple(c for c in worker.bundles[k] if weights[c] != large)
+            smalls = tuple(c for c in worker.sets[k] if weights[c] != large)
             worker.apply(k, k, smalls, i, (cl,), forbid_increase_after=k)
         # here the current bundle must be a cost-wise subset of its target
         have = worker.profile(k)
@@ -463,18 +512,18 @@ def transform_mms_to_ffd(Q: Allocation, cost: Sequence[Fraction],
                 worker.fail(k, f"invariant 1 broken at bundle {i}")
         for i in range(k, n_work):
             if worker.sums[i] > tau_cap:
-                worker.fail(k, f"invariant 2 broken: bundle {i} costs {worker.costs[i]} "
-                               f"> tau {tau}")
+                worker.fail(k, f"invariant 2 broken: bundle {i} costs "
+                               f"{worker.value(worker.sums[i])} > tau {tau}")
         for i in range(k + 1, n_work):
             if worker.sums[i] > mu_cap:
-                n_l, n_s = _counts(worker.bundles[i], weights, large)
+                n_l, n_s = _counts(worker.sets[i], weights, large)
                 if n_l > 1 or (n_l == 1 and (n_s + 2) * small > tau_cap):
                     worker.fail(k, f"invariant 3 broken at bundle {i}")
 
     for k in range(n_work):
         check_invariants(k)
-        if len(worker.bundles[k]) > len(p_profiles[k]):
-            a_q, b_q = _counts(worker.bundles[k], weights, large)
+        if len(worker.sets[k]) > len(p_profiles[k]):
+            a_q, b_q = _counts(worker.sets[k], weights, large)
             a_p, b_p = _counts(p_bundles[k], weights, large)
             if worker.sums[k] > mu_cap:
                 worker.fail(k, "a bundle reaching the two-for-one swap exceeds mu")
@@ -488,25 +537,26 @@ def transform_mms_to_ffd(Q: Allocation, cost: Sequence[Fraction],
             if donor is None:
                 worker.fail(k, "two-small-chores (c) broken: no later bundle has a large chore")
             z, cl = donor
-            # ids ascending, so the first two small chores are the lowest
-            smalls = [c for c in worker.bundles[k] if weights[c] != large]
-            pair = tuple(smalls[:2])
+            # the two lowest ids of the small chores
+            pair = tuple(sorted(c for c in worker.sets[k] if weights[c] != large)[:2])
             worker.apply(k, k, pair, z, (cl,))
-            if len(worker.bundles[k]) > len(p_profiles[k]):
-                a_q2, b_q2 = _counts(worker.bundles[k], weights, large)
+            if len(worker.sets[k]) > len(p_profiles[k]):
+                a_q2, b_q2 = _counts(worker.sets[k], weights, large)
                 if (a_q2, b_q2) == (2, 1) and (a_p, b_p) == (2, 0):
-                    one_small = min(c for c in worker.bundles[k] if weights[c] != large)
+                    one_small = min(c for c in worker.sets[k] if weights[c] != large)
                     worker.apply(k, k, (one_small,), z, ())
                 elif (a_q2, b_q2) == (2, 2) and (a_p, b_p) == (3, 0):
                     donor = _find_donor(worker, k, large)
                     if donor is None:
                         worker.fail(k, "special case: no later bundle has a large chore")
                     z2, cl2 = donor
-                    smalls2 = [c for c in worker.bundles[k] if weights[c] != large]
+                    smalls2 = sorted(c for c in worker.sets[k] if weights[c] != large)
                     worker.apply(k, k, tuple(smalls2[:2]), z2, (cl2,))
                 else:
                     worker.fail(k, "bundle still has too many chores outside the "
                                    "two special cases")
+        if worker.profile(k) == p_profiles[k]:
+            continue
         current = worker.ffd_order(k)
         for j, want in enumerate(p_profiles[k]):
             have = weights[current[j]] if j < len(current) else 0
@@ -521,7 +571,9 @@ def transform_mms_to_ffd(Q: Allocation, cost: Sequence[Fraction],
             z, cl = donor
             out = (current[j],) if j < len(current) else ()
             worker.apply(k, k, out, z, (cl,))
-            current = worker.ffd_order(k)
+            # the donor outweighs the chore it replaces, so the order is kept
+            # as in `reduce_factored`
+            current[j:j + 1] = [cl]
         if worker.profile(k) != p_profiles[k]:
             worker.fail(k, f"bundle {k} did not reach the FFD profile")
     return worker.finish()

@@ -18,6 +18,7 @@ distinct cost text of a row is parsed once, and the row arrives scaled.
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Sequence
 
 from .core import (Allocation, CostRow, Instance, bundle_cost, format_rational,
                    parse_rational)
@@ -96,15 +97,18 @@ def _parse_int(field, message, lineno):
         raise ParseError(message, lineno) from exc
 
 
-def format_allocation(allocation: Allocation, instance: Instance) -> str:
+def format_allocation(allocation: Allocation, instance: Instance,
+                      costs: Sequence[Fraction] | None = None) -> str:
     """n lines of bundles (bundle index i belongs to agent i unless an
-    agent map is present), then n lines of per-agent costs."""
+    agent map is present), then n lines of per-agent costs: `costs`, agent
+    i's cost at index i, when the caller has them, else computed here."""
     per_agent = allocation.per_agent(instance.n).bundles
+    if costs is None:
+        costs = [bundle_cost(instance.cost(i), ids) for i, ids in enumerate(per_agent)]
     lines = []
     for i, ids in enumerate(per_agent):
         lines.append(f"agent {i}: " + " ".join(str(c) for c in ids))
-    for i, ids in enumerate(per_agent):
-        cost = bundle_cost(instance.cost(i), ids)
+    for i, cost in enumerate(costs):
         lines.append(f"cost {i}: {format_rational(cost)}")
     return "\n".join(lines) + "\n"
 

@@ -6,7 +6,7 @@ from choremms import analysis
 from choremms.analysis import (MAX_GEN_COSTS, case_table, format_case_table, gen_instance,
                                search_bivalued_mms_existence,
                                search_monotonicity)
-from choremms.core import classify
+from choremms.core import CostRow, Instance, classify
 from choremms.errors import BadParams, TooLarge
 from choremms.io import MAX_AGENTS
 
@@ -99,6 +99,18 @@ def test_gen_instance_deterministic():
     c = gen_instance("general", 4, 9, seed=124)
     assert a == b
     assert a != c
+
+
+@pytest.mark.parametrize("kind", ["factored", "bivalued", "personalized_bivalued", "general"])
+def test_gen_instance_rows_pass_the_instance_checks(kind):
+    # gen_instance skips `Instance.__post_init__`'s per-cost checks, since it
+    # builds each row of positive Fractions; the checks accept every row
+    for seed in range(10):
+        for n, m in ((1, 0), (3, 8), (7, 40)):
+            inst = gen_instance(kind, n, m, seed=seed)
+            assert all(type(row) is CostRow for row in inst.costs)
+            assert Instance(tuple(map(tuple, inst.costs))) == inst
+            assert Instance.from_rows(inst.costs) == inst
 
 
 def test_gen_instance_rejects_unknown_kind_and_bad_sizes():

@@ -7,11 +7,11 @@ from fractions import Fraction as F
 import pytest
 
 import choremms
-from choremms import analysis, mms
+from choremms import analysis, cli, io, mms
 from choremms.cli import main
-from choremms.core import Instance, bundle_cost, to_ido
+from choremms.core import Instance, bundle_cost, format_rational, to_ido
 from choremms.errors import BadParams, EmptyBinDeadlock, NotFactored, TooLarge
-from choremms.io import format_instance, parse_allocation, parse_instance
+from choremms.io import format_allocation, format_instance, parse_allocation, parse_instance
 from choremms.packing import hffd
 from helpers import hffd_dropping_last_chore
 
@@ -65,6 +65,32 @@ def test_solve_factored_then_verify_mms(tmp_path, capsys):
     capsys.readouterr()
     assert main(["verify", str(inst_path), str(alloc_path), "--mode", "mms"]) == 0
     assert "pass" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("algo, kind, n, m", [
+    ("factored", "factored", 4, 12),
+    ("bivalued", "personalized_bivalued", 4, 12),
+    ("ordinal", "general", 4, 12),
+    ("multifit", "bivalued", 3, 10),
+])
+def test_solve_computes_each_bundle_cost_once(tmp_path, monkeypatch, capsys, algo, kind, n, m):
+    instance = analysis.gen_instance(kind, n, m, seed=3)
+    path = write_instance(tmp_path, instance)
+    calls = []
+    for module in (cli, io, mms):
+        monkeypatch.setattr(module, "bundle_cost",
+                            lambda cost, b: calls.append(b) or bundle_cost(cost, b))
+    out_path = tmp_path / "alloc.txt"
+    assert main(["solve", path, "--algo", algo, "--out", str(out_path)]) == 0
+    assert len(calls) == n
+    monkeypatch.undo()
+    # the file and the report carry each bundle's own cost
+    text = out_path.read_text()
+    alloc = parse_allocation(text, instance)
+    assert text == format_allocation(alloc, instance)
+    report = capsys.readouterr().out
+    for i, bundle in enumerate(alloc.bundles):
+        assert f"agent {i}: cost {format_rational(bundle_cost(instance.cost(i), bundle))}" in report
 
 
 def test_solve_ordinal_then_verify(tmp_path):

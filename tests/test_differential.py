@@ -846,19 +846,24 @@ def test_reductions_fail_as_reference_at_benchmark_sizes():
 
 
 def test_transform_mms_to_ffd_matches_reference_at_small_exact_sizes():
-    swaps = 0
-    for n in range(2, 9):
-        for m in (12, 13, 14):
-            for seed in range(2):
-                for row in gen_instance("personalized_bivalued", n, m, seed).costs:
-                    mms = mms_brute(row, range(m), n)
-                    Q = Allocation.of(mms.witness)
-                    got = outcome(transform_mms_to_ffd, Q, row, mms.value)
-                    assert got == outcome(ref_transform_mms_to_ffd, Q, row, mms.value)
-                    steps, result = got[:2]
-                    assert result == "equal"
-                    swaps += len(steps)
-    assert swaps > 0
+    # personalized bivalued rows, and two-valued factored rows as in the
+    # small-exact benchmark's factored third, most of which take the swap
+    # path and reach the FFD profile without a swap
+    swaps = {}
+    for kind, params in (("personalized_bivalued", {}), ("factored", {"levels": 1})):
+        swaps[kind] = 0
+        for n in range(2, 9):
+            for m in (12, 13, 14):
+                for seed in range(2):
+                    for row in gen_instance(kind, n, m, seed, **params).costs:
+                        mms = mms_brute(row, range(m), n)
+                        Q = Allocation.of(mms.witness)
+                        got = outcome(transform_mms_to_ffd, Q, row, mms.value)
+                        assert got == outcome(ref_transform_mms_to_ffd, Q, row, mms.value)
+                        steps, result = got[:2]
+                        assert result == "equal"
+                        swaps[kind] += len(steps)
+    assert swaps["personalized_bivalued"] > 0
 
 
 def parsed(parse, text):

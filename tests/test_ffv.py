@@ -124,15 +124,17 @@ def test_find_exact_subset_rejects_a_target_at_most_zero(target):
 def test_refused_swap_leaves_the_worker_unchanged(i, t_i, j, t_j, message):
     row = CostRow(F(x) for x in [5, 4, 3, 3, 2, 1])
     worker = ffv._Worker([(4, 0, 2), (3, 1), (5,)], row)
-    # one swap in, to (0, 3, 4) (1, 2) (5,), with a profile and a donor
-    # table derived
+    # one swap in, to (0, 3, 4) (1, 2) (5,), with a profile and every
+    # bundle's runs derived
     worker.apply(0, 0, (2,), 1, (3,))
-    assert worker.bundles == [(0, 3, 4), (1, 2), (5,)]
-    worker.profile(0), worker.top(1)
+    assert worker.sets == [{0, 3, 4}, {1, 2}, {5}]
+    worker.profile(0)
+    assert [worker.runs_of(b) for b in range(3)] == [{5: [0], 3: [3], 2: [4]},
+                                                      {4: [1], 3: [2]}, {1: [5]}]
     before = copy.deepcopy(vars(worker))
     with pytest.raises(SubsetViolation, match=f"^{re.escape(message)}$"):
         worker.apply(1, i, t_i, j, t_j)
-    # bundles, sets, sums, costs, caches and transcript alike
+    # sets, runs, sums, costs, caches and transcript alike
     assert vars(worker) == before
 
 
@@ -301,20 +303,21 @@ def swap_case(kind, seed, levels=None):
     pytest.param("transform", 1, None, id="transform-1"),
 ])
 def test_swap_steps_sort_and_convert_only_what_they_change(monkeypatch, kind, seed, levels):
-    # bundle k is put in FFD order once and again after each of its swaps,
-    # and each integer bundle sum becomes a Fraction once
+    # bundle k is put in FFD order at most once, and its own swaps keep that
+    # order; each integer bundle sum becomes a Fraction once
     start, cost, swaps = swap_case(kind, seed, levels)
-    calls = {"value": 0, "ffd_order": 0}
+    calls = {"CostRow.value": 0, "_Worker.ffd_order": 0, "CostRow.ffd_order": 0}
 
     def counted(owner, name):
         method = getattr(owner, name)
+        key = f"{owner.__name__}.{name}"
 
         def wrapper(self, *args):
-            calls[name] += 1
+            calls[key] += 1
             return method(self, *args)
         monkeypatch.setattr(owner, name, wrapper)
     counted(CostRow, "value")
-    # the worker's order of a bundle, or the row's order of any chores
+    # the worker's order of a bundle, and the row's order of any chores
     counted(ffv._Worker, "ffd_order")
     counted(CostRow, "ffd_order")
     t = swaps()
@@ -324,11 +327,37 @@ def test_swap_steps_sort_and_convert_only_what_they_change(monkeypatch, kind, se
     padded = start + ((),) * (bundles - len(start))
     sums = {bundle_cost(cost, b) for b in padded}
     sums |= {c for step in t.steps for c in step.costs_after}
-    steps = len(t.steps)
-    assert t.result == "equal" and steps
-    assert calls["value"] <= len(sums)
-    # the transform's FFD run puts its chores in FFD order once
-    assert calls["ffd_order"] <= bundles + steps + (kind == "transform")
+    assert t.result == "equal" and t.steps
+    assert calls["CostRow.value"] <= len(sums)
+    assert calls["_Worker.ffd_order"] <= bundles
+    # the row orders chores for the worker, and once for the transform's FFD run
+    assert calls["CostRow.ffd_order"] <= calls["_Worker.ffd_order"] + (kind == "transform")
+
+
+@pytest.mark.parametrize("kind, n, m, seed", [
+    ("personalized_bivalued", 4, 12, 2),
+    ("factored", 6, 14, 0),
+])
+def test_one_swap_builds_runs_only_for_the_bundles_it_touched(monkeypatch, kind, n, m, seed):
+    P, Q, cost, tau, chores = certify_case(kind, n, m, seed)
+    reduce = reduce_factored if kind == "factored" else reduce_bivalued
+    built = []
+    runs_of = ffv._Worker.runs_of
+
+    def spy(self, b):
+        if self.runs[b] is None:
+            built.append(b)
+        return runs_of(self, b)
+    monkeypatch.setattr(ffv._Worker, "runs_of", spy)
+    t = reduce(P, Q, cost, tau, chores)
+    (step,) = t.steps
+    # the donor lookup reads the bundles from the last one down to the donor's
+    assert built == list(range(len(t.final.bundles) - 1, step.j - 1, -1))
+    assert step.i not in built
+    # a swap keeps built runs in step and builds none
+    worker = ffv._Worker([(0, 1), (2,), (3,)], CostRow([F(1)] * 4))
+    worker.apply(0, 0, (1,), 2, (3,))
+    assert worker.runs == [None] * 3
 
 
 # ------------------------------------------------- reduce_bivalued (Alg. 2)
