@@ -222,12 +222,14 @@ class Allocation:
     agents: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        seen: set[int] = set()
-        for b in self.bundles:
-            for c in b:
-                if c in seen:
-                    raise BadParams(f"chore {c} appears in two bundles")
-                seen.add(c)
+        # one union in C; the walk runs only to name the first repeat
+        if len(set().union(*self.bundles)) != sum(map(len, self.bundles)):
+            seen: set[int] = set()
+            for b in self.bundles:
+                for c in b:
+                    if c in seen:
+                        raise BadParams(f"chore {c} appears in two bundles")
+                    seen.add(c)
         if self.agents is not None and len(self.agents) != len(self.bundles):
             raise BadParams("agents map length must match bundle count")
 
@@ -352,27 +354,32 @@ class LiftingMap:
 
     def lift(self, allocation: Allocation) -> Allocation:
         m = self.original.m
-        owner_of = {}
-        for b, bundle in enumerate(allocation.bundles):
-            agent = allocation.agent_of(b)
+        bundles = allocation.bundles
+        agents = range(len(bundles)) if allocation.agents is None else allocation.agents
+        # the bundle that holds each position, None for a position no bundle holds
+        owner_of: list[int | None] = [None] * m
+        for b, bundle in enumerate(bundles):
+            if bundle and (min(bundle) < 0 or max(bundle) >= m):
+                bad = next(c for c in bundle if not 0 <= c < m)
+                raise BadParams(f"chore {bad} is not one of the {m} chores")
             for c in bundle:
-                if not 0 <= c < m:
-                    raise BadParams(f"chore {c} is not one of the {m} chores")
-                owner_of[c] = (agent, b)
+                owner_of[c] = b
         taken = [False] * m
         picks: dict[int, Iterator[int]] = {}
-        lifted: list[list[int]] = [[] for _ in allocation.bundles]
+        lifted: list[list[int]] = [[] for _ in bundles]
         # IDO chore j is the (j+1)-th largest position; walk smallest to
         # largest, each owner taking their cheapest remaining original chore.
         # At position j at most m-1-j chores are gone, so one of the agent's
         # m-j cheapest is left: the pick costs at most the position j.
         for j in reversed(range(m)):
-            if j not in owner_of:
+            b = owner_of[j]
+            if b is None:
                 continue
-            agent, b = owner_of[j]
-            if agent not in picks:
-                picks[agent] = _cheapest_first(self.original.cost(agent), taken)
-            pick = next(picks[agent])
+            agent = agents[b]
+            cursor = picks.get(agent)
+            if cursor is None:
+                cursor = picks[agent] = _cheapest_first(self.original.cost(agent), taken)
+            pick = next(cursor)
             taken[pick] = True
             lifted[b].append(pick)
         return Allocation.of(lifted, allocation.agents)

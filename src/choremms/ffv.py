@@ -489,17 +489,32 @@ def transform_mms_to_ffd(Q: Allocation, cost: Sequence[Fraction],
             raise PreconditionViolation(f"bundle {k} exceeds the stated MMS value {mu}")
     tau = APPROX_RATIO * mu
     tau_cap = row.cap(tau)
-    outcome = ffd(all_chores, row, tau)
     if 13 * small <= row.cap(2 * mu):  # mu >= 6.5 times the small cost
+        outcome = ffd(all_chores, row, tau)
         transcript = SwapTranscript(steps=[], final=Allocation.of(_pad(outcome.bundles, n)))
         if len(outcome.bundles) > n:
             transcript.result = "violation k=0"
             raise InvariantViolation(
                 "FFD at tau >= mu + s used more bins than the partition", transcript)
         return transcript
-    p_bundles = _pad(outcome.bundles, n)
-    n_work = len(p_bundles)
-    p_profiles = [row.profile(b) for b in p_bundles]
+    # the swaps read FFD's bins only as profiles: first fit over the weight
+    # counts, bin by bin, as `ffd` fills them
+    count = dict(row.runs(all_chores))
+    p_profiles: list[list[int]] = []
+    while count:
+        taken = first_fit_bin(count, tau_cap)
+        if not taken:  # every chore fits, as each Q bundle is within mu
+            raise PreconditionViolation(f"a chore costs more than tau {tau}")
+        profile: list[int] = []
+        for w, t in taken:
+            profile += [w] * t
+            if t == count[w]:
+                del count[w]
+            else:
+                count[w] -= t
+        p_profiles.append(profile)
+    p_profiles += [[] for _ in range(n - len(p_profiles))]
+    n_work = len(p_profiles)
     # most large chores first, then most small ones; stable among equals
     q_sorted = sorted(Q.bundles, key=lambda b: _counts(b, weights, large), reverse=True)
     worker = _Worker(_pad(q_sorted, n_work), row)
@@ -524,7 +539,8 @@ def transform_mms_to_ffd(Q: Allocation, cost: Sequence[Fraction],
         check_invariants(k)
         if len(worker.sets[k]) > len(p_profiles[k]):
             a_q, b_q = _counts(worker.sets[k], weights, large)
-            a_p, b_p = _counts(p_bundles[k], weights, large)
+            a_p = p_profiles[k].count(large)
+            b_p = len(p_profiles[k]) - a_p
             if worker.sums[k] > mu_cap:
                 worker.fail(k, "a bundle reaching the two-for-one swap exceeds mu")
             if a_p < a_q + 1:

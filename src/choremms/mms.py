@@ -150,18 +150,25 @@ def mms_factored(cost: Sequence[Fraction], chores: Iterable[int], d: int) -> MMS
 
 def mms_value(cost: Sequence[Fraction], chores: Iterable[int], d: int, *,
               runs: Sequence[tuple[int, int]] | None = None) -> Fraction:
-    """Exact MMS for d bundles: `min_success_threshold` when the chores'
-    costs form a divisibility chain, `packing.two_valued_makespan` on the
+    """Exact MMS for d bundles: on a divisibility chain the smallest
+    capacity at which first fit fills d bins (`smallest_fitting_cap`, as
+    `min_success_threshold` gives it), `packing.two_valued_makespan` on the
     runs of two other costs, else `mms_brute`. Both exact searches off the
     chain are capped at ORACLE_CAP chores, with `mms_brute`'s errors. A
-    caller that holds the chores' `CostRow.runs` passes them as `runs`."""
-    chores = list(chores)
+    caller that holds the chores' `CostRow.runs` passes them as `runs`, and
+    the chain is tested once, on those runs."""
+    if d < 1:
+        raise BadParams("need at least one bundle")
     row = CostRow.of(cost)
     if runs is None:
+        chores = list(chores)
         runs = row.runs(chores)
-    if is_divisibility_chain(w for w, _ in runs):
-        return min_success_threshold(row, chores, d, runs=runs)
-    if len(runs) == 2 and d >= 1 and len(chores) <= ORACLE_CAP:
+    # the runs are distinct and weight descending: a chain when each weight
+    # divides the one before it
+    if all(w % v == 0 for (w, _), (v, _) in zip(runs, runs[1:])):
+        return row.value(smallest_fitting_cap(runs, d))
+    chores = list(chores)
+    if len(runs) == 2 and len(chores) <= ORACLE_CAP:
         return row.value(two_valued_makespan(runs, d))
     return mms_brute(row, chores, d).value
 
@@ -187,15 +194,30 @@ def min_success_threshold(cost: Sequence[Fraction], chores: Iterable[int], n: in
 
 def hffd_and_lift(ido: Instance, lifting: LiftingMap,
                   thresholds: Sequence[Fraction]) -> tuple[Allocation, tuple[int, ...]]:
-    """HFFD on the IDO twin, merged to one bundle per agent and lifted to
-    the original chores, and the original chores it left unallocated, ids
-    ascending. Lifting raises no agent's cost, also when HFFD leaves chores.
-    With no chores every agent gets an empty bundle, since HFFD rejects the
-    zero thresholds such an instance gets."""
+    """HFFD on the IDO twin, lifted to the original chores, one bundle per
+    agent, and the original chores it left unallocated, ids ascending. HFFD
+    gives each agent at most one bin, so each lifted bin is put at its
+    owner's index as it is, in the lift's order, with no merge; an agent
+    without a bin gets an empty bundle. Lifting raises no agent's cost, also
+    when HFFD leaves chores. With no chores every agent gets an empty
+    bundle, since HFFD rejects the zero thresholds such an instance gets."""
+    n = ido.n
     if ido.m == 0:
-        return Allocation.of([()] * ido.n, agents=range(ido.n)), ()
-    outcome = hffd(ido, thresholds)
-    allocation = lifting.lift(outcome.allocation.per_agent(ido.n))
+        return Allocation.of([()] * n, agents=range(n)), ()
+    bins = hffd(ido, thresholds).allocation
+    # each agent's bin, None for an agent HFFD gave none
+    bin_of: list[int | None] = [None] * n
+    for b, owner in enumerate(bins.agents):
+        if not 0 <= owner < n:
+            raise BadParams(f"bundle {b} belongs to agent {owner}, not one of {n} agents")
+        if bin_of[owner] is not None:
+            raise BadParams(f"bundle {b} belongs to agent {owner}, who has a bundle already")
+        bin_of[owner] = b
+    lifted = lifting.lift(bins).bundles
+    allocation = Allocation(tuple(() if b is None else lifted[b] for b in bin_of),
+                            tuple(range(n)))
+    if sum(map(len, allocation.bundles)) == ido.m:
+        return allocation, ()
     held = allocation.allocated()
     return allocation, tuple(c for c in range(ido.m) if c not in held)
 

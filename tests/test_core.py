@@ -248,6 +248,15 @@ def test_lifting_rejects_a_chore_outside_the_instance():
             lifting.lift(Allocation.of([(0,), (bad,)]))
 
 
+def test_lifting_names_the_bad_chore_of_the_earliest_bundle():
+    _, lifting = to_ido(Instance.from_rows([[2, 1, 1], [1, 2, 1]]))
+    # the later bundle's bad chore is the smaller, the earlier bundle's
+    # comes after a good one
+    allocation = Allocation.of([(1,), (0, 7, -1), (-5,)], agents=(0, 1, 0))
+    with pytest.raises(BadParams, match="^chore 7 is not one of the 3 chores$"):
+        lifting.lift(allocation)
+
+
 # ------------------------------------------------------------- lex_compare
 
 COST5 = (F(4), F(3), F(3), F(2), F(1))
@@ -342,6 +351,16 @@ def test_per_agent_merges_each_agents_bins(data):
         assert list(bundle) == sorted(bundle)
         assert set(bundle) == {c for b, bin_ in enumerate(alloc.bundles)
                                if alloc.agent_of(b) == i for c in bin_}
+
+
+@pytest.mark.parametrize("bundles, repeat", [
+    ([(0, 1), (2, 5, 3, 5, 2)], 5),  # twice inside one bundle, the first repeat
+    ([(0, 3), (1,), (4, 3, 0)], 3),  # in two bundles, named where the walk meets it
+    ([(4, 4), (4,)], 4),
+])
+def test_allocation_names_the_first_repeated_chore(bundles, repeat):
+    with pytest.raises(BadParams, match=f"^chore {repeat} appears in two bundles$"):
+        Allocation.of(bundles)
 
 
 def test_per_agent_rejects_unknown_agents():

@@ -19,8 +19,8 @@ from choremms.errors import (BadParams, ChoreMMSError, EmptyBinDeadlock, Invaria
 from choremms.ffv import (SwapTranscript, _check_ffd_output, _count_free, benchmark_bundle,
                           is_ffv, reduce_bivalued, reduce_factored, transform_mms_to_ffd)
 from choremms.io import format_instance, parse_instance
-from choremms.mms import (min_success_threshold, mms_brute, mms_factored, solve_auto,
-                          solve_ordinal)
+from choremms.mms import (hffd_and_lift, min_success_threshold, mms_brute, mms_factored,
+                          solve_auto, solve_ordinal)
 from choremms.packing import ffd, hffd, ladder_bound, multifit, two_valued_makespan
 from helpers import (_ref_check_ffd_output, certify_case, find_exact_subset, lex_compare,
                      perturb_to_ffv, ref_benchmark_bundle, ref_ffd, ref_find_exact_subset,
@@ -435,6 +435,56 @@ def test_lift_matches_reference_at_realistic_sizes():
                                     [rng.randrange(n) for _ in range(2 * n)])
         for allocation in (packed.allocation.per_agent(n), random_bins):
             assert lifting.lift(allocation) == ref_lift(instance, allocation)
+
+
+def merged_hffd_and_lift(ido, lifting, taus):
+    """HFFD's bins merged per agent (`Allocation.per_agent`), lifted, and
+    every original chore scanned for the ones left out: the composition
+    that `hffd_and_lift` lifts without the merge and skips the scan of."""
+    if ido.m == 0:
+        return Allocation.of([()] * ido.n, agents=range(ido.n)), ()
+    allocation = lifting.lift(hffd(ido, taus).allocation.per_agent(ido.n))
+    held = allocation.allocated()
+    return allocation, tuple(c for c in range(ido.m) if c not in held)
+
+
+def lifted_or_deadlock(lift, ido, lifting, taus):
+    try:
+        allocation, unallocated = lift(ido, lifting, taus)
+    except EmptyBinDeadlock as exc:
+        return ("deadlock", exc.chore)
+    # field for field, with the order inside each bundle
+    return allocation.bundles, allocation.agents, unallocated
+
+
+@SETTINGS
+@given(st.data())
+def test_hffd_and_lift_matches_the_merged_lift(data):
+    instance = data.draw(instances())
+    ido, lifting = to_ido(instance)
+    taus = [data.draw(thresholds(ido.cost(i))) if ido.m else F(1) for i in range(ido.n)]
+    assert lifted_or_deadlock(hffd_and_lift, ido, lifting, taus) == \
+        lifted_or_deadlock(merged_hffd_and_lift, ido, lifting, taus)
+
+
+def test_hffd_and_lift_matches_the_merged_lift_at_benchmark_sizes():
+    # the solve's thresholds, then all of them lowered by a tenth at a time
+    # until HFFD leaves chores or deadlocks
+    seen = set()
+    for kind, n, m in (("factored", 10, 100), ("personalized_bivalued", 8, 80)):
+        for seed in range(5):
+            instance = gen_instance(kind, n, m, seed)
+            ido, lifting = to_ido(instance)
+            taus = solve_auto(instance).thresholds
+            while True:
+                got = lifted_or_deadlock(hffd_and_lift, ido, lifting, taus)
+                assert got == lifted_or_deadlock(merged_hffd_and_lift, ido, lifting, taus)
+                if got[0] == "deadlock" or got[2]:
+                    seen.add("deadlock" if got[0] == "deadlock" else "partial")
+                    break
+                seen.add("complete")
+                taus = [tau * F(9, 10) for tau in taus]
+    assert seen >= {"complete", "partial"}
 
 
 def test_lift_ties_pick_lower_id():

@@ -270,9 +270,17 @@ def test_ffd_output_check_runs_no_ffd(monkeypatch):
         t = reduce(out.allocation, out.allocation, FFD_CHECK_COSTS, F(6), range(5))
         assert t.result == "equal"
     assert calls == []
+    # the swap path reads FFD's bins as weight counts, with no ffd
     row = tuple(F(x) for x in [4, 4, 4] + [3] * 9)
     res = mms_brute(row, range(12), 3)
-    transform_mms_to_ffd(Allocation.of(res.witness), row, res.value)
+    t = transform_mms_to_ffd(Allocation.of(res.witness), row, res.value)
+    assert t.steps and calls == []
+    # at mu >= 6.5 times the small cost FFD's bins are the final allocation
+    row = tuple(F(x) for x in [7, 7, 1, 1])
+    res = mms_brute(row, range(4), 2)
+    assert res.value == 8
+    t = transform_mms_to_ffd(Allocation.of(res.witness), row, res.value)
+    assert t.steps == [] and t.final == Allocation.of(ffd(range(4), row, F(120, 13)).bundles)
     assert len(calls) == 1
 
 

@@ -150,6 +150,64 @@ def test_mms_value_counts_the_chores_once(monkeypatch):
     assert len(calls) == 3
 
 
+@pytest.mark.parametrize("cost, chores, d", [
+    ((F(3, 2),) * 5, range(5), 2),  # a single run
+    ((F(3, 2),) * 5, range(5), 7),  # d > m
+    ((F(4), F(2), F(1), F(2)), range(4), 9),
+    ((F(4), F(2), F(1)), (), 3),  # no chores
+    ((F(6), F(3), F(1, 2), F(3)), (3, 0, 2), 2),
+])
+def test_mms_value_on_a_chain_is_the_minimal_ffd_threshold(cost, chores, d):
+    want = min_success_threshold(cost, chores, d)
+    assert mms_value(cost, chores, d) == want
+    row = CostRow.of(cost)
+    assert mms_value(cost, iter(chores), d, runs=row.runs(chores)) == want
+    if chores:
+        assert want == brute_min_makespan(cost, chores, d)
+
+
+@pytest.mark.parametrize("cost, chores", [
+    ((F(4), F(2), F(1)), range(3)),  # a chain
+    ((F(5),) * 3, range(3)),  # a single run
+    ((F(4), F(2)), ()),  # a chain with no chores
+    ((F(7), F(5)), range(2)),
+    ((F(7), F(5), F(3)), range(3)),
+])
+def test_mms_value_needs_one_bundle_on_every_row(cost, chores):
+    for d in (0, -1):
+        with pytest.raises(BadParams, match="^need at least one bundle$"):
+            mms_value(cost, chores, d)
+        with pytest.raises(BadParams, match="^need at least one bundle$"):
+            mms_value(cost, chores, d, runs=CostRow.of(cost).runs(chores))
+
+
+def test_a_factored_solve_reads_the_stage_before_it(monkeypatch):
+    # the thresholds come from one first-fit search per agent on the twin
+    # row's runs, with no second class check, and HFFD's bins, one per
+    # agent, are lifted without a merge
+    calls = {"min_success_threshold": 0, "smallest_fitting_cap": 0, "per_agent": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+    monkeypatch.setattr(mms, "min_success_threshold",
+                        counted("min_success_threshold", min_success_threshold))
+    monkeypatch.setattr(mms, "smallest_fitting_cap",
+                        counted("smallest_fitting_cap", packing.smallest_fitting_cap))
+    monkeypatch.setattr(core.Allocation, "per_agent",
+                        counted("per_agent", core.Allocation.per_agent))
+    for seed in range(3):
+        instance = gen_instance("factored", 10, 100, seed=seed)
+        calls.update(dict.fromkeys(calls, 0))
+        result = solve_auto(instance)
+        assert result.algorithm == "factored"
+        assert result.allocation.is_complete(instance.m)
+        assert calls == {"min_success_threshold": 0, "smallest_fitting_cap": instance.n,
+                         "per_agent": 0}
+
+
 # --------------------------------------------- min_success_threshold
 
 def threshold_oracle(cost, grid, d):
@@ -356,6 +414,22 @@ def test_solve_ordinal_falls_back_to_the_exact_mms():
     res = solve_ordinal(inst)
     assert res.thresholds == res.mms_values == (14, 15, 13, 19)
     check_solution(inst, res, F(1))
+
+
+@pytest.mark.parametrize("owners, message", [
+    ((1, 1), "^bundle 1 belongs to agent 1, who has a bundle already$"),
+    ((0, 2), "^bundle 1 belongs to agent 2, not one of 2 agents$"),
+    ((-1, 0), "^bundle 0 belongs to agent -1, not one of 2 agents$"),
+])
+def test_hffd_and_lift_needs_one_owner_per_bin(owners, message, monkeypatch):
+    # each lifted bin is put at its owner's index, so an owner HFFD would
+    # never give is refused rather than written over another bin
+    def hffd_with_owners(ido, taus):
+        return packing.PackOutcome(core.Allocation.of([(0, 1), (2, 3)], owners), ())
+    monkeypatch.setattr(mms, "hffd", hffd_with_owners)
+    ido, lifting = to_ido(Instance.from_rows([[4, 2, 2, 1]] * 2))
+    with pytest.raises(BadParams, match=message):
+        hffd_and_lift(ido, lifting, (F(6), F(6)))
 
 
 def test_solve_ordinal_needs_no_mms_past_the_oracle_cap(monkeypatch):
