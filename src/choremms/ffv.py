@@ -2,7 +2,7 @@
 for factored costs, and the swap-transcript reductions with per-step
 invariant checking.
 
-Every transcript step records the full per-bundle cost snapshot, so a
+Every transcript step shows the full per-bundle cost snapshot, so a
 failed invariant can be replayed as a counterexample.
 
 Costs are Fractions at the interface. Each call reads the row's cached
@@ -13,11 +13,13 @@ integers, and values become Fractions only for results and messages.
 The swap worker states the swap rule itself, on one set of chore ids per
 bundle, and holds a bundle that a donor lookup reads as runs too: each
 weight to its chore ids ascending. A swap step costs in proportion to what
-it moves: it updates its two sets in place and keeps built runs in step by
-moving only the traded chores, its two bundles' sums change by the weight
-of those chores, each integer sum becomes a Fraction once, and a bundle's
-profile is sorted again only after a swap changed it. A reduction puts
-bundle k in FFD order once and keeps that order across its own swaps.
+it moves, in integers: it updates its two sets in place and keeps built
+runs in step by moving only the traded chores, checks the chore multiset
+on the traded chores alone, changes its two bundles' sums by the weight of
+those chores, and records the step as those two sums. The transcript builds
+its `SwapStep`s, with their Fraction costs, only when they are read. A
+bundle's profile is sorted again only after a swap changed it. A reduction
+puts bundle k in FFD order once and keeps that order across its own swaps.
 The benchmark bundles, the FFV checks and the exact subsets of
 `reduce_factored` all fill one bin by `packing.first_fit_bin`, the one
 statement of the first-fit rule, over weight counts: the FFV checks read
@@ -29,7 +31,6 @@ from __future__ import annotations
 
 from bisect import insort
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
@@ -57,16 +58,65 @@ class SwapStep(NamedTuple):
                 f"j={self.j} T_j={{{tj}}} | costs: {costs}")
 
 
-@dataclass
 class SwapTranscript:
-    steps: list[SwapStep] = field(default_factory=list)
-    result: str = "equal"
-    final: Allocation | None = None
+    """A reduction's swap steps, its result and its final allocation.
+
+    A worker's transcript holds each swap as an integer record, (k, i, T_i,
+    j, T_j, the new sums of i and j), and builds the `SwapStep`s from the
+    records the first time `steps` is read (and so `dump()` and equality):
+    it replays them from the bundle sums before the first, each distinct sum
+    becoming a Fraction once through the value cache it shares with the
+    worker. A later read builds only the records added since, into the same
+    list. The transcript holds no reference to the worker, so a reduction's
+    worker is freed when it returns."""
+
+    __hash__ = None  # mutable, and equal by value
+
+    def __init__(self, steps: list[SwapStep] | None = None, result: str = "equal",
+                 final: Allocation | None = None):
+        self._steps = [] if steps is None else steps
+        self.result = result
+        self.final = final
+        # a worker's records not yet built, the bundle sums before the first
+        # of them, the worker's row and the Fraction of each sum made so far
+        self._records: list[tuple] = []
+        self._sums: list[int] = []
+        self._row: CostRow | None = None
+        self._values: dict[int, Fraction] = {}
+
+    def _value(self, weight: int) -> Fraction:
+        value = self._values.get(weight)
+        if value is None:
+            value = self._values[weight] = self._row.value(weight)
+        return value
+
+    @property
+    def steps(self) -> list[SwapStep]:
+        records = self._records
+        if records:
+            steps, sums, value = self._steps, self._sums, self._value
+            costs = list(map(value, sums))
+            for k, i, t_i, j, t_j, sum_i, sum_j in records:
+                sums[i], sums[j] = sum_i, sum_j
+                costs[i], costs[j] = value(sum_i), value(sum_j)
+                steps.append(SwapStep(len(steps), k, i, tuple(sorted(t_i)), j,
+                                      tuple(sorted(t_j)), tuple(costs)))
+            records.clear()
+        return self._steps
 
     def dump(self) -> str:
         lines = [s.dump() for s in self.steps]
         lines.append(f"result: {self.result}")
         return "\n".join(lines) + "\n"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.steps, self.result, self.final) == (other.steps, other.result, other.final)
+
+    def __repr__(self) -> str:
+        return (f"SwapTranscript(steps={self.steps!r}, result={self.result!r}, "
+                f"final={self.final!r})")
 
 
 def _capacity(row: CostRow, tau: Fraction) -> int:
@@ -87,16 +137,25 @@ def benchmark_bundle(all_chores: Iterable[int], allocated_prefix: Sequence[Seque
     return bins[0] if bins else ()
 
 
-def _count_free(row: CostRow, all_chores: Iterable[int]) -> tuple[list[tuple[int, int]], Counter]:
-    """The chores of a benchmark walk, counted: their `CostRow.runs` and the
-    copies of each chore id. A reduction counts them once for both of its
+def _count_free(row: CostRow, all_chores: Iterable[int]
+                ) -> tuple[Sequence[tuple[int, int]], set[int] | Counter]:
+    """The chores of a benchmark walk, counted: their weights as (weight,
+    count) runs, and their ids as a set, or as a Counter of the copies of
+    each id when some chore is listed twice. A walk over every chore of the
+    row, ids 0..m-1 each once, reads the row's kept runs (`CostRow.counts`).
+    A reduction counts the chores once for its cost test and both of its
     walks."""
     chores = list(all_chores)
-    return row.runs(chores), Counter(chores)
+    ids = set(chores)
+    if len(ids) < len(chores):  # a chore listed twice counts twice
+        return row.runs(chores), Counter(chores)
+    if len(ids) == len(row) and ids.issuperset(range(len(row))):
+        return row.counts, ids
+    return row.runs(chores), ids
 
 
 def _first_off_benchmark(bundles: Sequence[Sequence[int]], row: CostRow,
-                         free: tuple[list[tuple[int, int]], Counter], room: int,
+                         free: tuple[Sequence[tuple[int, int]], set[int] | Counter], room: int,
                          exact: bool) -> int | None:
     """Index of the first bundle whose profile is below (with `exact`: not
     equal to) its benchmark's, the fill of the room from the `free` chores
@@ -118,8 +177,12 @@ def _first_off_benchmark(bundles: Sequence[Sequence[int]], row: CostRow,
         if (relation != EQUAL) if exact else (relation < EQUAL):
             return k
         # the bundles are disjoint, so each chore leaves the counts once
-        for c in copies.keys() & bundle:
-            count[weights[c]] -= copies[c]
+        if isinstance(copies, set):
+            for c in copies.intersection(bundle):
+                count[weights[c]] -= 1
+        else:
+            for c in copies.keys() & bundle:
+                count[weights[c]] -= copies[c]
     return None
 
 
@@ -176,8 +239,8 @@ def _check_ffd_output(P: Allocation, all_chores, row: CostRow, tau, free):
 
 class _Worker:
     """The bundles of a reduction, swapped in place by `apply`, which states
-    the swap rule, records the transcript steps and checks the global chore
-    multiset after every step.
+    the swap rule, records each step in the transcript and checks the global
+    chore multiset at every step.
 
     Each bundle is a set of chore ids, which a swap checks T_i and T_j
     against and updates in place. A bundle that a donor lookup reads is also
@@ -189,10 +252,13 @@ class _Worker:
     shows a bundle as given until a swap changes it, and then as its ids
     ascending, sorted once when `final` is built.
 
-    A step costs in proportion to what it moves: each bundle's scaled cost
-    sum changes by the weight of the chores it trades, each integer sum
-    becomes a Fraction once, and a bundle's profile is derived again only
-    after a swap has changed the bundle."""
+    A step costs in proportion to what it moves, in integers: each
+    bundle's scaled cost sum changes by the weight of the chores it trades,
+    the step goes into the transcript as one integer record that becomes a
+    `SwapStep` only when the transcript's steps are read, and a bundle's
+    profile is derived again only after a swap has changed the bundle. An
+    integer sum becomes a Fraction once, through `value`, and only for a
+    transcript read or a message."""
 
     def __init__(self, bundles: list[tuple[int, ...]], row: CostRow):
         # the worker takes over the list; a swap marks its two bundles None
@@ -201,18 +267,17 @@ class _Worker:
         self.row = row
         self.weights = row.weights
         self.sums = [sum(map(self.weights.__getitem__, b)) for b in bundles]
-        self.values: dict[int, Fraction] = {}
-        # every bundle's cost as a Fraction, built at the first swap
-        self.costs: tuple[Fraction, ...] | None = None
         self.profiles: list[list[int] | None] = [None] * len(bundles)
         self.runs: list[dict[int, list[int]] | None] = [None] * len(bundles)
+        # the transcript builds its steps from the records the swaps append,
+        # replayed from the sums before the first swap
         self.transcript = SwapTranscript()
+        self.transcript._row, self.transcript._sums = row, list(self.sums)
+        self.records = self.transcript._records
 
     def value(self, weight: int) -> Fraction:
-        value = self.values.get(weight)
-        if value is None:
-            value = self.values[weight] = self.row.value(weight)
-        return value
+        """The Fraction of an integer sum, made once per transcript."""
+        return self.transcript._value(weight)
 
     def runs_of(self, b: int) -> dict[int, list[int]]:
         """Bundle b's runs: each of its weights to its chore ids ascending."""
@@ -260,7 +325,14 @@ class _Worker:
         """The swap rule: bundles i and j, two distinct indices of the
         bundles, trade T_i ⊆ A_i for T_j ⊆ A_j (either T may be empty, and
         each is read as a set). A swap that breaks the rule raises
-        SubsetViolation before any state changes."""
+        SubsetViolation before any state changes.
+
+        The chore-multiset check reads only the moved chores. No other bundle
+        changes, and the two bundles together hold the same chores after the
+        swap as before it, as T_i ⊆ A_i and T_j ⊆ A_j; so the multiset holds
+        exactly when their sizes add up as before, that is when neither
+        bundle already holds a chore it receives and keeps: T_j ∩ A_i ⊆ T_i
+        and T_i ∩ A_j ⊆ T_j, read before the swap."""
         sets = self.sets
         if i == j:
             raise SubsetViolation("swap needs two distinct bundles")
@@ -273,7 +345,7 @@ class _Worker:
             raise SubsetViolation(f"T_i {sorted(give - a_i)} not in bundle {i}")
         if not take <= a_j:
             raise SubsetViolation(f"T_j {sorted(take - a_j)} not in bundle {j}")
-        size, union = len(a_i) + len(a_j), a_i | a_j
+        kept = take & a_i <= give and give & a_j <= take
         a_i -= give
         a_i |= take
         a_j -= take
@@ -286,27 +358,21 @@ class _Worker:
         self.final[i] = self.final[j] = self.profiles[i] = self.profiles[j] = None
         weight = self.weights.__getitem__
         gain = sum(map(weight, take)) - sum(map(weight, give))
-        sums, before = self.sums, self.costs
-        if before is None:
-            before = tuple(map(self.value, sums))
+        sums = self.sums
         sums[i] += gain
         sums[j] -= gain
-        after = list(before)
-        after[i], after[j] = self.value(sums[i]), self.value(sums[j])
-        self.costs = tuple(after)
-        steps = self.transcript.steps
-        steps.append(SwapStep(len(steps), k, i, tuple(sorted(t_i)), j, tuple(sorted(t_j)),
-                              self.costs))
-        # no other bundle changed, so the multiset holds when these two hold
-        # as many chores as before and together the same ones
-        if len(a_i) + len(a_j) != size or a_i | a_j != union:
+        # the step as given: a T the caller may change later is copied
+        self.records.append((k, i, t_i if t_i.__class__ is tuple else tuple(t_i),
+                             j, t_j if t_j.__class__ is tuple else tuple(t_j),
+                             sums[i], sums[j]))
+        if not kept:
             self.fail(k, "swap changed the global chore multiset")
         if forbid_increase_after is not None and gain:
             # one of the two bundles gains, i when the gain is positive
-            idx = i if gain > 0 else j
+            idx, old = (i, sums[i] - gain) if gain > 0 else (j, sums[j] + gain)
             if idx > forbid_increase_after:
                 self.fail(k, f"cost of bundle {idx} increased from "
-                             f"{before[idx]} to {after[idx]}")
+                             f"{self.value(old)} to {self.value(sums[idx])}")
 
     def _final(self) -> Allocation:
         return Allocation.of(tuple(sorted(s)) if b is None else b
@@ -336,15 +402,15 @@ def _find_donor(worker: _Worker, after: int, value: int) -> tuple[int, int] | No
 
 
 def _reduce(P: Allocation, Q: Allocation, row: CostRow, tau: Fraction,
-            all_chores: list[int], verify_ffd: bool, reach_target) -> SwapTranscript:
+            all_chores: list[int], free, verify_ffd: bool, reach_target) -> SwapTranscript:
     """The frame both reductions share, on the row's integer weights: check
     that P is an FFD output (when asked) and that Q is First-Fit-Valid (as
-    `is_ffv` does), both from one count of the chores, pad both to one
-    length, then for each bundle k let `reach_target(worker, k, target)`
-    swap bundle k to Q's k-th cost profile, and check that it got there."""
+    `is_ffv` does), both from `free`, the reduction's one count of the
+    chores (`_count_free`), pad both to one length, then for each bundle k
+    let `reach_target(worker, k, target)` swap bundle k to Q's k-th cost
+    profile, and check that it got there."""
     if tau <= 0:
         raise BadParams("FFD threshold must be positive")
-    free = _count_free(row, all_chores)
     if verify_ffd:
         _check_ffd_output(P, all_chores, row, tau, free)
     bad = _first_off_benchmark(Q.bundles, row, free, row.cap(tau), exact=False)
@@ -376,7 +442,8 @@ def reduce_factored(P: Allocation, Q: Allocation, cost: Sequence[Fraction],
     all_chores = list(all_chores)
     row = CostRow.of(cost)
     weights = row.weights
-    if not is_divisibility_chain(weights[c] for c in all_chores):
+    free = _count_free(row, all_chores)
+    if not is_divisibility_chain(w for w, _ in free[0]):
         raise PreconditionViolation("cost function must be factored")
 
     def reach_target(worker: _Worker, k: int, target):
@@ -409,14 +476,15 @@ def reduce_factored(P: Allocation, Q: Allocation, cost: Sequence[Fraction],
                 moved, rest = tuple(tail), []
             worker.apply(k, k, moved, i, (cl,), forbid_increase_after=k)
             current[j:] = [cl, *rest]
-    return _reduce(P, Q, row, tau, all_chores, verify_ffd, reach_target)
+    return _reduce(P, Q, row, tau, all_chores, free, verify_ffd, reach_target)
 
 
-def _large_small(all_weights: Iterable[int]) -> tuple[int, int]:
-    distinct = sorted(set(all_weights))
-    if len(distinct) > 2:
+def _large_small(runs: Sequence[tuple[int, int]]) -> tuple[int, int]:
+    """The large and the small weight of the chores, read off their (weight,
+    count) runs, weight descending."""
+    if len(runs) > 2:
         raise NotBivalued("cost function must have at most two distinct values")
-    return distinct[-1], distinct[0]
+    return runs[0][0], runs[-1][0]
 
 
 def reduce_bivalued(P: Allocation, Q: Allocation, cost: Sequence[Fraction],
@@ -428,7 +496,8 @@ def reduce_bivalued(P: Allocation, Q: Allocation, cost: Sequence[Fraction],
     all_chores = list(all_chores)
     row = CostRow.of(cost)
     weights = row.weights
-    large, _small = _large_small(weights[c] for c in all_chores)
+    free = _count_free(row, all_chores)
+    large, _small = _large_small(free[0])
 
     def reach_target(worker: _Worker, k: int, target):
         if worker.profile(k) == target:
@@ -456,7 +525,7 @@ def reduce_bivalued(P: Allocation, Q: Allocation, cost: Sequence[Fraction],
                                f"after {k}")
             i, cl = donor
             worker.apply(k, k, (), i, (cl,), forbid_increase_after=k)
-    return _reduce(P, Q, row, tau, all_chores, verify_ffd, reach_target)
+    return _reduce(P, Q, row, tau, all_chores, free, verify_ffd, reach_target)
 
 
 def _counts(chores: Iterable[int], weights: Sequence[int], large: int) -> tuple[int, int]:
@@ -481,7 +550,8 @@ def transform_mms_to_ffd(Q: Allocation, cost: Sequence[Fraction],
         return SwapTranscript(steps=[], result="equal", final=Q)
     row = CostRow.of(cost)
     weights = row.weights
-    large, small = _large_small(weights[c] for c in all_chores)
+    runs = row.runs(all_chores)
+    large, small = _large_small(runs)
     n = len(Q.bundles)
     mu_cap = row.cap(mu)
     for k, b in enumerate(Q.bundles):
@@ -499,7 +569,7 @@ def transform_mms_to_ffd(Q: Allocation, cost: Sequence[Fraction],
         return transcript
     # the swaps read FFD's bins only as profiles: first fit over the weight
     # counts, bin by bin, as `ffd` fills them
-    count = dict(row.runs(all_chores))
+    count = dict(runs)
     p_profiles: list[list[int]] = []
     while count:
         taken = first_fit_bin(count, tau_cap)

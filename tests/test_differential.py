@@ -16,8 +16,9 @@ from choremms.core import (Allocation, CostRow, Instance, ido_blocks, is_bivalue
                            is_factored_costs, to_ido, universal_ordering)
 from choremms.errors import (BadParams, ChoreMMSError, EmptyBinDeadlock, InvariantViolation,
                              ParseError, PreconditionViolation)
-from choremms.ffv import (SwapTranscript, _check_ffd_output, _count_free, benchmark_bundle,
-                          is_ffv, reduce_bivalued, reduce_factored, transform_mms_to_ffd)
+from choremms.ffv import (SwapTranscript, _check_ffd_output, _count_free, _Worker,
+                          benchmark_bundle, is_ffv, reduce_bivalued, reduce_factored,
+                          transform_mms_to_ffd)
 from choremms.io import format_instance, parse_instance
 from choremms.mms import (hffd_and_lift, min_success_threshold, mms_brute, mms_factored,
                           solve_auto, solve_ordinal)
@@ -744,6 +745,30 @@ def test_find_exact_subset_matches_reference(data):
 
 
 # ------------------------------------------------------ swap reductions
+
+@SETTINGS
+@given(st.data())
+def test_swap_multiset_check_is_the_size_and_union_check(data):
+    # the worker reads only the moved chores, T_j ∩ A_i ⊆ T_i and
+    # T_i ∩ A_j ⊆ T_j; it must hold exactly when the two bundles keep their
+    # total size and their union, on bundles that may overlap
+    chores = st.frozensets(st.integers(0, 4))
+    a_i, a_j = data.draw(chores), data.draw(chores)
+    t_i, t_j = a_i & data.draw(chores), a_j & data.draw(chores)
+    new_i, new_j = (a_i - t_i) | t_j, (a_j - t_j) | t_i
+    kept = (len(new_i) + len(new_j) == len(a_i) + len(a_j)
+            and new_i | new_j == a_i | a_j)
+    worker = _Worker([tuple(a_i), tuple(a_j)], CostRow([F(1)] * 5))
+    try:
+        worker.apply(0, 0, t_i, 1, t_j)
+    except InvariantViolation as exc:
+        assert str(exc) == "swap changed the global chore multiset" and not kept
+    except BadParams as exc:
+        # the failure's final allocation refuses bundles that still share a chore
+        assert str(exc).endswith("appears in two bundles") and not kept
+    else:
+        assert kept
+    assert worker.sets == [set(new_i), set(new_j)]
 
 @st.composite
 def reduction_case(draw, kinds):

@@ -1,6 +1,8 @@
 import copy
+import gc
 import random
 import re
+import weakref
 from fractions import Fraction as F
 
 import pytest
@@ -8,13 +10,14 @@ import pytest
 from choremms import ffv
 from choremms.analysis import gen_instance
 from choremms.core import EQUAL, Allocation, CostRow, bundle_cost
-from choremms.errors import BadParams, PreconditionViolation, SubsetViolation
+from choremms.errors import (BadParams, InvariantViolation, PreconditionViolation,
+                             SubsetViolation)
 from choremms.ffv import (SwapStep, SwapTranscript, benchmark_bundle, is_ffv, reduce_bivalued,
                           reduce_factored, transform_mms_to_ffd)
 from choremms.mms import mms_brute
 from choremms.packing import ffd
 from helpers import (brute_lex_max, certify_case, find_exact_subset, lex_compare,
-                     perturb_to_ffv, random_rationals)
+                     perturb_to_ffv, random_rationals, ref_reduce_bivalued, ref_reduce_factored)
 
 # the validity-regression configuration: four bundles plus one loose chore
 REGRESSION_COSTS = tuple(F(x, 100) for x in
@@ -134,8 +137,41 @@ def test_refused_swap_leaves_the_worker_unchanged(i, t_i, j, t_j, message):
     before = copy.deepcopy(vars(worker))
     with pytest.raises(SubsetViolation, match=f"^{re.escape(message)}$"):
         worker.apply(1, i, t_i, j, t_j)
-    # sets, runs, sums, costs, caches and transcript alike
+    # sets, runs, sums, caches, records and transcript alike
     assert vars(worker) == before
+
+
+def test_overlapping_bundles_break_the_chore_multiset_at_the_merging_step():
+    # chore 2 starts in bundles 0 and 1: the first swap moves neither copy,
+    # the second hands bundle 1 the chore 2 it already holds and keeps
+    row = CostRow(F(x, 2) for x in [3, 2, 2, 1, 1])
+    worker = ffv._Worker([(0, 1, 2), (2, 3), (4,)], row)
+    worker.apply(0, 0, (1,), 2, (4,))
+    with pytest.raises(InvariantViolation,
+                       match="^swap changed the global chore multiset$") as caught:
+        worker.apply(1, 1, (3,), 0, (2,))
+    t = caught.value.transcript
+    # the step is recorded before the check raises; the sums count chore 2 twice
+    assert t.steps == [SwapStep(0, 0, 0, (1,), 2, (4,), (F(3), F(3, 2), F(1))),
+                       SwapStep(1, 1, 1, (3,), 0, (2,), (F(5, 2), F(2), F(1)))]
+    assert t.result == "violation k=1"
+    assert t.final == Allocation.of([(0, 3, 4), (2,), (1,)])
+
+
+def test_steps_read_between_swaps_extend_one_list():
+    def swapped(read_between):
+        row = CostRow(F(x) for x in [5, 4, 3, 3, 2, 1])
+        worker = ffv._Worker([(4, 0, 2), (3, 1), (5,)], row)
+        worker.apply(0, 0, (2,), 1, (3,))
+        first = worker.transcript.steps if read_between else None
+        # T_i and T_j may be any iterable; a step shows them sorted
+        worker.apply(1, 1, [1], 2, {5})
+        return first, worker.transcript.steps
+    first, steps = swapped(True)
+    assert first is steps
+    assert steps == swapped(False)[1]
+    assert steps == [SwapStep(0, 0, 0, (2,), 1, (3,), (F(10), F(7), F(1))),
+                     SwapStep(1, 1, 1, (1,), 2, (5,), (F(10), F(4), F(4)))]
 
 
 # ------------------------------------------------- reduce_factored (Alg. 1)
@@ -366,6 +402,100 @@ def test_one_swap_builds_runs_only_for_the_bundles_it_touched(monkeypatch, kind,
     worker = ffv._Worker([(0, 1), (2,), (3,)], CostRow([F(1)] * 4))
     worker.apply(0, 0, (1,), 2, (3,))
     assert worker.runs == [None] * 3
+
+
+def test_a_returned_transcript_keeps_no_worker_alive(monkeypatch):
+    # the transcript builds its steps from its own records, sums and value
+    # cache; a reference back to the worker would make a cycle that leaves
+    # every reduction's sets and runs to the cyclic garbage collector
+    workers = []
+    init = ffv._Worker.__init__
+
+    def tracked(self, *args):
+        init(self, *args)
+        workers.append(weakref.ref(self))
+    monkeypatch.setattr(ffv._Worker, "__init__", tracked)
+    gc.disable()
+    try:
+        t = reduce_factored(FACTORED_P, FACTORED_Q, FACTORED_COSTS, F(10), range(8),
+                            verify_ffd=False)
+        assert len(workers) == 1 and workers[0]() is None
+    finally:
+        gc.enable()
+    assert len(t.steps) == 3
+
+
+def lazy_case(kind, fail):
+    """A benchmark-sized reduction call and its reference: factored 10x100
+    or personalized bivalued 8x80 at the benchmark's first seeds. With
+    `fail`, the bivalued one starts from FFD's bins with bundles 3 and 7
+    exchanged, which breaks the forbid-increase check after ten swaps."""
+    if kind == "factored":
+        P, Q, cost, tau, chores = certify_case(kind, 10, 100, 1001, levels=2)
+        reduce, ref_reduce = reduce_factored, ref_reduce_factored
+    else:
+        P, Q, cost, tau, chores = certify_case(kind, 8, 80, 1000)
+        reduce, ref_reduce = reduce_bivalued, ref_reduce_bivalued
+    if fail:
+        bundles = list(P.bundles)
+        bundles[3], bundles[7] = bundles[7], bundles[3]
+        P = Allocation.of(bundles)
+    args = (P, Q, cost, tau, chores, not fail)
+    return (lambda: reduce(*args)), (lambda: ref_reduce(*args)), P.bundles, cost
+
+
+def transcript_of(call):
+    """The transcript a call returns, or the one its InvariantViolation
+    carries, with the error's message."""
+    try:
+        return call(), None
+    except InvariantViolation as exc:
+        return exc.transcript, str(exc)
+
+
+@pytest.mark.parametrize("read", ["steps", "dump"])
+@pytest.mark.parametrize("kind, fail", [("factored", False), ("personalized_bivalued", False),
+                                        ("personalized_bivalued", True)],
+                         ids=["factored", "bivalued", "bivalued-failing"])
+def test_reductions_build_their_steps_only_when_read(monkeypatch, kind, fail, read):
+    reduce, ref_reduce, start, cost = lazy_case(kind, fail)
+    calls = {"CostRow.value": 0, "SwapStep": 0}
+    value = CostRow.value
+
+    def counted_value(self, weight):
+        calls["CostRow.value"] += 1
+        return value(self, weight)
+
+    def counted_step(*fields):
+        calls["SwapStep"] += 1
+        return SwapStep(*fields)
+    monkeypatch.setattr(CostRow, "value", counted_value)
+    monkeypatch.setattr(ffv, "SwapStep", counted_step)
+    t, message = transcript_of(reduce)
+    # a failure's message converts the two sums it names
+    assert calls == {"CostRow.value": 2 if fail else 0, "SwapStep": 0}
+    assert (message is not None) == fail
+    calls["CostRow.value"] = 0
+    dump = t.dump() if read == "dump" else None
+    steps = t.steps
+    built = dict(calls)
+    # a later read builds nothing and returns the same list
+    assert t.steps is steps
+    assert dump in (None, t.dump())
+    assert calls == built
+    monkeypatch.undo()
+    assert built["SwapStep"] == len(steps) > 0
+    # each distinct sum, of the first bundles or after a swap, becomes a
+    # Fraction once, through the transcript's cache, which already holds the
+    # two that a failure's message named
+    padded = start + ((),) * (len(t.final.bundles) - len(start))
+    sums = {bundle_cost(cost, b) for b in padded} | {c for s in steps for c in s.costs_after}
+    assert built["CostRow.value"] == len(sums) - (2 if fail else 0)
+    want, want_message = transcript_of(ref_reduce)
+    assert message == want_message
+    assert (steps, t.dump(), t.final, t.result) == (want.steps, want.dump(), want.final,
+                                                     want.result)
+    assert t == want
 
 
 # ------------------------------------------------- reduce_bivalued (Alg. 2)

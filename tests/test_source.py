@@ -2,6 +2,7 @@
 
 import ast
 import pathlib
+import textwrap
 
 import pytest
 
@@ -166,6 +167,18 @@ def test_hffd_reads_the_stored_blocks():
     assert len(attribute_reads(source, "hffd", "blocks")) == 1
     source = (PACKAGE / "core.py").read_text(encoding="utf-8")
     assert len(attribute_reads(source, "universal_ordering", "blocks")) == 1
+
+
+def test_swap_steps_are_built_only_when_read():
+    # a swap appends an integer record; SwapTranscript.steps, the read path
+    # of steps, dump() and equality, alone builds SwapSteps
+    source = (PACKAGE / "ffv.py").read_text(encoding="utf-8")
+    (read_path,) = [node for node in ast.walk(ast.parse(source))
+                    if isinstance(node, ast.FunctionDef) and node.name == "steps"]
+    # the read path alone, at its own line numbers
+    alone = "\n" * (read_path.lineno - 1) + textwrap.dedent(
+        ast.get_source_segment(source, read_path, padded=True))
+    assert calls_of(source, "SwapStep") == calls_of(alone, "SwapStep") != []
 
 
 def floor_divisions(source: str) -> list[str]:
