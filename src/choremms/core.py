@@ -273,23 +273,22 @@ def is_divisibility_chain(weights: Iterable[int]) -> bool:
 
 def is_factored_costs(values: Iterable[Fraction]) -> bool:
     """True iff every smaller distinct value divides the next larger one."""
-    return is_divisibility_chain(CostRow.of(values).weights)
+    return is_divisibility_chain(w for w, _ in CostRow.of(values).counts)
 
 
 def is_bivalued_costs(values: Iterable[Fraction]) -> bool:
-    return len(set(CostRow.of(values).weights)) <= 2
+    return len(CostRow.of(values).counts) <= 2
 
 
 def classify(instance: Instance) -> InstanceClass:
     """Whether every agent's costs are factored, and whether every agent's
-    are bivalued; a single-valued agent is both. Both flags are read off
-    each row's distinct weights, from its runs (`CostRow.counts`); the walk
-    stops at the first row after which neither can hold."""
+    are bivalued (`is_factored_costs`, `is_bivalued_costs`); a single-valued
+    agent is both. The walk stops at the first row after which neither can
+    hold."""
     factored = bivalued = True
     for row in instance.costs:
-        distinct = [w for w, _ in row.counts]
-        factored = factored and is_divisibility_chain(distinct)
-        bivalued = bivalued and len(distinct) <= 2
+        factored = factored and is_factored_costs(row)
+        bivalued = bivalued and is_bivalued_costs(row)
         if not (factored or bivalued):
             break
     return InstanceClass(is_factored=factored, is_personalized_bivalued=bivalued)

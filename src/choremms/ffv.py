@@ -1,6 +1,5 @@
-"""Benchmark bundles, First-Fit-Valid verification, exact-subset extraction
-for factored costs, and the swap-transcript reductions with per-step
-invariant checking.
+"""First-Fit-Valid verification, exact-subset extraction for factored
+costs, and the swap-transcript reductions with per-step invariant checking.
 
 Every transcript step shows the full per-bundle cost snapshot, so a
 failed invariant can be replayed as a counterexample.
@@ -20,17 +19,17 @@ those chores, and records the step as those two sums. The transcript builds
 its `SwapStep`s, with their Fraction costs, only when they are read. A
 bundle's profile is sorted again only after a swap changed it. A reduction
 puts bundle k in FFD order once and keeps that order across its own swaps.
-The benchmark bundles, the FFV checks and the exact subsets of
-`reduce_factored` all fill one bin by `packing.first_fit_bin`, the one
-statement of the first-fit rule, over weight counts: the FFV checks read
-each benchmark's profile from the counts of the chores not yet held, so a
-bundle costs O(runs) plus its own size.
+The FFV checks and the exact subsets of `reduce_factored` fill one bin by
+`packing.first_fit_bin`, the one statement of the first-fit rule, over
+weight counts: the FFV checks read each benchmark bundle's profile, FFD's
+first bin over the chores not yet held, from the counts of those chores, so
+a bundle costs O(runs) plus its own size. The chores of a check,
+`all_chores`, are a set of ids: one listed twice raises BadParams.
 """
 
 from __future__ import annotations
 
 from bisect import insort
-from collections import Counter
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
@@ -119,43 +118,24 @@ class SwapTranscript:
                 f"final={self.final!r})")
 
 
-def _capacity(row: CostRow, tau: Fraction) -> int:
-    if tau <= 0:
-        raise PreconditionViolation("benchmark threshold must be positive")
-    return row.cap(tau)
-
-
-def benchmark_bundle(all_chores: Iterable[int], allocated_prefix: Sequence[Sequence[int]],
-                     cost: Sequence[Fraction], tau: Fraction) -> tuple[int, ...]:
-    """Lexicographically maximal subset of the chores left after the prefix,
-    under the threshold: FFD's first bin over those chores, the greedy
-    largest-first fill within tau."""
-    row = CostRow.of(cost)
-    _capacity(row, tau)  # the certificate layer's error for a threshold at most 0
-    taken = {c for b in allocated_prefix for c in b}
-    bins = ffd([c for c in all_chores if c not in taken], row, tau, max_bins=1).bundles
-    return bins[0] if bins else ()
-
-
 def _count_free(row: CostRow, all_chores: Iterable[int]
-                ) -> tuple[Sequence[tuple[int, int]], set[int] | Counter]:
+                ) -> tuple[Sequence[tuple[int, int]], set[int]]:
     """The chores of a benchmark walk, counted: their weights as (weight,
-    count) runs, and their ids as a set, or as a Counter of the copies of
-    each id when some chore is listed twice. A walk over every chore of the
-    row, ids 0..m-1 each once, reads the row's kept runs (`CostRow.counts`).
-    A reduction counts the chores once for its cost test and both of its
-    walks."""
+    count) runs, and their ids as a set. A chore listed twice raises
+    BadParams. A walk over every chore of the row, ids 0..m-1, reads the
+    row's kept runs (`CostRow.counts`). A reduction counts the chores once
+    for its cost test and both of its walks."""
     chores = list(all_chores)
     ids = set(chores)
-    if len(ids) < len(chores):  # a chore listed twice counts twice
-        return row.runs(chores), Counter(chores)
+    if len(ids) < len(chores):
+        raise BadParams("all_chores lists a chore twice")
     if len(ids) == len(row) and ids.issuperset(range(len(row))):
         return row.counts, ids
-    return row.runs(chores), ids
+    return row.runs(ids), ids
 
 
 def _first_off_benchmark(bundles: Sequence[Sequence[int]], row: CostRow,
-                         free: tuple[Sequence[tuple[int, int]], set[int] | Counter], room: int,
+                         free: tuple[Sequence[tuple[int, int]], set[int]], room: int,
                          exact: bool) -> int | None:
     """Index of the first bundle whose profile is below (with `exact`: not
     equal to) its benchmark's, the fill of the room from the `free` chores
@@ -166,7 +146,7 @@ def _first_off_benchmark(bundles: Sequence[Sequence[int]], row: CostRow,
     O(runs), not a walk over every chore. A held chore leaves the counts
     only if it is one of the free chores."""
     weights = row.weights
-    runs, copies = free
+    runs, ids = free
     count = dict(runs)
     for k, bundle in enumerate(bundles):
         bench: list[int] = []
@@ -177,25 +157,25 @@ def _first_off_benchmark(bundles: Sequence[Sequence[int]], row: CostRow,
         if (relation != EQUAL) if exact else (relation < EQUAL):
             return k
         # the bundles are disjoint, so each chore leaves the counts once
-        if isinstance(copies, set):
-            for c in copies.intersection(bundle):
-                count[weights[c]] -= 1
-        else:
-            for c in copies.keys() & bundle:
-                count[weights[c]] -= copies[c]
+        for c in ids.intersection(bundle):
+            count[weights[c]] -= 1
     return None
 
 
 def is_ffv(all_chores: Iterable[int], alloc: Allocation, cost: Sequence[Fraction],
            tau: Fraction) -> tuple[bool, int | None]:
-    """Every bundle must be lex-at-least its benchmark bundle; unallocated
-    chores participate in the benchmarks. Returns (ok, first violating
-    bundle index)."""
+    """Every bundle must be lex-at-least its benchmark bundle, the
+    lexicographically maximal subset within tau of the chores that earlier
+    bundles do not hold: FFD's first bin over them. Unallocated chores
+    participate in the benchmarks. Returns (ok, first violating bundle
+    index)."""
     if not alloc.bundles:
         return True, None
+    if tau <= 0:
+        raise PreconditionViolation("benchmark threshold must be positive")
     row = CostRow.of(cost)
-    room = _capacity(row, tau)
-    bad = _first_off_benchmark(alloc.bundles, row, _count_free(row, all_chores), room, exact=False)
+    bad = _first_off_benchmark(alloc.bundles, row, _count_free(row, all_chores), row.cap(tau),
+                               exact=False)
     return bad is None, bad
 
 
@@ -227,11 +207,11 @@ def _pad(bundles: Sequence[Sequence[int]], n: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _check_ffd_output(P: Allocation, all_chores, row: CostRow, tau, free):
-    """P is an FFD output when it holds every chore and each bundle has its
-    benchmark's profile, since FFD's k-th bin is the k-th benchmark. `free`
-    counts `all_chores`."""
-    if not set(P.allocated()) == set(all_chores):
+def _check_ffd_output(P: Allocation, row: CostRow, tau, free):
+    """P is an FFD output when it holds every chore of `free`
+    (`_count_free`) and each bundle has its benchmark's profile, since
+    FFD's k-th bin is the k-th benchmark."""
+    if P.allocated() != free[1]:
         raise PreconditionViolation("the FFD allocation must contain every chore")
     if _first_off_benchmark(P.bundles, row, free, row.cap(tau), exact=True) is not None:
         raise PreconditionViolation("allocation is not an FFD output at this threshold")
@@ -402,7 +382,7 @@ def _find_donor(worker: _Worker, after: int, value: int) -> tuple[int, int] | No
 
 
 def _reduce(P: Allocation, Q: Allocation, row: CostRow, tau: Fraction,
-            all_chores: list[int], free, verify_ffd: bool, reach_target) -> SwapTranscript:
+            free, verify_ffd: bool, reach_target) -> SwapTranscript:
     """The frame both reductions share, on the row's integer weights: check
     that P is an FFD output (when asked) and that Q is First-Fit-Valid (as
     `is_ffv` does), both from `free`, the reduction's one count of the
@@ -412,7 +392,7 @@ def _reduce(P: Allocation, Q: Allocation, row: CostRow, tau: Fraction,
     if tau <= 0:
         raise BadParams("FFD threshold must be positive")
     if verify_ffd:
-        _check_ffd_output(P, all_chores, row, tau, free)
+        _check_ffd_output(P, row, tau, free)
     bad = _first_off_benchmark(Q.bundles, row, free, row.cap(tau), exact=False)
     if bad is not None:
         raise PreconditionViolation(f"allocation is not First-Fit-Valid (bundle {bad})")
@@ -439,7 +419,6 @@ def reduce_factored(P: Allocation, Q: Allocation, cost: Sequence[Fraction],
 
     verify_ffd=False skips the check that P is an FFD output, for running
     the machinery on hand-built bundle configurations."""
-    all_chores = list(all_chores)
     row = CostRow.of(cost)
     weights = row.weights
     free = _count_free(row, all_chores)
@@ -476,7 +455,7 @@ def reduce_factored(P: Allocation, Q: Allocation, cost: Sequence[Fraction],
                 moved, rest = tuple(tail), []
             worker.apply(k, k, moved, i, (cl,), forbid_increase_after=k)
             current[j:] = [cl, *rest]
-    return _reduce(P, Q, row, tau, all_chores, free, verify_ffd, reach_target)
+    return _reduce(P, Q, row, tau, free, verify_ffd, reach_target)
 
 
 def _large_small(runs: Sequence[tuple[int, int]]) -> tuple[int, int]:
@@ -493,7 +472,6 @@ def reduce_bivalued(P: Allocation, Q: Allocation, cost: Sequence[Fraction],
     """Bivalued analogue of reduce_factored: first balance the large-chore
     count of the current bundle with one swap, then pull each missing chore
     from the last bundle holding one of equal cost."""
-    all_chores = list(all_chores)
     row = CostRow.of(cost)
     weights = row.weights
     free = _count_free(row, all_chores)
@@ -525,7 +503,7 @@ def reduce_bivalued(P: Allocation, Q: Allocation, cost: Sequence[Fraction],
                                f"after {k}")
             i, cl = donor
             worker.apply(k, k, (), i, (cl,), forbid_increase_after=k)
-    return _reduce(P, Q, row, tau, all_chores, free, verify_ffd, reach_target)
+    return _reduce(P, Q, row, tau, free, verify_ffd, reach_target)
 
 
 def _counts(chores: Iterable[int], weights: Sequence[int], large: int) -> tuple[int, int]:

@@ -153,19 +153,18 @@ def mms_value(cost: Sequence[Fraction], chores: Iterable[int], d: int, *,
     """Exact MMS for d bundles: on a divisibility chain the smallest
     capacity at which first fit fills d bins (`smallest_fitting_cap`, as
     `min_success_threshold` gives it), `packing.two_valued_makespan` on the
-    runs of two other costs, else `mms_brute`. Both exact searches off the
-    chain are capped at ORACLE_CAP chores, with `mms_brute`'s errors. A
-    caller that holds the chores' `CostRow.runs` passes them as `runs`, and
-    the chain is tested once, on those runs."""
+    runs of two other costs, else `mms_brute`: the one choice of a row's
+    exact MMS method. Both exact searches off the chain are capped at
+    ORACLE_CAP chores, with `mms_brute`'s errors. A caller that holds the
+    chores' `CostRow.runs` passes them as `runs`, and the chain is tested
+    once, on those runs."""
     if d < 1:
         raise BadParams("need at least one bundle")
     row = CostRow.of(cost)
     if runs is None:
         chores = list(chores)
         runs = row.runs(chores)
-    # the runs are distinct and weight descending: a chain when each weight
-    # divides the one before it
-    if all(w % v == 0 for (w, _), (v, _) in zip(runs, runs[1:])):
+    if is_divisibility_chain(w for w, _ in runs):
         return row.value(smallest_fitting_cap(runs, d))
     chores = list(chores)
     if len(runs) == 2 and len(chores) <= ORACLE_CAP:
@@ -284,14 +283,13 @@ def solve_factored(instance: Instance) -> SolveResult:
 
 def _bivalued_thresholds(n: int) -> Callable[..., tuple[Fraction, Fraction | None]]:
     """`_solve`'s threshold rule for a personalized bivalued agent: on at
-    most ORACLE_CAP chores (15/13)·mu, with mu the exact MMS that
-    `packing.two_valued_makespan` finds on the row's runs; on more, the
-    minimal FFD-success threshold, which the 15/13 bound guarantees is no
-    larger."""
+    most ORACLE_CAP chores (15/13)·mu, with mu the exact MMS from
+    `mms_value`; on more, the minimal FFD-success threshold, which the
+    15/13 bound guarantees is no larger."""
     def threshold(row, chores, runs):
         if len(chores) > ORACLE_CAP:
             return min_success_threshold(row, chores, n, runs=runs), None
-        mu = row.value(two_valued_makespan(runs, n))
+        mu = mms_value(row, chores, n, runs=runs)
         return APPROX_RATIO * mu, mu
     return threshold
 

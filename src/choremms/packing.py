@@ -19,7 +19,8 @@ bisects the capacities above it only when that probe fails. On at most two
 distinct weights `two_valued_makespan` gives the exact makespan, the MMS,
 in time polynomial in the number of chores: it bisects from the bound to
 the first-fit cap with an exact test of each capacity, a DP over how many
-heavy chores each bin holds.
+heavy chores each bin holds. Both searches run the one bisection,
+`_bisect`, with their own test of a capacity.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .core import Allocation, CostRow, Instance, bundle_cost
 from .errors import BadParams, EmptyBinDeadlock
@@ -151,16 +152,8 @@ def smallest_fitting_cap(runs: Sequence[tuple[int, int]], bins: int) -> int:
         return bound
     w0 = runs[0][0]
     total = sum(w * k for w, k in runs)
-    lo = bound + 1
     hi = min(total, max(w0, -(-total // bins)) + w0)
-    best = hi
-    while lo <= hi:
-        mid = (lo + hi) // 2
-        if first_fit_places_all(runs, mid, bins):
-            best, hi = mid, mid - 1
-        else:
-            lo = mid + 1
-    return best
+    return _bisect(lambda cap: first_fit_places_all(runs, cap, bins), bound + 1, hi)
 
 
 def two_valued_makespan(runs: Sequence[tuple[int, int]], bins: int) -> int:
@@ -169,20 +162,29 @@ def two_valued_makespan(runs: Sequence[tuple[int, int]], bins: int) -> int:
     time polynomial in the number of chores. The makespan lies from
     `ladder_bound`, below which no partition fits, to `smallest_fitting_cap`,
     at which first fit fits, and which is the bound itself when first fit
-    fills the bins there (`ladder_probe`). Otherwise a bisection of that
-    range decides each capacity with `_two_valued_fits`: feasibility only
-    grows with the capacity, so it returns the smallest capacity at which
-    some partition fits, the makespan. No runs need 0."""
+    fills the bins there (`ladder_probe`). Otherwise `_bisect` decides each
+    capacity below it with `_two_valued_fits`: feasibility only grows with
+    the capacity, so it returns the smallest capacity at which some
+    partition fits, the makespan. No runs need 0."""
     if len(runs) > 2:
         raise BadParams(f"need at most two distinct weights, got {len(runs)}")
-    lo, hi = ladder_bound(runs, bins), smallest_fitting_cap(runs, bins)
-    while lo < hi:
+    hi = smallest_fitting_cap(runs, bins)
+    return _bisect(lambda cap: _two_valued_fits(runs, cap, bins), ladder_bound(runs, bins), hi - 1)
+
+
+def _bisect(fits: Callable[[int], bool], lo: int, hi: int) -> int:
+    """The smallest capacity from lo to hi at which `fits` holds, hi + 1
+    when no probe holds: the one bisection of the threshold searches. Each
+    probe is at the middle, (lo + hi) // 2, of the capacities left, so the
+    probes come in one fixed order. Exact when `fits` only grows with the
+    capacity; otherwise the result is the last probe that held."""
+    while lo <= hi:
         mid = (lo + hi) // 2
-        if _two_valued_fits(runs, mid, bins):
-            hi = mid
+        if fits(mid):
+            hi = mid - 1
         else:
             lo = mid + 1
-    return hi
+    return lo
 
 
 def _two_valued_fits(runs: Sequence[tuple[int, int]], cap: int, bins: int) -> bool:

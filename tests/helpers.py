@@ -13,10 +13,10 @@ ordering checks) does the same for `choremms.ffv` and
 `ref_parse_instance` parses every cost field on its own, as the instance
 parser did before it read each distinct text of a row once.
 
-`lex_compare`, `swap` and `find_exact_subset` are not oracles: they are the
-package's profile comparison, the reductions' swap worker and exact-subset
-fill behind the signatures the tests call, which no caller in the package
-needs.
+`lex_compare`, `swap`, `find_exact_subset` and `ffd_first_bin` are not
+oracles: they are the package's profile comparison, the reductions' swap
+worker, exact-subset fill and FFD behind the signatures the tests call,
+which no caller in the package needs.
 """
 
 from __future__ import annotations
@@ -64,6 +64,15 @@ def find_exact_subset(chores, cost, target):
     # the target may bring a denominator the row lacks, so it joins the scale
     row = CostRow([*cost, target])
     return _exact_subset(row.ffd_order(chores), row, row.weights[-1])
+
+
+def ffd_first_bin(all_chores, prefix, cost, tau):
+    """`packing.ffd`'s first bin over the chores the prefix leaves, with the
+    signature of `ref_benchmark_bundle`: the benchmark bundle, FFD's k-th
+    bin when the prefix is FFD's first k bins."""
+    taken = {c for b in prefix for c in b}
+    bins = ffd([c for c in all_chores if c not in taken], cost, tau, max_bins=1).bundles
+    return bins[0] if bins else ()
 
 
 def hffd_dropping_last_chore(instance, thresholds):

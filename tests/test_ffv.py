@@ -12,12 +12,13 @@ from choremms.analysis import gen_instance
 from choremms.core import EQUAL, Allocation, CostRow, bundle_cost
 from choremms.errors import (BadParams, InvariantViolation, PreconditionViolation,
                              SubsetViolation)
-from choremms.ffv import (SwapStep, SwapTranscript, benchmark_bundle, is_ffv, reduce_bivalued,
-                          reduce_factored, transform_mms_to_ffd)
+from choremms.ffv import (SwapStep, SwapTranscript, is_ffv, reduce_bivalued, reduce_factored,
+                          transform_mms_to_ffd)
 from choremms.mms import mms_brute
 from choremms.packing import ffd
-from helpers import (brute_lex_max, certify_case, find_exact_subset, lex_compare,
-                     perturb_to_ffv, random_rationals, ref_reduce_bivalued, ref_reduce_factored)
+from helpers import (brute_lex_max, certify_case, ffd_first_bin, find_exact_subset,
+                     lex_compare, perturb_to_ffv, random_rationals, ref_reduce_bivalued,
+                     ref_reduce_factored, ref_transform_mms_to_ffd)
 
 # the validity-regression configuration: four bundles plus one loose chore
 REGRESSION_COSTS = tuple(F(x, 100) for x in
@@ -28,7 +29,7 @@ REGRESSION_ALLOC = Allocation.of([(0, 1, 2), (3, 4), (5, 6), (7, 8, 9)])
 # ------------------------------------------------------- benchmark / is_ffv
 
 def test_benchmark_bundle_regression_example():
-    assert benchmark_bundle(range(11), [], REGRESSION_COSTS, F(1)) == (0, 1)
+    assert ffd_first_bin(range(11), [], REGRESSION_COSTS, F(1)) == (0, 1)
 
 
 def test_benchmark_bundle_matches_brute_lex_max():
@@ -41,14 +42,15 @@ def test_benchmark_bundle_matches_brute_lex_max():
         prefix_ids = rng.sample(range(m), prefix_len)
         prefix = [tuple(prefix_ids[:prefix_len // 2]),
                   tuple(prefix_ids[prefix_len // 2:])]
-        got = benchmark_bundle(range(m), prefix, cost, tau)
+        got = ffd_first_bin(range(m), prefix, cost, tau)
         want = brute_lex_max(range(m), prefix, cost, tau)
         assert lex_compare(got, want, cost) == EQUAL
 
 
 def test_benchmark_bundle_rejects_nonpositive_threshold():
-    with pytest.raises(PreconditionViolation):
-        benchmark_bundle(range(2), [], (F(1), F(1)), F(0))
+    # is_ffv's benchmarks take the certificate layer's error for tau <= 0
+    with pytest.raises(PreconditionViolation, match="^benchmark threshold must be positive$"):
+        is_ffv(range(2), Allocation.of([(0,), (1,)]), (F(1), F(1)), F(0))
 
 
 def test_regression_allocation_is_ffv():
@@ -240,17 +242,27 @@ FLOAT_CASE = (Allocation.of([(0, 1), (2,)]), (F(2), F(1), F(1)))
 
 @pytest.mark.parametrize("check", [
     lambda alloc, cost, tau: is_ffv(range(3), alloc, cost, tau),
-    lambda alloc, cost, tau: benchmark_bundle(range(3), [], cost, tau),
     lambda alloc, cost, tau: reduce_factored(alloc, alloc, cost, tau, range(3)),
     lambda alloc, cost, tau: reduce_factored(alloc, alloc, cost, tau, range(3), verify_ffd=False),
     lambda alloc, cost, tau: reduce_bivalued(alloc, alloc, cost, tau, range(3)),
     lambda alloc, cost, tau: reduce_bivalued(alloc, alloc, cost, tau, range(3), verify_ffd=False),
     lambda alloc, cost, tau: transform_mms_to_ffd(alloc, cost, tau),
-], ids=["is_ffv", "benchmark_bundle", "reduce_factored", "reduce_factored-unverified",
+], ids=["is_ffv", "reduce_factored", "reduce_factored-unverified",
         "reduce_bivalued", "reduce_bivalued-unverified", "transform_mms_to_ffd"])
 def test_float_threshold_is_bad_params(check):
     with pytest.raises(BadParams, match="^threshold must be rational, not float$"):
         check(*FLOAT_CASE, 3.0)
+
+
+@pytest.mark.parametrize("check", [
+    lambda alloc, cost, chores: is_ffv(chores, alloc, cost, F(3)),
+    lambda alloc, cost, chores: reduce_factored(alloc, alloc, cost, F(3), chores),
+    lambda alloc, cost, chores: reduce_bivalued(alloc, alloc, cost, F(3), chores),
+], ids=["is_ffv", "reduce_factored", "reduce_bivalued"])
+def test_a_chore_listed_twice_is_bad_params(check):
+    # all_chores is a set of ids
+    with pytest.raises(BadParams, match="^all_chores lists a chore twice$"):
+        check(*FLOAT_CASE, [0, 1, 2, 1])
 
 
 def test_reduce_factored_rejects_non_ffv_target():
@@ -545,6 +557,26 @@ def test_transform_lower_bound_instance():
     profiles = [tuple(sorted((row[c] for c in b), reverse=True))
                 for b in t.final.bundles]
     assert profiles == [(F(4), F(4), F(4), F(3)), (F(3),) * 5, (F(3),) * 3]
+
+
+def test_transform_second_special_case():
+    # case-table row (1, 4, 3, 0): l/s = 2 > 47/24 and mu/s = 6 lies in
+    # (143/24, 13/2). Bundle 0 holds one large chore and four small ones and
+    # FFD's bin 0 three large ones; the two-for-one swap leaves (2, 2), and
+    # the special case trades two more small chores for a large one. Found
+    # by a seeded search over two-valued rows with m <= 14 and random
+    # partitions within mu; mms_brute's witnesses in that search did not
+    # reach this case.
+    row = tuple(F(x) for x in [2, 2, 2] + [1] * 10)
+    assert mms_brute(row, range(13), 3).value == 6
+    q = Allocation.of([(0, 3, 4, 5, 6), (1, 7, 8, 9, 10), (2, 11, 12)])
+    t = transform_mms_to_ffd(q, row, F(6))
+    assert [step.dump() for step in t.steps] == [
+        "step 0 k=0 swap i=0 T_i={3,4} j=2 T_j={2} | costs: 6 6 4",
+        "step 1 k=0 swap i=0 T_i={5,6} j=1 T_j={1} | costs: 6 6 4"]
+    assert t.result == "equal"
+    assert t.final == Allocation.of([(0, 1, 2), (5, 6, 7, 8, 9, 10), (3, 4, 11, 12)])
+    assert t == ref_transform_mms_to_ffd(q, row, F(6))
 
 
 def test_transform_short_circuits_for_large_mu():

@@ -9,12 +9,12 @@ from choremms import packing
 from choremms.analysis import gen_instance, subset_sums
 from choremms.core import EQUAL, Instance, bundle_cost, to_ido
 from choremms.errors import BadParams, EmptyBinDeadlock
-from choremms.ffv import benchmark_bundle, is_ffv
+from choremms.ffv import is_ffv
 from choremms.mms import mms_brute, solve_auto
 from choremms.packing import (ffd, first_fit_places_all, hffd, ladder_bound, ladder_probe,
                               multifit, smallest_fitting_cap)
-from helpers import (brute_min_makespan, lex_compare, random_rationals, ref_ffd,
-                     ref_first_fit_places_all, ref_hffd, ref_ladder_bound, ref_multifit,
+from helpers import (brute_min_makespan, lex_compare, random_rationals, ref_benchmark_bundle,
+                     ref_ffd, ref_first_fit_places_all, ref_hffd, ref_ladder_bound, ref_multifit,
                      ref_smallest_fitting_cap, run_length)
 
 LOWER_BOUND_COSTS = tuple(F(x) for x in [4, 4, 4] + [3] * 9)
@@ -94,7 +94,7 @@ def test_ffd_bins_equal_benchmark_bundles():
         tau = max(cost) * F(rng.randint(1, 3), rng.randint(1, 2))
         out = ffd(range(m), cost, tau)
         for k in range(len(out.bundles)):
-            bench = benchmark_bundle(range(m), out.bundles[:k], cost, tau)
+            bench = ref_benchmark_bundle(range(m), out.bundles[:k], cost, tau)
             assert lex_compare(out.bundles[k], bench, cost) == EQUAL
 
 

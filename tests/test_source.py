@@ -133,6 +133,32 @@ def test_only_packing_probes_first_fit(path):
     assert calls_of(path.read_text(encoding="utf-8"), "first_fit_places_all") == []
 
 
+def bisection_loops(source: str) -> list[str]:
+    """`while` loops that take the middle of a range, (lo + hi) // 2."""
+    return [f"line {loop.lineno}: while" for loop in ast.walk(ast.parse(source))
+            if isinstance(loop, ast.While)
+            and any(isinstance(node, ast.BinOp) and isinstance(node.op, ast.FloorDiv)
+                    and isinstance(node.left, ast.BinOp) and isinstance(node.left.op, ast.Add)
+                    and isinstance(node.right, ast.Constant) and node.right.value == 2
+                    for node in ast.walk(loop))]
+
+
+def test_bisection_loops_are_found():
+    source = ("while lo < hi:\n"
+              "    mid = (lo + hi) // 2\n"
+              "while count:\n"
+              "    half = count // 2\n"
+              "    count -= half\n"
+              "mid = (lo + hi) // 2\n")
+    assert bisection_loops(source) == ["line 1: while"]
+
+
+def test_one_bisection_loop_in_packing():
+    # every threshold search bisects through packing._bisect
+    loops = {path.name: bisection_loops(path.read_text(encoding="utf-8")) for path in MODULES}
+    assert {name: len(found) for name, found in loops.items() if found} == {"packing.py": 1}
+
+
 def attribute_reads(source: str, function: str, attr: str) -> list[str]:
     """Reads of the attribute `attr`, as in `x.attr`, inside the function
     named `function`."""
