@@ -233,6 +233,15 @@ class Allocation:
         if self.agents is not None and len(self.agents) != len(self.bundles):
             raise BadParams("agents map length must match bundle count")
 
+    @classmethod
+    def _trusted(cls, bundles: tuple[tuple[int, ...], ...]) -> "Allocation":
+        """These bundles, not checked for a shared chore: a swap transcript's
+        `final`, which after a failed step shows the bundles as they are."""
+        allocation = object.__new__(cls)
+        object.__setattr__(allocation, "bundles", bundles)
+        object.__setattr__(allocation, "agents", None)
+        return allocation
+
     @staticmethod
     def of(bundles: Iterable[Iterable[int]], agents=None) -> "Allocation":
         return Allocation(tuple(tuple(b) for b in bundles),

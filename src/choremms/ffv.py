@@ -9,22 +9,23 @@ integer weights (`core.CostRow`), with a threshold tau becoming the integer
 capacity floor(tau * D); every sum, sort and comparison runs on those
 integers, and values become Fractions only for results and messages.
 
-The swap worker states the swap rule itself, on one set of chore ids per
-bundle, and holds a bundle that a donor lookup reads as runs too: each
-weight to its chore ids ascending. A swap step costs in proportion to what
-it moves, in integers: it updates its two sets in place and keeps built
-runs in step by moving only the traded chores, checks the chore multiset
-on the traded chores alone, changes its two bundles' sums by the weight of
-those chores, and records the step as those two sums. The transcript builds
-its `SwapStep`s, with their Fraction costs, only when they are read. A
-bundle's profile is sorted again only after a swap changed it. A reduction
-puts bundle k in FFD order once and keeps that order across its own swaps.
-The FFV checks and the exact subsets of `reduce_factored` fill one bin by
-`packing.first_fit_bin`, the one statement of the first-fit rule, over
-weight counts: the FFV checks read each benchmark bundle's profile, FFD's
-first bin over the chores not yet held, from the counts of those chores, so
-a bundle costs O(runs) plus its own size. The chores of a check,
-`all_chores`, are a set of ids: one listed twice raises BadParams.
+The swap worker states the swap rule once, in `apply`, on one set of chore
+ids per bundle, and holds a bundle that a donor lookup reads as runs too:
+each weight to its chore ids ascending. A step costs in proportion to what
+it moves, in integers, and is recorded as its two bundles' new sums; the
+transcript builds its `SwapStep`s, with Fraction costs, only when read.
+Most steps of a replay are pulls (T_i empty, T_j one chore), once bundle k
+has no chore at the positions left to fill: `_Worker.pull` takes them in
+one loop, each donor from `_find_donor`, popped off the end of its run.
+Each profile is sorted once per reduction: the FFV walks hand back the
+profiles they sort, Q's become the targets and P's (when checked) the
+worker's, and a bundle is sorted again only after a swap changed it. A
+reduction puts bundle k in FFD order once and keeps that order across its
+own swaps. The FFV checks and the exact subsets of `reduce_factored` fill
+one bin by `packing.first_fit_bin`, the one statement of the first-fit
+rule, over weight counts, so a benchmark bundle costs O(runs) plus its own
+size. The chores of a check, `all_chores`, are a set of ids: one listed
+twice raises BadParams.
 """
 
 from __future__ import annotations
@@ -136,10 +137,13 @@ def _count_free(row: CostRow, all_chores: Iterable[int]
 
 def _first_off_benchmark(bundles: Sequence[Sequence[int]], row: CostRow,
                          free: tuple[Sequence[tuple[int, int]], set[int]], room: int,
-                         exact: bool) -> int | None:
+                         exact: bool) -> tuple[int | None, list[list[int]]]:
     """Index of the first bundle whose profile is below (with `exact`: not
     equal to) its benchmark's, the fill of the room from the `free` chores
-    (`_count_free`) that earlier bundles do not hold; None if there is none.
+    (`_count_free`) that earlier bundles do not hold, or None if there is
+    none; and the profiles of the bundles before that one (of every bundle
+    when there is none), which a reduction keeps rather than sorting them
+    again.
 
     The free chores are kept as a count per weight, heaviest first, and
     each benchmark is `first_fit_bin` over those counts: so it costs
@@ -148,6 +152,7 @@ def _first_off_benchmark(bundles: Sequence[Sequence[int]], row: CostRow,
     weights = row.weights
     runs, ids = free
     count = dict(runs)
+    profiles: list[list[int]] = []
     for k, bundle in enumerate(bundles):
         bench: list[int] = []
         for w, t in first_fit_bin(count, room):
@@ -155,11 +160,12 @@ def _first_off_benchmark(bundles: Sequence[Sequence[int]], row: CostRow,
         profile = row.profile(bundle)
         relation = EQUAL if profile == bench else compare_profiles(profile, bench)
         if (relation != EQUAL) if exact else (relation < EQUAL):
-            return k
+            return k, profiles
+        profiles.append(profile)
         # the bundles are disjoint, so each chore leaves the counts once
         for c in ids.intersection(bundle):
             count[weights[c]] -= 1
-    return None
+    return None, profiles
 
 
 def is_ffv(all_chores: Iterable[int], alloc: Allocation, cost: Sequence[Fraction],
@@ -174,8 +180,8 @@ def is_ffv(all_chores: Iterable[int], alloc: Allocation, cost: Sequence[Fraction
     if tau <= 0:
         raise PreconditionViolation("benchmark threshold must be positive")
     row = CostRow.of(cost)
-    bad = _first_off_benchmark(alloc.bundles, row, _count_free(row, all_chores), row.cap(tau),
-                               exact=False)
+    bad, _ = _first_off_benchmark(alloc.bundles, row, _count_free(row, all_chores),
+                                  row.cap(tau), exact=False)
     return bad is None, bad
 
 
@@ -207,38 +213,33 @@ def _pad(bundles: Sequence[Sequence[int]], n: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _check_ffd_output(P: Allocation, row: CostRow, tau, free):
+def _check_ffd_output(P: Allocation, row: CostRow, tau, free) -> list[list[int]]:
     """P is an FFD output when it holds every chore of `free`
     (`_count_free`) and each bundle has its benchmark's profile, since
-    FFD's k-th bin is the k-th benchmark."""
+    FFD's k-th bin is the k-th benchmark. Returns P's profiles."""
     if P.allocated() != free[1]:
         raise PreconditionViolation("the FFD allocation must contain every chore")
-    if _first_off_benchmark(P.bundles, row, free, row.cap(tau), exact=True) is not None:
+    bad, profiles = _first_off_benchmark(P.bundles, row, free, row.cap(tau), exact=True)
+    if bad is not None:
         raise PreconditionViolation("allocation is not an FFD output at this threshold")
+    return profiles
 
 
 class _Worker:
-    """The bundles of a reduction, swapped in place by `apply`, which states
-    the swap rule, records each step in the transcript and checks the global
-    chore multiset at every step.
+    """The bundles of a reduction, swapped in place and checked at every
+    step: `apply` states the swap rule, and `pull` takes a bundle's missing
+    chores one swap (T_i = ∅, T_j = {c}) each.
 
-    Each bundle is a set of chore ids, which a swap checks T_i and T_j
-    against and updates in place. A bundle that a donor lookup reads is also
-    held as runs, each weight's chore ids ascending, built on first use; a
-    swap keeps built runs in step by removing and inserting only the chores
-    it moves, and a donor is the last id of its weight's run. A bundle's
-    profile and FFD order are one sort of its set, which at the sizes of a
-    bundle costs no more than reading its runs. The transcript's `final`
-    shows a bundle as given until a swap changes it, and then as its ids
-    ascending, sorted once when `final` is built.
-
-    A step costs in proportion to what it moves, in integers: each
-    bundle's scaled cost sum changes by the weight of the chores it trades,
-    the step goes into the transcript as one integer record that becomes a
-    `SwapStep` only when the transcript's steps are read, and a bundle's
-    profile is derived again only after a swap has changed the bundle. An
-    integer sum becomes a Fraction once, through `value`, and only for a
-    transcript read or a message."""
+    Each bundle is a set of chore ids. A bundle that a donor lookup reads is
+    also held as runs, each weight's chore ids ascending, built on first use
+    and kept in step by moving only the traded chores; a donor is the last
+    id of its weight's run, so a pull pops it. A bundle's profile is kept
+    until a swap changes the bundle: the reduction hands in the profiles its
+    FFD check sorted. A bundle's FFD order is one sort of its set. Each step
+    moves two integer sums by the weight it trades and goes into the
+    transcript as one record, a `SwapStep` only when read; a sum becomes a
+    Fraction once, through `value`. `final` shows a bundle as given until a
+    swap changes it, then as its ids ascending."""
 
     def __init__(self, bundles: list[tuple[int, ...]], row: CostRow):
         # the worker takes over the list; a swap marks its two bundles None
@@ -292,6 +293,8 @@ class _Worker:
             ids = runs[weights[c]]
             if len(ids) == 1:
                 del runs[weights[c]]
+            elif ids[-1] == c:  # as a donor is: its run's last id
+                ids.pop()
             else:
                 ids.remove(c)
         for c in into:
@@ -335,16 +338,22 @@ class _Worker:
             self._move(runs[i], give, take)
         if runs[j] is not None:
             self._move(runs[j], take, give)
-        self.final[i] = self.final[j] = self.profiles[i] = self.profiles[j] = None
         weight = self.weights.__getitem__
-        gain = sum(map(weight, take)) - sum(map(weight, give))
+        # the step as given: a T the caller may change later is copied
+        self._record(k, i, t_i if t_i.__class__ is tuple else tuple(t_i),
+                     j, t_j if t_j.__class__ is tuple else tuple(t_j),
+                     sum(map(weight, take)) - sum(map(weight, give)), kept,
+                     forbid_increase_after)
+
+    def _record(self, k: int, i: int, t_i: tuple, j: int, t_j: tuple, gain: int, kept: bool,
+                forbid_increase_after: int | None):
+        """The rest of a swap whose sets and runs have changed, bundle i
+        gaining `gain`: its sums and record, then its failures."""
+        self.final[i] = self.final[j] = self.profiles[i] = self.profiles[j] = None
         sums = self.sums
         sums[i] += gain
         sums[j] -= gain
-        # the step as given: a T the caller may change later is copied
-        self.records.append((k, i, t_i if t_i.__class__ is tuple else tuple(t_i),
-                             j, t_j if t_j.__class__ is tuple else tuple(t_j),
-                             sums[i], sums[j]))
+        self.records.append((k, i, t_i, j, t_j, sums[i], sums[j]))
         if not kept:
             self.fail(k, "swap changed the global chore multiset")
         if forbid_increase_after is not None and gain:
@@ -354,9 +363,34 @@ class _Worker:
                 self.fail(k, f"cost of bundle {idx} increased from "
                              f"{self.value(old)} to {self.value(sums[idx])}")
 
+    def pull(self, k: int, wants: Iterable[int], forbid_increase_after: int | None = None):
+        """Bundle k takes one chore of each weight in `wants`, in order, each
+        from the bundle `_find_donor` names. Each pull is the swap
+        `apply(k, k, (), i, (c,), forbid_increase_after)`, with the same
+        checks, record and failures, stated for one chore: the donor c is
+        the last id of its weight's run in bundle i, which pops it."""
+        sets, runs = self.sets, self.runs
+        a_k, runs_k = sets[k], runs[k]
+        for w in wants:
+            donor = _find_donor(self, k, w)
+            if donor is None:
+                self.fail(k, f"no chore of cost {self.row.value(w)} left in bundles after {k}")
+            i, c = donor
+            if c not in sets[i]:
+                raise SubsetViolation(f"T_j {[c]} not in bundle {i}")
+            kept = c not in a_k
+            a_k.add(c)
+            sets[i].remove(c)
+            self._move(runs[i], (c,), ())  # built, as `_find_donor` read it
+            if runs_k is not None:
+                self._move(runs_k, (), (c,))
+            self._record(k, k, (), i, (c,), w, kept, forbid_increase_after)
+
     def _final(self) -> Allocation:
-        return Allocation.of(tuple(sorted(s)) if b is None else b
-                             for b, s in zip(self.final, self.sets))
+        # unchecked: a reduction's bundles start disjoint and every step
+        # checks the chore multiset, but a failed step's may share a chore
+        return Allocation._trusted(tuple(tuple(sorted(s)) if b is None else b
+                                         for b, s in zip(self.final, self.sets)))
 
     def fail(self, k: int, message: str):
         self.transcript.result = f"violation k={k}"
@@ -391,14 +425,15 @@ def _reduce(P: Allocation, Q: Allocation, row: CostRow, tau: Fraction,
     profile, and check that it got there."""
     if tau <= 0:
         raise BadParams("FFD threshold must be positive")
-    if verify_ffd:
-        _check_ffd_output(P, row, tau, free)
-    bad = _first_off_benchmark(Q.bundles, row, free, row.cap(tau), exact=False)
+    p_profiles = _check_ffd_output(P, row, tau, free) if verify_ffd else []
+    bad, targets = _first_off_benchmark(Q.bundles, row, free, row.cap(tau), exact=False)
     if bad is not None:
         raise PreconditionViolation(f"allocation is not First-Fit-Valid (bundle {bad})")
     n = max(len(P.bundles), len(Q.bundles))
     worker = _Worker(_pad(P.bundles, n), row)
-    targets = [row.profile(b) for b in _pad(Q.bundles, n)]
+    # the walks' profiles, kept rather than sorted again; a padded bundle is empty
+    worker.profiles[:len(p_profiles)] = p_profiles
+    targets += [[] for _ in range(n - len(targets))]
     for k in range(n):
         # donors come only from bundles past k, so bundle k's runs would
         # only be kept in step, never read
@@ -434,7 +469,11 @@ def reduce_factored(P: Allocation, Q: Allocation, cost: Sequence[Fraction],
         # at least as heavy, are not read again
         current = worker.ffd_order(k)
         for j, want in enumerate(target):
-            have = weights[current[j]] if j < len(current) else 0
+            if j == len(current):
+                # every position from here on is empty: pull their chores
+                worker.pull(k, target[j:], forbid_increase_after=k)
+                return
+            have = weights[current[j]]
             if want <= have:
                 if want < have:
                     worker.fail(k, f"bundle {k} position {j} exceeds its target "
@@ -496,13 +535,7 @@ def reduce_bivalued(P: Allocation, Q: Allocation, cost: Sequence[Fraction],
             else:
                 worker.fail(k, f"bundle {k} holds a chore of cost {row.value(v)} "
                                "beyond its target profile")
-        for v in need:
-            donor = _find_donor(worker, k, v)
-            if donor is None:
-                worker.fail(k, f"no chore of cost {row.value(v)} left in bundles "
-                               f"after {k}")
-            i, cl = donor
-            worker.apply(k, k, (), i, (cl,), forbid_increase_after=k)
+        worker.pull(k, need, forbid_increase_after=k)
     return _reduce(P, Q, row, tau, free, verify_ffd, reach_target)
 
 
@@ -623,7 +656,11 @@ def transform_mms_to_ffd(Q: Allocation, cost: Sequence[Fraction],
             continue
         current = worker.ffd_order(k)
         for j, want in enumerate(p_profiles[k]):
-            have = weights[current[j]] if j < len(current) else 0
+            if j == len(current):
+                # every position from here on is empty: pull their chores
+                worker.pull(k, p_profiles[k][j:])
+                break
+            have = weights[current[j]]
             if have > want:
                 worker.fail(k, f"bundle {k} position {j} exceeds the FFD profile")
             if have == want:
@@ -633,11 +670,10 @@ def transform_mms_to_ffd(Q: Allocation, cost: Sequence[Fraction],
                 worker.fail(k, f"no chore of cost {row.value(want)} left in bundles "
                                f"after {k}")
             z, cl = donor
-            out = (current[j],) if j < len(current) else ()
-            worker.apply(k, k, out, z, (cl,))
+            worker.apply(k, k, (current[j],), z, (cl,))
             # the donor outweighs the chore it replaces, so the order is kept
             # as in `reduce_factored`
-            current[j:j + 1] = [cl]
+            current[j] = cl
         if worker.profile(k) != p_profiles[k]:
             worker.fail(k, f"bundle {k} did not reach the FFD profile")
     return worker.finish()

@@ -16,8 +16,8 @@ from choremms.core import (Allocation, CostRow, Instance, ido_blocks, is_bivalue
                            is_factored_costs, to_ido, universal_ordering)
 from choremms.errors import (BadParams, ChoreMMSError, EmptyBinDeadlock, InvariantViolation,
                              ParseError, PreconditionViolation)
-from choremms.ffv import (SwapTranscript, _check_ffd_output, _count_free, _Worker, is_ffv,
-                          reduce_bivalued, reduce_factored, transform_mms_to_ffd)
+from choremms.ffv import (SwapTranscript, _check_ffd_output, _count_free, _find_donor, _Worker,
+                          is_ffv, reduce_bivalued, reduce_factored, transform_mms_to_ffd)
 from choremms.io import format_instance, parse_instance
 from choremms.mms import (hffd_and_lift, min_success_threshold, mms_brute, mms_factored,
                           solve_auto, solve_ordinal)
@@ -680,9 +680,19 @@ def test_ffd_output_check_matches_reference(data):
     assume(tau > 0)
     if data.draw(st.booleans()):
         P = ffd(chores, row, tau).allocation
-    scaled = CostRow.of(row)
-    got = outcome(_check_ffd_output, P, scaled, tau, _count_free(scaled, chores))
+    got = ffd_check_outcome(P, row, tau, chores)
     assert got == outcome(_ref_check_ffd_output, P, chores, row, tau)
+
+
+def ffd_check_outcome(alloc, row, tau, chores):
+    """`_check_ffd_output`'s outcome, None when the check passes; it must
+    then hand back the profile of every bundle."""
+    scaled = CostRow.of(row)
+    got = outcome(_check_ffd_output, alloc, scaled, tau, _count_free(scaled, chores))
+    if isinstance(got, list):
+        assert got == [scaled.profile(b) for b in alloc.bundles]
+        return None
+    return got
 
 
 def realistic_first_fit_cases():
@@ -727,7 +737,7 @@ def test_first_fit_matches_reference_at_realistic_sizes():
             for alloc in allocs:
                 verdict = is_ffv(chores, alloc, row, tau)
                 assert verdict == ref_is_ffv(chores, alloc, row, tau)
-                check = outcome(_check_ffd_output, alloc, row, tau, _count_free(row, chores))
+                check = ffd_check_outcome(alloc, row, tau, chores)
                 assert check == outcome(_ref_check_ffd_output, alloc, chores, row, tau)
                 seen.add((got.succeeded, verdict[0], check is None))
     assert {s for s, _, _ in seen} == {True, False}
@@ -761,13 +771,63 @@ def test_swap_multiset_check_is_the_size_and_union_check(data):
     try:
         worker.apply(0, 0, t_i, 1, t_j)
     except InvariantViolation as exc:
+        # the transcript's final shows the bundles even when they share a chore
         assert str(exc) == "swap changed the global chore multiset" and not kept
-    except BadParams as exc:
-        # the failure's final allocation refuses bundles that still share a chore
-        assert str(exc).endswith("appears in two bundles") and not kept
+        assert exc.transcript.final.bundles == (tuple(sorted(new_i)), tuple(sorted(new_j)))
     else:
         assert kept
     assert worker.sets == [set(new_i), set(new_j)]
+
+
+def test_a_pull_of_a_chore_the_bundle_holds_fails_with_its_transcript():
+    # bundles that share chores 0 and 1: bundle 0 pulls chore 1, the donor
+    # `_find_donor` names, which it already holds; the bundles still share
+    # chore 0, and the failure shows them so
+    def run(step):
+        worker = _Worker([(0, 1), (0, 1)], CostRow([F(1)] * 2))
+        with pytest.raises(InvariantViolation) as info:
+            step(worker)
+        return str(info.value), transcript_fields(info.value.transcript)
+    pulled = run(lambda worker: worker.pull(0, [1]))
+    assert pulled == run(lambda worker: worker.apply(0, 0, (), 1, (1,)))
+    message, (steps, result, final, dump, _types) = pulled
+    assert message == "swap changed the global chore multiset" and result == "violation k=0"
+    assert final.bundles == ((0, 1), (0,))
+    assert dump == "step 0 k=0 swap i=0 T_i={} j=1 T_j={1} | costs: 3 1\nresult: violation k=0\n"
+
+
+@SETTINGS
+@given(st.data())
+def test_pull_is_the_donor_loop_of_one_chore_swaps(data):
+    # `pull` takes each chore as the loop it replaced did, `_find_donor` and
+    # then the swap T_i = {}, T_j = {donor}: the same steps, failures, final,
+    # sets, runs and sums, on bundles that may share chores, with some runs
+    # built beforehand (bundle k's too, as a transform's earlier donor)
+    m = data.draw(st.integers(1, 8))
+    row = CostRow(data.draw(st.lists(st.sampled_from([F(1), F(2), F(4)]), min_size=m,
+                                     max_size=m)))
+    bundles = [tuple(sorted(b)) for b in data.draw(
+        st.lists(st.frozensets(st.integers(0, m - 1)), min_size=2, max_size=4))]
+    k = data.draw(st.integers(0, len(bundles) - 2))
+    wants = data.draw(st.lists(st.sampled_from(sorted(set(row.weights))), max_size=6))
+    forbid = data.draw(st.sampled_from([None, k, k - 1]))
+    built = data.draw(st.sets(st.integers(0, len(bundles) - 1)))
+
+    def swaps(worker):
+        for w in wants:
+            donor = _find_donor(worker, k, w)
+            if donor is None:
+                worker.fail(k, f"no chore of cost {row.value(w)} left in bundles after {k}")
+            worker.apply(k, k, (), donor[0], (donor[1],), forbid_increase_after=forbid)
+
+    ends = []
+    for run in (lambda worker: worker.pull(k, wants, forbid_increase_after=forbid), swaps):
+        worker = _Worker(list(bundles), row)
+        for b in built:
+            worker.runs_of(b)
+        got = outcome(lambda: run(worker) or worker.finish())
+        ends.append((got, worker.sets, worker.runs, worker.sums))
+    assert ends[0] == ends[1]
 
 @st.composite
 def reduction_case(draw, kinds):
@@ -917,6 +977,79 @@ def test_reductions_fail_as_reference_at_benchmark_sizes():
                 seen.add((reduce, got[0] if isinstance(got[0], type) else "reduced"))
     for reduce in (reduce_factored, reduce_bivalued):
         assert {(reduce, PreconditionViolation), (reduce, InvariantViolation)} <= seen
+
+
+def pool_reductions():
+    """(reduction, its reference, `certify_case`) for the first three
+    instances of the benchmark's pools at seeds 1-3, instance k of seed s
+    drawn from seed 1000 s + k: factored 10x100 on a (k + 1)-step chain, and
+    personalized bivalued 8x80."""
+    for seed in (1, 2, 3):
+        for k in range(3):
+            yield (reduce_factored, ref_reduce_factored,
+                   certify_case("factored", 10, 100, 1000 * seed + k, levels=k + 1))
+            yield (reduce_bivalued, ref_reduce_bivalued,
+                   certify_case("personalized_bivalued", 8, 80, 1000 * seed + k))
+
+
+def is_pull(step):
+    """A swap in which bundle k takes one chore and gives none."""
+    return step.i == step.k and step.t_i == () and len(step.t_j) == 1
+
+
+def test_reductions_pull_as_reference_on_benchmark_pools():
+    # most replay steps are pulls, which the worker takes in one loop
+    pulls = {reduce_factored: 0, reduce_bivalued: 0}
+    for reduce, ref_reduce, case in pool_reductions():
+        got = outcome(reduce, *case)
+        assert got == outcome(ref_reduce, *case)
+        steps, result = got[:2]
+        assert result == "equal"
+        pulls[reduce] += sum(map(is_pull, steps))
+    assert all(pulls.values())
+
+
+def test_a_pull_that_runs_out_of_donors_fails_as_reference():
+    # bundle 0 pulls chores 1 and 0 from bundle 1 and finds no third chore
+    cost, P, Q = [F(1)] * 3, Allocation.of([(), (0, 1)]), Allocation.of([(0, 1, 2)])
+    for reduce, ref_reduce in ((reduce_factored, ref_reduce_factored),
+                               (reduce_bivalued, ref_reduce_bivalued)):
+        got = outcome(reduce, P, Q, cost, F(3), range(3), verify_ffd=False)
+        assert got == outcome(ref_reduce, P, Q, cost, F(3), range(3), verify_ffd=False)
+        error, message, (steps, result, final, *_) = got
+        assert (error, message) == (InvariantViolation, "no chore of cost 1 left in bundles after 0")
+        assert [(s.i, s.t_i, s.j, s.t_j) for s in steps] == [(0, (), 1, (1,)), (0, (), 1, (0,))]
+        assert final.bundles == ((0, 1), ())
+    # at the benchmark's sizes: P without the two highest ids of the lightest
+    # weight, so that the pulls of some bundle run out partway
+    mid_pull = {reduce_factored: 0, reduce_bivalued: 0}
+    for reduce, ref_reduce, (P, Q, cost, tau, chores) in pool_reductions():
+        weights = CostRow.of(cost).weights
+        gone = sorted((c for c in chores if weights[c] == min(weights)), reverse=True)[:2]
+        short = Allocation.of([c for c in b if c not in gone] for b in P.bundles)
+        got = outcome(reduce, short, Q, cost, tau, chores, verify_ffd=False)
+        assert got == outcome(ref_reduce, short, Q, cost, tau, chores, verify_ffd=False)
+        error, message, (steps, result, *_) = got
+        assert error is InvariantViolation and message.startswith("no chore of cost")
+        if steps and is_pull(steps[-1]) and result == f"violation k={steps[-1].k}":
+            mid_pull[reduce] += 1
+    assert all(mid_pull.values())
+
+
+def test_transform_pulls_as_reference_on_two_valued_rows():
+    # MMS partitions of two-valued rows at m <= 14, some of whose bundles
+    # reach the end of their chores short of the FFD profile and pull the rest
+    rows_with_pulls = 0
+    for n in range(2, 9):
+        for m in (10, 12, 14):
+            for seed in (1, 2, 3):
+                for row in gen_instance("personalized_bivalued", n, m, seed).costs:
+                    mms = mms_brute(row, range(m), n)
+                    Q = Allocation.of(mms.witness)
+                    got = outcome(transform_mms_to_ffd, Q, row, mms.value)
+                    assert got == outcome(ref_transform_mms_to_ffd, Q, row, mms.value)
+                    rows_with_pulls += any(map(is_pull, got[0]))
+    assert rows_with_pulls >= 20
 
 
 def test_transform_mms_to_ffd_matches_reference_at_small_exact_sizes():

@@ -159,6 +159,46 @@ def test_one_bisection_loop_in_packing():
     assert {name: len(found) for name, found in loops.items() if found} == {"packing.py": 1}
 
 
+def backward_walks(source: str) -> list[str]:
+    """Functions, by name, with a `for` loop that walks down: over
+    `range(start, stop, -1)` or over `reversed(...)`. An enclosing function
+    is named with the one it defines."""
+    def walks_down(loop):
+        call = loop.iter
+        if not (isinstance(call, ast.Call) and isinstance(call.func, ast.Name)):
+            return False
+        if call.func.id == "reversed":
+            return True
+        step = call.args[2] if call.func.id == "range" and len(call.args) == 3 else None
+        return (isinstance(step, ast.UnaryOp) and isinstance(step.op, ast.USub)
+                and isinstance(step.operand, ast.Constant) and step.operand.value == 1)
+    return sorted({func.name for func in ast.walk(ast.parse(source))
+                   if isinstance(func, ast.FunctionDef)
+                   for loop in ast.walk(func) if isinstance(loop, ast.For) and walks_down(loop)})
+
+
+def test_backward_walks_are_found():
+    source = ("def donor(runs, after):\n"
+              "    for i in range(len(runs) - 1, after, -1):\n"
+              "        pass\n"
+              "def outer(xs):\n"
+              "    def inner():\n"
+              "        for x in reversed(xs):\n"
+              "            pass\n"
+              "def forward(xs):\n"
+              "    for i in range(len(xs) - 1, 0, 1):\n"
+              "        pass\n"
+              "    for i in range(10, 0, -2):\n"
+              "        pass\n")
+    assert backward_walks(source) == ["donor", "inner", "outer"]
+
+
+def test_only_find_donor_walks_the_bundles_down():
+    # every donor, of a pull or of any other swap, comes from `_find_donor`'s
+    # rule: the highest bundle index past k, then the highest id
+    assert backward_walks((PACKAGE / "ffv.py").read_text(encoding="utf-8")) == ["_find_donor"]
+
+
 def attribute_reads(source: str, function: str, attr: str) -> list[str]:
     """Reads of the attribute `attr`, as in `x.attr`, inside the function
     named `function`."""
