@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
+import stat
 import sys
 import time
 from fractions import Fraction
@@ -53,8 +55,23 @@ def _read_text(path: str) -> str:
 
 
 def _write_text(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    """Write the text to the file at `path` as UTF-8, in place: an existing
+    regular file is overwritten from its start and then cut at the text's
+    length, never truncated to zero first. Truncating a written file to
+    zero frees its blocks, and ext4 (with its default `auto_da_alloc`)
+    then flushes the rewrite to disk on close. A FIFO or a device such as
+    /dev/null is written and not cut. The write is not atomic."""
+    data = text.encode("utf-8")
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        before = os.fstat(fd)
+        view = memoryview(data)
+        while view:  # a pipe may take the text in parts
+            view = view[os.write(fd, view):]
+        if stat.S_ISREG(before.st_mode) and before.st_size > len(data):
+            os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
 
 
 def _report(algorithm, thresholds, instance, allocation, costs, mus, elapsed, unallocated=()):

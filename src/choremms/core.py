@@ -4,9 +4,9 @@ All costs are ``fractions.Fraction`` values; no floating point is used
 anywhere, because every algorithm in this package branches on exact
 fits/does-not-fit comparisons. Hot loops run on each row scaled to
 integers once, by `CostRow`, which keeps every comparison exact. Each row
-is built once: `CostRow.parse` reads each distinct cost text of a row once
-and scales the row from its distinct values, and `Instance.from_rows` keeps
-the `Fraction` objects it is given.
+is built once: `CostRow.parse` reads each distinct cost text of an
+instance once and scales each row from its distinct values, and
+`Instance.from_rows` keeps the `Fraction` objects it is given.
 
 Each row's runs, its (weight, count) pairs weight descending, are counted
 once and kept (`CostRow.counts`). Every stage of a solve reads them:
@@ -92,15 +92,19 @@ class CostRow(tuple):
         return tuple(sorted(Counter(self.weights).items(), reverse=True))
 
     @staticmethod
-    def parse(fields: Sequence[str]) -> "CostRow":
+    def parse(fields: Sequence[str], parsed: dict[str, Fraction]) -> "CostRow":
         """The row the texts spell, each `p` or `p/q` (`parse_rational`),
-        with its scale and weights set. Each distinct text is parsed once and
-        equal texts share one Fraction; the scale and the weights are
-        computed from the distinct values. Raises ValueError for the first
-        bad text in row order, else for a cost of 0."""
+        with its scale and weights set. `parsed` maps texts to Fractions
+        and may be shared across rows: a text it lacks is parsed once and
+        added, so equal texts share one Fraction. The scale and the weights
+        are computed from the row's distinct values. Raises ValueError for
+        the first bad text in row order, else for a cost of 0."""
         values = dict.fromkeys(fields)
         for text in values:
-            values[text] = parse_rational(text)
+            value = parsed.get(text)
+            if value is None:
+                value = parsed[text] = parse_rational(text)
+            values[text] = value
         if any(c.numerator <= 0 for c in values.values()):
             raise ValueError("all chore costs must be strictly positive")
         scale = math.lcm(*(c.denominator for c in values.values()))

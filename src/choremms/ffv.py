@@ -16,7 +16,8 @@ it moves, in integers, and is recorded as its two bundles' new sums; the
 transcript builds its `SwapStep`s, with Fraction costs, only when read.
 Most steps of a replay are pulls (T_i empty, T_j one chore), once bundle k
 has no chore at the positions left to fill: `_Worker.pull` takes them in
-one loop, each donor from `_find_donor`, popped off the end of its run.
+one loop, each donor from `_find_donor`, popped off the end of its run,
+each weight's walk resuming at the bundle of its last donor.
 Each profile is sorted once per reduction: the FFV walks hand back the
 profiles they sort, Q's become the targets and P's (when checked) the
 worker's, and a bundle is sorted again only after a swap changed it. A
@@ -368,14 +369,19 @@ class _Worker:
         from the bundle `_find_donor` names. Each pull is the swap
         `apply(k, k, (), i, (c,), forbid_increase_after)`, with the same
         checks, record and failures, stated for one chore: the donor c is
-        the last id of its weight's run in bundle i, which pops it."""
+        the last id of its weight's run in bundle i, which pops it. Only
+        bundle k gains chores here, so a bundle past k found without a
+        weight stays so, and the next walk for that weight starts at the
+        bundle of its last donor."""
         sets, runs = self.sets, self.runs
         a_k, runs_k = sets[k], runs[k]
+        starts: dict[int, int] = {}
         for w in wants:
-            donor = _find_donor(self, k, w)
+            donor = _find_donor(self, k, w, starts.get(w))
             if donor is None:
                 self.fail(k, f"no chore of cost {self.row.value(w)} left in bundles after {k}")
             i, c = donor
+            starts[w] = i
             if c not in sets[i]:
                 raise SubsetViolation(f"T_j {[c]} not in bundle {i}")
             kept = c not in a_k
@@ -403,12 +409,15 @@ class _Worker:
         return self.transcript
 
 
-def _find_donor(worker: _Worker, after: int, value: int) -> tuple[int, int] | None:
+def _find_donor(worker: _Worker, after: int, value: int,
+                start: int | None = None) -> tuple[int, int] | None:
     """Last-appearing chore of the given scaled cost in a bundle past
     `after`: highest bundle index, then latest position (highest id among
-    equals)."""
+    equals). The walk starts at bundle `start`, the last one, when not
+    given; a caller passes a start only when no bundle above it holds
+    the cost."""
     runs = worker.runs
-    for i in range(len(runs) - 1, after, -1):
+    for i in range(len(runs) - 1 if start is None else start, after, -1):
         ids = (runs[i] if runs[i] is not None else worker.runs_of(i)).get(value)
         if ids is not None:
             return i, ids[-1]
@@ -526,15 +535,19 @@ def reduce_bivalued(P: Allocation, Q: Allocation, cost: Sequence[Fraction],
             i, cl = donor
             smalls = tuple(c for c in worker.sets[k] if weights[c] != large)
             worker.apply(k, k, smalls, i, (cl,), forbid_increase_after=k)
-        # here the current bundle must be a cost-wise subset of its target
-        have = worker.profile(k)
-        need = list(target)
-        for v in have:
-            if v in need:
-                need.remove(v)
-            else:
+        # here the current bundle must be a cost-wise subset of its target:
+        # one merge of the two descending profiles leaves the target's
+        # chores that the bundle lacks, in order
+        need, t = [], 0
+        for v in worker.profile(k):
+            while t < len(target) and target[t] > v:
+                need.append(target[t])
+                t += 1
+            if t == len(target) or target[t] != v:
                 worker.fail(k, f"bundle {k} holds a chore of cost {row.value(v)} "
                                "beyond its target profile")
+            t += 1
+        need += target[t:]
         worker.pull(k, need, forbid_increase_after=k)
     return _reduce(P, Q, row, tau, free, verify_ffd, reach_target)
 

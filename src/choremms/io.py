@@ -11,8 +11,9 @@ The agent count is at most `MAX_AGENTS`. Allocation file: n lines
 ``agent <i>: <chore ids>`` followed by n lines ``cost <i>: <rational>``.
 Lines starting with ``#`` are comments.
 
-`parse_instance` builds each cost row once, by `core.CostRow.parse`: each
-distinct cost text of a row is parsed once, and the row arrives scaled.
+`parse_instance` builds each cost row once, by `core.CostRow.parse`, and
+the rows share one text-to-Fraction dict: each distinct cost text of the
+instance is parsed once, and each row arrives scaled.
 """
 
 from __future__ import annotations
@@ -62,13 +63,13 @@ def parse_instance(text: str) -> Instance:
         raise ParseError(f"expected {expected} cost rows, found {len(lines) - 3}")
     if not m:
         return Instance(((),) * n)
-    rows = []
+    rows, parsed = [], {}
     for lineno, line in lines[3:]:
         fields = line.split()
         if len(fields) != m:
             raise ParseError(f"expected {m} costs, found {len(fields)}", lineno)
         try:
-            rows.append(CostRow.parse(fields))
+            rows.append(CostRow.parse(fields, parsed))
         except ValueError as exc:
             raise ParseError(str(exc), lineno) from exc
     # the header, the row lengths and every cost are checked above

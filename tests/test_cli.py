@@ -1,3 +1,4 @@
+import contextlib
 import os
 import pathlib
 import subprocess
@@ -571,3 +572,94 @@ def test_input_error_exits_2_with_one_error_line(tmp_path, capsys, instance, all
         args = ["verify", str(inst_path), str(alloc_path), *argv]
     assert main(args) == 2
     assert one_error_line(capsys) == f"error: {message}\n"
+
+
+OUT_COMMANDS = {
+    "solve": lambda inst: ["solve", inst, "--algo", "bivalued"],
+    "gen": lambda inst: ["gen", "--class", "general", "--n", "3", "--m", "5", "--seed", "4"],
+    "table": lambda inst: ["table"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(OUT_COMMANDS))
+def test_out_over_a_longer_file_leaves_the_fresh_bytes(tmp_path, capsys, command):
+    # --out rewrites an existing file in place and cuts it at the new length
+    argv = OUT_COMMANDS[command](write_instance(tmp_path, LOWER_BOUND))
+    fresh, over = tmp_path / "fresh.txt", tmp_path / "over.txt"
+    assert main([*argv, "--out", str(fresh)]) == 0
+    over.write_bytes(b"# stale\n" * 2000)
+    assert main([*argv, "--out", str(over)]) == 0
+    assert over.read_bytes() == fresh.read_bytes() != b""
+    assert len(over.read_bytes()) < len(b"# stale\n" * 2000)
+    capsys.readouterr()
+
+
+def test_out_to_dev_null_exits_0(tmp_path, capsys):
+    path = write_instance(tmp_path, LOWER_BOUND)
+    assert main(["solve", path, "--algo", "bivalued", "--out", os.devnull]) == 0
+    assert main(["table", "--out", os.devnull]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_out_to_a_fifo_writes_the_whole_text(tmp_path, capsys):
+    # a FIFO is written and never cut; the text fits the pipe's buffer
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        assert main(["table", "--out", str(fifo)]) == 0
+        received = os.read(reader, 1 << 16)
+    finally:
+        os.close(reader)
+    assert received == analysis.format_case_table(analysis.case_table()).encode("utf-8")
+    assert capsys.readouterr().err == ""
+
+
+def test_out_keeps_the_mode_and_the_inode_of_an_existing_file(tmp_path, capsys):
+    out, link = tmp_path / "inst.txt", tmp_path / "link.txt"
+    out.write_text("# old\n" * 100)
+    out.chmod(0o640)
+    os.link(out, link)
+    before = out.stat()
+    assert main(["gen", "--class", "factored", "--n", "2", "--m", "3", "--out", str(out)]) == 0
+    after = out.stat()
+    assert (after.st_mode, after.st_ino, after.st_nlink) == (before.st_mode, before.st_ino, 2)
+    assert link.read_bytes() == out.read_bytes() == format_instance(
+        analysis.gen_instance("factored", 2, 3, 0)).encode("utf-8")
+    capsys.readouterr()
+
+
+@contextlib.contextmanager
+def without_root_override():
+    """Run the body under file-mode checks: as user 65534 (nobody) when the
+    tests run as root, who may write any file; unchanged otherwise."""
+    if os.geteuid() != 0:
+        yield
+        return
+    os.seteuid(65534)
+    try:
+        yield
+    finally:
+        os.seteuid(0)
+
+
+@pytest.mark.parametrize("target, reason", [("directory", "Is a directory"),
+                                            ("read-only-file", "Permission denied")])
+def test_out_that_cannot_be_opened_exits_2(tmp_path, capsys, monkeypatch, target, reason):
+    # relative paths from the test's directory, so that a non-root user
+    # needs only to search that directory, not its parents
+    tmp_path.chmod(0o711)
+    monkeypatch.chdir(tmp_path)
+    os.chmod(write_instance(tmp_path, LOWER_BOUND), 0o644)
+    if target == "directory":
+        os.mkdir("out")
+    else:
+        pathlib.Path("out").write_text("keep\n")
+        os.chmod("out", 0o444)
+    for argv in (["solve", "instance.txt", "--algo", "bivalued"], ["table"]):
+        with without_root_override():
+            code = main([*argv, "--out", "out"])
+        assert code == 2
+        assert one_error_line(capsys).endswith(f"{reason}: 'out'\n")
+    if target == "read-only-file":
+        assert pathlib.Path("out").read_text() == "keep\n"

@@ -45,7 +45,7 @@ def test_instance_parse_errors_carry_line_numbers(text, line):
     assert f"line {line}" in str(exc.value)
 
 
-def test_parse_reads_each_distinct_cost_text_of_a_row_once(monkeypatch):
+def test_parse_reads_each_distinct_cost_text_of_an_instance_once(monkeypatch):
     instance = gen_instance("general", 6, 200, seed=3)
     text = format_instance(instance)
     calls, parse_rational = [], core.parse_rational
@@ -58,8 +58,10 @@ def test_parse_reads_each_distinct_cost_text_of_a_row_once(monkeypatch):
     parsed = parse_instance(text)
     monkeypatch.undo()
     assert parsed == instance
-    distinct = sum(len(set(line.split())) for line in text.splitlines()[3:])
-    assert len(calls) == distinct < instance.n * instance.m
+    # the rows share one dict of parsed texts
+    distinct = set(" ".join(text.splitlines()[3:]).split())
+    per_row = sum(len(set(line.split())) for line in text.splitlines()[3:])
+    assert sorted(calls) == sorted(distinct) and len(distinct) < per_row
     # the rows arrive scaled, so the first solve walks no Fraction again
     for row, original in zip(parsed.costs, instance.costs):
         assert {"scale", "weights"} <= vars(row).keys()
@@ -146,3 +148,35 @@ def test_allocation_format_parse_roundtrip(data):
                           agents)
     text = format_allocation(alloc, instance)
     assert parse_allocation(text, instance) == alloc.per_agent(instance.n)
+
+
+COST_TEXTS = ["1", "2", "3", "6", "1/2", "2/4", "3/4", "12/8", "0", "0/3", "1.5", "4/0", "x"]
+
+
+def parse_rows_one_by_one(text):
+    """The cost rows of a well-formed instance text, each parsed by itself
+    with a dict of its own, or the message of the first error."""
+    rows = []
+    for lineno, line in enumerate(text.splitlines()[3:], start=4):
+        try:
+            rows.append(core.CostRow.parse(line.split(), {}))
+        except ValueError as exc:
+            return f"line {lineno}: {exc}"
+    return rows
+
+
+@given(st.lists(st.lists(st.sampled_from(COST_TEXTS), min_size=3, max_size=3),
+                min_size=1, max_size=4))
+def test_shared_parse_matches_the_rows_parsed_one_by_one(fields):
+    # rows that share a dict of parsed texts give the same rows, scales,
+    # weights and first error as rows parsed each by itself
+    text = f"mms-instance 1\nagents {len(fields)}\nchores 3\n" + "".join(
+        " ".join(row) + "\n" for row in fields)
+    expected = parse_rows_one_by_one(text)
+    try:
+        rows = parse_instance(text).costs
+    except ParseError as exc:
+        assert str(exc) == expected
+        return
+    assert [(tuple(r), r.scale, r.weights) for r in rows] == [
+        (tuple(r), r.scale, r.weights) for r in expected]

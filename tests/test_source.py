@@ -304,3 +304,65 @@ def test_stderr_uses_are_found():
 def test_only_cli_main_prints_errors():
     # cli.main is the one exit-code boundary: it alone prints the error line
     assert stderr_uses((PACKAGE / "cli.py").read_text(encoding="utf-8")) == []
+
+
+WRITE_FLAGS = {"O_WRONLY", "O_RDWR", "O_CREAT", "O_TRUNC", "O_APPEND"}
+
+
+def write_opens(source: str) -> list[str]:
+    """Opens of a file for writing, with the function they sit in: `open`
+    or `fdopen` with a mode that writes (or one that is not a literal),
+    `os.open` with a flag that writes (its flags listed), and
+    `write_text`/`write_bytes` calls."""
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, ast.Call):
+            name, func = called_name(node), node.func
+            if (name == "open" and isinstance(func, ast.Attribute)
+                    and isinstance(func.value, ast.Name) and func.value.id == "os"):
+                flags = sorted({n.attr for arg in node.args[1:] for n in ast.walk(arg)
+                                if isinstance(n, ast.Attribute)} & WRITE_FLAGS)
+                if flags:
+                    found.append(f"line {node.lineno}: os.open {'|'.join(flags)} in {function}")
+            elif name in ("open", "fdopen"):
+                modes = node.args[1:2] + [kw.value for kw in node.keywords if kw.arg == "mode"]
+                mode = modes[0].value if modes and isinstance(modes[0], ast.Constant) else None
+                if modes and (mode is None or set(str(mode)) & set("wax+")):
+                    found.append(f"line {node.lineno}: {name} {mode!r} in {function}")
+            elif name in ("write_text", "write_bytes"):
+                found.append(f"line {node.lineno}: {name} in {function}")
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_write_opens_are_found():
+    source = ("import os\n"
+              "def read(path):\n"
+              "    return open(path, encoding='utf-8').read() + open(path, 'rb').read()\n"
+              "def write(path, mode):\n"
+              "    open(path, 'w')\n"
+              "    open(path, mode=mode)\n"
+              "    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)\n"
+              "    os.open(path, os.O_RDONLY)\n"
+              "    os.fdopen(fd, 'r+')\n"
+              "path.write_text('x')\n")
+    assert write_opens(source) == [
+        "line 5: open 'w' in write", "line 6: open None in write",
+        "line 7: os.open O_CREAT|O_TRUNC|O_WRONLY in write", "line 9: fdopen 'r+' in write",
+        "line 10: write_text in <module>"]
+
+
+def test_only_cli_writes_files_and_only_in_place():
+    # the library writes no files; the CLI rewrites an --out file in place,
+    # never truncating it to zero first, and creates a counterexample file
+    found = {path.name: write_opens(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    found = {name: [line.split(": ", 1)[1] for line in lines]
+             for name, lines in found.items() if lines}
+    assert found == {"cli.py": ["os.open O_CREAT|O_WRONLY in _write_text",
+                                "open 'x' in _write_counterexample"]}
