@@ -7,7 +7,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .core import CostRow, Instance, format_rational
 from .errors import BadParams, InvariantViolation, TooLarge
@@ -18,6 +18,13 @@ from .packing import ffd
 MU_CUTOFF = Fraction(13, 2)
 SPECIAL_SIGNATURES = {(1, 3, 2, 0), (1, 4, 3, 0)}
 MAX_GEN_COSTS = 10**6  # n * m bound of gen_instance, 10x the 100 x 1000 ladder top
+MAX_GEN_LEVELS = 64  # factored chain steps: every cost is at most 3 ** (MAX_GEN_LEVELS + 1)
+GEN_KINDS = ("factored", "bivalued", "personalized_bivalued", "general")
+# the general costs p/q, 1 <= p <= GENERAL_P and 1 <= q <= GENERAL_Q, at
+# index GENERAL_Q * (p - 1) + q - 1
+GENERAL_P, GENERAL_Q = 24, 4
+GENERAL_COSTS = tuple(Fraction(p, q) for p in range(1, GENERAL_P + 1)
+                      for q in range(1, GENERAL_Q + 1))
 SUBSET_SUM_CAP = 24
 
 
@@ -88,35 +95,85 @@ def format_case_table(rows: Iterable[CaseRow]) -> str:
 
 def gen_instance(kind: str, n: int, m: int, seed: int, **params) -> Instance:
     """Seed-deterministic random instance of the requested class, with at
-    most MAX_AGENTS agents and MAX_GEN_COSTS costs in all."""
+    most MAX_AGENTS agents and MAX_GEN_COSTS costs in all. The one
+    parameter is `levels`, for `factored` only: the steps of the cost chain,
+    an int from 0 to MAX_GEN_LEVELS (1 to 3 at random when not given).
+
+    The instances are those that `random.Random` draws with `choice` over
+    each row's values, and with `Fraction(randint(1, 24), randint(1, 4))`
+    for each general cost (`tests/helpers.py::ref_gen_instance`, which a
+    test checks them against). The class's parameters are drawn by
+    `randint`; each cost comes straight from `getrandbits` by the rule
+    those two methods use: below b, draw k = b.bit_length() bits, and draw
+    again while they are at least b. A general cost p/q is not built but
+    taken from GENERAL_COSTS, so the rows of every class share a few
+    `Fraction` objects."""
     if n < 1 or m < 0:
         raise BadParams("need n >= 1 and m >= 0")
     if n > MAX_AGENTS or n * m > MAX_GEN_COSTS:
         raise BadParams(f"need n <= {MAX_AGENTS} and n * m <= {MAX_GEN_COSTS}")
+    if kind not in GEN_KINDS:
+        raise BadParams(f"unknown instance class {kind!r}")
+    for key, value in params.items():
+        if key != "levels" or kind != "factored":
+            raise BadParams(f"class {kind!r} takes no parameter {key!r}")
+        if isinstance(value, bool) or not isinstance(value, int) \
+                or not 0 <= value <= MAX_GEN_LEVELS:
+            raise BadParams(f"levels must be an int from 0 to {MAX_GEN_LEVELS}")
     rng = random.Random(("choremms", kind, n, m, seed).__repr__())
+    bits = rng.getrandbits
     if kind == "factored":
         base = Fraction(rng.randint(1, 3))
         chain = [base]
         for _ in range(params.get("levels", rng.randint(1, 3))):
             chain.append(chain[-1] * rng.randint(2, 3))
-        rows = [[rng.choice(chain) for _ in range(m)] for _ in range(n)]
+        rows = [_choices(bits, chain, m) for _ in range(n)]
     elif kind == "bivalued":
         small = Fraction(rng.randint(1, 5))
         large = small + rng.randint(1, 8)
-        rows = [[rng.choice((large, small)) for _ in range(m)] for _ in range(n)]
+        rows = [_choices(bits, (large, small), m) for _ in range(n)]
     elif kind == "personalized_bivalued":
         rows = []
         for _ in range(n):
             small = Fraction(rng.randint(1, 6), rng.randint(1, 2))
             large = small + Fraction(rng.randint(1, 9), rng.randint(1, 2))
-            rows.append([rng.choice((large, small)) for _ in range(m)])
-    elif kind == "general":
-        rows = [[Fraction(rng.randint(1, 24), rng.randint(1, 4)) for _ in range(m)]
-                for _ in range(n)]
+            rows.append(_choices(bits, (large, small), m))
     else:
-        raise BadParams(f"unknown instance class {kind!r}")
+        rows = [_general_row(bits, m) for _ in range(n)]
     # every row holds m positive Fractions by construction
     return Instance._trusted(tuple(map(CostRow, rows)))
+
+
+def _choices(bits: Callable[[int], int], values: Sequence[Fraction], m: int) -> list[Fraction]:
+    """m values, each the one `Random.choice(values)` draws off the same
+    `getrandbits`."""
+    size = len(values)
+    k = size.bit_length()
+    row: list[Fraction] = []
+    add = row.append
+    for _ in range(m):
+        r = bits(k)
+        while r >= size:
+            r = bits(k)
+        add(values[r])
+    return row
+
+
+def _general_row(bits: Callable[[int], int], m: int) -> list[Fraction]:
+    """m general costs, each the `Fraction(randint(1, 24), randint(1, 4))`
+    that the same `getrandbits` gives, taken from GENERAL_COSTS."""
+    kp, kq = GENERAL_P.bit_length(), GENERAL_Q.bit_length()
+    row: list[Fraction] = []
+    add = row.append
+    for _ in range(m):
+        p = bits(kp)
+        while p >= GENERAL_P:
+            p = bits(kp)
+        q = bits(kq)
+        while q >= GENERAL_Q:
+            q = bits(kq)
+        add(GENERAL_COSTS[GENERAL_Q * p + q])
+    return row
 
 
 def subset_sums(chores: Iterable[int], cost: Sequence[Fraction]) -> list[Fraction]:

@@ -266,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="generate a random instance")
     p.add_argument("--class", dest="klass", required=True,
-                   choices=["factored", "bivalued", "personalized_bivalued", "general"])
+                   choices=analysis.GEN_KINDS)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
@@ -280,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="stochastic counterexample searches")
     p.add_argument("--target", required=True, choices=["monotonicity", "mms-existence"])
     p.add_argument("--class", dest="klass", default="general",
-                   choices=["factored", "bivalued", "personalized_bivalued", "general"])
+                   choices=analysis.GEN_KINDS)
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")

@@ -39,7 +39,7 @@ from .core import Allocation, CostRow, EQUAL, compare_profiles, is_divisibility_
 from .errors import (BadParams, InvariantViolation, NotBivalued, PreconditionViolation,
                      SubsetViolation)
 from .mms import APPROX_RATIO
-from .packing import ffd, first_fit_bin
+from .packing import ffd, first_fit_bin, first_fit_bins
 
 
 class SwapStep(NamedTuple):
@@ -591,22 +591,17 @@ def transform_mms_to_ffd(Q: Allocation, cost: Sequence[Fraction],
             raise InvariantViolation(
                 "FFD at tau >= mu + s used more bins than the partition", transcript)
         return transcript
-    # the swaps read FFD's bins only as profiles: first fit over the weight
-    # counts, bin by bin, as `ffd` fills them
+    # the swaps read FFD's bins only as profiles: `first_fit_bins` over the
+    # weight counts, the bins `ffd` fills
     count = dict(runs)
     p_profiles: list[list[int]] = []
-    while count:
-        taken = first_fit_bin(count, tau_cap)
-        if not taken:  # every chore fits, as each Q bundle is within mu
-            raise PreconditionViolation(f"a chore costs more than tau {tau}")
+    for taken in first_fit_bins(count, tau_cap):
         profile: list[int] = []
         for w, t in taken:
             profile += [w] * t
-            if t == count[w]:
-                del count[w]
-            else:
-                count[w] -= t
         p_profiles.append(profile)
+    if count:  # every chore fits, as each Q bundle is within mu
+        raise PreconditionViolation(f"a chore costs more than tau {tau}")
     p_profiles += [[] for _ in range(n - len(p_profiles))]
     n_work = len(p_profiles)
     # most large chores first, then most small ones; stable among equals

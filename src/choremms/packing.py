@@ -7,9 +7,10 @@ on the row's cached integer weights (`core.CostRow`), also for a subset of
 its chores, with threshold tau becoming the integer capacity floor(tau * D).
 
 `first_fit_bin` is the one statement of first fit into one bin, for FFD
-and for `ffv`. `first_fit_places_all`, which keeps every bin open and opens
-full bins in bulk, and `hffd`, which fills a bin for many agents, keep
-their own loops.
+and for `ffv`, and `first_fit_bins` the one statement of FFD's bin loop
+over it, for `ffd` and for `ffv`'s transform. `first_fit_places_all`,
+which keeps every bin open and opens full bins in bulk, and `hffd`, which
+fills a bin for many agents, keep their own loops.
 
 Every threshold search starts at `ladder_bound`, a lower bound on the
 makespan of any partition into d bins that is exact on a divisibility
@@ -63,6 +64,27 @@ def first_fit_bin(count: Mapping[int, int], room: int) -> list[tuple[int, int]]:
             taken.append((w, k))
             room -= k * w
     return taken
+
+
+def first_fit_bins(count: dict[int, int], room: int,
+                   max_bins: int | None = None) -> list[list[tuple[int, int]]]:
+    """FFD's bins over weight counts: the (weight, copies) that
+    `first_fit_bin` puts in each bin of the given room in turn, taken out of
+    `count`, which drops a weight once no copy is left. It stops when
+    `count` is empty, after `max_bins` bins, or when the next bin would take
+    nothing, and leaves `count` holding the copies no bin took."""
+    bins: list[list[tuple[int, int]]] = []
+    while count and (max_bins is None or len(bins) < max_bins):
+        taken = first_fit_bin(count, room)
+        if not taken:
+            break
+        for w, t in taken:
+            if t == count[w]:
+                del count[w]
+            else:
+                count[w] -= t
+        bins.append(taken)
+    return bins
 
 
 def first_fit_places_all(runs: Sequence[tuple[int, int]], cap: int, max_bins: int) -> bool:
@@ -220,7 +242,7 @@ def ffd(chores: Iterable[int], cost: Sequence[Fraction], tau: Fraction,
     """First-Fit-Decreasing: largest chore first (lower id breaks ties),
     into the lowest-index bin whose cost stays within tau; a new bin opens
     when allowed, otherwise the chore is left unallocated (in FFD order).
-    The bins fill one at a time by `first_fit_bin` over the weights left,
+    The bins fill one at a time by `first_fit_bins` over the weights left,
     each taking the lowest ids left of each weight: a chore joins bin b
     exactly when it fits b's room then, as in first fit chore by chore."""
     if tau <= 0:
@@ -230,18 +252,15 @@ def ffd(chores: Iterable[int], cost: Sequence[Fraction], tau: Fraction,
     ids = row.by_weight(row.ffd_order(chores))
     count = {w: len(group) for w, group in ids.items()}
     bins: list[list[int]] = []
-    while count and (max_bins is None or len(bins) < max_bins):
-        taken = first_fit_bin(count, cap)
-        if not taken:
-            break
+    for taken in first_fit_bins(count, cap, max_bins):
         kept: list[int] = []
         for w, t in taken:
-            kept += ids[w][:t]
-            if t == count[w]:
-                del count[w]
+            group = ids[w]
+            if t == len(group):
+                kept += group
             else:
-                ids[w] = ids[w][t:]
-                count[w] -= t
+                kept += group[:t]
+                ids[w] = group[t:]
         bins.append(kept)
     unallocated = tuple(c for w in count for c in ids[w])
     return PackOutcome(Allocation.of(bins), unallocated)

@@ -12,6 +12,9 @@ ordering checks) does the same for `choremms.ffv` and
 `choremms.core`. `ref_mms_brute` is `mms_brute`'s search without its cuts.
 `ref_parse_instance` parses every cost field on its own, as the instance
 parser did before it read each distinct text of a row once.
+`ref_gen_instance` draws each cost by `random.Random.choice` or
+`Fraction(randint, randint)`, the draws `analysis.gen_instance` reproduces
+straight from `getrandbits`.
 
 `lex_compare`, `swap`, `find_exact_subset` and `ffd_first_bin` are not
 oracles: they are the package's profile comparison, the reductions' swap
@@ -170,6 +173,33 @@ def all_complete_allocations(m, k):
 def random_rationals(rng: random.Random, m, max_num=12, max_den=3):
     return tuple(Fraction(rng.randint(1, max_num), rng.randint(1, max_den))
                  for _ in range(m))
+
+
+def ref_gen_instance(kind, n, m, seed, **params):
+    """`gen_instance`'s instances drawn one cost at a time: `rng.choice` over
+    a row's values, and one `Fraction(randint(1, 24), randint(1, 4))` built
+    per general cost. Takes valid arguments only."""
+    rng = random.Random(("choremms", kind, n, m, seed).__repr__())
+    if kind == "factored":
+        base = Fraction(rng.randint(1, 3))
+        chain = [base]
+        for _ in range(params.get("levels", rng.randint(1, 3))):
+            chain.append(chain[-1] * rng.randint(2, 3))
+        rows = [[rng.choice(chain) for _ in range(m)] for _ in range(n)]
+    elif kind == "bivalued":
+        small = Fraction(rng.randint(1, 5))
+        large = small + rng.randint(1, 8)
+        rows = [[rng.choice((large, small)) for _ in range(m)] for _ in range(n)]
+    elif kind == "personalized_bivalued":
+        rows = []
+        for _ in range(n):
+            small = Fraction(rng.randint(1, 6), rng.randint(1, 2))
+            large = small + Fraction(rng.randint(1, 9), rng.randint(1, 2))
+            rows.append([rng.choice((large, small)) for _ in range(m)])
+    else:
+        rows = [[Fraction(rng.randint(1, 24), rng.randint(1, 4)) for _ in range(m)]
+                for _ in range(n)]
+    return Instance.from_rows(rows)
 
 
 def certify_case(kind, n, m, seed, **params):

@@ -1,14 +1,18 @@
+import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 
+from check_gen_identity import digest_mismatches, identity_mismatches
 from choremms import analysis
-from choremms.analysis import (MAX_GEN_COSTS, case_table, format_case_table, gen_instance,
-                               search_bivalued_mms_existence,
+from choremms.analysis import (GENERAL_COSTS, MAX_GEN_COSTS, MAX_GEN_LEVELS, case_table,
+                               format_case_table, gen_instance, search_bivalued_mms_existence,
                                search_monotonicity)
 from choremms.core import CostRow, Instance, classify
 from choremms.errors import BadParams, TooLarge
 from choremms.io import MAX_AGENTS
+from helpers import ref_gen_instance
 
 
 # ---------------------------------------------------------------- case table
@@ -133,6 +137,81 @@ def test_gen_instance_rejects_sizes_past_its_bounds(monkeypatch, n, m):
 def test_gen_instance_zero_chores():
     inst = gen_instance("general", 2, 0, seed=0)
     assert inst.m == 0 and inst.n == 2
+
+
+def test_gen_instance_draws_the_reference_instances():
+    # every class, at sizes from 1 x 0 to 10 x 100 and seeds 0 to 39
+    assert identity_mismatches() == []
+
+
+def test_gen_instance_digests_are_pinned():
+    assert digest_mismatches() == []
+
+
+@pytest.mark.parametrize("kind, n, m, params, randints", [
+    ("factored", 10, 100, {"levels": 3}, 2 + 3),
+    ("personalized_bivalued", 8, 80, {}, 4 * 8),
+    ("general", 30, 300, {}, 0),
+])
+def test_gen_instance_draws_no_cost_by_a_method_or_a_new_fraction(monkeypatch, kind, n, m,
+                                                                  params, randints):
+    # the class's parameters are the only draws by `randint` and the only
+    # Fractions built; the costs come from `getrandbits`
+    calls = Counter()
+
+    def counted(name, method):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return method(*args, **kwargs)
+        return call
+    monkeypatch.setattr(random.Random, "choice", counted("choice", random.Random.choice))
+    monkeypatch.setattr(random.Random, "randint", counted("randint", random.Random.randint))
+    monkeypatch.setattr(F, "__new__", staticmethod(counted("Fraction", F.__new__)))
+    inst = gen_instance(kind, n, m, seed=1, **params)
+    assert calls["choice"] == 0 and calls["randint"] == randints
+    built = calls["Fraction"]
+    assert built <= 3 * n + params.get("levels", 0) + 1
+    calls.clear()
+    gen_instance(kind, n, 1, seed=1, **params)
+    assert calls == Counter(randint=randints, Fraction=built)
+    monkeypatch.undo()
+    assert inst == ref_gen_instance(kind, n, m, seed=1, **params)
+    if kind == "general":
+        shared = {id(c) for row in inst.costs for c in row}
+        assert len(shared) <= len(GENERAL_COSTS) == 96
+        assert shared <= {id(c) for c in GENERAL_COSTS}
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("factored", {"levles": 2}),
+    ("factored", {"levels": 2, "base": 1}),
+    ("bivalued", {"levels": 1}),
+    ("personalized_bivalued", {"levels": 1}),
+    ("general", {"levels": 2}),
+    ("factored", {"levels": "2"}),
+    ("factored", {"levels": 2.5}),
+    ("factored", {"levels": 2.0}),
+    ("factored", {"levels": F(2)}),
+    ("factored", {"levels": None}),
+    ("factored", {"levels": True}),
+    ("factored", {"levels": -1}),
+    ("factored", {"levels": MAX_GEN_LEVELS + 1}),
+    ("factored", {"levels": 10**5000}),
+    ("mystery", {"levels": 2}),
+])
+def test_gen_instance_rejects_bad_params(monkeypatch, kind, params):
+    # refused before a generator is made, as the size bounds are
+    monkeypatch.setattr(analysis.random, "Random", None)
+    with pytest.raises(BadParams):
+        gen_instance(kind, 2, 3, seed=0, **params)
+
+
+@pytest.mark.parametrize("levels", [0, 1, MAX_GEN_LEVELS])
+def test_gen_instance_takes_levels_up_to_its_cap(levels):
+    inst = gen_instance("factored", 3, 40, seed=5, levels=levels)
+    assert inst == ref_gen_instance("factored", 3, 40, seed=5, levels=levels)
+    values = {c for row in inst.costs for c in row}
+    assert len(values) <= levels + 1 and max(values) <= 3 ** (levels + 1)
 
 
 # ------------------------------------------------------------------ searches

@@ -7,12 +7,12 @@ from hypothesis import given, settings, strategies as st
 
 from choremms import packing
 from choremms.analysis import gen_instance, subset_sums
-from choremms.core import EQUAL, Instance, bundle_cost, to_ido
+from choremms.core import EQUAL, CostRow, Instance, bundle_cost, to_ido
 from choremms.errors import BadParams, EmptyBinDeadlock
 from choremms.ffv import is_ffv
 from choremms.mms import mms_brute, solve_auto
-from choremms.packing import (ffd, first_fit_places_all, hffd, ladder_bound, ladder_probe,
-                              multifit, smallest_fitting_cap)
+from choremms.packing import (ffd, first_fit_bins, first_fit_places_all, hffd, ladder_bound,
+                              ladder_probe, multifit, smallest_fitting_cap)
 from helpers import (brute_min_makespan, lex_compare, random_rationals, ref_benchmark_bundle,
                      ref_ffd, ref_first_fit_places_all, ref_hffd, ref_ladder_bound, ref_multifit,
                      ref_smallest_fitting_cap, run_length)
@@ -96,6 +96,23 @@ def test_ffd_bins_equal_benchmark_bundles():
         for k in range(len(out.bundles)):
             bench = ref_benchmark_bundle(range(m), out.bundles[:k], cost, tau)
             assert lex_compare(out.bundles[k], bench, cost) == EQUAL
+
+
+def test_first_fit_bins_are_ffds_bins():
+    # the (weight, copies) of each bin are the profile of ffd's bin, and the
+    # counts left are the unallocated chores' weights
+    rng = random.Random(0xB125)
+    for _ in range(300):
+        m = rng.randint(0, 12)
+        row = CostRow.of(random_rationals(rng, m, max_num=rng.choice((3, 12))))
+        tau = F(rng.randint(1, 30), rng.randint(1, 3))
+        max_bins = rng.choice((None, 0, 1, 2, 3))
+        count = dict(row.runs(range(m)))
+        bins = [[w for w, t in taken for _ in range(t)]
+                for taken in first_fit_bins(count, row.cap(tau), max_bins)]
+        want = ref_ffd(range(m), row, tau, max_bins=max_bins)
+        assert bins == [row.profile(b) for b in want.bundles]
+        assert count == dict(row.runs(want.unallocated))
 
 
 # --------------------------------------------------------- MultiFit bracket

@@ -265,6 +265,38 @@ def test_floor_divisions_are_found():
     assert floor_divisions(source) == ["line 1: //", "line 2: //", "line 5: //"]
 
 
+def while_loops_calling(source: str, name: str) -> list[str]:
+    """The functions holding a `while` loop that calls the function `name`,
+    once per loop: with `first_fit_bin`, the loops that fill bin after bin."""
+    return [f"while in {function.name}" for function in ast.walk(ast.parse(source))
+            if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for loop in ast.walk(function) if isinstance(loop, ast.While)
+            and any(isinstance(node, ast.Call) and called_name(node) == name
+                    for node in ast.walk(loop))]
+
+
+def test_while_loops_calling_are_found():
+    source = textwrap.dedent("""\
+        def fill(count):
+            while count:
+                taken = packing.first_fit_bin(count, 3)
+        def once(count):
+            return first_fit_bin(count, 3)
+        def each(bundles):
+            for b in bundles:
+                first_fit_bin(b, 3)
+        """)
+    assert while_loops_calling(source, "first_fit_bin") == ["while in fill"]
+
+
+def test_ffds_bin_loop_is_stated_once():
+    # ffd and the transform both read FFD's bins from packing.first_fit_bins
+    found = {p.name: while_loops_calling(p.read_text(encoding="utf-8"), "first_fit_bin")
+             for p in MODULES}
+    assert {name: loops for name, loops in found.items() if loops} == {
+        "packing.py": ["while in first_fit_bins"]}
+
+
 def test_ffv_leaves_the_bin_fill_to_packing():
     # the certificate layer fills a benchmark bin only by packing.first_fit_bin
     assert floor_divisions((PACKAGE / "ffv.py").read_text(encoding="utf-8")) == []
