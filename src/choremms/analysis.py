@@ -98,6 +98,7 @@ def gen_instance(kind: str, n: int, m: int, seed: int, **params) -> Instance:
     most MAX_AGENTS agents and MAX_GEN_COSTS costs in all. The one
     parameter is `levels`, for `factored` only: the steps of the cost chain,
     an int from 0 to MAX_GEN_LEVELS (1 to 3 at random when not given).
+    n and m must be ints, not bools; anything else is BadParams.
 
     The instances are those that `random.Random` draws with `choice` over
     each row's values, and with `Fraction(randint(1, 24), randint(1, 4))`
@@ -108,6 +109,9 @@ def gen_instance(kind: str, n: int, m: int, seed: int, **params) -> Instance:
     again while they are at least b. A general cost p/q is not built but
     taken from GENERAL_COSTS, so the rows of every class share a few
     `Fraction` objects."""
+    for name, value in (("n", n), ("m", m)):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise BadParams(f"{name} must be an int, not {type(value).__name__}")
     if n < 1 or m < 0:
         raise BadParams("need n >= 1 and m >= 0")
     if n > MAX_AGENTS or n * m > MAX_GEN_COSTS:

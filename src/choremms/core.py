@@ -14,6 +14,13 @@ once and kept (`CostRow.counts`). Every stage of a solve reads them:
 row out of them with the row's own `Fraction` objects and cuts the twin's
 blocks at their prefix sums, the threshold searches read the twin row's
 runs, and `LiftingMap.lift` walks each agent's weights cheapest first.
+
+What depends only on the instance is kept with it, computed on first
+use: each row's divisibility-chain test on its runs (`CostRow.chain`),
+which `classify` and the threshold searches read, the instance's universal
+ordering (`Instance.blocks`) and its IDO twin (`Instance.twin`), so a
+second solve or a certificate replay of the same instance builds neither
+again. Nothing that depends on a threshold is kept.
 """
 
 from __future__ import annotations
@@ -69,8 +76,9 @@ class CostRow(tuple):
     costs times `scale` (D, the lcm of their denominators). A sum s of
     weights stays within tau exactly when s <= cap(tau) = floor(tau * D),
     because s is an integer, so a subset of the chores reads the same
-    weights. `counts` are the weights as (weight, count) runs, kept in the
-    same way."""
+    weights. `counts` are the weights as (weight, count) runs, and `chain`
+    whether their weights form a divisibility chain, each kept in the same
+    way."""
 
     @staticmethod
     def of(cost: Iterable[Fraction]) -> "CostRow":
@@ -90,6 +98,21 @@ class CostRow(tuple):
         """The whole row's weights as (weight, count) runs, weight
         descending: `runs` of every chore, counted once."""
         return tuple(sorted(Counter(self.weights).items(), reverse=True))
+
+    @cached_property
+    def chain(self) -> bool:
+        """Whether the row's distinct weights form a divisibility chain
+        (`is_divisibility_chain`), tested on `counts` once."""
+        return is_divisibility_chain(w for w, _ in self.counts)
+
+    def is_chain(self, runs: Iterable[tuple[int, int]]) -> bool:
+        """Whether the weights of these (weight, count) runs form a
+        divisibility chain: the kept `chain` when they are the row's own
+        `counts`, else tested on them."""
+        # `counts` is read only when kept, so other runs cost no row count
+        if runs is self.__dict__.get("counts"):
+            return self.chain
+        return is_divisibility_chain(w for w, _ in runs)
 
     @staticmethod
     def parse(fields: Sequence[str], parsed: dict[str, Fraction]) -> "CostRow":
@@ -201,6 +224,12 @@ class Instance:
         common order exists."""
         return ido_blocks(self)
 
+    @cached_property
+    def twin(self) -> "Instance":
+        """The IDO twin that `to_ido` returns, built on first use and kept.
+        It holds no reference back to this instance."""
+        return _ido_twin(self)
+
 
 def _as_costs(row: Iterable) -> tuple:
     """The row with each `int` (not a bool) made a Fraction and all else
@@ -285,8 +314,9 @@ def is_divisibility_chain(weights: Iterable[int]) -> bool:
 
 
 def is_factored_costs(values: Iterable[Fraction]) -> bool:
-    """True iff every smaller distinct value divides the next larger one."""
-    return is_divisibility_chain(w for w, _ in CostRow.of(values).counts)
+    """True iff every smaller distinct value divides the next larger one
+    (`CostRow.chain`)."""
+    return CostRow.of(values).chain
 
 
 def is_bivalued_costs(values: Iterable[Fraction]) -> bool:
@@ -413,11 +443,20 @@ def _cheapest_first(row: CostRow, taken: Sequence[bool]) -> Iterator[int]:
 
 def to_ido(instance: Instance) -> tuple[Instance, LiftingMap]:
     """IDO twin: each agent's costs in descending order, so the identity
-    permutation is a universal ordering; cost multisets are preserved.
+    permutation is a universal ordering; cost multisets are preserved. The
+    twin is the instance's kept `Instance.twin`, the same object on every
+    call; the `LiftingMap` back to the instance is built afresh, so no
+    reference cycle goes through the instance."""
+    return instance.twin, LiftingMap(instance)
+
+
+def _ido_twin(instance: Instance) -> Instance:
+    """The IDO twin of `to_ido`, built once per instance by `Instance.twin`.
 
     Each twin row is spelled out of the row's runs (`CostRow.counts`): k
     copies of each weight w, heaviest first, costing the row's own
-    `Fraction` of w. It shares the row's scale and carries the same runs.
+    `Fraction` of w. It shares the row's scale and carries the same runs,
+    and the row's chain flag (`CostRow.chain`) once the row has tested it.
     The twin's blocks (`Instance.blocks`) are set here: the ordering is the
     identity, and the cuts are the prefix sums of every row's run counts,
     the positions at which some agent's cost falls. They are checked like
@@ -433,12 +472,15 @@ def to_ido(instance: Instance) -> tuple[Instance, LiftingMap]:
             cuts.add(len(weights))
         twin = CostRow(costs)
         twin.scale, twin.weights, twin.counts = row.scale, tuple(weights), row.counts
+        # a flag not tested yet is left to the twin row's first use
+        if "chain" in row.__dict__:
+            twin.chain = row.chain
         rows.append(twin)
     cuts.discard(instance.m)
     ido = Instance._trusted(tuple(rows))
     object.__setattr__(ido, "blocks", _checked_blocks([row.weights for row in rows],
                                                       ido.chores(), tuple(sorted(cuts))))
-    return ido, LiftingMap(instance)
+    return ido
 
 
 def compare_profiles(p1: Sequence[int], p2: Sequence[int]) -> int:

@@ -466,7 +466,7 @@ def reduce_factored(P: Allocation, Q: Allocation, cost: Sequence[Fraction],
     row = CostRow.of(cost)
     weights = row.weights
     free = _count_free(row, all_chores)
-    if not is_divisibility_chain(w for w, _ in free[0]):
+    if not row.is_chain(free[0]):
         raise PreconditionViolation("cost function must be factored")
 
     def reach_target(worker: _Worker, k: int, target):

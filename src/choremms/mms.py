@@ -157,14 +157,15 @@ def mms_value(cost: Sequence[Fraction], chores: Iterable[int], d: int, *,
     exact MMS method. Both exact searches off the chain are capped at
     ORACLE_CAP chores, with `mms_brute`'s errors. A caller that holds the
     chores' `CostRow.runs` passes them as `runs`, and the chain is tested
-    once, on those runs."""
+    once, on those runs; on the row's own `counts` it is read off the row
+    (`CostRow.is_chain`)."""
     if d < 1:
         raise BadParams("need at least one bundle")
     row = CostRow.of(cost)
     if runs is None:
         chores = list(chores)
         runs = row.runs(chores)
-    if is_divisibility_chain(w for w, _ in runs):
+    if row.is_chain(runs):
         return row.value(smallest_fitting_cap(runs, d))
     chores = list(chores)
     if len(runs) == 2 and len(chores) <= ORACLE_CAP:
@@ -184,7 +185,7 @@ def min_success_threshold(cost: Sequence[Fraction], chores: Iterable[int], n: in
     row = CostRow.of(cost)
     if runs is None:
         runs = row.runs(chores)
-    if not (len(runs) <= 2 or is_divisibility_chain(w for w, _ in runs)):
+    if not (len(runs) <= 2 or row.is_chain(runs)):
         raise UnsupportedClass("minimal threshold needs factored or bivalued costs; "
                                "use multifit for a succeeding (not necessarily minimal) "
                                "threshold")

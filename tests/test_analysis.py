@@ -134,6 +134,17 @@ def test_gen_instance_rejects_sizes_past_its_bounds(monkeypatch, n, m):
         gen_instance("general", n, m, seed=0)
 
 
+@pytest.mark.parametrize("bad", [2.5, True, "3", None])
+@pytest.mark.parametrize("which", ["n", "m"])
+def test_gen_instance_rejects_sizes_that_are_not_ints(monkeypatch, which, bad):
+    # 2.5 passes both bounds and True compares as 1, so only the type check
+    # keeps them out; refused before a generator is made
+    monkeypatch.setattr(analysis.random, "Random", None)
+    sizes = {"n": 2, "m": 3, which: bad}
+    with pytest.raises(BadParams, match=f"^{which} must be an int, not {type(bad).__name__}$"):
+        gen_instance("general", sizes["n"], sizes["m"], seed=0)
+
+
 def test_gen_instance_zero_chores():
     inst = gen_instance("general", 2, 0, seed=0)
     assert inst.m == 0 and inst.n == 2

@@ -4,16 +4,18 @@ success flags and thresholds; identical FFV verdicts, class checks and
 orderings; identical swap transcripts; and the same error type and message
 on rejected inputs."""
 
+import gc
 import itertools
 import random
+import weakref
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from choremms.analysis import gen_instance, subset_sums
-from choremms.core import (Allocation, CostRow, Instance, ido_blocks, is_bivalued_costs,
-                           is_factored_costs, to_ido, universal_ordering)
+from choremms.core import (Allocation, CostRow, Instance, LiftingMap, classify, ido_blocks,
+                           is_bivalued_costs, is_factored_costs, to_ido, universal_ordering)
 from choremms.errors import (BadParams, ChoreMMSError, EmptyBinDeadlock, InvariantViolation,
                              ParseError, PreconditionViolation)
 from choremms.ffv import (SwapTranscript, _check_ffd_output, _count_free, _find_donor, _Worker,
@@ -100,10 +102,16 @@ def thresholds(draw, row):
 
 
 @st.composite
-def instances(draw, max_n=4, max_m=10):
+def instances(draw, max_n=4, max_m=10, kinds=(factored_rows, bivalued_rows, general_rows)):
     n = draw(st.integers(1, max_n))
     m = draw(st.integers(0, max_m))
-    return Instance(tuple(draw(rows(m)) for _ in range(n)))
+    return Instance(tuple(draw(rows(m, kinds)) for _ in range(n)))
+
+
+# each class on its own (personalized bivalued rows, each with its own two
+# costs), and rows of every class mixed
+CLASS_KINDS = [(factored_rows,), (bivalued_rows,), (general_rows,),
+               (factored_rows, bivalued_rows, general_rows)]
 
 
 # --------------------------------------------------------------------- ffd
@@ -564,8 +572,15 @@ def ffv_candidates(draw, chores, row, tau):
 @given(st.data())
 def test_class_checks_match_reference(data):
     row = data.draw(rows(data.draw(st.integers(0, 12))))
+    if row and data.draw(st.booleans()):
+        row = (row[0],) * len(row)  # single-valued
     assert is_factored_costs(row) == ref_is_factored_costs(row)
     assert is_bivalued_costs(row) == ref_is_bivalued_costs(row)
+    # the kept flag, and the same answer for the row's own runs (read) and
+    # for a copy of them (tested)
+    kept = CostRow(row)
+    assert kept.chain == ref_is_factored_costs(row)
+    assert kept.is_chain(kept.counts) == kept.is_chain(list(kept.counts)) == kept.chain
 
 
 @SETTINGS
@@ -600,6 +615,75 @@ def test_twin_blocks_match_the_column_sort(kind):
         ido, _ = to_ido(gen_instance(kind, n, m, seed=n * m))
         assert ido.blocks == ido_blocks(ido)
         assert ido.blocks[0] == ido.chores()
+
+
+# ------------------------------------------------ kept twin and chain flag
+
+def check_kept_twin(instance):
+    """`to_ido` hands out one kept twin per instance, equal to the reference
+    twin and to the twin of a row-for-row copy, with the rows' flags."""
+    ido, lifting = to_ido(instance)
+    again, lifting_again = to_ido(instance)
+    assert again is ido and instance.twin is ido
+    # the lifting map is built afresh, never kept
+    assert lifting_again is not lifting and lifting == LiftingMap(instance)
+    copy = Instance(tuple(tuple(row) for row in instance.costs))
+    assert all(a is not b for a, b in zip(copy.costs, instance.costs))
+    # the copy's rows test their chain flags before its twin is built, which
+    # then takes them over; the instance's twin rows test their own
+    classify(copy)
+    copy_ido, _ = to_ido(copy)
+    want, _ = ref_to_ido(instance)
+    assert copy_ido is not ido
+    for twin in (ido, copy_ido):
+        assert twin == want and twin.blocks == want.blocks
+        for got_row, want_row, row in zip(twin.costs, want.costs, instance.costs):
+            assert [(type(c), c) for c in got_row] == [(type(c), c) for c in want_row]
+            assert (got_row.scale, got_row.weights, got_row.counts) == \
+                (want_row.scale, want_row.weights, want_row.counts)
+            assert got_row.chain == row.chain == ref_is_factored_costs(row)
+    # each twin cost is one of the original row's own Fraction objects
+    for got_row, row in zip(ido.costs, instance.costs):
+        assert all(any(c is x for x in row) for c in got_row)
+
+
+@SETTINGS
+@given(st.data())
+def test_kept_twin_matches_reference_and_a_copy(data):
+    check_kept_twin(data.draw(instances(kinds=data.draw(st.sampled_from(CLASS_KINDS)))))
+
+
+@pytest.mark.parametrize("kind", ["factored", "bivalued", "personalized_bivalued", "general"])
+@pytest.mark.parametrize("n, m", [(1, 0), (1, 6), (3, 0), (3, 12)])
+def test_kept_twin_of_generated_instances(kind, n, m):
+    check_kept_twin(gen_instance(kind, n, m, seed=n + m))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_repeated_solves_match_a_solve_of_a_copy(data):
+    # the second solve reads the kept twin and chain flags; a copy builds
+    # its own; one agent's general instance is refused each time alike
+    instance = data.draw(instances(kinds=data.draw(st.sampled_from(CLASS_KINDS))))
+    copy = Instance(tuple(tuple(row) for row in instance.costs))
+    first = outcome(solve_auto, instance)
+    assert outcome(solve_auto, instance) == first == outcome(solve_auto, copy)
+
+
+@pytest.mark.parametrize("kind", ["factored", "bivalued", "personalized_bivalued", "general"])
+def test_a_solved_instance_is_freed_without_the_cycle_collector(kind):
+    # the kept twin refers to no part of its instance, and no LiftingMap is
+    # kept, so reference counting alone frees both
+    gc.disable()
+    try:
+        instance = gen_instance(kind, 4, 12, seed=3)
+        solve_auto(instance)
+        to_ido(instance)
+        instance_ref, twin_ref = weakref.ref(instance), weakref.ref(instance.twin)
+        del instance
+        assert instance_ref() is None and twin_ref() is None
+    finally:
+        gc.enable()
 
 
 # ------------------------------------------------------ FFV checks

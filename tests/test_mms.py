@@ -414,6 +414,9 @@ def test_solve_ordinal_falls_back_to_the_exact_mms():
     res = solve_ordinal(inst)
     assert res.thresholds == res.mms_values == (14, 15, 13, 19)
     check_solution(inst, res, F(1))
+    # a second solve runs both rules on the kept twin, a copy on its own
+    assert solve_ordinal(inst) == res == solve_ordinal(Instance.from_rows(FALLBACK_ROWS))
+    assert to_ido(inst)[0] is ido
 
 
 @pytest.mark.parametrize("owners, message", [

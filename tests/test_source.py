@@ -235,6 +235,34 @@ def test_hffd_reads_the_stored_blocks():
     assert len(attribute_reads(source, "universal_ordering", "blocks")) == 1
 
 
+def callers_of(source: str, name: str) -> list[str]:
+    """Functions, by name, that call the function `name`, bare or as an
+    attribute. An enclosing function is named with the one it defines."""
+    return sorted({func.name for func in ast.walk(ast.parse(source))
+                   if isinstance(func, ast.FunctionDef)
+                   for node in ast.walk(func)
+                   if isinstance(node, ast.Call) and called_name(node) == name})
+
+
+def test_callers_of_are_found():
+    source = ("def whole(row):\n"
+              "    return row.chain\n"
+              "def outer(row, chores):\n"
+              "    def inner():\n"
+              "        return core.is_divisibility_chain(chores)\n"
+              "is_divisibility_chain([1, 2])\n")
+    assert callers_of(source, "is_divisibility_chain") == ["inner", "outer"]
+
+
+def test_only_subset_tests_call_the_chain_test_outside_core():
+    # a whole row's chain test is the row's kept flag (`CostRow.chain`, read
+    # through `CostRow.is_chain`); only a test on a subset of the chores runs it
+    callers = {path.name: callers_of(path.read_text(encoding="utf-8"), "is_divisibility_chain")
+               for path in MODULES if path.name != "core.py"}
+    assert {name: found for name, found in callers.items() if found} == {
+        "ffv.py": ["_exact_subset"], "mms.py": ["mms_factored"]}
+
+
 def test_swap_steps_are_built_only_when_read():
     # a swap appends an integer record; SwapTranscript.steps, the read path
     # of steps, dump() and equality, alone builds SwapSteps
