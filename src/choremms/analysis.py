@@ -264,7 +264,12 @@ def _mms_allocation_exists(instance: Instance, mus) -> bool:
 def search_bivalued_mms_existence(trials: int, seed: int, m_cap: int = 12) -> Instance | None:
     """Sample personalized bivalued instances of 2 to 4 agents and up to
     `m_cap` chores and brute-force whether an exact MMS allocation exists;
-    returns the first negative instance found (none is asserted to exist)."""
+    returns the first negative instance found (none is asserted to exist).
+    `m_cap` is an int of at least 4, since a trial may draw 4 agents."""
+    if isinstance(m_cap, bool) or not isinstance(m_cap, int):
+        raise BadParams(f"m_cap must be an int, not {type(m_cap).__name__}")
+    if m_cap < 4:
+        raise BadParams("need m_cap >= 4, the most agents a trial draws")
     if m_cap > 14:
         raise TooLarge("existence search is exponential; keep m_cap <= 14")
     rng = random.Random(("mms-existence", seed).__repr__())

@@ -183,11 +183,10 @@ def cmd_verify(args) -> int:
     lines, all_pass = [], True
     for i in range(instance.n):
         row = instance.cost(i)
-        cost, runs = bundle_cost(row, allocation.bundles[i]), row.runs(chores)
-        lower = mms.mms_lower_bound(row, chores, d, runs=runs)
-        bound, name = alpha * row.value(lower), "lower bound"
+        cost = bundle_cost(row, allocation.bundles[i])
+        bound, name = alpha * row.value(mms.mms_lower_bound(row, chores, d)), "lower bound"
         if cost > bound:
-            bound, name = alpha * mms.mms_value(row, chores, d, runs=runs), "mms"
+            bound, name = alpha * mms.mms_value(row, chores, d), "mms"
         ok = cost <= bound
         all_pass &= ok
         lines.append(f"agent {i}: cost {format_rational(cost)} "

@@ -14,6 +14,8 @@ once and kept (`CostRow.counts`). Every stage of a solve reads them:
 row out of them with the row's own `Fraction` objects and cuts the twin's
 blocks at their prefix sums, the threshold searches read the twin row's
 runs, and `LiftingMap.lift` walks each agent's weights cheapest first.
+`CostRow.runs` returns them for the one tuple of ids per m that
+`Instance.chores` shares, and counts any other spelling of the chores.
 
 What depends only on the instance is kept with it, computed on first
 use: each row's divisibility-chain test on its runs (`CostRow.chain`),
@@ -37,6 +39,8 @@ from typing import Iterable, Iterator, Sequence
 from .errors import BadParams, NotIDO
 
 LESS, EQUAL, GREATER = -1, 0, 1
+# m to the tuple of chore ids 0..m-1, filled only by `Instance.chores`
+_ALL_CHORES: dict[int, tuple[int, ...]] = {}
 
 
 def parse_rational(text: str) -> Fraction:
@@ -162,11 +166,13 @@ class CostRow(tuple):
         """The chores' weights, descending (their order in FFD)."""
         return sorted(map(self.weights.__getitem__, chores), reverse=True)
 
-    def runs(self, chores: Iterable[int]) -> list[tuple[int, int]]:
+    def runs(self, chores: Iterable[int]) -> tuple[tuple[int, int], ...]:
         """The chores' weights as (weight, count) runs, weight descending:
-        the run-length form of `profile`, built by counting the weights and
-        sorting only the distinct ones."""
-        return sorted(Counter(map(self.weights.__getitem__, chores)).items(), reverse=True)
+        the run-length form of `profile`. The kept `counts` for the tuple
+        `Instance.chores` shares, else counted, sorting only distinct weights."""
+        if chores is _ALL_CHORES.get(len(self)):
+            return self.counts
+        return tuple(sorted(Counter(map(self.weights.__getitem__, chores)).items(), reverse=True))
 
 
 @dataclass(frozen=True)
@@ -215,7 +221,12 @@ class Instance:
         return self.costs[agent]
 
     def chores(self) -> tuple[int, ...]:
-        return tuple(range(self.m))
+        """Ids 0..m-1: one tuple per m, shared by all instances (`CostRow.runs`)."""
+        chores = _ALL_CHORES.get(self.m)
+        if chores is None:
+            # setdefault is atomic: threads that race here all get the first tuple
+            chores = _ALL_CHORES.setdefault(self.m, tuple(range(self.m)))
+        return chores
 
     @cached_property
     def blocks(self) -> tuple[tuple[int, ...], tuple[int, ...]]:

@@ -123,17 +123,15 @@ class SwapTranscript:
 def _count_free(row: CostRow, all_chores: Iterable[int]
                 ) -> tuple[Sequence[tuple[int, int]], set[int]]:
     """The chores of a benchmark walk, counted: their weights as (weight,
-    count) runs, and their ids as a set. A chore listed twice raises
-    BadParams. A walk over every chore of the row, ids 0..m-1, reads the
-    row's kept runs (`CostRow.counts`). A reduction counts the chores once
-    for its cost test and both of its walks."""
-    chores = list(all_chores)
+    count) runs (`CostRow.runs`, the row's kept runs for `Instance.chores`),
+    and their ids as a set. A chore listed twice raises BadParams. A
+    reduction counts the chores once for its cost test and both of its
+    walks."""
+    chores = tuple(all_chores)
     ids = set(chores)
     if len(ids) < len(chores):
         raise BadParams("all_chores lists a chore twice")
-    if len(ids) == len(row) and ids.issuperset(range(len(row))):
-        return row.counts, ids
-    return row.runs(ids), ids
+    return row.runs(chores), ids
 
 
 def _first_off_benchmark(bundles: Sequence[Sequence[int]], row: CostRow,

@@ -17,6 +17,7 @@ from .packing import (hffd, ladder_bound, ladder_probe, multifit, smallest_fitti
 
 ORACLE_CAP = 14
 APPROX_RATIO = Fraction(15, 13)
+_Threshold = tuple[Fraction, Fraction | None]  # a rule's (threshold, mu or None)
 
 
 @dataclass(frozen=True)
@@ -59,7 +60,7 @@ def mms_brute(cost: Sequence[Fraction], chores: Iterable[int], d: int) -> MMSRes
     """
     if d < 1:
         raise BadParams("need at least one bundle")
-    chores = list(chores)
+    chores = tuple(chores)
     if len(chores) > ORACLE_CAP:
         raise TooLarge(f"brute-force oracle capped at m={ORACLE_CAP}, got {len(chores)}")
     if not chores:
@@ -118,17 +119,14 @@ def mms_brute(cost: Sequence[Fraction], chores: Iterable[int], d: int) -> MMSRes
     return MMSResult(row.value(best), tuple(tuple(sorted(b)) for b in bundles))
 
 
-def mms_lower_bound(row: CostRow, chores: Iterable[int], d: int, *,
-                    runs: Sequence[tuple[int, int]] | None = None) -> int:
+def mms_lower_bound(row: CostRow, chores: Iterable[int], d: int) -> int:
     """max(w0, ceil(total/d)) in the row's integer scale, w0 the largest
     weight of the chores and total their sum (0 with no chores). Some bundle
     of any d-partition holds w0, and some holds at least total/d, so the
-    bound is at most the MMS for d bundles. A caller that holds the chores'
-    `CostRow.runs` passes them as `runs`."""
+    bound is at most the MMS for d bundles."""
     if d < 1:
         raise BadParams("need at least one bundle")
-    if runs is None:
-        runs = row.runs(chores)
+    runs = row.runs(chores)
     total = sum(w * k for w, k in runs)
     return max(runs[0][0] if runs else 0, -(-total // d))
 
@@ -139,7 +137,7 @@ def mms_factored(cost: Sequence[Fraction], chores: Iterable[int], d: int) -> MMS
     FFD bins as the witness."""
     if d < 1:
         raise BadParams("need at least one bundle")
-    chores = list(chores)
+    chores = tuple(chores)
     row = CostRow.of(cost)
     if not is_divisibility_chain(map(row.weights.__getitem__, chores)):
         raise NotFactored("cost values do not form a divisibility chain")
@@ -148,43 +146,36 @@ def mms_factored(cost: Sequence[Fraction], chores: Iterable[int], d: int) -> MMS
     return MMSResult(value, witness + ((),) * (d - len(witness)))
 
 
-def mms_value(cost: Sequence[Fraction], chores: Iterable[int], d: int, *,
-              runs: Sequence[tuple[int, int]] | None = None) -> Fraction:
+def mms_value(cost: Sequence[Fraction], chores: Iterable[int], d: int) -> Fraction:
     """Exact MMS for d bundles: on a divisibility chain the smallest
     capacity at which first fit fills d bins (`smallest_fitting_cap`, as
     `min_success_threshold` gives it), `packing.two_valued_makespan` on the
     runs of two other costs, else `mms_brute`: the one choice of a row's
     exact MMS method. Both exact searches off the chain are capped at
-    ORACLE_CAP chores, with `mms_brute`'s errors. A caller that holds the
-    chores' `CostRow.runs` passes them as `runs`, and the chain is tested
-    once, on those runs; on the row's own `counts` it is read off the row
-    (`CostRow.is_chain`)."""
+    ORACLE_CAP chores, with `mms_brute`'s errors. The chain is tested once,
+    on the chores' runs; for all of the row's chores (`Instance.chores`) it
+    is read off the row (`CostRow.is_chain`)."""
     if d < 1:
         raise BadParams("need at least one bundle")
     row = CostRow.of(cost)
-    if runs is None:
-        chores = list(chores)
-        runs = row.runs(chores)
+    chores = tuple(chores)
+    runs = row.runs(chores)
     if row.is_chain(runs):
         return row.value(smallest_fitting_cap(runs, d))
-    chores = list(chores)
     if len(runs) == 2 and len(chores) <= ORACLE_CAP:
         return row.value(two_valued_makespan(runs, d))
     return mms_brute(row, chores, d).value
 
 
-def min_success_threshold(cost: Sequence[Fraction], chores: Iterable[int], n: int, *,
-                          runs: Sequence[tuple[int, int]] | None = None) -> Fraction:
+def min_success_threshold(cost: Sequence[Fraction], chores: Iterable[int], n: int) -> Fraction:
     """Minimal threshold at which FFD fills n bins (`smallest_fitting_cap`),
     with no witness packed. Supported for factored and bivalued costs, where
     FFD success is monotone in the threshold; for general costs use
-    multifit, which only guarantees a succeeding threshold. A caller that
-    holds the chores' `CostRow.runs` passes them as `runs`."""
+    multifit, which only guarantees a succeeding threshold."""
     if n < 1:
         raise BadParams("need at least one bin")
     row = CostRow.of(cost)
-    if runs is None:
-        runs = row.runs(chores)
+    runs = row.runs(chores)
     if not (len(runs) <= 2 or row.is_chain(runs)):
         raise UnsupportedClass("minimal threshold needs factored or bivalued costs; "
                                "use multifit for a succeeding (not necessarily minimal) "
@@ -222,19 +213,18 @@ def hffd_and_lift(ido: Instance, lifting: LiftingMap,
     return allocation, tuple(c for c in range(ido.m) if c not in held)
 
 
-def _solve(instance: Instance, algorithm: str,
-           *rules: Callable[..., tuple[Fraction, Fraction | None]]) -> SolveResult:
-    """The pipeline every solver shares. A rule `threshold_of(row, chores,
-    runs)` gives (threshold, mu or None) for each row of the IDO twin, whose
-    chores' runs are the twin row's `CostRow.counts`, the original row's.
-    HFFD runs at the first rule's thresholds, and at the next rule's
-    whenever it leaves chores; at the last rule's it must place them all.
-    Each agent's cost in the lifted allocation is checked against their
-    threshold."""
+def _solve(instance: Instance, algorithm: str, d: int,
+           *rules: Callable[[CostRow, Sequence[int], int], _Threshold]) -> SolveResult:
+    """The pipeline every solver shares. A rule `rule(row, chores, d)` gives
+    (threshold, mu or None) for each row of the IDO twin and all of its
+    chores (`Instance.chores`), whose runs the twin row keeps. HFFD runs at
+    the first rule's thresholds, and at the next rule's whenever it leaves
+    chores; at the last rule's it must place them all. Each agent's cost in
+    the lifted allocation is checked against their threshold."""
     ido, lifting = to_ido(instance)
     chores = ido.chores()
-    for threshold_of in rules:
-        thresholds, mus = zip(*(threshold_of(row, chores, row.counts) for row in ido.costs))
+    for rule in rules:
+        thresholds, mus = zip(*(rule(row, chores, d) for row in ido.costs))
         allocation, unallocated = hffd_and_lift(ido, lifting, thresholds)
         if not unallocated:
             break
@@ -251,27 +241,23 @@ def _solve(instance: Instance, algorithm: str,
     return SolveResult(allocation, costs, thresholds, mus, algorithm)
 
 
-def _mms_thresholds(d: int) -> Callable[..., tuple[Fraction, Fraction]]:
+def _mms_threshold(row: CostRow, chores: Sequence[int], d: int) -> _Threshold:
     """`_solve`'s threshold rule that gives each agent their MMS for d bundles."""
-    def threshold(row, chores, runs):
-        mu = mms_value(row, chores, d, runs=runs)
-        return mu, mu
-    return threshold
+    mu = mms_value(row, chores, d)
+    return mu, mu
 
 
-def _lower_bound_thresholds(d: int) -> Callable[..., tuple[Fraction, Fraction | None]]:
+def _lower_bound_threshold(row: CostRow, chores: Sequence[int], d: int) -> _Threshold:
     """`_solve`'s threshold rule that gives each agent the lower bound
     `mms_lower_bound` for d bundles, which is at most their MMS. The bound is
     their MMS, and is reported as mu, when it equals `ladder_bound` and one
     first-fit probe fills d bins there (`ladder_probe`). It is at least
     every chore's cost, so any agent's empty bin takes any chore and HFFD
     cannot deadlock at these thresholds."""
-    def threshold(row, chores, runs):
-        lower = mms_lower_bound(row, chores, d, runs=runs)
-        tau = row.value(lower)
-        bound, fits = ladder_probe(runs, d)
-        return tau, tau if fits and bound == lower else None
-    return threshold
+    lower = mms_lower_bound(row, chores, d)
+    tau = row.value(lower)
+    bound, fits = ladder_probe(row.runs(chores), d)
+    return tau, tau if fits and bound == lower else None
 
 
 def solve_factored(instance: Instance) -> SolveResult:
@@ -279,28 +265,26 @@ def solve_factored(instance: Instance) -> SolveResult:
     at most their maximin share), in polynomial time."""
     if not all(is_factored_costs(row) for row in instance.costs):
         raise NotFactored("every agent must have factored costs")
-    return _solve(instance, "factored", _mms_thresholds(instance.n))
+    return _solve(instance, "factored", instance.n, _mms_threshold)
 
 
-def _bivalued_thresholds(n: int) -> Callable[..., tuple[Fraction, Fraction | None]]:
+def _bivalued_threshold(row: CostRow, chores: Sequence[int], n: int) -> _Threshold:
     """`_solve`'s threshold rule for a personalized bivalued agent: on at
     most ORACLE_CAP chores (15/13)·mu, with mu the exact MMS from
     `mms_value`; on more, the minimal FFD-success threshold, which the
     15/13 bound guarantees is no larger."""
-    def threshold(row, chores, runs):
-        if len(chores) > ORACLE_CAP:
-            return min_success_threshold(row, chores, n, runs=runs), None
-        mu = mms_value(row, chores, n, runs=runs)
-        return APPROX_RATIO * mu, mu
-    return threshold
+    if len(chores) > ORACLE_CAP:
+        return min_success_threshold(row, chores, n), None
+    mu = mms_value(row, chores, n)
+    return APPROX_RATIO * mu, mu
 
 
 def solve_bivalued(instance: Instance) -> SolveResult:
     """15/13-MMS allocation for a personalized bivalued instance, at the
-    thresholds of `_bivalued_thresholds`."""
+    thresholds of `_bivalued_threshold`."""
     if not all(is_bivalued_costs(row) for row in instance.costs):
         raise NotBivalued("every agent must have at most two distinct cost values")
-    return _solve(instance, "bivalued", _bivalued_thresholds(instance.n))
+    return _solve(instance, "bivalued", instance.n, _bivalued_threshold)
 
 
 def solve_ordinal(instance: Instance) -> SolveResult:
@@ -316,18 +300,18 @@ def solve_ordinal(instance: Instance) -> SolveResult:
     was used and first fit does not show it to be the MMS."""
     if instance.n < 2:
         raise BadParams("the ordinal solver needs at least two agents")
-    d = 9 * instance.n // 11
-    return _solve(instance, "ordinal", _lower_bound_thresholds(d), _mms_thresholds(d))
+    return _solve(instance, "ordinal", 9 * instance.n // 11,
+                  _lower_bound_threshold, _mms_threshold)
 
 
 def solve_auto(instance: Instance) -> SolveResult:
     """Dispatch on the instance class; factored wins over bivalued because
-    its guarantee (exact MMS) is stronger. The rows are classified once, so
-    the factored and bivalued pipelines run without the class checks of
-    `solve_factored` and `solve_bivalued`."""
+    its guarantee (exact MMS) is stronger. `classify` keeps each row's
+    chain flag and runs, so the class check of `solve_factored` or
+    `solve_bivalued` reads them and tests no row again."""
     cls = classify(instance)
     if cls.is_factored:
-        return _solve(instance, "factored", _mms_thresholds(instance.n))
+        return solve_factored(instance)
     if cls.is_personalized_bivalued:
-        return _solve(instance, "bivalued", _bivalued_thresholds(instance.n))
+        return solve_bivalued(instance)
     return solve_ordinal(instance)

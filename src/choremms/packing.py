@@ -277,7 +277,7 @@ def multifit(chores: Iterable[int], cost: Sequence[Fraction], n: int) -> tuple[F
     """
     if n < 1:
         raise BadParams("need at least one bin")
-    chores = list(chores)
+    chores = tuple(chores)
     if not chores:
         return Fraction(0), PackOutcome(Allocation.of([]), ())
     row = CostRow.of(cost)

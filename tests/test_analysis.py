@@ -253,3 +253,18 @@ def test_search_bivalued_mms_existence_small_run():
 def test_search_bivalued_mms_existence_caps_size():
     with pytest.raises(TooLarge):
         search_bivalued_mms_existence(trials=1, seed=0, m_cap=20)
+
+
+@pytest.mark.parametrize("m_cap, message", [
+    (1, "^need m_cap >= 4, the most agents a trial draws$"),
+    (3, "^need m_cap >= 4, the most agents a trial draws$"),
+    (-5, "^need m_cap >= 4, the most agents a trial draws$"),
+    (True, "^m_cap must be an int, not bool$"),
+    (2.5, "^m_cap must be an int, not float$"),
+])
+def test_search_bivalued_mms_existence_needs_room_for_every_agent(m_cap, message):
+    # a trial draws up to 4 agents and at least as many chores, so a cap
+    # below 4 is refused up front, also with no trials to run
+    for trials in (0, 1):
+        with pytest.raises(BadParams, match=message):
+            search_bivalued_mms_existence(trials=trials, seed=0, m_cap=m_cap)

@@ -3,12 +3,13 @@ import os
 import pathlib
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 
 import choremms
-from choremms import analysis, cli, io, mms
+from choremms import analysis, cli, core, io, mms
 from choremms.cli import main
 from choremms.core import Instance, bundle_cost, format_rational, to_ido
 from choremms.errors import BadParams, EmptyBinDeadlock, NotFactored, TooLarge
@@ -296,6 +297,27 @@ def test_verify_names_the_bound_each_agent_is_held_to(tmp_path, capsys):
         "agent 0: cost 9 bound 8 (mms) FAIL",
         "agent 1: cost 0 bound 20/3 (lower bound) pass",
     ]
+
+
+def test_verify_counts_each_row_once(tmp_path, capsys, monkeypatch):
+    # chores of cost 5 4 3 into d = 2 bundles: LB = 6 and MMS = 7, so agent
+    # 0, at cost 7, needs the branch-and-bound MMS, which reads the runs the
+    # row kept for its lower bound rather than counting them again
+    counted = []
+
+    def counting(*args):
+        counted.append(args)
+        return Counter(*args)
+    monkeypatch.setattr(core, "Counter", counting)
+    inst_path = write_instance(tmp_path, Instance.from_rows([[5, 4, 3], [3, 4, 5]]))
+    alloc_path = tmp_path / "alloc.txt"
+    alloc_path.write_text("agent 0: 1 2\nagent 1: 0\n")
+    assert main(["verify", inst_path, str(alloc_path), "--mode", "mms"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "agent 0: cost 7 bound 7 (mms) pass",
+        "agent 1: cost 3 bound 6 (lower bound) pass",
+    ]
+    assert len(counted) == 2
 
 
 def test_solve_hffd_failing_threshold_reports_unpacked_bins(tmp_path, capsys):

@@ -13,23 +13,25 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from choremms import core
 from choremms.analysis import gen_instance, subset_sums
 from choremms.core import (Allocation, CostRow, Instance, LiftingMap, classify, ido_blocks,
                            is_bivalued_costs, is_factored_costs, to_ido, universal_ordering)
 from choremms.errors import (BadParams, ChoreMMSError, EmptyBinDeadlock, InvariantViolation,
-                             ParseError, PreconditionViolation)
+                             ParseError, PreconditionViolation, UnsupportedClass)
 from choremms.ffv import (SwapTranscript, _check_ffd_output, _count_free, _find_donor, _Worker,
                           is_ffv, reduce_bivalued, reduce_factored, transform_mms_to_ffd)
 from choremms.io import format_instance, parse_instance
 from choremms.mms import (hffd_and_lift, min_success_threshold, mms_brute, mms_factored,
-                          solve_auto, solve_ordinal)
+                          mms_lower_bound, mms_value, solve_auto, solve_ordinal)
 from choremms.packing import ffd, hffd, ladder_bound, multifit, two_valued_makespan
-from helpers import (_ref_check_ffd_output, certify_case, ffd_first_bin, find_exact_subset,
-                     lex_compare, perturb_to_ffv, ref_benchmark_bundle, ref_ffd, ref_find_exact_subset,
-                     ref_hffd, ref_is_bivalued_costs, ref_is_factored_costs, ref_is_ffv,
-                     ref_lex_compare, ref_lift, ref_min_success_threshold, ref_mms_brute,
-                     ref_multifit, ref_parse_instance, ref_reduce_bivalued, ref_reduce_factored, ref_to_ido,
-                     ref_transform_mms_to_ffd, ref_universal_ordering, run_length)
+from helpers import (_ref_check_ffd_output, brute_min_makespan, certify_case, ffd_first_bin,
+                    find_exact_subset, lex_compare, perturb_to_ffv, ref_benchmark_bundle, ref_ffd,
+                    ref_find_exact_subset, ref_hffd, ref_is_bivalued_costs, ref_is_factored_costs,
+                    ref_is_ffv, ref_lex_compare, ref_lift, ref_min_success_threshold,
+                    ref_mms_brute, ref_multifit, ref_parse_instance, ref_reduce_bivalued,
+                    ref_reduce_factored, ref_to_ido, ref_transform_mms_to_ffd,
+                    ref_universal_ordering, run_length)
 
 SETTINGS = settings(max_examples=300, deadline=None)
 
@@ -150,8 +152,68 @@ def test_runs_are_the_run_length_profile(data):
     # from chores outside the subset
     row, chores = data.draw(row_and_chores(40))
     row = CostRow.of(row)
-    assert row.runs(chores) == run_length(row.profile(chores))
-    assert row.runs([]) == []
+    assert row.runs(chores) == tuple(run_length(row.profile(chores)))
+    assert row.runs([]) == ()
+
+
+@SETTINGS
+@given(st.data())
+def test_runs_of_all_the_chores_are_the_kept_runs(data):
+    # every class, no chores and one agent included: `Instance.chores` is
+    # one tuple per m, for which `CostRow.runs` gives the kept runs, and any
+    # other spelling of the same chores gives equal runs, counted
+    inst = data.draw(instances(max_m=12, kinds=data.draw(st.sampled_from(CLASS_KINDS))))
+    chores = inst.chores()
+    assert inst.chores() is chores is Instance(((F(1),) * inst.m,)).chores()
+    shuffled = tuple(data.draw(st.permutations(chores)))
+    for row in inst.costs:
+        assert row.runs(chores) is row.counts
+        for spelling in (list(chores), range(inst.m), iter(chores), shuffled):
+            assert row.runs(spelling) == row.counts
+
+
+@SETTINGS
+@given(st.data())
+def test_counted_runs_share_no_tuple_of_chores(data):
+    # only `Instance.chores` adds a shared tuple, whatever a row is asked
+    row, chores = data.draw(row_and_chores(40))
+    row = CostRow.of(row)
+    shared = dict(core._ALL_CHORES)
+    for spelling in (list(chores), tuple(chores), iter(chores), range(len(row)),
+                     list(range(len(row))), tuple(range(len(row)))):
+        row.runs(spelling)
+    assert core._ALL_CHORES == shared
+
+
+@SETTINGS
+@given(st.data())
+def test_threshold_searches_agree_across_spellings_of_the_chores(data):
+    # the shared tuple (the kept runs) and every other spelling (counted)
+    # give the same bound, MMS and minimal threshold, the oracles' values
+    inst = data.draw(instances(max_n=3, max_m=6, kinds=data.draw(st.sampled_from(CLASS_KINDS))))
+    d = data.draw(st.integers(1, 3))
+    chores = inst.chores()
+    shuffled = tuple(data.draw(st.permutations(chores)))
+    spellings = (lambda: list(chores), lambda: range(inst.m), lambda: iter(chores),
+                 lambda: shuffled)
+    for row in inst.costs:
+        lower = mms_lower_bound(row, chores, d)
+        weights = row.weights
+        assert lower == max(max(weights, default=0), -(-sum(weights) // d))
+        mu = mms_value(row, chores, d)
+        assert mu == brute_min_makespan(row, chores, d) >= row.value(lower)
+        minimal = ref_is_factored_costs(row) or ref_is_bivalued_costs(row)
+        if minimal:
+            threshold = min_success_threshold(row, chores, d)
+            assert threshold == ref_min_success_threshold(row, chores, d)
+        for spelling in spellings:
+            assert mms_lower_bound(row, spelling(), d) == lower
+            assert mms_value(row, spelling(), d) == mu
+            if minimal:
+                assert min_success_threshold(row, spelling(), d) == threshold
+            else:
+                with pytest.raises(UnsupportedClass):
+                    min_success_threshold(row, spelling(), d)
 
 
 @SETTINGS

@@ -1,5 +1,6 @@
 import functools
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -145,9 +146,6 @@ def test_mms_value_counts_the_chores_once(monkeypatch):
     row = inst.cost(0)
     assert mms_value(row, inst.chores(), 4) == min_success_threshold(row, inst.chores(), 4)
     assert len(calls) == 2
-    assert min_success_threshold(row, inst.chores(), 4, runs=runs(row, inst.chores())) == \
-        mms_value(row, inst.chores(), 4)
-    assert len(calls) == 3
 
 
 @pytest.mark.parametrize("cost, chores, d", [
@@ -160,8 +158,7 @@ def test_mms_value_counts_the_chores_once(monkeypatch):
 def test_mms_value_on_a_chain_is_the_minimal_ffd_threshold(cost, chores, d):
     want = min_success_threshold(cost, chores, d)
     assert mms_value(cost, chores, d) == want
-    row = CostRow.of(cost)
-    assert mms_value(cost, iter(chores), d, runs=row.runs(chores)) == want
+    assert mms_value(cost, iter(chores), d) == want
     if chores:
         assert want == brute_min_makespan(cost, chores, d)
 
@@ -177,8 +174,6 @@ def test_mms_value_needs_one_bundle_on_every_row(cost, chores):
     for d in (0, -1):
         with pytest.raises(BadParams, match="^need at least one bundle$"):
             mms_value(cost, chores, d)
-        with pytest.raises(BadParams, match="^need at least one bundle$"):
-            mms_value(cost, chores, d, runs=CostRow.of(cost).runs(chores))
 
 
 def test_a_factored_solve_reads_the_stage_before_it(monkeypatch):
@@ -290,24 +285,26 @@ def test_solve_bivalued_lower_bound_instance():
 
 
 def test_bivalued_solve_counts_no_runs_and_runs_no_brute_force(monkeypatch):
-    # at m <= 14 mu comes from the twin row's runs through
-    # `packing.two_valued_makespan`: no recount, no branch-and-bound
+    # at m <= 14 mu comes from the twin row's kept runs through
+    # `packing.two_valued_makespan`: each row is counted once, for the runs
+    # it keeps, none again, and no branch-and-bound runs
     inst = gen_instance("personalized_bivalued", 6, 12, seed=3)
-    expected = [mms_brute(row, inst.chores(), 6).value for row in inst.costs]
+    expected = [mms_brute(row, inst.chores(), 6).value
+                for row in gen_instance("personalized_bivalued", 6, 12, seed=3).costs]
     counted, searched = [], []
-    runs, brute = CostRow.runs, mms.mms_brute
+    brute = mms.mms_brute
 
-    def counting(row, chores):
-        counted.append(chores)
-        return runs(row, chores)
+    def counting(*args):
+        counted.append(args)
+        return Counter(*args)
 
     def searching(*args):
         searched.append(args)
         return brute(*args)
-    monkeypatch.setattr(CostRow, "runs", counting)
+    monkeypatch.setattr(core, "Counter", counting)
     monkeypatch.setattr(mms, "mms_brute", searching)
     res = solve_auto(inst)
-    assert (counted, searched) == ([], [])
+    assert (len(counted), searched) == (inst.n, [])
     assert res.algorithm == "bivalued"
     assert list(res.mms_values) == expected
     assert list(res.thresholds) == [APPROX_RATIO * mu for mu in expected]
@@ -329,35 +326,36 @@ def test_solve_ordinal_guarantee():
 @pytest.mark.parametrize("kind", ["factored", "bivalued", "personalized_bivalued", "general"])
 @pytest.mark.parametrize("n,m", [(10, 100), (30, 300)])
 def test_solve_hands_each_rule_the_runs_of_the_original_row(kind, n, m, monkeypatch):
-    # _solve hands each rule the twin row's runs, the original row's
-    # `CostRow.counts`; the rules count no chore ids, and the result is the
-    # one they get from counting
+    # _solve hands each rule all of the twin row's chores, the tuple that
+    # `Instance.chores` shares, whose runs the twin row keeps: the original
+    # row's `CostRow.counts`. A cold solve counts each original row once and
+    # no row again, and its result is the one the rules get from counting
     instance = gen_instance(kind, n, m, seed=6)
     solve, runs = mms._solve, CostRow.runs
     handed, counted = [], []
 
-    def solve_with(rule_runs):
-        def patched(instance, algorithm, *rules):
-            def recorded(rule):
-                def threshold(row, chores, twin_runs):
-                    handed.append((chores, twin_runs))
-                    return rule(row, chores, rule_runs(row, chores, twin_runs))
-                return threshold
-            return solve(instance, algorithm, *map(recorded, rules))
-        monkeypatch.setattr(mms, "_solve", patched)
-        return solve_auto(instance)
+    def recording(instance, algorithm, d, *rules):
+        def recorded(rule):
+            def threshold(row, chores, d):
+                handed.append((row, chores))
+                return rule(row, chores, d)
+            return threshold
+        return solve(instance, algorithm, d, *map(recorded, rules))
 
-    def counting(row, chores):
-        counted.append(chores)
-        return runs(row, chores)
-    monkeypatch.setattr(CostRow, "runs", counting)
-    result = solve_with(lambda row, chores, twin_runs: twin_runs)
-    assert counted == []
+    def counting(*args):
+        counted.append(args)
+        return Counter(*args)
+    monkeypatch.setattr(mms, "_solve", recording)
+    monkeypatch.setattr(core, "Counter", counting)
+    result = solve_auto(instance)
+    assert len(counted) == n
     assert len(handed) % n == 0 and handed
-    for k, (chores, twin_runs) in enumerate(handed):
-        assert chores == instance.chores()
-        assert list(twin_runs) == runs(instance.cost(k % n), chores)
-    reference = solve_with(lambda row, chores, twin_runs: runs(row, chores))
+    for k, (row, chores) in enumerate(handed):
+        assert chores is instance.chores()
+        assert row.runs(chores) is instance.cost(k % n).counts
+    # every spelling but the shared tuple is counted
+    monkeypatch.setattr(CostRow, "runs", lambda row, chores: runs(row, list(chores)))
+    reference = solve_auto(instance)
     assert (result.thresholds, result.mms_values, result.allocation.bundles) == \
         (reference.thresholds, reference.mms_values, reference.allocation.bundles)
 
@@ -462,6 +460,39 @@ def test_solve_auto_dispatch():
     assert solve_auto(bivalued).algorithm == "bivalued"
     general = Instance.from_rows([[7, 5, 3], [3, 5, 7]])
     assert solve_auto(general).algorithm == "ordinal"
+
+
+@pytest.mark.parametrize("kind, solver", [
+    ("factored", "solve_factored"), ("bivalued", "solve_bivalued"),
+    ("personalized_bivalued", "solve_bivalued"), ("general", "solve_ordinal")])
+def test_solve_auto_runs_the_named_solver_of_each_class(kind, solver, monkeypatch):
+    # solve_auto enters the named solver, whose class check reads the flags
+    # `classify` kept: a cold solve counts each row and tests its chain at
+    # most once, and the twin rows take both from the original rows
+    instance = gen_instance(kind, 6, 40, seed=3)
+    entered, counted, chain_tests = [], [], []
+    chain = core.is_divisibility_chain
+    solvers = {name: getattr(mms, name)
+               for name in ("solve_factored", "solve_bivalued", "solve_ordinal")}
+    for name, solve in solvers.items():
+        def entering(instance, name=name, solve=solve):
+            entered.append(name)
+            return solve(instance)
+        monkeypatch.setattr(mms, name, entering)
+
+    def counting(*args):
+        counted.append(args)
+        return Counter(*args)
+
+    def testing(weights):
+        chain_tests.append(weights)
+        return chain(weights)
+    monkeypatch.setattr(core, "Counter", counting)
+    monkeypatch.setattr(core, "is_divisibility_chain", testing)
+    result = solve_auto(instance)
+    assert entered == [solver]
+    assert len(counted) == instance.n and len(chain_tests) <= instance.n
+    assert result == solvers[solver](gen_instance(kind, 6, 40, seed=3))
 
 
 @pytest.mark.parametrize("solve", [solve_factored, solve_bivalued, solve_ordinal])

@@ -263,6 +263,17 @@ def test_only_subset_tests_call_the_chain_test_outside_core():
         "ffv.py": ["_exact_subset"], "mms.py": ["mms_factored"]}
 
 
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "core.py"],
+                         ids=lambda p: p.name)
+def test_only_core_reads_the_kept_runs(path):
+    # `CostRow.runs` alone decides when chores are all of a row's chores, so
+    # it alone reads the kept runs (`CostRow.counts`) for them
+    reads = [f"line {node.lineno}: .counts"
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Attribute) and node.attr == "counts"]
+    assert reads == []
+
+
 def test_swap_steps_are_built_only_when_read():
     # a swap appends an integer record; SwapTranscript.steps, the read path
     # of steps, dump() and equality, alone builds SwapSteps
