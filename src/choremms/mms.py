@@ -147,36 +147,41 @@ def mms_factored(cost: Sequence[Fraction], chores: Iterable[int], d: int) -> MMS
 
 
 def mms_value(cost: Sequence[Fraction], chores: Iterable[int], d: int) -> Fraction:
-    """Exact MMS for d bundles: on a divisibility chain the smallest
-    capacity at which first fit fills d bins (`smallest_fitting_cap`, as
-    `min_success_threshold` gives it), `packing.two_valued_makespan` on the
-    runs of two other costs, else `mms_brute`: the one choice of a row's
-    exact MMS method. Both exact searches off the chain are capped at
-    ORACLE_CAP chores, with `mms_brute`'s errors. The chain is tested once,
-    on the chores' runs; for all of the row's chores (`Instance.chores`) it
-    is read off the row (`CostRow.is_chain`)."""
+    """Exact MMS for d bundles: on a divisibility chain `ladder_bound`,
+    which no partition beats and at which first fit fills d bins, so it is
+    read with no probe (as `min_success_threshold` gives it),
+    `packing.two_valued_makespan` on the runs of two other costs, else
+    `mms_brute`: the one choice of a row's exact MMS method. Both exact
+    searches off the chain are capped at ORACLE_CAP chores, with
+    `mms_brute`'s errors. The chain is tested once, on the chores' runs;
+    for all of the row's chores (`Instance.chores`) it is read off the row
+    (`CostRow.is_chain`)."""
     if d < 1:
         raise BadParams("need at least one bundle")
     row = CostRow.of(cost)
     chores = tuple(chores)
     runs = row.runs(chores)
     if row.is_chain(runs):
-        return row.value(smallest_fitting_cap(runs, d))
+        return row.value(ladder_bound(runs, d))
     if len(runs) == 2 and len(chores) <= ORACLE_CAP:
         return row.value(two_valued_makespan(runs, d))
     return mms_brute(row, chores, d).value
 
 
 def min_success_threshold(cost: Sequence[Fraction], chores: Iterable[int], n: int) -> Fraction:
-    """Minimal threshold at which FFD fills n bins (`smallest_fitting_cap`),
-    with no witness packed. Supported for factored and bivalued costs, where
-    FFD success is monotone in the threshold; for general costs use
-    multifit, which only guarantees a succeeding threshold."""
+    """Minimal threshold at which FFD fills n bins, with no witness packed.
+    On a divisibility chain that is `ladder_bound`, read with no probe; on
+    two other costs `smallest_fitting_cap` searches for it. Supported for
+    factored and bivalued costs, where FFD success is monotone in the
+    threshold; for general costs use multifit, which only guarantees a
+    succeeding threshold."""
     if n < 1:
         raise BadParams("need at least one bin")
     row = CostRow.of(cost)
     runs = row.runs(chores)
-    if not (len(runs) <= 2 or row.is_chain(runs)):
+    if row.is_chain(runs):
+        return row.value(ladder_bound(runs, n))
+    if len(runs) > 2:
         raise UnsupportedClass("minimal threshold needs factored or bivalued costs; "
                                "use multifit for a succeeding (not necessarily minimal) "
                                "threshold")

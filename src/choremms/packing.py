@@ -10,11 +10,13 @@ its chores, with threshold tau becoming the integer capacity floor(tau * D).
 and for `ffv`, and `first_fit_bins` the one statement of FFD's bin loop
 over it, for `ffd` and for `ffv`'s transform. `first_fit_places_all`,
 which keeps every bin open and opens full bins in bulk, and `hffd`, which
-fills a bin for many agents, keep their own loops.
+fills a bin for many agents from one list of their rooms, keep their own
+loops.
 
 Every threshold search starts at `ladder_bound`, a lower bound on the
 makespan of any partition into d bins that is exact on a divisibility
-chain, where first fit is optimal (Coffman, Garey & Johnson 1987):
+chain, where first fit is optimal (Coffman, Garey & Johnson 1987), so
+`mms` reads a chain's MMS off it with no probe. On other rows
 `ladder_probe` tries first fit there once, and `smallest_fitting_cap`
 bisects the capacities above it only when that probe fails. On at most two
 distinct weights `two_valued_makespan` gives the exact makespan, the MMS,
@@ -299,7 +301,11 @@ def hffd(instance: Instance, thresholds: Sequence[Fraction]) -> PackOutcome:
     `to_ido` sets for a twin), chores that cost every agent the same: the
     bin takes a block's next t copies in one step, t the most that some
     agent left still has room for, which are the copies that join one by
-    one, and keeps the agents that fit all t of them.
+    one, and keeps the agents that fit all t of them. A lone chore is a
+    block with t = 1. Each bin keeps one list of rooms, indexed by agent,
+    and the ids of the agents it still fits; a block costs two plain loops
+    over those ids, one for t, which stops once t reaches the block's size,
+    and one that lowers the rooms of the agents kept.
     """
     if len(thresholds) != instance.n:
         raise BadParams("need one threshold per agent")
@@ -316,35 +322,41 @@ def hffd(instance: Instance, thresholds: Sequence[Fraction]) -> PackOutcome:
     bins: list[tuple[int, ...]] = []
     owners: list[int] = []
     while blocks and pool:
-        # (room, row, agent) of each agent the open bin still fits, agents
-        # ascending: a chore that joins drops the agents it does not fit,
-        # which can take no later chore since their rooms only shrink
-        fits = [(caps[i], rows[i], i) for i in pool]
+        # each agent's room in the open bin, and the agents the bin still
+        # fits, ascending: a chore that joins drops the agents it does not
+        # fit, which can take no later chore since their rooms only shrink
+        rooms = caps[:]
+        fits = pool[:]
         bin_chores: list[int] = []
         left: list[tuple[int, int]] = []
         for block in blocks:
             p, end = block
             c = order[p]
-            if end - p == 1:  # a lone chore: one pass, no count of copies
-                kept = [(room - row[c], row, i) for room, row, i in fits if row[c] <= room]
-                if kept:
-                    bin_chores.append(c)
-                    fits = kept
-                else:
-                    left.append(block)
-                continue
-            kept = [(room, row, i) for room, row, i in fits if row[c] <= room]
-            if not kept:
+            size = end - p
+            t = 0
+            for i in fits:
+                k = rooms[i] // rows[i][c]
+                if k > t:
+                    t = k
+                    if t >= size:  # t is capped at the block's size
+                        t = size
+                        break
+            if not t:  # no agent has room for one copy
                 left.append(block)
                 continue
-            t = min(end - p, max([room // row[c] for room, row, _ in kept]))
-            bin_chores.extend(order[p:p + t])
-            fits = [(room - t * row[c], row, i) for room, row, i in kept if t * row[c] <= room]
-            if p + t < end:
+            kept: list[int] = []
+            for i in fits:
+                w = t * rows[i][c]
+                if w <= rooms[i]:
+                    rooms[i] -= w
+                    kept.append(i)
+            fits = kept
+            bin_chores += order[p:p + t]
+            if t < size:
                 left.append((p + t, end))
         if not bin_chores:
             raise EmptyBinDeadlock(order[blocks[0][0]])
-        owner = fits[0][2]
+        owner = fits[0]
         blocks = left
         bins.append(tuple(bin_chores))
         owners.append(owner)

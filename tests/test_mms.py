@@ -177,10 +177,11 @@ def test_mms_value_needs_one_bundle_on_every_row(cost, chores):
 
 
 def test_a_factored_solve_reads_the_stage_before_it(monkeypatch):
-    # the thresholds come from one first-fit search per agent on the twin
-    # row's runs, with no second class check, and HFFD's bins, one per
-    # agent, are lifted without a merge
-    calls = {"min_success_threshold": 0, "smallest_fitting_cap": 0, "per_agent": 0}
+    # the thresholds are read off each twin row's runs, one ladder bound
+    # per agent and no first-fit search, with no second class check, and
+    # HFFD's bins, one per agent, are lifted without a merge
+    calls = {"min_success_threshold": 0, "smallest_fitting_cap": 0, "ladder_bound": 0,
+             "per_agent": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -191,6 +192,7 @@ def test_a_factored_solve_reads_the_stage_before_it(monkeypatch):
                         counted("min_success_threshold", min_success_threshold))
     monkeypatch.setattr(mms, "smallest_fitting_cap",
                         counted("smallest_fitting_cap", packing.smallest_fitting_cap))
+    monkeypatch.setattr(mms, "ladder_bound", counted("ladder_bound", packing.ladder_bound))
     monkeypatch.setattr(core.Allocation, "per_agent",
                         counted("per_agent", core.Allocation.per_agent))
     for seed in range(3):
@@ -199,8 +201,12 @@ def test_a_factored_solve_reads_the_stage_before_it(monkeypatch):
         result = solve_auto(instance)
         assert result.algorithm == "factored"
         assert result.allocation.is_complete(instance.m)
-        assert calls == {"min_success_threshold": 0, "smallest_fitting_cap": instance.n,
-                         "per_agent": 0}
+        assert calls == {"min_success_threshold": 0, "smallest_fitting_cap": 0,
+                         "ladder_bound": instance.n, "per_agent": 0}
+        ido, _ = to_ido(instance)
+        assert result.thresholds == result.mms_values == tuple(
+            row.value(packing.smallest_fitting_cap(row.counts, instance.n))
+            for row in ido.costs)
 
 
 # --------------------------------------------- min_success_threshold

@@ -10,12 +10,12 @@ from choremms.analysis import gen_instance, subset_sums
 from choremms.core import EQUAL, CostRow, Instance, bundle_cost, to_ido
 from choremms.errors import BadParams, EmptyBinDeadlock
 from choremms.ffv import is_ffv
-from choremms.mms import mms_brute, solve_auto
+from choremms.mms import min_success_threshold, mms_brute, mms_value, solve_auto
 from choremms.packing import (ffd, first_fit_bins, first_fit_places_all, hffd, ladder_bound,
                               ladder_probe, multifit, smallest_fitting_cap)
 from helpers import (brute_min_makespan, lex_compare, random_rationals, ref_benchmark_bundle,
-                     ref_ffd, ref_first_fit_places_all, ref_hffd, ref_ladder_bound, ref_multifit,
-                     ref_smallest_fitting_cap, run_length)
+                     ref_ffd, ref_first_fit_places_all, ref_hffd, ref_ladder_bound, ref_mms_brute,
+                     ref_multifit, ref_smallest_fitting_cap, run_length)
 
 LOWER_BOUND_COSTS = tuple(F(x) for x in [4, 4, 4] + [3] * 9)
 
@@ -199,13 +199,19 @@ def test_per_agent_probes_match_per_weight_bisection(kind, monkeypatch):
         assert (cap, len(calls)) == ref_smallest_fitting_cap(weights, instance.n)
 
 
-def test_factored_solve_probes_once_per_agent(monkeypatch):
+def test_factored_solve_makes_no_probe(monkeypatch):
     # every row of a factored instance is a divisibility chain, where the
-    # first probe, at the ladder bound, succeeds
+    # ladder bound is the smallest fitting capacity, so no probe is needed
     instance = gen_instance("factored", 10, 100, seed=3)
     calls = count_probes(monkeypatch)
-    solve_auto(instance)
-    assert len(calls) == instance.n
+    result = solve_auto(instance)
+    assert calls == []
+    assert result.algorithm == "factored"
+    assert result.allocation.is_complete(instance.m)
+    ido, _ = to_ido(instance)
+    assert result.thresholds == tuple(
+        row.value(ref_smallest_fitting_cap(row.profile(ido.chores()), instance.n)[0])
+        for row in ido.costs)
 
 
 # ------------------------------------------------------------ ladder bound
@@ -258,6 +264,44 @@ def test_ladder_bound_is_the_fitting_cap_on_a_chain(weights, bins):
     assert (cap, len(calls)) == ref_smallest_fitting_cap(weights, bins) == \
         (ladder_bound(runs, bins), 1)
     assert ladder_probe(runs, bins) == (cap, True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_a_chain_row_reads_its_mms_off_the_ladder_bound(data):
+    # the ids are shuffled, so the row is not already descending; the
+    # chores are given as the shared tuple of all of them, whose runs the
+    # row keeps, and as a list, whose runs are counted
+    weights = data.draw(chain_weights(14) | chain_weights())
+    cost = tuple(map(F, data.draw(st.permutations(weights))))
+    d = data.draw(st.integers(1, 12))
+    instance = Instance((cost,))
+    want = F(ref_smallest_fitting_cap(weights, d)[0])
+    for chores in (instance.chores(), list(range(len(cost)))):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            calls = count_probes(monkeypatch)
+            got = (mms_value(instance.cost(0), chores, d),
+                   min_success_threshold(instance.cost(0), chores, d))
+        assert got == (want, want)
+        assert calls == []
+    if len(weights) <= 14:
+        assert want == ref_mms_brute(cost, range(len(cost)), d).value
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_two_values_off_a_chain_still_probe(data):
+    b = data.draw(st.integers(2, 20))
+    a = data.draw(st.integers(b + 1, 60).filter(lambda a: a % b))
+    weights = [a] * data.draw(st.integers(1, 100)) + [b] * data.draw(st.integers(1, 100))
+    cost = tuple(map(F, data.draw(st.permutations(weights))))
+    d = data.draw(st.integers(1, 12))
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        calls = count_probes(monkeypatch)
+        got = min_success_threshold(cost, range(len(cost)), d)
+    cap, probes = ref_smallest_fitting_cap(weights, d)
+    assert (got, len(calls)) == (F(cap), probes)
+    assert calls
 
 
 # ---------------------------------------------------------------- multifit
@@ -355,6 +399,44 @@ def test_hffd_splits_a_block_across_bins():
     assert out.bundles == ((0, 1, 2, 3), (4,))
     assert out.allocation.agents == (1, 0)
     assert out == ref_hffd(inst, [F(10), F(10)])
+
+
+def outcome_fields(pack, instance, taus):
+    """The bins, owners, chores left and success of a packing, or the chore
+    of its deadlock."""
+    try:
+        out = pack(instance, taus)
+    except EmptyBinDeadlock as exc:
+        return "deadlock", exc.chore
+    return out.bundles, out.allocation.agents, out.unallocated, out.succeeded
+
+
+HFFD_EDGE_CASES = {
+    # room for two copies of the lone chore 0, then for all of the block
+    # 1-2 and for one copy of the block 3-4
+    "one agent": ([[5, 3, 3, 1, 1]], [F(12)], (((0, 1, 2, 3),), (0,), (4,), False)),
+    # every tie goes to the lowest index left
+    "identical rows": ([[4, 3, 3, 2, 2, 1]] * 3, [F(5)] * 3,
+                       (((0, 5), (1, 3), (2, 4)), (0, 1, 2), (), True)),
+    # agent 0's capacity floor(2/3) is 0 in the scale 2 of their row
+    "caps of 0": ([[F(3, 2), F(1, 2), F(1, 2)], [3, 1, 1], [F(3, 2), F(1, 2), F(1, 2)]],
+                  [F(1, 3), F(4), F(5, 2)], (((0, 1, 2),), (2,), (), True)),
+    # one block of six; agent 0 has room for two copies, agent 1 for three
+    "split block": ([[2] * 6, [3] * 6], [F(4), F(9)],
+                    (((0, 1, 2), (3, 4)), (1, 0), (5,), False)),
+    "deadlock": ([[10, 1], [10, 1]], [F(5), F(5)], ("deadlock", 0)),
+    # agent 0 takes chores 0 and 2; agent 1's capacity is 0
+    "deadlock in the second bin": ([[3, 2, 1], [3, 2, 1]], [F(4), F(1, 2)], ("deadlock", 1)),
+}
+
+
+@pytest.mark.parametrize("rows, taus, want", HFFD_EDGE_CASES.values(), ids=HFFD_EDGE_CASES)
+def test_hffd_edge_cases_match_reference(rows, taus, want):
+    instance = Instance.from_rows(rows)
+    assert outcome_fields(ref_hffd, instance, taus) == want
+    # thresholds as a list and as a tuple, and the same call again
+    for call in (list(taus), tuple(taus), list(taus)):
+        assert outcome_fields(hffd, instance, call) == want
 
 
 def test_hffd_empty_bin_deadlock():
