@@ -13,4 +13,12 @@ from .mms import (MMSResult, SolveResult, min_success_threshold, mms_brute,
                   solve_factored, solve_ordinal)
 from .packing import PackOutcome, ffd, hffd, multifit
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the names above and no submodule, so a star import leaves the standard
+# library's `io` bound as it was
+__all__ = ["subset_sums", "Allocation", "Instance", "InstanceClass", "LiftingMap", "bundle_cost",
+           "classify", "format_rational", "parse_rational", "to_ido", "universal_ordering",
+           "SwapStep", "SwapTranscript", "is_ffv", "reduce_bivalued", "reduce_factored",
+           "transform_mms_to_ffd", "format_allocation", "format_instance", "parse_allocation",
+           "parse_instance", "MMSResult", "SolveResult", "min_success_threshold", "mms_brute",
+           "mms_factored", "mms_value", "solve_auto", "solve_bivalued", "solve_factored",
+           "solve_ordinal", "PackOutcome", "ffd", "hffd", "multifit"]

@@ -26,6 +26,7 @@ GENERAL_P, GENERAL_Q = 24, 4
 GENERAL_COSTS = tuple(Fraction(p, q) for p in range(1, GENERAL_P + 1)
                       for q in range(1, GENERAL_Q + 1))
 SUBSET_SUM_CAP = 24
+EXISTENCE_M_CAP = 12  # the most chores an existence trial draws: the search is exponential
 
 
 @dataclass(frozen=True)
@@ -261,21 +262,15 @@ def _mms_allocation_exists(instance: Instance, mus) -> bool:
     return rec(0)
 
 
-def search_bivalued_mms_existence(trials: int, seed: int, m_cap: int = 12) -> Instance | None:
+def search_bivalued_mms_existence(trials: int, seed: int) -> Instance | None:
     """Sample personalized bivalued instances of 2 to 4 agents and up to
-    `m_cap` chores and brute-force whether an exact MMS allocation exists;
-    returns the first negative instance found (none is asserted to exist).
-    `m_cap` is an int of at least 4, since a trial may draw 4 agents."""
-    if isinstance(m_cap, bool) or not isinstance(m_cap, int):
-        raise BadParams(f"m_cap must be an int, not {type(m_cap).__name__}")
-    if m_cap < 4:
-        raise BadParams("need m_cap >= 4, the most agents a trial draws")
-    if m_cap > 14:
-        raise TooLarge("existence search is exponential; keep m_cap <= 14")
+    EXISTENCE_M_CAP chores and brute-force whether an exact MMS allocation
+    exists; returns the first negative instance found (none is asserted to
+    exist)."""
     rng = random.Random(("mms-existence", seed).__repr__())
     for trial in range(trials):
         n = rng.randint(2, 4)
-        m = rng.randint(n, m_cap)
+        m = rng.randint(n, EXISTENCE_M_CAP)
         instance = gen_instance("personalized_bivalued", n, m, seed=seed * 7_777_777 + trial)
         chores = instance.chores()
         mus = [mms_value(instance.cost(i), chores, n) for i in range(n)]

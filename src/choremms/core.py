@@ -9,20 +9,21 @@ instance once and scales each row from its distinct values, and
 `Instance.from_rows` keeps the `Fraction` objects it is given.
 
 Each row's runs, its (weight, count) pairs weight descending, are counted
-once and kept (`CostRow.counts`). Every stage of a solve reads them:
-`classify` takes the distinct weights from them, `to_ido` spells each twin
-row out of them with the row's own `Fraction` objects and cuts the twin's
-blocks at their prefix sums, the threshold searches read the twin row's
-runs, and `LiftingMap.lift` walks each agent's weights cheapest first.
-`CostRow.runs` returns them for the one tuple of ids per m that
+once and kept (`CostRow.counts`), as a `Runs` that keeps its own
+divisibility-chain test (`Runs.chain`) once made. Every stage of a solve
+reads them: `classify` takes the distinct weights and the chain test from
+them, `to_ido` spells each twin row out of them with the row's own
+`Fraction` objects, gives the twin row the same runs object and cuts the
+twin's blocks at their prefix sums, the threshold searches read the twin
+row's runs, and `LiftingMap.lift` walks each agent's weights cheapest
+first. `CostRow.runs` returns them for the one tuple of ids per m that
 `Instance.chores` shares, and counts any other spelling of the chores.
 
 What depends only on the instance is kept with it, computed on first
-use: each row's divisibility-chain test on its runs (`CostRow.chain`),
-which `classify` and the threshold searches read, the instance's universal
+use: each row's runs with their chain test, the instance's universal
 ordering (`Instance.blocks`) and its IDO twin (`Instance.twin`), so a
-second solve or a certificate replay of the same instance builds neither
-again. Nothing that depends on a threshold is kept.
+second solve or a certificate replay of the same instance builds none of
+them again. Nothing that depends on a threshold is kept.
 """
 
 from __future__ import annotations
@@ -74,15 +75,23 @@ def format_rational(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+class Runs(tuple):
+    """(weight, count) pairs, weight descending, with `chain`, whether
+    their weights form a divisibility chain (`is_divisibility_chain`),
+    tested on first use and kept."""
+
+    @cached_property
+    def chain(self) -> bool:
+        return is_divisibility_chain(w for w, _ in self)
+
+
 class CostRow(tuple):
     """One agent's costs, a tuple of Fractions, with its integer form
     computed on first use and kept, or set by `parse`: `weights` are the
     costs times `scale` (D, the lcm of their denominators). A sum s of
     weights stays within tau exactly when s <= cap(tau) = floor(tau * D),
     because s is an integer, so a subset of the chores reads the same
-    weights. `counts` are the weights as (weight, count) runs, and `chain`
-    whether their weights form a divisibility chain, each kept in the same
-    way."""
+    weights. `counts` are the weights as `Runs`, kept in the same way."""
 
     @staticmethod
     def of(cost: Iterable[Fraction]) -> "CostRow":
@@ -98,25 +107,10 @@ class CostRow(tuple):
         return tuple(c.numerator * (scale // c.denominator) for c in self)
 
     @cached_property
-    def counts(self) -> tuple[tuple[int, int], ...]:
-        """The whole row's weights as (weight, count) runs, weight
-        descending: `runs` of every chore, counted once."""
-        return tuple(sorted(Counter(self.weights).items(), reverse=True))
-
-    @cached_property
-    def chain(self) -> bool:
-        """Whether the row's distinct weights form a divisibility chain
-        (`is_divisibility_chain`), tested on `counts` once."""
-        return is_divisibility_chain(w for w, _ in self.counts)
-
-    def is_chain(self, runs: Iterable[tuple[int, int]]) -> bool:
-        """Whether the weights of these (weight, count) runs form a
-        divisibility chain: the kept `chain` when they are the row's own
-        `counts`, else tested on them."""
-        # `counts` is read only when kept, so other runs cost no row count
-        if runs is self.__dict__.get("counts"):
-            return self.chain
-        return is_divisibility_chain(w for w, _ in runs)
+    def counts(self) -> Runs:
+        """The whole row's weights as runs: `runs` of every chore, counted
+        once."""
+        return Runs(sorted(Counter(self.weights).items(), reverse=True))
 
     @staticmethod
     def parse(fields: Sequence[str], parsed: dict[str, Fraction]) -> "CostRow":
@@ -166,13 +160,13 @@ class CostRow(tuple):
         """The chores' weights, descending (their order in FFD)."""
         return sorted(map(self.weights.__getitem__, chores), reverse=True)
 
-    def runs(self, chores: Iterable[int]) -> tuple[tuple[int, int], ...]:
-        """The chores' weights as (weight, count) runs, weight descending:
-        the run-length form of `profile`. The kept `counts` for the tuple
-        `Instance.chores` shares, else counted, sorting only distinct weights."""
+    def runs(self, chores: Iterable[int]) -> Runs:
+        """The chores' weights as `Runs`: the run-length form of `profile`.
+        The kept `counts` for the tuple `Instance.chores` shares, else
+        counted, sorting only distinct weights."""
         if chores is _ALL_CHORES.get(len(self)):
             return self.counts
-        return tuple(sorted(Counter(map(self.weights.__getitem__, chores)).items(), reverse=True))
+        return Runs(sorted(Counter(map(self.weights.__getitem__, chores)).items(), reverse=True))
 
 
 @dataclass(frozen=True)
@@ -326,8 +320,8 @@ def is_divisibility_chain(weights: Iterable[int]) -> bool:
 
 def is_factored_costs(values: Iterable[Fraction]) -> bool:
     """True iff every smaller distinct value divides the next larger one
-    (`CostRow.chain`)."""
-    return CostRow.of(values).chain
+    (`Runs.chain` of the row's `counts`)."""
+    return CostRow.of(values).counts.chain
 
 
 def is_bivalued_costs(values: Iterable[Fraction]) -> bool:
@@ -466,12 +460,12 @@ def _ido_twin(instance: Instance) -> Instance:
 
     Each twin row is spelled out of the row's runs (`CostRow.counts`): k
     copies of each weight w, heaviest first, costing the row's own
-    `Fraction` of w. It shares the row's scale and carries the same runs,
-    and the row's chain flag (`CostRow.chain`) once the row has tested it.
-    The twin's blocks (`Instance.blocks`) are set here: the ordering is the
-    identity, and the cuts are the prefix sums of every row's run counts,
-    the positions at which some agent's cost falls. They are checked like
-    the blocks of any instance."""
+    `Fraction` of w. It shares the row's scale and its runs object, so the
+    two rows share one chain test (`Runs.chain`). The twin's blocks
+    (`Instance.blocks`) are set here: the ordering is the identity, and the
+    cuts are the prefix sums of every row's run counts, the positions at
+    which some agent's cost falls. They are checked like the blocks of any
+    instance."""
     rows = []
     cuts: set[int] = set()
     for row in instance.costs:
@@ -483,9 +477,6 @@ def _ido_twin(instance: Instance) -> Instance:
             cuts.add(len(weights))
         twin = CostRow(costs)
         twin.scale, twin.weights, twin.counts = row.scale, tuple(weights), row.counts
-        # a flag not tested yet is left to the twin row's first use
-        if "chain" in row.__dict__:
-            twin.chain = row.chain
         rows.append(twin)
     cuts.discard(instance.m)
     ido = Instance._trusted(tuple(rows))

@@ -32,8 +32,8 @@ class UnsupportedClass(ChoreMMSError):
 
 
 class TooLarge(ChoreMMSError):
-    """Instance exceeds a capacity limit: the brute-force MMS oracle's, the
-    subset-sum grid's or the existence search's cap on m."""
+    """Instance exceeds a capacity limit: the brute-force MMS oracle's or
+    the subset-sum grid's cap on m."""
 
 
 class BadParams(ChoreMMSError):

@@ -35,7 +35,7 @@ from bisect import insort
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
-from .core import Allocation, CostRow, EQUAL, compare_profiles, is_divisibility_chain
+from .core import Allocation, CostRow, EQUAL, Runs, compare_profiles, is_divisibility_chain
 from .errors import (BadParams, InvariantViolation, NotBivalued, PreconditionViolation,
                      SubsetViolation)
 from .mms import APPROX_RATIO
@@ -120,8 +120,7 @@ class SwapTranscript:
                 f"final={self.final!r})")
 
 
-def _count_free(row: CostRow, all_chores: Iterable[int]
-                ) -> tuple[Sequence[tuple[int, int]], set[int]]:
+def _count_free(row: CostRow, all_chores: Iterable[int]) -> tuple[Runs, set[int]]:
     """The chores of a benchmark walk, counted: their weights as (weight,
     count) runs (`CostRow.runs`, the row's kept runs for `Instance.chores`),
     and their ids as a set. A chore listed twice raises BadParams. A
@@ -135,7 +134,7 @@ def _count_free(row: CostRow, all_chores: Iterable[int]
 
 
 def _first_off_benchmark(bundles: Sequence[Sequence[int]], row: CostRow,
-                         free: tuple[Sequence[tuple[int, int]], set[int]], room: int,
+                         free: tuple[Runs, set[int]], room: int,
                          exact: bool) -> tuple[int | None, list[list[int]]]:
     """Index of the first bundle whose profile is below (with `exact`: not
     equal to) its benchmark's, the fill of the room from the `free` chores
@@ -464,7 +463,7 @@ def reduce_factored(P: Allocation, Q: Allocation, cost: Sequence[Fraction],
     row = CostRow.of(cost)
     weights = row.weights
     free = _count_free(row, all_chores)
-    if not row.is_chain(free[0]):
+    if not free[0].chain:
         raise PreconditionViolation("cost function must be factored")
 
     def reach_target(worker: _Worker, k: int, target):

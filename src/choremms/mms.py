@@ -8,8 +8,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 from .core import (Allocation, CostRow, Instance, LiftingMap, bundle_cost, classify,
-                   format_rational, is_bivalued_costs, is_divisibility_chain,
-                   is_factored_costs, to_ido)
+                   format_rational, is_bivalued_costs, is_factored_costs, to_ido)
 from .errors import (BadParams, NotBivalued, NotFactored, TheoremViolation,
                      TooLarge, UnsupportedClass)
 from .packing import (hffd, ladder_bound, ladder_probe, multifit, smallest_fitting_cap,
@@ -139,7 +138,7 @@ def mms_factored(cost: Sequence[Fraction], chores: Iterable[int], d: int) -> MMS
         raise BadParams("need at least one bundle")
     chores = tuple(chores)
     row = CostRow.of(cost)
-    if not is_divisibility_chain(map(row.weights.__getitem__, chores)):
+    if not row.runs(chores).chain:
         raise NotFactored("cost values do not form a divisibility chain")
     value, outcome = multifit(chores, row, d)
     witness = tuple(tuple(sorted(b)) for b in outcome.bundles)
@@ -147,23 +146,20 @@ def mms_factored(cost: Sequence[Fraction], chores: Iterable[int], d: int) -> MMS
 
 
 def mms_value(cost: Sequence[Fraction], chores: Iterable[int], d: int) -> Fraction:
-    """Exact MMS for d bundles: on a divisibility chain `ladder_bound`,
-    which no partition beats and at which first fit fills d bins, so it is
-    read with no probe (as `min_success_threshold` gives it),
-    `packing.two_valued_makespan` on the runs of two other costs, else
-    `mms_brute`: the one choice of a row's exact MMS method. Both exact
-    searches off the chain are capped at ORACLE_CAP chores, with
-    `mms_brute`'s errors. The chain is tested once, on the chores' runs;
-    for all of the row's chores (`Instance.chores`) it is read off the row
-    (`CostRow.is_chain`)."""
+    """Exact MMS for d bundles, by a method the chores' runs pick: on a
+    divisibility chain (`Runs.chain`) `ladder_bound`, which no partition
+    beats and at which first fit fills d bins, so it is read with no probe
+    (as `min_success_threshold` gives it); on two other costs
+    `packing.two_valued_makespan`, at any number of chores; else
+    `mms_brute`, with its cap of ORACLE_CAP chores and its errors."""
     if d < 1:
         raise BadParams("need at least one bundle")
     row = CostRow.of(cost)
     chores = tuple(chores)
     runs = row.runs(chores)
-    if row.is_chain(runs):
+    if runs.chain:
         return row.value(ladder_bound(runs, d))
-    if len(runs) == 2 and len(chores) <= ORACLE_CAP:
+    if len(runs) == 2:
         return row.value(two_valued_makespan(runs, d))
     return mms_brute(row, chores, d).value
 
@@ -179,7 +175,7 @@ def min_success_threshold(cost: Sequence[Fraction], chores: Iterable[int], n: in
         raise BadParams("need at least one bin")
     row = CostRow.of(cost)
     runs = row.runs(chores)
-    if row.is_chain(runs):
+    if runs.chain:
         return row.value(ladder_bound(runs, n))
     if len(runs) > 2:
         raise UnsupportedClass("minimal threshold needs factored or bivalued costs; "
@@ -300,7 +296,8 @@ def solve_ordinal(instance: Instance) -> SolveResult:
     bound max(w0, ceil(total/d)), computed in O(m) with no MMS search. Only
     when HFFD at those bounds leaves chores are the thresholds the exact
     MMS values, at which the theorem guarantees HFFD succeeds (`mms_value`,
-    capped at ORACLE_CAP chores on rows that are not a divisibility chain).
+    capped at ORACLE_CAP chores on rows of three or more costs that are not
+    a divisibility chain).
     `mms_values[i]` is None when agent i's MMS was not computed: their bound
     was used and first fit does not show it to be the MMS."""
     if instance.n < 2:
@@ -312,7 +309,7 @@ def solve_ordinal(instance: Instance) -> SolveResult:
 def solve_auto(instance: Instance) -> SolveResult:
     """Dispatch on the instance class; factored wins over bivalued because
     its guarantee (exact MMS) is stronger. `classify` keeps each row's
-    chain flag and runs, so the class check of `solve_factored` or
+    runs with their chain test, so the class check of `solve_factored` or
     `solve_bivalued` reads them and tests no row again."""
     cls = classify(instance)
     if cls.is_factored:

@@ -280,6 +280,21 @@ def test_verify_ordinal_past_oracle_cap_above_the_lower_bound_exits_1(tmp_path, 
     assert "capped at m=14" in captured.err
 
 
+def test_verify_two_valued_past_oracle_cap_reports_each_agent(tmp_path, capsys):
+    # two costs that are not a chain get their exact MMS at any m, so a
+    # holder of every chore above it is a FAIL line, not a capacity error
+    inst_path = write_instance(tmp_path, Instance.from_rows([[7, 5] * 8] * 2))
+    alloc_path = tmp_path / "alloc.txt"
+    alloc_path.write_text("agent 0: " + " ".join(map(str, range(16))) + "\nagent 1:\n")
+    assert main(["verify", inst_path, str(alloc_path), "--mode", "mms"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == [
+        "agent 0: cost 96 bound 48 (mms) FAIL",
+        "agent 1: cost 0 bound 48 (lower bound) pass",
+    ]
+    assert captured.err == ""
+
+
 def test_verify_names_the_bound_each_agent_is_held_to(tmp_path, capsys):
     # three chores of cost 3 into d = 2 bundles: LB = max(3, ceil(9/2)) = 5
     # and MMS = 6, so a cost of 6 passes only against the MMS

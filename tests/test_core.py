@@ -1,12 +1,15 @@
 import itertools
 import pickle
 import random
+import sys
+import types
 from decimal import Decimal
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, strategies as st
 
+import choremms
 from choremms.core import (Allocation, EQUAL, GREATER, LESS, Instance, bundle_cost,
                            classify, format_rational, parse_rational, to_ido,
                            universal_ordering)
@@ -14,6 +17,18 @@ from choremms.errors import BadParams, NotIDO, SubsetViolation
 from helpers import all_complete_allocations, lex_compare, random_rationals, swap
 
 FIFTEEN_THIRTEENTHS = Instance.from_rows([[4, 4, 4] + [3] * 9] * 3)
+
+
+# ------------------------------------------------------------------ package
+
+def test_star_import_binds_the_public_names_and_no_module():
+    # the package's `io` submodule must not shadow the standard library's
+    namespace: dict = {}
+    exec("import io\nfrom choremms import *", namespace)
+    assert namespace.pop("io") is sys.modules["io"]
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(choremms.__all__)
+    assert not [name for name, value in namespace.items() if isinstance(value, types.ModuleType)]
 
 
 # ---------------------------------------------------------------- rationals

@@ -15,8 +15,9 @@ from hypothesis import assume, given, settings, strategies as st
 
 from choremms import core
 from choremms.analysis import gen_instance, subset_sums
-from choremms.core import (Allocation, CostRow, Instance, LiftingMap, classify, ido_blocks,
-                           is_bivalued_costs, is_factored_costs, to_ido, universal_ordering)
+from choremms.core import (Allocation, CostRow, Instance, LiftingMap, Runs, classify,
+                           ido_blocks, is_bivalued_costs, is_factored_costs, to_ido,
+                           universal_ordering)
 from choremms.errors import (BadParams, ChoreMMSError, EmptyBinDeadlock, InvariantViolation,
                              ParseError, PreconditionViolation, UnsupportedClass)
 from choremms.ffv import (SwapTranscript, _check_ffd_output, _count_free, _find_donor, _Worker,
@@ -306,6 +307,17 @@ def test_two_valued_makespan_matches_unpruned_search(data):
     d = data.draw(st.integers(1, m + 2) | st.integers(2, 4))
     mu = two_valued_makespan(row.counts, d)
     assert row.value(mu) == ref_mms_brute(row, range(m), d).value
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_mms_value_matches_unpruned_search_past_the_oracle_cap(data):
+    # on two costs mms_value is exact at any m, with no brute-force cap;
+    # the unpruned search stays quick up to m = 17
+    m = data.draw(st.integers(15, 17))
+    row = data.draw(two_valued_rows(m))
+    d = data.draw(st.integers(1, 4))
+    assert mms_value(row, range(m), d) == ref_mms_brute(row, range(m), d).value
 
 
 @pytest.mark.parametrize("runs, d, mu, bound", [
@@ -638,11 +650,11 @@ def test_class_checks_match_reference(data):
         row = (row[0],) * len(row)  # single-valued
     assert is_factored_costs(row) == ref_is_factored_costs(row)
     assert is_bivalued_costs(row) == ref_is_bivalued_costs(row)
-    # the kept flag, and the same answer for the row's own runs (read) and
-    # for a copy of them (tested)
+    # the test kept on the row's runs, and the same answer from the runs of
+    # another spelling of its chores and from a fresh copy of the runs
     kept = CostRow(row)
-    assert kept.chain == ref_is_factored_costs(row)
-    assert kept.is_chain(kept.counts) == kept.is_chain(list(kept.counts)) == kept.chain
+    assert kept.counts.chain == ref_is_factored_costs(row)
+    assert kept.runs(list(range(len(row)))).chain == Runs(kept.counts).chain == kept.counts.chain
 
 
 @SETTINGS
@@ -683,7 +695,7 @@ def test_twin_blocks_match_the_column_sort(kind):
 
 def check_kept_twin(instance):
     """`to_ido` hands out one kept twin per instance, equal to the reference
-    twin and to the twin of a row-for-row copy, with the rows' flags."""
+    twin and to the twin of a row-for-row copy, holding the rows' runs."""
     ido, lifting = to_ido(instance)
     again, lifting_again = to_ido(instance)
     assert again is ido and instance.twin is ido
@@ -691,19 +703,21 @@ def check_kept_twin(instance):
     assert lifting_again is not lifting and lifting == LiftingMap(instance)
     copy = Instance(tuple(tuple(row) for row in instance.costs))
     assert all(a is not b for a, b in zip(copy.costs, instance.costs))
-    # the copy's rows test their chain flags before its twin is built, which
-    # then takes them over; the instance's twin rows test their own
+    # the copy's rows test their chains before its twin is built, the
+    # instance's twin rows before their rows do; either way a twin row holds
+    # its row's runs object, and with it the one chain test
     classify(copy)
     copy_ido, _ = to_ido(copy)
     want, _ = ref_to_ido(instance)
     assert copy_ido is not ido
-    for twin in (ido, copy_ido):
+    for twin, source in ((ido, instance), (copy_ido, copy)):
         assert twin == want and twin.blocks == want.blocks
-        for got_row, want_row, row in zip(twin.costs, want.costs, instance.costs):
+        for got_row, want_row, row in zip(twin.costs, want.costs, source.costs):
             assert [(type(c), c) for c in got_row] == [(type(c), c) for c in want_row]
             assert (got_row.scale, got_row.weights, got_row.counts) == \
                 (want_row.scale, want_row.weights, want_row.counts)
-            assert got_row.chain == row.chain == ref_is_factored_costs(row)
+            assert got_row.counts is row.counts
+            assert got_row.counts.chain == ref_is_factored_costs(row)
     # each twin cost is one of the original row's own Fraction objects
     for got_row, row in zip(ido.costs, instance.costs):
         assert all(any(c is x for x in row) for c in got_row)
@@ -724,7 +738,7 @@ def test_kept_twin_of_generated_instances(kind, n, m):
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_repeated_solves_match_a_solve_of_a_copy(data):
-    # the second solve reads the kept twin and chain flags; a copy builds
+    # the second solve reads the kept twin and runs; a copy builds
     # its own; one agent's general instance is refused each time alike
     instance = data.draw(instances(kinds=data.draw(st.sampled_from(CLASS_KINDS))))
     copy = Instance(tuple(tuple(row) for row in instance.costs))

@@ -104,11 +104,11 @@ def test_mms_value_is_brute_force_on_other_rows():
         d = rng.randint(1, 3)
         cost = random_rationals(rng, m)
         assert mms_value(cost, range(m), d) == brute_min_makespan(cost, range(m), d)
-    with pytest.raises(TooLarge):
+    # three costs off a chain: mms_brute's errors past the cap
+    with pytest.raises(TooLarge, match="^brute-force oracle capped at m=14, got 15$"):
         mms_value((F(7), F(5), F(3)) * 5, range(15), 2)
-    # two costs that are not a chain: mms_brute's errors past the cap
-    with pytest.raises(TooLarge, match="^brute-force oracle capped at m=14, got 16$"):
-        mms_value((F(7), F(5)) * 8, range(16), 2)
+    # two costs that are not a chain: two_valued_makespan, with no cap
+    assert mms_value((F(7), F(5)) * 8, range(16), 2) == 48
     with pytest.raises(BadParams, match="^need at least one bundle$"):
         mms_value((F(7), F(5)), range(2), 0)
 
@@ -472,9 +472,9 @@ def test_solve_auto_dispatch():
     ("factored", "solve_factored"), ("bivalued", "solve_bivalued"),
     ("personalized_bivalued", "solve_bivalued"), ("general", "solve_ordinal")])
 def test_solve_auto_runs_the_named_solver_of_each_class(kind, solver, monkeypatch):
-    # solve_auto enters the named solver, whose class check reads the flags
+    # solve_auto enters the named solver, whose class check reads the runs
     # `classify` kept: a cold solve counts each row and tests its chain at
-    # most once, and the twin rows take both from the original rows
+    # most once, and the twin rows share the original rows' runs
     instance = gen_instance(kind, 6, 40, seed=3)
     entered, counted, chain_tests = [], [], []
     chain = core.is_divisibility_chain

@@ -255,12 +255,12 @@ def test_callers_of_are_found():
 
 
 def test_only_subset_tests_call_the_chain_test_outside_core():
-    # a whole row's chain test is the row's kept flag (`CostRow.chain`, read
-    # through `CostRow.is_chain`); only a test on a subset of the chores runs it
+    # every chain test on runs is their kept `Runs.chain`; only the test of
+    # an exact subset's target, which is no run, calls it outside core
     callers = {path.name: callers_of(path.read_text(encoding="utf-8"), "is_divisibility_chain")
                for path in MODULES if path.name != "core.py"}
     assert {name: found for name, found in callers.items() if found} == {
-        "ffv.py": ["_exact_subset"], "mms.py": ["mms_factored"]}
+        "ffv.py": ["_exact_subset"]}
 
 
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "core.py"],
