@@ -15,15 +15,18 @@ reads them: `classify` takes the distinct weights and the chain test from
 them, `to_ido` spells each twin row out of them with the row's own
 `Fraction` objects, gives the twin row the same runs object and cuts the
 twin's blocks at their prefix sums, the threshold searches read the twin
-row's runs, and `LiftingMap.lift` walks each agent's weights cheapest
-first. `CostRow.runs` returns them for the one tuple of ids per m that
-`Instance.chores` shares, and counts any other spelling of the chores.
+row's runs, and the lift (`LiftingMap.lift_slices`) walks each agent's
+weights cheapest first, over slices of the twin's positions that one
+bundle holds, as HFFD hands them over. `CostRow.runs` returns them for
+the one tuple of ids per m that `Instance.chores` shares, and counts any
+other spelling of the chores.
 
 What depends only on the instance is kept with it, computed on first
-use: each row's runs with their chain test, the instance's universal
-ordering (`Instance.blocks`) and its IDO twin (`Instance.twin`), so a
-second solve or a certificate replay of the same instance builds none of
-them again. Nothing that depends on a threshold is kept.
+use by `_kept`, a `cached_property` without a lock: each row's scale,
+weights and runs, the runs' chain test, the instance's universal ordering
+(`Instance.blocks`) and its IDO twin (`Instance.twin`), so a second solve
+or a certificate replay of the same instance builds none of them again.
+Nothing that depends on a threshold is kept.
 """
 
 from __future__ import annotations
@@ -33,8 +36,7 @@ import sys
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from itertools import groupby
+from itertools import groupby, islice
 from typing import Iterable, Iterator, Sequence
 
 from .errors import BadParams, NotIDO
@@ -75,12 +77,33 @@ def format_rational(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+class _kept:
+    """A method read as an attribute, computed on first use and kept in the
+    instance's `__dict__`, which later reads find first: `cached_property`
+    without its lock. Racing threads may each compute the value, and
+    `dict.setdefault`, which is atomic, gives all of them the first one
+    stored, as `Instance.chores` does. An attribute set before the first use
+    is kept as it is."""
+
+    def __init__(self, func):
+        self.func = func
+        self.__doc__ = func.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        return obj.__dict__.setdefault(self.name, self.func(obj))
+
+
 class Runs(tuple):
     """(weight, count) pairs, weight descending, with `chain`, whether
     their weights form a divisibility chain (`is_divisibility_chain`),
     tested on first use and kept."""
 
-    @cached_property
+    @_kept
     def chain(self) -> bool:
         return is_divisibility_chain(w for w, _ in self)
 
@@ -97,16 +120,16 @@ class CostRow(tuple):
     def of(cost: Iterable[Fraction]) -> "CostRow":
         return cost if isinstance(cost, CostRow) else CostRow(cost)
 
-    @cached_property
+    @_kept
     def scale(self) -> int:
         return math.lcm(*(c.denominator for c in self))
 
-    @cached_property
+    @_kept
     def weights(self) -> tuple[int, ...]:
         scale = self.scale
         return tuple(c.numerator * (scale // c.denominator) for c in self)
 
-    @cached_property
+    @_kept
     def counts(self) -> Runs:
         """The whole row's weights as runs: `runs` of every chore, counted
         once."""
@@ -222,14 +245,14 @@ class Instance:
             chores = _ALL_CHORES.setdefault(self.m, tuple(range(self.m)))
         return chores
 
-    @cached_property
+    @_kept
     def blocks(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """`ido_blocks` of this instance, computed on first use and kept;
         `to_ido` sets it for the twin it builds. Raises NotIDO when no
         common order exists."""
         return ido_blocks(self)
 
-    @cached_property
+    @_kept
     def twin(self) -> "Instance":
         """The IDO twin that `to_ido` returns, built on first use and kept.
         It holds no reference back to this instance."""
@@ -249,7 +272,7 @@ def _as_costs(row: Iterable) -> tuple:
 
 def bundle_cost(cost: Sequence[Fraction], bundle: Iterable[int]) -> Fraction:
     row = CostRow.of(cost)
-    return row.value(sum(row.weights[c] for c in bundle))
+    return row.value(sum(map(row.weights.__getitem__, bundle)))
 
 
 @dataclass(frozen=True)
@@ -390,59 +413,79 @@ class LiftingMap:
     without increasing any agent's cost. A position no bundle holds lifts to
     no chore, so a partial allocation leaves as many original chores out.
 
-    The twin's positions are walked from the smallest to the largest, and
-    each position's owner takes their cheapest original chore left, the
-    lowest id among equal costs. An owner's picks come from one cursor over
-    their row's distinct weights, cheapest first (`CostRow.counts`), which
-    finds each copy of a weight by `index` and moves on to the next weight
-    once it has seen them all: no row is sorted."""
+    The twin's positions are walked from the last to the first, cheapest
+    first, and each position's owner takes their cheapest original chore
+    left, the lowest id among equal costs. The walk goes over slices of
+    positions that one bundle holds (`lift_slices`): its owner takes a
+    slice's chores with one `islice` of one cursor over their row's
+    distinct weights, cheapest first (`CostRow.counts`), which finds each
+    copy of a weight by `index` and moves on to the next weight once it has
+    seen them all: no row is sorted."""
 
     original: Instance
 
     def lift(self, allocation: Allocation) -> Allocation:
+        """The allocation with each bundle's positions replaced by the
+        original chores its owner takes, in the walk's order. Each bundle's
+        positions, in the bundle's order, are cut into slices where they
+        stop running consecutively: HFFD's bins on a twin are few slices."""
         m = self.original.m
         bundles = allocation.bundles
-        agents = range(len(bundles)) if allocation.agents is None else allocation.agents
-        # the bundle that holds each position, None for a position no bundle holds
-        owner_of: list[int | None] = [None] * m
+        slices: list[tuple[int, int, int]] = []
         for b, bundle in enumerate(bundles):
-            if bundle and (min(bundle) < 0 or max(bundle) >= m):
+            if not bundle:
+                continue
+            if min(bundle) < 0 or max(bundle) >= m:
                 bad = next(c for c in bundle if not 0 <= c < m)
                 raise BadParams(f"chore {bad} is not one of the {m} chores")
+            start = end = bundle[0]
             for c in bundle:
-                owner_of[c] = b
-        taken = [False] * m
-        picks: dict[int, Iterator[int]] = {}
-        lifted: list[list[int]] = [[] for _ in bundles]
-        # IDO chore j is the (j+1)-th largest position; walk smallest to
-        # largest, each owner taking their cheapest remaining original chore.
-        # At position j at most m-1-j chores are gone, so one of the agent's
-        # m-j cheapest is left: the pick costs at most the position j.
-        for j in reversed(range(m)):
-            b = owner_of[j]
-            if b is None:
-                continue
-            agent = agents[b]
-            cursor = picks.get(agent)
-            if cursor is None:
-                cursor = picks[agent] = _cheapest_first(self.original.cost(agent), taken)
-            pick = next(cursor)
-            taken[pick] = True
-            lifted[b].append(pick)
+                if c != end:
+                    slices.append((start, end - start, b))
+                    start = c
+                end = c + 1
+            slices.append((start, end - start, b))
+        agents = range(len(bundles)) if allocation.agents is None else allocation.agents
+        lifted, _ = self.lift_slices(slices, agents, len(bundles))
         return Allocation.of(lifted, allocation.agents)
 
+    def lift_slices(self, slices: Iterable[tuple[int, int, int]], agents: Sequence[int],
+                    bundles: int) -> tuple[list[list[int]], list[bool]]:
+        """The lift of the twin positions that the (start, copies, bundle)
+        `slices` give to `bundles` bundles, each slice the positions start
+        to start + copies - 1, disjoint from every other slice, and
+        `agents[bundle]` the bundle's owner; the lifted bundles, and which
+        original chores they took.
 
-def _cheapest_first(row: CostRow, taken: Sequence[bool]) -> Iterator[int]:
+        IDO chore j is the (j+1)-th largest position, and the slices are
+        walked largest start first, so a slice's positions come in a row
+        and its owner takes their `copies` cheapest original chores left.
+        At position j at most m-1-j chores are gone, so one of the agent's
+        m-j cheapest is left: the pick costs at most the position j."""
+        taken = [False] * self.original.m
+        cursors: dict[int, Iterator[int]] = {}
+        lifted: list[list[int]] = [[] for _ in range(bundles)]
+        for start, copies, b in sorted(slices, reverse=True):
+            agent = agents[b]
+            cursor = cursors.get(agent)
+            if cursor is None:
+                cursor = cursors[agent] = _cheapest_first(self.original.cost(agent), taken)
+            lifted[b] += islice(cursor, copies)
+        return lifted, taken
+
+
+def _cheapest_first(row: CostRow, taken: list[bool]) -> Iterator[int]:
     """The row's chores cheapest first, lower id first among equal costs,
-    skipping each one already `taken` when the walk reaches it: the cursor
-    of `LiftingMap`, which finds each copy of a weight from just past the
-    last one found."""
+    skipping each one already `taken` when the walk reaches it and marking
+    each one it gives as taken: the cursor of `LiftingMap`, which finds
+    each copy of a weight from just past the last one found."""
     weights = row.weights
     for w, k in reversed(row.counts):
         p = -1
         for _ in range(k):
             p = weights.index(w, p + 1)
             if not taken[p]:
+                taken[p] = True
                 yield p
 
 

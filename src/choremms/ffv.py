@@ -146,23 +146,32 @@ def _first_off_benchmark(bundles: Sequence[Sequence[int]], row: CostRow,
     The free chores are kept as a count per weight, heaviest first, and
     each benchmark is `first_fit_bin` over those counts: so it costs
     O(runs), not a walk over every chore. A held chore leaves the counts
-    only if it is one of the free chores."""
+    only if it is one of the free chores; a bundle of free chores equal to
+    its benchmark leaves them as the benchmark's runs, also in O(runs)."""
     weights = row.weights
     runs, ids = free
     count = dict(runs)
     profiles: list[list[int]] = []
     for k, bundle in enumerate(bundles):
+        fill = first_fit_bin(count, room)
         bench: list[int] = []
-        for w, t in first_fit_bin(count, room):
+        for w, t in fill:
             bench += [w] * t
         profile = row.profile(bundle)
-        relation = EQUAL if profile == bench else compare_profiles(profile, bench)
+        same = profile == bench
+        relation = EQUAL if same else compare_profiles(profile, bench)
         if (relation != EQUAL) if exact else (relation < EQUAL):
             return k, profiles
         profiles.append(profile)
-        # the bundles are disjoint, so each chore leaves the counts once
-        for c in ids.intersection(bundle):
-            count[weights[c]] -= 1
+        # the bundles are disjoint, so each chore leaves the counts once: a
+        # bundle of free chores that matches its benchmark holds the fill's
+        # copies exactly
+        if same and ids.issuperset(bundle):
+            for w, t in fill:
+                count[w] -= t
+        else:
+            for c in ids.intersection(bundle):
+                count[weights[c]] -= 1
     return None, profiles
 
 

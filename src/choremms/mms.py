@@ -1,5 +1,12 @@
 """Maximin-share values (brute-force oracle, exact polynomial methods for
-factored and two-valued costs) and the three end-to-end solvers."""
+factored and two-valued costs) and the three end-to-end solvers.
+
+Every solver runs HFFD on the IDO twin and lifts its bins back to the
+original chores in one step, `hffd_and_lift`: HFFD's bins arrive as
+slices of the twin's positions (`packing.hffd_slices`), and the lift
+walks those slices (`LiftingMap.lift_slices`), so no bin is spelled out
+chore by chore and only the final allocation is built. Each agent's cost
+is then checked against their threshold on integer sums."""
 
 from __future__ import annotations
 
@@ -11,7 +18,7 @@ from .core import (Allocation, CostRow, Instance, LiftingMap, bundle_cost, class
                    format_rational, is_bivalued_costs, is_factored_costs, to_ido)
 from .errors import (BadParams, NotBivalued, NotFactored, TheoremViolation,
                      TooLarge, UnsupportedClass)
-from .packing import (hffd, ladder_bound, ladder_probe, multifit, smallest_fitting_cap,
+from .packing import (hffd_slices, ladder_bound, ladder_probe, multifit, smallest_fitting_cap,
                       two_valued_makespan)
 
 ORACLE_CAP = 14
@@ -187,31 +194,34 @@ def min_success_threshold(cost: Sequence[Fraction], chores: Iterable[int], n: in
 def hffd_and_lift(ido: Instance, lifting: LiftingMap,
                   thresholds: Sequence[Fraction]) -> tuple[Allocation, tuple[int, ...]]:
     """HFFD on the IDO twin, lifted to the original chores, one bundle per
-    agent, and the original chores it left unallocated, ids ascending. HFFD
-    gives each agent at most one bin, so each lifted bin is put at its
-    owner's index as it is, in the lift's order, with no merge; an agent
+    agent, and the original chores it left unallocated, ids ascending.
+    HFFD's bins come as slices of the twin's ordering (`hffd_slices`),
+    which is the identity, so a slice is a run of positions, and the lift
+    walks them as they are (`LiftingMap.lift_slices`): no bin is spelled
+    out chore by chore. HFFD gives each agent at most one bin, so each
+    owner's picks go straight into their bundle, with no merge; an agent
     without a bin gets an empty bundle. Lifting raises no agent's cost, also
     when HFFD leaves chores. With no chores every agent gets an empty
     bundle, since HFFD rejects the zero thresholds such an instance gets."""
     n = ido.n
     if ido.m == 0:
         return Allocation.of([()] * n, agents=range(n)), ()
-    bins = hffd(ido, thresholds).allocation
-    # each agent's bin, None for an agent HFFD gave none
-    bin_of: list[int | None] = [None] * n
-    for b, owner in enumerate(bins.agents):
+    bins, owners, left = hffd_slices(ido, thresholds)
+    served = [False] * n
+    slices: list[tuple[int, int, int]] = []
+    for b, owner in enumerate(owners):
         if not 0 <= owner < n:
             raise BadParams(f"bundle {b} belongs to agent {owner}, not one of {n} agents")
-        if bin_of[owner] is not None:
+        if served[owner]:
             raise BadParams(f"bundle {b} belongs to agent {owner}, who has a bundle already")
-        bin_of[owner] = b
-    lifted = lifting.lift(bins).bundles
-    allocation = Allocation(tuple(() if b is None else lifted[b] for b in bin_of),
-                            tuple(range(n)))
-    if sum(map(len, allocation.bundles)) == ido.m:
+        served[owner] = True
+        slices += [(start, copies, owner) for start, copies in bins[b]]
+    agents = range(n)
+    lifted, taken = lifting.lift_slices(slices, agents, n)
+    allocation = Allocation(tuple(map(tuple, lifted)), tuple(agents))
+    if not left:
         return allocation, ()
-    held = allocation.allocated()
-    return allocation, tuple(c for c in range(ido.m) if c not in held)
+    return allocation, tuple(c for c, held in enumerate(taken) if not held)
 
 
 def _solve(instance: Instance, algorithm: str, d: int,
@@ -221,7 +231,8 @@ def _solve(instance: Instance, algorithm: str, d: int,
     chores (`Instance.chores`), whose runs the twin row keeps. HFFD runs at
     the first rule's thresholds, and at the next rule's whenever it leaves
     chores; at the last rule's it must place them all. Each agent's cost in
-    the lifted allocation is checked against their threshold."""
+    the lifted allocation is checked against their threshold, as an
+    integer sum of their row's weights against the row's capacity."""
     ido, lifting = to_ido(instance)
     chores = ido.chores()
     for rule in rules:
@@ -233,11 +244,11 @@ def _solve(instance: Instance, algorithm: str, d: int,
         raise TheoremViolation(
             f"{algorithm}: HFFD left chores {' '.join(map(str, unallocated))} unallocated "
             f"at thresholds {' '.join(map(format_rational, thresholds))}", instance)
-    costs = tuple(bundle_cost(instance.cost(i), allocation.bundles[i]) for i in range(instance.n))
-    for i, (c, t) in enumerate(zip(costs, thresholds)):
-        if c > t:
+    costs = tuple(map(bundle_cost, instance.costs, allocation.bundles))
+    for i, (row, bundle, t) in enumerate(zip(instance.costs, allocation.bundles, thresholds)):
+        if sum(map(row.weights.__getitem__, bundle)) > row.cap(t):
             raise TheoremViolation(
-                f"{algorithm}: lifted cost {format_rational(c)} of agent {i} exceeds "
+                f"{algorithm}: lifted cost {format_rational(costs[i])} of agent {i} exceeds "
                 f"threshold {format_rational(t)}", instance)
     return SolveResult(allocation, costs, thresholds, mus, algorithm)
 

@@ -9,9 +9,12 @@ its chores, with threshold tau becoming the integer capacity floor(tau * D).
 `first_fit_bin` is the one statement of first fit into one bin, for FFD
 and for `ffv`, and `first_fit_bins` the one statement of FFD's bin loop
 over it, for `ffd` and for `ffv`'s transform. `first_fit_places_all`,
-which keeps every bin open and opens full bins in bulk, and `hffd`, which
-fills a bin for many agents from one list of their rooms, keep their own
-loops.
+which keeps every bin open and opens full bins in bulk, and
+`hffd_slices`, which fills a bin for many agents from one list of their
+rooms, keep their own loops. `hffd_slices` is HFFD's one loop: it gives
+each bin as (start, copies) slices of the universal ordering, which
+`mms.hffd_and_lift` lifts as they are, and `hffd` spells them out as
+chore ids.
 
 Every threshold search starts at `ladder_bound`, a lower bound on the
 makespan of any partition into d bins that is exact on a divisibility
@@ -289,7 +292,28 @@ def multifit(chores: Iterable[int], cost: Sequence[Fraction], n: int) -> tuple[F
 
 
 def hffd(instance: Instance, thresholds: Sequence[Fraction]) -> PackOutcome:
-    """Heterogeneous FFD (Huang & Lu 2021) on an IDO instance.
+    """Heterogeneous FFD (Huang & Lu 2021) on an IDO instance: the bins of
+    `hffd_slices`, each spelled out as the chores of its slices of the
+    universal ordering (`Instance.blocks`), with their owners, and the
+    chores of the blocks left over, in that order, as unallocated."""
+    bins, owners, left = hffd_slices(instance, thresholds)
+    order = instance.blocks[0]
+    spelled: list[list[int]] = []
+    for slices in bins:
+        bin_chores: list[int] = []
+        for p, t in slices:
+            bin_chores += order[p:p + t]
+        spelled.append(bin_chores)
+    unallocated = tuple(c for p, end in left for c in order[p:end])
+    return PackOutcome(Allocation.of(spelled, owners), unallocated)
+
+
+def hffd_slices(instance: Instance, thresholds: Sequence[Fraction]) -> tuple[
+        list[list[tuple[int, int]]], list[int], list[tuple[int, int]]]:
+    """HFFD's loop, the one copy of it: each bin as the (start, copies)
+    slices of the universal ordering it took, in the order taken, the
+    agent each bin went to, and the (start, end) slices of the blocks left
+    over, which hold the chores no bin took.
 
     Fills one bin at a time: a chore joins the open bin when it fits at
     least one remaining agent under that agent's threshold; a closed bin
@@ -319,7 +343,7 @@ def hffd(instance: Instance, thresholds: Sequence[Fraction]) -> PackOutcome:
     bounds = [0, *cuts, len(order)]
     blocks = list(zip(bounds, bounds[1:])) if order else []
     pool = list(range(instance.n))
-    bins: list[tuple[int, ...]] = []
+    bins: list[list[tuple[int, int]]] = []
     owners: list[int] = []
     while blocks and pool:
         # each agent's room in the open bin, and the agents the bin still
@@ -327,7 +351,7 @@ def hffd(instance: Instance, thresholds: Sequence[Fraction]) -> PackOutcome:
         # fit, which can take no later chore since their rooms only shrink
         rooms = caps[:]
         fits = pool[:]
-        bin_chores: list[int] = []
+        taken: list[tuple[int, int]] = []
         left: list[tuple[int, int]] = []
         for block in blocks:
             p, end = block
@@ -351,15 +375,14 @@ def hffd(instance: Instance, thresholds: Sequence[Fraction]) -> PackOutcome:
                     rooms[i] -= w
                     kept.append(i)
             fits = kept
-            bin_chores += order[p:p + t]
+            taken.append((p, t))
             if t < size:
                 left.append((p + t, end))
-        if not bin_chores:
+        if not taken:
             raise EmptyBinDeadlock(order[blocks[0][0]])
         owner = fits[0]
         blocks = left
-        bins.append(tuple(bin_chores))
+        bins.append(taken)
         owners.append(owner)
         pool.remove(owner)
-    unallocated = tuple(c for p, end in blocks for c in order[p:end])
-    return PackOutcome(Allocation.of(bins, owners), unallocated)
+    return bins, owners, blocks

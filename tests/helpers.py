@@ -37,7 +37,7 @@ from choremms.errors import (BadParams, EmptyBinDeadlock, InvariantViolation, No
 from choremms.io import MAX_AGENTS, _parse_count, _significant_lines
 from choremms.ffv import SwapStep, SwapTranscript, _exact_subset, _Worker, is_ffv
 from choremms.mms import APPROX_RATIO, MMSResult, solve_auto
-from choremms.packing import PackOutcome, ffd, hffd
+from choremms.packing import PackOutcome, ffd, hffd, hffd_slices
 
 
 def lex_compare(b1, b2, cost):
@@ -79,12 +79,14 @@ def ffd_first_bin(all_chores, prefix, cost, tau):
 
 
 def hffd_dropping_last_chore(instance, thresholds):
-    """A broken stand-in for `hffd`: the real packing with the last chore
-    of its last bin left unplaced."""
-    outcome = hffd(instance, thresholds)
-    *bins, last = outcome.bundles
-    return PackOutcome(Allocation.of(bins + [last[:-1]], outcome.allocation.agents),
-                       outcome.unallocated + (last[-1],))
+    """A broken stand-in for `hffd_slices`: the real packing with the last
+    chore of its last bin left unplaced."""
+    bins, owners, left = hffd_slices(instance, thresholds)
+    *first, last = bins
+    *kept, (start, copies) = last
+    if copies > 1:
+        kept.append((start, copies - 1))
+    return first + [kept], owners, left + [(start + copies - 1, start + copies)]
 
 
 def brute_lex_max(all_chores, prefix, cost, tau):

@@ -387,7 +387,7 @@ def test_solve_hffd_leaving_chores_reports_original_costs(tmp_path, capsys):
 def test_solve_theorem_violation_writes_counterexample(tmp_path, monkeypatch, capsys):
     inst = Instance.from_rows([[4, 2, 2, 1, 1]] * 2)
     path = write_instance(tmp_path, inst)
-    monkeypatch.setattr(mms, "hffd", hffd_dropping_last_chore)
+    monkeypatch.setattr(mms, "hffd_slices", hffd_dropping_last_chore)
     monkeypatch.chdir(tmp_path)
     assert main(["solve", path, "--algo", "factored"]) == 1
     err = capsys.readouterr().err
@@ -399,7 +399,7 @@ def test_solve_theorem_violation_writes_counterexample(tmp_path, monkeypatch, ca
 
 def test_solve_counterexample_never_overwrites(tmp_path, monkeypatch, capsys):
     path = write_instance(tmp_path, Instance.from_rows([[4, 2, 2, 1, 1]] * 2))
-    monkeypatch.setattr(mms, "hffd", hffd_dropping_last_chore)
+    monkeypatch.setattr(mms, "hffd_slices", hffd_dropping_last_chore)
     monkeypatch.setattr("choremms.cli.time.time", lambda: 1.0)
     monkeypatch.chdir(tmp_path)
     existing = tmp_path / "counterexample-1000.txt"

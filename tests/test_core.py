@@ -2,6 +2,7 @@ import itertools
 import pickle
 import random
 import sys
+import threading
 import types
 from decimal import Decimal
 from fractions import Fraction as F
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import choremms
+from choremms import core
 from choremms.core import (Allocation, EQUAL, GREATER, LESS, Instance, bundle_cost,
                            classify, format_rational, parse_rational, to_ido,
                            universal_ordering)
@@ -404,3 +406,35 @@ def test_swap_preserves_chore_multiset(data):
     for k in range(3):
         if k not in (i, j):
             assert swapped.bundles[k] == alloc.bundles[k]
+
+
+# ----------------------------------------------------------- kept attributes
+
+def test_a_kept_attribute_is_computed_once_and_racing_threads_share_it():
+    barrier = threading.Barrier(2)
+    calls = []
+
+    class Probe:
+        @core._kept
+        def value(self):
+            """a fresh object per computation"""
+            calls.append(threading.get_ident())
+            barrier.wait(timeout=10)  # both threads compute before either stores
+            return object()
+
+    probe = Probe()
+    got = [None, None]
+    threads = [threading.Thread(target=lambda k=k: got.__setitem__(k, probe.value))
+               for k in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert len(calls) == 2 and got[0] is got[1] is vars(probe)["value"]
+    # a later read finds the kept value and computes nothing
+    assert probe.value is got[0] and len(calls) == 2
+    assert Probe.value.func.__doc__ == Probe.value.__doc__ == "a fresh object per computation"
+    # a value set before the first use is kept as it is
+    row = core.CostRow((F(1, 2), F(3, 4)))
+    row.scale = 8
+    assert row.weights == (4, 6) and row.scale == 8

@@ -569,6 +569,98 @@ def test_hffd_and_lift_matches_the_merged_lift_at_benchmark_sizes():
     assert seen >= {"complete", "partial"}
 
 
+def ref_hffd_and_lift(instance, ido, taus):
+    """`ref_hffd` on the twin, each bin lifted by `ref_lift` and put at its
+    owner's index, and the original chores no bin holds, ascending; the
+    shape of `lifted_or_deadlock`."""
+    if ido.m == 0:
+        return ((),) * ido.n, tuple(range(ido.n)), ()
+    try:
+        packed = ref_hffd(ido, taus).allocation
+    except EmptyBinDeadlock as exc:
+        return ("deadlock", exc.chore)
+    lifted = ref_lift(instance, packed).bundles
+    bundles = [()] * ido.n
+    for b, owner in enumerate(packed.agents):
+        bundles[owner] = lifted[b]
+    held = {c for bundle in bundles for c in bundle}
+    return tuple(bundles), tuple(range(ido.n)), tuple(c for c in range(ido.m) if c not in held)
+
+
+GENERATED_CLASSES = ("factored", "bivalued", "personalized_bivalued", "general")
+
+
+@SETTINGS
+@given(st.sampled_from(GENERATED_CLASSES), st.integers(1, 6), st.integers(0, 30),
+       st.integers(0, 10 ** 6))
+def test_hffd_and_lift_matches_the_references(kind, n, m, seed):
+    hffd_and_lift_outcomes(kind, n, m, seed)
+
+
+def hffd_and_lift_outcomes(kind, n, m, seed):
+    """`hffd_and_lift` against `ref_hffd_and_lift` on the twin of a
+    generated instance at the solve's thresholds, then at all of them
+    lowered by a tenth at a time until HFFD deadlocks, which it does once
+    no agent has room for the heaviest chore; the outcomes met. The ordinal
+    solver needs two agents, and on general rows its exact fallback needs
+    m <= 14."""
+    if kind == "general":
+        n, m = max(n, 2), min(m, 14)
+    instance = gen_instance(kind, n, m, seed)
+    ido, lifting = to_ido(instance)
+    taus = solve_auto(instance).thresholds
+    seen = set()
+    while True:
+        got = lifted_or_deadlock(hffd_and_lift, ido, lifting, taus)
+        assert got == ref_hffd_and_lift(instance, ido, taus)
+        if m == 0:
+            return {"no chores"}
+        if got[0] == "deadlock":
+            return seen | {"deadlock"}
+        seen.add("partial" if got[2] else "complete")
+        taus = [tau * F(9, 10) for tau in taus]
+
+
+def test_hffd_and_lift_matches_the_references_on_every_outcome():
+    # seeded cases of the test above reach m = 0, and a complete, a partial
+    # and a deadlocked HFFD, on twins of every class
+    seen = set()
+    for case in range(80):
+        kind = GENERATED_CLASSES[case % 4]
+        n, m = 2 + case % 5, (0, 6, 14, 30)[case // 4 % 4]
+        seen |= {(kind, outcome) for outcome in hffd_and_lift_outcomes(kind, n, m, case)}
+    assert seen == {(kind, outcome) for kind in GENERATED_CLASSES
+                    for outcome in ("no chores", "complete", "partial", "deadlock")}
+
+
+@SETTINGS
+@given(st.data())
+def test_lift_matches_reference_with_shared_owners_and_empty_bundles(data):
+    # agent 0 owns two bundles of positions, and one bundle is empty; the
+    # other positions go to bundles of any agent, or to none
+    instance = data.draw(instances(max_m=12))
+    _, lifting = to_ido(instance)
+    labels = data.draw(st.lists(st.integers(-1, 3), min_size=instance.m, max_size=instance.m))
+    bundles = [[c for c, b in enumerate(labels) if b == j] for j in range(4)] + [[]]
+    agents = [0, 0] + data.draw(st.lists(st.integers(0, instance.n - 1), min_size=3,
+                                         max_size=3))
+    allocation = Allocation.of(bundles, agents)
+    assert lifting.lift(allocation) == ref_lift(instance, allocation)
+    # with no agents given, bundle i belongs to agent i
+    if len(bundles) <= instance.n:
+        unowned = Allocation.of(bundles)
+        assert lifting.lift(unowned) == ref_lift(instance, unowned)
+
+
+@pytest.mark.parametrize("bad", [-1, 4, 9])
+def test_lift_names_the_chore_out_of_range(bad):
+    instance = gen_instance("factored", 3, 4, seed=2)
+    _, lifting = to_ido(instance)
+    for bundles in ([(0, 1), (), (bad, 2)], [(bad,), (0, 1, 2, 3)], [(3, bad), ()]):
+        with pytest.raises(BadParams, match=f"^chore {bad} is not one of the 4 chores$"):
+            lifting.lift(Allocation.of(bundles, [0, 0, 1][:len(bundles)]))
+
+
 def test_lift_ties_pick_lower_id():
     instance = Instance.from_rows([[2, 1, 1, 2], [1, 1, 1, 1]])
     _, lifting = to_ido(instance)

@@ -432,8 +432,8 @@ def test_hffd_and_lift_needs_one_owner_per_bin(owners, message, monkeypatch):
     # each lifted bin is put at its owner's index, so an owner HFFD would
     # never give is refused rather than written over another bin
     def hffd_with_owners(ido, taus):
-        return packing.PackOutcome(core.Allocation.of([(0, 1), (2, 3)], owners), ())
-    monkeypatch.setattr(mms, "hffd", hffd_with_owners)
+        return [[(0, 2)], [(2, 2)]], list(owners), []
+    monkeypatch.setattr(mms, "hffd_slices", hffd_with_owners)
     ido, lifting = to_ido(Instance.from_rows([[4, 2, 2, 1]] * 2))
     with pytest.raises(BadParams, match=message):
         hffd_and_lift(ido, lifting, (F(6), F(6)))
@@ -509,7 +509,7 @@ def test_solvers_without_chores_give_empty_bundles(solve):
 
 
 def test_theorem_violation_carries_instance_and_writes_nothing(monkeypatch, tmp_path):
-    monkeypatch.setattr(mms, "hffd", hffd_dropping_last_chore)
+    monkeypatch.setattr(mms, "hffd_slices", hffd_dropping_last_chore)
     monkeypatch.chdir(tmp_path)
     inst = Instance.from_rows([[4, 2, 2, 1, 1]] * 2)
     with pytest.raises(TheoremViolation) as info:
