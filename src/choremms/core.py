@@ -17,9 +17,10 @@ them, `to_ido` spells each twin row out of them with the row's own
 twin's blocks at their prefix sums, the threshold searches read the twin
 row's runs, and the lift (`LiftingMap.lift_slices`) walks each agent's
 weights cheapest first, over slices of the twin's positions that one
-bundle holds, as HFFD hands them over. `CostRow.runs` returns them for
-the one tuple of ids per m that `Instance.chores` shares, and counts any
-other spelling of the chores.
+bundle holds: as HFFD hands them over, or one position each from
+`LiftingMap.lift`. `CostRow.runs` returns them for the one tuple of ids
+per m that `Instance.chores` shares, and counts any other spelling of
+the chores.
 
 What depends only on the instance is kept with it, computed on first
 use by `_kept`, a `cached_property` without a lock: each row's scale,
@@ -415,8 +416,8 @@ class LiftingMap:
 
     The twin's positions are walked from the last to the first, cheapest
     first, and each position's owner takes their cheapest original chore
-    left, the lowest id among equal costs. The walk goes over slices of
-    positions that one bundle holds (`lift_slices`): its owner takes a
+    left, the lowest id among equal costs. The one walk, `lift_slices`,
+    goes over slices of positions that one bundle holds: its owner takes a
     slice's chores with one `islice` of one cursor over their row's
     distinct weights, cheapest first (`CostRow.counts`), which finds each
     copy of a weight by `index` and moves on to the next weight once it has
@@ -426,25 +427,18 @@ class LiftingMap:
 
     def lift(self, allocation: Allocation) -> Allocation:
         """The allocation with each bundle's positions replaced by the
-        original chores its owner takes, in the walk's order. Each bundle's
-        positions, in the bundle's order, are cut into slices where they
-        stop running consecutively: HFFD's bins on a twin are few slices."""
+        original chores its owner takes, in the walk's order: each position
+        goes to `lift_slices` as a slice of one copy. Raises BadParams for
+        the first position, in bundle order, that is not one of the m
+        chores, or for an owner that is not one of the n agents."""
         m = self.original.m
         bundles = allocation.bundles
         slices: list[tuple[int, int, int]] = []
         for b, bundle in enumerate(bundles):
-            if not bundle:
-                continue
-            if min(bundle) < 0 or max(bundle) >= m:
-                bad = next(c for c in bundle if not 0 <= c < m)
-                raise BadParams(f"chore {bad} is not one of the {m} chores")
-            start = end = bundle[0]
             for c in bundle:
-                if c != end:
-                    slices.append((start, end - start, b))
-                    start = c
-                end = c + 1
-            slices.append((start, end - start, b))
+                if not 0 <= c < m:
+                    raise BadParams(f"chore {c} is not one of the {m} chores")
+                slices.append((c, 1, b))
         agents = range(len(bundles)) if allocation.agents is None else allocation.agents
         lifted, _ = self.lift_slices(slices, agents, len(bundles))
         return Allocation.of(lifted, allocation.agents)
@@ -455,13 +449,18 @@ class LiftingMap:
         `slices` give to `bundles` bundles, each slice the positions start
         to start + copies - 1, disjoint from every other slice, and
         `agents[bundle]` the bundle's owner; the lifted bundles, and which
-        original chores they took.
+        original chores they took. Raises BadParams, before any walk, for
+        the first bundle whose owner is not one of the n agents.
 
         IDO chore j is the (j+1)-th largest position, and the slices are
         walked largest start first, so a slice's positions come in a row
         and its owner takes their `copies` cheapest original chores left.
         At position j at most m-1-j chores are gone, so one of the agent's
         m-j cheapest is left: the pick costs at most the position j."""
+        n = self.original.n
+        for b, agent in enumerate(agents):
+            if not 0 <= agent < n:
+                raise BadParams(f"bundle {b} belongs to agent {agent}, not one of {n} agents")
         taken = [False] * self.original.m
         cursors: dict[int, Iterator[int]] = {}
         lifted: list[list[int]] = [[] for _ in range(bundles)]

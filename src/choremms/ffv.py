@@ -10,14 +10,16 @@ capacity floor(tau * D); every sum, sort and comparison runs on those
 integers, and values become Fractions only for results and messages.
 
 The swap worker states the swap rule once, in `apply`, on one set of chore
-ids per bundle, and holds a bundle that a donor lookup reads as runs too:
-each weight to its chore ids ascending. A step costs in proportion to what
-it moves, in integers, and is recorded as its two bundles' new sums; the
-transcript builds its `SwapStep`s, with Fraction costs, only when read.
-Most steps of a replay are pulls (T_i empty, T_j one chore), once bundle k
-has no chore at the positions left to fill: `_Worker.pull` takes them in
-one loop, each donor from `_find_donor`, popped off the end of its run,
-each weight's walk resuming at the bundle of its last donor.
+ids per bundle. A bundle that a donor lookup reads is also held as runs,
+each weight to its chore ids ascending, built from its set on that read; a
+swap drops the runs of both its bundles, and the next lookup that reaches
+either builds them again. A step is recorded as its two bundles' new
+integer sums; the transcript builds its `SwapStep`s, with Fraction costs,
+only when read. Most steps of a replay are pulls (T_i empty, T_j one
+chore), once bundle k has no chore at the positions left to fill:
+`_Worker.pull` takes them in one loop, each donor from `_find_donor`,
+popped off the end of its run, each weight's walk resuming at the bundle
+of its last donor.
 Each profile is sorted once per reduction: the FFV walks hand back the
 profiles they sort, Q's become the targets and P's (when checked) the
 worker's, and a bundle is sorted again only after a swap changed it. A
@@ -31,7 +33,6 @@ twice raises BadParams.
 
 from __future__ import annotations
 
-from bisect import insort
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
@@ -238,15 +239,16 @@ class _Worker:
     chores one swap (T_i = ∅, T_j = {c}) each.
 
     Each bundle is a set of chore ids. A bundle that a donor lookup reads is
-    also held as runs, each weight's chore ids ascending, built on first use
-    and kept in step by moving only the traded chores; a donor is the last
-    id of its weight's run, so a pull pops it. A bundle's profile is kept
-    until a swap changes the bundle: the reduction hands in the profiles its
-    FFD check sorted. A bundle's FFD order is one sort of its set. Each step
-    moves two integer sums by the weight it trades and goes into the
-    transcript as one record, a `SwapStep` only when read; a sum becomes a
-    Fraction once, through `value`. `final` shows a bundle as given until a
-    swap changes it, then as its ids ascending."""
+    also held as runs, each weight's chore ids ascending, built from its set
+    on that read (`runs_of`). `apply` drops the runs of both its bundles; a
+    donor is the last id of its weight's run, and `pull` pops it off. So a
+    built run always equals the bundle's set grouped by weight. A bundle's
+    profile is kept until a swap changes the bundle: the reduction hands in
+    the profiles its FFD check sorted. A bundle's FFD order is one sort of
+    its set. Each step moves two integer sums by the weight it trades and
+    goes into the transcript as one record, a `SwapStep` only when read; a
+    sum becomes a Fraction once, through `value`. `final` shows a bundle as
+    given until a swap changes it, then as its ids ascending."""
 
     def __init__(self, bundles: list[tuple[int, ...]], row: CostRow):
         # the worker takes over the list; a swap marks its two bundles None
@@ -292,24 +294,14 @@ class _Worker:
         """Bundle b in FFD order, as `CostRow.ffd_order` gives it."""
         return self.row.ffd_order(self.sets[b])
 
-    def _move(self, runs: dict[int, list[int]], out: set[int], into: set[int]):
-        """Keep a bundle's runs in step with a swap that moves the `out`
-        chores out of it and the `into` chores into it."""
-        weights = self.weights
-        for c in out:
-            ids = runs[weights[c]]
-            if len(ids) == 1:
-                del runs[weights[c]]
-            elif ids[-1] == c:  # as a donor is: its run's last id
-                ids.pop()
-            else:
-                ids.remove(c)
-        for c in into:
-            ids = runs.get(weights[c])
-            if ids is None:
-                runs[weights[c]] = [c]
-            else:
-                insort(ids, c)
+    def _pop(self, b: int, c: int):
+        """Take chore c, the last id of its weight's run, out of bundle b's
+        built runs, as a pull takes a donor."""
+        runs = self.runs[b]
+        ids = runs[self.weights[c]]
+        ids.pop()
+        if not ids:
+            del runs[self.weights[c]]
 
     def apply(self, k: int, i: int, t_i, j: int, t_j, forbid_increase_after: int | None = None):
         """The swap rule: bundles i and j, two distinct indices of the
@@ -340,11 +332,7 @@ class _Worker:
         a_i |= take
         a_j -= take
         a_j |= give
-        runs = self.runs
-        if runs[i] is not None:
-            self._move(runs[i], give, take)
-        if runs[j] is not None:
-            self._move(runs[j], take, give)
+        self.runs[i] = self.runs[j] = None
         weight = self.weights.__getitem__
         # the step as given: a T the caller may change later is copied
         self._record(k, i, t_i if t_i.__class__ is tuple else tuple(t_i),
@@ -354,8 +342,8 @@ class _Worker:
 
     def _record(self, k: int, i: int, t_i: tuple, j: int, t_j: tuple, gain: int, kept: bool,
                 forbid_increase_after: int | None):
-        """The rest of a swap whose sets and runs have changed, bundle i
-        gaining `gain`: its sums and record, then its failures."""
+        """The rest of a swap whose sets have changed, bundle i gaining
+        `gain`: its sums and record, then its failures."""
         self.final[i] = self.final[j] = self.profiles[i] = self.profiles[j] = None
         sums = self.sums
         sums[i] += gain
@@ -374,13 +362,14 @@ class _Worker:
         """Bundle k takes one chore of each weight in `wants`, in order, each
         from the bundle `_find_donor` names. Each pull is the swap
         `apply(k, k, (), i, (c,), forbid_increase_after)`, with the same
-        checks, record and failures, stated for one chore: the donor c is
-        the last id of its weight's run in bundle i, which pops it. Only
-        bundle k gains chores here, so a bundle past k found without a
-        weight stays so, and the next walk for that weight starts at the
-        bundle of its last donor."""
-        sets, runs = self.sets, self.runs
-        a_k, runs_k = sets[k], runs[k]
+        record and failures, stated for one chore: the donor c is the last id
+        of its weight's run in bundle i, built from that bundle's set, so T_j
+        ⊆ A_j holds, and the pull pops it. Only bundle k gains chores here,
+        so a bundle past k found without a weight stays so, and the next
+        walk for that weight starts at the bundle of its last donor."""
+        sets = self.sets
+        a_k = sets[k]
+        self.runs[k] = None  # donors come from bundles past k: k's runs go unread
         starts: dict[int, int] = {}
         for w in wants:
             donor = _find_donor(self, k, w, starts.get(w))
@@ -388,14 +377,10 @@ class _Worker:
                 self.fail(k, f"no chore of cost {self.row.value(w)} left in bundles after {k}")
             i, c = donor
             starts[w] = i
-            if c not in sets[i]:
-                raise SubsetViolation(f"T_j {[c]} not in bundle {i}")
             kept = c not in a_k
             a_k.add(c)
             sets[i].remove(c)
-            self._move(runs[i], (c,), ())  # built, as `_find_donor` read it
-            if runs_k is not None:
-                self._move(runs_k, (), (c,))
+            self._pop(i, c)  # built, as `_find_donor` read it
             self._record(k, k, (), i, (c,), w, kept, forbid_increase_after)
 
     def _final(self) -> Allocation:
@@ -450,9 +435,6 @@ def _reduce(P: Allocation, Q: Allocation, row: CostRow, tau: Fraction,
     worker.profiles[:len(p_profiles)] = p_profiles
     targets += [[] for _ in range(n - len(targets))]
     for k in range(n):
-        # donors come only from bundles past k, so bundle k's runs would
-        # only be kept in step, never read
-        worker.runs[k] = None
         reach_target(worker, k, targets[k])
         if worker.profile(k) != targets[k]:
             worker.fail(k, f"bundle {k} did not reach its target profile")

@@ -9,7 +9,8 @@ Instance file::
 
 The agent count is at most `MAX_AGENTS`. Allocation file: n lines
 ``agent <i>: <chore ids>`` followed by n lines ``cost <i>: <rational>``.
-Lines starting with ``#`` are comments.
+In both, ``#`` starts a comment that runs to the end of its line, and a
+line that is blank once its comment is cut is skipped.
 
 `parse_instance` builds each cost row once, by `core.CostRow.parse`, and
 the rows share one text-to-Fraction dict: each distinct cost text of the
@@ -30,11 +31,12 @@ MAX_AGENTS = 10**6
 
 
 def _significant_lines(text: str):
+    """(line number, text before any `#`, stripped) of each line that has
+    such text."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        yield lineno, line
+        line = raw.partition("#")[0].strip()
+        if line:
+            yield lineno, line
 
 
 def format_instance(instance: Instance) -> str:

@@ -196,29 +196,28 @@ def hffd_and_lift(ido: Instance, lifting: LiftingMap,
     """HFFD on the IDO twin, lifted to the original chores, one bundle per
     agent, and the original chores it left unallocated, ids ascending.
     HFFD's bins come as slices of the twin's ordering (`hffd_slices`),
-    which is the identity, so a slice is a run of positions, and the lift
-    walks them as they are (`LiftingMap.lift_slices`): no bin is spelled
-    out chore by chore. HFFD gives each agent at most one bin, so each
-    owner's picks go straight into their bundle, with no merge; an agent
-    without a bin gets an empty bundle. Lifting raises no agent's cost, also
-    when HFFD leaves chores. With no chores every agent gets an empty
-    bundle, since HFFD rejects the zero thresholds such an instance gets."""
+    which is the identity, so a slice is a run of positions. Each slice is
+    tagged with its bin and lifted as it is, with the bins' owners as the
+    agents (`LiftingMap.lift_slices`, which checks each owner): no bin is
+    spelled out chore by chore. Each lifted bin is then put at its owner's
+    index, with no merge, since HFFD gives each agent at most one bin (a
+    second raises BadParams); an agent without a bin gets an empty bundle.
+    Lifting raises no agent's cost, also when HFFD leaves chores. With no
+    chores every agent gets an empty bundle, since HFFD rejects the zero
+    thresholds such an instance gets."""
     n = ido.n
     if ido.m == 0:
         return Allocation.of([()] * n, agents=range(n)), ()
     bins, owners, left = hffd_slices(ido, thresholds)
-    served = [False] * n
-    slices: list[tuple[int, int, int]] = []
+    slices = [(start, copies, b) for b, parts in enumerate(bins) for start, copies in parts]
+    lifted, taken = lifting.lift_slices(slices, owners, len(owners))
+    # every HFFD bin holds a chore, so a lifted bin is never empty
+    bundles: list[tuple[int, ...]] = [()] * n
     for b, owner in enumerate(owners):
-        if not 0 <= owner < n:
-            raise BadParams(f"bundle {b} belongs to agent {owner}, not one of {n} agents")
-        if served[owner]:
+        if bundles[owner]:
             raise BadParams(f"bundle {b} belongs to agent {owner}, who has a bundle already")
-        served[owner] = True
-        slices += [(start, copies, owner) for start, copies in bins[b]]
-    agents = range(n)
-    lifted, taken = lifting.lift_slices(slices, agents, n)
-    allocation = Allocation(tuple(map(tuple, lifted)), tuple(agents))
+        bundles[owner] = tuple(lifted[b])
+    allocation = Allocation(tuple(bundles), tuple(range(n)))
     if not left:
         return allocation, ()
     return allocation, tuple(c for c, held in enumerate(taken) if not held)

@@ -6,11 +6,11 @@ import pytest
 
 from check_gen_identity import digest_mismatches, identity_mismatches
 from choremms import analysis
-from choremms.analysis import (GENERAL_COSTS, MAX_GEN_COSTS, MAX_GEN_LEVELS, case_table,
-                               format_case_table, gen_instance, search_bivalued_mms_existence,
-                               search_monotonicity)
+from choremms.analysis import (GENERAL_COSTS, MAX_GEN_COSTS, MAX_GEN_LEVELS, SUBSET_SUM_CAP,
+                               case_table, format_case_table, gen_instance,
+                               search_bivalued_mms_existence, search_monotonicity, subset_sums)
 from choremms.core import CostRow, Instance, classify
-from choremms.errors import BadParams
+from choremms.errors import BadParams, TooLarge
 from choremms.io import MAX_AGENTS
 from helpers import ref_gen_instance
 
@@ -226,6 +226,12 @@ def test_gen_instance_takes_levels_up_to_its_cap(levels):
 
 
 # ------------------------------------------------------------------ searches
+
+def test_subset_sums_caps_the_chores():
+    m = SUBSET_SUM_CAP + 1
+    with pytest.raises(TooLarge, match=f"^subset-sum grid needs m <= {SUBSET_SUM_CAP}, got {m}$"):
+        subset_sums(range(m), (F(1),) * m)
+
 
 def test_search_monotonicity_factored_finds_nothing():
     assert search_monotonicity("factored", trials=300, seed=1) is None

@@ -444,6 +444,12 @@ def test_exit_code_of_each_error(tmp_path, capsys, monkeypatch, error, code):
     assert one_error_line(capsys) == f"error: {error}\n"
 
 
+def test_factored_solve_of_a_general_instance_exits_2(tmp_path, capsys):
+    path = write_instance(tmp_path, Instance.from_rows([[3, 2, 1], [1, 1, 1]]))
+    assert main(["solve", path, "--algo", "factored"]) == 2
+    assert one_error_line(capsys) == "error: every agent must have factored costs\n"
+
+
 @pytest.mark.parametrize("count", [str(10**20), "9" * 5000], ids=["1e20", "5000-digits"])
 def test_huge_agent_count_exits_2(tmp_path, capsys, count):
     path = tmp_path / "big.txt"

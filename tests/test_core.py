@@ -99,6 +99,14 @@ def test_instance_rejects_ragged_rows():
         Instance.from_rows([[1, 2], [1]])
 
 
+def test_instance_needs_an_agent_and_an_allocation_one_agent_per_bundle():
+    with pytest.raises(BadParams, match="^instance needs at least one agent$"):
+        Instance.from_rows([])
+    for agents in ((0,), (0, 1, 1)):
+        with pytest.raises(BadParams, match="^agents map length must match bundle count$"):
+            Allocation.of([(0,), (1,)], agents=agents)
+
+
 def test_instance_rows_act_as_plain_tuples_and_scale_once():
     rows = [[F(1, 2), F(3), F(5, 3)], [F(2), F(1, 6), F(1)]]
     plain = tuple(map(tuple, rows))

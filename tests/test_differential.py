@@ -5,6 +5,7 @@ orderings; identical swap transcripts; and the same error type and message
 on rejected inputs."""
 
 import gc
+import hashlib
 import itertools
 import random
 import weakref
@@ -519,6 +520,41 @@ def test_lift_matches_reference_at_realistic_sizes():
             assert lifting.lift(allocation) == ref_lift(instance, allocation)
 
 
+# sha256 prefixes of `solve_auto`'s thresholds and bundles, and of the
+# certificate replay, at 100x1000; the bench pools stop at 10x100, and at
+# n = 100 the donor walk and the run builds take other paths
+SCALE_PINS = {
+    ("factored", 1): ("03d510e08b09101b", "85a5c683aadda8ba"),
+    ("factored", 2): ("38617284f438cecd", "703b9ed1fd0b26ab"),
+    ("factored", 3): ("4bffc1c56ca32d44", "70fd55f18d806f28"),
+    ("personalized_bivalued", 1): ("a74d70c913c46e00", "8a2daf0a57c57d53"),
+    ("personalized_bivalued", 2): ("01c9665a66f3b3ef", "c669c6e6ec87ea87"),
+    ("personalized_bivalued", 3): ("f6ed3464011be551", "ef2aee9c0c8ce6c4"),
+    ("general", 1): ("d3d5d6c601ae1fc7", None),
+    ("general", 2): ("35bdbe979a88bd99", None),
+    ("general", 3): ("6b7dd4ab98d9344b", None),
+}
+
+
+def sha16(value):
+    return hashlib.sha256(repr(value).encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("kind, seed", SCALE_PINS)
+def test_outputs_at_100x1000_are_pinned(kind, seed):
+    result = solve_auto(gen_instance(kind, 100, 1000, seed=seed))
+    replay = None
+    if kind != "general":
+        # the certificate replay of the benchmark: the FFV check of HFFD's
+        # bins for their last owner, then the reduction from FFD to them
+        P, Q, cost, tau, chores = certify_case(kind, 100, 1000, seed)
+        reduce = reduce_factored if kind == "factored" else reduce_bivalued
+        t = reduce(P, Q, cost, tau, chores)
+        replay = sha16((is_ffv(chores, Q, cost, tau), t.dump(), t.final))
+    assert (sha16((result.thresholds, result.allocation.bundles)), replay) == \
+        SCALE_PINS[kind, seed]
+
+
 def merged_hffd_and_lift(ido, lifting, taus):
     """HFFD's bins merged per agent (`Allocation.per_agent`), lifted, and
     every original chore scanned for the ones left out: the composition
@@ -659,6 +695,18 @@ def test_lift_names_the_chore_out_of_range(bad):
     for bundles in ([(0, 1), (), (bad, 2)], [(bad,), (0, 1, 2, 3)], [(3, bad), ()]):
         with pytest.raises(BadParams, match=f"^chore {bad} is not one of the 4 chores$"):
             lifting.lift(Allocation.of(bundles, [0, 0, 1][:len(bundles)]))
+
+
+@pytest.mark.parametrize("owner", [-1, 3])
+def test_lift_names_the_bundle_of_an_owner_out_of_range(owner):
+    # an owner of -1 would otherwise lift with the last agent's row, and an
+    # owner of n would index past the rows
+    instance = gen_instance("factored", 3, 4, seed=2)
+    _, lifting = to_ido(instance)
+    for bundles, agents in (([(0,)], [owner]), ([(0, 1), (), (2,)], [0, owner, owner])):
+        with pytest.raises(BadParams, match=f"^bundle {agents.index(owner)} belongs to agent "
+                                            f"{owner}, not one of 3 agents$"):
+            lifting.lift(Allocation.of(bundles, agents))
 
 
 def test_lift_ties_pick_lower_id():
@@ -1053,8 +1101,10 @@ def test_a_pull_of_a_chore_the_bundle_holds_fails_with_its_transcript():
 def test_pull_is_the_donor_loop_of_one_chore_swaps(data):
     # `pull` takes each chore as the loop it replaced did, `_find_donor` and
     # then the swap T_i = {}, T_j = {donor}: the same steps, failures, final,
-    # sets, runs and sums, on bundles that may share chores, with some runs
-    # built beforehand (bundle k's too, as a transform's earlier donor)
+    # sets, runs as read and sums, on bundles that may share chores, with some
+    # runs built beforehand (bundle k's too, as a transform's earlier donor);
+    # the swaps drop the runs they touch, so a run the pulls kept is checked
+    # against a fresh build
     m = data.draw(st.integers(1, 8))
     row = CostRow(data.draw(st.lists(st.sampled_from([F(1), F(2), F(4)]), min_size=m,
                                      max_size=m)))
@@ -1078,7 +1128,8 @@ def test_pull_is_the_donor_loop_of_one_chore_swaps(data):
         for b in built:
             worker.runs_of(b)
         got = outcome(lambda: run(worker) or worker.finish())
-        ends.append((got, worker.sets, worker.runs, worker.sums))
+        ends.append((got, worker.sets, [worker.runs_of(b) for b in range(len(bundles))],
+                     worker.sums))
     assert ends[0] == ends[1]
 
 @st.composite

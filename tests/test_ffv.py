@@ -410,7 +410,7 @@ def test_one_swap_builds_runs_only_for_the_bundles_it_touched(monkeypatch, kind,
     # the donor lookup reads the bundles from the last one down to the donor's
     assert built == list(range(len(t.final.bundles) - 1, step.j - 1, -1))
     assert step.i not in built
-    # a swap keeps built runs in step and builds none
+    # a swap builds no runs: it drops those of its two bundles
     worker = ffv._Worker([(0, 1), (2,), (3,)], CostRow([F(1)] * 4))
     worker.apply(0, 0, (1,), 2, (3,))
     assert worker.runs == [None] * 3
@@ -586,6 +586,12 @@ def test_transform_short_circuits_for_large_mu():
     t = transform_mms_to_ffd(q, cost, F(13))
     assert t.result == "equal" and t.steps == []
     assert t.final.is_complete(9)
+
+
+def test_transform_of_no_chores_is_an_empty_equal_transcript():
+    q = Allocation.of([(), ()])
+    t = transform_mms_to_ffd(q, (F(3), F(2)), F(5))
+    assert (t.steps, t.result, t.final) == ([], "equal", q)
 
 
 def test_transform_rejects_bundle_above_mu():

@@ -22,6 +22,15 @@ def test_instance_comments_and_blank_lines():
     assert parse_instance(text) == Instance.from_rows([[F(1, 2), 3]])
 
 
+def test_a_comment_may_follow_a_line_of_either_file():
+    # `#` starts a comment anywhere on a line: on a header, a count, a cost
+    # row, an agent line and a cost line
+    text = "mms-instance 1  # v1\nagents 1\nchores 2#two\n1/2 3 # y\n"
+    assert parse_instance(text) == Instance.from_rows([[F(1, 2), 3]])
+    text = "agent 0: 1 # first\nagent 1: 0#\ncost 0: 3 # checked\ncost 1: 2\n"
+    assert parse_allocation(text, INST).bundles == ((1,), (0,))
+
+
 @pytest.mark.parametrize("text,line", [
     ("mms-instance 2\nagents 1\nchores 1\n1\n", 1),
     ("mms-instance 1\nagents 1\nchores 2\n1\n", 4),

@@ -8,9 +8,9 @@ import pytest
 from choremms import core, mms, packing
 from choremms.analysis import gen_instance, subset_sums
 from choremms.core import CostRow, Instance, bundle_cost, to_ido
-from choremms.errors import (BadParams, NotFactored, TheoremViolation, TooLarge,
+from choremms.errors import (BadParams, NotBivalued, NotFactored, TheoremViolation, TooLarge,
                              UnsupportedClass)
-from choremms.mms import (APPROX_RATIO, hffd_and_lift, mms_brute, mms_factored,
+from choremms.mms import (APPROX_RATIO, MMSResult, hffd_and_lift, mms_brute, mms_factored,
                           mms_lower_bound, mms_value, min_success_threshold, solve_auto,
                           solve_bivalued, solve_factored, solve_ordinal)
 from choremms.packing import ffd
@@ -64,6 +64,10 @@ def test_mms_brute_rejects_bad_d_and_caps_size():
         mms_brute((F(1),) * 20, range(20), 2)
 
 
+def test_mms_brute_of_no_chores_is_zero_over_empty_bundles():
+    assert mms_brute((F(3), F(1)), (), 3) == MMSResult(F(0), ((), (), ()))
+
+
 # ------------------------------------------------------------ mms_factored
 
 def test_mms_factored_example():
@@ -85,6 +89,11 @@ def test_mms_factored_matches_brute():
 def test_mms_factored_rejects_non_factored():
     with pytest.raises(NotFactored):
         mms_factored((F(7), F(7), F(2)), range(3), 2)
+
+
+def test_mms_factored_needs_one_bundle():
+    with pytest.raises(BadParams, match="^need at least one bundle$"):
+        mms_factored((F(4), F(2)), range(2), 0)
 
 
 # ---------------------------------------------------------------- mms_value
@@ -506,6 +515,16 @@ def test_solvers_without_chores_give_empty_bundles(solve):
     res = solve(Instance(((),) * 3))
     assert res.allocation.bundles == ((), (), ())
     assert res.costs == (F(0),) * 3
+
+
+@pytest.mark.parametrize("solve, rows, error, message", [
+    (solve_factored, [[3, 2, 1], [1, 1, 1]], NotFactored, "every agent must have factored costs"),
+    (solve_bivalued, [[2, 2, 1], [3, 2, 1]], NotBivalued,
+     "every agent must have at most two distinct cost values"),
+])
+def test_a_solver_refuses_an_instance_outside_its_class(solve, rows, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        solve(Instance.from_rows(rows))
 
 
 def test_theorem_violation_carries_instance_and_writes_nothing(monkeypatch, tmp_path):

@@ -439,6 +439,22 @@ def test_hffd_edge_cases_match_reference(rows, taus, want):
         assert outcome_fields(hffd, instance, call) == want
 
 
+@pytest.mark.parametrize("taus, message", [
+    ([F(5)], "need one threshold per agent"),
+    ([F(5), F(5), F(5)], "need one threshold per agent"),
+    ([F(5), F(0)], "thresholds must be positive"),
+    ([F(-1), F(5)], "thresholds must be positive"),
+])
+def test_hffd_rejects_bad_thresholds(taus, message):
+    with pytest.raises(BadParams, match=f"^{message}$"):
+        hffd(Instance.from_rows([[2, 1], [2, 1]]), taus)
+
+
+def test_multifit_needs_one_bin():
+    with pytest.raises(BadParams, match="^need at least one bin$"):
+        multifit(range(2), (F(2), F(1)), 0)
+
+
 def test_hffd_empty_bin_deadlock():
     inst = Instance.from_rows([[10, 1], [10, 1]])
     with pytest.raises(EmptyBinDeadlock) as exc:
