@@ -64,8 +64,8 @@ def case_table() -> list[CaseRow]:
                 for b_p in range(0, b_q - 1):
                     if a_q + b_q <= a_p + b_p:
                         continue
-                    if 13 * a_p - 15 * a_q <= 0:
-                        continue
+                    # a_p >= a_q + 1 and a_q <= 6, so the denominator is
+                    # at least 13 - 2 * a_q > 0
                     ratio_lower = Fraction(15 * b_q - 13 * b_p - 13, 13 * a_p - 15 * a_q)
                     mu_lower = a_q * ratio_lower + b_q
                     tau_lower_s = ratio * mu_lower
@@ -246,15 +246,12 @@ def _mms_allocation_exists(instance: Instance, mus) -> bool:
         if idx == m:
             return True
         c = order[idx]
-        tried = set()
         for i in range(n):
             new = loads[i] + weights[i][c]
-            if new > caps[i] or (i, loads[i]) in tried:
+            if new > caps[i]:
                 continue
-            tried.add((i, loads[i]))
             loads[i] = new
             if rec(idx + 1):
-                loads[i] -= weights[i][c]
                 return True
             loads[i] = new - weights[i][c]
         return False

@@ -18,7 +18,7 @@ import time
 from fractions import Fraction
 
 from . import analysis, mms
-from .core import bundle_cost, format_rational, parse_rational, to_ido
+from .core import bundle_cost, format_rational, parse_rational
 from .errors import (BadParams, ChoreMMSError, EmptyBinDeadlock, ParseError, TheoremViolation,
                      TooLarge)
 from .io import format_allocation, format_instance, parse_allocation, parse_instance
@@ -79,8 +79,7 @@ def _report(algorithm, thresholds, instance, allocation, costs, mus, elapsed, un
     costs[i] is its cost."""
     complete = allocation.is_complete(instance.m)
     print(f"algorithm: {algorithm}")
-    if thresholds:
-        print("thresholds: " + " ".join(format_rational(t) for t in thresholds))
+    print("thresholds: " + " ".join(format_rational(t) for t in thresholds))
     for i, cost in enumerate(costs):
         line = f"agent {i}: cost {format_rational(cost)}"
         if mus is not None and mus[i] is not None:
@@ -133,8 +132,7 @@ def cmd_solve(args) -> int:
         if len(taus) != instance.n:
             raise BadParams(f"hffd needs 1 or {instance.n} thresholds")
         thresholds = tuple(taus)
-        ido, lifting = to_ido(instance)
-        allocation, unallocated = mms.hffd_and_lift(ido, lifting, thresholds)
+        allocation, unallocated = mms.hffd_and_lift(instance, thresholds)
     else:
         result = named[args.algo](instance)
         thresholds = result.thresholds

@@ -440,13 +440,13 @@ class LiftingMap:
                     raise BadParams(f"chore {c} is not one of the {m} chores")
                 slices.append((c, 1, b))
         agents = range(len(bundles)) if allocation.agents is None else allocation.agents
-        lifted, _ = self.lift_slices(slices, agents, len(bundles))
+        lifted, _ = self.lift_slices(slices, agents)
         return Allocation.of(lifted, allocation.agents)
 
-    def lift_slices(self, slices: Iterable[tuple[int, int, int]], agents: Sequence[int],
-                    bundles: int) -> tuple[list[list[int]], list[bool]]:
+    def lift_slices(self, slices: Iterable[tuple[int, int, int]],
+                    agents: Sequence[int]) -> tuple[list[list[int]], list[bool]]:
         """The lift of the twin positions that the (start, copies, bundle)
-        `slices` give to `bundles` bundles, each slice the positions start
+        `slices` give to len(agents) bundles, each slice the positions start
         to start + copies - 1, disjoint from every other slice, and
         `agents[bundle]` the bundle's owner; the lifted bundles, and which
         original chores they took. Raises BadParams, before any walk, for
@@ -463,7 +463,7 @@ class LiftingMap:
                 raise BadParams(f"bundle {b} belongs to agent {agent}, not one of {n} agents")
         taken = [False] * self.original.m
         cursors: dict[int, Iterator[int]] = {}
-        lifted: list[list[int]] = [[] for _ in range(bundles)]
+        lifted: list[list[int]] = [[] for _ in agents]
         for start, copies, b in sorted(slices, reverse=True):
             agent = agents[b]
             cursor = cursors.get(agent)

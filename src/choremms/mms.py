@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-from .core import (Allocation, CostRow, Instance, LiftingMap, bundle_cost, classify,
-                   format_rational, is_bivalued_costs, is_factored_costs, to_ido)
+from .core import (Allocation, CostRow, Instance, bundle_cost, classify, format_rational,
+                   is_bivalued_costs, is_factored_costs, to_ido)
 from .errors import (BadParams, NotBivalued, NotFactored, TheoremViolation,
                      TooLarge, UnsupportedClass)
 from .packing import (hffd_slices, ladder_bound, ladder_probe, multifit, smallest_fitting_cap,
@@ -51,26 +51,26 @@ class SolveResult:
 def mms_brute(cost: Sequence[Fraction], chores: Iterable[int], d: int) -> MMSResult:
     """Exact minimum over all d-partitions of the maximum bundle cost.
 
-    Branch-and-bound over chores in descending order; a chore may open
-    bundle k only when bundle k-1 is nonempty, and a branch is cut as soon
-    as its running maximum cannot beat the incumbent. Three cuts keep the
-    search small: it stops at `packing.ladder_bound`, which no partition
-    beats and which is at least max(w0, ceil(total/d)); the incumbent
-    starts just above `smallest_fitting_cap`, where first fit fills d bins;
-    and a load state (chore index, sorted bundle loads) is searched at most
-    once. On at most two distinct costs the value mu is known up front
+    Branch-and-bound over chores in descending order; a chore tries each
+    distinct bundle load once, lowest bundle first, so of the empty bundles
+    it only opens the first, and a branch is cut as soon as its running
+    maximum cannot beat the incumbent. Three cuts keep the search small: it
+    stops at `packing.ladder_bound`, which no partition beats and which is
+    at least max(w0, ceil(total/d)); the incumbent starts just above
+    `smallest_fitting_cap`, where first fit fills d bins; and a load state
+    (chore index, sorted bundle loads) is searched at most once. On at most
+    two distinct costs the value mu is known up front
     (`packing.two_valued_makespan`): the incumbent starts at mu + 1 and the
     search stops at mu, so it only looks for the witness. Each cut removes
     only partitions no better than the incumbent, so the witness is the
-    first optimal partition in search order.
+    first optimal partition in search order. With no chores that is d
+    empty bundles, of value 0.
     """
     if d < 1:
         raise BadParams("need at least one bundle")
     chores = tuple(chores)
     if len(chores) > ORACLE_CAP:
         raise TooLarge(f"brute-force oracle capped at m={ORACLE_CAP}, got {len(chores)}")
-    if not chores:
-        return MMSResult(Fraction(0), ((),) * d)
     # integer arithmetic inside the search; Fractions are exact but slow
     row = CostRow.of(cost)
     ordered = row.ffd_order(chores)
@@ -85,13 +85,13 @@ def mms_brute(cost: Sequence[Fraction], chores: Iterable[int], d: int) -> MMSRes
     best_assign: list[int] | None = None
     sums = [0] * d
     assign = [0] * len(ordered)
-    # The sorted loads fix `used` and `cur_max`, and equal keys reach the
-    # same completions up to relabelling the bundles. After a full search
+    # The sorted loads fix `cur_max`, and equal keys reach the same
+    # completions up to relabelling the bundles. After a full search
     # of a state the incumbent is at most its best completion, so an equal
     # state met later cannot improve on it.
     searched: set[tuple[int, tuple[int, ...]]] = set()
 
-    def rec(idx: int, used: int, cur_max: int):
+    def rec(idx: int, cur_max: int):
         nonlocal best, best_assign
         if cur_max >= best:
             return
@@ -104,20 +104,19 @@ def mms_brute(cost: Sequence[Fraction], chores: Iterable[int], d: int) -> MMSRes
             return
         w = weights[idx]
         tried: set[int] = set()
-        limit = min(used + 1, d)
-        for b in range(limit):
+        for b in range(d):
             if sums[b] in tried:
                 continue
             tried.add(sums[b])
             sums[b] += w
             assign[idx] = b
-            rec(idx + 1, max(used, b + 1), max(cur_max, sums[b]))
+            rec(idx + 1, max(cur_max, sums[b]))
             sums[b] -= w
             if best == lower:
                 return
         searched.add(key)
 
-    rec(0, 0, 0)
+    rec(0, 0)
     assert best_assign is not None
     bundles: list[list[int]] = [[] for _ in range(d)]
     for idx, b in enumerate(best_assign):
@@ -191,26 +190,31 @@ def min_success_threshold(cost: Sequence[Fraction], chores: Iterable[int], n: in
     return row.value(smallest_fitting_cap(runs, n))
 
 
-def hffd_and_lift(ido: Instance, lifting: LiftingMap,
+def hffd_and_lift(instance: Instance,
                   thresholds: Sequence[Fraction]) -> tuple[Allocation, tuple[int, ...]]:
-    """HFFD on the IDO twin, lifted to the original chores, one bundle per
-    agent, and the original chores it left unallocated, ids ascending.
-    HFFD's bins come as slices of the twin's ordering (`hffd_slices`),
-    which is the identity, so a slice is a run of positions. Each slice is
-    tagged with its bin and lifted as it is, with the bins' owners as the
-    agents (`LiftingMap.lift_slices`, which checks each owner): no bin is
-    spelled out chore by chore. Each lifted bin is then put at its owner's
-    index, with no merge, since HFFD gives each agent at most one bin (a
-    second raises BadParams); an agent without a bin gets an empty bundle.
-    Lifting raises no agent's cost, also when HFFD leaves chores. With no
-    chores every agent gets an empty bundle, since HFFD rejects the zero
-    thresholds such an instance gets."""
-    n = ido.n
-    if ido.m == 0:
+    """HFFD on the instance's IDO twin (`to_ido`) at one threshold per
+    agent, lifted back to the instance's chores, one bundle per agent, and
+    the instance's chores it left unallocated, ids ascending. Raises
+    BadParams when the thresholds are not one per agent, with chores or
+    without. HFFD's bins come as slices of the twin's ordering
+    (`hffd_slices`), which is the identity, so a slice is a run of
+    positions. Each slice is tagged with its bin and lifted as it is, with
+    the bins' owners as the agents (`LiftingMap.lift_slices`, which checks
+    each owner): no bin is spelled out chore by chore. Each lifted bin is
+    then put at its owner's index, with no merge, since HFFD gives each
+    agent at most one bin (a second raises BadParams); an agent without a
+    bin gets an empty bundle. Lifting raises no agent's cost, also when
+    HFFD leaves chores. With no chores every agent gets an empty bundle,
+    since HFFD rejects the zero thresholds such an instance gets."""
+    n = instance.n
+    if len(thresholds) != n:
+        raise BadParams("need one threshold per agent")
+    if instance.m == 0:
         return Allocation.of([()] * n, agents=range(n)), ()
+    ido, lifting = to_ido(instance)
     bins, owners, left = hffd_slices(ido, thresholds)
     slices = [(start, copies, b) for b, parts in enumerate(bins) for start, copies in parts]
-    lifted, taken = lifting.lift_slices(slices, owners, len(owners))
+    lifted, taken = lifting.lift_slices(slices, owners)
     # every HFFD bin holds a chore, so a lifted bin is never empty
     bundles: list[tuple[int, ...]] = [()] * n
     for b, owner in enumerate(owners):
@@ -226,17 +230,18 @@ def hffd_and_lift(ido: Instance, lifting: LiftingMap,
 def _solve(instance: Instance, algorithm: str, d: int,
            *rules: Callable[[CostRow, Sequence[int], int], _Threshold]) -> SolveResult:
     """The pipeline every solver shares. A rule `rule(row, chores, d)` gives
-    (threshold, mu or None) for each row of the IDO twin and all of its
-    chores (`Instance.chores`), whose runs the twin row keeps. HFFD runs at
-    the first rule's thresholds, and at the next rule's whenever it leaves
-    chores; at the last rule's it must place them all. Each agent's cost in
-    the lifted allocation is checked against their threshold, as an
-    integer sum of their row's weights against the row's capacity."""
-    ido, lifting = to_ido(instance)
-    chores = ido.chores()
+    (threshold, mu or None) for each row of the IDO twin (`Instance.twin`)
+    and all of its chores (`Instance.chores`, the one tuple of m ids that
+    the instance and its twin share), whose runs the twin row keeps. HFFD
+    (`hffd_and_lift`) runs at the first rule's thresholds, and at the next
+    rule's whenever it leaves chores; at the last rule's it must place them
+    all. Each agent's cost in the lifted allocation is checked against
+    their threshold, as an integer sum of their row's weights against the
+    row's capacity."""
+    chores = instance.chores()
     for rule in rules:
-        thresholds, mus = zip(*(rule(row, chores, d) for row in ido.costs))
-        allocation, unallocated = hffd_and_lift(ido, lifting, thresholds)
+        thresholds, mus = zip(*(rule(row, chores, d) for row in instance.twin.costs))
+        allocation, unallocated = hffd_and_lift(instance, thresholds)
         if not unallocated:
             break
     else:

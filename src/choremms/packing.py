@@ -169,11 +169,8 @@ def smallest_fitting_cap(runs: Sequence[tuple[int, int]], bins: int) -> int:
     with w0 the largest weight and total the sum of w * count. Exact where
     success is monotone in the capacity (factored and bivalued costs);
     otherwise the result succeeds but may not be the smallest. No runs need
-    capacity 0."""
-    if bins < 1:
-        raise BadParams("need at least one bin")
-    if not runs:
-        return 0
+    capacity 0, where the probe fits; `ladder_bound` raises BadParams for
+    no bins."""
     bound, fits = ladder_probe(runs, bins)
     if fits:
         return bound

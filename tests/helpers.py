@@ -9,7 +9,8 @@ that the integer kernels in `choremms.packing` must reproduce exactly. The
 reference certificate layer (`ref_is_ffv`, `ref_reduce_factored`,
 `ref_reduce_bivalued`, `ref_transform_mms_to_ffd`, and the class and
 ordering checks) does the same for `choremms.ffv` and
-`choremms.core`. `ref_mms_brute` is `mms_brute`'s search without its cuts.
+`choremms.core`. `ref_mms_brute` is `mms_brute`'s search without its cuts,
+and `ref_mms_allocation_exists` tries every assignment of the chores.
 `ref_parse_instance` parses every cost field on its own, as the instance
 parser did before it read each distinct text of a row once.
 `ref_gen_instance` draws each cost by `random.Random.choice` or
@@ -114,6 +115,21 @@ def brute_min_makespan(cost, chores, d):
         if best is None or worst < best:
             best = worst
     return best
+
+
+def ref_mms_allocation_exists(instance, caps):
+    """Whether one of all n^m assignments of the chores to the agents keeps
+    every agent's cost, a Fraction sum, at most their cap: the answer of
+    `analysis._mms_allocation_exists`, with no chore order and no cut."""
+    n, m = instance.n, instance.m
+    rows = [instance.cost(i) for i in range(n)]
+    for owners in itertools.product(range(n), repeat=m):
+        costs = [Fraction(0)] * n
+        for c, i in enumerate(owners):
+            costs[i] += rows[i][c]
+        if all(cost <= cap for cost, cap in zip(costs, caps)):
+            return True
+    return False
 
 
 def ref_mms_brute(cost, chores, d):

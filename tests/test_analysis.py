@@ -1,3 +1,4 @@
+import hashlib
 import random
 from collections import Counter
 from fractions import Fraction as F
@@ -6,13 +7,15 @@ import pytest
 
 from check_gen_identity import digest_mismatches, identity_mismatches
 from choremms import analysis
-from choremms.analysis import (GENERAL_COSTS, MAX_GEN_COSTS, MAX_GEN_LEVELS, SUBSET_SUM_CAP,
-                               case_table, format_case_table, gen_instance,
-                               search_bivalued_mms_existence, search_monotonicity, subset_sums)
+from choremms.analysis import (GEN_KINDS, GENERAL_COSTS, MAX_GEN_COSTS, MAX_GEN_LEVELS,
+                               SUBSET_SUM_CAP, _mms_allocation_exists, case_table,
+                               format_case_table, gen_instance, search_bivalued_mms_existence,
+                               search_monotonicity, subset_sums)
 from choremms.core import CostRow, Instance, classify
 from choremms.errors import BadParams, TooLarge
 from choremms.io import MAX_AGENTS
-from helpers import ref_gen_instance
+from choremms.mms import hffd_and_lift, mms_value
+from helpers import ref_gen_instance, ref_mms_allocation_exists
 
 
 # ---------------------------------------------------------------- case table
@@ -72,6 +75,9 @@ def test_format_case_table():
     assert lines[0] == "aq\tbq\tap\tbp\tE\tF\tG\tH\texcluded\tspecial"
     assert len(lines) == 36
     assert all(len(line.split("\t")) == 10 for line in lines[1:])
+    # the whole text `choremms table` prints, byte for byte
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "c546f0b1eabf71c24a12b50c27ecb197c1f501fb256c06e45e5d8aaca31001f5"
 
 
 # ---------------------------------------------------------------- generators
@@ -254,3 +260,30 @@ def test_search_monotonicity_general_runs():
 
 def test_search_bivalued_mms_existence_small_run():
     assert search_bivalued_mms_existence(trials=30, seed=4) is None
+
+
+def test_mms_allocation_exists_matches_the_exhaustive_oracle():
+    # every class, n 2-4 and m 4-8, with caps at each agent's MMS and one
+    # below it, so that both answers occur
+    answers = []
+    for kind in GEN_KINDS:
+        for n in range(2, 5):
+            for m in range(4, 9):
+                instance = gen_instance(kind, n, m, seed=10 * n + m)
+                mus = [mms_value(instance.cost(i), instance.chores(), n) for i in range(n)]
+                for caps in (mus, [mu - 1 for mu in mus]):
+                    got = _mms_allocation_exists(instance, caps)
+                    assert got == ref_mms_allocation_exists(instance, caps), (kind, n, m, caps)
+                    answers.append(got)
+    assert len(answers) == 120 and 0 < answers.count(False) < 120
+
+
+def test_an_mms_allocation_exists_where_hffd_at_the_mms_leaves_a_chore():
+    # every agent's MMS is 14, and HFFD at 14 leaves a chore over, yet some
+    # allocation keeps every agent within 14
+    instance = gen_instance("bivalued", 3, 12, seed=11)
+    mus = [mms_value(instance.cost(i), instance.chores(), 3) for i in range(3)]
+    assert mus == [14] * 3
+    assert len(hffd_and_lift(instance, mus)[1]) == 1
+    assert _mms_allocation_exists(instance, mus)
+    assert ref_mms_allocation_exists(instance, mus)

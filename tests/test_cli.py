@@ -15,7 +15,7 @@ from choremms.core import Instance, bundle_cost, format_rational, to_ido
 from choremms.errors import BadParams, EmptyBinDeadlock, NotFactored, TooLarge
 from choremms.io import format_allocation, format_instance, parse_allocation, parse_instance
 from choremms.packing import hffd
-from helpers import hffd_dropping_last_chore, ref_to_ido
+from helpers import hffd_dropping_last_chore, ref_hffd, ref_lift, ref_to_ido
 
 LOWER_BOUND = Instance.from_rows([[4, 4, 4] + [3] * 9] * 3)
 
@@ -353,18 +353,22 @@ def test_solve_hffd_failing_threshold_reports_unpacked_bins(tmp_path, capsys):
 @pytest.mark.parametrize("kind", ["factored", "bivalued", "personalized_bivalued", "general"])
 def test_solve_hffd_writes_the_bins_of_the_twin(tmp_path, capsys, kind):
     # the CLI builds the twin of the instance it parses; two calls on one
-    # instance in memory, the second on its kept twin, and the reference
-    # twin give the same bundles
+    # instance in memory, the second on its kept twin, and HFFD on the
+    # reference twin, lifted by the reference lift, give the same bundles
     inst = analysis.gen_instance(kind, 3, 12, seed=7)
     taus = mms.solve_auto(inst).thresholds
     out_path = tmp_path / "alloc.txt"
     assert main(["solve", write_instance(tmp_path, inst), "--algo", "hffd",
                  "--tau", *map(format_rational, taus), "--out", str(out_path)]) == 0
     written = parse_allocation(out_path.read_text(), inst).bundles
-    for ido, lifting in (to_ido(inst), to_ido(inst), ref_to_ido(inst)):
-        allocation, unallocated = mms.hffd_and_lift(ido, lifting, taus)
+    for _ in range(2):
+        allocation, unallocated = mms.hffd_and_lift(inst, taus)
         assert unallocated == ()
         assert tuple(tuple(sorted(b)) for b in allocation.bundles) == written
+    packed = ref_hffd(ref_to_ido(inst)[0], taus)
+    assert packed.unallocated == ()
+    lifted = ref_lift(inst, packed.allocation).per_agent(3)
+    assert tuple(tuple(sorted(b)) for b in lifted.bundles) == written
 
 
 def test_solve_hffd_leaving_chores_reports_original_costs(tmp_path, capsys):

@@ -555,20 +555,22 @@ def test_outputs_at_100x1000_are_pinned(kind, seed):
         SCALE_PINS[kind, seed]
 
 
-def merged_hffd_and_lift(ido, lifting, taus):
-    """HFFD's bins merged per agent (`Allocation.per_agent`), lifted, and
-    every original chore scanned for the ones left out: the composition
-    that `hffd_and_lift` lifts without the merge and skips the scan of."""
-    if ido.m == 0:
-        return Allocation.of([()] * ido.n, agents=range(ido.n)), ()
+def merged_hffd_and_lift(instance, taus):
+    """HFFD's bins on the twin merged per agent (`Allocation.per_agent`),
+    lifted, and every original chore scanned for the ones left out: the
+    composition that `hffd_and_lift` lifts without the merge and skips the
+    scan of."""
+    if instance.m == 0:
+        return Allocation.of([()] * instance.n, agents=range(instance.n)), ()
+    ido, lifting = to_ido(instance)
     allocation = lifting.lift(hffd(ido, taus).allocation.per_agent(ido.n))
     held = allocation.allocated()
     return allocation, tuple(c for c in range(ido.m) if c not in held)
 
 
-def lifted_or_deadlock(lift, ido, lifting, taus):
+def lifted_or_deadlock(lift, instance, taus):
     try:
-        allocation, unallocated = lift(ido, lifting, taus)
+        allocation, unallocated = lift(instance, taus)
     except EmptyBinDeadlock as exc:
         return ("deadlock", exc.chore)
     # field for field, with the order inside each bundle
@@ -579,10 +581,10 @@ def lifted_or_deadlock(lift, ido, lifting, taus):
 @given(st.data())
 def test_hffd_and_lift_matches_the_merged_lift(data):
     instance = data.draw(instances())
-    ido, lifting = to_ido(instance)
-    taus = [data.draw(thresholds(ido.cost(i))) if ido.m else F(1) for i in range(ido.n)]
-    assert lifted_or_deadlock(hffd_and_lift, ido, lifting, taus) == \
-        lifted_or_deadlock(merged_hffd_and_lift, ido, lifting, taus)
+    taus = [data.draw(thresholds(instance.cost(i))) if instance.m else F(1)
+            for i in range(instance.n)]
+    assert lifted_or_deadlock(hffd_and_lift, instance, taus) == \
+        lifted_or_deadlock(merged_hffd_and_lift, instance, taus)
 
 
 def test_hffd_and_lift_matches_the_merged_lift_at_benchmark_sizes():
@@ -592,11 +594,10 @@ def test_hffd_and_lift_matches_the_merged_lift_at_benchmark_sizes():
     for kind, n, m in (("factored", 10, 100), ("personalized_bivalued", 8, 80)):
         for seed in range(5):
             instance = gen_instance(kind, n, m, seed)
-            ido, lifting = to_ido(instance)
             taus = solve_auto(instance).thresholds
             while True:
-                got = lifted_or_deadlock(hffd_and_lift, ido, lifting, taus)
-                assert got == lifted_or_deadlock(merged_hffd_and_lift, ido, lifting, taus)
+                got = lifted_or_deadlock(hffd_and_lift, instance, taus)
+                assert got == lifted_or_deadlock(merged_hffd_and_lift, instance, taus)
                 if got[0] == "deadlock" or got[2]:
                     seen.add("deadlock" if got[0] == "deadlock" else "partial")
                     break
@@ -605,10 +606,11 @@ def test_hffd_and_lift_matches_the_merged_lift_at_benchmark_sizes():
     assert seen >= {"complete", "partial"}
 
 
-def ref_hffd_and_lift(instance, ido, taus):
-    """`ref_hffd` on the twin, each bin lifted by `ref_lift` and put at its
-    owner's index, and the original chores no bin holds, ascending; the
-    shape of `lifted_or_deadlock`."""
+def ref_hffd_and_lift(instance, taus):
+    """`ref_hffd` on the reference twin (`ref_to_ido`), each bin lifted by
+    `ref_lift` and put at its owner's index, and the original chores no bin
+    holds, ascending; the shape of `lifted_or_deadlock`."""
+    ido, _ = ref_to_ido(instance)
     if ido.m == 0:
         return ((),) * ido.n, tuple(range(ido.n)), ()
     try:
@@ -643,12 +645,11 @@ def hffd_and_lift_outcomes(kind, n, m, seed):
     if kind == "general":
         n, m = max(n, 2), min(m, 14)
     instance = gen_instance(kind, n, m, seed)
-    ido, lifting = to_ido(instance)
     taus = solve_auto(instance).thresholds
     seen = set()
     while True:
-        got = lifted_or_deadlock(hffd_and_lift, ido, lifting, taus)
-        assert got == ref_hffd_and_lift(instance, ido, taus)
+        got = lifted_or_deadlock(hffd_and_lift, instance, taus)
+        assert got == ref_hffd_and_lift(instance, taus)
         if m == 0:
             return {"no chores"}
         if got[0] == "deadlock":

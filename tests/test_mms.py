@@ -419,11 +419,11 @@ def test_mms_lower_bound_is_the_largest_cost_or_the_average():
 
 def test_solve_ordinal_falls_back_to_the_exact_mms():
     inst = Instance.from_rows(FALLBACK_ROWS)
-    ido, lifting = to_ido(inst)
+    ido, _ = to_ido(inst)
     lower = tuple(row.value(mms_lower_bound(row, ido.chores(), 3)) for row in ido.costs)
     assert lower == (12, 13, 12, 16)
     # HFFD at the lower bounds leaves exactly one chore
-    assert len(hffd_and_lift(ido, lifting, lower)[1]) == 1
+    assert len(hffd_and_lift(inst, lower)[1]) == 1
     res = solve_ordinal(inst)
     assert res.thresholds == res.mms_values == (14, 15, 13, 19)
     check_solution(inst, res, F(1))
@@ -443,9 +443,19 @@ def test_hffd_and_lift_needs_one_owner_per_bin(owners, message, monkeypatch):
     def hffd_with_owners(ido, taus):
         return [[(0, 2)], [(2, 2)]], list(owners), []
     monkeypatch.setattr(mms, "hffd_slices", hffd_with_owners)
-    ido, lifting = to_ido(Instance.from_rows([[4, 2, 2, 1]] * 2))
     with pytest.raises(BadParams, match=message):
-        hffd_and_lift(ido, lifting, (F(6), F(6)))
+        hffd_and_lift(Instance.from_rows([[4, 2, 2, 1]] * 2), (F(6), F(6)))
+
+
+@pytest.mark.parametrize("m", [0, 4])
+def test_hffd_and_lift_needs_one_threshold_per_agent(m):
+    # with no chores as with some: an instance without chores takes no
+    # other number of thresholds either
+    instance = gen_instance("factored", 2, m, seed=1)
+    for taus in ((), (F(6),), (F(6),) * 3):
+        with pytest.raises(BadParams, match="^need one threshold per agent$"):
+            hffd_and_lift(instance, taus)
+    assert hffd_and_lift(instance, solve_auto(instance).thresholds)[1] == ()
 
 
 def test_solve_ordinal_needs_no_mms_past_the_oracle_cap(monkeypatch):
