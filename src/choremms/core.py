@@ -355,15 +355,10 @@ def is_bivalued_costs(values: Iterable[Fraction]) -> bool:
 def classify(instance: Instance) -> InstanceClass:
     """Whether every agent's costs are factored, and whether every agent's
     are bivalued (`is_factored_costs`, `is_bivalued_costs`); a single-valued
-    agent is both. The walk stops at the first row after which neither can
-    hold."""
-    factored = bivalued = True
-    for row in instance.costs:
-        factored = factored and is_factored_costs(row)
-        bivalued = bivalued and is_bivalued_costs(row)
-        if not (factored or bivalued):
-            break
-    return InstanceClass(is_factored=factored, is_personalized_bivalued=bivalued)
+    agent is both. Each test stops at its own first failing row, so a row
+    past both of those is not read."""
+    return InstanceClass(is_factored=all(map(is_factored_costs, instance.costs)),
+                         is_personalized_bivalued=all(map(is_bivalued_costs, instance.costs)))
 
 
 def ido_blocks(instance: Instance) -> tuple[tuple[int, ...], tuple[int, ...]]:

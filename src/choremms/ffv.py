@@ -418,13 +418,16 @@ def _find_donor(worker: _Worker, after: int, value: int,
 def _reduce(P: Allocation, Q: Allocation, row: CostRow, tau: Fraction,
             free, verify_ffd: bool, reach_target) -> SwapTranscript:
     """The frame both reductions share, on the row's integer weights: check
-    that P is an FFD output (when asked) and that Q is First-Fit-Valid (as
-    `is_ffv` does), both from `free`, the reduction's one count of the
-    chores (`_count_free`), pad both to one length, then for each bundle k
-    let `reach_target(worker, k, target)` swap bundle k to Q's k-th cost
-    profile, and check that it got there."""
+    that Q holds only chores of `free`, the reduction's one count of the
+    chores (`_count_free`), that P is an FFD output (when asked) and that Q
+    is First-Fit-Valid (as `is_ffv` does), both walks from `free`, pad both
+    to one length, then for each bundle k let `reach_target(worker, k,
+    target)` swap bundle k to Q's k-th cost profile, and check that it got
+    there."""
     if tau <= 0:
         raise BadParams("FFD threshold must be positive")
+    if not free[1].issuperset(c for b in Q.bundles for c in b):
+        raise PreconditionViolation("allocation holds a chore outside all_chores")
     p_profiles = _check_ffd_output(P, row, tau, free) if verify_ffd else []
     bad, targets = _first_off_benchmark(Q.bundles, row, free, row.cap(tau), exact=False)
     if bad is not None:
@@ -448,6 +451,7 @@ def reduce_factored(P: Allocation, Q: Allocation, cost: Sequence[Fraction],
     First-Fit-Valid allocation of the same factored chores, checking at
     every step that no later bundle's cost increases. Termination with
     bundle-wise lex-equality certifies the FFV allocation was complete.
+    Q may hold only chores of `all_chores` (else PreconditionViolation).
 
     verify_ffd=False skips the check that P is an FFD output, for running
     the machinery on hand-built bundle configurations."""
@@ -507,7 +511,9 @@ def reduce_bivalued(P: Allocation, Q: Allocation, cost: Sequence[Fraction],
                     verify_ffd: bool = True) -> SwapTranscript:
     """Bivalued analogue of reduce_factored: first balance the large-chore
     count of the current bundle with one swap, then pull each missing chore
-    from the last bundle holding one of equal cost."""
+    from the last bundle holding one of equal cost. Q may hold only chores
+    of `all_chores` (else PreconditionViolation), so each target profile
+    holds only their two costs."""
     row = CostRow.of(cost)
     weights = row.weights
     free = _count_free(row, all_chores)
@@ -523,20 +529,16 @@ def reduce_bivalued(P: Allocation, Q: Allocation, cost: Sequence[Fraction],
             i, cl = donor
             smalls = tuple(c for c in worker.sets[k] if weights[c] != large)
             worker.apply(k, k, smalls, i, (cl,), forbid_increase_after=k)
-        # here the current bundle must be a cost-wise subset of its target:
-        # one merge of the two descending profiles leaves the target's
-        # chores that the bundle lacks, in order
-        need, t = [], 0
-        for v in worker.profile(k):
-            while t < len(target) and target[t] > v:
-                need.append(target[t])
-                t += 1
-            if t == len(target) or target[t] != v:
+        # the target holds only the large and the small cost, and bundle k
+        # now holds either only large chores, no more than its target, or at
+        # least as many large chores as its target: so it is a cost-wise
+        # subset of its target only as a prefix of it, and lacks the rest
+        profile = worker.profile(k)
+        for j, v in enumerate(profile):
+            if j == len(target) or target[j] != v:
                 worker.fail(k, f"bundle {k} holds a chore of cost {row.value(v)} "
                                "beyond its target profile")
-            t += 1
-        need += target[t:]
-        worker.pull(k, need, forbid_increase_after=k)
+        worker.pull(k, target[len(profile):], forbid_increase_after=k)
     return _reduce(P, Q, row, tau, free, verify_ffd, reach_target)
 
 

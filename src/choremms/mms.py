@@ -6,7 +6,7 @@ original chores in one step, `hffd_and_lift`: HFFD's bins arrive as
 slices of the twin's positions (`packing.hffd_slices`), and the lift
 walks those slices (`LiftingMap.lift_slices`), so no bin is spelled out
 chore by chore and only the final allocation is built. Each agent's cost
-is then checked against their threshold on integer sums."""
+is then checked against their threshold."""
 
 from __future__ import annotations
 
@@ -124,14 +124,14 @@ def mms_brute(cost: Sequence[Fraction], chores: Iterable[int], d: int) -> MMSRes
     return MMSResult(row.value(best), tuple(tuple(sorted(b)) for b in bundles))
 
 
-def mms_lower_bound(row: CostRow, chores: Iterable[int], d: int) -> int:
-    """max(w0, ceil(total/d)) in the row's integer scale, w0 the largest
-    weight of the chores and total their sum (0 with no chores). Some bundle
-    of any d-partition holds w0, and some holds at least total/d, so the
-    bound is at most the MMS for d bundles."""
+def mms_lower_bound(cost: Sequence[Fraction], chores: Iterable[int], d: int) -> int:
+    """max(w0, ceil(total/d)) in the integer scale of `CostRow.of(cost)`, w0
+    the largest weight of the chores and total their sum (0 with no
+    chores). Some bundle of any d-partition holds w0, and some holds at
+    least total/d, so the bound is at most the MMS for d bundles."""
     if d < 1:
         raise BadParams("need at least one bundle")
-    runs = row.runs(chores)
+    runs = CostRow.of(cost).runs(chores)
     total = sum(w * k for w, k in runs)
     return max(runs[0][0] if runs else 0, -(-total // d))
 
@@ -235,9 +235,9 @@ def _solve(instance: Instance, algorithm: str, d: int,
     the instance and its twin share), whose runs the twin row keeps. HFFD
     (`hffd_and_lift`) runs at the first rule's thresholds, and at the next
     rule's whenever it leaves chores; at the last rule's it must place them
-    all. Each agent's cost in the lifted allocation is checked against
-    their threshold, as an integer sum of their row's weights against the
-    row's capacity."""
+    all. Each agent's cost in the lifted allocation (`bundle_cost`, an
+    integer sum of their row's weights made a Fraction once) is checked
+    against their threshold."""
     chores = instance.chores()
     for rule in rules:
         thresholds, mus = zip(*(rule(row, chores, d) for row in instance.twin.costs))
@@ -249,10 +249,10 @@ def _solve(instance: Instance, algorithm: str, d: int,
             f"{algorithm}: HFFD left chores {' '.join(map(str, unallocated))} unallocated "
             f"at thresholds {' '.join(map(format_rational, thresholds))}", instance)
     costs = tuple(map(bundle_cost, instance.costs, allocation.bundles))
-    for i, (row, bundle, t) in enumerate(zip(instance.costs, allocation.bundles, thresholds)):
-        if sum(map(row.weights.__getitem__, bundle)) > row.cap(t):
+    for i, (cost, t) in enumerate(zip(costs, thresholds)):
+        if cost > t:
             raise TheoremViolation(
-                f"{algorithm}: lifted cost {format_rational(costs[i])} of agent {i} exceeds "
+                f"{algorithm}: lifted cost {format_rational(cost)} of agent {i} exceeds "
                 f"threshold {format_rational(t)}", instance)
     return SolveResult(allocation, costs, thresholds, mus, algorithm)
 

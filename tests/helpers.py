@@ -90,6 +90,13 @@ def hffd_dropping_last_chore(instance, thresholds):
     return first + [kept], owners, left + [(start + copies - 1, start + copies)]
 
 
+def everything_to_agent_0(instance, thresholds):
+    """A broken stand-in for `hffd_and_lift`: agent 0 takes every chore, at
+    any thresholds, and none is left."""
+    bundles = (tuple(range(instance.m)),) + ((),) * (instance.n - 1)
+    return Allocation(bundles, tuple(range(instance.n))), ()
+
+
 def brute_lex_max(all_chores, prefix, cost, tau):
     """Lexicographically maximal subset under tau by scanning every subset."""
     taken = {c for b in prefix for c in b}
@@ -651,6 +658,8 @@ def _ref_find_donor(worker, after, value):
 def _ref_reduce(P, Q, cost, tau, all_chores, verify_ffd, reach_target):
     if tau <= 0:
         raise BadParams("FFD threshold must be positive")
+    if not Q.allocated() <= set(all_chores):
+        raise PreconditionViolation("allocation holds a chore outside all_chores")
     if verify_ffd:
         _ref_check_ffd_output(P, all_chores, cost, tau)
     ok, bad = ref_is_ffv(all_chores, Q, cost, tau)

@@ -15,7 +15,8 @@ from choremms.core import Instance, bundle_cost, format_rational, to_ido
 from choremms.errors import BadParams, EmptyBinDeadlock, NotFactored, TooLarge
 from choremms.io import format_allocation, format_instance, parse_allocation, parse_instance
 from choremms.packing import hffd
-from helpers import hffd_dropping_last_chore, ref_hffd, ref_lift, ref_to_ido
+from helpers import (everything_to_agent_0, hffd_dropping_last_chore, ref_hffd, ref_lift,
+                     ref_to_ido)
 
 LOWER_BOUND = Instance.from_rows([[4, 4, 4] + [3] * 9] * 3)
 
@@ -543,6 +544,43 @@ def test_search_writes_counterexample_file(tmp_path, capsys, monkeypatch):
     assert parse_instance(out.read_text()) == LOWER_BOUND
 
 
+@pytest.mark.parametrize("target, search, hit, name", [
+    ("monotonicity", "search_monotonicity",
+     analysis.MonotonicityCounterexample(LOWER_BOUND, 0, 3, F(13), F(14)),
+     "monotonicity-counterexample.txt"),
+    ("mms-existence", "search_bivalued_mms_existence", LOWER_BOUND,
+     "mms-existence-counterexample.txt"),
+])
+def test_search_without_out_writes_its_default_file(tmp_path, capsys, monkeypatch, target,
+                                                    search, hit, name):
+    monkeypatch.setattr(analysis, search, lambda *args: hit)
+    monkeypatch.chdir(tmp_path)
+    assert main(["search", "--target", target]) == 3
+    assert capsys.readouterr().out == f"counterexample written to {name}\n"
+    assert [p.name for p in tmp_path.iterdir()] == [name]
+    assert parse_instance((tmp_path / name).read_text()) == LOWER_BOUND
+
+
+def test_gen_with_negative_chore_count_exits_2(capsys):
+    assert main(["gen", "--class", "factored", "--n", "2", "--m", "-1"]) == 2
+    assert one_error_line(capsys) == "error: need n >= 1 and m >= 0\n"
+
+
+def test_solve_lifted_cost_over_its_threshold_writes_counterexample(tmp_path, monkeypatch,
+                                                                    capsys):
+    # every chore lifted to agent 0: the solve's own cost check must catch it
+    inst = analysis.gen_instance("factored", 3, 12, seed=1)
+    path = write_instance(tmp_path, inst)
+    monkeypatch.setattr(mms, "hffd_and_lift", everything_to_agent_0)
+    monkeypatch.chdir(tmp_path)
+    assert main(["solve", path, "--algo", "factored"]) == 1
+    err = one_error_line(capsys)
+    assert "factored: lifted cost 58 of agent 0 exceeds threshold 20" in err
+    [dump] = tmp_path.glob("counterexample-*.txt")
+    assert dump.name in err
+    assert parse_instance(dump.read_text()) == inst
+
+
 def test_non_utf8_instance_exits_2(tmp_path, capsys):
     path = tmp_path / "latin1.txt"
     path.write_bytes(format_instance(LOWER_BOUND).encode() + b"# caf\xe9\n")
@@ -621,9 +659,22 @@ SPLIT = "agent 0: 0\nagent 1: 1\n"
     (TWO_AGENTS, SPLIT + "cost 0: 1.5\n", ["--mode", "mms"],
      "line 3: not a nonnegative rational: ' 1.5'"),
     (TWO_AGENTS, "owner 0: 0\n", ["--mode", "mms"], "line 1: unknown line kind 'owner'"),
+    ("", None, ["--algo", "factored"], "line 1: expected header 'mms-instance 1'"),
+    ("# costs to follow\n\n", None, ["--algo", "factored"],
+     "line 1: expected header 'mms-instance 1'"),
+    ("mms-instance 1\nchores 3\nagents 1\n1 2 3\n", None, ["--algo", "factored"],
+     "line 2: expected 'agents <count>'"),
+    ("mms-instance 1\nagents x\nchores 1\n1\n", None, ["--algo", "factored"],
+     "line 2: expected 'agents <count>'"),
+    (TWO_AGENTS, "agent 0: 1 a\n", ["--mode", "mms"],
+     "line 1: chore ids must be nonnegative integers"),
+    ("mms-instance 1\nagents 1\nchores 1\n1/x\n", None, ["--algo", "factored"],
+     "line 4: not a nonnegative rational: '1/x'"),
 ], ids=["ffd-two-taus", "ratio-without-value", "mms-with-value", "unknown-mode",
         "no-declarations", "no-agents", "missing-cost-row", "bad-count-line",
-        "bad-allocation-line", "agent-out-of-range", "bad-declared-cost", "unknown-line-kind"])
+        "bad-allocation-line", "agent-out-of-range", "bad-declared-cost", "unknown-line-kind",
+        "empty-file", "comment-only-file", "chores-where-agents-are-due", "agents-not-a-count",
+        "non-integer-chore-id", "bad-cost"])
 def test_input_error_exits_2_with_one_error_line(tmp_path, capsys, instance, allocation, argv,
                                                  message):
     inst_path = tmp_path / "instance.txt"

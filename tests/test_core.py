@@ -12,11 +12,13 @@ from hypothesis import given, strategies as st
 
 import choremms
 from choremms import core
-from choremms.core import (Allocation, EQUAL, GREATER, LESS, Instance, bundle_cost,
-                           classify, format_rational, parse_rational, to_ido,
+from choremms.analysis import gen_instance
+from choremms.core import (Allocation, EQUAL, GREATER, LESS, Instance, InstanceClass,
+                           bundle_cost, classify, format_rational, parse_rational, to_ido,
                            universal_ordering)
 from choremms.errors import BadParams, NotIDO, SubsetViolation
-from helpers import all_complete_allocations, lex_compare, random_rationals, swap
+from helpers import (all_complete_allocations, lex_compare, random_rationals,
+                     ref_is_bivalued_costs, ref_is_factored_costs, swap)
 
 FIFTEEN_THIRTEENTHS = Instance.from_rows([[4, 4, 4] + [3] * 9] * 3)
 
@@ -140,6 +142,44 @@ def test_classify_bivalued_not_factored():
 def test_classify_single_value_is_both():
     cls = classify(Instance.from_rows([[5]]))
     assert cls.is_factored and cls.is_personalized_bivalued
+
+
+# one row of each class on three chores: no chain and three costs, a chain
+# of three costs, two costs that are no chain, one cost
+MIXED_ROWS = {"general": [3, 2, 1], "factored": [4, 2, 1], "bivalued": [7, 7, 2],
+              "single": [5, 5, 5]}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_classify_matches_reference_on_rows_of_mixed_classes(n):
+    # every sequence of n row classes, so a general row also comes before
+    # factored and bivalued ones; each test stops at its own first failing
+    # row, and a row past both of those is not read
+    for kinds in itertools.product(MIXED_ROWS, repeat=n):
+        rows = [MIXED_ROWS[kind] for kind in kinds]
+        instance = Instance.from_rows(rows)
+        factored = [ref_is_factored_costs(map(F, row)) for row in rows]
+        bivalued = [ref_is_bivalued_costs(map(F, row)) for row in rows]
+        assert classify(instance) == InstanceClass(is_factored=all(factored),
+                                                   is_personalized_bivalued=all(bivalued)), kinds
+        reached = max(flags.index(False) if False in flags else n - 1
+                      for flags in (factored, bivalued))
+        assert [("counts" in row.__dict__) for row in instance.costs] == \
+            [i <= reached for i in range(n)], kinds
+
+
+@pytest.mark.parametrize("m", [0, 1, 6, 12])
+def test_classify_matches_reference_on_generated_rows_of_mixed_classes(m):
+    kinds = ["general", "factored", "bivalued", "personalized_bivalued"]
+    for seed in range(20):
+        rng = random.Random(seed)
+        rows = [gen_instance(rng.choice(kinds), 1, m, seed=100 * seed + i).cost(0)
+                for i in range(rng.randint(1, 5))]
+        if m and rng.random() < 0.3:
+            rows.insert(rng.randrange(len(rows) + 1), (F(rng.randint(1, 9)),) * m)
+        want = InstanceClass(is_factored=all(map(ref_is_factored_costs, rows)),
+                             is_personalized_bivalued=all(map(ref_is_bivalued_costs, rows)))
+        assert classify(Instance.from_rows(rows)) == want
 
 
 # ------------------------------------------------------- universal ordering

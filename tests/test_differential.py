@@ -1211,6 +1211,40 @@ def test_reduce_bivalued_checks_ffd_output_as_reference(case):
     assert outcome(reduce_bivalued, *case) == outcome(ref_reduce_bivalued, *case)
 
 
+@st.composite
+def beyond_all_chores_case(draw, kinds):
+    """A reduction case, FFD check off, whose row holds one to three chores
+    past `all_chores` = 0..m-1, of any cost: P, arbitrary bundles, may hold
+    them, and half of the time Q holds one in place of one of its own."""
+    m = draw(st.integers(1, 10))
+    extra = draw(st.integers(1, 3))
+    row = draw(rows(m, kinds)) + tuple(draw(st.lists(fractions(24), min_size=extra,
+                                                     max_size=extra)))
+    chores = draw(st.permutations(range(m)))
+    tau = draw(certificate_thresholds(row[:m]))
+    P = draw(bundles_of(draw(st.permutations(range(m + extra))), leave_out=True))
+    Q = draw(ffv_candidates(chores, row, tau))
+    held = sorted(Q.allocated())
+    if held and draw(st.booleans()):
+        out, x = draw(st.sampled_from(held)), draw(st.integers(m, m + extra - 1))
+        Q = Allocation.of([tuple(x if c == out else c for c in b) for b in Q.bundles])
+    return P, Q, row, tau, chores, False
+
+
+@SETTINGS
+@given(beyond_all_chores_case((factored_rows, factored_rows, general_rows)))
+def test_reduce_factored_matches_reference_beyond_all_chores(case):
+    assert outcome(reduce_factored, *case) == outcome(ref_reduce_factored, *case)
+
+
+@SETTINGS
+@given(beyond_all_chores_case((bivalued_rows, bivalued_rows, general_rows)))
+def test_reduce_bivalued_matches_reference_beyond_all_chores(case):
+    # P may hold chores of any cost, larger, between or smaller than the two
+    # of all_chores, and the walk over bundle k names the same first one
+    assert outcome(reduce_bivalued, *case) == outcome(ref_reduce_bivalued, *case)
+
+
 @settings(max_examples=500, deadline=None)
 @given(st.data())
 def test_transform_mms_to_ffd_matches_reference(data):

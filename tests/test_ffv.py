@@ -545,6 +545,52 @@ def test_reduce_bivalued_random_transcripts():
             assert lex_compare(t.final.bundles[k], q.bundles[k], cost) == EQUAL
 
 
+@pytest.mark.parametrize("costs, tau, reduce, ref_reduce", [
+    ((4, 4, 2, 2, 1, 4), 7, reduce_factored, ref_reduce_factored),
+    ((7, 7, 2, 2, 2, 7), 11, reduce_bivalued, ref_reduce_bivalued),
+], ids=["factored", "bivalued"])
+def test_reductions_reject_a_target_holding_a_chore_outside_all_chores(costs, tau, reduce,
+                                                                       ref_reduce):
+    # Q is P with chore 0 swapped for chore 5, which costs the same and lies
+    # outside all_chores: Q is First-Fit-Valid but lacks chore 0, so no
+    # reduction may certify it
+    cost = tuple(map(F, costs))
+    P = ffd(range(5), cost, F(tau)).allocation
+    Q = Allocation.of([tuple(5 if c == 0 else c for c in b) for b in P.bundles])
+    assert is_ffv(range(5), Q, cost, F(tau)) == (True, None)
+    for run in (reduce, ref_reduce):
+        with pytest.raises(PreconditionViolation,
+                           match="^allocation holds a chore outside all_chores$"):
+            run(P, Q, cost, F(tau), range(5))
+    # the check comes after the threshold's and before the FFD-output check
+    with pytest.raises(BadParams):
+        reduce(P, Q, cost, F(0), range(5))
+    with pytest.raises(PreconditionViolation, match="outside all_chores"):
+        reduce(Allocation.of([(1,)]), Q, cost, F(tau), range(5))
+
+
+@pytest.mark.parametrize("bundles, cost_named", [
+    (((0, 1), (2, 3), (4, 5)), 7),
+    (((0, 3, 4, 5), (1,), (2,)), 2),
+], ids=["large-beyond", "small-beyond"])
+def test_reduce_bivalued_fails_on_a_chore_beyond_its_target_as_reference(bundles, cost_named):
+    # targets 7 2 2 | 7 2 | 7: bundle 0 holds a second large chore, or a
+    # third small one, which no pull can take away
+    cost = tuple(map(F, (7, 7, 7, 2, 2, 2)))
+    Q = ffd(range(6), cost, F(11)).allocation
+    P = Allocation.of(bundles)
+    failures = []
+    for run in (reduce_bivalued, ref_reduce_bivalued):
+        with pytest.raises(InvariantViolation) as info:
+            run(P, Q, cost, F(11), range(6), verify_ffd=False)
+        t = info.value.transcript
+        assert str(info.value) == (f"bundle 0 holds a chore of cost {cost_named} "
+                                   "beyond its target profile")
+        assert (t.result, t.steps, t.final) == ("violation k=0", [], P)
+        failures.append(t)
+    assert failures[0] == failures[1]
+
+
 # -------------------------------------------- transform_mms_to_ffd (Alg. 3)
 
 def test_transform_lower_bound_instance():

@@ -14,7 +14,8 @@ from choremms.mms import (APPROX_RATIO, MMSResult, hffd_and_lift, mms_brute, mms
                           mms_lower_bound, mms_value, min_success_threshold, solve_auto,
                           solve_bivalued, solve_factored, solve_ordinal)
 from choremms.packing import ffd
-from helpers import brute_min_makespan, hffd_dropping_last_chore, random_rationals
+from helpers import (brute_min_makespan, everything_to_agent_0, hffd_dropping_last_chore,
+                     random_rationals)
 
 LOWER_BOUND_ROW = tuple(F(x) for x in [4, 4, 4] + [3] * 9)
 # HFFD at the lower bounds (12, 13, 12, 16) for d = 3 leaves chore 4 of the
@@ -408,13 +409,15 @@ def test_a_warm_solve_sorts_no_columns_and_counts_each_row_once(kind, monkeypatc
 
 
 def test_mms_lower_bound_is_the_largest_cost_or_the_average():
-    row = CostRow.of((F(7, 2), F(3, 2), F(3, 2), F(3, 2)))  # weights 7 3 3 3
-    assert mms_lower_bound(row, range(4), 2) == 8
-    assert mms_lower_bound(row, range(4), 4) == 7
-    assert mms_lower_bound(row, (1, 2), 1) == 6
-    assert mms_lower_bound(row, (), 3) == 0
-    with pytest.raises(BadParams):
-        mms_lower_bound(row, range(4), 0)
+    costs = (F(7, 2), F(3, 2), F(3, 2), F(3, 2))  # weights 7 3 3 3
+    # a plain tuple or list of costs gives the bound its `CostRow` gives
+    for row in (CostRow.of(costs), costs, list(costs)):
+        assert mms_lower_bound(row, range(4), 2) == 8
+        assert mms_lower_bound(row, range(4), 4) == 7
+        assert mms_lower_bound(row, (1, 2), 1) == 6
+        assert mms_lower_bound(row, (), 3) == 0
+        with pytest.raises(BadParams):
+            mms_lower_bound(row, range(4), 0)
 
 
 def test_solve_ordinal_falls_back_to_the_exact_mms():
@@ -542,6 +545,17 @@ def test_theorem_violation_carries_instance_and_writes_nothing(monkeypatch, tmp_
     monkeypatch.chdir(tmp_path)
     inst = Instance.from_rows([[4, 2, 2, 1, 1]] * 2)
     with pytest.raises(TheoremViolation) as info:
+        solve_factored(inst)
+    assert info.value.instance == inst
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_lifted_cost_over_its_threshold_is_a_theorem_violation(monkeypatch, tmp_path):
+    monkeypatch.setattr(mms, "hffd_and_lift", everything_to_agent_0)
+    monkeypatch.chdir(tmp_path)
+    inst = gen_instance("factored", 3, 12, seed=1)
+    with pytest.raises(TheoremViolation,
+                       match="^factored: lifted cost 58 of agent 0 exceeds threshold 20$") as info:
         solve_factored(inst)
     assert info.value.instance == inst
     assert list(tmp_path.iterdir()) == []
