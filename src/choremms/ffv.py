@@ -222,11 +222,14 @@ def _pad(bundles: Sequence[Sequence[int]], n: int) -> list[tuple[int, ...]]:
 
 
 def _check_ffd_output(P: Allocation, row: CostRow, tau, free) -> list[list[int]]:
-    """P is an FFD output when it holds every chore of `free`
-    (`_count_free`) and each bundle has its benchmark's profile, since
-    FFD's k-th bin is the k-th benchmark. Returns P's profiles."""
-    if P.allocated() != free[1]:
-        raise PreconditionViolation("the FFD allocation must contain every chore")
+    """P is an FFD output when it holds the chores of `free` (`_count_free`),
+    every one and no other, and each bundle has its benchmark's profile,
+    since FFD's k-th bin is the k-th benchmark. Returns P's profiles."""
+    held = P.allocated()
+    if held != free[1]:
+        raise PreconditionViolation("the FFD allocation holds a chore outside all_chores"
+                                    if held - free[1] else
+                                    "the FFD allocation must contain every chore")
     bad, profiles = _first_off_benchmark(P.bundles, row, free, row.cap(tau), exact=True)
     if bad is not None:
         raise PreconditionViolation("allocation is not an FFD output at this threshold")

@@ -9,7 +9,8 @@ its chores, with threshold tau becoming the integer capacity floor(tau * D).
 `first_fit_bin` is the one statement of first fit into one bin, for FFD
 and for `ffv`, and `first_fit_bins` the one statement of FFD's bin loop
 over it, for `ffd` and for `ffv`'s transform. `first_fit_places_all`,
-which keeps every bin open and opens full bins in bulk, and
+which keeps every bin open, as groups of consecutive bins with one room,
+fills a whole group per step and opens full bins in bulk, and
 `hffd_slices`, which fills a bin for many agents from one list of their
 rooms, keep their own loops. `hffd_slices` is HFFD's one loop: it gives
 each bin as (start, copies) slices of the universal ordering, which
@@ -94,7 +95,8 @@ def first_fit_bins(count: dict[int, int], room: int,
 
 def first_fit_places_all(runs: Sequence[tuple[int, int]], cap: int, max_bins: int) -> bool:
     """Whether first fit of the descending weights that the (weight, count)
-    `runs` spell out leaves nothing out, at O(len(runs) * bins).
+    `runs` spell out leaves nothing out, at O(len(runs) * groups), groups
+    as below.
 
     First fit places each copy of a run's weight w in the lowest-index bin
     with room for it, and rooms only shrink, so a bin that cannot take w
@@ -102,26 +104,62 @@ def first_fit_places_all(runs: Sequence[tuple[int, int]], cap: int, max_bins: in
     take min(k, room // w) of the k copies left, and the rest open full
     bins of cap // w copies each. Those are the bins of first fit chore by
     chore; the probe fails when w > cap or when more than max_bins bins
-    would open."""
+    would open.
+
+    The open bins are kept as groups of consecutive bins that share one
+    room: the `sizes[g]` bins of group g each have room `rooms[g]`. Each
+    bin of a group takes room // w copies, so a run fills a whole group in
+    one step; the group where the run ends splits into the bins that took
+    room // w copies, one bin that took the rest, and the bins it did not
+    reach, leaving out the empty parts. A run adds at most two groups, so
+    there are never more groups than bins or than twice the runs, and on
+    two weights a probe costs the same at any number of bins."""
     rooms: list[int] = []
+    sizes: list[int] = []
+    opened = 0
     for w, k in runs:
         if w > cap:
             return False
-        for b, room in enumerate(rooms):
+        for g, room in enumerate(rooms):
             if w <= room:
-                t = min(k, room // w)
-                rooms[b] = room - t * w
-                k -= t
-                if not k:
+                per_bin = room // w
+                size = sizes[g]
+                if k >= per_bin * size:  # the run fills the whole group
+                    rooms[g] = room - per_bin * w
+                    k -= per_bin * size
+                    if not k:
+                        break
+                elif size == 1:  # the run ends in this bin
+                    rooms[g] = room - k * w
+                    break
+                else:  # the run ends in this group, which splits
+                    # group g keeps the bins the run does not reach; the
+                    # bin of the rest, then the full ones, go in before it
+                    full, rest = divmod(k, per_bin)
+                    left = size - full - (rest > 0)
+                    if left:
+                        sizes[g] = left
+                    else:
+                        del rooms[g], sizes[g]
+                    if rest:
+                        rooms.insert(g, room - rest * w)
+                        sizes.insert(g, 1)
+                    if full:
+                        rooms.insert(g, room - per_bin * w)
+                        sizes.insert(g, full)
                     break
         else:
             per_bin = cap // w
             full, rest = divmod(k, per_bin)
-            if len(rooms) + full + (rest > 0) > max_bins:
+            opened += full + (rest > 0)
+            if opened > max_bins:
                 return False
-            rooms.extend([cap - per_bin * w] * full)
+            if full:
+                rooms.append(cap - per_bin * w)
+                sizes.append(full)
             if rest:
                 rooms.append(cap - rest * w)
+                sizes.append(1)
     return True
 
 

@@ -582,7 +582,10 @@ def _ref_profile(bundle, cost):
 
 
 def _ref_check_ffd_output(P, all_chores, cost, tau):
-    if not set(P.allocated()) == set(all_chores):
+    held, chores = set(P.allocated()), set(all_chores)
+    if not held <= chores:
+        raise PreconditionViolation("the FFD allocation holds a chore outside all_chores")
+    if held != chores:
         raise PreconditionViolation("the FFD allocation must contain every chore")
     fresh = ref_ffd(all_chores, cost, tau)
     reference = _ref_pad(fresh.bundles, len(P.bundles))

@@ -530,6 +530,11 @@ SCALE_PINS = {
     ("personalized_bivalued", 1): ("a74d70c913c46e00", "8a2daf0a57c57d53"),
     ("personalized_bivalued", 2): ("01c9665a66f3b3ef", "c669c6e6ec87ea87"),
     ("personalized_bivalued", 3): ("f6ed3464011be551", "ef2aee9c0c8ce6c4"),
+    # seeds 1 and 3 are chains, solved as factored; seed 2 is solved as
+    # bivalued, through the first-fit probes of solve_bivalued
+    ("bivalued", 1): ("36576778f3f23707", "4abc7e1ccb364e8c"),
+    ("bivalued", 2): ("456ce47a8c6e9bea", "a0e405c237516e32"),
+    ("bivalued", 3): ("9b5fc72776630232", "a5427600e1c5339a"),
     ("general", 1): ("d3d5d6c601ae1fc7", None),
     ("general", 2): ("35bdbe979a88bd99", None),
     ("general", 3): ("6b7dd4ab98d9344b", None),

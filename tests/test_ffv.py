@@ -306,6 +306,37 @@ def test_reductions_reject_a_start_that_is_not_an_ffd_output(reduce):
         reduce(reversed_bins, out.allocation, FFD_CHECK_COSTS, F(6), range(5))
 
 
+OUTSIDE = "^the FFD allocation holds a chore outside all_chores$"
+MISSING = "^the FFD allocation must contain every chore$"
+
+
+# FFD at 6 packs FFD_CHECK_COSTS as {0, 2} {1, 3} {4}; chore 5, of cost 4,
+# lies outside all_chores = range(5). A chore outside is named first.
+@pytest.mark.parametrize("bundles, message", [
+    ([(0, 2), (1, 3), (4,), (5,)], OUTSIDE),
+    ([(0, 2), (1, 3)], MISSING),
+    ([(0, 2), (1, 3), (5,)], OUTSIDE),
+], ids=["outside", "missing", "missing-and-outside"])
+@pytest.mark.parametrize("reduce", [reduce_factored, reduce_bivalued, ref_reduce_factored,
+                                    ref_reduce_bivalued])
+def test_ffd_output_check_names_a_chore_outside_or_missing(reduce, bundles, message):
+    cost = FFD_CHECK_COSTS + (F(4),)
+    Q = ffd(range(5), cost, F(6)).allocation
+    with pytest.raises(PreconditionViolation, match=message):
+        reduce(Allocation.of(bundles), Q, cost, F(6), range(5))
+
+
+@pytest.mark.parametrize("reduce", [reduce_factored, ref_reduce_factored])
+def test_ffd_output_with_a_chore_appended_is_outside_all_chores(reduce):
+    # FFD at 7 packs the first five chores as {0, 2, 4} {1, 3}; P adds
+    # chore 5 in a bundle of its own
+    cost = tuple(F(x) for x in (4, 4, 2, 2, 1, 4))
+    Q = ffd(range(5), cost, F(7)).allocation
+    P = Allocation.of([*Q.bundles, (5,)])
+    with pytest.raises(PreconditionViolation, match=OUTSIDE):
+        reduce(P, Q, cost, F(7), range(5))
+
+
 def test_ffd_output_check_runs_no_ffd(monkeypatch):
     calls = []
 

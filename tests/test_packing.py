@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from choremms import packing
+from choremms import mms, packing
 from choremms.analysis import gen_instance, subset_sums
 from choremms.core import EQUAL, CostRow, Instance, bundle_cost, to_ido
 from choremms.errors import BadParams, EmptyBinDeadlock
@@ -149,6 +149,64 @@ def test_run_length_probe_matches_per_weight_first_fit(weights, bins):
             ref_first_fit_places_all(weights, cap, bins), cap
 
 
+@st.composite
+def many_runs(draw):
+    """Up to 12 distinct weights with up to 60 copies each, and 1 to 100
+    bins: at many bins a run passes and splits groups of many bins."""
+    distinct = sorted(draw(st.lists(st.integers(1, 40), min_size=1, max_size=12, unique=True)),
+                      reverse=True)
+    runs = [(w, draw(st.integers(1, 60))) for w in distinct]
+    return runs, draw(st.integers(1, 100))
+
+
+@settings(max_examples=150, deadline=None)
+@given(many_runs())
+def test_grouped_probe_matches_per_weight_first_fit(case):
+    # every capacity from 1 to the top of the MultiFit bracket
+    runs, bins = case
+    weights = [w for w, k in runs for _ in range(k)]
+    total = sum(weights)
+    top = min(total, max(weights[0], -(-total // bins)) + weights[0])
+    for cap in range(1, top + 1):
+        assert first_fit_places_all(runs, cap, bins) == \
+            ref_first_fit_places_all(weights, cap, bins), cap
+
+
+# Each case walks one shape of the probe's bin groups at capacity 20; the
+# last run then shows the rooms the groups were left with, and at one bin
+# fewer, or one copy more, the probe fails.
+GROUP_SHAPES = {
+    # four bins of room 6; 2 x 12 fills the group, and 1 x 4 opens a bin
+    "run fills a group": ([(14, 4), (2, 12), (1, 4)], 5, True),
+    "run fills a group, one bin short": ([(14, 4), (2, 12), (1, 4)], 4, False),
+    # 2 x 12 fills the two bins of room 2 and then the three of room 6, and
+    # opens a bin of room 18 for 1 x 18
+    "run fills two groups": ([(18, 2), (14, 3), (2, 12), (1, 18)], 6, True),
+    "run fills two groups, one copy more": ([(18, 2), (14, 3), (2, 12), (1, 19)], 6, False),
+    # 2 x 7 into four bins of room 6: two bins take three copies, one takes
+    # the rest, one is not reached; so 1 x 10 fills rooms 4 and 6
+    "run ends in a group with a rest": ([(14, 4), (2, 7), (1, 10)], 4, True),
+    "run ends in a group with a rest, one copy more": ([(14, 4), (2, 7), (1, 11)], 4, False),
+    # 2 x 6 into four bins of room 6: two bins take three copies, no rest
+    "run ends in a group without a rest": ([(14, 4), (2, 6), (1, 12)], 4, True),
+    "run ends in a group without a rest, one copy more": ([(14, 4), (2, 6), (1, 13)], 4, False),
+    # 2 x 8 into three bins of room 6: two bins take three copies, and the
+    # last bin of the group takes the rest
+    "run ends in the last bin of a group": ([(14, 3), (2, 8), (1, 2)], 3, True),
+    "run ends in the last bin of a group, one copy more": ([(14, 3), (2, 8), (1, 3)], 3, False),
+    # 2 x 2 ends in the bin of room 6, which keeps room 2 for 1 x 2
+    "run ends in a one-bin group": ([(14, 1), (2, 2), (1, 2)], 1, True),
+    "run ends in a one-bin group, one copy more": ([(14, 1), (2, 2), (1, 3)], 1, False),
+}
+
+
+@pytest.mark.parametrize("runs, bins, fits", GROUP_SHAPES.values(), ids=GROUP_SHAPES)
+def test_grouped_probe_shapes(runs, bins, fits):
+    weights = [w for w, k in runs for _ in range(k)]
+    assert ref_first_fit_places_all(weights, 20, bins) == fits
+    assert first_fit_places_all(runs, 20, bins) == fits
+
+
 def test_smallest_fitting_cap_guards():
     assert smallest_fitting_cap([], 2) == 0
     assert ladder_bound([], 2) == 0
@@ -212,6 +270,23 @@ def test_factored_solve_makes_no_probe(monkeypatch):
     assert result.thresholds == tuple(
         row.value(ref_smallest_fitting_cap(row.profile(ido.chores()), instance.n)[0])
         for row in ido.costs)
+
+
+def test_bivalued_pool_probe_and_search_counts(monkeypatch):
+    # one pass of solve_auto over the `bivalued` benchmark pool at seed 1;
+    # `mms` binds smallest_fitting_cap by name, so its searches are counted
+    # there
+    calls = count_probes(monkeypatch)
+    searches = []
+    search = mms.smallest_fitting_cap
+
+    def counted(runs, bins):
+        searches.append(bins)
+        return search(runs, bins)
+    monkeypatch.setattr(mms, "smallest_fitting_cap", counted)
+    for k in range(100):
+        solve_auto(gen_instance("personalized_bivalued", 8, 80, seed=1000 + k))
+    assert (len(calls), len(searches)) == (1642, 513)
 
 
 # ------------------------------------------------------------ ladder bound
