@@ -185,7 +185,7 @@ def subset_sums(chores: Iterable[int], cost: Sequence[Fraction]) -> list[Fractio
     """Sorted distinct achievable bundle costs (the grid on which FFD
     success/failure can change), for at most SUBSET_SUM_CAP chores."""
     row = CostRow.of(cost)
-    weights = [row.weights[c] for c in chores]
+    weights = [row.weights[c] for c in row.ids(chores)]
     if len(weights) > SUBSET_SUM_CAP:
         raise TooLarge(f"subset-sum grid needs m <= {SUBSET_SUM_CAP}, got {len(weights)}")
     sums = {0}

@@ -1,8 +1,13 @@
-"""Exact-arithmetic instance model, orderings and profile comparison.
+"""Exact-arithmetic instance model and orderings.
 
-All costs are ``fractions.Fraction`` values; no floating point is used
-anywhere, because every algorithm in this package branches on exact
-fits/does-not-fit comparisons. Hot loops run on each row scaled to
+All costs are strictly positive ``fractions.Fraction`` values; no floating
+point is used anywhere, because every algorithm in this package branches
+on exact fits/does-not-fit comparisons. A plain row of costs is checked
+once, where it enters, by the one cost contract `_cost_row`: each `int`
+becomes a Fraction, each Fraction is kept, and anything else, or a cost of
+at most 0, raises BadParams. `Instance(...)`, `Instance.from_rows` and
+`CostRow.of` run it; a `CostRow` passes as it is. So past the boundary
+every weight is a positive integer. Hot loops run on each row scaled to
 integers once, by `CostRow`, which keeps every comparison exact. Each row
 is built once: `CostRow.parse` reads each distinct cost text of an
 instance once and scales each row from its distinct values, and
@@ -42,7 +47,6 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import BadParams, NotIDO
 
-LESS, EQUAL, GREATER = -1, 0, 1
 # m to the tuple of chore ids 0..m-1, filled only by `Instance.chores`
 _ALL_CHORES: dict[int, tuple[int, ...]] = {}
 
@@ -119,7 +123,9 @@ class CostRow(tuple):
 
     @staticmethod
     def of(cost: Iterable[Fraction]) -> "CostRow":
-        return cost if isinstance(cost, CostRow) else CostRow(cost)
+        """The row itself when it is a `CostRow`, else the costs checked by
+        the cost contract `_cost_row`."""
+        return cost if isinstance(cost, CostRow) else _cost_row(cost)
 
     @_kept
     def scale(self) -> int:
@@ -187,15 +193,46 @@ class CostRow(tuple):
     def runs(self, chores: Iterable[int]) -> Runs:
         """The chores' weights as `Runs`: the run-length form of `profile`.
         The kept `counts` for the tuple `Instance.chores` shares, else
-        counted, sorting only distinct weights."""
+        counted, sorting only distinct weights, once `ids` has checked the
+        chores."""
         if chores is _ALL_CHORES.get(len(self)):
             return self.counts
-        return Runs(sorted(Counter(map(self.weights.__getitem__, chores)).items(), reverse=True))
+        return Runs(sorted(Counter(map(self.weights.__getitem__, self.ids(chores))).items(),
+                           reverse=True))
+
+    def ids(self, chores: Iterable[int]) -> tuple[int, ...]:
+        """The chores as a tuple, each one of the row's m chores: raises
+        BadParams for the first that is not. The tuple `Instance.chores`
+        shares passes unchecked."""
+        m = len(self)
+        if chores is _ALL_CHORES.get(m):
+            return chores
+        chores = tuple(chores)
+        if chores and not (0 <= min(chores) and max(chores) < m):
+            bad = next(c for c in chores if not 0 <= c < m)
+            raise BadParams(f"chore {bad} is not one of the {m} chores")
+        return chores
+
+
+def _cost_row(costs: Iterable, agent: int | None = None) -> CostRow:
+    """The cost contract, the one check of a plain row of costs: each `int`
+    that is not a bool becomes a Fraction, each `Fraction` is kept, the
+    same object, and anything else, or a cost of at most 0, raises
+    BadParams naming the first such chore, and the agent when given."""
+    row = CostRow(Fraction(c) if isinstance(c, int) and not isinstance(c, bool) else c
+                  for c in costs)
+    for j, c in enumerate(row):
+        if not isinstance(c, Fraction) or c.numerator <= 0:
+            of_agent = "" if agent is None else f" for agent {agent}"
+            raise BadParams(f"cost of chore {j}{of_agent} must be a positive rational")
+    return row
 
 
 @dataclass(frozen=True)
 class Instance:
-    """n agents, m chores, strictly positive costs; each row is a `CostRow`."""
+    """n agents, m chores, strictly positive costs; each row is a `CostRow`:
+    a row given as one is kept, and any other is checked by the cost
+    contract `_cost_row`, which makes each `int` a Fraction."""
 
     costs: tuple[tuple[Fraction, ...], ...]
 
@@ -203,13 +240,12 @@ class Instance:
         if not self.costs:
             raise BadParams("instance needs at least one agent")
         m = len(self.costs[0])
+        rows = []
         for i, row in enumerate(self.costs):
             if len(row) != m:
                 raise BadParams(f"agent {i} has {len(row)} costs, expected {m}")
-            for j, c in enumerate(row):
-                if not isinstance(c, Fraction) or c.numerator <= 0:
-                    raise BadParams(f"cost of chore {j} for agent {i} must be a positive rational")
-        object.__setattr__(self, "costs", tuple(CostRow.of(row) for row in self.costs))
+            rows.append(row if isinstance(row, CostRow) else _cost_row(row, i))
+        object.__setattr__(self, "costs", tuple(rows))
 
     @classmethod
     def _trusted(cls, rows: tuple[CostRow, ...]) -> "Instance":
@@ -222,10 +258,12 @@ class Instance:
 
     @staticmethod
     def from_rows(rows: Iterable[Iterable]) -> "Instance":
-        """An instance on rows of `Fraction`s and `int`s. Each `Fraction` is
-        kept, the same object, and only an `int` is converted; anything else
-        (a float, a string, None, a bool) raises BadParams."""
-        return Instance(tuple(_as_costs(row) for row in rows))
+        """`Instance(...)` on rows given as any iterables: each row of
+        `Fraction`s and `int`s goes through the cost contract `_cost_row`,
+        so each `Fraction` is kept, the same object, and only an `int` is
+        converted; anything else (a float, a string, None, a bool) raises
+        BadParams."""
+        return Instance(tuple(map(tuple, rows)))
 
     @property
     def n(self) -> int:
@@ -258,17 +296,6 @@ class Instance:
         """The IDO twin that `to_ido` returns, built on first use and kept.
         It holds no reference back to this instance."""
         return _ido_twin(self)
-
-
-def _as_costs(row: Iterable) -> tuple:
-    """The row with each `int` (not a bool) made a Fraction and all else
-    kept, for `Instance` to check."""
-    row = tuple(row)
-    # a row of Fractions only, as gen_instance builds, needs no per-cost walk
-    if set(map(type, row)) <= {Fraction}:
-        return row
-    return tuple(Fraction(c) if isinstance(c, int) and not isinstance(c, bool) else c
-                 for c in row)
 
 
 def bundle_cost(cost: Sequence[Fraction], bundle: Iterable[int]) -> Fraction:
@@ -520,16 +547,4 @@ def _ido_twin(instance: Instance) -> Instance:
     object.__setattr__(ido, "blocks", _checked_blocks([row.weights for row in rows],
                                                       ido.chores(), tuple(sorted(cuts))))
     return ido
-
-
-def compare_profiles(p1: Sequence[int], p2: Sequence[int]) -> int:
-    """Position-wise comparison of two descending cost profiles, the shorter
-    one extended with zeros. Returns LESS, EQUAL or GREATER."""
-    for a, b in zip(p1, p2):
-        if a != b:
-            return GREATER if a > b else LESS
-    rest = p1[len(p2):] or p2[len(p1):]
-    if any(x != 0 for x in rest):
-        return GREATER if len(p1) > len(p2) else LESS
-    return EQUAL
 

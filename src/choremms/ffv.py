@@ -4,10 +4,14 @@ costs, and the swap-transcript reductions with per-step invariant checking.
 Every transcript step shows the full per-bundle cost snapshot, so a
 failed invariant can be replayed as a counterexample.
 
-Costs are Fractions at the interface. Each call reads the row's cached
-integer weights (`core.CostRow`), with a threshold tau becoming the integer
-capacity floor(tau * D); every sum, sort and comparison runs on those
-integers, and values become Fractions only for results and messages.
+Costs are Fractions at the interface, checked where a plain row enters
+(`core.CostRow.of`), so every weight is a positive integer. Each call
+reads the row's cached integer weights (`core.CostRow`), with a threshold
+tau becoming the integer capacity floor(tau * D); every sum, sort and
+comparison runs on those integers, and values become Fractions only for
+results and messages. On positive weights Python's list order of two
+profiles is their order extended with zeros, so the FFV walks compare
+profiles as lists.
 
 The swap worker states the swap rule once, in `apply`, on one set of chore
 ids per bundle. A bundle that a donor lookup reads is also held as runs,
@@ -28,7 +32,8 @@ own swaps. The FFV checks and the exact subsets of `reduce_factored` fill
 one bin by `packing.first_fit_bin`, the one statement of the first-fit
 rule, over weight counts, so a benchmark bundle costs O(runs) plus its own
 size. The chores of a check, `all_chores`, are a set of ids: one listed
-twice raises BadParams.
+twice, or one outside the row's m chores (`core.CostRow.ids`), raises
+BadParams.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
-from .core import Allocation, CostRow, EQUAL, Runs, compare_profiles, is_divisibility_chain
+from .core import Allocation, CostRow, Runs, is_divisibility_chain
 from .errors import (BadParams, InvariantViolation, NotBivalued, PreconditionViolation,
                      SubsetViolation)
 from .mms import APPROX_RATIO
@@ -66,11 +71,10 @@ class SwapTranscript:
     A worker's transcript holds each swap as an integer record, (k, i, T_i,
     j, T_j, the new sums of i and j), and builds the `SwapStep`s from the
     records the first time `steps` is read (and so `dump()` and equality):
-    it replays them from the bundle sums before the first, each distinct sum
-    becoming a Fraction once through the value cache it shares with the
-    worker. A later read builds only the records added since, into the same
-    list. The transcript holds no reference to the worker, so a reduction's
-    worker is freed when it returns."""
+    it replays them from the bundle sums before the first, each cost made
+    by the row's `CostRow.value`. A later read builds only the records added
+    since, into the same list. The transcript holds no reference to the
+    worker, so a reduction's worker is freed when it returns."""
 
     __hash__ = None  # mutable, and equal by value
 
@@ -80,23 +84,16 @@ class SwapTranscript:
         self.result = result
         self.final = final
         # a worker's records not yet built, the bundle sums before the first
-        # of them, the worker's row and the Fraction of each sum made so far
+        # of them and the worker's row
         self._records: list[tuple] = []
         self._sums: list[int] = []
         self._row: CostRow | None = None
-        self._values: dict[int, Fraction] = {}
-
-    def _value(self, weight: int) -> Fraction:
-        value = self._values.get(weight)
-        if value is None:
-            value = self._values[weight] = self._row.value(weight)
-        return value
 
     @property
     def steps(self) -> list[SwapStep]:
         records = self._records
         if records:
-            steps, sums, value = self._steps, self._sums, self._value
+            steps, sums, value = self._steps, self._sums, self._row.value
             costs = list(map(value, sums))
             for k, i, t_i, j, t_j, sum_i, sum_j in records:
                 sums[i], sums[j] = sum_i, sum_j
@@ -160,8 +157,7 @@ def _first_off_benchmark(bundles: Sequence[Sequence[int]], row: CostRow,
             bench += [w] * t
         profile = row.profile(bundle)
         same = profile == bench
-        relation = EQUAL if same else compare_profiles(profile, bench)
-        if (relation != EQUAL) if exact else (relation < EQUAL):
+        if not same and (exact or profile < bench):
             return k, profiles
         profiles.append(profile)
         # the bundles are disjoint, so each chore leaves the counts once: a
@@ -183,11 +179,11 @@ def is_ffv(all_chores: Iterable[int], alloc: Allocation, cost: Sequence[Fraction
     bundles do not hold: FFD's first bin over them. Unallocated chores
     participate in the benchmarks. Returns (ok, first violating bundle
     index)."""
+    row = CostRow.of(cost)
     if not alloc.bundles:
         return True, None
     if tau <= 0:
         raise PreconditionViolation("benchmark threshold must be positive")
-    row = CostRow.of(cost)
     bad, _ = _first_off_benchmark(alloc.bundles, row, _count_free(row, all_chores),
                                   row.cap(tau), exact=False)
     return bad is None, bad
@@ -249,9 +245,9 @@ class _Worker:
     profile is kept until a swap changes the bundle: the reduction hands in
     the profiles its FFD check sorted. A bundle's FFD order is one sort of
     its set. Each step moves two integer sums by the weight it trades and
-    goes into the transcript as one record, a `SwapStep` only when read; a
-    sum becomes a Fraction once, through `value`. `final` shows a bundle as
-    given until a swap changes it, then as its ids ascending."""
+    goes into the transcript as one record, a `SwapStep` only when read.
+    `final` shows a bundle as given until a swap changes it, then as its ids
+    ascending."""
 
     def __init__(self, bundles: list[tuple[int, ...]], row: CostRow):
         # the worker takes over the list; a swap marks its two bundles None
@@ -267,10 +263,6 @@ class _Worker:
         self.transcript = SwapTranscript()
         self.transcript._row, self.transcript._sums = row, list(self.sums)
         self.records = self.transcript._records
-
-    def value(self, weight: int) -> Fraction:
-        """The Fraction of an integer sum, made once per transcript."""
-        return self.transcript._value(weight)
 
     def runs_of(self, b: int) -> dict[int, list[int]]:
         """Bundle b's runs: each of its weights to its chore ids ascending."""
@@ -359,7 +351,7 @@ class _Worker:
             idx, old = (i, sums[i] - gain) if gain > 0 else (j, sums[j] + gain)
             if idx > forbid_increase_after:
                 self.fail(k, f"cost of bundle {idx} increased from "
-                             f"{self.value(old)} to {self.value(sums[idx])}")
+                             f"{self.row.value(old)} to {self.row.value(sums[idx])}")
 
     def pull(self, k: int, wants: Iterable[int], forbid_increase_after: int | None = None):
         """Bundle k takes one chore of each weight in `wants`, in order, each
@@ -562,10 +554,10 @@ def transform_mms_to_ffd(Q: Allocation, cost: Sequence[Fraction],
     When mu is at least 6.5 times the small cost the threshold exceeds
     mu + s, FFD packs everything directly, and the transcript is empty.
     """
+    row = CostRow.of(cost)
     all_chores = sorted(Q.allocated())
     if not all_chores:
         return SwapTranscript(steps=[], result="equal", final=Q)
-    row = CostRow.of(cost)
     weights = row.weights
     runs = row.runs(all_chores)
     large, small = _large_small(runs)
@@ -585,16 +577,14 @@ def transform_mms_to_ffd(Q: Allocation, cost: Sequence[Fraction],
                 "FFD at tau >= mu + s used more bins than the partition", transcript)
         return transcript
     # the swaps read FFD's bins only as profiles: `first_fit_bins` over the
-    # weight counts, the bins `ffd` fills
-    count = dict(runs)
+    # weight counts, the bins `ffd` fills; they take every chore, since each
+    # weighs at most its Q bundle, so at most mu and at most tau
     p_profiles: list[list[int]] = []
-    for taken in first_fit_bins(count, tau_cap):
+    for taken in first_fit_bins(dict(runs), tau_cap):
         profile: list[int] = []
         for w, t in taken:
             profile += [w] * t
         p_profiles.append(profile)
-    if count:  # every chore fits, as each Q bundle is within mu
-        raise PreconditionViolation(f"a chore costs more than tau {tau}")
     p_profiles += [[] for _ in range(n - len(p_profiles))]
     n_work = len(p_profiles)
     # most large chores first, then most small ones; stable among equals
@@ -610,12 +600,24 @@ def transform_mms_to_ffd(Q: Allocation, cost: Sequence[Fraction],
         for i in range(k, n_work):
             if worker.sums[i] > tau_cap:
                 worker.fail(k, f"invariant 2 broken: bundle {i} costs "
-                               f"{worker.value(worker.sums[i])} > tau {tau}")
+                               f"{row.value(worker.sums[i])} > tau {tau}")
         for i in range(k + 1, n_work):
             if worker.sums[i] > mu_cap:
                 n_l, n_s = _counts(worker.sets[i], weights, large)
                 if n_l > 1 or (n_l == 1 and (n_s + 2) * small > tau_cap):
                     worker.fail(k, f"invariant 3 broken at bundle {i}")
+
+    def two_for_one(k: int, missing: str) -> int:
+        """Swap bundle k's two lowest-id small chores for the last large
+        chore after k (`_find_donor`), failing with `missing` when no later
+        bundle has one; returns the donor's bundle."""
+        donor = _find_donor(worker, k, large)
+        if donor is None:
+            worker.fail(k, missing)
+        z, cl = donor
+        pair = tuple(sorted(c for c in worker.sets[k] if weights[c] != large)[:2])
+        worker.apply(k, k, pair, z, (cl,))
+        return z
 
     for k in range(n_work):
         check_invariants(k)
@@ -631,25 +633,14 @@ def transform_mms_to_ffd(Q: Allocation, cost: Sequence[Fraction],
                 worker.fail(k, "two-small-chores (b) broken: fewer than two extra small chores")
             if a_q < 1:
                 worker.fail(k, "two-small-chores (d) broken: no large chore in the bundle")
-            donor = _find_donor(worker, k, large)
-            if donor is None:
-                worker.fail(k, "two-small-chores (c) broken: no later bundle has a large chore")
-            z, cl = donor
-            # the two lowest ids of the small chores
-            pair = tuple(sorted(c for c in worker.sets[k] if weights[c] != large)[:2])
-            worker.apply(k, k, pair, z, (cl,))
+            z = two_for_one(k, "two-small-chores (c) broken: no later bundle has a large chore")
             if len(worker.sets[k]) > len(p_profiles[k]):
                 a_q2, b_q2 = _counts(worker.sets[k], weights, large)
                 if (a_q2, b_q2) == (2, 1) and (a_p, b_p) == (2, 0):
                     one_small = min(c for c in worker.sets[k] if weights[c] != large)
                     worker.apply(k, k, (one_small,), z, ())
                 elif (a_q2, b_q2) == (2, 2) and (a_p, b_p) == (3, 0):
-                    donor = _find_donor(worker, k, large)
-                    if donor is None:
-                        worker.fail(k, "special case: no later bundle has a large chore")
-                    z2, cl2 = donor
-                    smalls2 = sorted(c for c in worker.sets[k] if weights[c] != large)
-                    worker.apply(k, k, tuple(smalls2[:2]), z2, (cl2,))
+                    two_for_one(k, "special case: no later bundle has a large chore")
                 else:
                     worker.fail(k, "bundle still has too many chores outside the "
                                    "two special cases")

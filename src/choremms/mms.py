@@ -73,9 +73,9 @@ def mms_brute(cost: Sequence[Fraction], chores: Iterable[int], d: int) -> MMSRes
         raise TooLarge(f"brute-force oracle capped at m={ORACLE_CAP}, got {len(chores)}")
     # integer arithmetic inside the search; Fractions are exact but slow
     row = CostRow.of(cost)
+    runs = row.runs(chores)
     ordered = row.ffd_order(chores)
     weights = [row.weights[c] for c in ordered]
-    runs = row.runs(chores)
     if len(runs) <= 2:
         lower = two_valued_makespan(runs, d)
         best = lower + 1

@@ -2,9 +2,12 @@
 heterogeneous agents. Failure to place chores is a value (PackOutcome),
 not an exception.
 
-Costs and thresholds are Fractions at the interface; the packing loops run
-on the row's cached integer weights (`core.CostRow`), also for a subset of
-its chores, with threshold tau becoming the integer capacity floor(tau * D).
+Costs and thresholds are Fractions at the interface; a plain row is
+checked where it enters (`core.CostRow.of`), and so are chore ids
+(`core.CostRow.ids`), so every weight is a positive integer. The packing
+loops run on the row's cached integer weights (`core.CostRow`), also for a
+subset of its chores, with threshold tau becoming the integer capacity
+floor(tau * D).
 
 `first_fit_bin` is the one statement of first fit into one bin, for FFD
 and for `ffv`, and `first_fit_bins` the one statement of FFD's bin loop
@@ -59,13 +62,12 @@ def first_fit_bin(count: Mapping[int, int], room: int) -> list[tuple[int, int]]:
     """First fit into one bin of the given room, over weight counts: `count`
     maps each weight to its copies left, heaviest first. The bin takes, of
     the k copies of each weight w that fits the room left, min(k, room // w),
-    because the room only shrinks; a weight of at most 0 always fits, all
-    its copies. Returns the (weight, copies) the bin takes, heaviest first,
-    and leaves `count` as it is."""
+    because the room only shrinks. Returns the (weight, copies) the bin
+    takes, heaviest first, and leaves `count` as it is."""
     taken: list[tuple[int, int]] = []
     for w, k in count.items():
         if w <= room and k:
-            if k * w > room:  # only a positive w can overflow the room
+            if k * w > room:
                 k = room // w
             taken.append((w, k))
             room -= k * w
@@ -284,12 +286,14 @@ def ffd(chores: Iterable[int], cost: Sequence[Fraction], tau: Fraction,
     when allowed, otherwise the chore is left unallocated (in FFD order).
     The bins fill one at a time by `first_fit_bins` over the weights left,
     each taking the lowest ids left of each weight: a chore joins bin b
-    exactly when it fits b's room then, as in first fit chore by chore."""
+    exactly when it fits b's room then, as in first fit chore by chore.
+    Raises BadParams for a chore that is not one of the row's m chores
+    (`CostRow.ids`)."""
     if tau <= 0:
         raise BadParams("FFD threshold must be positive")
     row = CostRow.of(cost)
     cap = row.cap(tau)
-    ids = row.by_weight(row.ffd_order(chores))
+    ids = row.by_weight(row.ffd_order(row.ids(chores)))
     count = {w: len(group) for w, group in ids.items()}
     bins: list[list[int]] = []
     for taken in first_fit_bins(count, cap, max_bins):

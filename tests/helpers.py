@@ -31,8 +31,8 @@ import random
 from fractions import Fraction
 
 from choremms.analysis import gen_instance, subset_sums
-from choremms.core import (Allocation, CostRow, EQUAL, GREATER, LESS, Instance, LiftingMap,
-                           bundle_cost, compare_profiles, parse_rational, to_ido)
+from choremms.core import (Allocation, CostRow, Instance, LiftingMap, bundle_cost,
+                           parse_rational, to_ido)
 from choremms.errors import (BadParams, EmptyBinDeadlock, InvariantViolation, NotBivalued,
                              NotIDO, ParseError, PreconditionViolation, SubsetViolation)
 from choremms.io import MAX_AGENTS, _parse_count, _significant_lines
@@ -41,12 +41,17 @@ from choremms.mms import APPROX_RATIO, MMSResult, solve_auto
 from choremms.packing import PackOutcome, ffd, hffd, hffd_slices
 
 
+LESS, EQUAL, GREATER = -1, 0, 1
+
+
 def lex_compare(b1, b2, cost):
-    """Position-wise comparison of the bundles' cost profiles, the shorter
-    one extended with zeros: `core.compare_profiles` on the scaled row.
+    """Python's list order of the bundles' profiles on the scaled row, the
+    package's profile comparison (`ffv._first_off_benchmark`): on positive
+    weights, position-wise with the shorter profile extended with zeros.
     Returns LESS, EQUAL or GREATER; any two bundles are comparable."""
     row = CostRow.of(cost)
-    return compare_profiles(row.profile(b1), row.profile(b2))
+    p1, p2 = row.profile(b1), row.profile(b2)
+    return (p1 > p2) - (p1 < p2)
 
 
 def swap(alloc, i, t_i, j, t_j):

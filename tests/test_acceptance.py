@@ -10,12 +10,12 @@ import random
 from fractions import Fraction as F
 
 from choremms.analysis import case_table, gen_instance, subset_sums
-from choremms.core import EQUAL, Allocation, Instance, bundle_cost, to_ido
+from choremms.core import Allocation, Instance, bundle_cost, to_ido
 from choremms.ffv import is_ffv, reduce_bivalued, reduce_factored, transform_mms_to_ffd
 from choremms.mms import (APPROX_RATIO, mms_brute, mms_factored,
                           solve_bivalued, solve_factored, solve_ordinal)
 from choremms.packing import ffd, hffd
-from helpers import (brute_lex_max, ffd_first_bin, lex_compare, perturb_to_ffv,
+from helpers import (EQUAL, brute_lex_max, ffd_first_bin, lex_compare, perturb_to_ffv,
                      random_rationals, ref_benchmark_bundle)
 
 

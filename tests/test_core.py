@@ -12,13 +12,17 @@ from hypothesis import given, strategies as st
 
 import choremms
 from choremms import core
-from choremms.analysis import gen_instance
-from choremms.core import (Allocation, EQUAL, GREATER, LESS, Instance, InstanceClass,
-                           bundle_cost, classify, format_rational, parse_rational, to_ido,
-                           universal_ordering)
+from choremms.analysis import gen_instance, subset_sums
+from choremms.core import (Allocation, CostRow, Instance, InstanceClass, bundle_cost, classify,
+                           format_rational, is_bivalued_costs, is_factored_costs,
+                           parse_rational, to_ido, universal_ordering)
 from choremms.errors import BadParams, NotIDO, SubsetViolation
-from helpers import (all_complete_allocations, lex_compare, random_rationals,
-                     ref_is_bivalued_costs, ref_is_factored_costs, swap)
+from choremms.ffv import is_ffv, reduce_bivalued, reduce_factored, transform_mms_to_ffd
+from choremms.mms import (min_success_threshold, mms_brute, mms_factored, mms_lower_bound,
+                          mms_value)
+from choremms.packing import ffd, multifit
+from helpers import (EQUAL, GREATER, LESS, all_complete_allocations, lex_compare,
+                     random_rationals, ref_is_bivalued_costs, ref_is_factored_costs, swap)
 
 FIFTEEN_THIRTEENTHS = Instance.from_rows([[4, 4, 4] + [3] * 9] * 3)
 
@@ -124,6 +128,99 @@ def test_instance_rows_act_as_plain_tuples_and_scale_once():
         assert copy == inst and repr(copy) == repr(inst)
         assert copy.cost(0).weights == (3, 18, 10) and copy.cost(1).weights == (12, 1, 6)
         assert copy.cost(1).counts == ((12, 1), (6, 1), (1, 1))
+
+
+# ------------------------------------------------------------ cost contract
+
+BAD_COSTS = [0, -1, F(-1, 2), 2.0, Decimal("1"), "1", None, True]
+BAD_COST_IDS = ["zero", "negative", "negative-fraction", "float", "decimal", "text", "none",
+                "bool"]
+
+
+def test_instance_converts_ints_as_from_rows_does():
+    half = F(1, 2)
+    inst = Instance(((1, half), (F(3), 2)))
+    assert inst == Instance.from_rows([[1, half], [3, 2]])
+    assert inst.cost(0)[1] is half and type(inst.cost(0)[0]) is F
+
+
+@pytest.mark.parametrize("bad", BAD_COSTS, ids=BAD_COST_IDS)
+@pytest.mark.parametrize("build", [Instance, Instance.from_rows], ids=["Instance", "from_rows"])
+def test_instance_names_the_agent_of_a_bad_cost(build, bad):
+    with pytest.raises(BadParams, match="^cost of chore 1 for agent 2 must be a positive "
+                                        "rational$"):
+        build(((1, 2), (F(1, 2), 3), (4, bad)))
+
+
+def test_cost_row_of_keeps_a_cost_row():
+    inst = gen_instance("general", 2, 5, seed=1)
+    for i in range(inst.n):
+        assert CostRow.of(inst.cost(i)) is inst.cost(i)
+        assert Instance(inst.costs).cost(i) is inst.cost(i)
+    half = F(1, 2)
+    row = CostRow.of([half, 3])
+    assert row[0] is half and row == (half, F(3)) and type(row[1]) is F
+
+
+THREE = (0, 1, 2)
+# each public function that takes a plain row, called on a row of three
+# costs, of which the cases below make chore 1's bad
+ROW_TAKERS = {
+    "bundle_cost": lambda row: bundle_cost(row, THREE),
+    "ffd": lambda row: ffd(THREE, row, F(5)),
+    "multifit": lambda row: multifit(THREE, row, 2),
+    "mms_value": lambda row: mms_value(row, THREE, 2),
+    "min_success_threshold": lambda row: min_success_threshold(row, THREE, 2),
+    "mms_brute": lambda row: mms_brute(row, THREE, 2),
+    "mms_factored": lambda row: mms_factored(row, THREE, 2),
+    "mms_lower_bound": lambda row: mms_lower_bound(row, THREE, 2),
+    "is_ffv": lambda row: is_ffv(THREE, Allocation.of([THREE]), row, F(5)),
+    "reduce_factored": lambda row: reduce_factored(Allocation.of([THREE]),
+                                                   Allocation.of([THREE]), row, F(5), THREE),
+    "reduce_bivalued": lambda row: reduce_bivalued(Allocation.of([THREE]),
+                                                   Allocation.of([THREE]), row, F(5), THREE),
+    "transform_mms_to_ffd": lambda row: transform_mms_to_ffd(Allocation.of([(0, 1), (2,)]),
+                                                             row, F(5)),
+    "is_factored_costs": is_factored_costs,
+    "is_bivalued_costs": is_bivalued_costs,
+    "subset_sums": lambda row: subset_sums(THREE, row),
+}
+
+
+@pytest.mark.parametrize("bad", BAD_COSTS, ids=BAD_COST_IDS)
+@pytest.mark.parametrize("name", ROW_TAKERS)
+def test_plain_rows_go_through_the_cost_contract(name, bad):
+    with pytest.raises(BadParams, match="^cost of chore 1 must be a positive rational$"):
+        ROW_TAKERS[name]((F(2), bad, 1))
+
+
+# a row of three positive costs, factored and bivalued, and each public
+# function that takes chores, called on the chores and that row
+ROW = (F(2), F(2), F(1))
+CHORE_TAKERS = {
+    "ffd": lambda chores: ffd(chores, ROW, F(5)),
+    "multifit": lambda chores: multifit(chores, ROW, 2),
+    "mms_value": lambda chores: mms_value(ROW, chores, 2),
+    "min_success_threshold": lambda chores: min_success_threshold(ROW, chores, 2),
+    "mms_brute": lambda chores: mms_brute(ROW, chores, 2),
+    "mms_factored": lambda chores: mms_factored(ROW, chores, 2),
+    "mms_lower_bound": lambda chores: mms_lower_bound(ROW, chores, 2),
+    "is_ffv": lambda chores: is_ffv(chores, Allocation.of([(0,)]), ROW, F(5)),
+    "reduce_factored": lambda chores: reduce_factored(Allocation.of([(0,)]),
+                                                      Allocation.of([(0,)]), ROW, F(5), chores),
+    "reduce_bivalued": lambda chores: reduce_bivalued(Allocation.of([(0,)]),
+                                                      Allocation.of([(0,)]), ROW, F(5), chores),
+    "transform_mms_to_ffd": lambda chores: transform_mms_to_ffd(Allocation.of([chores]), ROW,
+                                                                F(5)),
+    "subset_sums": lambda chores: subset_sums(chores, ROW),
+}
+
+
+@pytest.mark.parametrize("bad", [-1, 3, 10])
+@pytest.mark.parametrize("name", CHORE_TAKERS)
+def test_chores_outside_the_row_are_rejected(name, bad):
+    with pytest.raises(BadParams, match=f"^chore {bad} is not one of the 3 chores$"):
+        CHORE_TAKERS[name]((0, bad, 2))
 
 
 # ----------------------------------------------------------------- classify

@@ -961,9 +961,10 @@ def test_is_ffv_matches_reference_beyond_all_chores(case):
     assert outcome(is_ffv, *case) == outcome(ref_is_ffv, *case)
 
 
-def test_is_ffv_matches_reference_on_costs_at_most_zero():
-    # a plain row is not validated, so a zero or negative cost reaches the
-    # walk, where every copy of such a weight fits
+def test_is_ffv_rejects_costs_at_most_zero():
+    # a plain row is checked where it enters, so a zero or negative cost
+    # never reaches the walk: is_ffv names the first such chore, and on the
+    # rows without one it matches the reference
     rng = random.Random(5)
     for _ in range(300):
         m = rng.randint(1, 8)
@@ -972,7 +973,13 @@ def test_is_ffv_matches_reference_on_costs_at_most_zero():
         labels = [rng.randint(-1, 2) for _ in range(m)]
         alloc = Allocation.of([c for c in range(m) if labels[c] == b] for b in range(3))
         tau = F(rng.randint(1, 10), rng.randint(1, 3))
-        assert is_ffv(chores, alloc, row, tau) == ref_is_ffv(chores, alloc, row, tau)
+        bad = next((j for j, c in enumerate(row) if c <= 0), None)
+        if bad is None:
+            assert is_ffv(chores, alloc, row, tau) == ref_is_ffv(chores, alloc, row, tau)
+        else:
+            with pytest.raises(BadParams, match=f"^cost of chore {bad} must be a positive "
+                                                "rational$"):
+                is_ffv(chores, alloc, row, tau)
 
 
 @SETTINGS

@@ -7,13 +7,13 @@ from hypothesis import given, settings, strategies as st
 
 from choremms import mms, packing
 from choremms.analysis import gen_instance, subset_sums
-from choremms.core import EQUAL, CostRow, Instance, bundle_cost, to_ido
+from choremms.core import CostRow, Instance, bundle_cost, to_ido
 from choremms.errors import BadParams, EmptyBinDeadlock
 from choremms.ffv import is_ffv
 from choremms.mms import min_success_threshold, mms_brute, mms_value, solve_auto
 from choremms.packing import (ffd, first_fit_bins, first_fit_places_all, hffd, ladder_bound,
                               ladder_probe, multifit, smallest_fitting_cap)
-from helpers import (brute_min_makespan, lex_compare, random_rationals, ref_benchmark_bundle,
+from helpers import (EQUAL, brute_min_makespan, lex_compare, random_rationals, ref_benchmark_bundle,
                      ref_ffd, ref_first_fit_places_all, ref_hffd, ref_ladder_bound, ref_mms_brute,
                      ref_multifit, ref_smallest_fitting_cap, run_length)
 

@@ -6,6 +6,8 @@ import textwrap
 
 import pytest
 
+import code_lines
+
 TESTS = pathlib.Path(__file__).resolve().parent
 PACKAGE = TESTS.parent / "src" / "choremms"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -108,6 +110,102 @@ def test_scaling_uses_are_found():
                          ids=lambda p: p.name)
 def test_only_core_scales_rows(path):
     assert scaling_uses(path.read_text(encoding="utf-8")) == []
+
+
+def cost_row_values(source: str) -> list[str]:
+    """Functions, by name, that use the class `CostRow` as a value: call it
+    or hand it on (as to `map`), rather than read one of its attributes or
+    name it in an annotation. An enclosing function is named with the one
+    it defines."""
+    tree = ast.parse(source)
+    skip = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            skip.add(id(node.value))
+        for field in ("annotation", "returns"):
+            if getattr(node, field, None) is not None:
+                skip.update(map(id, ast.walk(getattr(node, field))))
+    return sorted({func.name for func in ast.walk(tree) if isinstance(func, ast.FunctionDef)
+                   for node in ast.walk(func)
+                   if isinstance(node, ast.Name) and node.id == "CostRow" and id(node) not in skip})
+
+
+def test_cost_row_values_are_found():
+    source = textwrap.dedent("""\
+        from choremms.core import CostRow
+        def build(rows):
+            return tuple(map(CostRow, rows))
+        def outer(costs):
+            def inner():
+                return CostRow(costs)
+        def checked(cost) -> CostRow:
+            row: CostRow = CostRow.of(cost)
+            return row
+        def parse(fields, parsed: "CostRow"):
+            return CostRow.parse(fields, parsed)
+        """)
+    assert cost_row_values(source) == ["build", "inner", "outer"]
+
+
+def test_only_gen_instance_builds_cost_rows_outside_core():
+    # a CostRow is a checked row: outside core only the generator, whose rows
+    # hold positive Fractions by construction, builds one unchecked
+    found = {path.name: cost_row_values(path.read_text(encoding="utf-8"))
+             for path in MODULES if path.name != "core.py"}
+    assert {name: funcs for name, funcs in found.items() if funcs} == {
+        "analysis.py": ["gen_instance"]}
+
+
+def row_takers(source: str) -> dict[str, bool]:
+    """Public module-level functions with a parameter `cost` or `values`, a
+    plain row of costs, by name, each to whether it hands that parameter to
+    `CostRow.of`."""
+    found = {}
+    for func in ast.parse(source).body:
+        if isinstance(func, ast.FunctionDef) and not func.name.startswith("_"):
+            params = {arg.arg for arg in func.args.args} & {"cost", "values"}
+            if params:
+                found[func.name] = any(
+                    isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "of" and isinstance(node.func.value, ast.Name)
+                    and node.func.value.id == "CostRow" and len(node.args) == 1
+                    and isinstance(node.args[0], ast.Name) and node.args[0].id in params
+                    for node in ast.walk(func))
+    return found
+
+
+def test_row_takers_are_found():
+    source = textwrap.dedent("""\
+        def checked(cost, chores):
+            return CostRow.of(cost).runs(chores)
+        def unchecked(chores, cost):
+            return sum(cost[c] for c in chores)
+        def copied(values):
+            return CostRow.of(list(values))
+        def no_row(chores):
+            return CostRow.of(chores)
+        def _private(values):
+            return list(values)
+        class CostRow(tuple):
+            def of(cost):
+                return cost
+        """)
+    assert row_takers(source) == {"checked": True, "unchecked": False, "copied": False}
+
+
+def test_plain_rows_enter_through_cost_row_of():
+    # each public function that takes a plain row hands it to CostRow.of,
+    # the one cost contract, which keeps a CostRow as it is
+    takers = {path.name: row_takers(path.read_text(encoding="utf-8")) for path in MODULES}
+    assert {name: sorted(found) for name, found in takers.items() if found} == {
+        "analysis.py": ["subset_sums"],
+        "core.py": ["bundle_cost", "is_bivalued_costs", "is_factored_costs"],
+        "ffv.py": ["is_ffv", "reduce_bivalued", "reduce_factored", "transform_mms_to_ffd"],
+        "mms.py": ["min_success_threshold", "mms_brute", "mms_factored", "mms_lower_bound",
+                   "mms_value"],
+        "packing.py": ["ffd", "multifit"]}
+    assert [name for found in takers.values() for name, checked in found.items()
+            if not checked] == []
 
 
 def calls_of(source: str, name: str) -> list[str]:
@@ -437,3 +535,30 @@ def test_only_cli_writes_files_and_only_in_place():
              for name, lines in found.items() if lines}
     assert found == {"cli.py": ["os.open O_CREAT|O_WRONLY in _write_text",
                                 "open 'x' in _write_counterexample"]}
+
+
+def test_code_lines_count_only_code(tmp_path, capsys):
+    # tests/code_lines.py, the count a change reports: of the 17 lines below,
+    # the docstrings, comment lines and blank lines are not code
+    (tmp_path / "a.py").write_text(textwrap.dedent('''\
+        """A module docstring
+        over two lines."""
+
+        import os  # a trailing comment
+
+        # a comment line
+        def f(x):
+            """A docstring."""
+            text = """a string over
+        two lines"""
+            return (x +
+                    1)
+
+
+        class C:
+            \'\'\'A class docstring.\'\'\'
+            y = 2
+        '''), encoding="utf-8")
+    (tmp_path / "b.py").write_text("x = 1\n\n", encoding="utf-8")
+    code_lines.main([str(tmp_path)])
+    assert capsys.readouterr().out == "     8  a.py\n     1  b.py\n     9  total\n"
