@@ -13,6 +13,14 @@ is built once: `CostRow.parse` reads each distinct cost text of an
 instance once and scales each row from its distinct values, and
 `Instance.from_rows` keeps the `Fraction` objects it is given.
 
+The two other kinds of argument have one contract each, and no other
+module guards them: a threshold is checked where it becomes a capacity,
+by `CostRow.cap`, which takes a positive `Fraction` or a positive `int`
+that is not a bool; a number of bundles or bins by `_bundle_count`, which
+takes an `int` that is not a bool and is at least 1. Anything else raises
+BadParams, with one message per contract. Chore ids, of a subset or of a
+bundle, are checked by `CostRow.ids`.
+
 Each row's runs, its (weight, count) pairs weight descending, are counted
 once and kept (`CostRow.counts`), as a `Runs` that keeps its own
 divisibility-chain test (`Runs.chain`) once made. Every stage of a solve
@@ -165,12 +173,16 @@ class CostRow(tuple):
         return row
 
     def cap(self, tau: Fraction) -> int:
-        """floor(tau * D), the largest integer sum that stays within tau.
-        Raises BadParams when tau is not a rational (a float, say)."""
-        try:
-            return tau.numerator * self.scale // tau.denominator
-        except AttributeError:
-            raise BadParams(f"threshold must be rational, not {type(tau).__name__}") from None
+        """floor(tau * D), the largest integer sum that stays within tau: the
+        threshold contract, which every function that takes a threshold runs
+        where the threshold becomes a capacity. tau must be a positive
+        `Fraction` or a positive `int` that is not a bool; anything else (a
+        float, a Decimal, a string, None) raises BadParams."""
+        if isinstance(tau, (Fraction, int)) and tau.__class__ is not bool:
+            numerator = tau.numerator
+            if numerator > 0:
+                return numerator * self.scale // tau.denominator
+        raise BadParams("threshold must be a positive rational")
 
     def value(self, weight: int) -> Fraction:
         return Fraction(weight, self.scale)
@@ -226,6 +238,13 @@ def _cost_row(costs: Iterable, agent: int | None = None) -> CostRow:
             of_agent = "" if agent is None else f" for agent {agent}"
             raise BadParams(f"cost of chore {j}{of_agent} must be a positive rational")
     return row
+
+
+def _bundle_count(d) -> None:
+    """The bundle-count contract, the one check of a number of bundles or
+    bins: an `int` that is not a bool and is at least 1, else BadParams."""
+    if not isinstance(d, int) or d < 1 or d.__class__ is bool:
+        raise BadParams("number of bundles must be a positive int")
 
 
 @dataclass(frozen=True)
@@ -299,8 +318,10 @@ class Instance:
 
 
 def bundle_cost(cost: Sequence[Fraction], bundle: Iterable[int]) -> Fraction:
+    """The bundle's cost; raises BadParams for a chore that is not one of the
+    row's m chores (`CostRow.ids`)."""
     row = CostRow.of(cost)
-    return row.value(sum(map(row.weights.__getitem__, bundle)))
+    return row.value(sum(map(row.weights.__getitem__, row.ids(bundle))))
 
 
 @dataclass(frozen=True)
@@ -453,14 +474,9 @@ class LiftingMap:
         goes to `lift_slices` as a slice of one copy. Raises BadParams for
         the first position, in bundle order, that is not one of the m
         chores, or for an owner that is not one of the n agents."""
-        m = self.original.m
+        ids = self.original.cost(0).ids
         bundles = allocation.bundles
-        slices: list[tuple[int, int, int]] = []
-        for b, bundle in enumerate(bundles):
-            for c in bundle:
-                if not 0 <= c < m:
-                    raise BadParams(f"chore {c} is not one of the {m} chores")
-                slices.append((c, 1, b))
+        slices = [(c, 1, b) for b, bundle in enumerate(bundles) for c in ids(bundle)]
         agents = range(len(bundles)) if allocation.agents is None else allocation.agents
         lifted, _ = self.lift_slices(slices, agents)
         return Allocation.of(lifted, allocation.agents)

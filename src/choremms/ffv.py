@@ -7,11 +7,11 @@ failed invariant can be replayed as a counterexample.
 Costs are Fractions at the interface, checked where a plain row enters
 (`core.CostRow.of`), so every weight is a positive integer. Each call
 reads the row's cached integer weights (`core.CostRow`), with a threshold
-tau becoming the integer capacity floor(tau * D); every sum, sort and
-comparison runs on those integers, and values become Fractions only for
-results and messages. On positive weights Python's list order of two
-profiles is their order extended with zeros, so the FFV walks compare
-profiles as lists.
+tau becoming the integer capacity floor(tau * D) by the threshold contract
+`core.CostRow.cap`; every sum, sort and comparison runs on those integers,
+and values become Fractions only for results and messages. On positive
+weights Python's list order of two profiles is their order extended with
+zeros, so the FFV walks compare profiles as lists.
 
 The swap worker states the swap rule once, in `apply`, on one set of chore
 ids per bundle. A bundle that a donor lookup reads is also held as runs,
@@ -21,9 +21,10 @@ either builds them again. A step is recorded as its two bundles' new
 integer sums; the transcript builds its `SwapStep`s, with Fraction costs,
 only when read. Most steps of a replay are pulls (T_i empty, T_j one
 chore), once bundle k has no chore at the positions left to fill:
-`_Worker.pull` takes them in one loop, each donor from `_find_donor`,
-popped off the end of its run, each weight's walk resuming at the bundle
-of its last donor.
+`_Worker.pull` takes them in one loop, each donor popped off the end of
+its run, each weight's walk resuming at the bundle of its last donor.
+Every swap finds its donor by `_Worker.donor`: the chore `_find_donor`
+names, the one walk down the bundles, or a failure.
 Each profile is sorted once per reduction: the FFV walks hand back the
 profiles they sort, Q's become the targets and P's (when checked) the
 worker's, and a bundle is sorted again only after a swap changed it. A
@@ -31,14 +32,19 @@ reduction puts bundle k in FFD order once and keeps that order across its
 own swaps. The FFV checks and the exact subsets of `reduce_factored` fill
 one bin by `packing.first_fit_bin`, the one statement of the first-fit
 rule, over weight counts, so a benchmark bundle costs O(runs) plus its own
-size. The chores of a check, `all_chores`, are a set of ids: one listed
-twice, or one outside the row's m chores (`core.CostRow.ids`), raises
-BadParams.
+size. FFD's bins are read as profiles once, by `_ffd_profiles` over
+`packing.first_fit_bins`: the check that P is an FFD output compares P's
+profiles with them, and the transform takes them as its targets. The
+chores of a check, `all_chores`, are a set of ids: one listed twice, or
+one outside the row's m chores (`core.CostRow.ids`), raises BadParams; so
+does a chore in a bundle of `is_ffv`'s allocation, or of P when the
+reductions skip the FFD check.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, NamedTuple, Sequence
 
 from .core import Allocation, CostRow, Runs, is_divisibility_chain
@@ -132,14 +138,13 @@ def _count_free(row: CostRow, all_chores: Iterable[int]) -> tuple[Runs, set[int]
 
 
 def _first_off_benchmark(bundles: Sequence[Sequence[int]], row: CostRow,
-                         free: tuple[Runs, set[int]], room: int,
-                         exact: bool) -> tuple[int | None, list[list[int]]]:
-    """Index of the first bundle whose profile is below (with `exact`: not
-    equal to) its benchmark's, the fill of the room from the `free` chores
-    (`_count_free`) that earlier bundles do not hold, or None if there is
-    none; and the profiles of the bundles before that one (of every bundle
-    when there is none), which a reduction keeps rather than sorting them
-    again.
+                         free: tuple[Runs, set[int]],
+                         room: int) -> tuple[int | None, list[list[int]]]:
+    """Index of the first bundle whose profile is below its benchmark's, the
+    fill of the room from the `free` chores (`_count_free`) that earlier
+    bundles do not hold, or None if there is none; and the profiles of the
+    bundles before that one (of every bundle when there is none), which a
+    reduction keeps rather than sorting them again.
 
     The free chores are kept as a count per weight, heaviest first, and
     each benchmark is `first_fit_bin` over those counts: so it costs
@@ -156,14 +161,13 @@ def _first_off_benchmark(bundles: Sequence[Sequence[int]], row: CostRow,
         for w, t in fill:
             bench += [w] * t
         profile = row.profile(bundle)
-        same = profile == bench
-        if not same and (exact or profile < bench):
+        if profile < bench:
             return k, profiles
         profiles.append(profile)
         # the bundles are disjoint, so each chore leaves the counts once: a
         # bundle of free chores that matches its benchmark holds the fill's
         # copies exactly
-        if same and ids.issuperset(bundle):
+        if profile == bench and ids.issuperset(bundle):
             for w, t in fill:
                 count[w] -= t
         else:
@@ -178,14 +182,17 @@ def is_ffv(all_chores: Iterable[int], alloc: Allocation, cost: Sequence[Fraction
     lexicographically maximal subset within tau of the chores that earlier
     bundles do not hold: FFD's first bin over them. Unallocated chores
     participate in the benchmarks. Returns (ok, first violating bundle
-    index)."""
+    index). With bundles, raises BadParams for a threshold that is not a
+    positive rational (`CostRow.cap`), then for a chore of `all_chores`,
+    then of the bundles, that is not one of the row's m chores
+    (`CostRow.ids`)."""
     row = CostRow.of(cost)
     if not alloc.bundles:
         return True, None
-    if tau <= 0:
-        raise PreconditionViolation("benchmark threshold must be positive")
-    bad, _ = _first_off_benchmark(alloc.bundles, row, _count_free(row, all_chores),
-                                  row.cap(tau), exact=False)
+    cap = row.cap(tau)
+    free = _count_free(row, all_chores)
+    row.ids(chain.from_iterable(alloc.bundles))
+    bad, _ = _first_off_benchmark(alloc.bundles, row, free, cap)
     return bad is None, bad
 
 
@@ -217,17 +224,32 @@ def _pad(bundles: Sequence[Sequence[int]], n: int) -> list[tuple[int, ...]]:
     return out
 
 
+def _ffd_profiles(runs: Sequence[tuple[int, int]], cap: int, n: int) -> list[list[int]]:
+    """The profiles of FFD's bins at the capacity over the chores that the
+    (weight, count) `runs` spell (`first_fit_bins`), in turn, then empty
+    profiles up to n profiles in all."""
+    profiles: list[list[int]] = []
+    for taken in first_fit_bins(dict(runs), cap):
+        profile: list[int] = []
+        for w, t in taken:
+            profile += [w] * t
+        profiles.append(profile)
+    return profiles + [[] for _ in range(n - len(profiles))]
+
+
 def _check_ffd_output(P: Allocation, row: CostRow, tau, free) -> list[list[int]]:
-    """P is an FFD output when it holds the chores of `free` (`_count_free`),
-    every one and no other, and each bundle has its benchmark's profile,
-    since FFD's k-th bin is the k-th benchmark. Returns P's profiles."""
+    """P is an FFD output at tau when it holds the chores of `free`
+    (`_count_free`), every one and no other, and its bundles have the
+    profiles of FFD's bins over them (`_ffd_profiles`), in turn, and then
+    none. Since P holds only those chores, bundles that match FFD's bins in
+    turn take the copies the bins do. Returns P's profiles."""
     held = P.allocated()
     if held != free[1]:
         raise PreconditionViolation("the FFD allocation holds a chore outside all_chores"
                                     if held - free[1] else
                                     "the FFD allocation must contain every chore")
-    bad, profiles = _first_off_benchmark(P.bundles, row, free, row.cap(tau), exact=True)
-    if bad is not None:
+    profiles = list(map(row.profile, P.bundles))
+    if profiles != _ffd_profiles(free[0], row.cap(tau), len(profiles)):
         raise PreconditionViolation("allocation is not an FFD output at this threshold")
     return profiles
 
@@ -288,6 +310,18 @@ class _Worker:
     def ffd_order(self, b: int) -> list[int]:
         """Bundle b in FFD order, as `CostRow.ffd_order` gives it."""
         return self.row.ffd_order(self.sets[b])
+
+    def donor(self, k: int, w: int, missing: str | None = None,
+              start: int | None = None) -> tuple[int, int]:
+        """The (bundle, chore) `_find_donor` names for weight w past bundle
+        k, walking from bundle `start` when given; fails with `missing`,
+        else with "no chore of cost X left in bundles after k", when no
+        bundle past k holds that weight."""
+        donor = _find_donor(self, k, w, start)
+        if donor is None:
+            self.fail(k, missing or f"no chore of cost {self.row.value(w)} left in bundles "
+                                    f"after {k}")
+        return donor
 
     def _pop(self, b: int, c: int):
         """Take chore c, the last id of its weight's run, out of bundle b's
@@ -367,10 +401,7 @@ class _Worker:
         self.runs[k] = None  # donors come from bundles past k: k's runs go unread
         starts: dict[int, int] = {}
         for w in wants:
-            donor = _find_donor(self, k, w, starts.get(w))
-            if donor is None:
-                self.fail(k, f"no chore of cost {self.row.value(w)} left in bundles after {k}")
-            i, c = donor
+            i, c = self.donor(k, w, start=starts.get(w))
             starts[w] = i
             kept = c not in a_k
             a_k.add(c)
@@ -418,13 +449,18 @@ def _reduce(P: Allocation, Q: Allocation, row: CostRow, tau: Fraction,
     is First-Fit-Valid (as `is_ffv` does), both walks from `free`, pad both
     to one length, then for each bundle k let `reach_target(worker, k,
     target)` swap bundle k to Q's k-th cost profile, and check that it got
-    there."""
-    if tau <= 0:
-        raise BadParams("FFD threshold must be positive")
+    there. The threshold becomes a capacity (`CostRow.cap`) before Q is
+    checked; under `verify_ffd=False` P's chores are checked to be among
+    the row's m chores (`CostRow.ids`) instead."""
+    cap = row.cap(tau)
     if not free[1].issuperset(c for b in Q.bundles for c in b):
         raise PreconditionViolation("allocation holds a chore outside all_chores")
-    p_profiles = _check_ffd_output(P, row, tau, free) if verify_ffd else []
-    bad, targets = _first_off_benchmark(Q.bundles, row, free, row.cap(tau), exact=False)
+    if verify_ffd:
+        p_profiles = _check_ffd_output(P, row, tau, free)
+    else:
+        row.ids(chain.from_iterable(P.bundles))
+        p_profiles = []
+    bad, targets = _first_off_benchmark(Q.bundles, row, free, cap)
     if bad is not None:
         raise PreconditionViolation(f"allocation is not First-Fit-Valid (bundle {bad})")
     n = max(len(P.bundles), len(Q.bundles))
@@ -477,11 +513,7 @@ def reduce_factored(P: Allocation, Q: Allocation, cost: Sequence[Fraction],
                                    "FFV should forbid this")
                 continue
             tail = current[j:]
-            donor = _find_donor(worker, k, want)
-            if donor is None:
-                worker.fail(k, f"no chore of cost {row.value(want)} left in bundles "
-                               f"after {k}")
-            i, cl = donor
+            i, cl = worker.donor(k, want)
             if sum(map(weights.__getitem__, tail)) >= want:
                 moved = _exact_subset(tail, row, want)
                 gone = set(moved)
@@ -518,10 +550,7 @@ def reduce_bivalued(P: Allocation, Q: Allocation, cost: Sequence[Fraction],
         if worker.profile(k) == target:
             return
         if target.count(large) > worker.profile(k).count(large):
-            donor = _find_donor(worker, k, large)
-            if donor is None:
-                worker.fail(k, "no large chore left in any later bundle")
-            i, cl = donor
+            i, cl = worker.donor(k, large, "no large chore left in any later bundle")
             smalls = tuple(c for c in worker.sets[k] if weights[c] != large)
             worker.apply(k, k, smalls, i, (cl,), forbid_increase_after=k)
         # the target holds only the large and the small cost, and bundle k
@@ -576,16 +605,10 @@ def transform_mms_to_ffd(Q: Allocation, cost: Sequence[Fraction],
             raise InvariantViolation(
                 "FFD at tau >= mu + s used more bins than the partition", transcript)
         return transcript
-    # the swaps read FFD's bins only as profiles: `first_fit_bins` over the
-    # weight counts, the bins `ffd` fills; they take every chore, since each
-    # weighs at most its Q bundle, so at most mu and at most tau
-    p_profiles: list[list[int]] = []
-    for taken in first_fit_bins(dict(runs), tau_cap):
-        profile: list[int] = []
-        for w, t in taken:
-            profile += [w] * t
-        p_profiles.append(profile)
-    p_profiles += [[] for _ in range(n - len(p_profiles))]
+    # the swaps read FFD's bins only as profiles, the bins `ffd` fills; they
+    # take every chore, since each weighs at most its Q bundle, so at most
+    # mu and at most tau
+    p_profiles = _ffd_profiles(runs, tau_cap, n)
     n_work = len(p_profiles)
     # most large chores first, then most small ones; stable among equals
     q_sorted = sorted(Q.bundles, key=lambda b: _counts(b, weights, large), reverse=True)
@@ -609,12 +632,9 @@ def transform_mms_to_ffd(Q: Allocation, cost: Sequence[Fraction],
 
     def two_for_one(k: int, missing: str) -> int:
         """Swap bundle k's two lowest-id small chores for the last large
-        chore after k (`_find_donor`), failing with `missing` when no later
-        bundle has one; returns the donor's bundle."""
-        donor = _find_donor(worker, k, large)
-        if donor is None:
-            worker.fail(k, missing)
-        z, cl = donor
+        chore after k (`_Worker.donor`), failing with `missing` when no
+        later bundle has one; returns the donor's bundle."""
+        z, cl = worker.donor(k, large, missing)
         pair = tuple(sorted(c for c in worker.sets[k] if weights[c] != large)[:2])
         worker.apply(k, k, pair, z, (cl,))
         return z
@@ -657,11 +677,7 @@ def transform_mms_to_ffd(Q: Allocation, cost: Sequence[Fraction],
                 worker.fail(k, f"bundle {k} position {j} exceeds the FFD profile")
             if have == want:
                 continue
-            donor = _find_donor(worker, k, want)
-            if donor is None:
-                worker.fail(k, f"no chore of cost {row.value(want)} left in bundles "
-                               f"after {k}")
-            z, cl = donor
+            z, cl = worker.donor(k, want)
             worker.apply(k, k, (current[j],), z, (cl,))
             # the donor outweighs the chore it replaces, so the order is kept
             # as in `reduce_factored`

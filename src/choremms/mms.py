@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-from .core import (Allocation, CostRow, Instance, bundle_cost, classify, format_rational,
-                   is_bivalued_costs, is_factored_costs, to_ido)
+from .core import (Allocation, CostRow, Instance, _bundle_count, bundle_cost, classify,
+                   format_rational, is_bivalued_costs, is_factored_costs, to_ido)
 from .errors import (BadParams, NotBivalued, NotFactored, TheoremViolation,
                      TooLarge, UnsupportedClass)
 from .packing import (hffd_slices, ladder_bound, ladder_probe, multifit, smallest_fitting_cap,
@@ -66,8 +66,7 @@ def mms_brute(cost: Sequence[Fraction], chores: Iterable[int], d: int) -> MMSRes
     first optimal partition in search order. With no chores that is d
     empty bundles, of value 0.
     """
-    if d < 1:
-        raise BadParams("need at least one bundle")
+    _bundle_count(d)
     chores = tuple(chores)
     if len(chores) > ORACLE_CAP:
         raise TooLarge(f"brute-force oracle capped at m={ORACLE_CAP}, got {len(chores)}")
@@ -129,8 +128,7 @@ def mms_lower_bound(cost: Sequence[Fraction], chores: Iterable[int], d: int) -> 
     the largest weight of the chores and total their sum (0 with no
     chores). Some bundle of any d-partition holds w0, and some holds at
     least total/d, so the bound is at most the MMS for d bundles."""
-    if d < 1:
-        raise BadParams("need at least one bundle")
+    _bundle_count(d)
     runs = CostRow.of(cost).runs(chores)
     total = sum(w * k for w, k in runs)
     return max(runs[0][0] if runs else 0, -(-total // d))
@@ -140,8 +138,7 @@ def mms_factored(cost: Sequence[Fraction], chores: Iterable[int], d: int) -> MMS
     """Exact MMS for a factored cost function in polynomial time: `multifit`
     into d bins, whose threshold is the minimal one on such rows, with its
     FFD bins as the witness."""
-    if d < 1:
-        raise BadParams("need at least one bundle")
+    _bundle_count(d)
     chores = tuple(chores)
     row = CostRow.of(cost)
     if not row.runs(chores).chain:
@@ -158,8 +155,7 @@ def mms_value(cost: Sequence[Fraction], chores: Iterable[int], d: int) -> Fracti
     (as `min_success_threshold` gives it); on two other costs
     `packing.two_valued_makespan`, at any number of chores; else
     `mms_brute`, with its cap of ORACLE_CAP chores and its errors."""
-    if d < 1:
-        raise BadParams("need at least one bundle")
+    _bundle_count(d)
     row = CostRow.of(cost)
     chores = tuple(chores)
     runs = row.runs(chores)
@@ -177,8 +173,7 @@ def min_success_threshold(cost: Sequence[Fraction], chores: Iterable[int], n: in
     factored and bivalued costs, where FFD success is monotone in the
     threshold; for general costs use multifit, which only guarantees a
     succeeding threshold."""
-    if n < 1:
-        raise BadParams("need at least one bin")
+    _bundle_count(n)
     row = CostRow.of(cost)
     runs = row.runs(chores)
     if runs.chain:

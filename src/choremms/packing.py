@@ -7,7 +7,9 @@ checked where it enters (`core.CostRow.of`), and so are chore ids
 (`core.CostRow.ids`), so every weight is a positive integer. The packing
 loops run on the row's cached integer weights (`core.CostRow`), also for a
 subset of its chores, with threshold tau becoming the integer capacity
-floor(tau * D).
+floor(tau * D) by the threshold contract `core.CostRow.cap`. A number of
+bins (`n`, `bins`, a given `max_bins`) goes through the bundle-count
+contract `core._bundle_count`.
 
 `first_fit_bin` is the one statement of first fit into one bin, for FFD
 and for `ffv`, and `first_fit_bins` the one statement of FFD's bin loop
@@ -40,7 +42,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .core import Allocation, CostRow, Instance, bundle_cost
+from .core import Allocation, CostRow, Instance, _bundle_count, bundle_cost
 from .errors import BadParams, EmptyBinDeadlock
 
 
@@ -179,9 +181,9 @@ def ladder_bound(runs: Sequence[tuple[int, int]], bins: int) -> int:
     heavier classes, all multiples of w_j, have filled T_{j-1} / w_j of the
     bins * (L // w_j) slots of size w_j, so the bound on prefix j leaves
     room for the whole class. There the bound is the smallest fitting
-    capacity and the makespan."""
-    if bins < 1:
-        raise BadParams("need at least one bin")
+    capacity and the makespan. `bins` goes through the bundle-count
+    contract (`core._bundle_count`)."""
+    _bundle_count(bins)
     bound = total = g = 0
     for w, k in runs:
         total += w * k
@@ -209,8 +211,7 @@ def smallest_fitting_cap(runs: Sequence[tuple[int, int]], bins: int) -> int:
     with w0 the largest weight and total the sum of w * count. Exact where
     success is monotone in the capacity (factored and bivalued costs);
     otherwise the result succeeds but may not be the smallest. No runs need
-    capacity 0, where the probe fits; `ladder_bound` raises BadParams for
-    no bins."""
+    capacity 0, where the probe fits; `ladder_bound` checks `bins`."""
     bound, fits = ladder_probe(runs, bins)
     if fits:
         return bound
@@ -287,12 +288,14 @@ def ffd(chores: Iterable[int], cost: Sequence[Fraction], tau: Fraction,
     The bins fill one at a time by `first_fit_bins` over the weights left,
     each taking the lowest ids left of each weight: a chore joins bin b
     exactly when it fits b's room then, as in first fit chore by chore.
-    Raises BadParams for a chore that is not one of the row's m chores
-    (`CostRow.ids`)."""
-    if tau <= 0:
-        raise BadParams("FFD threshold must be positive")
+    Raises BadParams for a threshold that is not a positive rational
+    (`CostRow.cap`), a given `max_bins` that is not a positive int
+    (`core._bundle_count`), or a chore that is not one of the row's m
+    chores (`CostRow.ids`), in that order."""
     row = CostRow.of(cost)
     cap = row.cap(tau)
+    if max_bins is not None:
+        _bundle_count(max_bins)
     ids = row.by_weight(row.ffd_order(row.ids(chores)))
     count = {w: len(group) for w, group in ids.items()}
     bins: list[list[int]] = []
@@ -319,8 +322,7 @@ def multifit(chores: Iterable[int], cost: Sequence[Fraction], n: int) -> tuple[F
     success is monotone in the threshold; for general cost functions the
     returned threshold is guaranteed to succeed but may not be minimal.
     """
-    if n < 1:
-        raise BadParams("need at least one bin")
+    _bundle_count(n)
     chores = tuple(chores)
     if not chores:
         return Fraction(0), PackOutcome(Allocation.of([]), ())
@@ -358,7 +360,8 @@ def hffd_slices(instance: Instance, thresholds: Sequence[Fraction]) -> tuple[
     least one remaining agent under that agent's threshold; a closed bin
     goes to the lowest-index remaining agent for whom its last chore fitted,
     the first agent left in the bin's list of agents it still fits. Each
-    agent's threshold becomes a capacity in their row's cached scale.
+    agent's threshold becomes a capacity in their row's cached scale, by
+    the threshold contract `CostRow.cap`, before the blocks are read.
 
     The walk goes over the instance's blocks (`Instance.blocks`, which
     `to_ido` sets for a twin), chores that cost every agent the same: the
@@ -372,11 +375,9 @@ def hffd_slices(instance: Instance, thresholds: Sequence[Fraction]) -> tuple[
     """
     if len(thresholds) != instance.n:
         raise BadParams("need one threshold per agent")
-    if any(t <= 0 for t in thresholds):
-        raise BadParams("thresholds must be positive")
+    caps = list(map(CostRow.cap, instance.costs, thresholds))
     order, cuts = instance.blocks
     rows = [row.weights for row in instance.costs]
-    caps = [row.cap(tau) for row, tau in zip(instance.costs, thresholds)]
     # (next, end) of each block with chores left: a bin takes a block's
     # copies from the front, so those left are order[next:end]
     bounds = [0, *cuts, len(order)]

@@ -532,8 +532,8 @@ def ref_min_success_threshold(cost, chores, n):
 def ref_benchmark_bundle(all_chores, allocated_prefix, cost, tau):
     """Greedy largest-first over the chores left after the prefix, with a
     Fraction running sum kept within tau."""
-    if tau <= 0:
-        raise PreconditionViolation("benchmark threshold must be positive")
+    if isinstance(tau, bool) or not isinstance(tau, (int, Fraction)) or tau <= 0:
+        raise BadParams("threshold must be a positive rational")
     taken = {c for b in allocated_prefix for c in b}
     remaining = [c for c in all_chores if c not in taken]
     bundle = []
@@ -664,8 +664,8 @@ def _ref_find_donor(worker, after, value):
 
 
 def _ref_reduce(P, Q, cost, tau, all_chores, verify_ffd, reach_target):
-    if tau <= 0:
-        raise BadParams("FFD threshold must be positive")
+    if isinstance(tau, bool) or not isinstance(tau, (int, Fraction)) or tau <= 0:
+        raise BadParams("threshold must be a positive rational")
     if not Q.allocated() <= set(all_chores):
         raise PreconditionViolation("allocation holds a chore outside all_chores")
     if verify_ffd:

@@ -18,9 +18,9 @@ from choremms.core import (Allocation, CostRow, Instance, InstanceClass, bundle_
                            parse_rational, to_ido, universal_ordering)
 from choremms.errors import BadParams, NotIDO, SubsetViolation
 from choremms.ffv import is_ffv, reduce_bivalued, reduce_factored, transform_mms_to_ffd
-from choremms.mms import (min_success_threshold, mms_brute, mms_factored, mms_lower_bound,
-                          mms_value)
-from choremms.packing import ffd, multifit
+from choremms.mms import (hffd_and_lift, min_success_threshold, mms_brute, mms_factored,
+                          mms_lower_bound, mms_value)
+from choremms.packing import ffd, hffd, ladder_bound, multifit
 from helpers import (EQUAL, GREATER, LESS, all_complete_allocations, lex_compare,
                      random_rationals, ref_is_bivalued_costs, ref_is_factored_costs, swap)
 
@@ -221,6 +221,77 @@ CHORE_TAKERS = {
 def test_chores_outside_the_row_are_rejected(name, bad):
     with pytest.raises(BadParams, match=f"^chore {bad} is not one of the 3 chores$"):
         CHORE_TAKERS[name]((0, bad, 2))
+
+
+# each function that takes chores in bundles, called on one bundle of them
+# and the row ROW: the reductions check P's chores when they skip the FFD
+# check of P
+P_ONLY = dict(Q=Allocation.of([THREE]), cost=ROW, tau=F(5), all_chores=THREE, verify_ffd=False)
+BUNDLE_TAKERS = {
+    "bundle_cost": lambda bundle: bundle_cost(ROW, bundle),
+    "is_ffv": lambda bundle: is_ffv(THREE, Allocation.of([(1,), bundle]), ROW, F(5)),
+    "reduce_factored": lambda bundle: reduce_factored(Allocation.of([bundle]), **P_ONLY),
+    "reduce_bivalued": lambda bundle: reduce_bivalued(Allocation.of([bundle]), **P_ONLY),
+}
+
+
+@pytest.mark.parametrize("bad", [-1, 3, 10])
+@pytest.mark.parametrize("name", BUNDLE_TAKERS)
+def test_chores_in_bundles_outside_the_row_are_rejected(name, bad):
+    with pytest.raises(BadParams, match=f"^chore {bad} is not one of the 3 chores$"):
+        BUNDLE_TAKERS[name]((0, bad))
+
+
+# an IDO instance of two agents, FFD's bins of ROW's chores at 3, and each
+# function that takes a threshold, called with it as every threshold it
+# takes on ROW's chores
+TWO = Instance.from_rows([ROW, ROW])
+FFD_AT_3 = Allocation.of([(0, 2), (1,)])
+THRESHOLD_TAKERS = {
+    "ffd": lambda tau: ffd(THREE, ROW, tau),
+    "is_ffv": lambda tau: is_ffv(THREE, FFD_AT_3, ROW, tau),
+    "reduce_factored": lambda tau: reduce_factored(FFD_AT_3, FFD_AT_3, ROW, tau, THREE),
+    "reduce_bivalued": lambda tau: reduce_bivalued(FFD_AT_3, FFD_AT_3, ROW, tau, THREE),
+    "transform_mms_to_ffd": lambda tau: transform_mms_to_ffd(FFD_AT_3, ROW, tau),
+    "hffd": lambda tau: hffd(TWO, [tau, tau]),
+    "hffd_and_lift": lambda tau: hffd_and_lift(TWO, [tau, tau]),
+}
+BAD_THRESHOLDS = [0, -1, F(-1, 2), 2.5, Decimal("3"), "3", None, True]
+
+
+@pytest.mark.parametrize("bad", BAD_THRESHOLDS, ids=repr)
+@pytest.mark.parametrize("name", THRESHOLD_TAKERS)
+def test_thresholds_go_through_the_threshold_contract(name, bad):
+    with pytest.raises(BadParams, match="^threshold must be a positive rational$"):
+        THRESHOLD_TAKERS[name](bad)
+
+
+@pytest.mark.parametrize("name", THRESHOLD_TAKERS)
+def test_an_int_threshold_acts_as_its_fraction(name):
+    assert THRESHOLD_TAKERS[name](3) == THRESHOLD_TAKERS[name](F(3))
+
+
+# each function that takes a number of bundles or bins, called with it
+COUNT_TAKERS = {
+    "mms_brute": lambda d: mms_brute(ROW, THREE, d),
+    "mms_lower_bound": lambda d: mms_lower_bound(ROW, THREE, d),
+    "mms_factored": lambda d: mms_factored(ROW, THREE, d),
+    "mms_value": lambda d: mms_value(ROW, THREE, d),
+    "min_success_threshold": lambda d: min_success_threshold(ROW, THREE, d),
+    "multifit": lambda d: multifit(THREE, ROW, d),
+    "ffd": lambda d: ffd(THREE, ROW, F(5), max_bins=d),
+    "ladder_bound": lambda d: ladder_bound([(2, 2), (1, 1)], d),
+}
+BAD_COUNTS = [0, -1, 2.0, 2.5, "2", None, True, False]
+
+
+# ffd's max_bins of None is no limit on the bins
+@pytest.mark.parametrize("name, bad", [(name, bad) for name in COUNT_TAKERS for bad in BAD_COUNTS
+                                       if not (name == "ffd" and bad is None)],
+                         ids=str)
+def test_counts_go_through_the_count_contract(name, bad):
+    with pytest.raises(BadParams, match="^number of bundles must be a positive int$"):
+        COUNT_TAKERS[name](bad)
 
 
 # ----------------------------------------------------------------- classify

@@ -346,7 +346,7 @@ def test_two_valued_makespan_cases(runs, d, mu, bound):
 def test_two_valued_makespan_rejects_three_weights_and_no_bins():
     with pytest.raises(BadParams, match="^need at most two distinct weights, got 3$"):
         two_valued_makespan([(3, 1), (2, 1), (1, 1)], 2)
-    with pytest.raises(BadParams, match="^need at least one bin$"):
+    with pytest.raises(BadParams, match="^number of bundles must be a positive int$"):
         two_valued_makespan([(3, 1)], 0)
 
 

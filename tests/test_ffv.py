@@ -48,8 +48,8 @@ def test_benchmark_bundle_matches_brute_lex_max():
 
 
 def test_benchmark_bundle_rejects_nonpositive_threshold():
-    # is_ffv's benchmarks take the certificate layer's error for tau <= 0
-    with pytest.raises(PreconditionViolation, match="^benchmark threshold must be positive$"):
+    # a threshold of at most 0 breaks the threshold contract (`CostRow.cap`)
+    with pytest.raises(BadParams, match="^threshold must be a positive rational$"):
         is_ffv(range(2), Allocation.of([(0,), (1,)]), (F(1), F(1)), F(0))
 
 
@@ -233,7 +233,7 @@ def test_reduction_builds_one_allocation_whatever_its_step_count(monkeypatch):
 @pytest.mark.parametrize("tau", [F(0), F(-1)])
 def test_reductions_reject_a_threshold_at_most_zero(reduce, verify_ffd, tau):
     alloc = Allocation.of([(0, 1), (2,)])
-    with pytest.raises(BadParams, match="^FFD threshold must be positive$"):
+    with pytest.raises(BadParams, match="^threshold must be a positive rational$"):
         reduce(alloc, alloc, (F(2), F(1), F(1)), tau, range(3), verify_ffd=verify_ffd)
 
 
@@ -250,7 +250,7 @@ FLOAT_CASE = (Allocation.of([(0, 1), (2,)]), (F(2), F(1), F(1)))
 ], ids=["is_ffv", "reduce_factored", "reduce_factored-unverified",
         "reduce_bivalued", "reduce_bivalued-unverified", "transform_mms_to_ffd"])
 def test_float_threshold_is_bad_params(check):
-    with pytest.raises(BadParams, match="^threshold must be rational, not float$"):
+    with pytest.raises(BadParams, match="^threshold must be a positive rational$"):
         check(*FLOAT_CASE, 3.0)
 
 

@@ -208,6 +208,62 @@ def test_plain_rows_enter_through_cost_row_of():
             if not checked] == []
 
 
+# the parameters that the threshold contract (`CostRow.cap`) and the
+# bundle-count contract (`core._bundle_count`) check
+CONTRACT_PARAMETERS = {"tau", "mu", "d", "n", "bins"}
+
+
+def parameter_guards(source: str) -> list[str]:
+    """Comparisons of a threshold or count parameter with the constant 0
+    or 1: of a name in CONTRACT_PARAMETERS, of an element of `thresholds`
+    (a subscript of it, or the target of a comprehension over it), as in
+    `d < 1` or `any(t <= 0 for t in thresholds)`."""
+    tree = ast.parse(source)
+    names = CONTRACT_PARAMETERS | {
+        gen.target.id for gen in ast.walk(tree)
+        if isinstance(gen, ast.comprehension) and isinstance(gen.target, ast.Name)
+        and isinstance(gen.iter, ast.Name) and gen.iter.id == "thresholds"}
+
+    def parameter(node):
+        return (isinstance(node, ast.Name) and node.id in names
+                or isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name)
+                and node.value.id == "thresholds")
+
+    def zero_or_one(node):
+        return (isinstance(node, ast.Constant) and node.value.__class__ is int
+                and node.value in (0, 1))
+
+    found = [node for node in ast.walk(tree) if isinstance(node, ast.Compare)
+             and any(parameter(a) and zero_or_one(b) or zero_or_one(a) and parameter(b)
+                     for a, b in zip([node.left, *node.comparators], node.comparators))]
+    return [f"line {node.lineno}: {ast.unparse(node)}"
+            for node in sorted(found, key=lambda node: (node.lineno, node.col_offset))]
+
+
+def test_parameter_guards_are_found():
+    source = textwrap.dedent("""\
+        def f(tau, d, thresholds, bins):
+            if tau <= 0 or 1 > d:
+                pass
+            if any(t <= 0 for t in thresholds) or thresholds[0] == 0:
+                pass
+            if bins < 2 or len(thresholds) != 1 or d is None or tau <= 0.5:
+                pass
+            if 0 < n < 1 and mu > mu_cap and k < 1:
+                pass
+        """)
+    assert parameter_guards(source) == [
+        "line 2: tau <= 0", "line 2: 1 > d", "line 4: t <= 0",
+        "line 4: thresholds[0] == 0", "line 8: 0 < n < 1"]
+
+
+@pytest.mark.parametrize("name", ["packing.py", "mms.py", "ffv.py"])
+def test_thresholds_and_counts_are_checked_only_by_the_contracts(name):
+    # a threshold is checked where it becomes a capacity (`CostRow.cap`) and
+    # a number of bundles by `core._bundle_count`: no module guards either
+    assert parameter_guards((PACKAGE / name).read_text(encoding="utf-8")) == []
+
+
 def calls_of(source: str, name: str) -> list[str]:
     """Calls of the function `name`, bare or as an attribute."""
     return [f"line {node.lineno}: {name}(...)" for node in ast.walk(ast.parse(source))
