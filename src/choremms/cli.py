@@ -215,22 +215,23 @@ def cmd_search(args) -> int:
     if args.trials < 0:
         raise BadParams("--trials must be nonnegative")
     if args.target == "monotonicity":
-        hit = analysis.search_monotonicity(args.klass, args.trials, args.seed)
-        if hit is None:
-            print("no counterexample found")
-            return EXIT_OK
-        path = args.out or "monotonicity-counterexample.txt"
-        text = (f"# FFD succeeds at tau={format_rational(hit.tau)} into "
-                f"{hit.bins} bins but fails at beta={format_rational(hit.beta)}\n"
-                + format_instance(hit.instance))
+        hit = analysis.search_monotonicity(args.klass or "general", args.trials, args.seed)
+        if hit is not None:
+            text = (f"# FFD succeeds at tau={format_rational(hit.tau)} into "
+                    f"{hit.bins} bins but fails at beta={format_rational(hit.beta)}\n"
+                    + format_instance(hit.instance))
     else:  # mms-existence, the only other choice argparse admits
+        if args.klass is not None:
+            raise BadParams("--class applies only to --target monotonicity; the existence "
+                            "search draws personalized bivalued instances")
         hit = analysis.search_bivalued_mms_existence(args.trials, args.seed)
-        if hit is None:
-            print("no counterexample found")
-            return EXIT_OK
-        path = args.out or "mms-existence-counterexample.txt"
-        text = ("# personalized bivalued instance with no exact MMS allocation\n"
-                + format_instance(hit))
+        if hit is not None:
+            text = ("# personalized bivalued instance with no exact MMS allocation\n"
+                    + format_instance(hit))
+    if hit is None:
+        print("no counterexample found")
+        return EXIT_OK
+    path = args.out or f"{args.target}-counterexample.txt"
     _write_text(path, text)
     print(f"counterexample written to {path}")
     return EXIT_COUNTEREXAMPLE
@@ -276,8 +277,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", help="stochastic counterexample searches")
     p.add_argument("--target", required=True, choices=["monotonicity", "mms-existence"])
-    p.add_argument("--class", dest="klass", default="general",
-                   choices=analysis.GEN_KINDS)
+    p.add_argument("--class", dest="klass", choices=analysis.GEN_KINDS,
+                   help="instance class of the monotonicity search (default general)")
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")

@@ -27,18 +27,24 @@ Every swap finds its donor by `_Worker.donor`: the chore `_find_donor`
 names, the one walk down the bundles, or a failure.
 Each profile is sorted once per reduction: the FFV walks hand back the
 profiles they sort, Q's become the targets and P's (when checked) the
-worker's, and a bundle is sorted again only after a swap changed it. A
-reduction puts bundle k in FFD order once and keeps that order across its
-own swaps. The FFV checks and the exact subsets of `reduce_factored` fill
-one bin by `packing.first_fit_bin`, the one statement of the first-fit
-rule, over weight counts, so a benchmark bundle costs O(runs) plus its own
-size. FFD's bins are read as profiles once, by `_ffd_profiles` over
-`packing.first_fit_bins`: the check that P is an FFD output compares P's
-profiles with them, and the transform takes them as its targets. The
-chores of a check, `all_chores`, are a set of ids: one listed twice, or
-one outside the row's m chores (`core.CostRow.ids`), raises BadParams; so
-does a chore in a bundle of `is_ffv`'s allocation, or of P when the
-reductions skip the FFD check.
+worker's, and a bundle is sorted again only after a swap changed it.
+Two worker steps serve all three procedures. `_Worker.walk`, the one
+position walk, swaps bundle k to its target position by position for
+`reduce_factored` and the transform: it puts the bundle in FFD order once
+and keeps that order across its own swaps, and each procedure says only
+what a swap gives for the donor. `_Worker.smalls_for_large` swaps bundle
+k's small chores for the last large chore past k, for `reduce_bivalued`'s
+balance step and the transform's two-for-one swaps. The FFV checks and the
+exact subsets of `reduce_factored` fill one bin by `packing.first_fit_bin`,
+the one statement of the first-fit rule, over weight counts, so a
+benchmark bundle costs O(runs) plus its own size. FFD's bins are read as
+profiles once, by `_ffd_profiles` over `packing.first_fit_bins`: the check
+that P is an FFD output compares P's profiles with them, at the capacity
+its reduction converted once, and the transform takes them as its
+targets. The chores of a check, `all_chores`, are a set of ids: one listed
+twice, or one outside the row's m chores (`core.CostRow.ids`), raises
+BadParams; so does a chore in a bundle of `is_ffv`'s allocation, or of P
+when the reductions skip the FFD check.
 """
 
 from __future__ import annotations
@@ -237,8 +243,8 @@ def _ffd_profiles(runs: Sequence[tuple[int, int]], cap: int, n: int) -> list[lis
     return profiles + [[] for _ in range(n - len(profiles))]
 
 
-def _check_ffd_output(P: Allocation, row: CostRow, tau, free) -> list[list[int]]:
-    """P is an FFD output at tau when it holds the chores of `free`
+def _check_ffd_output(P: Allocation, row: CostRow, cap: int, free) -> list[list[int]]:
+    """P is an FFD output at the capacity when it holds the chores of `free`
     (`_count_free`), every one and no other, and its bundles have the
     profiles of FFD's bins over them (`_ffd_profiles`), in turn, and then
     none. Since P holds only those chores, bundles that match FFD's bins in
@@ -249,15 +255,17 @@ def _check_ffd_output(P: Allocation, row: CostRow, tau, free) -> list[list[int]]
                                     if held - free[1] else
                                     "the FFD allocation must contain every chore")
     profiles = list(map(row.profile, P.bundles))
-    if profiles != _ffd_profiles(free[0], row.cap(tau), len(profiles)):
+    if profiles != _ffd_profiles(free[0], cap, len(profiles)):
         raise PreconditionViolation("allocation is not an FFD output at this threshold")
     return profiles
 
 
 class _Worker:
     """The bundles of a reduction, swapped in place and checked at every
-    step: `apply` states the swap rule, and `pull` takes a bundle's missing
-    chores one swap (T_i = ∅, T_j = {c}) each.
+    step: `apply` states the swap rule, `pull` takes a bundle's missing
+    chores one swap (T_i = ∅, T_j = {c}) each, `walk` swaps a bundle to its
+    target profile position by position, and `smalls_for_large` trades a
+    bundle's small chores for a large one.
 
     Each bundle is a set of chore ids. A bundle that a donor lookup reads is
     also held as runs, each weight's chore ids ascending, built from its set
@@ -409,6 +417,50 @@ class _Worker:
             self._pop(i, c)  # built, as `_find_donor` read it
             self._record(k, k, (), i, (c,), w, kept, forbid_increase_after)
 
+    def walk(self, k: int, target: list[int], give, forbid_increase_after: int | None, exceeds):
+        """Swap bundle k to its target profile position by position, in FFD
+        order. A position whose chore is lighter than the target's takes the
+        donor `donor` names for the target's weight, first, in exchange for
+        the chores `give(tail, want)` moves out of the tail from that
+        position on, returned as (moved, rest in order); a position whose
+        chore is heavier fails with `exceeds(j, have, want)`; once the bundle
+        has no chore left at a position, it pulls the rest of the target.
+
+        The bundle is put in FFD order once, and that order is kept across
+        its swaps: a swap at position j puts the donor there, ahead of the
+        rest of the tail, all lighter than the donor; the positions before
+        j, each at least as heavy, are not read again."""
+        if self.profile(k) == target:
+            return
+        weights = self.weights
+        current = self.ffd_order(k)
+        for j, want in enumerate(target):
+            if j == len(current):
+                # every position from here on is empty: pull their chores
+                self.pull(k, target[j:], forbid_increase_after)
+                return
+            have = weights[current[j]]
+            if want <= have:
+                if want < have:
+                    self.fail(k, exceeds(j, have, want))
+                continue
+            i, c = self.donor(k, want)
+            moved, rest = give(current[j:], want)
+            self.apply(k, k, moved, i, (c,), forbid_increase_after)
+            current[j:] = [c, *rest]
+
+    def smalls_for_large(self, k: int, large: int, count: int | None = None,
+                         missing: str | None = None, forbid_increase_after: int | None = None):
+        """Swap bundle k's small chores, all of them or the `count` lowest
+        ids, for the last large chore past k (`donor`, failing with
+        `missing`); returns the donor's bundle."""
+        i, c = self.donor(k, large, missing)
+        smalls = [s for s in self.sets[k] if self.weights[s] != large]
+        if count is not None:
+            smalls = sorted(smalls)[:count]
+        self.apply(k, k, smalls, i, (c,), forbid_increase_after)
+        return i
+
     def _final(self) -> Allocation:
         # unchecked: a reduction's bundles start disjoint and every step
         # checks the chore multiset, but a failed step's may share a chore
@@ -456,7 +508,7 @@ def _reduce(P: Allocation, Q: Allocation, row: CostRow, tau: Fraction,
     if not free[1].issuperset(c for b in Q.bundles for c in b):
         raise PreconditionViolation("allocation holds a chore outside all_chores")
     if verify_ffd:
-        p_profiles = _check_ffd_output(P, row, tau, free)
+        p_profiles = _check_ffd_output(P, row, cap, free)
     else:
         row.ids(chain.from_iterable(P.bundles))
         p_profiles = []
@@ -492,36 +544,18 @@ def reduce_factored(P: Allocation, Q: Allocation, cost: Sequence[Fraction],
     if not free[0].chain:
         raise PreconditionViolation("cost function must be factored")
 
+    def give(tail: list[int], want: int) -> tuple[tuple[int, ...], list[int]]:
+        # the tail's exact subset of the donor's weight, or all of a lighter tail
+        if sum(map(weights.__getitem__, tail)) < want:
+            return tuple(tail), []
+        moved = _exact_subset(tail, row, want)
+        gone = set(moved)
+        return moved, [c for c in tail if c not in gone]
+
     def reach_target(worker: _Worker, k: int, target):
-        if worker.profile(k) == target:
-            return
-        # bundle k in FFD order, put so once and kept across its swaps: a swap
-        # at position j puts the donor there and keeps the unmoved tail, all
-        # lighter than the donor, in its order; the positions before j, each
-        # at least as heavy, are not read again
-        current = worker.ffd_order(k)
-        for j, want in enumerate(target):
-            if j == len(current):
-                # every position from here on is empty: pull their chores
-                worker.pull(k, target[j:], forbid_increase_after=k)
-                return
-            have = weights[current[j]]
-            if want <= have:
-                if want < have:
-                    worker.fail(k, f"bundle {k} position {j} exceeds its target "
-                                   f"({row.value(have)} > {row.value(want)}); "
-                                   "FFV should forbid this")
-                continue
-            tail = current[j:]
-            i, cl = worker.donor(k, want)
-            if sum(map(weights.__getitem__, tail)) >= want:
-                moved = _exact_subset(tail, row, want)
-                gone = set(moved)
-                rest = [c for c in tail if c not in gone]
-            else:
-                moved, rest = tuple(tail), []
-            worker.apply(k, k, moved, i, (cl,), forbid_increase_after=k)
-            current[j:] = [cl, *rest]
+        worker.walk(k, target, give, k, lambda j, have, want: (
+            f"bundle {k} position {j} exceeds its target ({row.value(have)} > "
+            f"{row.value(want)}); FFV should forbid this"))
     return _reduce(P, Q, row, tau, free, verify_ffd, reach_target)
 
 
@@ -542,7 +576,6 @@ def reduce_bivalued(P: Allocation, Q: Allocation, cost: Sequence[Fraction],
     of `all_chores` (else PreconditionViolation), so each target profile
     holds only their two costs."""
     row = CostRow.of(cost)
-    weights = row.weights
     free = _count_free(row, all_chores)
     large, _small = _large_small(free[0])
 
@@ -550,9 +583,8 @@ def reduce_bivalued(P: Allocation, Q: Allocation, cost: Sequence[Fraction],
         if worker.profile(k) == target:
             return
         if target.count(large) > worker.profile(k).count(large):
-            i, cl = worker.donor(k, large, "no large chore left in any later bundle")
-            smalls = tuple(c for c in worker.sets[k] if weights[c] != large)
-            worker.apply(k, k, smalls, i, (cl,), forbid_increase_after=k)
+            worker.smalls_for_large(k, large, missing="no large chore left in any later bundle",
+                                    forbid_increase_after=k)
         # the target holds only the large and the small cost, and bundle k
         # now holds either only large chores, no more than its target, or at
         # least as many large chores as its target: so it is a cost-wise
@@ -630,15 +662,6 @@ def transform_mms_to_ffd(Q: Allocation, cost: Sequence[Fraction],
                 if n_l > 1 or (n_l == 1 and (n_s + 2) * small > tau_cap):
                     worker.fail(k, f"invariant 3 broken at bundle {i}")
 
-    def two_for_one(k: int, missing: str) -> int:
-        """Swap bundle k's two lowest-id small chores for the last large
-        chore after k (`_Worker.donor`), failing with `missing` when no
-        later bundle has one; returns the donor's bundle."""
-        z, cl = worker.donor(k, large, missing)
-        pair = tuple(sorted(c for c in worker.sets[k] if weights[c] != large)[:2])
-        worker.apply(k, k, pair, z, (cl,))
-        return z
-
     for k in range(n_work):
         check_invariants(k)
         if len(worker.sets[k]) > len(p_profiles[k]):
@@ -653,35 +676,22 @@ def transform_mms_to_ffd(Q: Allocation, cost: Sequence[Fraction],
                 worker.fail(k, "two-small-chores (b) broken: fewer than two extra small chores")
             if a_q < 1:
                 worker.fail(k, "two-small-chores (d) broken: no large chore in the bundle")
-            z = two_for_one(k, "two-small-chores (c) broken: no later bundle has a large chore")
+            z = worker.smalls_for_large(
+                k, large, 2, "two-small-chores (c) broken: no later bundle has a large chore")
             if len(worker.sets[k]) > len(p_profiles[k]):
                 a_q2, b_q2 = _counts(worker.sets[k], weights, large)
                 if (a_q2, b_q2) == (2, 1) and (a_p, b_p) == (2, 0):
-                    one_small = min(c for c in worker.sets[k] if weights[c] != large)
-                    worker.apply(k, k, (one_small,), z, ())
+                    # the bundle's one small chore, its lightest, goes to z
+                    worker.apply(k, k, (min(worker.sets[k], key=weights.__getitem__),), z, ())
                 elif (a_q2, b_q2) == (2, 2) and (a_p, b_p) == (3, 0):
-                    two_for_one(k, "special case: no later bundle has a large chore")
+                    worker.smalls_for_large(k, large, 2,
+                                            "special case: no later bundle has a large chore")
                 else:
                     worker.fail(k, "bundle still has too many chores outside the "
                                    "two special cases")
-        if worker.profile(k) == p_profiles[k]:
-            continue
-        current = worker.ffd_order(k)
-        for j, want in enumerate(p_profiles[k]):
-            if j == len(current):
-                # every position from here on is empty: pull their chores
-                worker.pull(k, p_profiles[k][j:])
-                break
-            have = weights[current[j]]
-            if have > want:
-                worker.fail(k, f"bundle {k} position {j} exceeds the FFD profile")
-            if have == want:
-                continue
-            z, cl = worker.donor(k, want)
-            worker.apply(k, k, (current[j],), z, (cl,))
-            # the donor outweighs the chore it replaces, so the order is kept
-            # as in `reduce_factored`
-            current[j] = cl
+        # each swap trades one chore for a heavier donor
+        worker.walk(k, p_profiles[k], lambda tail, want: ((tail[0],), tail[1:]), None,
+                    lambda j, have, want: f"bundle {k} position {j} exceeds the FFD profile")
         if worker.profile(k) != p_profiles[k]:
             worker.fail(k, f"bundle {k} did not reach the FFD profile")
     return worker.finish()

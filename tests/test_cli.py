@@ -205,6 +205,27 @@ def test_search_mms_existence_exits_0(capsys):
     capsys.readouterr()
 
 
+def test_search_class_reaches_only_the_monotonicity_search(capsys, monkeypatch):
+    # the existence search draws personalized bivalued instances whatever
+    # the class, so a class given to it is refused before any trial runs
+    drawn = []
+    monkeypatch.setattr(analysis, "search_monotonicity", lambda *args: drawn.append(args))
+    monkeypatch.setattr(analysis, "search_bivalued_mms_existence",
+                        lambda *args: drawn.append(args))
+    assert main(["search", "--target", "mms-existence", "--class", "factored",
+                 "--trials", "5"]) == 2
+    assert one_error_line(capsys) == (
+        "error: --class applies only to --target monotonicity; the existence search "
+        "draws personalized bivalued instances\n")
+    assert drawn == []
+    assert main(["search", "--target", "monotonicity", "--trials", "5"]) == 0
+    assert main(["search", "--target", "monotonicity", "--class", "factored",
+                 "--trials", "5"]) == 0
+    assert main(["search", "--target", "mms-existence", "--trials", "5"]) == 0
+    assert capsys.readouterr().out == "no counterexample found\n" * 3
+    assert drawn == [("general", 5, 0), ("factored", 5, 0), (5, 0)]
+
+
 def test_gen_without_chores_then_solve(tmp_path, capsys):
     inst_path = tmp_path / "inst.txt"
     assert main(["gen", "--class", "factored", "--n", "2", "--m", "0",

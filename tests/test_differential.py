@@ -1001,7 +1001,7 @@ def ffd_check_outcome(alloc, row, tau, chores):
     """`_check_ffd_output`'s outcome, None when the check passes; it must
     then hand back the profile of every bundle."""
     scaled = CostRow.of(row)
-    got = outcome(_check_ffd_output, alloc, scaled, tau, _count_free(scaled, chores))
+    got = outcome(_check_ffd_output, alloc, scaled, scaled.cap(tau), _count_free(scaled, chores))
     if isinstance(got, list):
         assert got == [scaled.profile(b) for b in alloc.bundles]
         return None

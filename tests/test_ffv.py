@@ -619,6 +619,24 @@ def test_reduce_bivalued_fails_on_a_chore_beyond_its_target_as_reference(bundles
     assert failures[0] == failures[1]
 
 
+def test_reduce_factored_fails_on_a_position_over_its_target_as_reference():
+    # Q = {1, 2} {3} is First-Fit-Valid at 4, with chore 0 (cost 8) left
+    # out; P's bundle 0 holds chore 0, heavier than its target's first chore
+    cost = tuple(map(F, (8, 2, 2, 1)))
+    Q = Allocation.of([(1, 2), (3,)])
+    P = Allocation.of([(0,), (1, 2, 3)])
+    failures = []
+    for run in (reduce_factored, ref_reduce_factored):
+        with pytest.raises(InvariantViolation) as info:
+            run(P, Q, cost, F(4), range(4), verify_ffd=False)
+        t = info.value.transcript
+        assert str(info.value) == ("bundle 0 position 0 exceeds its target (8 > 2); "
+                                   "FFV should forbid this")
+        assert (t.result, t.steps, t.final) == ("violation k=0", [], P)
+        failures.append(t)
+    assert failures[0] == failures[1]
+
+
 # -------------------------------------------- transform_mms_to_ffd (Alg. 3)
 
 def test_transform_lower_bound_instance():

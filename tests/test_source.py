@@ -618,3 +618,50 @@ def test_code_lines_count_only_code(tmp_path, capsys):
     (tmp_path / "b.py").write_text("x = 1\n\n", encoding="utf-8")
     code_lines.main([str(tmp_path)])
     assert capsys.readouterr().out == "     8  a.py\n     1  b.py\n     9  total\n"
+
+
+def small_chore_filters(source: str) -> list[str]:
+    """Functions, by name, with a comprehension that keeps the chores not
+    of the weight `large`, as in `[c for c in bundle if weights[c] !=
+    large]`: the small chores a swap trades for a large one. An enclosing
+    function is named with the one it defines."""
+    def small(test):
+        return (isinstance(test, ast.Compare) and len(test.ops) == 1
+                and isinstance(test.ops[0], ast.NotEq)
+                and any(isinstance(side, ast.Name) and side.id == "large"
+                        for side in (test.left, *test.comparators)))
+    return sorted({func.name for func in ast.walk(ast.parse(source))
+                   if isinstance(func, ast.FunctionDef)
+                   for gen in ast.walk(func)
+                   if isinstance(gen, ast.comprehension) and any(map(small, gen.ifs))})
+
+
+def test_small_chore_filters_are_found():
+    source = textwrap.dedent("""\
+        def smalls(bundle, weights, large):
+            return [c for c in bundle if weights[c] != large]
+        def outer(bundle, weights, large):
+            def inner():
+                return {c for c in bundle if large != weights[c]}
+        def larges(bundle, weights, large, small):
+            kept = [c for c in bundle if weights[c] == large or weights[c] != small]
+            return kept, min(bundle, key=weights.__getitem__)
+        """)
+    assert small_chore_filters(source) == ["inner", "outer", "smalls"]
+
+
+def test_one_position_walk_and_one_smalls_for_a_large_swap_in_ffv():
+    # `_Worker.walk` is the one position walk of `reduce_factored` and the
+    # transform, and `_Worker.smalls_for_large` the one swap of a bundle's
+    # small chores for a large chore past it
+    source = (PACKAGE / "ffv.py").read_text(encoding="utf-8")
+    # the worker's own `ffd_order` calls the row's
+    assert callers_of(source, "ffd_order") == ["ffd_order", "walk"]
+    definitions = [node for node in ast.parse(source).body
+                   if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+    pulls = {node.name: callers_of(ast.get_source_segment(source, node), "pull")
+             for node in definitions}
+    # reduce_bivalued pulls from its own `reach_target`
+    assert {name: found for name, found in pulls.items() if found} == {
+        "_Worker": ["walk"], "reduce_bivalued": ["reach_target", "reduce_bivalued"]}
+    assert small_chore_filters(source) == ["smalls_for_large"]
