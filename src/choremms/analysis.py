@@ -12,7 +12,7 @@ from typing import Callable, Iterable, Sequence
 from .core import CostRow, Instance, format_rational
 from .errors import BadParams, InvariantViolation, TooLarge
 from .io import MAX_AGENTS
-from .mms import mms_value
+from .mms import APPROX_RATIO, mms_value
 from .packing import ffd
 
 MU_CUTOFF = Fraction(13, 2)
@@ -56,7 +56,6 @@ def case_table() -> list[CaseRow]:
     the fixed bundle has at most 6 chores, at least one large chore, two
     more small chores and one fewer large chore than its FFD counterpart,
     and more chores overall."""
-    ratio = Fraction(15, 13)
     rows = []
     for a_q in range(1, 7):
         for b_q in range(0, 7 - a_q):
@@ -68,7 +67,7 @@ def case_table() -> list[CaseRow]:
                     # at least 13 - 2 * a_q > 0
                     ratio_lower = Fraction(15 * b_q - 13 * b_p - 13, 13 * a_p - 15 * a_q)
                     mu_lower = a_q * ratio_lower + b_q
-                    tau_lower_s = ratio * mu_lower
+                    tau_lower_s = APPROX_RATIO * mu_lower
                     rows.append(CaseRow(
                         a_q=a_q, b_q=b_q, a_p=a_p, b_p=b_p,
                         ratio_lower=ratio_lower,

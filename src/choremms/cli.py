@@ -167,9 +167,10 @@ def cmd_verify(args) -> int:
         alpha = Fraction(1)
     else:
         raise ParseError(f"unknown mode {mode!r}")
-    d = instance.n if mode != "ordinal" else 9 * instance.n // 11
-    if d < 1:
-        raise ParseError("ordinal mode needs at least two agents")
+    try:
+        d = mms._ordinal_bundles(instance.n) if mode == "ordinal" else instance.n
+    except BadParams:
+        raise ParseError("ordinal mode needs at least two agents") from None
     if not allocation.is_complete(instance.m):
         print("verdict: allocation is not complete")
         return EXIT_FAILED

@@ -321,7 +321,13 @@ def bundle_cost(cost: Sequence[Fraction], bundle: Iterable[int]) -> Fraction:
     """The bundle's cost; raises BadParams for a chore that is not one of the
     row's m chores (`CostRow.ids`)."""
     row = CostRow.of(cost)
-    return row.value(sum(map(row.weights.__getitem__, row.ids(bundle))))
+    return _cost_of(row, row.ids(bundle))
+
+
+def _cost_of(row: CostRow, bundle: Iterable[int]) -> Fraction:
+    """The cost of a bundle of the row's chores: `bundle_cost` without its
+    id check, for bundles the package built itself."""
+    return row.value(sum(map(row.weights.__getitem__, bundle)))
 
 
 @dataclass(frozen=True)
@@ -417,37 +423,31 @@ def ido_blocks(instance: Instance) -> tuple[tuple[int, ...], tuple[int, ...]]:
     chore order[p - 1] does, so they split the ordering into maximal blocks
     of chores that cost every agent the same. When a common order exists,
     any two columns are comparable componentwise and the lexicographic
-    order agrees with that. The result is checked by `_checked_blocks`.
-    Callers read it from `Instance.blocks`, which keeps it."""
+    order agrees with that. Within a block no cost rises, so IDO holds
+    exactly when no agent's cost rises at a cut, and only the cuts are
+    checked, agent by agent: raises NotIDO naming the first agent, and
+    their first pair of chores, out of order. Callers read it from
+    `Instance.blocks`, which keeps it; an IDO twin's is set by `to_ido`."""
     rows = [row.weights for row in instance.costs]
     columns = list(zip(*rows))
     # a stable sort keeps equal columns in id order, also with reverse=True
     order = sorted(range(instance.m), key=columns.__getitem__, reverse=True)
     cuts = [p for p in range(1, len(order)) if columns[order[p - 1]] != columns[order[p]]]
-    return _checked_blocks(rows, tuple(order), tuple(cuts))
-
-
-def _checked_blocks(rows: Sequence[Sequence[int]], order: tuple[int, ...],
-                    cuts: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The ordering and its cuts, once checked against every agent's
-    weights. Within a block no cost rises, so IDO holds exactly when no
-    agent's cost rises at a cut, and only the cuts are checked, agent by
-    agent: raises NotIDO naming the first agent, and their first pair of
-    chores, out of order."""
     pairs = [(order[p - 1], order[p]) for p in cuts]
     for i, row in enumerate(rows):
         for a, b in pairs:
             if row[a] < row[b]:
                 raise NotIDO(f"agent {i} ranks chore {b} above chore {a}")
-    return order, cuts
+    return tuple(order), tuple(cuts)
 
 
 def universal_ordering(instance: Instance) -> tuple[int, ...]:
     """Permutation of the chore ids witnessing IDO, earlier meaning (weakly)
     larger for every agent: the descending lexicographic sort of the
     chores' weight columns (lower id first among equal columns), verified
-    against every agent: the ordering of `Instance.blocks`. Raises NotIDO
-    when no common order exists."""
+    against every agent, or an IDO twin's identity, which descends by
+    construction: the ordering of `Instance.blocks`. Raises NotIDO when no
+    common order exists."""
     return instance.blocks[0]
 
 
@@ -544,8 +544,8 @@ def _ido_twin(instance: Instance) -> Instance:
     two rows share one chain test (`Runs.chain`). The twin's blocks
     (`Instance.blocks`) are set here: the ordering is the identity, and the
     cuts are the prefix sums of every row's run counts, the positions at
-    which some agent's cost falls. They are checked like the blocks of any
-    instance."""
+    which some agent's cost falls. They need no check: every twin row
+    descends, so no agent's cost rises at a cut."""
     rows = []
     cuts: set[int] = set()
     for row in instance.costs:
@@ -560,7 +560,6 @@ def _ido_twin(instance: Instance) -> Instance:
         rows.append(twin)
     cuts.discard(instance.m)
     ido = Instance._trusted(tuple(rows))
-    object.__setattr__(ido, "blocks", _checked_blocks([row.weights for row in rows],
-                                                      ido.chores(), tuple(sorted(cuts))))
+    object.__setattr__(ido, "blocks", (ido.chores(), tuple(sorted(cuts))))
     return ido
 

@@ -6,7 +6,10 @@ original chores in one step, `hffd_and_lift`: HFFD's bins arrive as
 slices of the twin's positions (`packing.hffd_slices`), and the lift
 walks those slices (`LiftingMap.lift_slices`), so no bin is spelled out
 chore by chore and only the final allocation is built. Each agent's cost
-is then checked against their threshold."""
+is then checked against their threshold. What HFFD and the lift guarantee
+by construction is not checked again: each agent owns at most one bin,
+every owner is one of the n agents, and the lift hands out each of the
+chores 0..m-1 at most once."""
 
 from __future__ import annotations
 
@@ -14,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-from .core import (Allocation, CostRow, Instance, _bundle_count, bundle_cost, classify,
+from .core import (Allocation, CostRow, Instance, _bundle_count, _cost_of, classify,
                    format_rational, is_bivalued_costs, is_factored_costs, to_ido)
 from .errors import (BadParams, NotBivalued, NotFactored, TheoremViolation,
                      TooLarge, UnsupportedClass)
@@ -193,14 +196,13 @@ def hffd_and_lift(instance: Instance,
     BadParams when the thresholds are not one per agent, with chores or
     without. HFFD's bins come as slices of the twin's ordering
     (`hffd_slices`), which is the identity, so a slice is a run of
-    positions. Each slice is tagged with its bin and lifted as it is, with
-    the bins' owners as the agents (`LiftingMap.lift_slices`, which checks
-    each owner): no bin is spelled out chore by chore. Each lifted bin is
-    then put at its owner's index, with no merge, since HFFD gives each
-    agent at most one bin (a second raises BadParams); an agent without a
-    bin gets an empty bundle. Lifting raises no agent's cost, also when
-    HFFD leaves chores. With no chores every agent gets an empty bundle,
-    since HFFD rejects the zero thresholds such an instance gets."""
+    positions. Each slice is tagged with its bin's owner, one of the n
+    agents, and lifted as it is into agent i's bundle i
+    (`LiftingMap.lift_slices`): no bin is spelled out chore by chore, and
+    no bin is merged, since HFFD gives each agent at most one bin. An agent
+    without a bin gets an empty bundle. Lifting raises no agent's cost,
+    also when HFFD leaves chores. With no chores every agent gets an empty
+    bundle, since HFFD rejects the zero thresholds such an instance gets."""
     n = instance.n
     if len(thresholds) != n:
         raise BadParams("need one threshold per agent")
@@ -208,15 +210,10 @@ def hffd_and_lift(instance: Instance,
         return Allocation.of([()] * n, agents=range(n)), ()
     ido, lifting = to_ido(instance)
     bins, owners, left = hffd_slices(ido, thresholds)
-    slices = [(start, copies, b) for b, parts in enumerate(bins) for start, copies in parts]
-    lifted, taken = lifting.lift_slices(slices, owners)
-    # every HFFD bin holds a chore, so a lifted bin is never empty
-    bundles: list[tuple[int, ...]] = [()] * n
-    for b, owner in enumerate(owners):
-        if bundles[owner]:
-            raise BadParams(f"bundle {b} belongs to agent {owner}, who has a bundle already")
-        bundles[owner] = tuple(lifted[b])
-    allocation = Allocation(tuple(bundles), tuple(range(n)))
+    slices = [(start, copies, owner) for owner, parts in zip(owners, bins)
+              for start, copies in parts]
+    lifted, taken = lifting.lift_slices(slices, range(n))
+    allocation = Allocation(tuple(map(tuple, lifted)), tuple(range(n)))
     if not left:
         return allocation, ()
     return allocation, tuple(c for c, held in enumerate(taken) if not held)
@@ -230,9 +227,10 @@ def _solve(instance: Instance, algorithm: str, d: int,
     the instance and its twin share), whose runs the twin row keeps. HFFD
     (`hffd_and_lift`) runs at the first rule's thresholds, and at the next
     rule's whenever it leaves chores; at the last rule's it must place them
-    all. Each agent's cost in the lifted allocation (`bundle_cost`, an
-    integer sum of their row's weights made a Fraction once) is checked
-    against their threshold."""
+    all. Each agent's cost in the lifted allocation, an integer sum of
+    their row's weights made a Fraction once (`core._cost_of`, with no id
+    check, since the lift hands out only the m chores), is checked against
+    their threshold."""
     chores = instance.chores()
     for rule in rules:
         thresholds, mus = zip(*(rule(row, chores, d) for row in instance.twin.costs))
@@ -243,7 +241,7 @@ def _solve(instance: Instance, algorithm: str, d: int,
         raise TheoremViolation(
             f"{algorithm}: HFFD left chores {' '.join(map(str, unallocated))} unallocated "
             f"at thresholds {' '.join(map(format_rational, thresholds))}", instance)
-    costs = tuple(map(bundle_cost, instance.costs, allocation.bundles))
+    costs = tuple(map(_cost_of, instance.costs, allocation.bundles))
     for i, (cost, t) in enumerate(zip(costs, thresholds)):
         if cost > t:
             raise TheoremViolation(
@@ -298,6 +296,14 @@ def solve_bivalued(instance: Instance) -> SolveResult:
     return _solve(instance, "bivalued", instance.n, _bivalued_threshold)
 
 
+def _ordinal_bundles(n: int) -> int:
+    """floor(9n/11), the number of bundles of the ordinal guarantee for n
+    agents; raises BadParams below two agents, where it is 0."""
+    if n < 2:
+        raise BadParams("the ordinal solver needs at least two agents")
+    return 9 * n // 11
+
+
 def solve_ordinal(instance: Instance) -> SolveResult:
     """1-out-of-floor(9n/11) MMS allocation for a general instance: every
     agent's cost is at most their MMS for d = floor(9n/11) bundles.
@@ -310,9 +316,7 @@ def solve_ordinal(instance: Instance) -> SolveResult:
     a divisibility chain).
     `mms_values[i]` is None when agent i's MMS was not computed: their bound
     was used and first fit does not show it to be the MMS."""
-    if instance.n < 2:
-        raise BadParams("the ordinal solver needs at least two agents")
-    return _solve(instance, "ordinal", 9 * instance.n // 11,
+    return _solve(instance, "ordinal", _ordinal_bundles(instance.n),
                   _lower_bound_threshold, _mms_threshold)
 
 

@@ -42,7 +42,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .core import Allocation, CostRow, Instance, _bundle_count, bundle_cost
+from .core import Allocation, CostRow, Instance, _bundle_count
 from .errors import BadParams, EmptyBinDeadlock
 
 
@@ -329,7 +329,8 @@ def multifit(chores: Iterable[int], cost: Sequence[Fraction], n: int) -> tuple[F
     row = CostRow.of(cost)
     cap = smallest_fitting_cap(row.runs(chores), n)
     outcome = ffd(chores, row, row.value(cap), max_bins=n)
-    return max(bundle_cost(row, b) for b in outcome.bundles), outcome
+    loads = (sum(map(row.weights.__getitem__, b)) for b in outcome.bundles)
+    return row.value(max(loads)), outcome
 
 
 def hffd(instance: Instance, thresholds: Sequence[Fraction]) -> PackOutcome:

@@ -9,7 +9,7 @@ from fractions import Fraction as F
 import pytest
 
 import choremms
-from choremms import analysis, cli, core, io, mms
+from choremms import analysis, core, mms
 from choremms.cli import main
 from choremms.core import Instance, bundle_cost, format_rational, to_ido
 from choremms.errors import BadParams, EmptyBinDeadlock, NotFactored, TooLarge
@@ -79,10 +79,16 @@ def test_solve_factored_then_verify_mms(tmp_path, capsys):
 def test_solve_computes_each_bundle_cost_once(tmp_path, monkeypatch, capsys, algo, kind, n, m):
     instance = analysis.gen_instance(kind, n, m, seed=3)
     path = write_instance(tmp_path, instance)
+    # every bundle cost is one `_cost_of` sum: `bundle_cost`'s, from any
+    # module, and `_solve`'s, which sums the lifted bundles without it
     calls = []
-    for module in (cli, io, mms):
-        monkeypatch.setattr(module, "bundle_cost",
-                            lambda cost, b: calls.append(b) or bundle_cost(cost, b))
+    cost_of = core._cost_of
+
+    def counted(row, bundle):
+        calls.append(bundle)
+        return cost_of(row, bundle)
+    for module in (core, mms):
+        monkeypatch.setattr(module, "_cost_of", counted)
     out_path = tmp_path / "alloc.txt"
     assert main(["solve", path, "--algo", algo, "--out", str(out_path)]) == 0
     assert len(calls) == n

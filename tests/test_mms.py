@@ -435,21 +435,6 @@ def test_solve_ordinal_falls_back_to_the_exact_mms():
     assert to_ido(inst)[0] is ido
 
 
-@pytest.mark.parametrize("owners, message", [
-    ((1, 1), "^bundle 1 belongs to agent 1, who has a bundle already$"),
-    ((0, 2), "^bundle 1 belongs to agent 2, not one of 2 agents$"),
-    ((-1, 0), "^bundle 0 belongs to agent -1, not one of 2 agents$"),
-])
-def test_hffd_and_lift_needs_one_owner_per_bin(owners, message, monkeypatch):
-    # each lifted bin is put at its owner's index, so an owner HFFD would
-    # never give is refused rather than written over another bin
-    def hffd_with_owners(ido, taus):
-        return [[(0, 2)], [(2, 2)]], list(owners), []
-    monkeypatch.setattr(mms, "hffd_slices", hffd_with_owners)
-    with pytest.raises(BadParams, match=message):
-        hffd_and_lift(Instance.from_rows([[4, 2, 2, 1]] * 2), (F(6), F(6)))
-
-
 @pytest.mark.parametrize("m", [0, 4])
 def test_hffd_and_lift_needs_one_threshold_per_agent(m):
     # with no chores as with some: an instance without chores takes no

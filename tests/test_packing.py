@@ -6,13 +6,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from choremms import mms, packing
-from choremms.analysis import gen_instance, subset_sums
+from choremms.analysis import GEN_KINDS, gen_instance, subset_sums
 from choremms.core import CostRow, Instance, bundle_cost, to_ido
 from choremms.errors import BadParams, EmptyBinDeadlock
 from choremms.ffv import is_ffv
-from choremms.mms import min_success_threshold, mms_brute, mms_value, solve_auto
-from choremms.packing import (ffd, first_fit_bins, first_fit_places_all, hffd, ladder_bound,
-                              ladder_probe, multifit, smallest_fitting_cap)
+from choremms.mms import ORACLE_CAP, min_success_threshold, mms_brute, mms_value, solve_auto
+from choremms.packing import (ffd, first_fit_bins, first_fit_places_all, hffd, hffd_slices,
+                              ladder_bound, ladder_probe, multifit, smallest_fitting_cap)
 from helpers import (EQUAL, brute_min_makespan, lex_compare, random_rationals, ref_benchmark_bundle,
                      ref_ffd, ref_first_fit_places_all, ref_hffd, ref_ladder_bound, ref_mms_brute,
                      ref_multifit, ref_smallest_fitting_cap, run_length)
@@ -534,6 +534,44 @@ def test_hffd_empty_bin_deadlock():
     with pytest.raises(EmptyBinDeadlock) as exc:
         hffd(inst, [F(5), F(5)])
     assert exc.value.chore == 0
+
+
+def check_hffd_slices(instance, taus):
+    """`hffd_slices` on the instance's twin at the thresholds gives each bin
+    its own owner, one of the n agents, and a chore, and its bins and the
+    blocks it leaves cover the twin's positions 0..m-1 once each. Returns
+    the blocks left, or None when HFFD deadlocks."""
+    ido, _ = to_ido(instance)
+    try:
+        bins, owners, left = hffd_slices(ido, taus)
+    except EmptyBinDeadlock:
+        return None
+    assert len(bins) == len(owners) == len(set(owners))
+    assert all(0 <= owner < ido.n for owner in owners)
+    assert all(bins)
+    spans = [(p, p + t) for parts in bins for p, t in parts] + left
+    assert sorted(p for start, end in spans for p in range(start, end)) == list(range(ido.m))
+    return left
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(GEN_KINDS), st.integers(1, 8), st.integers(0, 40),
+       st.integers(0, 10 ** 6), st.data())
+def test_hffd_slices_gives_each_agent_at_most_one_bin(kind, n, m, seed, data):
+    # `hffd_and_lift` lifts each bin straight into its owner's bundle and
+    # sums the lifted bundles with no id check, on these guarantees: at the
+    # solvers' thresholds, where HFFD places every chore (the ordinal
+    # solver needs two agents, and its exact fallback on general rows at
+    # most ORACLE_CAP chores), and at thresholds drawn per agent up to
+    # about twice an even share, where it may leave chores or deadlock
+    instance = gen_instance(kind, n, m, seed)
+    if m and (kind != "general" or n >= 2 and m <= ORACLE_CAP):
+        assert check_hffd_slices(instance, solve_auto(instance).thresholds) == []
+    taus = []
+    for row in instance.costs:
+        cap = max(row.weights, default=1) + 2 * sum(row.weights) // n
+        taus.append(row.value(data.draw(st.integers(1, cap))))
+    check_hffd_slices(instance, taus)
 
 
 def test_hffd_output_is_ffv_for_last_agent():
