@@ -18,7 +18,7 @@ import time
 from fractions import Fraction
 
 from . import analysis, mms
-from .core import bundle_cost, format_rational, parse_rational
+from .core import _cost_of, format_rational, parse_rational
 from .errors import (BadParams, ChoreMMSError, EmptyBinDeadlock, ParseError, TheoremViolation,
                      TooLarge)
 from .io import format_allocation, format_instance, parse_allocation, parse_instance
@@ -140,7 +140,7 @@ def cmd_solve(args) -> int:
         mus = result.mms_values
     elapsed = time.perf_counter() - start
     if costs is None:
-        costs = tuple(bundle_cost(instance.cost(i), b) for i, b in enumerate(allocation.bundles))
+        costs = tuple(map(_cost_of, instance.costs, allocation.bundles))
     if args.out:
         _write_text(args.out, format_allocation(allocation, instance, costs))
     complete = _report(args.algo, thresholds, instance, allocation, costs, mus,
@@ -182,7 +182,7 @@ def cmd_verify(args) -> int:
     lines, all_pass = [], True
     for i in range(instance.n):
         row = instance.cost(i)
-        cost = bundle_cost(row, allocation.bundles[i])
+        cost = _cost_of(row, allocation.bundles[i])
         bound, name = alpha * row.value(mms.mms_lower_bound(row, chores, d)), "lower bound"
         if cost > bound:
             bound, name = alpha * mms.mms_value(row, chores, d), "mms"

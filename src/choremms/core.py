@@ -213,9 +213,10 @@ class CostRow(tuple):
                            reverse=True))
 
     def ids(self, chores: Iterable[int]) -> tuple[int, ...]:
-        """The chores as a tuple, each one of the row's m chores: raises
-        BadParams for the first that is not. The tuple `Instance.chores`
-        shares passes unchecked."""
+        """The chores as a tuple, each one of the row's m chores and listed
+        once: raises BadParams for the first that is not one of them, else
+        for the first repeat. The tuple `Instance.chores` shares passes
+        unchecked."""
         m = len(self)
         if chores is _ALL_CHORES.get(m):
             return chores
@@ -223,6 +224,13 @@ class CostRow(tuple):
         if chores and not (0 <= min(chores) and max(chores) < m):
             bad = next(c for c in chores if not 0 <= c < m)
             raise BadParams(f"chore {bad} is not one of the {m} chores")
+        # one set in C; the walk runs only to name the first repeat
+        if len(set(chores)) < len(chores):
+            seen: set[int] = set()
+            for c in chores:
+                if c in seen:
+                    raise BadParams(f"chore {c} is listed twice")
+                seen.add(c)
         return chores
 
 
@@ -350,12 +358,17 @@ class Allocation:
             raise BadParams("agents map length must match bundle count")
 
     @classmethod
-    def _trusted(cls, bundles: tuple[tuple[int, ...], ...]) -> "Allocation":
-        """These bundles, not checked for a shared chore: a swap transcript's
-        `final`, which after a failed step shows the bundles as they are."""
+    def _trusted(cls, bundles: tuple[tuple[int, ...], ...],
+                 agents: Iterable[int] | None = None) -> "Allocation":
+        """These bundles, with their agents as a tuple when given (as `of`
+        stores them), not checked for a shared chore or for the agents'
+        count: bins that `packing.ffd`, `packing.hffd` and
+        `mms.hffd_and_lift` fill with each chore at most once by
+        construction, and a swap transcript's `final`, which after a failed
+        step shows the bundles as they are."""
         allocation = object.__new__(cls)
         object.__setattr__(allocation, "bundles", bundles)
-        object.__setattr__(allocation, "agents", None)
+        object.__setattr__(allocation, "agents", None if agents is None else tuple(agents))
         return allocation
 
     @staticmethod

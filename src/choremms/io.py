@@ -22,7 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .core import (Allocation, CostRow, Instance, bundle_cost, format_rational,
+from .core import (Allocation, CostRow, Instance, _cost_of, bundle_cost, format_rational,
                    parse_rational)
 from .errors import ParseError
 
@@ -155,7 +155,7 @@ def parse_allocation(text: str, instance: Instance) -> Allocation:
     alloc = Allocation.of([bundles[i] for i in range(instance.n)],
                           agents=range(instance.n))
     for i, declared in costs.items():
-        actual = bundle_cost(instance.cost(i), bundles[i])
+        actual = _cost_of(instance.cost(i), bundles[i])
         if declared != actual:
             raise ParseError(
                 f"declared cost {format_rational(declared)} for agent {i} "

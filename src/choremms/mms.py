@@ -200,9 +200,11 @@ def hffd_and_lift(instance: Instance,
     agents, and lifted as it is into agent i's bundle i
     (`LiftingMap.lift_slices`): no bin is spelled out chore by chore, and
     no bin is merged, since HFFD gives each agent at most one bin. An agent
-    without a bin gets an empty bundle. Lifting raises no agent's cost,
-    also when HFFD leaves chores. With no chores every agent gets an empty
-    bundle, since HFFD rejects the zero thresholds such an instance gets."""
+    without a bin gets an empty bundle. The lift hands out each chore at
+    most once, so the allocation is built unchecked
+    (`Allocation._trusted`). Lifting raises no agent's cost, also when HFFD
+    leaves chores. With no chores every agent gets an empty bundle, since
+    HFFD rejects the zero thresholds such an instance gets."""
     n = instance.n
     if len(thresholds) != n:
         raise BadParams("need one threshold per agent")
@@ -213,7 +215,7 @@ def hffd_and_lift(instance: Instance,
     slices = [(start, copies, owner) for owner, parts in zip(owners, bins)
               for start, copies in parts]
     lifted, taken = lifting.lift_slices(slices, range(n))
-    allocation = Allocation(tuple(map(tuple, lifted)), tuple(range(n)))
+    allocation = Allocation._trusted(tuple(map(tuple, lifted)), range(n))
     if not left:
         return allocation, ()
     return allocation, tuple(c for c, held in enumerate(taken) if not held)

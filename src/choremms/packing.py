@@ -298,19 +298,15 @@ def ffd(chores: Iterable[int], cost: Sequence[Fraction], tau: Fraction,
         _bundle_count(max_bins)
     ids = row.by_weight(row.ffd_order(row.ids(chores)))
     count = {w: len(group) for w, group in ids.items()}
-    bins: list[list[int]] = []
+    bins: list[tuple[int, ...]] = []
     for taken in first_fit_bins(count, cap, max_bins):
         kept: list[int] = []
         for w, t in taken:
-            group = ids[w]
-            if t == len(group):
-                kept += group
-            else:
-                kept += group[:t]
-                ids[w] = group[t:]
-        bins.append(kept)
+            kept += ids[w][:t]
+            del ids[w][:t]
+        bins.append(tuple(kept))
     unallocated = tuple(c for w in count for c in ids[w])
-    return PackOutcome(Allocation.of(bins), unallocated)
+    return PackOutcome(Allocation._trusted(tuple(bins)), unallocated)
 
 
 def multifit(chores: Iterable[int], cost: Sequence[Fraction], n: int) -> tuple[Fraction, PackOutcome]:
@@ -340,14 +336,14 @@ def hffd(instance: Instance, thresholds: Sequence[Fraction]) -> PackOutcome:
     chores of the blocks left over, in that order, as unallocated."""
     bins, owners, left = hffd_slices(instance, thresholds)
     order = instance.blocks[0]
-    spelled: list[list[int]] = []
+    spelled: list[tuple[int, ...]] = []
     for slices in bins:
         bin_chores: list[int] = []
         for p, t in slices:
             bin_chores += order[p:p + t]
-        spelled.append(bin_chores)
+        spelled.append(tuple(bin_chores))
     unallocated = tuple(c for p, end in left for c in order[p:end])
-    return PackOutcome(Allocation.of(spelled, owners), unallocated)
+    return PackOutcome(Allocation._trusted(tuple(spelled), owners), unallocated)
 
 
 def hffd_slices(instance: Instance, thresholds: Sequence[Fraction]) -> tuple[

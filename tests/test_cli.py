@@ -80,14 +80,15 @@ def test_solve_computes_each_bundle_cost_once(tmp_path, monkeypatch, capsys, alg
     instance = analysis.gen_instance(kind, n, m, seed=3)
     path = write_instance(tmp_path, instance)
     # every bundle cost is one `_cost_of` sum: `bundle_cost`'s, from any
-    # module, and `_solve`'s, which sums the lifted bundles without it
+    # module, and those of `_solve` and `cli`, which sum the bundles the
+    # package built without it
     calls = []
     cost_of = core._cost_of
 
     def counted(row, bundle):
         calls.append(bundle)
         return cost_of(row, bundle)
-    for module in (core, mms):
+    for module in (core, mms, choremms.cli):
         monkeypatch.setattr(module, "_cost_of", counted)
     out_path = tmp_path / "alloc.txt"
     assert main(["solve", path, "--algo", algo, "--out", str(out_path)]) == 0

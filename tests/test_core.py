@@ -242,6 +242,23 @@ def test_chores_in_bundles_outside_the_row_are_rejected(name, bad):
         BUNDLE_TAKERS[name]((0, bad))
 
 
+# each function that counts, packs or sums the chores it is given: a chore
+# listed twice would be counted twice
+REPEAT_TAKERS = {name: CHORE_TAKERS[name] for name in (
+    "mms_value", "mms_brute", "mms_lower_bound", "min_success_threshold", "mms_factored",
+    "multifit", "ffd", "subset_sums")}
+REPEAT_TAKERS["bundle_cost"] = BUNDLE_TAKERS["bundle_cost"]
+
+
+@pytest.mark.parametrize("name", REPEAT_TAKERS)
+def test_a_chore_listed_twice_is_rejected(name):
+    # the first repeat is named, and a chore outside the row before any repeat
+    with pytest.raises(BadParams, match="^chore 0 is listed twice$"):
+        REPEAT_TAKERS[name]((1, 0, 0, 1))
+    with pytest.raises(BadParams, match="^chore 3 is not one of the 3 chores$"):
+        REPEAT_TAKERS[name]((1, 1, 3))
+
+
 # an IDO instance of two agents, FFD's bins of ROW's chores at 3, and each
 # function that takes a threshold, called with it as every threshold it
 # takes on ROW's chores

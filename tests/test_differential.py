@@ -560,6 +560,25 @@ def test_outputs_at_100x1000_are_pinned(kind, seed):
         SCALE_PINS[kind, seed]
 
 
+# sha256 prefixes of the certificate replay at 10x1000, where each bundle
+# holds about 100 chores: the FFV walk takes each bundle's chores out of
+# the counts, and the reduction walks and pulls along long bundles
+REPLAY_PINS = {
+    ("factored", 1): "d412c29c638980ca",
+    ("factored", 2): "9f27ce5851a20c40",
+    ("personalized_bivalued", 1): "3937811aa32dd211",
+    ("personalized_bivalued", 2): "833e4aa9c27a5a20",
+}
+
+
+@pytest.mark.parametrize("kind, seed", REPLAY_PINS)
+def test_replay_at_10x1000_is_pinned(kind, seed):
+    P, Q, cost, tau, chores = certify_case(kind, 10, 1000, seed)
+    reduce = reduce_factored if kind == "factored" else reduce_bivalued
+    t = reduce(P, Q, cost, tau, chores)
+    assert sha16((is_ffv(chores, Q, cost, tau), t.dump(), t.final)) == REPLAY_PINS[kind, seed]
+
+
 def merged_hffd_and_lift(instance, taus):
     """HFFD's bins on the twin merged per agent (`Allocation.per_agent`),
     lifted, and every original chore scanned for the ones left out: the

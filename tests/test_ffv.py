@@ -261,7 +261,7 @@ def test_float_threshold_is_bad_params(check):
 ], ids=["is_ffv", "reduce_factored", "reduce_bivalued"])
 def test_a_chore_listed_twice_is_bad_params(check):
     # all_chores is a set of ids
-    with pytest.raises(BadParams, match="^all_chores lists a chore twice$"):
+    with pytest.raises(BadParams, match="^chore 1 is listed twice$"):
         check(*FLOAT_CASE, [0, 1, 2, 1])
 
 
